@@ -521,9 +521,13 @@ class ProtocolRuntime:
         self.agents: dict[int, OverlayAgent] = {}
         self._alive: set[int] = set()
         self._frozen: set[int] = set()
-        #: optional fault-injection hook (see :mod:`repro.sim.faults`).
-        #: ``None`` keeps the delivery paths exactly as fast as before.
+        #: the session's fault injector, if any (see
+        #: :mod:`repro.sim.faults`); failover asks it about partitions.
         self.faults = None
+        #: per-message delivery hook: the injector again, but only when
+        #: its plan can touch a message leg.  ``None`` — fault-free or a
+        #: message-inert plan — keeps delivery on the tuple fast path.
+        self.message_faults = None
         #: optional precomputed-failover manager (see
         #: :mod:`repro.protocols.failover`); ``None`` means the reactive
         #: reconnection path runs untouched.
@@ -656,7 +660,7 @@ class ProtocolRuntime:
             if dst in self._alive and dst not in self._frozen:
                 self.agents[dst].handle_tell(src, msg)
 
-        if self.faults is None:
+        if self.message_faults is None:
             if self._fast_path:
                 # Fault-free fast path: no cancellation, no debug label,
                 # no Event allocation.  Consumes the same sequence number
@@ -665,7 +669,9 @@ class ProtocolRuntime:
                 return
             delays: tuple[float, ...] = (delay,)
         else:
-            delays = self.faults.delivery_delays(src, dst, msg, delay, leg="tell")
+            delays = self.message_faults.delivery_delays(
+                src, dst, msg, delay, leg="tell"
+            )
 
         for d in delays:
             self.sim.schedule_in(d, deliver, label=f"tell:{type(msg).__name__}")
@@ -702,7 +708,7 @@ class ProtocolRuntime:
         if dst not in self._alive:
             return  # request lost; timeout will fire
         delay = self._delay_ms(src, dst) / 1000.0
-        fast = self.faults is None and self._fast_path
+        fast = self.message_faults is None and self._fast_path
 
         def deliver_request() -> None:
             # is_responsive, inlined: these closures run once per delivery.
@@ -722,10 +728,10 @@ class ProtocolRuntime:
             if fast:
                 self._sched_fire(delay, deliver_reply)
                 return
-            if self.faults is None:
+            if self.message_faults is None:
                 rep_delays: tuple[float, ...] = (delay,)
             else:
-                rep_delays = self.faults.delivery_delays(
+                rep_delays = self.message_faults.delivery_delays(
                     dst, src, reply, delay, leg="reply"
                 )
             for d in rep_delays:
@@ -736,10 +742,10 @@ class ProtocolRuntime:
         if fast:
             self._sched_fire(delay, deliver_request)
             return
-        if self.faults is None:
+        if self.message_faults is None:
             req_delays: tuple[float, ...] = (delay,)
         else:
-            req_delays = self.faults.delivery_delays(
+            req_delays = self.message_faults.delivery_delays(
                 src, dst, msg, delay, leg="request"
             )
         for d in req_delays:

@@ -5,10 +5,13 @@ join workers (and any other topic a component cares to declare).  Design
 constraints, in order:
 
 1. **Determinism** — every state transition bumps the runtime's shared
-   :class:`Pulse`, which is how the virtual-clock driver knows the
-   asyncio loop still has progress to make before it may fire the next
-   simulator event.  ``asyncio.Queue`` wakes waiters FIFO, so consumer
-   scheduling is reproducible.
+   :class:`Pulse`.  That is the driver's whole contract with the bus:
+   while the pulse moves the asyncio loop still has progress to make and
+   no simulator event may fire; and a gate reopened *by* a simulator
+   event (:meth:`EventBus.resume` after a chaos stall) is a
+   simulator→asyncio crossing whose bump ends the driver's synchronous
+   burst.  ``asyncio.Queue`` wakes waiters FIFO, so consumer scheduling
+   is reproducible.
 2. **Explicit overflow** — a topic declares what happens when it is full:
    ``"reject"`` raises :class:`BusOverflow` at the publisher (admission
    control: the join queue's high-water mark turns arrivals away loudly),
@@ -29,13 +32,16 @@ __all__ = ["BusOverflow", "EventBus", "Pulse", "TopicStats"]
 
 
 class Pulse:
-    """A shared activity counter: the driver's quiescence signal.
+    """A shared activity counter: the driver's only view of asyncio.
 
     Every component that makes asyncio-visible progress (publish, deliver,
-    timer fire, gate change, worker exit) calls :meth:`bump`; the driver
-    keeps yielding to the loop until the count stops moving, and only
-    then advances virtual time.  The count itself is deterministic, which
-    makes the driver's interleaving deterministic.
+    timer arm/fire, gate change, join completion, worker exit) calls
+    :meth:`bump`.  The driver reads the count two ways: it keeps yielding
+    to the loop until the count stops moving (quiescence), and it then
+    steps the simulator synchronously until the count moves again — a
+    simulator event resolved an asyncio future — and only then yields.
+    The count itself is deterministic, which makes the driver's
+    interleaving deterministic.
     """
 
     __slots__ = ("count",)

@@ -3,10 +3,13 @@
 The service's coroutines never touch the wall clock: every ``sleep`` and
 every timeout registers a cancellable event on the session's
 :class:`~repro.sim.engine.Simulator` and suspends on an asyncio future
-the event resolves.  The runtime's driver fires simulator events only
-when the asyncio loop is quiescent, so awaiting
-``clock.sleep(5)`` costs zero wall time and — more importantly — always
-resumes at exactly the same point in the deterministic event order.
+the event resolves.  A timer firing is a simulator→asyncio *crossing*,
+so :meth:`VirtualClock._fire` bumps the shared pulse: that is what ends
+the driver's synchronous burst of simulator events and makes it yield
+to the loop (see :mod:`repro.service.runtime`).  Awaiting
+``clock.sleep(5)`` therefore costs zero wall time and — more
+importantly — always resumes at exactly the same point in the
+deterministic event order.
 
 :meth:`VirtualClock.jump` is the ``clock-jump`` chaos arm: it resolves
 every pending timer *now*, modelling a monotonic clock that leapt past
@@ -18,10 +21,9 @@ metrics, which is precisely what the chaos tests pin.
 from __future__ import annotations
 
 import asyncio
-import itertools
 
 from repro.service.bus import Pulse
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 __all__ = ["VirtualClock"]
 
@@ -32,9 +34,8 @@ class VirtualClock:
     def __init__(self, sim: Simulator, pulse: Pulse) -> None:
         self.sim = sim
         self.pulse = pulse
-        self._ids = itertools.count()
-        #: pending timers: id -> (sim Event, asyncio Future)
-        self._timers: dict[int, tuple[object, asyncio.Future]] = {}
+        #: pending timers in registration order: asyncio Future -> sim Event
+        self._timers: dict[asyncio.Future, Event] = {}
 
     @property
     def now(self) -> float:
@@ -49,30 +50,24 @@ class VirtualClock:
         """Register a timer; the returned future resolves when it fires."""
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
-        tid = next(self._ids)
-        event = self.sim.schedule_cancellable_in(
-            max(0.0, delay_s), lambda: self._fire(tid)
+        self._timers[fut] = self.sim.schedule_cancellable_in(
+            max(0.0, delay_s), lambda: self._fire(fut)
         )
-        self._timers[tid] = (event, fut)
         self.pulse.bump()
         return fut
 
-    def _fire(self, tid: int) -> None:
-        entry = self._timers.pop(tid, None)
-        if entry is None:
+    def _fire(self, fut: asyncio.Future) -> None:
+        if self._timers.pop(fut, None) is None:
             return
-        _, fut = entry
         if not fut.done():
             fut.set_result(None)
             self.pulse.bump()
 
     def _disarm(self, fut: asyncio.Future) -> None:
         """Cancel the timer behind ``fut`` (sim event tombstoned)."""
-        for tid, (event, pending) in list(self._timers.items()):
-            if pending is fut:
-                del self._timers[tid]
-                event.cancel()
-                return
+        event = self._timers.pop(fut, None)
+        if event is not None:
+            event.cancel()
 
     async def sleep(self, delay_s: float) -> None:
         """Suspend for ``delay_s`` virtual seconds (>= 0)."""
@@ -100,12 +95,13 @@ class VirtualClock:
     def jump(self) -> int:
         """Chaos: fire every pending timer immediately.  Returns the count.
 
-        Events are resolved in registration order (timer id), which keeps
-        the post-jump wakeup sequence deterministic.
+        Events are resolved in registration order (``_timers`` is
+        insertion-ordered), which keeps the post-jump wakeup sequence
+        deterministic.
         """
         fired = 0
-        for tid in sorted(self._timers):
-            event, fut = self._timers.pop(tid)
+        timers, self._timers = self._timers, {}
+        for fut, event in timers.items():
             event.cancel()
             if not fut.done():
                 fut.set_result(None)

@@ -13,11 +13,19 @@ Architecture (one :class:`ServiceRuntime` = one live run):
   supervisor uses), and a deterministic abandon path when attempts run
   out;
 * the **driver** interleaves the asyncio loop with the discrete-event
-  simulator: it yields to asyncio until the shared pulse counter stops
-  moving (quiescence), then fires exactly one simulator event.  Asyncio's
-  ready queue is FIFO and every await in the service sleeps on the
-  simulator, so the interleaving — and therefore the whole run — is a
-  pure function of the config;
+  simulator under one invariant: *every simulator→asyncio crossing bumps
+  the shared pulse* (a timer firing, a join completing, a bus gate
+  reopening).  It yields to asyncio until the pulse stops moving
+  (quiescence: every task is parked on a future only the simulator can
+  resolve), then steps the simulator in a plain synchronous loop until
+  the pulse moves — an event crossed into asyncio — and only then yields
+  again.  Events that stay inside the simulator (the protocol's own
+  messages, by far the most) cost no loop pass.  Asyncio's ready queue
+  is FIFO and every await in the service sleeps on the simulator, so the
+  interleaving — and therefore the whole run — is a pure function of
+  the config.  ``_finished`` is set *before* the orchestrator tears its
+  tasks down (cancellation takes loop passes and bumps nothing), so no
+  simulator event fires once the run is over;
 * **health probes** (bus gates, tree legality + orphan set, admission
   depth) run on a virtual-time cadence and integrate time-in-degraded;
 * **chaos** (:class:`repro.harness.chaos.ServiceChaosRule`) strikes at
@@ -50,6 +58,7 @@ import dataclasses
 import json
 import math
 import time
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -72,6 +81,7 @@ from repro.util.rngtools import spawn_rng
 from repro.util.validation import check_positive
 
 __all__ = [
+    "DriverStats",
     "ServiceConfig",
     "ServiceDeterminismError",
     "ServiceRuntime",
@@ -150,6 +160,29 @@ class ServiceConfig:
             raise ValueError(f"bad degree range {self.degree}")
 
 
+@dataclass
+class DriverStats:
+    """Counters of the driver's simulator/asyncio interleave.
+
+    Deterministic per config (they count loop passes and events, never
+    time), but deliberately *not* part of the ``repro-service-metrics/1``
+    report: they describe how the run was driven, not what it computed.
+    """
+
+    #: simulator events the driver fired (``run()``'s synchronous tail to
+    #: the horizon is not counted)
+    sim_events: int = 0
+    #: synchronous runs of events between two yields to asyncio
+    bursts: int = 0
+    #: ``asyncio.sleep(0)`` loop passes spent waiting for quiescence
+    loop_yields: int = 0
+    #: most events fired without a simulator→asyncio crossing
+    longest_burst: int = 0
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
 class ServiceRuntime:
     """One live service run over a simulated underlay."""
 
@@ -181,7 +214,6 @@ class ServiceRuntime:
             raise ValueError("underlay must have at least 2 hosts")
         src_rng = spawn_rng(config.seed, "service", "source")
         self.source = int(hosts[int(src_rng.integers(len(hosts)))])
-        self._hosts = hosts
 
         self.pulse = Pulse()
         self.sim = Simulator()
@@ -193,11 +225,10 @@ class ServiceRuntime:
         self.checker = InvariantChecker(self.env, mode="raise")
         # The fault arm is always installed: manual chaos crashes go
         # through the same crash/detect path as batch fault plans, and a
-        # noop plan injects nothing on its own.
+        # noop plan injects nothing on its own — being message-inert, it
+        # also leaves tell/request on the tuple fast path.
         self.injector = FaultInjector(
-            FaultPlan(name="service-chaos", seed=config.seed),
-            self.env,
-            on_crash=self._on_crash,
+            FaultPlan(name="service-chaos", seed=config.seed), self.env
         )
         self.recovery = RecoveryTracker(self.env)
         self.env.tree.add_listener(self._on_tree_event)
@@ -226,12 +257,18 @@ class ServiceRuntime:
         )
 
         # live state
-        self._active: set[int] = set()
-        self._reserved: set[int] = set()
+        #: hosts no arrival holds, sorted (admission draws an index into it)
+        self._free: list[int] = [h for h in hosts if h != self.source]
+        #: host -> index of the arrival holding it, from admission until
+        #: that arrival's member has left the tree
+        self._holder: dict[int, int] = {}
+        #: held hosts whose holder is still in the join queue (no agent yet)
+        self._queued: set[int] = set()
         self._waiters: dict[int, asyncio.Future] = {}
         self._abandoned: set[int] = set()
         self._outcomes: dict[int, dict] = {}
         self.counters: Counter[str] = Counter()
+        self.driver = DriverStats()
         self.bus = EventBus(self.pulse)
         self.health = HealthMonitor(
             self.clock,
@@ -298,20 +335,27 @@ class ServiceRuntime:
                 self.counters["late_attach_leaves"] += 1
                 self.sim.schedule_in(
                     0.0,
-                    lambda n=rec.node: self._do_leave(n),
+                    lambda n=rec.node, a=self._holder.get(rec.node): (
+                        self._do_leave(n, a)
+                    ),
                     label="svc-abandon-leave",
                 )
 
         env.record_join = record_join
 
-    def _on_crash(self, node: int) -> None:
-        self._active.discard(node)
+    def _release(self, node: int) -> None:
+        """Return ``node`` to the free pool (idempotent)."""
+        if self._holder.pop(node, None) is not None:
+            insort(self._free, node)
 
     def _on_tree_event(
         self, kind: str, node: int, parent: int | None, t: float
     ) -> None:
-        if kind == "depart":
-            self._reserved.discard(node)
+        # A depart while the host's holder is still in the join queue is a
+        # previous tenant's — crash detection can purge a member seconds
+        # after it left — and must not free the new holder's reservation.
+        if kind == "depart" and node not in self._queued:
+            self._release(node)
 
     # -- drain ----------------------------------------------------------------
 
@@ -332,51 +376,71 @@ class ServiceRuntime:
 
     # -- membership actions ----------------------------------------------------
 
-    def _do_leave(self, node: int) -> None:
-        self._active.discard(node)
-        agent = self.env.agents.get(node)
-        if agent is None or not self.env.is_alive(node):
-            self._reserved.discard(node)
-            return
-        agent.leave()
+    def _do_leave(self, node: int, arrival_index: int) -> None:
+        """End the membership arrival ``arrival_index`` holds on ``node``."""
+        if self._holder.get(node) != arrival_index:
+            return  # that tenant is gone already (crashed and detected)
+        if self.env.is_alive(node):
+            self.env.agents[node].leave()
+        self._release(node)
 
     # -- the asyncio side ------------------------------------------------------
 
     async def _quiesce(self) -> None:
-        """Yield to the loop until the pulse counter settles."""
+        """Yield to the loop until the pulse counter settles.
+
+        Two consecutive passes without a bump: every wakeup chain in the
+        service is at most two loop passes long after the bump that
+        started it (``asyncio.wait`` and ``gather`` add one hop to a
+        plain future wakeup), so by then every runnable task has parked.
+        """
         idle = 0
         while idle < 2:
             before = self.pulse.count
             await asyncio.sleep(0)
+            self.driver.loop_yields += 1
             idle = idle + 1 if self.pulse.count == before else 0
 
     async def _drive(self) -> None:
-        """Interleave asyncio quiescence with simulator events."""
-        try:
-            last = self.sim.now
-            while not self._finished:
-                await self._quiesce()
-                if self._finished:
-                    break
-                if self._drain_requested and not self._draining:
-                    self._begin_drain()
-                    continue
-                if not self.sim.step():
+        """Alternate asyncio quiescence with bursts of simulator events.
+
+        Once asyncio is quiescent nothing on its side can change until a
+        simulator event resolves a future — and every such crossing bumps
+        the pulse — so the driver steps the simulator synchronously until
+        the pulse moves (or a drain is requested) and only then pays for
+        another round trip through the loop.
+        """
+        sim, pulse, stats = self.sim, self.pulse, self.driver
+        pace = self._pace_s
+        while not self._finished:
+            await self._quiesce()
+            if self._finished:
+                break
+            if self._drain_requested and not self._draining:
+                self._begin_drain()
+                continue
+            mark = pulse.count
+            burst = 0
+            while True:
+                before = sim.now
+                if not sim.step():
                     raise RuntimeError(
                         "service runtime stalled: asyncio is quiescent, the "
                         "event queue is empty, and the run is not finished"
                     )
-                if self._pace_s > 0:
-                    wall = (self.sim.now - last) * self._pace_s
+                burst += 1
+                if pace > 0:
+                    wall = (sim.now - before) * pace
                     if wall > 0:
                         time.sleep(min(wall, 0.25))
-                last = self.sim.now
-        except BaseException:
-            # Cancel the orchestrator so a driver failure (invariant
-            # violation, stall) surfaces instead of deadlocking the loop.
-            if self._orchestrator is not None and not self._orchestrator.done():
-                self._orchestrator.cancel()
-            raise
+                if pulse.count != mark or (
+                    self._drain_requested and not self._draining
+                ):
+                    break
+            stats.sim_events += burst
+            stats.bursts += 1
+            if burst > stats.longest_burst:
+                stats.longest_burst = burst
 
     async def _produce(self) -> None:
         cfg = self.config
@@ -410,28 +474,27 @@ class ServiceRuntime:
         }
 
     async def _admit(self, arrival: SessionArrival) -> None:
-        pool = [
-            h
-            for h in self._hosts
-            if h != self.source and h not in self._reserved
-        ]
-        if not pool:
+        free = self._free
+        if not free:
             self.counters["rejected_capacity"] += 1
             self._record_outcome(
                 arrival.index, self._rejected_outcome(arrival, "no-free-host")
             )
             return
-        node = int(pool[int(self._admit_rng.integers(len(pool)))])
+        # The reservation is the arrival's from before a worker can see it.
+        node = free.pop(int(self._admit_rng.integers(len(free))))
+        self._holder[node] = arrival.index
+        self._queued.add(node)
         degree = draw_degree(self.config.degree, self._degree_rng)
         try:
             await self.bus.publish(JOINS_TOPIC, (arrival, node, degree))
         except BusOverflow:
+            self._queued.discard(node)
+            self._release(node)
             self.counters["rejected_backpressure"] += 1
             self._record_outcome(
                 arrival.index, self._rejected_outcome(arrival, "high-water-mark")
             )
-            return
-        self._reserved.add(node)
 
     async def _worker(self) -> None:
         while True:
@@ -457,7 +520,7 @@ class ServiceRuntime:
             rng=spawn_rng(cfg.seed, "agent", node, arrival.index),
         )
         self.env.register(agent)
-        self._active.add(node)
+        self._queued.discard(node)
         agent.start_join()
 
         attempts = 0
@@ -518,13 +581,12 @@ class ServiceRuntime:
             latency = self._first_chunk_latency(node, arrival, attached_s)
             self.sim.schedule_in(
                 arrival.hold_s,
-                lambda n=node: self._do_leave(n),
+                lambda n=node, a=arrival.index: self._do_leave(n, a),
                 label="svc-leave",
             )
         else:
             self._waiters.pop(node, None)
             self._abandoned.add(node)
-            self._active.discard(node)
             self.counters["failed_joins"] += 1
         self._record_outcome(
             arrival.index,
@@ -621,6 +683,26 @@ class ServiceRuntime:
 
     # -- orchestration ---------------------------------------------------------
 
+    def _finish(self) -> None:
+        """Mark the run over; the driver fires no event after this."""
+        self._finished = True
+        self.pulse.bump()
+
+    async def _supervise(self, coro) -> None:
+        """Run one service task; if it dies, end the run now.
+
+        Without this a dead worker is only noticed when the orchestrator
+        gathers it after the horizon, the run having limped on short-handed.
+        """
+        try:
+            await coro
+        except asyncio.CancelledError:
+            raise
+        except BaseException:
+            self._finish()
+            self._orchestrator.cancel()
+            raise
+
     async def _main(self) -> None:
         self._orchestrator = asyncio.current_task()
         loop = asyncio.get_running_loop()
@@ -628,27 +710,35 @@ class ServiceRuntime:
         self.bus.declare(
             JOINS_TOPIC, maxsize=self.config.join_queue_hwm, policy="reject"
         )
-        driver = asyncio.create_task(self._drive())
-        workers = [
-            asyncio.create_task(self._worker())
-            for _ in range(self.config.join_workers)
+
+        def spawn(coro) -> asyncio.Task:
+            return asyncio.create_task(self._supervise(coro))
+
+        driver = spawn(self._drive())
+        workers = [spawn(self._worker()) for _ in range(self.config.join_workers)]
+        background = [
+            spawn(self.health.run(lambda: self._finished)),
+            spawn(self._run_chaos()),
         ]
-        health_task = asyncio.create_task(
-            self.health.run(lambda: self._finished)
-        )
-        chaos_task = asyncio.create_task(self._run_chaos())
         try:
             await self._produce()
             for _ in workers:
                 await self.bus.publish_forced(JOINS_TOPIC, None)
             await asyncio.gather(*workers)
         finally:
-            for task in (health_task, chaos_task):
+            # _finished first: cancelling tasks takes loop passes that bump
+            # no pulse, which the driver would read as quiescence.
+            self._finish()
+            for task in (*workers, *background):
                 task.cancel()
-            await asyncio.gather(health_task, chaos_task, return_exceptions=True)
-            self._finished = True
-            self.pulse.bump()
-            await driver
+            results = await asyncio.gather(
+                driver, *workers, *background, return_exceptions=True
+            )
+            for result in results:
+                if isinstance(result, BaseException) and not isinstance(
+                    result, asyncio.CancelledError
+                ):
+                    raise result
 
     def run(self) -> dict:
         """Execute the run to completion (or drain) and return its metrics."""

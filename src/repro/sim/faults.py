@@ -173,21 +173,35 @@ class FaultPlan:
         check_positive("burst_duration_s", self.burst_duration_s)
         check_probability("burst_loss_rate", self.burst_loss_rate)
 
-    def is_noop(self) -> bool:
-        """Whether this plan injects no faults at all."""
-        return not any(
+    def touches_messages(self) -> bool:
+        """Whether this plan can drop, duplicate or delay a message leg.
+
+        A plan that cannot (crashes, freezes and domain outages only — and
+        the noop plan) is *message-inert*: its
+        :meth:`FaultInjector.delivery_delays` would return
+        ``(base_delay + 0.0,)`` for every leg without drawing from the
+        RNG, so the injector leaves the runtime's per-message hook
+        uninstalled and delivery stays on the tuple fast path.
+        """
+        return any(
             (
                 self.drop_rate,
                 self.duplicate_rate,
                 self.jitter_ms,
                 self.reply_loss_rate,
-                self.crash_fraction,
-                self.midjoin_crash_rate,
-                self.freeze_rate,
-                self.domain_outage_at_s is not None,
                 self.partition_at_s is not None,
                 self.burst_at_s is not None and self.burst_loss_rate > 0.0,
             )
+        )
+
+    def is_noop(self) -> bool:
+        """Whether this plan injects no faults at all."""
+        return not (
+            self.touches_messages()
+            or self.crash_fraction
+            or self.midjoin_crash_rate
+            or self.freeze_rate
+            or self.domain_outage_at_s is not None
         )
 
     def needs_domains(self) -> bool:
@@ -303,10 +317,12 @@ def resolve_fault_plan(plan: "FaultPlan | str | None") -> "FaultPlan | None":
 class FaultInjector:
     """Executes a :class:`FaultPlan` against one session's runtime.
 
-    Construction installs the injector as ``env.faults`` (the runtime's
-    message-delivery hook) and subscribes to the tree registry so crashes
-    committed late (a connection request already in flight when the sender
-    died) and orphans created by lost leave notices are still detected.
+    Construction installs the injector as ``env.faults`` — and, only when
+    the plan :meth:`~FaultPlan.touches_messages`, as ``env.message_faults``
+    (the runtime's per-message delivery hook) — and subscribes to the tree
+    registry so crashes committed late (a connection request already in
+    flight when the sender died) and orphans created by lost leave notices
+    are still detected.
 
     The session drives the churn-plane faults through
     :meth:`crash_instead_of_leave` and :meth:`after_join`.
@@ -341,6 +357,8 @@ class FaultInjector:
         if plan.needs_domains():
             self._domains = self._resolve_domains()
         env.faults = self
+        if plan.touches_messages():
+            env.message_faults = self
         env.tree.add_listener(self._on_tree_event)
         self._schedule_correlated()
 
