@@ -104,25 +104,25 @@ def decline_reason(spec: CellSpec) -> BatchDecline | None:
     return None
 
 
-# BatchedCell memo: underlays are memoized per process (lru_cache in
-# repro.harness.experiments), so identity keys are stable; the stored
-# references keep both objects alive so an id can never be recycled
-# while its entry exists.
-_CELLS: dict[tuple[int, int], tuple[object, object, BatchedCell]] = {}
+# BatchedCell memo.  Underlays are memoized per process (lru_cache in
+# repro.harness.experiments) and keyed by identity; the cell holds its
+# underlay, so the id cannot be recycled while the entry exists.  The
+# config is keyed by value (VDMConfig is frozen), so sweeps that build an
+# equal config per cell share one BatchedCell.
+# ``experiments.clear_cache`` drops these together with the underlays.
+_CELLS: dict[tuple[int, VDMConfig | None], BatchedCell] = {}
 
 
-def _get_cell(underlay, vdm_config) -> BatchedCell:
-    key = (id(underlay), id(vdm_config))
-    hit = _CELLS.get(key)
-    if hit is None:
-        cell = BatchedCell(underlay, vdm_config)
-        _CELLS[key] = (underlay, vdm_config, cell)
-        return cell
-    return hit[2]
+def _get_cell(underlay, vdm_config: VDMConfig | None) -> BatchedCell:
+    key = (id(underlay), vdm_config)
+    cell = _CELLS.get(key)
+    if cell is None:
+        cell = _CELLS[key] = BatchedCell(underlay, vdm_config)
+    return cell
 
 
 def clear_cells() -> None:
-    """Drop memoized cells (tests that rebuild underlays in-place use this)."""
+    """Drop memoized cells and, with them, the underlays they pin."""
     _CELLS.clear()
 
 

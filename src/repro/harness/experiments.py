@@ -36,7 +36,7 @@ from repro.core.capacity import UplinkPopulation
 from repro.core.vdm import VDMConfig
 from repro.factories import hmtp, loss_metric, vdm
 from repro.protocols.multitree import StripedSession
-from repro.harness.batchrun import CellSpec, cell_batch
+from repro.harness.batchrun import CellSpec, cell_batch, clear_cells
 from repro.harness.parallel import run_replications
 from repro.harness.presets import Preset
 from repro.harness.scale import (
@@ -88,12 +88,14 @@ GROUP_TIMINGS: dict[tuple[str, str, str, str], float] = {}
 
 
 def clear_cache() -> None:
-    """Drop cached sweep results, substrate memos, and timings (tests and
-    the perf report use this)."""
+    """Drop cached sweep results, substrate memos, the batched cells that
+    pin those substrates, and timings (tests and the perf report use
+    this)."""
     _CACHE.clear()
     GROUP_TIMINGS.clear()
     _ts_underlay.cache_clear()
     _pl_substrate_cached.cache_clear()
+    clear_cells()
 
 
 def group_timings() -> dict[tuple[str, str, str, str], float]:

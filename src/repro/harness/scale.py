@@ -33,12 +33,14 @@ query at a time.  The **batched** kernel (the default,
 ``REPRO_SCALE_KERNEL`` to ablate) keeps tree state in preallocated
 child-slot arrays, classifies through the vectorized
 :mod:`repro.core.cases` array core, and — on sparse
-substrates — reads router-level Dijkstra rows straight from a
-:class:`repro.sim.sparse.RowPlan` block prefetcher fed the full join
-order up front.  Joins themselves stay sequential (join *i*'s decisions
-depend on the tree join *i−1* left behind), but everything inside a join
-is array-at-a-time and every Dijkstra row is computed in multi-source
-blocks ahead of use.  The batched kernel is **byte-identical** to the
+substrates — reads router-level Dijkstra rows straight from the
+underlay's row store, with a :class:`repro.sim.sparse.RowPlan` fed the
+full join order up front so missing rows are computed in multi-source
+blocks.  Joins themselves stay sequential (join *i*'s decisions depend
+on the tree join *i−1* left behind), but everything inside a join is
+array-at-a-time.  The store outlives the call: a tree walk, its metrics
+pass and a Prim pass on one underlay compute each attachment-router row
+once between them.  The batched kernel is **byte-identical** to the
 scalar one — same parents, same join latencies, same iteration counts —
 because every float op replays the scalar op order elementwise
 (``2.0 * ((acc_a + dist) + acc_b)``, probe maxima, lexicographic
@@ -398,7 +400,8 @@ def _btp_step(
 # every per-pair value replays the scalar float-op order elementwise
 # (``2.0 * ((acc_a + dist) + acc_b)``), every selection replays the
 # scalar ``(distance, id)`` lexicographic tie-break, and every row —
-# demand, LRU'd, or block-prefetched — is bit-identical.
+# demand or block-computed, fresh or reused from the store — is
+# bit-identical.
 
 
 class _RowsUnavailable(Exception):
@@ -413,7 +416,8 @@ class _SparseRowProvider:
     applies the access terms elementwise in the scalar association.  The
     constructor installs a :class:`repro.sim.sparse.RowPlan` over the
     caller's known source order (attachment routers in join order by
-    default), so rows arrive in multi-source blocks ahead of use.
+    default), so rows the underlay's store does not hold yet are
+    computed in multi-source blocks.
     """
 
     __slots__ = ("underlay", "att", "acc", "plan")
@@ -427,18 +431,9 @@ class _SparseRowProvider:
         predecessors: bool = False,
         plan_sources=None,
     ) -> None:
-        hosts = underlay.hosts
         self.underlay = underlay
-        self.att = np.fromiter(
-            (underlay.attachments[h] for h in hosts[:n_members]),
-            dtype=np.int64,
-            count=n_members,
-        )
-        self.acc = np.fromiter(
-            (underlay._access_delay[h] for h in hosts[:n_members]),
-            dtype=np.float64,
-            count=n_members,
-        )
+        self.att = underlay._host_cols()[:n_members]
+        self.acc = underlay._acc_array()[:n_members]
         sources = self.att if plan_sources is None else plan_sources
         self.plan = underlay.prefetch_rows(
             sources, block=block, predecessors=predecessors
@@ -740,11 +735,12 @@ def prim_mst_parents(
     (the source).  Deterministic: ``argmin`` takes the lowest index among
     ties.
 
-    On exact sparse underlays the batched kernel routes the rows through
-    the same block prefetcher the join walk uses: Prim touches every
-    member's row exactly once (whenever that member enters the tree), so
-    prefetching the attachment routers in host order computes the same
-    rows the demand path would, just in multi-source blocks.  Bitwise
+    On exact sparse underlays the batched kernel plans the rows the way
+    the join walk does: Prim touches every member's row exactly once
+    (whenever that member enters the tree), so a plan over the attachment
+    routers in host order computes the same rows the demand path would,
+    just in multi-source blocks — and none at all for rows an earlier
+    walk on this underlay left in the store.  Bitwise
     identical either way; ``kernel="scalar"`` (or
     ``REPRO_SCALE_KERNEL=scalar``) forces the demand path.
     """
@@ -791,7 +787,7 @@ def _prim_mst_scalar(underlay: Underlay, n_members: int) -> np.ndarray:
 
 
 def _prim_mst_sparse_batched(underlay, n_members: int) -> np.ndarray:
-    """The same Prim pass, rows served by the block prefetcher.
+    """The same Prim pass, rows planned in blocks.
 
     Replays ``delay_row``'s float ops without the list round-trip
     (``tolist``/``asarray`` is exact, so skipping it changes no bits)
@@ -873,9 +869,11 @@ def scale_tree_metrics(
     ``kernel="scalar"`` / ``REPRO_SCALE_KERNEL=scalar`` to ablate)
     replaces the per-member ``path_links`` expansion with
     predecessor-array accumulation into ``np.bincount``/``np.unique``
-    over canonical link keys, and serves every row through the block
-    prefetcher — fed the exact DFS visit order, computed by an
-    integer-only pre-pass.  Bit-identical results either way.
+    over canonical link keys, and plans every row — the exact DFS visit
+    order, computed by an integer-only pre-pass.  Rows the tree walk left
+    in the underlay's store are reused (a dist-only row is recomputed
+    once with predecessors when stress needs them).  Bit-identical
+    results either way.
     """
     if kernel not in (None, "batched", "scalar"):
         raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
@@ -1009,7 +1007,7 @@ def _scale_tree_metrics_batched(
     order = nodes[np.argsort(p[nodes], kind="stable")]
 
     # Integer-only DFS pre-pass: the internal-node visit order *is* the
-    # row consumption order, so the prefetch plan is exact.
+    # row consumption order, so the plan is exact.
     visit: list[int] = []
     istack = [source]
     while istack:
@@ -1027,7 +1025,7 @@ def _scale_tree_metrics_batched(
         sparse,
         n,
         predecessors=include_stress,
-        plan_sources=np.asarray([sparse.attachments[v] for v in visit], np.int64),
+        plan_sources=sparse._host_cols()[np.asarray(visit, dtype=np.intp)],
     )
     try:
         att = rows.att

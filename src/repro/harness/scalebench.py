@@ -15,7 +15,9 @@ earlier cells.  The child builds the ch7-style transit-stub underlay
 runs one static-join replication (:mod:`repro.harness.scale`), computes
 tree metrics, and reports per-phase wall clock, per-phase peak RSS
 (where ``/proc/self/clear_refs`` permits resetting the high-water mark),
-and SHA-256 digests of the tree arrays.
+SHA-256 digests of the tree arrays, and — for sparse cells — the
+underlay's row-store counters after each phase (``row_stats``: the
+evidence that the metrics pass reused the tree walk's rows).
 
 Identity is enforced the PR 6/8 way — refuse to write on divergence:
 
@@ -34,7 +36,7 @@ the whole grid — which is what lets a best-effort 1M-member cell land
 
 CLI::
 
-    python -m repro.harness.scalebench --out BENCH_PR9.json \\
+    python -m repro.harness.scalebench --out BENCH_PR14.json \\
         --protocols vdm,hmtp,btp --members 1000,10000
     python -m repro.harness.scalebench --smoke --routers 10000 --members 1000
 
@@ -67,7 +69,7 @@ __all__ = [
 
 SCHEMA = "repro-scale-bench/2"
 DEFAULT_MEMBERS = (1000, 10000)
-DEFAULT_OUT = "BENCH_PR9.json"
+DEFAULT_OUT = "BENCH_PR14.json"
 DEFAULT_SEED = 2011
 DEFAULT_SCALAR_MAX = 10_000
 
@@ -220,6 +222,8 @@ def _cell_main(args: argparse.Namespace) -> None:
             underlay, protocol, args.members, kernel=args.kernel
         )
     tree_rss = peak_rss_bytes()
+    row_stats = getattr(underlay, "row_stats", None)  # sparse engine only
+    tree_rows = row_stats() if row_stats else None
     if resettable:
         reset_peak_rss()
     with Stopwatch() as sw_metrics:
@@ -259,6 +263,10 @@ def _cell_main(args: argparse.Namespace) -> None:
         # repr() round-trips floats exactly: these double as oracles too.
         "metrics": {k: repr(v) for k, v in metrics.as_record().items()},
     }
+    if row_stats:
+        # Cumulative store counters after each phase; deterministic per
+        # seed.  metrics - tree = what the metrics pass had to compute.
+        record["row_stats"] = {"tree": tree_rows, "metrics": row_stats()}
     json.dump(record, sys.stdout)
     sys.stdout.write("\n")
 
@@ -420,6 +428,11 @@ def main(argv: list[str] | None = None) -> int:
             "static-join replication, compute tree metrics.  *_rss_mb "
             "are per-phase peak RSS when rss_per_phase is true (else "
             "process-lifetime maxima); *_s are per-phase wall clocks.  "
+            "Sparse cells carry row_stats: the underlay's cumulative "
+            "row-store counters after the tree and after the metrics "
+            "phase (plan_rows + demand_rows = Dijkstra rows computed, "
+            "pred_upgrades = dist-only rows recomputed with "
+            "predecessors).  "
             "Cells up to --scalar-max members also run the scalar "
             "reference kernel ('#scalar' labels); scalar-vs-batched and "
             "dense-vs-sparse pairs are asserted tree-digest- and "

@@ -4,9 +4,10 @@ The dense compiled path (:mod:`repro.sim.compiled`) materializes an
 all-pairs host-delay matrix plus router dist/pred matrices — O(V²) memory
 that caps substrates near ~10⁴ routers.  :class:`SparseUnderlay` keeps the
 underlay as a CSR graph end-to-end and serves every query from
-**single-source Dijkstra rows computed on demand**, held in a bounded LRU
-(``REPRO_SPARSE_ROWS``).  Peak memory is O(E + cache · V) instead of
-O(V²), which is what makes 10⁵–10⁶-router substrates tractable.
+**Dijkstra rows computed on first use**, held in one bounded LRU **row
+store** that lives as long as the underlay does.  Peak memory is
+O(E + store · V) instead of O(V²), which is what makes 10⁵–10⁶-router
+substrates tractable.
 
 Exactness discipline (DESIGN.md §12):
 
@@ -37,26 +38,32 @@ queried pairs is itself O(members · probes), so each memo clears itself
 at ``_PAIR_MEMO_CAP`` entries — a transparent cache policy, never a
 correctness knob.
 
-Prefetching (PR 9): when a caller knows its source routers up front — the
-static-join walk knows the whole join order before the first query — it
-can hand the ordered plan to :meth:`SparseUnderlay.prefetch_rows`.  The
-returned :class:`RowPlan` runs **multi-source** ``csgraph.dijkstra``
-calls of ``REPRO_SPARSE_PREFETCH`` sources at a time on a single worker
-thread, double-buffered: block *k+1* computes while block *k* is
-consumed.  The prefetch is exact, never speculative — every planned row
-is one the demand path would have computed anyway, and scipy computes
-each source of a multi-source call independently, so a prefetched row is
-bit-identical to its single-source twin (pinned in
-``tests/test_sparse_underlay.py``).  Prefetched rows are retained in a
-byte-budgeted LRU *separate* from the small demand LRU, which is what
-lets members ≫ routers walks keep every distinct attachment-router row
-resident instead of thrashing ``REPRO_SPARSE_ROWS``.
+The row store (DESIGN.md §12.3): one ``router → (dist, pred | None)``
+LRU per underlay, read and filled through a single lookup
+(:meth:`SparseUnderlay._lookup`) by every row consumer.  A row is
+computed once per underlay, not once per call: a tree walk, its metrics
+pass and a Prim pass on the same underlay share their rows.  The store
+holds ``REPRO_SPARSE_ROWS`` rows until a caller that knows its source
+routers up front — the static-join walk knows the whole join order
+before the first query — hands the ordered plan to
+:meth:`SparseUnderlay.prefetch_rows`, which raises the capacity to the
+plan's byte budget for the rest of the underlay's life.  The returned
+:class:`RowPlan` adds exactly one thing: a store miss for a planned
+source computes that source's whole block
+(``REPRO_SPARSE_PREFETCH`` sources) in **one multi-source**
+``csgraph.dijkstra`` call, synchronously, skipping the sources the
+store already holds.  scipy computes each source of a multi-source call
+independently, so a block row is bit-identical to its single-source twin
+(pinned in ``tests/test_sparse_underlay.py``).  There is no worker
+thread: ``csgraph.dijkstra`` holds the GIL inside the solver (measured,
+DESIGN.md §12.3), so a background block would not overlap the walk.
+Eviction is only ever a cache policy — an evicted row is recomputed on
+its next use, still exact.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import networkx as nx
@@ -102,130 +109,63 @@ def select_landmarks(
 
 
 class RowPlan:
-    """Exact block prefetcher over an ordered source-router plan.
+    """Block scheduler over an ordered source-router plan.
 
     Built by :meth:`SparseUnderlay.prefetch_rows`; consumed implicitly —
-    the underlay's row lookups consult the active plan before falling
-    back to demand Dijkstra.  The plan dedupes its sources to
-    first-occurrence order, chunks them into blocks of ``block``
-    sources, and keeps exactly one block *in flight* on a single worker
-    thread (double-buffering): collecting block *k* immediately submits
-    block *k+1*.  A lookup for a source in a not-yet-collected block
-    drains in-flight blocks forward until that block lands — plans are
-    consumed roughly in plan order, so this is one wait in the common
-    case, never a recompute.
+    the underlay's one row lookup consults the active plan on a store
+    miss.  The plan holds no rows.  It dedupes its sources to
+    first-occurrence order, chunks them into blocks of ``block`` sources,
+    and hands each block out **once** (:meth:`claim`): the underlay then
+    computes, in one multi-source Dijkstra, whichever of the block's
+    sources the row store does not already hold, and lands them in the
+    store.  A planned source whose block already ran and whose row has
+    since been evicted falls to the demand path like any unplanned one —
+    never a block recompute.  ``block == 0`` builds an inert plan (no
+    blocks, every store miss is a demand row): the ablation baseline
+    rides the same code.
 
-    Retention is a byte-budgeted LRU: collected rows stay resident until
-    the budget forces eviction.  An evicted row looked up again simply
-    misses back to the demand path — retention is a cache policy, never
-    a correctness knob.  ``block == 0`` builds an inert plan (no blocks,
-    every lookup misses): the ablation baseline rides the same code.
+    Counters (a contract: the benchmark and CI read them):
+
+    * ``sources_computed`` — rows this plan actually ran Dijkstra for
+      (0 for a plan whose rows were all resident already);
+    * ``hits`` — lookups of planned sources answered without a demand row
+      (from the store, or by running the source's block);
+    * ``misses`` — lookups, planned or not, that fell to the demand path
+      while this plan was installed.
     """
 
     def __init__(
-        self,
-        underlay: "SparseUnderlay",
-        sources,
-        *,
-        block: int,
-        predecessors: bool,
-        retain_bytes: int,
+        self, underlay: "SparseUnderlay", sources, *, block: int, predecessors: bool
     ) -> None:
         self._underlay = underlay
         self.block = int(block)
         self.predecessors = bool(predecessors)
-        order: list[int] = []
-        seen: set[int] = set()
-        for router in np.asarray(sources, dtype=np.int64).tolist():
-            if router not in seen:
-                seen.add(router)
-                order.append(router)
+        order = list(dict.fromkeys(np.asarray(sources, dtype=np.int64).tolist()))
         self.n_sources = len(order)
-        self._blocks: list[np.ndarray] = (
-            [
-                np.asarray(order[i : i + self.block], dtype=np.int64)
-                for i in range(0, len(order), self.block)
-            ]
+        self._blocks: list[list[int]] = (
+            [order[i : i + self.block] for i in range(0, len(order), self.block)]
             if self.block > 0
             else []
         )
-        self._block_of: dict[int, int] = {}
-        for idx, blk in enumerate(self._blocks):
-            for router in blk.tolist():
-                self._block_of[router] = idx
-        row_bytes = underlay.n_routers * (12 if predecessors else 8)
-        self._retain_rows = max(
-            2 * max(self.block, 1), int(retain_bytes) // max(row_bytes, 1)
-        )
-        self._ready: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
-            OrderedDict()
-        )
-        self._next = 0  # next block index to submit
-        self._future = None
-        self._future_idx = -1
-        self._pool = ThreadPoolExecutor(max_workers=1) if self._blocks else None
-        # Instrumentation (read by benches and the equivalence tests).
+        self._block_of: dict[int, int] = {
+            router: idx for idx, blk in enumerate(self._blocks) for router in blk
+        }
+        self._ran = [False] * len(self._blocks)
         self.sources_computed = 0
         self.hits = 0
         self.misses = 0
-        self._submit_next()
 
-    def _compute(self, blk: np.ndarray):
-        csr = self._underlay._csr
-        if self.predecessors:
-            return csgraph.dijkstra(
-                csr, directed=False, indices=blk, return_predecessors=True
-            )
-        return csgraph.dijkstra(csr, directed=False, indices=blk), None
+    def claim(self, router: int, need_pred: bool) -> list[int] | None:
+        """``router``'s block, the first time it is asked for; else ``None``.
 
-    def _submit_next(self) -> None:
-        if self._pool is not None and self._next < len(self._blocks):
-            self._future = self._pool.submit(self._compute, self._blocks[self._next])
-            self._future_idx = self._next
-            self._next += 1
-        else:
-            self._future = None
-
-    def _collect(self) -> None:
-        """Land the in-flight block in the retained LRU; submit the next."""
-        dist, pred = self._future.result()
-        blk = self._blocks[self._future_idx]
-        self._submit_next()
-        if self._underlay._any_unreachable is None:
-            self._underlay._any_unreachable = bool(not np.all(np.isfinite(dist)))
-        for i, router in enumerate(blk.tolist()):
-            # Copies detach the rows from the (B, V) block matrices so
-            # eviction actually frees memory; bits are preserved.
-            self._ready[router] = (
-                dist[i].copy(),
-                pred[i].copy() if pred is not None else None,
-            )
-        self.sources_computed += int(blk.size)
-        while len(self._ready) > self._retain_rows:
-            self._ready.popitem(last=False)
-
-    def take(
-        self, router: int, *, need_pred: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """The plan's row for ``router``, or ``None`` (caller goes demand)."""
-        if need_pred and not self.predecessors:
+        ``None`` also when the plan cannot serve the lookup at all: an
+        unplanned router, or predecessors wanted from a dist-only plan.
+        """
+        idx = self._block_of.get(router)
+        if idx is None or self._ran[idx] or (need_pred and not self.predecessors):
             return None
-        got = self._ready.get(router)
-        if got is None:
-            target = self._block_of.get(router)
-            if target is None or target < self._future_idx or self._future is None:
-                self.misses += 1  # unplanned, or collected-then-evicted
-                return None
-            while self._future is not None and self._future_idx <= target:
-                self._collect()
-            got = self._ready.get(router)
-            if got is None:  # retained cap < block — cannot happen, but safe
-                self.misses += 1
-                return None
-        else:
-            self._ready.move_to_end(router)
-        self.hits += 1
-        return got
+        self._ran[idx] = True
+        return self._blocks[idx]
 
     def stats(self) -> dict:
         return {
@@ -235,16 +175,10 @@ class RowPlan:
             "sources_computed": self.sources_computed,
             "hits": self.hits,
             "misses": self.misses,
-            "retained_rows": len(self._ready),
         }
 
     def close(self) -> None:
-        """Stop the worker, drop retained rows, detach from the underlay."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._future = None
-        self._ready.clear()
+        """Detach from the underlay.  The rows stay in its store."""
         if self._underlay._plan is self:
             self._underlay._plan = None
 
@@ -345,16 +279,24 @@ class SparseUnderlay(Underlay):
             OrderedDict()
         )
 
-        # Bounded LRU of (dist, pred) Dijkstra rows keyed by source router.
-        self._row_cap = row_cache if row_cache is not None else sparse_row_cache()
-        self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        # The row store: one LRU of (dist, pred | None) Dijkstra rows keyed
+        # by source router, shared by every consumer (see ``_lookup``).
+        self._row_cap = max(
+            1, row_cache if row_cache is not None else sparse_row_cache()
+        )
+        self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
+            OrderedDict()
+        )
         # Host-id-indexed delay rows (for collectors): small LRU of lists.
         self._hrow_cap = max(8, self._row_cap // 4)
         self._hrows: OrderedDict[int, list[float]] = OrderedDict()
         self._ids_are_indices = all(h == i for i, h in enumerate(self._hosts))
-        self._any_unreachable: bool | None = None  # unknown until a row exists
-        self._plan: RowPlan | None = None  # active prefetch plan, if any
-        self.demand_rows = 0  # instrumentation: demand-time Dijkstra runs
+        self._plan: RowPlan | None = None  # active block plan, if any
+        # Store counters, deterministic per seed (see ``row_stats``).
+        self.demand_rows = 0  # single-source demand Dijkstras
+        self.plan_rows = 0  # rows computed in plan blocks
+        self.evictions = 0
+        self.pred_upgrades = 0  # dist-only rows recomputed with predecessors
 
         self._cache_enabled = _cache_enabled_from_env()
         self._delay_cache: dict[tuple[int, int], float] = {}
@@ -414,78 +356,112 @@ class SparseUnderlay(Underlay):
 
         ``sources`` is the sequence of source routers the caller will
         query, in order, repeats allowed (the plan dedupes).  ``block``
-        overrides ``REPRO_SPARSE_PREFETCH``; ``predecessors=True``
-        additionally prefetches predecessor rows (for path expansion).
-        ``retain_bytes`` budgets the retained-row LRU (default 256 MiB,
-        ~3.3k float64 rows at 10k routers); an evicted row that gets
-        re-queried falls back to the demand path, still exact.
-        The plan is a context manager — ``close()`` detaches it and
-        frees its retained rows.  Only one plan is active at a time;
-        installing a new one closes the old.
+        overrides ``REPRO_SPARSE_PREFETCH``; ``predecessors=True`` makes
+        the plan's blocks compute predecessor rows too (for path
+        expansion), upgrading dist-only rows the store already holds.
+        ``retain_bytes`` is the store's byte budget (default 256 MiB,
+        ~3.3k float64 rows at 10k routers): the store's capacity rises
+        to ``max(current, 2·block, retain_bytes // row_bytes)`` rows and
+        stays there for the rest of the underlay's life.  The plan is a
+        context manager — ``close()`` detaches it and drops nothing.
+        Only one plan is active at a time; installing a new one closes
+        the old.
         """
         if self._plan is not None:
             self._plan.close()
         plan = RowPlan(
-            self,
-            sources,
-            block=sparse_prefetch_block(block),
-            predecessors=predecessors,
-            retain_bytes=retain_bytes,
+            self, sources, block=sparse_prefetch_block(block), predecessors=predecessors
+        )
+        row_bytes = self.n_routers * (12 if predecessors else 8)
+        self._row_cap = max(
+            self._row_cap, 2 * plan.block, int(retain_bytes) // max(row_bytes, 1)
         )
         self._plan = plan
         return plan
 
+    def _compute_rows(self, sources: list[int], predecessors: bool) -> None:
+        """One (multi-source) Dijkstra; land every row in the store."""
+        indices = np.asarray(sources, dtype=np.int64)
+        if predecessors:
+            dist, pred = csgraph.dijkstra(
+                self._csr, directed=False, indices=indices, return_predecessors=True
+            )
+        else:
+            dist = csgraph.dijkstra(self._csr, directed=False, indices=indices)
+            pred = None
+        rows = self._rows
+        for i, router in enumerate(sources):
+            if router in rows:
+                self.pred_upgrades += 1
+            # Copies detach the rows from the (B, V) block matrices so
+            # eviction actually frees memory; bits are preserved.
+            rows[router] = (dist[i].copy(), None if pred is None else pred[i].copy())
+            rows.move_to_end(router)
+        while len(rows) > self._row_cap:
+            rows.popitem(last=False)
+            self.evictions += 1
+
+    def _lookup(
+        self, router: int, need_pred: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The one row lookup: the store, else the active plan's block,
+        else a single-source demand row.  Every path lands in the store."""
+        rows = self._rows
+        got = rows.get(router)
+        plan = self._plan
+        if got is not None and (got[1] is not None or not need_pred):
+            rows.move_to_end(router)
+            if plan is not None and router in plan._block_of:
+                plan.hits += 1
+            return got
+        block = plan.claim(router, need_pred) if plan is not None else None
+        if block is not None:
+            with_pred = plan.predecessors
+            todo = [
+                r
+                for r in block
+                if (held := rows.get(r)) is None or (with_pred and held[1] is None)
+            ]
+            self._compute_rows(todo, with_pred)
+            plan.sources_computed += len(todo)
+            plan.hits += 1
+            self.plan_rows += len(todo)
+        else:
+            if plan is not None:
+                plan.misses += 1
+            self._compute_rows([router], need_pred)
+            self.demand_rows += 1
+        return rows[router]
+
     def _row(self, router: int) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, pred) arrays from ``router``, LRU-cached."""
-        cached = self._rows.get(router)
-        if cached is not None and cached[1] is not None:
-            self._rows.move_to_end(router)
-            return cached
-        if self._plan is not None:
-            got = self._plan.take(router, need_pred=True)
-            if got is not None:
-                return got
-        dist, pred = csgraph.dijkstra(
-            self._csr,
-            directed=False,
-            indices=router,
-            return_predecessors=True,
-        )
-        self.demand_rows += 1
-        if self._any_unreachable is None:
-            self._any_unreachable = bool(not np.all(np.isfinite(dist)))
-        self._rows[router] = (dist, pred)
-        if len(self._rows) > self._row_cap:
-            self._rows.popitem(last=False)
-        return dist, pred
+        """(dist, pred) arrays from ``router``."""
+        return self._lookup(router, True)
 
     def router_dist_row(self, router: int) -> np.ndarray:
-        """Exact dist row from ``router`` — no predecessors computed.
+        """Exact dist row from ``router`` — predecessors not required.
 
-        Serves the scale kernels: checks the demand LRU, then the active
-        prefetch plan, then falls back to a *dist-only* Dijkstra (scipy
-        returns bit-identical distances with and without
-        ``return_predecessors``; the equivalence suite pins that).  Not
-        available in landmark mode, which has no exact rows to give.
+        Serves the scale kernels.  scipy returns bit-identical distances
+        with and without ``return_predecessors`` (the equivalence suite
+        pins that), so whichever kind of row the store holds answers.
+        Not available in landmark mode, which has no exact rows to give.
         """
         if self._approx:
             raise RuntimeError("router_dist_row requires exact mode")
-        cached = self._rows.get(router)
-        if cached is not None:
-            self._rows.move_to_end(router)
-            return cached[0]
-        if self._plan is not None:
-            got = self._plan.take(router)
-            if got is not None:
-                return got[0]
-        dist = csgraph.dijkstra(self._csr, directed=False, indices=router)
-        self.demand_rows += 1
-        if self._any_unreachable is None:
-            self._any_unreachable = bool(not np.all(np.isfinite(dist)))
-        self._rows[router] = (dist, None)
-        if len(self._rows) > self._row_cap:
-            self._rows.popitem(last=False)
-        return dist
+        return self._lookup(router, False)[0]
+
+    def row_stats(self) -> dict[str, int]:
+        """Row-store counters, deterministic per seed: resident rows and
+        capacity, rows computed in plan blocks / by demand Dijkstras,
+        LRU evictions, and dist-only rows recomputed with predecessors
+        (upgrades are included in the two computed counts)."""
+        return {
+            "resident_rows": len(self._rows),
+            "capacity_rows": self._row_cap,
+            "plan_rows": self.plan_rows,
+            "demand_rows": self.demand_rows,
+            "evictions": self.evictions,
+            "pred_upgrades": self.pred_upgrades,
+        }
 
     def _landmark_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """L×V distance and predecessor matrices from every landmark."""

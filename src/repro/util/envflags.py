@@ -64,8 +64,10 @@ Sparse substrates (PR 8) follow the same discipline:
   for substrates built with landmarks; approximate results declare an
   error bound and are *refused* by the perf report's byte-identity
   check (the PR 6 decline pattern).
-* ``REPRO_SPARSE_ROWS`` — LRU capacity (in source rows) of the sparse
-  engine's Dijkstra row cache (default 128; minimum 4).
+* ``REPRO_SPARSE_ROWS`` — capacity (in source rows) of the sparse
+  engine's LRU row store until a row plan is installed (default 128;
+  minimum 4).  ``prefetch_rows(retain_bytes=…)`` can only raise it, to
+  the plan's byte budget, for the rest of that underlay's life.
 * ``REPRO_SUBSTRATE_DTYPE`` — dtype of compiled delay/RTT arrays:
   ``float64`` (default, bit-exact vs the lazy oracle) or ``float32``
   (halves artifact bytes for scale runs; narrowed results are refused
@@ -73,16 +75,18 @@ Sparse substrates (PR 8) follow the same discipline:
 
 The scale kernels (PR 9) add two more:
 
-* ``REPRO_SPARSE_PREFETCH`` — block size of the multi-source Dijkstra
-  prefetcher on :class:`~repro.sim.sparse.SparseUnderlay` (default 64
-  sources per ``scipy.sparse.csgraph.dijkstra`` call; ``0`` disables
-  prefetching so every row is a demand-time single-source run).  The
-  prefetcher is *exact*, never speculative: callers hand it the full
-  ordered source plan, so a prefetched row is always a row the scalar
-  path would have computed anyway, with bit-identical contents.
+* ``REPRO_SPARSE_PREFETCH`` — block size of a row plan on
+  :class:`~repro.sim.sparse.SparseUnderlay` (default 64 sources per
+  ``scipy.sparse.csgraph.dijkstra`` call, run synchronously at the
+  block's first store miss, only for sources the row store lacks; ``0``
+  makes plans inert so every missing row is a demand-time single-source
+  run through the same store).  Plans are *exact*, never speculative:
+  callers hand over the full ordered source plan, so a block row is
+  always a row the scalar path would have computed anyway, with
+  bit-identical contents.
 * ``REPRO_SCALE_KERNEL`` — join-walk kernel selector for
   :func:`repro.harness.scale.build_scale_tree`: ``batched`` (default;
-  array-native state, vectorized classification, prefetched rows) or
+  array-native state, vectorized classification, block-planned rows) or
   ``scalar`` (the per-child reference walk the batched kernel must
   match byte for byte — the ablation baseline and equivalence oracle).
 
@@ -202,10 +206,11 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "1", "pin the sparse engine to exact Dijkstra rows", "repro.util.envflags"
     ),
     "REPRO_SPARSE_ROWS": FlagSpec(
-        "128", "sparse-engine Dijkstra row-cache capacity", "repro.util.envflags"
+        "128", "sparse-engine row-store capacity before any row plan",
+        "repro.util.envflags",
     ),
     "REPRO_SPARSE_PREFETCH": FlagSpec(
-        "64", "multi-source Dijkstra prefetch block (0 = demand-time)",
+        "64", "multi-source Dijkstra row-plan block (0 = demand-time)",
         "repro.util.envflags",
     ),
     "REPRO_SCALE_KERNEL": FlagSpec(
@@ -320,7 +325,8 @@ def sparse_exact() -> bool:
 
 
 def sparse_row_cache() -> int:
-    """Dijkstra row-cache capacity (``REPRO_SPARSE_ROWS``, default 128)."""
+    """Row-store capacity before any row plan (``REPRO_SPARSE_ROWS``,
+    default 128)."""
     raw = os.environ.get("REPRO_SPARSE_ROWS", "").strip()
     if not raw:
         return 128
@@ -336,12 +342,12 @@ def sparse_row_cache() -> int:
 
 
 def sparse_prefetch_block(requested: int | None = None) -> int:
-    """Prefetch block size (``REPRO_SPARSE_PREFETCH``, default 64).
+    """Row-plan block size (``REPRO_SPARSE_PREFETCH``, default 64).
 
     Sources per multi-source ``csgraph.dijkstra`` call when a caller
     hands :class:`~repro.sim.sparse.SparseUnderlay` an ordered row plan.
-    ``0`` disables prefetching (every row is computed on demand, the
-    PR 8 behavior).  An explicit ``requested`` value — e.g. a kernel
+    ``0`` makes the plan inert (every missing row is a single-source
+    demand run).  An explicit ``requested`` value — e.g. a kernel
     test pinning ``B=1`` — wins over the environment.
     """
     if requested is not None:

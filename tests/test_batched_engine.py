@@ -274,3 +274,33 @@ def test_ch5_cell_regression_pin():
     res = _scalar(underlay, cfg)
     got = {name: extract(res) for name, extract in CH3_METRICS.items()}
     assert got == _CH5_PIN
+
+
+# ---------------------------------------------------------------------------
+# the cell memo does not outlive (or outgrow) the sweeps it serves
+# ---------------------------------------------------------------------------
+
+
+def test_clear_cache_drops_cells_and_equal_configs_share_one():
+    import gc
+    import weakref
+
+    from repro.harness import batchrun, experiments
+    from repro.harness.presets import SMOKE
+
+    experiments.clear_cache()
+    assert batchrun._CELLS == {}
+    experiments.ch3_degree_tables(SMOKE)
+    # One underlay, one (fresh but equal) VDMConfig per degree point.
+    assert len(batchrun._CELLS) == 1
+    for _ in range(3):  # identical sweeps, results memo dropped each time
+        experiments._CACHE.clear()
+        experiments.ch3_degree_tables(SMOKE)
+        assert len(batchrun._CELLS) == 1
+    (cell,) = batchrun._CELLS.values()
+    underlay = weakref.ref(cell.underlay)
+    del cell
+    experiments.clear_cache()
+    gc.collect()
+    assert batchrun._CELLS == {}
+    assert underlay() is None

@@ -1,15 +1,16 @@
 """Batched scale kernel: byte-identical to the scalar reference walk.
 
 The contract under test (PR 9, DESIGN.md §13): for every protocol,
-degree limit, and prefetch block size — including the B=1 and
+degree limit, and plan block size — including the B=1 and
 B > n_members edges — the array-native batched kernel of
 :mod:`repro.harness.scale` produces a :class:`ScaleTree` whose parents,
 join latencies, and iteration counts are *bitwise equal* to the scalar
 per-child walk's, on both sparse and dense substrates.  The same holds
-for :func:`prim_mst_parents` routed through the block prefetcher and for
-the vectorized metrics pass (bincount stress vs Counter stress).  The
-prefetcher itself is pinned separately in ``test_sparse_underlay.py``;
-here it is exercised end to end through the walks.
+for :func:`prim_mst_parents` over planned row blocks and for the
+vectorized metrics pass (bincount stress vs Counter stress), and for any
+sequence of those calls sharing one underlay's row store.  The store and
+its plans are pinned separately in ``test_sparse_underlay.py``; here they
+are exercised end to end through the walks.
 """
 
 from __future__ import annotations
@@ -44,14 +45,18 @@ TINY_TS = TransitStubConfig(
 )
 
 
-@lru_cache(maxsize=None)
-def _sparse(seed: int, n_hosts: int = 32) -> SparseUnderlay:
+def _fresh_sparse(seed: int = 6, n_hosts: int = 32, **kwargs) -> SparseUnderlay:
     arr = generate_transit_stub_arrays(TINY_TS, seed=seed)
     graph = generate_transit_stub(TINY_TS, seed=seed)
     attachments = _transit_stub_attachments(graph, n_hosts, seed)
     return SparseUnderlay(
-        arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
+        arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments, **kwargs
     )
+
+
+@lru_cache(maxsize=None)
+def _sparse(seed: int, n_hosts: int = 32) -> SparseUnderlay:
+    return _fresh_sparse(seed, n_hosts)
 
 
 @lru_cache(maxsize=None)
@@ -220,3 +225,83 @@ class TestMetricsEquivalence:
         ).parents, kernel="batched")
         for value in metrics.as_record().values():
             assert type(value) is float
+
+
+def _cap_store_at_four_rows(underlay: SparseUnderlay) -> None:
+    """Wrap ``prefetch_rows`` (per instance, as the benchmark does) so no
+    plan lifts the store above the constructor's 4 rows."""
+    inner = underlay.prefetch_rows
+
+    def prefetch_rows(sources, **kwargs):
+        return inner(sources, **{**kwargs, "block": 2, "retain_bytes": 0})
+
+    underlay.prefetch_rows = prefetch_rows
+
+
+class TestRowReuse:
+    """The row store outlives a call: walks, metrics passes and Prim on
+    one underlay share rows, and sharing changes no byte of any result."""
+
+    N = 28
+
+    def _sequence(self, underlay_for_step, kernel):
+        """vdm → metrics → hmtp → metrics → btp → Prim, as comparable bytes."""
+        out = []
+        for protocol in SCALE_PROTOCOLS:
+            tree = build_scale_tree(
+                underlay_for_step(), protocol, self.N, kernel=kernel
+            )
+            out.append(
+                (
+                    tree.parents.tobytes(),
+                    tree.join_latency_ms.tobytes(),
+                    tree.iterations.tobytes(),
+                )
+            )
+            if protocol != "btp":
+                out.append(
+                    repr(
+                        scale_tree_metrics(
+                            underlay_for_step(), tree.parents, kernel=kernel
+                        )
+                    )
+                )
+        mst = prim_mst_parents(underlay_for_step(), self.N, kernel=kernel)
+        out.append(mst.tobytes())
+        return out
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("tight", [False, True], ids=["ample", "evicting"])
+    def test_one_underlay_equals_a_fresh_underlay_per_call(self, kernel, tight):
+        shared = _fresh_sparse(row_cache=4) if tight else _fresh_sparse()
+        if tight:
+            _cap_store_at_four_rows(shared)
+        on_shared = self._sequence(lambda: shared, kernel)
+        on_fresh = self._sequence(_fresh_sparse, kernel)
+        assert on_shared == on_fresh
+        stats = shared.row_stats()
+        if tight:
+            assert stats["capacity_rows"] == 4 and stats["evictions"] > 0
+        else:
+            # Each attachment-router row is computed once for the whole
+            # sequence; the only recomputes add predecessors.
+            unique = len(set(shared.attachments.values()))
+            computed = stats["plan_rows"] + stats["demand_rows"]
+            assert stats["evictions"] == 0
+            assert computed <= unique + stats["pred_upgrades"]
+            assert stats["resident_rows"] <= unique
+
+    def test_later_passes_compute_no_distance_row_twice(self):
+        underlay = _fresh_sparse()
+        unique = len(set(underlay.attachments.values()))
+        tree = build_scale_tree(underlay, "vdm", 32)
+        after_tree = underlay.row_stats()
+        assert (after_tree["plan_rows"], after_tree["demand_rows"]) == (unique, 0)
+        scale_tree_metrics(underlay, tree.parents)
+        after_metrics = underlay.row_stats()
+        new_rows = after_metrics["plan_rows"] - after_tree["plan_rows"]
+        assert after_metrics["demand_rows"] == 0
+        assert 0 < new_rows == after_metrics["pred_upgrades"]
+        build_scale_tree(underlay, "hmtp", 32)
+        prim_mst_parents(underlay, 32)
+        assert underlay.row_stats() == after_metrics  # everything resident

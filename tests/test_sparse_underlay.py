@@ -5,7 +5,8 @@ shortest paths cost, never *what* any query returns — in its default
 exact mode.  This suite pins that with a hypothesis sweep over random
 substrates (every ordered host pair compared against both the lazy
 ``RouterUnderlay`` and the dense ``CompiledUnderlay`` oracles), checks
-the LRU row cache is a transparent policy knob, round-trips the sparse
+the LRU row store is a transparent policy knob (under random
+interleavings of every row consumer and plan shape), round-trips the sparse
 artifact format, verifies ``link_error_array`` reproduces the
 graph-order error draws on triplet arrays, and — for the opt-in landmark
 approximation — asserts the *declared* error bound empirically and that
@@ -13,6 +14,9 @@ the exactness flag keeps it dormant by default.
 """
 
 from __future__ import annotations
+
+import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -387,7 +391,7 @@ class TestDtypeKnob:
 
 
 class TestRowPrefetch:
-    """The PR 9 block prefetcher: exact rows, ahead of time."""
+    """Row plans: exact rows, computed in multi-source blocks."""
 
     def _fresh(self, seed=19, n_hosts=40):
         _, _, sparse = _build(seed, n_hosts, None, ts=MID_TS)
@@ -478,24 +482,31 @@ class TestRowPrefetch:
             sparse.prefetch_rows(self._plan_routers(sparse))
 
     def test_retention_budget_evicts_but_stays_correct(self):
-        sparse = self._fresh()
+        _, _, sparse = _build(19, 40, None, ts=MID_TS, row_cache=2)
         demand = self._fresh()
         routers = self._plan_routers(sparse)
-        # A budget of ~4 rows forces eviction long before the plan ends.
+        # A budget of 4 rows forces eviction long before the plan ends.
         tiny = 4 * sparse.n_routers * 8
-        with sparse.prefetch_rows(routers, block=2, retain_bytes=tiny) as plan:
+        with sparse.prefetch_rows(routers, block=2, retain_bytes=tiny):
             for router in routers:
                 a = sparse.router_dist_row(router)
                 assert a.tobytes() == demand.router_dist_row(router).tobytes()
-            assert plan.stats()["retained_rows"] <= max(4, 2 * plan.block)
+                assert sparse.row_stats()["resident_rows"] <= 4
+        stats = sparse.row_stats()
+        assert stats["capacity_rows"] == 4
+        assert stats["evictions"] == len(set(routers)) - 4
 
     def test_installing_a_new_plan_closes_the_old(self):
         sparse = self._fresh()
         routers = self._plan_routers(sparse)
         first = sparse.prefetch_rows(routers, block=4)
+        sparse.router_dist_row(routers[0])
         second = sparse.prefetch_rows(routers, block=4)
         assert sparse._plan is second
-        assert first._pool is None  # closed
+        first.close()  # closing a detached plan must not detach its successor
+        assert sparse._plan is second
+        sparse.router_dist_row(routers[0])  # first's row outlived first
+        assert (first.hits, second.hits, second.sources_computed) == (1, 1, 0)
         second.close()
         assert sparse._plan is None
 
@@ -515,3 +526,154 @@ class TestRowPrefetch:
         )
         with pytest.raises(RuntimeError, match="exact"):
             sparse.router_dist_row(0)
+
+
+@lru_cache(maxsize=None)
+def _store_substrate(seed=23, n_hosts=14):
+    arr = generate_transit_stub_arrays(TINY_TS, seed=spawn_rng(seed, "topology"))
+    graph = generate_transit_stub(TINY_TS, seed=spawn_rng(seed, "topology"))
+    return arr, _transit_stub_attachments(graph, n_hosts, seed)
+
+
+def _store_underlay(**kwargs):
+    arr, attachments = _store_substrate()
+    return SparseUnderlay(
+        arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments, **kwargs
+    )
+
+
+_N_ROUTERS = TINY_TS.total_nodes
+_ROUTER = st.integers(0, _N_ROUTERS - 1)
+_STORE_OPS = st.one_of(
+    st.tuples(st.just("dist"), _ROUTER),
+    st.tuples(st.just("row"), _ROUTER),
+    st.tuples(st.just("path"), _ROUTER, _ROUTER),
+    st.tuples(st.just("delay_row"), st.integers(0, 13)),
+    st.tuples(
+        st.just("plan"),
+        st.lists(_ROUTER, max_size=24),
+        st.sampled_from([0, 1, 3, 64, 10**6]),
+        st.booleans(),
+        st.sampled_from([0, 4 * _N_ROUTERS * 8, 1 << 28]),
+    ),
+    st.tuples(st.just("close")),
+)
+
+
+class TestRowStore:
+    """One store, one lookup: what is cached never changes what is returned."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(_STORE_OPS, max_size=40),
+        row_cache=st.sampled_from([1, 4, 128]),
+    )
+    def test_random_interleavings_match_a_demand_only_underlay(self, ops, row_cache):
+        store = _store_underlay(row_cache=row_cache)
+        ref = _store_underlay(row_cache=_N_ROUTERS)  # never plans, never evicts
+        threads = threading.active_count()
+        plan = None
+        for op in ops:
+            if op[0] == "dist":
+                got, want = store.router_dist_row(op[1]), ref.router_dist_row(op[1])
+                assert got.tobytes() == want.tobytes()
+            elif op[0] == "row":
+                for got, want in zip(store._row(op[1]), ref._row(op[1])):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+            elif op[0] == "path":
+                assert store.router_path(op[1], op[2]) == ref.router_path(op[1], op[2])
+            elif op[0] == "delay_row":
+                assert store.delay_row(op[1]) == ref.delay_row(op[1])
+            elif op[0] == "plan":
+                _, sources, block, preds, budget = op
+                plan = store.prefetch_rows(
+                    sources, block=block, predecessors=preds, retain_bytes=budget
+                )
+                assert store.row_stats()["capacity_rows"] >= 2 * block
+            elif plan is not None:
+                plan.close()
+                assert store._plan is None
+            stats = store.row_stats()
+            assert stats["resident_rows"] <= stats["capacity_rows"]
+            assert threading.active_count() == threads
+        assert ref.row_stats()["plan_rows"] == ref.row_stats()["evictions"] == 0
+
+    @pytest.mark.parametrize("predecessors", [False, True])
+    def test_second_identical_plan_computes_nothing(self, predecessors):
+        store = _store_underlay()
+        sources = list(range(0, _N_ROUTERS, 2))
+        for expected in (len(sources), 0):
+            with store.prefetch_rows(
+                sources, block=3, predecessors=predecessors
+            ) as plan:
+                for router in sources:
+                    store._lookup(router, predecessors)
+            assert plan.sources_computed == expected
+            assert (plan.hits, plan.misses) == (len(sources), 0)
+        assert store.row_stats()["plan_rows"] == len(sources)
+        assert store.demand_rows == 0
+
+    def test_block_skips_sources_the_store_already_holds(self):
+        store = _store_underlay()
+        store.router_dist_row(1)  # demand row, before any plan
+        with store.prefetch_rows([0, 1, 2, 3], block=4) as plan:
+            store.router_dist_row(2)
+        assert plan.sources_computed == 3
+        assert store.row_stats()["pred_upgrades"] == 0
+
+    def test_predecessor_upgrade_leaves_distances_unchanged(self):
+        store = _store_underlay()
+        sources = [5, 9, 12]
+        with store.prefetch_rows(sources, block=2):
+            before = {r: store.router_dist_row(r).tobytes() for r in sources}
+        with store.prefetch_rows(sources, block=2, predecessors=True) as plan:
+            for router in sources:
+                assert store.router_dist_row(router).tobytes() == before[router]
+                assert store._rows[router][1] is None  # dist-only still answers
+            for router in sources:
+                dist, pred = store._row(router)
+                assert dist.tobytes() == before[router]
+                assert pred is not None
+        assert plan.sources_computed == len(sources)
+        assert store.row_stats()["pred_upgrades"] == len(sources)
+        assert store.row_stats()["resident_rows"] == len(sources)
+        assert store.demand_rows == 0
+
+    def test_env_flag_still_bounds_a_plan_less_underlay(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPARSE_ROWS", "4")
+        store = _store_underlay()
+        for router in range(12):
+            store.router_dist_row(router)
+            store._row(router)
+            assert store.row_stats()["resident_rows"] <= 4
+        stats = store.row_stats()
+        assert stats["capacity_rows"] == 4
+        assert stats["evictions"] == 8
+        assert stats["demand_rows"] == 24 and stats["pred_upgrades"] == 12
+
+    def test_plan_raises_capacity_for_the_rest_of_the_underlays_life(self):
+        store = _store_underlay(row_cache=4)
+        row_bytes = _N_ROUTERS * 8
+        with store.prefetch_rows([0, 1], block=1, retain_bytes=10 * row_bytes):
+            assert store.row_stats()["capacity_rows"] == 10
+        assert store.row_stats()["capacity_rows"] == 10
+        with store.prefetch_rows([0, 1], block=1, retain_bytes=0):
+            assert store.row_stats()["capacity_rows"] == 10  # never shrinks
+        # Predecessor rows are 12 bytes a router: the same budget holds fewer.
+        other = _store_underlay(row_cache=4)
+        other.prefetch_rows(
+            [0], block=1, predecessors=True, retain_bytes=12 * row_bytes
+        )
+        assert other.row_stats()["capacity_rows"] == 8
+
+    def test_a_plan_starts_no_thread(self):
+        store = _store_underlay()
+        before = threading.active_count()
+        with store.prefetch_rows(list(range(_N_ROUTERS)), block=4) as plan:
+            assert threading.active_count() == before
+            for router in range(_N_ROUTERS):
+                store.router_dist_row(router)
+                assert threading.active_count() == before
+        assert plan.sources_computed == _N_ROUTERS
+        assert threading.active_count() == before
