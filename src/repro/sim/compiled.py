@@ -16,19 +16,25 @@ substrate:
   its hottest call;
 * **per-pair link-error aggregates**: when the graph carries any nonzero
   loss rates, the end-to-end survival product of every ordered host pair
-  is materialized by replaying ``_compute_path_error`` over reconstructed
-  paths, so ``path_error`` becomes one array load.  (The aggregate is
-  stored as the finished error probability rather than a log-survival
-  sum: re-exponentiating a sum of logs would not be bit-identical to the
-  oracle's product, and bit-identity is a hard requirement here.)
+  is materialized by one propagation down each host's shortest-path tree
+  (:func:`repro.sim.pathtree.path_survival`: one vectorised multiply per
+  hop level, no path is ever reconstructed), so ``path_error`` becomes
+  one array load.  (The aggregate is stored as the finished error
+  probability rather than a log-survival sum: re-exponentiating a sum of
+  logs would not be bit-identical to the oracle's product, and
+  bit-identity is a hard requirement here.)  Pairs with no route hold
+  ``nan`` and are never served: their queries raise like the lazy path.
 * **on-demand path reconstruction**: physical link lists for stress
-  accounting are rebuilt in O(hops) from the predecessor matrix, then
-  memoized per ordered pair exactly like the lazy cache.
+  accounting are rebuilt in O(hops) from the predecessor matrix by the
+  shared walk (:func:`repro.sim.pathtree.walk_links`), then memoized per
+  ordered pair exactly like the lazy cache.
 
 Every answer is **byte-identical** to what ``RouterUnderlay`` returns for
 the same graph: the batched Dijkstra rows equal the per-source rows
 (same algorithm, same CSR), the delay association matches, and the error
-products are computed by the very same function.  The inherited lazy
+products multiply the same factors in the same left-to-right order as
+``_compute_path_error`` (whose per-pair replay is the oracle kept in
+``tests/test_compiled_underlay.py``).  The inherited lazy
 implementations remain available as the ``_reference_*`` oracle; the
 equivalence suite in ``tests/test_compiled_underlay.py`` pins it, and
 ``REPRO_COMPILED_UNDERLAY=0`` makes the substrate builders skip this
@@ -49,6 +55,7 @@ import networkx as nx
 from scipy.sparse import csgraph
 
 from repro.sim.network import LinkId, RouterUnderlay
+from repro.sim.pathtree import LinkErrors, path_survival, walk_links
 from repro.util.artifacts import Artifact
 from repro.util.envflags import substrate_dtype
 
@@ -132,26 +139,48 @@ class CompiledUnderlay(RouterUnderlay):
             hdelay = hdelay.astype(self._dtype)
         self._hdelay = hdelay
 
+        edge_errors = [
+            data.get("error", 0.0) for _, _, data in self.graph.edges(data=True)
+        ]
         zero_error = all(e == 0.0 for e in self._access_error.values()) and not any(
-            data.get("error", 0.0) != 0.0 for _, _, data in self.graph.edges(data=True)
+            e != 0.0 for e in edge_errors
         )
         self._zero_error = zero_error
-        self._perr = None if zero_error else self._compile_pair_errors()
+        self._perr = (
+            None
+            if zero_error
+            else self._compile_pair_errors(host_rows, host_cols, edge_errors)
+        )
 
-    def _compile_pair_errors(self) -> np.ndarray:
+    def _compile_pair_errors(
+        self, host_rows: np.ndarray, host_cols: np.ndarray, edge_errors: list[float]
+    ) -> np.ndarray:
         """Ordered host × host end-to-end loss probabilities.
 
-        Paths are direction-dependent when shortest paths tie, so both
-        orders of every pair are computed, each with the reference error
-        product over its own reconstructed link list.
+        Paths are direction-dependent when shortest paths tie, so every
+        host propagates down its own attachment router's tree.  The
+        factors and their order are those of ``_compute_path_error``:
+        ``(1 - access_a)``, the router links source to target, then
+        ``(1 - access_b)``.  Pairs with no route come out ``nan``.
         """
-        hosts = self._hosts
-        n = len(hosts)
-        err = np.zeros((n, n))
-        for i, a in enumerate(hosts):
-            for j, b in enumerate(hosts):
-                if i != j:
-                    err[i, j] = self._compute_path_error(self._build_path_links(a, b))
+        idx = self._router_idx
+        edges = list(self.graph.edges())
+        link_errors = LinkErrors(
+            len(self._router_ids),
+            [idx[u] for u, _ in edges],
+            [idx[v] for _, v in edges],
+            edge_errors,
+        )
+        access_ok = 1.0 - np.fromiter(
+            (self._access_error[h] for h in self._hosts),
+            dtype=np.float64,
+            count=len(self._hosts),
+        )
+        survival = path_survival(
+            self._bpred, host_rows, host_cols, access_ok, link_errors, host_cols
+        )
+        err = 1.0 - survival * access_ok[None, :]
+        np.fill_diagonal(err, 0.0)
         return err
 
     def _install_runtime(self) -> None:
@@ -243,41 +272,23 @@ class CompiledUnderlay(RouterUnderlay):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
         return dist
 
-    def router_path(self, r_a: int, r_b: int) -> list[int]:
+    def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
         row = self._att_row.get(r_a)
-        if row is None:
-            return super().router_path(r_a, r_b)
+        if row is None:  # not an attachment router: lazy fallback
+            return super()._router_links(r_a, r_b)
         target = self._router_idx[r_b]
         if not np.isfinite(self._bdist[row, target]):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        pred = self._bpred[row]
-        path_idx = [target]
-        node = target
-        source = self._router_idx[r_a]
-        while node != source:
-            node = int(pred[node])
-            path_idx.append(node)
-        path_idx.reverse()
-        return [self._router_ids[i] for i in path_idx]
-
-    def _build_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
-        self.validate_host(a)
-        self.validate_host(b)
-        if a == b:
-            return ()
-        parts: list[LinkId] = [("access", a)]
-        routers = self.router_path(self.attachments[a], self.attachments[b])
-        for u, v in zip(routers[:-1], routers[1:]):
-            parts.append(("router", min(u, v), max(u, v)))
-        parts.append(("access", b))
-        return tuple(parts)
+        return walk_links(
+            self._bpred[row], self._router_idx[r_a], target, self._router_ids
+        )
 
     def path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
         key = (a, b)
         cached = self._cpath_cache.get(key)
         if cached is not None:
             return cached
-        links = self._build_path_links(a, b)
+        links = self._assemble_path_links(a, b)
         if self._cache_enabled:
             self._cpath_cache[key] = links
         return links
@@ -293,12 +304,10 @@ class CompiledUnderlay(RouterUnderlay):
         except KeyError as exc:
             raise KeyError(f"unknown host {exc.args[0]!r}") from None
         if self._maybe_unreachable:
-            # Match the lazy path's NetworkXNoPath on unreachable pairs.
-            value = self._compute_path_error(self.path_links(a, b))
-        elif self._perr is None:
-            value = 0.0
-        else:
-            value = float(self._perr[ia, ib])
+            # Raises the lazy path's NetworkXNoPath on an unreachable pair
+            # (whose table cell is nan, never served).
+            self.delay_ms(a, b)
+        value = 0.0 if self._perr is None else float(self._perr[ia, ib])
         if self._cache_enabled:
             self._cerr_cache[key] = value
         return value

@@ -353,6 +353,7 @@ class FaultInjector:
         self._pending_detect: set[int] = set()
         self._armed_watchdog: set[int] = set()
         self._partitioned = False
+        self._partition_set = frozenset(plan.partition_domains)
         self._domains: dict[int, int] = {}
         if plan.needs_domains():
             self._domains = self._resolve_domains()
@@ -445,32 +446,33 @@ class FaultInjector:
         # cross-side leg for as long as the partition is up, regardless of
         # the plan's active window (the heal event ends it).
         if self._partitioned and self._side(src) != self._side(dst):
-            self._log(
-                "partition-drop", f"{leg} {type(msg).__name__} {src}->{dst}"
-            )
+            self._log_leg("partition-drop", leg, msg, src, dst)
             return ()
         if not self._active():
             return (base_delay,)
         rng = self._rng_msg
-        label = f"{leg} {type(msg).__name__} {src}->{dst}"
         if self._burst_active() and rng.random() < plan.burst_loss_rate:
-            self._log("burst-drop", label)
+            self._log_leg("burst-drop", leg, msg, src, dst)
             return ()
         if plan.drop_rate > 0.0 and rng.random() < plan.drop_rate:
-            self._log("drop", label)
+            self._log_leg("drop", leg, msg, src, dst)
             return ()
         if (
             leg == "reply"
             and plan.reply_loss_rate > 0.0
             and rng.random() < plan.reply_loss_rate
         ):
-            self._log("reply-loss", label)
+            self._log_leg("reply-loss", leg, msg, src, dst)
             return ()
         delays = [base_delay + self._jitter()]
         if plan.duplicate_rate > 0.0 and rng.random() < plan.duplicate_rate:
-            self._log("duplicate", label)
+            self._log_leg("duplicate", leg, msg, src, dst)
             delays.append(base_delay + self._jitter())
         return tuple(delays)
+
+    def _log_leg(self, kind: str, leg: str, msg: "Message", src: int, dst: int) -> None:
+        # Formats the label only on the rare faulted leg, never per message.
+        self._log(kind, f"{leg} {type(msg).__name__} {src}->{dst}")
 
     def _jitter(self) -> float:
         if self.plan.jitter_ms <= 0.0:
@@ -489,10 +491,6 @@ class FaultInjector:
     def _side(self, host: int) -> bool:
         """Which side of the configured partition ``host`` lives on."""
         return self._domains.get(host) in self._partition_set
-
-    @property
-    def _partition_set(self) -> frozenset[int]:
-        return frozenset(self.plan.partition_domains)
 
     def is_partitioned(self, a: int, b: int) -> bool:
         """Whether hosts ``a`` and ``b`` currently cannot exchange messages."""

@@ -42,6 +42,8 @@ import networkx as nx
 import numpy as np
 from scipy.sparse import csgraph
 
+from repro.sim.pathtree import routers_along, walk_links
+
 __all__ = ["Underlay", "RouterUnderlay", "MatrixUnderlay"]
 
 LinkId = Hashable
@@ -253,22 +255,21 @@ class RouterUnderlay(Underlay):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
         return dist
 
-    def router_path(self, r_a: int, r_b: int) -> list[int]:
-        """One shortest router path from ``r_a`` to ``r_b`` (deterministic:
-        scipy's predecessor choice is stable for a fixed graph)."""
+    def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
+        """Router link ids of one shortest path from ``r_a`` to ``r_b``
+        (deterministic: scipy's predecessor choice is stable for a fixed
+        graph)."""
         self._ensure_dijkstra(r_a)
-        pred = self._pred[r_a]
         target = self._router_idx[r_b]
         if not np.isfinite(self._dist[r_a][target]):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        path_idx = [target]
-        node = target
-        source = self._router_idx[r_a]
-        while node != source:
-            node = int(pred[node])
-            path_idx.append(node)
-        path_idx.reverse()
-        return [self._router_ids[i] for i in path_idx]
+        return walk_links(
+            self._pred[r_a], self._router_idx[r_a], target, self._router_ids
+        )
+
+    def router_path(self, r_a: int, r_b: int) -> list[int]:
+        """The routers of that path, ``r_a`` first."""
+        return routers_along(r_a, self._router_links(r_a, r_b))
 
     def delay_ms(self, a: int, b: int) -> float:
         key = (a, b)
@@ -286,22 +287,20 @@ class RouterUnderlay(Underlay):
             self._delay_cache[key] = value
         return value
 
+    def _assemble_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
+        self.validate_host(a)
+        self.validate_host(b)
+        if a == b:
+            return ()
+        hops = self._router_links(self.attachments[a], self.attachments[b])
+        return (("access", a), *hops, ("access", b))
+
     def path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
         key = (a, b)
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        self.validate_host(a)
-        self.validate_host(b)
-        if a == b:
-            links: tuple[LinkId, ...] = ()
-        else:
-            parts: list[LinkId] = [("access", a)]
-            routers = self.router_path(self.attachments[a], self.attachments[b])
-            for u, v in zip(routers[:-1], routers[1:]):
-                parts.append(("router", min(u, v), max(u, v)))
-            parts.append(("access", b))
-            links = tuple(parts)
+        links = self._assemble_path_links(a, b)
         if self._cache_enabled:
             self._path_cache[key] = links
         return links

@@ -72,6 +72,7 @@ from scipy import sparse as sp
 from scipy.sparse import csgraph
 
 from repro.sim.network import LinkId, Underlay, _cache_enabled_from_env, _split_link
+from repro.sim.pathtree import routers_along, walk_links
 from repro.util.artifacts import Artifact
 from repro.util.envflags import sparse_exact, sparse_prefetch_block, sparse_row_cache
 
@@ -535,36 +536,32 @@ class SparseUnderlay(Underlay):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
         return value
 
-    def _walk_pred(self, pred: np.ndarray, source: int, target: int) -> list[int]:
-        path = [target]
-        node = target
-        while node != source:
-            node = int(pred[node])
-            path.append(node)
-        path.reverse()
-        return path
-
-    def router_path(self, r_a: int, r_b: int) -> list[int]:
-        """One shortest router path (in landmark mode: the concatenated
-        ``a → best-landmark → b`` route the estimate corresponds to)."""
+    def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
+        """Router link ids of one shortest path (in landmark mode: of the
+        concatenated ``a → best-landmark → b`` route the estimate
+        corresponds to)."""
+        ids = range(self.n_routers)  # router ids are the CSR indices
         if self._approx:
             if r_a == r_b:
-                return [r_a]
+                return []
             est, best = self._approx_distance(r_a, r_b)
             if not np.isfinite(est):
                 raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
             if best < 0:  # the bounded local search found the exact path
                 _, lpred_local = self._local_row(r_a)
-                return self._walk_pred(lpred_local, r_a, r_b)
+                return walk_links(lpred_local, r_a, r_b, ids)
             _, lpred = self._landmark_rows()
             landmark = int(self._landmarks[best])
-            to_a = self._walk_pred(lpred[best], landmark, r_a)  # l .. a
-            to_b = self._walk_pred(lpred[best], landmark, r_b)  # l .. b
-            return list(reversed(to_a)) + to_b[1:]
+            to_a = walk_links(lpred[best], landmark, r_a, ids)  # l .. a
+            return to_a[::-1] + walk_links(lpred[best], landmark, r_b, ids)
         dist, pred = self._row(r_a)
         if not np.isfinite(dist[r_b]):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        return self._walk_pred(pred, r_a, r_b)
+        return walk_links(pred, r_a, r_b, ids)
+
+    def router_path(self, r_a: int, r_b: int) -> list[int]:
+        """The routers of that path, ``r_a`` first."""
+        return routers_along(r_a, self._router_links(r_a, r_b))
 
     # -- host-level queries ---------------------------------------------------
 
@@ -650,12 +647,8 @@ class SparseUnderlay(Underlay):
         if a == b:
             links: tuple[LinkId, ...] = ()
         else:
-            parts: list[LinkId] = [("access", a)]
-            routers = self.router_path(self.attachments[a], self.attachments[b])
-            for u, v in zip(routers[:-1], routers[1:]):
-                parts.append(("router", min(u, v), max(u, v)))
-            parts.append(("access", b))
-            links = tuple(parts)
+            hops = self._router_links(self.attachments[a], self.attachments[b])
+            links = (("access", a), *hops, ("access", b))
         if self._cache_enabled:
             if len(self._path_cache) >= _PAIR_MEMO_CAP:
                 self._path_cache.clear()

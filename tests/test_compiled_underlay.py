@@ -7,10 +7,16 @@ every ordered host pair across both implementations, the artifact cache
 round-trip is checked to be lossless, and a whole smoke-scale experiment
 group is rendered under both ``REPRO_COMPILED_UNDERLAY`` settings and
 compared as table JSON.
+
+The pair-error table is compiled by one propagation down the
+shortest-path trees (``repro.sim.pathtree``).  The per-pair replay it
+replaced lives on here as :func:`_replay_pair_errors`, the oracle the
+table must equal byte for byte.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,8 +29,11 @@ from repro.harness.substrates import (
     build_planetlab_underlay,
     build_transit_stub_underlay,
 )
+from repro.sim import compiled as compiled_module
+from repro.sim import network as network_module
 from repro.sim.compiled import ARTIFACT_SCHEMA, CompiledUnderlay
 from repro.sim.network import RouterUnderlay
+from repro.sim.sparse import SparseUnderlay
 from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
 from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
 from repro.util import artifacts
@@ -58,6 +67,45 @@ def _assert_equivalent(lazy, compiled):
             assert compiled.rtt_ms(a, b) == lazy.rtt_ms(a, b)
             assert compiled.path_links(a, b) == lazy.path_links(a, b)
             assert compiled.path_error(a, b) == lazy.path_error(a, b)
+
+
+def _sparse_twin(graph, attachments, **access):
+    """A ``SparseUnderlay`` of the same recipe (router ids must be 0..n-1)."""
+    edges = list(graph.edges(data=True))
+    return SparseUnderlay(
+        graph.number_of_nodes(),
+        np.asarray([u for u, _, _ in edges], dtype=np.int64),
+        np.asarray([v for _, v, _ in edges], dtype=np.int64),
+        np.asarray([d["delay"] for _, _, d in edges], dtype=np.float64),
+        attachments,
+        edge_error=np.asarray([d.get("error", 0.0) for _, _, d in edges]),
+        **access,
+    )
+
+
+def _replay_pair_errors(underlay):
+    """The parent's compile step, kept as the oracle: replay
+    ``_compute_path_error`` over the reconstructed path of every ordered
+    host pair (``nan`` where there is no route)."""
+    hosts = underlay.hosts
+    err = np.zeros((len(hosts), len(hosts)))
+    for i, a in enumerate(hosts):
+        for j, b in enumerate(hosts):
+            if i != j:
+                try:
+                    err[i, j] = underlay._compute_path_error(underlay.path_links(a, b))
+                except nx.NetworkXNoPath:
+                    err[i, j] = np.nan
+    return err
+
+
+def _assert_same_table(actual, expected):
+    """Byte equality, with ``nan`` cells compared by position."""
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    assert (
+        np.nan_to_num(actual, nan=-1.0).tobytes()
+        == np.nan_to_num(expected, nan=-1.0).tobytes()
+    )
 
 
 class TestEquivalence:
@@ -117,6 +165,222 @@ class TestEquivalence:
         assert str(compiled_err.value) == str(lazy_err.value)
 
 
+@st.composite
+def _lossy_recipes(draw):
+    """Small lossy substrates that a 60-router transit-stub with a dozen
+    hosts does not produce: paths of >= 8 links (the ``np.prod`` branch of
+    ``_compute_path_error``), unit-weight grids whose shortest paths tie
+    and differ by direction, zero-delay links (hop depth != distance
+    order), hosts sharing a router, per-host access errors,
+    non-contiguous host ids, islands no route reaches."""
+    shape = draw(st.sampled_from(["chain", "ring", "grid", "random"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if shape == "chain":
+        graph = nx.path_graph(draw(st.integers(min_value=9, max_value=16)))
+    elif shape == "ring":
+        graph = nx.cycle_graph(draw(st.integers(min_value=16, max_value=24)))
+    elif shape == "grid":
+        graph = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(
+                draw(st.integers(min_value=2, max_value=5)),
+                draw(st.integers(min_value=2, max_value=5)),
+            )
+        )
+    else:
+        n = draw(st.integers(min_value=4, max_value=14))
+        graph = nx.gnm_random_graph(n, n + 3, seed=int(rng.integers(2**31)))
+    if draw(st.booleans()):
+        island = nx.path_graph(draw(st.integers(min_value=1, max_value=3)))
+        graph = nx.disjoint_union(graph, island)
+    unit_weights = shape == "grid" or draw(st.booleans())
+    for _, _, data in graph.edges(data=True):
+        delay = 1.0 if unit_weights else rng.choice([0.0, 0.5, 1.0, 2.75])
+        data["delay"] = float(delay)
+        if rng.random() < 0.8:  # the rest carry no ``error`` attribute at all
+            data["error"] = float(rng.choice([0.0, rng.uniform(0.0, 0.3)]))
+    n_hosts = draw(st.integers(min_value=2, max_value=8))
+    hosts = sorted(int(h) for h in rng.choice(500, size=n_hosts, replace=False))
+    routers = rng.choice(graph.number_of_nodes(), size=n_hosts).tolist()
+    routers[1] = routers[0]  # at least one shared attachment router
+    if shape in ("chain", "ring"):
+        routers[-1] = (routers[0] + 8) % graph.number_of_nodes()  # >= 10 links
+    attachments = dict(zip(hosts, routers))
+    access_error = {h: float(rng.choice([0.0, rng.uniform(0.0, 0.2)])) for h in hosts}
+    access_error[hosts[0]] = 0.125  # never a zero-error substrate
+    access_delay = {h: float(rng.uniform(0.1, 2.0)) for h in hosts}
+    return graph, attachments, {
+        "access_delay_ms": access_delay,
+        "access_error": access_error,
+    }
+
+
+def _routers_or_no_path(underlay, r_a, r_b):
+    try:
+        return underlay.router_path(r_a, r_b)
+    except nx.NetworkXNoPath as exc:
+        return str(exc)
+
+
+class TestTreePropagation:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(recipe=_lossy_recipes())
+    def test_table_equals_the_per_pair_replay_bytewise(self, recipe):
+        graph, attachments, access = recipe
+        lazy = RouterUnderlay(graph, attachments, **access)
+        compiled = CompiledUnderlay(graph, attachments, **access)
+        assert not compiled.zero_error
+        _assert_same_table(compiled._perr, _replay_pair_errors(lazy))
+
+    def test_long_chain_covers_the_vectorised_product_branch(self):
+        graph = nx.path_graph(14)
+        for u, v, data in graph.edges(data=True):
+            data["delay"] = 1.0
+            data["error"] = 0.01 * (u + 1)
+        attachments = {0: 0, 1: 13, 2: 3}
+        lazy = RouterUnderlay(graph, attachments, access_error=0.05)
+        compiled = CompiledUnderlay(graph, attachments, access_error=0.05)
+        assert len(lazy.path_links(0, 1)) == 15 >= network_module._VECTORIZE_MIN_LINKS
+        assert len(lazy.path_links(0, 2)) == 5 < network_module._VECTORIZE_MIN_LINKS
+        assert compiled._perr.tobytes() == _replay_pair_errors(lazy).tobytes()
+
+    def test_more_rows_than_one_block_propagates_the_same_bytes(self, monkeypatch):
+        lazy, compiled = _build_pair(29, 12, LinkErrorConfig(max_error=0.1))
+        expected = _replay_pair_errors(lazy)
+        assert compiled._perr.tobytes() == expected.tobytes()
+        # one row per block: every block boundary the row loop can have
+        monkeypatch.setattr("repro.sim.pathtree._BLOCK_CELLS", 1)
+        _, blocked = _build_pair(29, 12, LinkErrorConfig(max_error=0.1))
+        assert blocked._perr.tobytes() == expected.tobytes()
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(recipe=_lossy_recipes())
+    def test_three_underlays_walk_the_same_paths(self, recipe):
+        graph, attachments, access = recipe
+        underlays = (
+            RouterUnderlay(graph, attachments, **access),
+            CompiledUnderlay(graph, attachments, **access),
+            _sparse_twin(graph, attachments, **access),
+        )
+        lazy = underlays[0]
+        for a in lazy.hosts:
+            for b in lazy.hosts:
+                r_a, r_b = attachments[a], attachments[b]
+                routers = _routers_or_no_path(lazy, r_a, r_b)
+                for other in underlays[1:]:
+                    assert _routers_or_no_path(other, r_a, r_b) == routers
+                    if isinstance(routers, str):  # no route: same error text
+                        with pytest.raises(nx.NetworkXNoPath, match=routers):
+                            other.path_links(a, b)
+                    else:
+                        assert other.path_links(a, b) == lazy.path_links(a, b)
+
+    def test_transit_stub_paths_agree_across_all_three(self):
+        graph = generate_transit_stub(TINY_TS, seed=spawn_rng(13, "topology"))
+        assign_link_errors(
+            graph, LinkErrorConfig(max_error=0.05), seed=spawn_rng(13, "errors")
+        )
+        attachments = _transit_stub_attachments(graph, 12, 13)
+        lazy = RouterUnderlay(graph, attachments)
+        _assert_equivalent(lazy, CompiledUnderlay(graph, attachments))
+        _assert_equivalent(lazy, _sparse_twin(graph, attachments))
+
+    def test_disconnected_lossy_graph_compiles_and_raises_per_query(self, tmp_path):
+        # Parent: NetworkXNoPath out of the constructor.  The lazy underlay
+        # builds and raises only on the unreachable *query*; so must this.
+        graph = nx.Graph()
+        graph.add_edge(0, 1, delay=1.0, error=0.1)
+        graph.add_edge(2, 3, delay=2.0, error=0.2)
+        attachments = {10: 0, 11: 1, 12: 2, 13: 3}
+        lazy = RouterUnderlay(graph, attachments, access_error=0.01)
+        compiled = CompiledUnderlay(graph, attachments, access_error=0.01)
+        arrays, meta = compiled.to_artifact()
+        key = artifacts.artifact_key({"test": "disconnected"})
+        artifacts.store_artifact(key, arrays, meta, base_dir=tmp_path)
+        restored = CompiledUnderlay.from_artifact(
+            artifacts.load_artifact(key, base_dir=tmp_path)
+        )
+        for underlay in (compiled, restored):
+            _assert_same_table(underlay._perr, _replay_pair_errors(lazy))
+            for a in lazy.hosts:
+                for b in lazy.hosts:
+                    if (a < 12) == (b < 12):
+                        assert underlay.path_error(a, b) == lazy.path_error(a, b)
+                        assert underlay.path_links(a, b) == lazy.path_links(a, b)
+                        continue
+                    with pytest.raises(nx.NetworkXNoPath) as expected:
+                        lazy.path_error(a, b)
+                    for query in (underlay.path_error, underlay.path_links):
+                        with pytest.raises(nx.NetworkXNoPath) as raised:
+                            query(a, b)
+                        assert str(raised.value) == str(expected.value)
+
+    def test_compile_replays_no_path_and_old_caches_stay_valid(
+        self, tmp_path, monkeypatch
+    ):
+        """The count contract: compiling a lossy transit-stub makes 0 calls
+        to the per-pair machinery (parent: n(n-1) path walks and error
+        replays, ~11 n(n-1) ``link_error`` lookups), and what it stores is
+        file for file what the replay would have stored under the same
+        key — a cache directory populated before this change is hit."""
+        calls = {"_compute_path_error": 0, "link_error": 0, "walk_links": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("_compute_path_error", "link_error"):
+                method = getattr(CompiledUnderlay, name)
+                patch.setattr(CompiledUnderlay, name, counted(name, method))
+            for module in (compiled_module, network_module):
+                patch.setattr(
+                    module, "walk_links", counted("walk_links", module.walk_links)
+                )
+            patch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "new"))
+            patch.delenv("REPRO_COMPILED_UNDERLAY", raising=False)
+            patch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
+            built = build_transit_stub_underlay(
+                n_hosts=8,
+                seed=4,
+                ts_config=TINY_TS,
+                link_errors=LinkErrorConfig(max_error=0.05),
+            )
+            assert calls == {"_compute_path_error": 0, "link_error": 0, "walk_links": 0}
+            built.path_links(0, 1)
+            built._reference_path_error(0, 1)
+            assert all(calls.values())  # the counters do see these calls
+
+        (entry,) = [p for p in (tmp_path / "new").iterdir() if p.is_dir()]
+        # the key the parent commit stored this recipe under
+        assert entry.name == (
+            "26f3259cecbd1b3396d5279cb9bb68f25946ac069eb64d854490a8df48a225ed"
+        )
+        arrays, meta = built.to_artifact()
+        lazy = RouterUnderlay(built.graph, built.attachments)
+        oracle = artifacts.store_artifact(
+            entry.name,
+            {**arrays, "pair_error": _replay_pair_errors(lazy)},
+            meta,
+            base_dir=tmp_path / "old",
+        )
+        names = sorted(f.name for f in entry.iterdir())
+        assert names == sorted(f.name for f in oracle.iterdir())
+        assert "pair_error.npy" in names and ARTIFACT_SCHEMA == 3
+        for name in names:
+            assert (entry / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
 class TestArtifactRoundtrip:
     def _roundtrip(self, compiled, cache_root):
         arrays, meta = compiled.to_artifact()
@@ -144,6 +408,32 @@ class TestArtifactRoundtrip:
                 assert restored.path_error(a, b) == restored._reference_path_error(
                     a, b
                 )
+
+    def test_restored_instance_walks_without_a_memmap_read_per_hop(
+        self, tmp_path, monkeypatch
+    ):
+        # ``np.memmap.__getitem__`` is a Python-level wrapper; the walk
+        # reads a memory-mapped predecessor row through a memoryview, so
+        # a path costs the same two memmap subscripts (the distance check,
+        # the row) however many hops it has.
+        _, compiled = _build_pair(23, 8, LinkErrorConfig(max_error=0.05))
+        restored = self._roundtrip(compiled, tmp_path)
+        assert isinstance(restored._bpred, np.memmap)
+        reads = []
+        getitem = np.memmap.__getitem__
+        monkeypatch.setattr(
+            np.memmap,
+            "__getitem__",
+            lambda self, index: reads.append(index) or getitem(self, index),
+        )
+        hosts = sorted(restored.attachments)
+        longest = max(
+            ((a, b) for a in hosts for b in hosts),
+            key=lambda pair: len(compiled.path_links(*pair)),
+        )
+        assert len(compiled.path_links(*longest)) > 4
+        assert restored.path_links(*longest) == compiled.path_links(*longest)
+        assert len(reads) == 2
 
     def test_rejects_foreign_artifact(self):
         art = artifacts.Artifact(key="x" * 64, meta={"kind": "planetlab"}, arrays={})
