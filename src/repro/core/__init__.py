@@ -3,13 +3,25 @@
 * :mod:`repro.core.cases` — the 1-D directionality abstraction: classify a
   (pivot, existing-child, newcomer) triangle into Case I/II/III
   (Section 3.1.2).
+* :mod:`repro.core.join` — the join kernel: one iteration of the Fig. 3.6
+  decision (split the pivot's children by case, then descend / insert /
+  attach), shared by every engine in the repo.
 * :mod:`repro.core.distance` — generalized virtual distances (Chapter 4):
   delay (VDM-D), loss (VDM-L), and weighted composites.
-* :mod:`repro.core.vdm` — the VDM agent: iterative directional join
-  (Section 3.2), grandparent reconnection (3.3), periodic refinement (3.4).
+* :mod:`repro.core.vdm` — the VDM agent: the kernel wrapped in RTT probes
+  and timeouts (Section 3.2), grandparent reconnection (3.3), periodic
+  refinement (3.4).
 """
 
-from repro.core.cases import Case, classify_case, classify_children
+from repro.core.cases import Case, classify_case
+from repro.core.join import (
+    Attach,
+    Descend,
+    Insert,
+    hmtp_decide,
+    split_cases,
+    vdm_decide,
+)
 from repro.core.distance import (
     DelayDistance,
     LossDistance,
@@ -21,7 +33,12 @@ from repro.core.vdm import VDMAgent, VDMConfig
 __all__ = [
     "Case",
     "classify_case",
-    "classify_children",
+    "Attach",
+    "Descend",
+    "Insert",
+    "split_cases",
+    "vdm_decide",
+    "hmtp_decide",
     "DelayDistance",
     "LossDistance",
     "CompositeDistance",

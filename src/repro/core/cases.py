@@ -16,24 +16,18 @@ the middle:
 Ties (within a relative tolerance) mean the triangle is degenerate on the
 line, in which case no directionality is asserted and Case I applies —
 asserting Case II/III on a tie would reshuffle the tree with no gain.
+
+:func:`classify_case` is the validating, one-triangle statement of the
+rule; the join kernel's :func:`repro.core.join.split_cases` applies the
+same arithmetic to a pivot's whole child set.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "Case",
-    "classify_case",
-    "classify_case_array",
-    "classify_children",
-    "classify_children_arrays",
-    "ChildClassification",
-]
+__all__ = ["Case", "classify_case"]
 
 
 class Case(enum.Enum):
@@ -76,30 +70,7 @@ def classify_case(
 
     >>> classify_case(d_pivot_new=4, d_pivot_existing=6, d_new_existing=10)
     <Case.I: 1>
-
-    Array inputs classify element-wise and return the case *codes*
-    (``Case(code)`` recovers the enum member) — same decision rule, one
-    vector sweep instead of a Python call per triangle:
-
-    >>> import numpy as np
-    >>> classify_case(
-    ...     np.array([10.0, 4.0, 4.0]),
-    ...     np.array([4.0, 10.0, 6.0]),
-    ...     np.array([6.0, 6.0, 10.0]),
-    ... )
-    array([3, 2, 1], dtype=int8)
     """
-    if (
-        isinstance(d_pivot_new, np.ndarray)
-        or isinstance(d_pivot_existing, np.ndarray)
-        or isinstance(d_new_existing, np.ndarray)
-    ):
-        return classify_case_array(
-            d_pivot_new,
-            d_pivot_existing,
-            d_new_existing,
-            tie_tolerance=tie_tolerance,
-        )
     for name, d in (
         ("d_pivot_new", d_pivot_new),
         ("d_pivot_existing", d_pivot_existing),
@@ -124,131 +95,3 @@ def classify_case(
     if is_pe:
         return Case.II
     return Case.III
-
-
-def classify_case_array(
-    d_pivot_new,
-    d_pivot_existing,
-    d_new_existing,
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> np.ndarray:
-    """Vectorized :func:`classify_case`: arrays in, ``int8`` case codes out.
-
-    The three inputs broadcast against each other; the result holds
-    ``Case.value`` codes (1/2/3).  The decision rule — including the
-    relative tie slack and the ties-collapse-to-Case-I convention — is the
-    scalar rule applied element-wise, so for every element
-    ``Case(codes[i]) == classify_case(pn[i], pe[i], ne[i])`` exactly
-    (the arithmetic is the same IEEE-754 double ops in the same order).
-
-    >>> classify_case_array(
-    ...     np.array([10.0, 5.0]), np.array([4.0, 5.0]), np.array([6.0, 5.0])
-    ... )
-    array([3, 1], dtype=int8)
-    """
-    if tie_tolerance < 0:
-        raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
-    arrays = []
-    for name, d in (
-        ("d_pivot_new", d_pivot_new),
-        ("d_pivot_existing", d_pivot_existing),
-        ("d_new_existing", d_new_existing),
-    ):
-        arr = np.asarray(d, dtype=np.float64)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-            raise ValueError(f"{name} must be finite and >= 0 element-wise")
-        arrays.append(arr)
-    pn, pe, ne = arrays
-    return _case_codes(pn, pe, ne, tie_tolerance)
-
-
-def _case_codes(pn, pe, ne, tie_tolerance: float) -> np.ndarray:
-    """The :func:`classify_case_array` decision core, sans validation.
-
-    Inputs must already be float64, finite, and >= 0 element-wise with a
-    non-negative ``tie_tolerance`` — the hot batched walk guarantees that
-    by construction and calls this directly; everyone else goes through
-    the validating wrappers.
-    """
-    longest = np.maximum(np.maximum(pn, pe), ne)
-    threshold = longest - tie_tolerance * np.maximum(longest, 1.0)
-
-    is_ne = ne >= threshold
-    is_pe = pe >= threshold
-    is_pn = pn >= threshold
-    tie = (
-        is_ne.astype(np.int8) + is_pe.astype(np.int8) + is_pn.astype(np.int8)
-    ) > 1
-
-    codes = np.full(np.broadcast(pn, pe, ne).shape, 3, dtype=np.int8)
-    codes[is_pe] = 2
-    codes[is_ne | tie] = 1
-    return codes
-
-
-@dataclass(frozen=True)
-class ChildClassification:
-    """Directionality result for one probed child of the pivot."""
-
-    child: int
-    case: Case
-    dist_new_child: float
-
-
-def classify_children(
-    dist_to_pivot: float,
-    child_distances: dict[int, tuple[float, float]],
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> list[ChildClassification]:
-    """Classify every probed child against the pivot and the newcomer.
-
-    Parameters
-    ----------
-    dist_to_pivot:
-        Virtual distance newcomer -> pivot (``d(P, N)``).
-    child_distances:
-        child id -> ``(d(N, child), d(P, child))``.
-
-    Returns classifications sorted by child id (deterministic).
-    """
-    out = []
-    for child in sorted(child_distances):
-        d_new_child, d_pivot_child = child_distances[child]
-        case = classify_case(
-            d_pivot_new=dist_to_pivot,
-            d_pivot_existing=d_pivot_child,
-            d_new_existing=d_new_child,
-            tie_tolerance=tie_tolerance,
-        )
-        out.append(
-            ChildClassification(child=child, case=case, dist_new_child=d_new_child)
-        )
-    return out
-
-
-def classify_children_arrays(
-    dist_to_pivot: float,
-    d_new_children,
-    d_pivot_children,
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> np.ndarray:
-    """Classify many children of one pivot in a single vector sweep.
-
-    Array counterpart of :func:`classify_children` for callers (the
-    batched engine) that already hold the newcomer->child and
-    pivot->child distances as dense rows in a deterministic child order:
-    returns the ``int8`` case code per child in that same order.
-
-    >>> classify_children_arrays(4.0, np.array([6.0, 10.0]), np.array([10.0, 6.0]))
-    array([2, 1], dtype=int8)
-    """
-    d_new_children = np.asarray(d_new_children, dtype=np.float64)
-    return classify_case_array(
-        np.float64(dist_to_pivot),
-        d_pivot_children,
-        d_new_children,
-        tie_tolerance=tie_tolerance,
-    )

@@ -57,9 +57,7 @@ class VirtualDistance(ABC):
         Element ``i`` is bit-identical to ``self(a, hosts[i])``.  The
         generic implementation loops the scalar call; metrics with dense
         backing (``DelayDistance`` over a matrix-holding underlay)
-        override it with a vectorized gather.  The batched engine
-        classifies whole candidate sets against such rows in one
-        :func:`repro.core.cases.classify_case_array` sweep.
+        override it with a vectorized gather.
         """
         return np.array([self(a, b) for b in hosts], dtype=np.float64)
 

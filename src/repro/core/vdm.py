@@ -1,18 +1,11 @@
 """The VDM agent.
 
-Implements the join procedure of Fig. 3.6 verbatim on top of the shared
-:class:`repro.protocols.base.JoinProcess` loop:
-
-1. query the pivot (initially the source) for its children, probe each;
-2. classify every probed child into Case I/II/III
-   (:mod:`repro.core.cases`);
-3. if any Case III children exist (with or without Case II ones), continue
-   the iteration from the *closest* Case III child;
-4. else if Case II children exist, insert between the pivot and as many of
-   them as the newcomer's degree allows;
-5. else (pure Case I) attach to the pivot if it has a free slot, otherwise
-   attach to its closest free child, otherwise descend through the closest
-   child and try again.
+Runs the join procedure of Fig. 3.6 on top of the shared
+:class:`repro.protocols.base.JoinProcess` loop: query the pivot
+(initially the source) for its children, probe each, and hand the
+measured distances to the join kernel (:mod:`repro.core.join`), which
+splits the children by directionality case and answers descend / insert /
+attach; the loop carries the answer out as messages.
 
 Reconnection (Section 3.3) restarts the join at the grandparent — that is
 the :class:`~repro.protocols.base.OverlayAgent` default.  Refinement
@@ -22,8 +15,8 @@ parents when a different one is found; arm it with
 paper's VDM-R uses 3 min in simulation, 5 min on PlanetLab).
 
 The config also exposes the design decisions Section 3.2.2 discusses as
-ablation knobs (Case III vs Case II priority, closest-vs-random Case III
-selection, grandparent-vs-source reconnection) so the benchmark suite can
+ablation knobs (descend-vs-insert priority, closest-vs-random directional
+child, grandparent-vs-source reconnection) so the benchmark suite can
 quantify each choice.
 """
 
@@ -33,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cases import Case, classify_children
-from repro.protocols.base import (
-    Attach,
-    Decision,
-    Descend,
-    Insert,
-    OverlayAgent,
-    ProtocolRuntime,
-)
+from repro.core.join import Decision, Descend, split_cases, vdm_decide
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildInfo, InfoResponse
 from repro.util.rngtools import rng_from_seed
 
@@ -55,7 +41,7 @@ class VDMConfig:
     ``tie_tolerance`` — relative tolerance for the longest-side test
     (Section 3.1.2); triangles degenerate within it yield Case I.
 
-    ``max_adopt`` — upper bound on Case II adoptions per insert; ``None``
+    ``max_adopt`` — upper bound on adoptions per insert; ``None``
     means "as many as the newcomer's degree allows" (the paper's rule).
 
     ``refine_period_s`` — when set, sessions arm periodic refinement with
@@ -63,11 +49,12 @@ class VDMConfig:
 
     Ablation knobs (defaults are the paper's choices):
 
-    * ``case_priority`` — ``"case3"`` continues through Case III children
-      even when Case II coexists (Scenario III's deliberate choice);
-      ``"case2"`` inserts instead whenever possible.
-    * ``case3_selection`` — ``"closest"`` follows the nearest Case III
-      child; ``"random"`` picks uniformly (quantifies how much the
+    * ``case_priority`` — ``"case3"`` descends through a child that is on
+      the way even when the newcomer could also insert before another
+      (Scenario III's deliberate choice); ``"case2"`` inserts instead
+      whenever possible.
+    * ``case3_selection`` — ``"closest"`` follows the nearest child that
+      is on the way; ``"random"`` picks uniformly (quantifies how much the
       closest-of rule matters).
     * ``reconnect_at`` — ``"grandparent"`` (Section 3.3) or ``"source"``.
     """
@@ -135,7 +122,8 @@ class VDMAgent(OverlayAgent):
 
         Attaching under ``candidate`` is consistent with VDM's virtual
         directions only if no existing child of the candidate lies
-        strictly *on the way* from the candidate to this node (Case III):
+        strictly *on the way* from the candidate to this node (the
+        kernel's third case):
         such a child defines a direction this node belongs under, and a
         direct attach would shadow it.  Distances use the protocol metric
         directly (not :meth:`ProtocolRuntime.virtual_distance`) so the
@@ -143,20 +131,17 @@ class VDMAgent(OverlayAgent):
         """
         env = self.env
         metric = env.metric
-        dist_to_candidate = metric(self.node_id, candidate)
-        child_distances = {
-            child: (metric(self.node_id, child), metric(candidate, child))
-            for child in candidate_children
-            if child != self.node_id and env.is_alive(child)
-        }
-        if not child_distances:
-            return True
-        classified = classify_children(
-            dist_to_candidate,
-            child_distances,
-            tie_tolerance=self.config.tie_tolerance,
+        me = self.node_id
+        _case2, case3 = split_cases(
+            metric(me, candidate),
+            [
+                (child, metric(me, child), metric(candidate, child))
+                for child in candidate_children
+                if child != me and env.is_alive(child)
+            ],
+            self.config.tie_tolerance,
         )
-        return not any(c.case is Case.III for c in classified)
+        return not case3
 
     # -- the join brain -----------------------------------------------------------
 
@@ -167,64 +152,34 @@ class VDMAgent(OverlayAgent):
         pivot_info: InfoResponse,
         probes: dict[int, tuple[float, ChildInfo]],
     ) -> Decision:
-        child_distances = {
-            child: (d_new_child, ci.distance)
-            for child, (d_new_child, ci) in probes.items()
-        }
-        classified = classify_children(
-            dist_to_pivot, child_distances, tie_tolerance=self.config.tie_tolerance
+        config = self.config
+        case2, case3 = split_cases(
+            dist_to_pivot,
+            [
+                (child, d_new, ci.distance)
+                for child, (d_new, ci) in sorted(probes.items())
+            ],
+            config.tie_tolerance,
         )
-        case3 = [c for c in classified if c.case is Case.III]
-        case2 = [c for c in classified if c.case is Case.II]
-
-        if case2 and (self.config.case_priority == "case2" or not case3):
-            insert = self._try_insert(pivot, case2)
-            if insert is not None:
-                return insert
-
-        if case3:
-            # Continue from a directional child (Fig. 3.6: "Select closest
-            # of CaseIII, continue from closest one") — with the paper's
-            # priority this branch also wins when Case II coexists
-            # (Scenario III's deliberate simplification).
-            if self.config.case3_selection == "random":
-                pick = case3[int(self.rng.integers(len(case3)))]
-            else:
-                pick = min(case3, key=lambda c: (c.dist_new_child, c.child))
-            return Descend(pick.child)
-
-        if case2:
-            insert = self._try_insert(pivot, case2)
-            if insert is not None:
-                return insert
-
-        # Case I: no directional children in this iteration.
-        if pivot_info.free_degree > 0:
-            return Attach(pivot)
-        free_children = [
-            (dist, child)
-            for child, (dist, ci) in probes.items()
-            if ci.free_degree > 0
-        ]
-        if free_children:
-            _, child = min(free_children)
-            return Attach(child)
-        if probes:
-            # Everyone is full here; push one level down through the
-            # closest child and re-evaluate there.
-            _, child = min((dist, child) for child, (dist, _) in probes.items())
-            return Descend(child)
-        # Unreachable under sane degree configs (a childless pivot always
-        # has free degree); attach and let the redirect logic recover.
-        return Attach(pivot)
-
-    def _try_insert(self, pivot: int, case2: list) -> Insert | None:
-        """Build the Case II insert, closest children first, within degree."""
-        ordered = sorted(case2, key=lambda c: (c.dist_new_child, c.child))
         budget = self.free_degree
-        if self.config.max_adopt is not None:
-            budget = min(budget, self.config.max_adopt)
-        adopt = tuple(c.child for c in ordered[:budget])
-        if not adopt:
-            return None
-        return Insert(target=pivot, adopt=adopt)
+        if config.max_adopt is not None:
+            budget = min(budget, config.max_adopt)
+        decision = vdm_decide(
+            pivot,
+            pivot_info.free_degree,
+            case2,
+            case3,
+            budget,
+            [(d_new, child, ci.free_degree) for child, (d_new, ci) in probes.items()],
+            config.case_priority == "case2",
+        )
+        if (
+            case3
+            and config.case3_selection == "random"
+            and isinstance(decision, Descend)
+        ):
+            # The ablation knob: a uniform pick among the children on
+            # the way (listed in ascending id order) instead of the
+            # kernel's closest one.
+            decision = Descend(case3[int(self.rng.integers(len(case3)))][1])
+        return decision

@@ -1194,7 +1194,7 @@ def _abl_refine_rep(
 def ablation_tables(preset: Preset) -> dict[str, SeriesTable]:
     """Design-choice ablations called out in DESIGN.md.
 
-    * ``case_policy`` — Scenario III: prefer Case III (paper) vs Case II;
+    * ``case_policy`` — Scenario III: descend first (paper) vs insert first;
     * ``case3_selection`` — closest (paper) vs random directional child;
     * ``reconnect`` — grandparent restart (paper) vs source restart;
     * each evaluated on the Chapter 3 substrate at 5% churn.

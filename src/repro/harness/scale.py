@@ -4,13 +4,14 @@ The discrete-event engine (:mod:`repro.sim.engine`) replays every control
 message of a session — the right tool at paper scale (hundreds of
 members), hopeless at 10k-1M.  This module charts how the *steady-state
 trees* of VDM and its comparators scale instead: members join one at a
-time (ids ascending, host 0 is the source) and each join replays the
-protocol's own ``join_decision`` logic directly on the underlay — the
-exact Case I/II/III walk for VDM (:mod:`repro.core.cases`), HMTP's greedy
-closest-child descent with the Scenario II U-turn check, BTP's
-attach-at-pivot with full-node redirects — with no churn, no refinement,
-no probe noise, and no message faults.  An exact MST built by a
-memory-bounded Prim pass joins them as the cost lower bound.
+time (ids ascending, host 0 is the source) and each join iteration
+gathers its distances straight from the underlay and asks the same join
+kernel the agents ask (:mod:`repro.core.join`: the Fig. 3.6 walk for
+VDM, HMTP's greedy closest-child descent with the Scenario II U-turn
+check; BTP's attach-at-pivot with full-node redirects is local to this
+module) — with no churn, no refinement, no probe noise, and no message
+faults.  An exact MST built by a memory-bounded Prim pass joins them as
+the cost lower bound.
 
 What the model keeps from the event engine, per join iteration: one
 pivot info exchange, parallel child probes, and one connection round
@@ -31,14 +32,14 @@ Two kernels build the same trees (PR 9, DESIGN.md §13).  The **scalar**
 kernel is the reference: a per-child dict walk issuing one ``rtt_ms``
 query at a time.  The **batched** kernel (the default,
 ``REPRO_SCALE_KERNEL`` to ablate) keeps tree state in preallocated
-child-slot arrays, classifies through the vectorized
-:mod:`repro.core.cases` array core, and — on sparse
-substrates — reads router-level Dijkstra rows straight from the
-underlay's row store, with a :class:`repro.sim.sparse.RowPlan` fed the
-full join order up front so missing rows are computed in multi-source
-blocks.  Joins themselves stay sequential (join *i*'s decisions depend
-on the tree join *i−1* left behind), but everything inside a join is
-array-at-a-time.  The store outlives the call: a tree walk, its metrics
+child-slot arrays, gathers all of an iteration's distances in one
+vector read, and — on sparse substrates — reads router-level Dijkstra
+rows straight from the underlay's row store, with a
+:class:`repro.sim.sparse.RowPlan` fed the full join order up front so
+missing rows are computed in multi-source blocks.  Joins themselves stay
+sequential (join *i*'s decisions depend on the tree join *i−1* left
+behind), and the decision over a pivot's handful of children is the
+shared scalar kernel.  The store outlives the call: a tree walk, its metrics
 pass and a Prim pass on one underlay compute each attachment-router row
 once between them.  The batched kernel is **byte-identical** to the
 scalar one — same parents, same join latencies, same iteration counts —
@@ -57,7 +58,14 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from repro.core.cases import Case, _case_codes, classify_children
+from repro.core.join import (
+    Decision,
+    Descend,
+    Insert,
+    hmtp_decide,
+    split_cases,
+    vdm_decide,
+)
 from repro.sim.network import Underlay
 from repro.topology.transit_stub import TransitStubConfig
 from repro.util.envflags import scale_kernel
@@ -181,8 +189,8 @@ def build_scale_tree(
     code (distance first, lowest id second).
 
     ``kernel`` overrides ``REPRO_SCALE_KERNEL`` (``"batched"`` /
-    ``"scalar"``); ``prefetch_block`` overrides ``REPRO_SPARSE_PREFETCH``
-    for the batched kernel's row plan.  Both kernels are byte-identical;
+    ``"scalar"``); ``prefetch_block`` overrides the default block size
+    of the batched kernel's row plan.  Both kernels are byte-identical;
     underlays that can serve neither router rows nor dense delay rows
     (the lazy path) always walk scalar.
     """
@@ -192,6 +200,8 @@ def build_scale_tree(
         raise ValueError(f"need at least 2 members, got {n_members}")
     if degree_limit < 1:
         raise ValueError(f"degree_limit must be >= 1, got {degree_limit}")
+    if tie_tolerance < 0:
+        raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
     if kernel not in (None, "batched", "scalar"):
         raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
     hosts = underlay.hosts
@@ -253,50 +263,42 @@ def build_scale_tree(
     )
 
 
-def _attach(
-    walk: _Walk,
-    parent: int,
-    parents: np.ndarray,
-    children: list[list[int]],
-) -> None:
-    walk.pay(parent)  # connection round trip
-    parents[walk.node] = parent
-    children[parent].append(walk.node)
+def _free(children: list[list[int]], node: int, degree_limit: int) -> int:
+    return degree_limit - len(children[node])
 
 
-def _free(children: list[list[int]], node: int, degree_limit: int) -> bool:
-    return len(children[node]) < degree_limit
-
-
-def _case1_fallback(
-    walk: _Walk,
-    pivot: int,
-    probe: dict[int, float],
-    parents: np.ndarray,
-    children: list[list[int]],
-    degree_limit: int,
-) -> int | None:
-    """The shared Case-I tail of the VDM and HMTP brains: attach to the
-    pivot if it has a slot, else to its closest free child, else push one
-    level down through the closest child."""
-    if _free(children, pivot, degree_limit):
-        _attach(walk, pivot, parents, children)
-        return None
-    free_children = [
-        (dist, child)
+def _probes(
+    probe: dict[int, float], children: list[list[int]], degree_limit: int
+) -> list[tuple[float, int, int]]:
+    """The probe round in the join kernel's ``(d_new, child, free)`` shape."""
+    return [
+        (dist, child, _free(children, child, degree_limit))
         for child, dist in probe.items()
-        if _free(children, child, degree_limit)
     ]
-    if free_children:
-        _, child = min(free_children)
-        _attach(walk, child, parents, children)
-        return None
-    if probe:
-        _, child = min((dist, child) for child, dist in probe.items())
-        return child
-    # Unreachable under sane configs: a childless pivot has free degree.
-    _attach(walk, pivot, parents, children)  # pragma: no cover
-    return None  # pragma: no cover
+
+
+def _apply(
+    walk: _Walk,
+    decision: Decision,
+    parents: np.ndarray,
+    children: list[list[int]],
+) -> int | None:
+    """Carry out a kernel decision on the list-of-lists tree.  Returns
+    the next pivot, or None when the walk committed."""
+    if isinstance(decision, Descend):
+        return decision.child
+    node = walk.node
+    target = decision.target
+    walk.pay(target)  # connection round trip
+    parents[node] = target
+    kids = children[target]
+    if isinstance(decision, Insert):
+        for child in decision.adopt:
+            kids.remove(child)
+            parents[child] = node
+        children[node] = list(decision.adopt)
+    kids.append(node)
+    return None
 
 
 def _vdm_step(
@@ -308,37 +310,24 @@ def _vdm_step(
     degree_limit: int,
     tie_tolerance: float,
 ) -> int | None:
-    """One VDM join iteration (Fig. 3.6, paper priorities: Case III over
-    Case II, closest-of selection).  Returns the next pivot or None when
-    the walk committed."""
-    dist_to_pivot = walk.rtt(pivot)
-    child_distances = {
-        child: (dist, walk.rtt_ms(pivot, child)) for child, dist in probe.items()
-    }
-    classified = classify_children(
-        dist_to_pivot, child_distances, tie_tolerance=tie_tolerance
+    """One VDM join iteration (Fig. 3.6, the paper's priorities).  The
+    newcomer has no children yet, so its adoption budget is its whole
+    degree limit."""
+    case2, case3 = split_cases(
+        walk.rtt(pivot),
+        [(child, dist, walk.rtt_ms(pivot, child)) for child, dist in probe.items()],
+        tie_tolerance,
     )
-    case3 = [c for c in classified if c.case is Case.III]
-    case2 = [c for c in classified if c.case is Case.II]
-    if case3:
-        pick = min(case3, key=lambda c: (c.dist_new_child, c.child))
-        return pick.child
-    if case2:
-        # Case II insert: become a child of the pivot, adopt the closest
-        # directional children the newcomer's degree allows.
-        ordered = sorted(case2, key=lambda c: (c.dist_new_child, c.child))
-        adopt = [c.child for c in ordered[:degree_limit]]
-        walk.pay(pivot)  # connection round trip
-        node = walk.node
-        parents[node] = pivot
-        kids = children[pivot]
-        for child in adopt:
-            kids.remove(child)
-            parents[child] = node
-        kids.append(node)
-        children[node] = adopt
-        return None
-    return _case1_fallback(walk, pivot, probe, parents, children, degree_limit)
+    decision = vdm_decide(
+        pivot,
+        _free(children, pivot, degree_limit),
+        case2,
+        case3,
+        degree_limit,
+        _probes(probe, children, degree_limit),
+        False,
+    )
+    return _apply(walk, decision, parents, children)
 
 
 def _hmtp_step(
@@ -352,18 +341,14 @@ def _hmtp_step(
 ) -> int | None:
     """One HMTP join iteration: greedy descent toward the closest child,
     with the Scenario II U-turn check."""
-    dist_to_pivot = walk.rtt(pivot)
-    if probe:
-        closest_child, closest_dist = min(
-            probe.items(), key=lambda kv: (kv[1], kv[0])
-        )
-        if closest_dist < dist_to_pivot:
-            pivot_free = _free(children, pivot, degree_limit)
-            if walk.rtt_ms(pivot, closest_child) > dist_to_pivot and pivot_free:
-                _attach(walk, pivot, parents, children)
-                return None
-            return closest_child
-    return _case1_fallback(walk, pivot, probe, parents, children, degree_limit)
+    decision = hmtp_decide(
+        pivot,
+        _free(children, pivot, degree_limit),
+        walk.rtt(pivot),
+        _probes(probe, children, degree_limit),
+        lambda child: walk.rtt_ms(pivot, child),
+    )
+    return _apply(walk, decision, parents, children)
 
 
 def _btp_step(
@@ -379,14 +364,14 @@ def _btp_step(
     to its closest free child (by the *pivot's* cached child distances),
     else descends through its closest child."""
     walk.pay(pivot)  # connection attempt (accepted or rejected)
-    if _free(children, pivot, degree_limit):
+    if _free(children, pivot, degree_limit) > 0:
         parents[walk.node] = pivot
         children[pivot].append(walk.node)
         return None
     pool = [
         child
         for child in children[pivot]
-        if _free(children, child, degree_limit)
+        if _free(children, child, degree_limit) > 0
     ] or children[pivot]
     # _redirect_after_reject orders candidates by the rejecting parent's
     # distance to each child, not the newcomer's.
@@ -587,77 +572,76 @@ def _lex_min(dists: np.ndarray, ids: np.ndarray) -> tuple[float, int]:
     return dmin, int(ids[dists == dmin].min())
 
 
-def _case1_fallback_arrays(st, node, pivot, kids, rtt_np, d_new):
-    if st.nkids[pivot] < st.degree_limit:
-        st.lat += rtt_np  # connection round trip
-        _append_child(st, pivot, node)
-        return None
-    free = st.nkids[kids] < st.degree_limit
-    if free.any():
-        dmin, child = _lex_min(d_new[free], kids[free])
-        st.lat += dmin
-        _append_child(st, child, node)
-        return None
-    if kids.size:
-        return _lex_min(d_new, kids)[1]
-    st.lat += rtt_np  # pragma: no cover - childless full pivot
-    _append_child(st, pivot, node)  # pragma: no cover
-    return None  # pragma: no cover
+def _probes_arrays(st, kids, d_new) -> list[tuple[float, int, int]]:
+    """The probe round in the join kernel's ``(d_new, child, free)``
+    shape, in slot (insertion) order."""
+    free = st.degree_limit - st.nkids[kids]
+    return list(zip(d_new, kids.tolist(), free.tolist()))
 
 
-def _vdm_step_arrays(st, node, pivot, kids, rtt_np, d_new):
-    if kids.size:
-        order = np.argsort(kids)  # classify_children iterates by child id
-        kids_s = kids[order]
-        d_new_s = d_new[order]
-        d_piv_s = st.rows.rtt_vec(pivot, kids_s)
-        if st.tie_tol < 0:
-            raise ValueError(
-                f"tie_tolerance must be >= 0, got {st.tie_tol}"
-            )
-        # Distances are provider-vetted (finite, >= 0, float64), so go
-        # straight to the classifier core and skip its validation sweep.
-        codes = _case_codes(rtt_np, d_piv_s, d_new_s, st.tie_tol)
-        case3 = codes == 3
-        if case3.any():
-            # min (dist, id): argmin is first-occurrence, ids ascending.
-            return int(kids_s[np.argmin(np.where(case3, d_new_s, np.inf))])
-        case2 = codes == 2
-        if case2.any():
-            d2 = d_new_s[case2]
-            adopt = kids_s[case2][np.argsort(d2, kind="stable")][: st.degree_limit]
-            st.lat += rtt_np  # connection round trip
-            row = st.slots[pivot]
-            cnt = int(st.nkids[pivot])
-            # tiny operands: broadcast equality beats np.isin's sort path
-            keep = row[:cnt][~(row[:cnt, None] == adopt).any(axis=1)]
-            row[: keep.size] = keep
-            row[keep.size] = node
-            st.nkids[pivot] = keep.size + 1
-            st.parents[adopt] = node
-            st.parents[node] = pivot
-            st.slots[node, : adopt.size] = adopt
-            st.nkids[node] = adopt.size
-            return None
-    return _case1_fallback_arrays(st, node, pivot, kids, rtt_np, d_new)
+def _apply_arrays(st, node, pivot, dist_to_pivot, probes, decision) -> int | None:
+    """Carry out a kernel decision on the child-slot arrays.  Returns the
+    next pivot, or None when the walk committed."""
+    if isinstance(decision, Descend):
+        return decision.child
+    target = decision.target
+    # connection round trip
+    st.lat += (
+        dist_to_pivot
+        if target == pivot
+        else next(d for d, child, _free in probes if child == target)
+    )
+    if isinstance(decision, Insert):
+        adopt = decision.adopt
+        keep = [child for _d, child, _free in probes if child not in adopt]
+        keep.append(node)
+        st.slots[pivot, : len(keep)] = keep
+        st.nkids[pivot] = len(keep)
+        st.parents[list(adopt)] = node
+        st.parents[node] = pivot
+        st.slots[node, : len(adopt)] = adopt
+        st.nkids[node] = len(adopt)
+    else:
+        _append_child(st, target, node)
+    return None
 
 
-def _hmtp_step_arrays(st, node, pivot, kids, rtt_np, d_new):
-    if kids.size:
-        closest_dist, closest = _lex_min(d_new, kids)
-        if closest_dist < rtt_np:
-            if st.nkids[pivot] < st.degree_limit:
-                d_pc = st.rows.rtt_one(pivot, closest)
-                if d_pc > rtt_np:  # Scenario II U-turn
-                    st.lat += rtt_np
-                    _append_child(st, pivot, node)
-                    return None
-            return closest
-    return _case1_fallback_arrays(st, node, pivot, kids, rtt_np, d_new)
+def _vdm_step_arrays(st, node, pivot, kids, dist_to_pivot, d_new):
+    probes = _probes_arrays(st, kids, d_new)
+    case2 = case3 = ()
+    if probes:
+        d_pivot = st.rows.rtt_vec(pivot, kids).tolist()
+        case2, case3 = split_cases(
+            dist_to_pivot,
+            [(child, d, dp) for (d, child, _free), dp in zip(probes, d_pivot)],
+            st.tie_tol,
+        )
+    decision = vdm_decide(
+        pivot,
+        st.degree_limit - len(probes),
+        case2,
+        case3,
+        st.degree_limit,
+        probes,
+        False,
+    )
+    return _apply_arrays(st, node, pivot, dist_to_pivot, probes, decision)
 
 
-def _btp_step_arrays(st, node, pivot, kids, rtt_np, d_new):
-    st.lat += rtt_np  # connection attempt (accepted or rejected)
+def _hmtp_step_arrays(st, node, pivot, kids, dist_to_pivot, d_new):
+    probes = _probes_arrays(st, kids, d_new)
+    decision = hmtp_decide(
+        pivot,
+        st.degree_limit - len(probes),
+        dist_to_pivot,
+        probes,
+        lambda child: st.rows.rtt_one(pivot, child),
+    )
+    return _apply_arrays(st, node, pivot, dist_to_pivot, probes, decision)
+
+
+def _btp_step_arrays(st, node, pivot, kids, dist_to_pivot, d_new):
+    st.lat += dist_to_pivot  # connection attempt (accepted or rejected)
     if st.nkids[pivot] < st.degree_limit:
         _append_child(st, pivot, node)
         return None
@@ -704,13 +688,12 @@ def _build_scale_tree_batched(
             targets = tbuf[: kids.size + 1]
             targets[0] = pivot
             targets[1:] = kids
-            r = rows.rtt_vec(node, targets)
-            rtt_np = r[0]
-            d_new = r[1:]
-            st.lat += rtt_np  # pivot info exchange
-            if d_new.size:
-                st.lat += d_new.max()  # parallel probes: pay the slowest
-            nxt = step(st, node, pivot, kids, rtt_np, d_new)
+            # tolist() is exact; the join kernel is plain scalar Python
+            dist_to_pivot, *d_new = rows.rtt_vec(node, targets).tolist()
+            st.lat += dist_to_pivot  # pivot info exchange
+            if d_new:
+                st.lat += max(d_new)  # parallel probes: pay the slowest
+            nxt = step(st, node, pivot, kids, dist_to_pivot, d_new)
             if nxt is None:
                 break
             pivot = nxt

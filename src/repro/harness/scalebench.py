@@ -98,7 +98,6 @@ def _cell_env() -> dict[str, str]:
     # settings can't change unrelated code paths.
     env.pop("REPRO_SPARSE_UNDERLAY", None)
     env.pop("REPRO_SCALE_KERNEL", None)
-    env.pop("REPRO_SPARSE_PREFETCH", None)
     return env
 
 

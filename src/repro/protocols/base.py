@@ -28,11 +28,11 @@ how the paper's implementation treats root-path state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.join import Attach, Decision, Descend, Insert
 from repro.protocols.messages import (
     ChildInfo,
     ChildRemove,
@@ -381,7 +381,7 @@ class TreeRegistry:
         self, node: int, parent: int, adopt: tuple[int, ...], time: float
     ) -> None:
         """Atomically place ``node`` under ``parent`` while handing it the
-        children in ``adopt`` (VDM Case II insertion).
+        children in ``adopt`` (VDM's :class:`~repro.core.join.Insert`).
 
         Equivalent to an attach/reparent of ``node`` followed by
         reparenting each adopted child under it, except that every pointer
@@ -763,37 +763,6 @@ class ProtocolRuntime:
 # times per run — one instance each is enough.
 _INFO_WITH_CHILDREN = InfoRequest(want_children=True)
 _INFO_PROBE = InfoRequest(want_children=False)
-
-
-# --------------------------------------------------------------------------
-# Join decisions
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Descend:
-    """Continue the join iteration from ``child``."""
-
-    child: int
-
-
-@dataclass(frozen=True)
-class Attach:
-    """Terminal decision: request to become a child of ``target``."""
-
-    target: int
-
-
-@dataclass(frozen=True)
-class Insert:
-    """Terminal decision (VDM Case II): slot in between ``target`` and
-    the children in ``adopt``."""
-
-    target: int
-    adopt: tuple[int, ...]
-
-
-Decision = Descend | Attach | Insert
 
 
 # --------------------------------------------------------------------------
@@ -1226,16 +1195,16 @@ class JoinProcess:
     (restart at the source), rejection redirects, and commit semantics
     (fresh attach vs atomic parent switch for refinement).
 
-    .. note:: **Kept in sync with** :mod:`repro.sim.batched`.  The batched
-       multi-replication engine re-implements this loop (and the VDM
-       ``join_decision``) as flat heap events, and its bit-exactness
-       contract is *this file's* semantics — every RNG draw, message
-       count, and tie-break in the same order.  Touch the join loop,
-       :meth:`_probe_children`, :meth:`_decide`,
-       :meth:`_redirect_after_reject`, or
+    .. note:: The *decision* is not here: it is the join kernel
+       (:mod:`repro.core.join`), which the batched multi-replication
+       engine calls too.  The *loop* is still mirrored: ``sim/batched.py``
+       re-implements the plumbing as flat heap events, and its
+       bit-exactness contract is this file's semantics — every RNG draw,
+       message count, and tie-break in the same order.  Touch the join
+       loop, :meth:`_probe_children`, :meth:`_redirect_after_reject`, or
        :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
        ``sim/batched.py`` (``_iterate`` / ``_probe_children`` /
-       ``_decide`` / ``_handle_conn``) must change in lock-step;
+       ``_redirect`` / ``_handle_conn``) must change in lock-step;
        ``tests/test_batched_engine.py`` and the perf report's
        byte-identity check will catch a drift.
     """
@@ -1379,7 +1348,6 @@ class JoinProcess:
         info: InfoResponse,
         probes: dict[int, tuple[float, ChildInfo]],
     ) -> None:
-        # Mirrored by repro.sim.batched._Emulator._decide / _decide_mid.
         me = self.agent.node_id
         dist_to_pivot = self.env.virtual_distance(
             me, pivot, samples=self.probe_samples

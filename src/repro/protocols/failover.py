@@ -22,7 +22,8 @@ child on that chain does not count against capacity or direction.  Ancestors are
 be a descendant of the switching node, so the local attach cannot create
 a cycle no matter how stale the precomputed choice is.  VDM's veto adds
 direction-consistency — the backup's child set must not contain a node
-strictly *on the way* to the owner (Case III), because attaching there
+strictly *on the way* to the owner (a child the join kernel would
+descend through), because attaching there
 would violate the virtual-direction structure the tree's efficiency
 rests on.
 

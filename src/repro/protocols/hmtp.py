@@ -30,13 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.protocols.base import (
-    Attach,
-    Decision,
-    Descend,
-    OverlayAgent,
-    ProtocolRuntime,
-)
+from repro.core.join import Attach, Decision, hmtp_decide
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildInfo, InfoResponse
 from repro.util.rngtools import rng_from_seed
 
@@ -124,36 +119,13 @@ class HMTPAgent(OverlayAgent):
                 return Attach(self.parent if self.parent is not None else pivot)
             _, best = min(candidates)
             return Attach(best)
-        if probes:
-            closest_child, (closest_dist, closest_info) = min(
-                probes.items(), key=lambda kv: (kv[1][0], kv[0])
-            )
-            if closest_dist < dist_to_pivot:
-                # U-turn check (dissertation Scenario II, Fig. 3.22): if the
-                # newcomer appears to lie *between* the pivot and its
-                # closest child — the pivot-child distance exceeds the
-                # newcomer-pivot distance — descending would hang the
-                # newcomer below the child and double the path back.  HMTP
-                # instead connects to the pivot and relies on the child's
-                # later refinement to re-hang it below the newcomer.
-                if closest_info.distance > dist_to_pivot and pivot_info.free_degree > 0:
-                    return Attach(pivot)
-                return Descend(closest_child)
-        # Local minimum reached: attach here if possible.
-        if pivot_info.free_degree > 0:
-            return Attach(pivot)
-        free_children = [
-            (dist, child)
-            for child, (dist, ci) in probes.items()
-            if ci.free_degree > 0
-        ]
-        if free_children:
-            _, child = min(free_children)
-            return Attach(child)
-        if probes:
-            _, child = min((dist, child) for child, (dist, _) in probes.items())
-            return Descend(child)
-        return Attach(pivot)
+        return hmtp_decide(
+            pivot,
+            pivot_info.free_degree,
+            dist_to_pivot,
+            [(dist, child, ci.free_degree) for child, (dist, ci) in probes.items()],
+            lambda child: probes[child][1].distance,
+        )
 
     # -- refinement ---------------------------------------------------------------
 

@@ -90,11 +90,12 @@ class ConnRequest(Message):
 
     ``kind``:
 
-    * ``"attach"`` — Case I / Case III terminal attach (also used by the
-      baselines); requires a free degree slot at the target.
-    * ``"insert"`` — Case II: the requester slots in *between* the target
-      and the children listed in ``adopt`` (so no free slot is needed when
-      at least one adoption succeeds).
+    * ``"attach"`` — the join kernel's :class:`~repro.core.join.Attach`
+      (also used by the baselines); requires a free degree slot at the
+      target.
+    * ``"insert"`` — :class:`~repro.core.join.Insert`: the requester
+      slots in *between* the target and the children listed in ``adopt``
+      (so no free slot is needed when at least one adoption succeeds).
 
     ``adopt`` lists the target's children the requester wants to take over.
     """
@@ -145,7 +146,7 @@ class ParentChange(Message):
 
 @dataclass(frozen=True)
 class GrandparentChange(Message):
-    """Grandparent update pushed down one level after a Case II insert."""
+    """Grandparent update pushed down one level after an insert adoption."""
 
     new_grandparent: int
 

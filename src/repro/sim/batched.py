@@ -83,6 +83,7 @@ from collections import Counter
 
 import numpy as np
 
+from repro.core.join import Descend, Insert, split_cases, vdm_decide
 from repro.core.vdm import VDMConfig
 from repro.metrics.collectors import (
     HopcountStats,
@@ -128,7 +129,6 @@ _OP_TIMEOUT_RESTART = 11
 _OP_TIMEOUT_PROBE = 12
 _OP_DECIDE = 13
 _OP_FREE_READ = 14
-_OP_DECIDE_MID = 15
 
 # Tell kinds (mirror the scalar message vocabulary that survives the
 # envelope: LeaveNotice / ChildRemove / ParentChange / GrandparentChange).
@@ -870,7 +870,7 @@ class _Emulator:
         else:
             candidates = [ci for ci in kids if ci[0] != me]
         if not candidates:
-            self._decide(proc, pivot, pivot_free, {})
+            self._decide(proc, pivot, pivot_free, [], [], ())
             return
         now = self.now
         ttime = now + self._timeout_s
@@ -879,44 +879,40 @@ class _Emulator:
         # which children answer (aliveness at each request's arrival) and
         # their fresh free degrees.  Aliveness is predictable — churn is
         # slotted, so inside the horizon a child dies exactly at its
-        # already-scheduled leave time.  Everything else — the Case I/II/III
-        # split over static distance rows, the reply/timeout terminal
-        # times, the scalar ``sorted(results.items())`` order (candidates
-        # are already in ascending child order) — is computed here at send
-        # time, so the whole round collapses to ONE heap entry at the
-        # instant the last terminal would have fired, where ``_decide_pre``
-        # runs the decision against live agent state exactly as ``_decide``
-        # would.  Control totals stay window-exact: replies are counted at
-        # send, except those arriving after the next measurement, whose
-        # count rides inside the DECIDE entry (the decide instant lies in
-        # the same window as every such arrival whenever the timeout fits
-        # between consecutive measurements — checked below).
+        # already-scheduled leave time.  Everything else — the join
+        # kernel's case split over static distance rows, the
+        # reply/timeout terminal times — is computed here at send time,
+        # so the whole round collapses to ONE heap entry at the instant
+        # the last terminal would have fired, where ``_decide`` runs the
+        # kernel against live agent state.  Control totals stay
+        # window-exact: replies are counted at send, except those
+        # arriving after the next measurement, whose count rides inside
+        # the DECIDE entry (the decide instant lies in the same window as
+        # every such arrival whenever the timeout fits between
+        # consecutive measurements — checked below).
         #
         # Rounds whose decision *would* read the probed free degrees
-        # (pivot full, no Case III, at least one reply — the last-resort
-        # branch of ``_decide``) take the middle path instead: aliveness
-        # is still predicted, so the request/timeout legs are elided, and
-        # one FREE_READ event per replying child samples its free degree
-        # at exactly the scalar request-arrival instant (which is also
-        # when the scalar runtime counts the reply and reads the free it
-        # carries), with the terminal DECIDE_MID running ``_decide``'s
-        # free-dependent tail over the collected samples.
+        # (pivot full, no directional child to descend through, at least
+        # one reply — the kernel's last-resort branches) take the middle
+        # path instead: aliveness is still predicted, so the
+        # request/timeout legs are elided, and one FREE_READ event per
+        # replying child samples its free degree at exactly the scalar
+        # request-arrival instant (which is also when the scalar runtime
+        # counts the reply and reads the free it carries) into the
+        # ``probes`` list the terminal DECIDE hands to the kernel.
         death_at = self._death_at
         dag = death_at.get
         horizon = self._horizon
         alive = self._alive
         srow = proc.agent.sec
         rtt = proc.agent.rtt
-        tol = self.cell.vdm_config.tie_tolerance
         next_measure = self._next_measure
         # Every reply lands strictly before ``ttime`` (timeout-margin
         # envelope), so with the whole round in front of the next
         # measurement every reply counts at send; the per-arrival window
         # split below only runs for the rare straddling round.
         straddle = ttime > next_measure
-        dist_to_pivot = rtt[pivot]
-        case2: list[tuple[float, int]] = []
-        case3: list[tuple[float, int]] = []
+        replying: list[tuple[int, float, float]] = []
         n_reply = 0
         n_pre = 0  # replies arriving at or before the next measurement
         seq = self._seq
@@ -949,22 +945,7 @@ class _Emulator:
             if d >= best_d:  # ties: the later candidate replies last
                 best_d = d
                 best_seq = tseq + 1
-            d_new_child = rtt[child]
-            longest = dist_to_pivot
-            if d_pivot_child > longest:
-                longest = d_pivot_child
-            if d_new_child > longest:
-                longest = d_new_child
-            cut = longest - tol * (longest if longest >= 1.0 else 1.0)
-            is_ne = d_new_child >= cut
-            is_pe = d_pivot_child >= cut
-            is_pn = dist_to_pivot >= cut
-            if is_ne + is_pe + is_pn > 1 or is_ne:
-                continue  # Case I
-            if is_pe:
-                case2.append((d_new_child, child))
-            else:
-                case3.append((d_new_child, child))
+            replying.append((child, rtt[child], d_pivot_child))
         if not straddle:
             n_pre = n_reply
         elif ok and n_pre < n_reply:
@@ -977,6 +958,9 @@ class _Emulator:
                 ok = False
         if ok:
             heap = self._heap
+            case2, case3 = split_cases(
+                rtt[pivot], replying, self.cell.vdm_config.tie_tolerance
+            )
             if pivot_free <= 0 and not case3 and n_reply:
                 # ---- middle path: free degrees sampled by FREE_READ ----
                 # Re-walk the candidates (pure reads; nothing changed
@@ -984,7 +968,7 @@ class _Emulator:
                 # determination repeats) to emit one FREE_READ per
                 # predicted reply at the scalar request-arrival instant.
                 self.control += len(candidates)
-                freeres: dict[int, tuple[float, int]] = {}
+                probes: list[tuple[float, int, int]] = []
                 push = heapq.heappush
                 s = self._seq
                 for child, _cd, _cf in candidates:
@@ -1001,47 +985,38 @@ class _Emulator:
                     push(
                         heap,
                         (check, 0, tseq + 1, _OP_FREE_READ,
-                         freeres, child, rtt[child]),
+                         probes, child, rtt[child]),
                     )
                 self._seq = seq
-                if last_tseq >= 0:
-                    entry = (
-                        ttime, 0, last_tseq, _OP_DECIDE_MID,
-                        proc, pivot, pivot_free, case2, case3, freeres,
-                    )
-                else:
-                    entry = (
-                        (now + best_d) + best_d, 0, best_seq, _OP_DECIDE_MID,
-                        proc, pivot, pivot_free, case2, case3, freeres,
-                    )
-                push(heap, entry)
-                return
-            self._seq = seq
-            self.control += len(candidates) + n_pre
-            xctl = n_reply - n_pre
+                xctl = 0  # every reply is counted by its FREE_READ
+            else:
+                probes = ()
+                self._seq = seq
+                self.control += len(candidates) + n_pre
+                xctl = n_reply - n_pre
             if last_tseq >= 0:
                 # Replies all land before ``ttime`` (timeout-margin
                 # envelope), so the last terminal is the last timeout.
                 entry = (
                     ttime, 0, last_tseq, _OP_DECIDE,
-                    proc, pivot, pivot_free, case2, case3, xctl,
+                    proc, pivot, pivot_free, case2, case3, probes, xctl,
                 )
             else:
                 # The scalar reply time is (t0 + d) + d, summed in
                 # exactly this order at the request's arrival.
                 entry = (
                     (now + best_d) + best_d, 0, best_seq, _OP_DECIDE,
-                    proc, pivot, pivot_free, case2, case3, xctl,
+                    proc, pivot, pivot_free, case2, case3, probes, xctl,
                 )
             heapq.heappush(heap, entry)
             return
         # ---- event-per-probe slow path ---------------------------------------
-        results: dict[int, tuple[float, float, int]] = {}
         # Each probed child is finished exactly once — the send/request
         # chain creates one terminal entry (reply or elided-timeout) per
         # child — so the scalar round's outstanding *set* reduces to a
-        # countdown.
-        round_ = (proc, pivot, pivot_free, results, [len(candidates)])
+        # countdown.  The two lists collect the repliers in the kernel's
+        # shapes: (child, d_new, d_pivot) and (d_new, child, free).
+        round_ = (proc, pivot, pivot_free, [], [], [len(candidates)])
         # Probe sends inlined (the hottest send site); seq consumption
         # matches the per-send order: timeout seq first, then the request
         # seq only when the target is alive.  The control counter is
@@ -1071,167 +1046,49 @@ class _Emulator:
 
     def _finish_probe(self, round_, child: int, ci_dist: float, free) -> None:
         """Mirror of the probe round's ``finish_one`` (``free`` None = timeout)."""
-        proc, pivot, pivot_free, results, remaining = round_
+        proc, pivot, pivot_free, replying, probes, remaining = round_
         if proc.cancelled or proc.finished:
             return
+        rtt = proc.agent.rtt
         if free is not None:
-            results[child] = (proc.agent.rtt[child], ci_dist, free)
+            d_new = rtt[child]
+            replying.append((child, d_new, ci_dist))
+            probes.append((d_new, child, free))
         n = remaining[0] - 1
         remaining[0] = n
         if not n:
-            self._decide(proc, pivot, pivot_free, results)
-
-    def _decide(self, proc: _Join, pivot: int, pivot_free: int, results) -> None:
-        """``JoinProcess._decide`` + the VDM ``join_decision`` brain, inlined.
-
-        ``results``: child -> (dist newcomer->child, pivot's cached dist
-        to the child, the child's fresh free degree) — the probes dict.
-        The scalar classification (``classify_children`` over
-        ``classify_case``) runs at most a handful of children per pivot,
-        so the scalar arithmetic is inlined here in the same IEEE-754
-        order rather than paying array construction per decision;
-        :func:`repro.core.cases.classify_case_array` covers the dense
-        sweeps and the equivalence tests pin the two against each other.
-        """
-        me = proc.node
-        dist_to_pivot = proc.agent.rtt[pivot]
-        config = self.cell.vdm_config
-        tol = config.tie_tolerance
-        case3: list[tuple[float, int]] = []
-        case2: list[tuple[float, int]] = []
-        # ``max`` keeps its first maximal argument; the compare-selects
-        # below preserve that tie behavior (strict ``>`` to replace).
-        for child, (d_new_child, d_pivot_child, _free) in sorted(results.items()):
-            longest = dist_to_pivot
-            if d_pivot_child > longest:
-                longest = d_pivot_child
-            if d_new_child > longest:
-                longest = d_new_child
-            cut = longest - tol * (longest if longest >= 1.0 else 1.0)
-            is_ne = d_new_child >= cut
-            is_pe = d_pivot_child >= cut
-            is_pn = dist_to_pivot >= cut
-            if is_ne + is_pe + is_pn > 1 or is_ne:
-                continue  # Case I
-            if is_pe:
-                case2.append((d_new_child, child))
-            else:
-                case3.append((d_new_child, child))
-
-        if case2 and (config.case_priority == "case2" or not case3):
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        if case3:
-            # closest-of-Case-III (the "random" knob is outside the envelope)
-            self._iterate(proc, min(case3)[1])
-            return
-        if case2:
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        # Case I
-        if pivot_free > 0:
-            self._send_conn_checked(proc, pivot, None)
-            return
-        free_children = [
-            (dist, child)
-            for child, (dist, _cid, free) in results.items()
-            if free > 0
-        ]
-        if free_children:
-            self._send_conn_checked(proc, min(free_children)[1], None)
-            return
-        if results:
-            self._iterate(
-                proc,
-                min((dist, child) for child, (dist, _cid, _f) in results.items())[1],
+            case2, case3 = split_cases(
+                rtt[pivot], replying, self.cell.vdm_config.tie_tolerance
             )
-            return
-        self._send_conn_checked(proc, pivot, None)
+            self._decide(proc, pivot, pivot_free, case2, case3, probes)
 
-    def _decide_pre(self, proc: _Join, pivot: int, pivot_free: int, case2, case3):
-        """``_decide`` for a precomputed round (classification done at send).
+    def _decide(self, proc: _Join, pivot, pivot_free, case2, case3, probes) -> None:
+        """``JoinProcess._decide``: ask the join kernel, act on its answer.
 
-        Runs against *live* agent state exactly like ``_decide`` — only the
-        Case I/II/III split (pure static-distance arithmetic) was hoisted
-        to send time.  The fast path never builds a round whose decision
-        would read the probed free degrees: that needs pivot full, no
-        Case III, and at least one reply, which ``_probe_children`` checks
-        statically.  What remains of Case I is therefore either a free
-        pivot (attach) or a no-reply round (attach to the pivot as well),
-        so the tail collapses to one unconditional attach.
+        The kernel's case lists may have been split at send time
+        (pure static-distance arithmetic); everything else — the
+        joiner's adoption budget, the ``probes`` free degrees sampled at
+        the scalar request-arrival instants — is live state read now,
+        exactly when the scalar runtime decides.  A precomputed round
+        that can never reach the free-degree branches of the Case-I tail
+        passes no probes.
         """
+        agent = proc.agent
         config = self.cell.vdm_config
-        if case2 and (config.case_priority == "case2" or not case3):
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        if case3:
-            self._iterate(proc, min(case3)[1])
-            return
-        if case2:
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        self._send_conn_checked(proc, pivot, None)
-
-    def _decide_mid(self, proc, pivot, pivot_free, case2, case3, freeres):
-        """``_decide`` for a middle-path round (free degrees collected).
-
-        ``freeres``: child -> (dist newcomer->child, free degree sampled
-        at the scalar request-arrival instant), inserted in reply-arrival
-        order — request order and reply order coincide (reply time is a
-        monotonic function of the request delay, and equal delays keep
-        the request seq order), so ``min`` ties resolve exactly like the
-        scalar ``results`` dict.  ``case3`` is empty by construction
-        (middle-path precondition), so the tail always reaches the
-        free-dependent branches of ``_decide``.
-        """
-        config = self.cell.vdm_config
-        if case2 and (config.case_priority == "case2" or not case3):
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        if case3:
-            self._iterate(proc, min(case3)[1])
-            return
-        if case2:
-            adopt = self._insert_adopt(proc.agent, case2, config)
-            if adopt is not None:
-                self._send_conn_checked(proc, pivot, adopt)
-                return
-        if pivot_free > 0:
-            self._send_conn_checked(proc, pivot, None)
-            return
-        free_children = [
-            (dist, child) for child, (dist, free) in freeres.items() if free > 0
-        ]
-        if free_children:
-            self._send_conn_checked(proc, min(free_children)[1], None)
-            return
-        if freeres:
-            self._iterate(
-                proc,
-                min((dist, child) for child, (dist, _f) in freeres.items())[1],
-            )
-            return
-        self._send_conn_checked(proc, pivot, None)
-
-    @staticmethod
-    def _insert_adopt(agent: _Agent, case2, config) -> tuple[int, ...] | None:
-        """Mirror of ``VDMAgent._try_insert``: closest first, within degree."""
-        ordered = sorted(case2)  # (dist_new_child, child) — the scalar sort key
         budget = agent.degree_limit - len(agent.children)
         if config.max_adopt is not None:
             budget = min(budget, config.max_adopt)
-        adopt = tuple(child for _dist, child in ordered[:budget])
-        return adopt if adopt else None
+        decision = vdm_decide(
+            pivot, pivot_free, case2, case3, budget, probes,
+            config.case_priority == "case2",
+        )
+        if type(decision) is Descend:
+            self._iterate(proc, decision.child)
+        else:
+            self._send_conn_checked(
+                proc, decision.target,
+                decision.adopt if type(decision) is Insert else None,
+            )
 
     def _send_conn_checked(self, proc: _Join, target: int, adopt) -> None:
         """Mirror of ``JoinProcess._request_connection`` (join/reconnect)."""
@@ -1885,38 +1742,29 @@ class _Emulator:
                     ):
                         self._probe_children(proc, entry[5], entry[6], entry[7])
                 elif op == _OP_DECIDE:
-                    # (.., proc, pivot, pivot_free, case2, case3, xctl) —
-                    # the same guards the scalar terminals apply per
-                    # reply.  ``xctl`` counts the replies that arrived
+                    # (.., proc, pivot, pivot_free, case2, case3, probes,
+                    # xctl) — the same guards the scalar terminals apply
+                    # per reply.  ``xctl`` counts the replies that arrived
                     # after the most recent measurement: children answer
                     # whether the joiner is still around or not, so the
                     # count lands before any proc-state guard.
-                    self.control += entry[9]
+                    self.control += entry[10]
                     proc = entry[4]
                     if proc.node in alive and not (
                         proc.cancelled or proc.finished
                     ):
-                        self._decide_pre(
-                            proc, entry[5], entry[6], entry[7], entry[8]
+                        self._decide(
+                            proc, entry[5], entry[6], entry[7], entry[8], entry[9]
                         )
                 elif op == _OP_FREE_READ:
-                    # (.., freeres, child, d_new) — the scalar request
+                    # (.., probes, child, d_new) — the scalar request
                     # arrival: count the reply it triggers and sample the
                     # free degree it carries.
                     agent = agents[entry[5]]
                     self.control += 1
-                    entry[4][entry[5]] = (
-                        entry[6], agent.degree_limit - len(agent.children),
+                    entry[4].append(
+                        (entry[6], entry[5], agent.degree_limit - len(agent.children))
                     )
-                elif op == _OP_DECIDE_MID:
-                    # (.., proc, pivot, pivot_free, case2, case3, freeres)
-                    proc = entry[4]
-                    if proc.node in alive and not (
-                        proc.cancelled or proc.finished
-                    ):
-                        self._decide_mid(
-                            proc, entry[5], entry[6], entry[7], entry[8], entry[9]
-                        )
                 elif op == _OP_PROBE_REQ:
                     # (.., round_, child, ci_dist, d, tseq, ttime)
                     child = entry[5]

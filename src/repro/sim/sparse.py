@@ -50,7 +50,7 @@ before the first query — hands the ordered plan to
 plan's byte budget for the rest of the underlay's life.  The returned
 :class:`RowPlan` adds exactly one thing: a store miss for a planned
 source computes that source's whole block
-(``REPRO_SPARSE_PREFETCH`` sources) in **one multi-source**
+(``_PLAN_BLOCK`` sources unless the caller says otherwise) in **one multi-source**
 ``csgraph.dijkstra`` call, synchronously, skipping the sources the
 store already holds.  scipy computes each source of a multi-source call
 independently, so a block row is bit-identical to its single-source twin
@@ -74,7 +74,7 @@ from scipy.sparse import csgraph
 from repro.sim.network import LinkId, Underlay, _cache_enabled_from_env, _split_link
 from repro.sim.pathtree import routers_along, walk_links
 from repro.util.artifacts import Artifact
-from repro.util.envflags import sparse_exact, sparse_prefetch_block, sparse_row_cache
+from repro.util.envflags import sparse_exact, sparse_row_cache
 
 __all__ = ["SPARSE_SCHEMA", "RowPlan", "SparseUnderlay", "select_landmarks"]
 
@@ -85,6 +85,11 @@ SPARSE_SCHEMA = 1
 #: per-ordered-pair memo dicts self-clear at this many entries so a
 #: 100k-member walk cannot accumulate unbounded Python-dict state.
 _PAIR_MEMO_CAP = 1 << 20
+
+#: sources per multi-source ``csgraph.dijkstra`` call of a
+#: :class:`RowPlan` block, unless :meth:`SparseUnderlay.prefetch_rows`
+#: is told otherwise (the scale walks and the bench never do).
+_PLAN_BLOCK = 64
 
 
 def select_landmarks(
@@ -357,7 +362,8 @@ class SparseUnderlay(Underlay):
 
         ``sources`` is the sequence of source routers the caller will
         query, in order, repeats allowed (the plan dedupes).  ``block``
-        overrides ``REPRO_SPARSE_PREFETCH``; ``predecessors=True`` makes
+        overrides ``_PLAN_BLOCK`` (``0`` installs an inert plan: every
+        store miss is a demand row); ``predecessors=True`` makes
         the plan's blocks compute predecessor rows too (for path
         expansion), upgrading dist-only rows the store already holds.
         ``retain_bytes`` is the store's byte budget (default 256 MiB,
@@ -370,9 +376,11 @@ class SparseUnderlay(Underlay):
         """
         if self._plan is not None:
             self._plan.close()
-        plan = RowPlan(
-            self, sources, block=sparse_prefetch_block(block), predecessors=predecessors
-        )
+        if block is None:
+            block = _PLAN_BLOCK
+        elif block < 0:
+            raise ValueError(f"block must be >= 0, got {block}")
+        plan = RowPlan(self, sources, block=block, predecessors=predecessors)
         row_bytes = self.n_routers * (12 if predecessors else 8)
         self._row_cap = max(
             self._row_cap, 2 * plan.block, int(retain_bytes) // max(row_bytes, 1)

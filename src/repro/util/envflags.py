@@ -73,20 +73,12 @@ Sparse substrates (PR 8) follow the same discipline:
   (halves artifact bytes for scale runs; narrowed results are refused
   by the perf-report identity oracle).
 
-The scale kernels (PR 9) add two more:
+The scale kernels (PR 9) add one more:
 
-* ``REPRO_SPARSE_PREFETCH`` — block size of a row plan on
-  :class:`~repro.sim.sparse.SparseUnderlay` (default 64 sources per
-  ``scipy.sparse.csgraph.dijkstra`` call, run synchronously at the
-  block's first store miss, only for sources the row store lacks; ``0``
-  makes plans inert so every missing row is a demand-time single-source
-  run through the same store).  Plans are *exact*, never speculative:
-  callers hand over the full ordered source plan, so a block row is
-  always a row the scalar path would have computed anyway, with
-  bit-identical contents.
 * ``REPRO_SCALE_KERNEL`` — join-walk kernel selector for
   :func:`repro.harness.scale.build_scale_tree`: ``batched`` (default;
-  array-native state, vectorized classification, block-planned rows) or
+  array-native state, one vector distance read per iteration,
+  block-planned rows) or
   ``scalar`` (the per-child reference walk the batched kernel must
   match byte for byte — the ablation baseline and equivalence oracle).
 
@@ -109,7 +101,6 @@ __all__ = [
     "retry_backoff_s",
     "scale_kernel",
     "sparse_exact",
-    "sparse_prefetch_block",
     "sparse_row_cache",
     "sparse_underlay_enabled",
     "substrate_dtype",
@@ -207,10 +198,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     ),
     "REPRO_SPARSE_ROWS": FlagSpec(
         "128", "sparse-engine row-store capacity before any row plan",
-        "repro.util.envflags",
-    ),
-    "REPRO_SPARSE_PREFETCH": FlagSpec(
-        "64", "multi-source Dijkstra row-plan block (0 = demand-time)",
         "repro.util.envflags",
     ),
     "REPRO_SCALE_KERNEL": FlagSpec(
@@ -338,34 +325,6 @@ def sparse_row_cache() -> int:
         ) from None
     if value < 4:
         raise ValueError(f"REPRO_SPARSE_ROWS must be >= 4, got {value}")
-    return value
-
-
-def sparse_prefetch_block(requested: int | None = None) -> int:
-    """Row-plan block size (``REPRO_SPARSE_PREFETCH``, default 64).
-
-    Sources per multi-source ``csgraph.dijkstra`` call when a caller
-    hands :class:`~repro.sim.sparse.SparseUnderlay` an ordered row plan.
-    ``0`` makes the plan inert (every missing row is a single-source
-    demand run).  An explicit ``requested`` value — e.g. a kernel
-    test pinning ``B=1`` — wins over the environment.
-    """
-    if requested is not None:
-        value = requested
-    else:
-        raw = os.environ.get("REPRO_SPARSE_PREFETCH", "").strip()
-        if not raw:
-            return 64
-        if raw.lower() in _FALSE_VALUES:
-            return 0
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SPARSE_PREFETCH must be an integer, got {raw!r}"
-            ) from None
-    if value < 0:
-        raise ValueError(f"REPRO_SPARSE_PREFETCH must be >= 0, got {value}")
     return value
 
 

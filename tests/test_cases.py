@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.cases import (
-    Case,
-    ChildClassification,
-    classify_case,
-    classify_children,
-)
+from repro.core.cases import Case, classify_case
 
 
 class TestPaperCases:
@@ -61,35 +56,6 @@ class TestValidation:
     def test_zero_distances_allowed(self):
         # Degenerate but legal (co-located hosts): all ties -> Case I.
         assert classify_case(0.0, 0.0, 0.0) is Case.I
-
-
-class TestClassifyChildren:
-    def test_mixed_classification(self):
-        # Pivot at 0; newcomer at 10.  Child A at 25 (beyond newcomer ->
-        # Case II), child B at 4 (between pivot and newcomer -> Case III),
-        # child C at -8 (opposite side -> Case I).
-        children = {
-            1: (15.0, 25.0),  # d(N,A)=15, d(P,A)=25 -> longest d(P,A): Case II
-            2: (6.0, 4.0),  # d(N,B)=6, d(P,B)=4 -> longest d(P,N)=10: Case III
-            3: (18.0, 8.0),  # d(N,C)=18, d(P,C)=8 -> longest d(N,C): Case I
-        }
-        out = classify_children(10.0, children)
-        cases = {c.child: c.case for c in out}
-        assert cases == {1: Case.II, 2: Case.III, 3: Case.I}
-
-    def test_sorted_by_child_id(self):
-        children = {5: (1.0, 1.0), 2: (1.0, 1.0)}
-        out = classify_children(3.0, children)
-        assert [c.child for c in out] == [2, 5]
-
-    def test_empty(self):
-        assert classify_children(5.0, {}) == []
-
-    def test_carries_distance(self):
-        out = classify_children(10.0, {7: (6.0, 4.0)})
-        assert out == [
-            ChildClassification(child=7, case=Case.III, dist_new_child=6.0)
-        ]
 
 
 # -- property-based ------------------------------------------------------------

@@ -62,3 +62,28 @@ def test_registry_covers_known_knobs():
         "REPRO_BATCHED_REPS",
     ):
         assert name in FLAG_REGISTRY
+
+
+# The same two-way discipline for the paper's one arithmetic rule: the
+# longest-side test with its relative tie slack lives in the validating
+# reference (core/cases.py) and the join kernel (core/join.py).  Every
+# engine used to carry its own inlined copy; this keeps them from
+# growing back.
+_TIE_SLACK_RE = re.compile(
+    r"max(?:imum)?\(\s*longest\s*,\s*1\.0\s*\)"
+    r"|longest\s+if\s+longest\s*>=\s*1\.0\s+else\s+1\.0"
+)
+_TIE_SLACK_HOMES = {"core/cases.py", "core/join.py"}
+
+
+def test_tie_slack_arithmetic_lives_only_in_the_kernel():
+    package = SRC / "repro"
+    found = {
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if _TIE_SLACK_RE.search(path.read_text())
+    }
+    assert found == _TIE_SLACK_HOMES, (
+        f"the Case I/II/III tie-slack expression appears in {sorted(found)}; "
+        "call repro.core.join.split_cases instead of inlining it"
+    )

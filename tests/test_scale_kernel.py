@@ -146,6 +146,14 @@ class TestWalkEquivalence:
             )
 
 
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    def test_negative_tie_tolerance_rejected_up_front(self, kernel):
+        # Two members: no pivot ever has children, so a per-step check
+        # would never run (the parent commit accepted this silently).
+        with pytest.raises(ValueError, match="tie_tolerance"):
+            build_scale_tree(_sparse(0), "vdm", 2, tie_tolerance=-1.0, kernel=kernel)
+
+
 class TestIterationBound:
     def test_degree_one_chain_exceeds_legacy_bound(self):
         # A BTP chain descends one level per iteration: member k needs k

@@ -472,14 +472,12 @@ class TestRowPrefetch:
             assert plan.stats()["blocks"] == 0
             assert sparse.demand_rows == 1
 
-    def test_env_flag_sets_default_block(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_PREFETCH", "5")
+    def test_default_block_and_negative_block_rejected(self):
         sparse = self._fresh()
         with sparse.prefetch_rows(self._plan_routers(sparse)) as plan:
-            assert plan.stats()["block"] == 5
-        monkeypatch.setenv("REPRO_SPARSE_PREFETCH", "-2")
-        with pytest.raises(ValueError):
-            sparse.prefetch_rows(self._plan_routers(sparse))
+            assert plan.stats()["block"] == 64
+        with pytest.raises(ValueError, match="block"):
+            sparse.prefetch_rows(self._plan_routers(sparse), block=-2)
 
     def test_retention_budget_evicts_but_stays_correct(self):
         _, _, sparse = _build(19, 40, None, ts=MID_TS, row_cache=2)
