@@ -501,6 +501,7 @@ class ProtocolRuntime:
         self.metric = metric or underlay.rtt_ms
         self.timeout_ms = timeout_ms
         self.measurement_noise_sigma = measurement_noise_sigma
+        self._noisy = measurement_noise_sigma > 0
         self._noise_rng = noise_rng
         # Measurement-noise draws come out of a block buffer: one
         # ``Generator.lognormal`` call refills 256 draws, probes then
@@ -515,6 +516,7 @@ class ProtocolRuntime:
         self._noise_pos = 0
         # Bound-method hoists for the per-message hot path.
         self._sched_fire = sim.schedule_fire_in
+        self._reserve_seq = sim.reserve_seq
         self._delay_ms = underlay.delay_ms
         self._timeout_s = timeout_ms / 1000.0
         self.tree = TreeRegistry(source)
@@ -586,7 +588,7 @@ class ProtocolRuntime:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         base = float(self.metric(a, b))
-        if self.measurement_noise_sigma > 0 and a != b:
+        if self._noisy and a != b:
             if self._fast_path:
                 # Inline the single-sample case (the join-time hot path);
                 # multi-sample means go through _noise_mean.
@@ -674,7 +676,7 @@ class ProtocolRuntime:
             )
 
         for d in delays:
-            self.sim.schedule_in(d, deliver, label=f"tell:{type(msg).__name__}")
+            self.sim.schedule_in(d, deliver, label="tell")
 
     def request(
         self,
@@ -690,28 +692,76 @@ class ProtocolRuntime:
         :meth:`OverlayAgent.handle_request` and travels back with the same
         one-way latency.  If the target is (or dies) unreachable, the
         requester's ``on_timeout`` fires after ``timeout_ms``.
+
+        When no fault plan can touch a leg, each leg takes exactly
+        ``delay`` and the timeout is queued only once it is certain to
+        fire.  Its sequence number is reserved at send time — the place in
+        the ``(time, priority, seq)`` order an eagerly queued timeout
+        holds — and the entry goes on the heap at the instant no in-flight
+        leg can still beat it: a dead target at send, a dead/frozen/silent
+        target at arrival, a dead/frozen requester when the reply lands,
+        or at send time when the reply cannot land before the deadline
+        anyway (the late reply is still delivered).  An exchange that
+        completes queues nothing for it.
         """
         self._msg_counts[msg.__class__] += 1
+        if self.message_faults is None and self._fast_path:
+            seq = self._reserve_seq()
+            now = self.sim.now
+            deadline = now + self._timeout_s
+            if dst not in self._alive:
+                self._queue_timeout(deadline, seq, src, on_timeout)
+                return
+            delay = self._delay_ms(src, dst) / 1000.0
+            # Whether a failing leg still owes the heap the timeout.  Same
+            # floats the engine will stamp on the two legs, so rounding
+            # cannot separate this path from the eager one below.
+            owed = now + delay + delay < deadline
+            if not owed:
+                self._queue_timeout(deadline, seq, src, on_timeout)
 
+            def deliver_request() -> None:
+                # is_responsive, inlined: these closures run once per delivery.
+                if dst not in self._alive or dst in self._frozen:
+                    if owed:
+                        self._queue_timeout(deadline, seq, src, on_timeout)
+                    return
+                reply = self.agents[dst].handle_request(src, msg)
+                if reply is None:
+                    if owed:
+                        self._queue_timeout(deadline, seq, src, on_timeout)
+                    return
+                self._msg_counts[reply.__class__] += 1
+
+                def deliver_reply() -> None:
+                    if src not in self._alive or src in self._frozen:
+                        if owed:
+                            self._queue_timeout(deadline, seq, src, on_timeout)
+                        return
+                    on_reply(reply)
+
+                self._sched_fire(delay, deliver_reply)
+
+            self._sched_fire(delay, deliver_request)
+            return
+
+        # Legs a fault plan can jitter or duplicate make the first reply's
+        # arrival unknowable at send time, so this path queues a
+        # cancellable timeout eagerly.  It is also the ablation baseline
+        # (REPRO_INCREMENTAL_TREE=0), and as such the oracle for the path
+        # above.
         def fire_timeout() -> None:
             if src in self._alive:
                 on_timeout()
 
-        if self._fast_path:
-            timeout_event = self.sim.schedule_cancellable_in(
-                self._timeout_s, fire_timeout
-            )
-        else:
-            timeout_event = self.sim.schedule_in(
-                self._timeout_s, fire_timeout, label="timeout"
-            )
+        timeout_event = self.sim.schedule_in(
+            self._timeout_s, fire_timeout, label="timeout"
+        )
         if dst not in self._alive:
             return  # request lost; timeout will fire
         delay = self._delay_ms(src, dst) / 1000.0
-        fast = self.message_faults is None and self._fast_path
 
         def deliver_request() -> None:
-            # is_responsive, inlined: these closures run once per delivery.
             if dst not in self._alive or dst in self._frozen:
                 return
             reply = self.agents[dst].handle_request(src, msg)
@@ -725,9 +775,6 @@ class ProtocolRuntime:
                 timeout_event.cancel()
                 on_reply(reply)
 
-            if fast:
-                self._sched_fire(delay, deliver_reply)
-                return
             if self.message_faults is None:
                 rep_delays: tuple[float, ...] = (delay,)
             else:
@@ -735,13 +782,8 @@ class ProtocolRuntime:
                     dst, src, reply, delay, leg="reply"
                 )
             for d in rep_delays:
-                self.sim.schedule_in(
-                    d, deliver_reply, label=f"reply:{type(reply).__name__}"
-                )
+                self.sim.schedule_in(d, deliver_reply, label="reply")
 
-        if fast:
-            self._sched_fire(delay, deliver_request)
-            return
         if self.message_faults is None:
             req_delays: tuple[float, ...] = (delay,)
         else:
@@ -749,9 +791,18 @@ class ProtocolRuntime:
                 src, dst, msg, delay, leg="request"
             )
         for d in req_delays:
-            self.sim.schedule_in(
-                d, deliver_request, label=f"req:{type(msg).__name__}"
-            )
+            self.sim.schedule_in(d, deliver_request, label="req")
+
+    def _queue_timeout(
+        self, deadline: float, seq: int, src: int, on_timeout: Callable[[], None]
+    ) -> None:
+        """Queue a request's timeout in the place reserved for it at send."""
+
+        def fire_timeout() -> None:
+            if src in self._alive:
+                on_timeout()
+
+        self.sim.schedule_reserved(deadline, seq, fire_timeout)
 
     # -- join bookkeeping ----------------------------------------------------------
 
@@ -1079,18 +1130,12 @@ class OverlayAgent:
         env = self.env
         tree = env.tree
         self._reconcile_children()
-        reject = ConnResponse(
-            accepted=False,
-            node_id=self.node_id,
-            parent=self.parent,
-            children=self.child_info(),
-        )
         # A peer that is itself dangling cannot serve as a parent.
         if not self.is_source and not tree.is_reachable(self.node_id):
-            return reject
+            return self._reject()
         # Never accept our own ancestor as a child: that would loop.
         if tree.is_descendant(self.node_id, sender):
-            return reject
+            return self._reject()
 
         if msg.kind == "insert":
             transferable = [
@@ -1119,7 +1164,7 @@ class OverlayAgent:
             if not transferable and self.free_degree <= 0:
                 # The directional children vanished and no slot is free, so
                 # neither the insert nor an attach fallback can proceed.
-                return reject
+                return self._reject()
             dist = env.virtual_distance(self.node_id, sender)
             now = env.sim.now
             tree.insert(sender, self.node_id, tuple(transferable), now)
@@ -1135,13 +1180,22 @@ class OverlayAgent:
 
         # attach
         if self.free_degree <= 0:
-            return reject
+            return self._reject()
         dist = env.virtual_distance(self.node_id, sender)
         now = env.sim.now
         self.children[sender] = dist
         self._commit_child(sender, now)
         return ConnResponse(
             accepted=True, node_id=self.node_id, parent=self.parent
+        )
+
+    def _reject(self) -> ConnResponse:
+        """The rejection reply: our children, so the sender can redirect."""
+        return ConnResponse(
+            accepted=False,
+            node_id=self.node_id,
+            parent=self.parent,
+            children=self.child_info(),
         )
 
     def _commit_child(self, child: int, now: float) -> None:
@@ -1300,11 +1354,15 @@ class JoinProcess:
         # equivalent) by repro.sim.batched._Emulator._probe_children.
         me = self.agent.node_id
         tree = self.env.tree
-        candidates = [
-            ci
-            for ci in info.children
-            if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
-        ]
+        if tree.children.get(me):
+            candidates = [
+                ci
+                for ci in info.children
+                if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
+            ]
+        else:
+            # No committed children: nobody lies below us, skip the walks.
+            candidates = [ci for ci in info.children if ci.node_id != me]
         if not candidates:
             self._decide(pivot, info, {})
             return
@@ -1326,10 +1384,11 @@ class JoinProcess:
                 )
                 # The probe reply carries the child's own free degree,
                 # fresher than the parent's cached view.
-                results[child] = (
-                    dist,
-                    ChildInfo(child, child_info.distance, reply.free_degree),
-                )
+                if reply.free_degree != child_info.free_degree:
+                    child_info = ChildInfo(
+                        child, child_info.distance, reply.free_degree
+                    )
+                results[child] = (dist, child_info)
             if not outstanding:
                 self._decide(pivot, info, results)
 

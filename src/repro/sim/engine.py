@@ -18,6 +18,10 @@ mode (``seq`` is unique, so tuple comparison stops before reaching it).
 Fire-and-forget callers that never cancel (the bulk of message
 deliveries) can skip the Event allocation entirely via
 :meth:`Simulator.schedule_fire_in`, which pushes ``event = None``.
+A callback that will almost certainly be cancelled (a request timeout)
+need not be queued at all: :meth:`Simulator.reserve_seq` holds its place
+in the order and :meth:`Simulator.schedule_reserved` queues it under that
+place once it is known to be needed.
 
 ``REPRO_INCREMENTAL_TREE=0`` (the PR-ablation baseline, read at
 construction) restores the pre-optimization representation — Event
@@ -113,6 +117,8 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
+        """Sequence numbers issued: every event queued, plus every place
+        held by :meth:`reserve_seq` whether or not it was queued later."""
         return self._events_scheduled
 
     @property
@@ -149,16 +155,15 @@ class Simulator:
         priority: int,
         seq: int,
         callback: Callable[[], None],
-        event: Event | None,
+        event: Event,
     ) -> None:
-        """The single heap-insertion point every ``schedule_*`` call funnels
-        through: tuple-vs-legacy layout dispatch plus the scheduled-event
-        counter live here and nowhere else.  ``event`` is ``None`` only for
-        fire-and-forget tuples (the legacy layout always carries an
-        :class:`Event`, because its callers fall back to :meth:`schedule_in`
-        before reaching this point).  Alternative engines that mirror this
-        one's event ordering (:mod:`repro.sim.batched`) hook their
-        scheduling at the same seam."""
+        """Heap insertion for the :class:`Event`-carrying entry points
+        (:meth:`schedule`, :meth:`schedule_cancellable_in`): tuple-vs-legacy
+        layout dispatch plus the issued-seq counter.  The two hot-path
+        entry points push their bare tuples themselves
+        (:meth:`schedule_fire_in`, :meth:`schedule_reserved`).  Private to
+        this module: :mod:`repro.sim.batched` mirrors the ``(time,
+        priority, seq)`` order with its own counter and never calls in."""
         if self._tuple_heap:
             heapq.heappush(self._queue, (time, priority, seq, callback, event))
         else:
@@ -198,7 +203,46 @@ class Simulator:
         time = self._now + delay
         if time != time:  # NaN check without a function call per schedule
             raise ValueError("event time must not be NaN")
-        self._push(time, priority, next(self._seq), callback, None)
+        heapq.heappush(
+            self._queue, (time, priority, next(self._seq), callback, None)
+        )
+        self._events_scheduled += 1
+
+    def reserve_seq(self) -> int:
+        """Issue the next sequence number without queueing anything.
+
+        For a callback that is decided *now* but may never need to run (a
+        request timeout whose reply is on its way): the caller holds its
+        place in the ``(time, priority, seq)`` order and queues it later
+        through :meth:`schedule_reserved` — or never.  Counted in
+        :attr:`events_scheduled` (sequence numbers issued) either way, so
+        the counter reads the same as if the event had been pushed and
+        cancelled.
+        """
+        self._events_scheduled += 1
+        return next(self._seq)
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[[], None]
+    ) -> None:
+        """Queue a fire-and-forget ``callback`` at absolute ``time``,
+        priority 0, under a sequence number from :meth:`reserve_seq`.
+
+        It fires exactly where an event scheduled at the reservation
+        would have, provided it is queued before the clock reaches
+        ``(time, 0, seq)``; a ``time`` already in the past is refused.
+        Works on both heap layouts.
+        """
+        if time != time:  # NaN check without a function call per schedule
+            raise ValueError("event time must not be NaN")
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule event at {time} before current time {self._now}"
+            )
+        if self._tuple_heap:
+            heapq.heappush(self._queue, (time, 0, seq, callback, None))
+        else:
+            heapq.heappush(self._queue, Event(time, 0, seq, callback))
 
     def schedule_cancellable_in(
         self, delay: float, callback: Callable[[], None], *, priority: int = 0
@@ -206,8 +250,9 @@ class Simulator:
         """Schedule a cancellable callback after ``delay`` time units.
 
         Hot-path variant of :meth:`schedule_in` for callers that *do*
-        cancel (request timeouts): same validation and sequence-number
-        consumption, but one call layer instead of two and no label.
+        cancel (the service clock's timers): same validation and
+        sequence-number consumption, but one call layer instead of two and
+        no label.
         Falls back to :meth:`schedule_in` under the legacy heap layout.
         """
         if not self._tuple_heap:

@@ -127,6 +127,70 @@ class TestRunUntil:
         assert sim.pending == 6
 
 
+class TestReservedSeq:
+    """``reserve_seq`` + ``schedule_reserved``: hold a place in the
+    ``(time, priority, seq)`` order now, queue the callback later or never."""
+
+    def test_fires_in_reserved_place_not_in_push_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        seq = sim.reserve_seq()
+        sim.schedule(1.0, lambda: fired.append("c"))
+        sim.schedule_fire_in(1.0, lambda: fired.append("d"))
+        sim.schedule_reserved(1.0, seq, lambda: fired.append("b"))
+        sim.run()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_queued_from_a_callback_strictly_before_its_time(self):
+        sim = Simulator()
+        fired = []
+        seq = sim.reserve_seq()
+        sim.schedule(2.0, lambda: fired.append("later seq, same instant"))
+        sim.schedule(
+            1.0, lambda: sim.schedule_reserved(2.0, seq, lambda: fired.append("reserved"))
+        )
+        sim.run_until(5.0)
+        assert fired == ["reserved", "later seq, same instant"]
+
+    def test_time_orders_before_seq(self):
+        sim = Simulator()
+        fired = []
+        seq = sim.reserve_seq()
+        sim.schedule(1.0, lambda: fired.append("early"))
+        sim.schedule_reserved(2.0, seq, lambda: fired.append("reserved"))
+        sim.run()
+        assert fired == ["early", "reserved"]
+
+    def test_past_time_refused(self):
+        sim = Simulator()
+        seq = sim.reserve_seq()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match="before current time"):
+            sim.schedule_reserved(4.0, seq, lambda: None)
+        sim.schedule_reserved(5.0, seq, lambda: None)  # the current instant is not the past
+        assert sim.pending == 1
+
+    def test_nan_time_refused(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_reserved(float("nan"), sim.reserve_seq(), lambda: None)
+
+    def test_counters(self):
+        sim = Simulator()
+        never = sim.reserve_seq()
+        later = sim.reserve_seq()
+        assert never != later
+        assert (sim.events_scheduled, sim.pending) == (2, 0)
+        sim.schedule_reserved(1.0, later, lambda: None)
+        # a seq is counted when issued, not again when queued — and an
+        # unused reservation reads like an event pushed and cancelled
+        assert (sim.events_scheduled, sim.pending) == (2, 1)
+        assert sim.run() == 1
+        assert (sim.events_scheduled, sim.events_processed) == (2, 1)
+
+
 class TestCounters:
     def test_counts(self):
         sim = Simulator()
@@ -135,6 +199,18 @@ class TestCounters:
         sim.run()
         assert sim.events_scheduled == 3
         assert sim.events_processed == 3
+
+    def test_fire_and_forget_counts_and_orders_like_schedule(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_fire_in(1.0, lambda: fired.append("low"), priority=10)
+        sim.schedule(1.0, lambda: fired.append("b"))
+        sim.schedule_fire_in(1.0, lambda: fired.append("c"))
+        assert sim.events_scheduled == 3
+        sim.run()
+        assert fired == ["b", "c", "low"]
+        with pytest.raises(ValueError, match=">= 0"):
+            sim.schedule_fire_in(-1.0, lambda: None)
 
 
 @given(

@@ -21,7 +21,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.factories import vdm
+from repro.factories import btp, hmtp, vdm, vdm_r
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.protocols.base import ProtocolRuntime, TreeRegistry
 from repro.sim.delivery import DeliveryAccountant
@@ -246,23 +246,65 @@ def _session_config(faults):
     )
 
 
-def _run_session(monkeypatch, *, incremental: bool, faults=None):
+_PROTOCOLS = {
+    "vdm": vdm,
+    "vdm_r": lambda: vdm_r(180.0),
+    "hmtp": hmtp,
+    "btp": btp,
+}
+
+
+def _run_session(monkeypatch, *, incremental: bool, faults=None, protocol="vdm"):
     monkeypatch.setenv("REPRO_INCREMENTAL_TREE", "1" if incremental else "0")
     underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(40)]))
-    session = MulticastSession(underlay, vdm(), _session_config(faults))
+    session = MulticastSession(
+        underlay, _PROTOCOLS[protocol](), _session_config(faults)
+    )
     assert session.env.tree._incremental is incremental
     return session.run()
 
 
-@pytest.mark.parametrize("faults", [None, "chaos"])
-def test_sessions_identical_across_incremental_toggle(monkeypatch, faults):
-    inc = _run_session(monkeypatch, incremental=True, faults=faults)
-    ref = _run_session(monkeypatch, incremental=False, faults=faults)
+# "crashy" and "freezer" are message-inert: they ride the lazily queued
+# request timeouts *and* make them fire.  "chaos" touches message legs and
+# keeps the eager cancellable timeout on both sides.
+@pytest.mark.parametrize(
+    ("protocol", "faults"),
+    [
+        # the VDM cells keep the ids they had when the test was VDM-only
+        pytest.param(p, f, id=str(f) if p == "vdm" else f"{p}-{f}")
+        for p in _PROTOCOLS
+        for f in (None, "crashy", "freezer", "chaos")
+    ],
+)
+def test_sessions_identical_across_incremental_toggle(monkeypatch, protocol, faults):
+    queued = []
+    push = Simulator.schedule_reserved
+
+    def counting_push(sim, *args):
+        queued.append(args)
+        push(sim, *args)
+
+    monkeypatch.setattr(Simulator, "schedule_reserved", counting_push)
+    inc = _run_session(monkeypatch, incremental=True, faults=faults, protocol=protocol)
+    lazily_queued = len(queued)
+    ref = _run_session(monkeypatch, incremental=False, faults=faults, protocol=protocol)
+    assert len(queued) == lazily_queued  # the oracle queues eagerly
+    if faults in ("crashy", "freezer"):
+        assert lazily_queued
+    if faults == "chaos":
+        assert not lazily_queued
     # measurement records are nested float-bearing dataclasses; equality
     # is exact, so this asserts bit-identical metrics (incl. loss)
     assert inc.records == ref.records
     assert inc.join_records == ref.join_records
     assert inc.fault_counts == ref.fault_counts
+    # ... and the event engine took the same steps to get there: a lazily
+    # queued request timeout must leave no trace an eagerly queued one
+    # would not.
+    assert inc.runtime.sim.events_processed == ref.runtime.sim.events_processed
+    assert inc.runtime.sim.events_scheduled == ref.runtime.sim.events_scheduled
+    assert inc.runtime.message_counts == ref.runtime.message_counts
+    assert inc.runtime.tree.parent == ref.runtime.tree.parent
     window = (0.0, inc.config.total_s)
     assert inc.accountant.loss_rate(*window) == ref.accountant.loss_rate(*window)
     assert inc.accountant.mean_node_loss(*window) == ref.accountant.mean_node_loss(

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.vdm import VDMAgent
 from repro.protocols.base import ProtocolRuntime
-from repro.protocols.messages import InfoRequest, InfoResponse
+from repro.protocols.messages import ChildRemove, InfoRequest, InfoResponse
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
@@ -83,6 +84,263 @@ class TestRequestResponse:
         sim.run()
         assert env.message_counts["InfoRequest"] == 1
         assert env.message_counts.get("InfoResponse", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# the request contract, on the lazily queued timeout and on its oracle
+# ---------------------------------------------------------------------------
+
+
+def _runtime(positions, *, fast: bool, timeout_ms: float = 1000.0):
+    """A runtime on the message-inert fast path (request timeouts queued
+    only once certain to fire) or on the ``REPRO_INCREMENTAL_TREE=0``
+    oracle (a cancellable timeout queued eagerly per request)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_INCREMENTAL_TREE", "1" if fast else "0")
+        sim = Simulator()
+        env = ProtocolRuntime(
+            sim, MatrixUnderlay(line_matrix(positions)), source=0, timeout_ms=timeout_ms
+        )
+    assert env._fast_path is fast and sim._tuple_heap is fast
+    for i in range(len(positions)):
+        env.register(VDMAgent(i, env))
+    return sim, env
+
+
+def _observed(sim, env, log):
+    return (
+        log,
+        sim.now,
+        sim.events_processed,
+        sim.events_scheduled,
+        dict(env.message_counts),
+    )
+
+
+def _logging_request(sim, env, log, src, dst):
+    env.request(
+        src,
+        dst,
+        InfoRequest(),
+        lambda reply: log.append((sim.now, type(reply).__name__)),
+        lambda: log.append((sim.now, "TO")),
+    )
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["lazy", "oracle"])
+class TestRequestContract:
+    """Each case pins the callback log, the clock and every counter to the
+    same literal values on both paths: one-way delay is half the line
+    distance in ms, the timeout is 1 s."""
+
+    def test_frozen_target_times_out(self, fast):
+        sim, env = _runtime([0.0, 10.0], fast=fast)
+        log = []
+        env.freeze(1)
+        _logging_request(sim, env, log, 0, 1)
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO")],
+            1.0,
+            2,  # the discarded request leg, the timeout
+            2,
+            {"InfoRequest": 1},
+        )
+
+    def test_requester_frozen_when_reply_lands_then_thawed(self, fast):
+        sim, env = _runtime([0.0, 10.0], fast=fast)
+        log = []
+        _logging_request(sim, env, log, 0, 1)
+        sim.schedule(0.006, lambda: env.freeze(0))  # request in, reply in flight
+        sim.schedule(0.5, lambda: env.thaw(0))
+        sim.run()
+        # The reply was discarded at a frozen requester; the thawed
+        # requester's own timer still fires.
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO")],
+            1.0,
+            5,  # both legs, freeze, thaw, the timeout
+            5,
+            {"InfoRequest": 1, "InfoResponse": 1},
+        )
+
+    def test_requester_dead_when_reply_lands_then_reregistered(self, fast):
+        sim, env = _runtime([0.0, 10.0], fast=fast)
+        log = []
+        _logging_request(sim, env, log, 0, 1)
+        sim.schedule(0.006, lambda: env.mark_dead(0))
+        sim.schedule(0.5, lambda: env.register(VDMAgent(0, env)))
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO")],
+            1.0,
+            5,
+            5,
+            {"InfoRequest": 1, "InfoResponse": 1},
+        )
+
+    def test_handler_returning_none_times_out(self, fast):
+        sim, env = _runtime([0.0, 10.0], fast=fast)
+        log = []
+        env.agents[1].handle_request = lambda sender, msg: None
+        _logging_request(sim, env, log, 0, 1)
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO")],
+            1.0,
+            2,
+            2,
+            {"InfoRequest": 1},
+        )
+
+    def test_round_trip_equal_to_timeout_fires_timeout_then_reply(self, fast):
+        sim, env = _runtime([0.0, 1000.0], fast=fast)  # 2 * 0.5 s == 1 s
+        log = []
+        _logging_request(sim, env, log, 0, 1)
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO"), (1.0, "InfoResponse")],
+            1.0,
+            3,
+            3,
+            {"InfoRequest": 1, "InfoResponse": 1},
+        )
+
+    def test_round_trip_longer_than_timeout_still_delivers_late_reply(self, fast):
+        sim, env = _runtime([0.0, 1500.0], fast=fast)  # 2 * 0.75 s > 1 s
+        log = []
+        _logging_request(sim, env, log, 0, 1)
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO"), (1.5, "InfoResponse")],
+            1.5,
+            3,
+            3,
+            {"InfoRequest": 1, "InfoResponse": 1},
+        )
+
+    def test_round_trip_rounded_up_to_the_deadline_counts_as_a_tie(self, fast):
+        # 2 * delay < timeout on paper, but from t0 = 0.7 the engine stamps
+        # the reply (t0 + d) + d == t0 + 1.0 in floats: timeout first.
+        sim, env = _runtime([0.0, 999.9999999999999], fast=fast)
+        delay = env.underlay.delay_ms(0, 1) / 1000.0
+        assert 2 * delay < 1.0 and (0.7 + delay) + delay == 0.7 + 1.0
+        log = []
+        sim.schedule(0.7, lambda: _logging_request(sim, env, log, 0, 1))
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.7, "TO"), (1.7, "InfoResponse")],
+            1.7,
+            4,
+            4,
+            {"InfoRequest": 1, "InfoResponse": 1},
+        )
+
+    def test_one_way_longer_than_timeout_to_a_target_that_then_dies(self, fast):
+        sim, env = _runtime([0.0, 2400.0], fast=fast)  # arrives at 1.2 s
+        log = []
+        _logging_request(sim, env, log, 0, 1)
+        sim.schedule(1.1, lambda: env.mark_dead(1))
+        sim.run()
+        assert _observed(sim, env, log) == (
+            [(1.0, "TO")],
+            1.2,
+            3,
+            3,
+            {"InfoRequest": 1},
+        )
+
+    def test_timeout_fires_in_its_reserved_place(self, fast):
+        sim, env = _runtime([0.0, 10.0], fast=fast)
+        log = []
+        env.freeze(1)
+        sim.schedule(1.0, lambda: log.append("before"))
+        _logging_request(sim, env, log, 0, 1)
+        sim.schedule(1.0, lambda: log.append("after"))
+        # Scheduled once the request leg has landed (5 ms), i.e. after the
+        # lazy path put the timeout on the heap.
+        sim.schedule(0.5, lambda: sim.schedule(1.0, lambda: log.append("last")))
+        sim.run()
+        assert _observed(sim, env, log) == (
+            ["before", (1.0, "TO"), "after", "last"],
+            1.0,
+            6,
+            6,
+            {"InfoRequest": 1},
+        )
+
+
+def test_completed_exchange_queues_no_timeout():
+    """Fault-free fast path: an exchange that completes never puts its
+    timeout on the heap — one entry at a time, the leg in flight — yet the
+    reserved sequence number is counted as issued."""
+    sim, env = _runtime([0.0, 10.0], fast=True)
+    replies = []
+    depths = []
+    env.request(0, 1, InfoRequest(), replies.append, lambda: replies.append("TO"))
+    depths.append(sim.pending)
+    while sim.step():
+        depths.append(sim.pending)
+    assert [type(r) for r in replies] == [InfoResponse]
+    assert depths == [1, 1, 0]
+    assert sim.events_scheduled == 3  # the reserved seq + two legs
+    assert sim.events_processed == 2
+    assert sim.now == pytest.approx(0.01)
+
+
+# Delays of 5..200 ms against a 100 ms timeout: round trips shorter than,
+# equal to (0 <-> 4: 2 * 50 ms) and longer than the timeout all occur, and
+# so do one-way delays past it.
+_FUZZ_POSITIONS = [0.0, 10.0, 30.0, 60.0, 100.0, 400.0]
+_FUZZ_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 40).map(lambda k: k * 0.0125),  # collides with legs and deadlines
+        st.sampled_from(["request", "request", "tell", "kill", "freeze", "thaw", "register"]),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _drive(fast, n_nodes, ops):
+    sim, env = _runtime(_FUZZ_POSITIONS[:n_nodes], fast=fast, timeout_ms=100.0)
+    log = []
+
+    def apply(index, kind, a, b):
+        if kind == "request":
+            env.request(
+                a,
+                b,
+                InfoRequest(),
+                lambda reply: log.append((sim.now, sim.events_processed, index, "reply")),
+                lambda: log.append((sim.now, sim.events_processed, index, "TO")),
+            )
+        elif kind == "tell":
+            env.tell(a, b, ChildRemove())  # inert at a childless agent
+        elif kind == "kill":
+            env.mark_dead(a)
+        elif kind == "freeze":
+            env.freeze(a)
+        elif kind == "thaw":
+            env.thaw(a)
+        elif not env.is_alive(a):
+            env.register(VDMAgent(a, env))
+
+    for index, (at, kind, a, b) in enumerate(ops):
+        a, b = a % n_nodes, b % n_nodes
+        if a == b and kind in ("request", "tell"):
+            b = (a + 1) % n_nodes
+        sim.schedule(at, lambda index=index, kind=kind, a=a, b=b: apply(index, kind, a, b))
+    sim.run()
+    return _observed(sim, env, log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_nodes=st.integers(4, 6), ops=_FUZZ_OPS)
+def test_random_membership_schedules_agree_across_paths(n_nodes, ops):
+    assert _drive(True, n_nodes, ops) == _drive(False, n_nodes, ops)
 
 
 class TestTell:
