@@ -2,7 +2,7 @@
 
 Every driver in the repo — the message-level agents
 (:mod:`repro.core.vdm`, :mod:`repro.protocols.hmtp`), the batched
-emulator (:mod:`repro.sim.batched`) and both static scale walks
+emulator (:mod:`repro.sim.batched`) and the static scale walk
 (:mod:`repro.harness.scale`) — gathers the distances of one join
 iteration in its own way, calls into this module, and applies the
 returned :class:`Descend` / :class:`Attach` / :class:`Insert` to its own
@@ -30,6 +30,7 @@ __all__ = [
     "Descend",
     "Insert",
     "case1_tail",
+    "closest_free_else_closest",
     "hmtp_decide",
     "split_cases",
     "vdm_decide",
@@ -96,20 +97,39 @@ def split_cases(dist_to_pivot, children, tie_tolerance):
     return case2, case3
 
 
+def closest_free_else_closest(probes):
+    """Where a full node sends a newcomer next: its closest child with a
+    free slot, else its closest child, else ``None`` (no children).
+
+    Returns the winning ``(distance, child, free_degree)`` triple.  The
+    distances are whoever ranks the children's: the newcomer's own probes
+    in :func:`case1_tail`, the rejecting parent's in a reject redirect
+    (BTP's rule, and every protocol's answer to a lost degree race).
+
+    >>> closest_free_else_closest([(9.0, 4, 0), (12.0, 2, 1), (12.0, 1, 3)])
+    (12.0, 1, 3)
+    >>> closest_free_else_closest([(9.0, 4, 0), (7.0, 6, 0)])
+    (7.0, 6, 0)
+    >>> closest_free_else_closest([]) is None
+    True
+    """
+    pool = [probe for probe in probes if probe[2] > 0] or probes
+    return min(pool) if pool else None
+
+
 def case1_tail(pivot, pivot_free, probes):
     """No directional child: attach to the pivot if it has a free slot,
     else to its closest free child, else descend through its closest
     child and re-evaluate there."""
     if pivot_free > 0:
         return Attach(pivot)
-    free = [(d_new, child) for d_new, child, child_free in probes if child_free > 0]
-    if free:
-        return Attach(min(free)[1])
-    if probes:
-        return Descend(min(probes)[1])
-    # A childless pivot always has free degree under sane configs; attach
-    # and let the rejection redirect recover.
-    return Attach(pivot)
+    best = closest_free_else_closest(probes)
+    if best is None:
+        # A childless pivot always has free degree under sane configs;
+        # attach and let the rejection redirect recover.
+        return Attach(pivot)
+    _distance, child, child_free = best
+    return Attach(child) if child_free > 0 else Descend(child)
 
 
 def vdm_decide(pivot, pivot_free, case2, case3, adopt_budget, probes, case2_first):

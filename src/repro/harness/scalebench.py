@@ -2,10 +2,14 @@
 
 The perf report (:mod:`repro.harness.perfreport`) times paper-scale
 experiment groups, where dense compiled substrates win outright.  This
-module measures the regime the sparse engine and the PR 9 batched kernel
+module measures the regime the sparse engine and its batch-planned rows
 exist for: substrates with thousands of routers carrying thousands to a
 million members, where the dense all-pairs matrices are the memory
-bottleneck and the scalar per-join Python walk is the wall-clock one.
+bottleneck and one Dijkstra per underlay query is the wall-clock one.
+A *kernel* here is where the static-join walk reads its distances:
+``batched`` — rows the underlay computes in batches — or ``scalar`` —
+one ``rtt_ms`` / ``delay_ms`` / ``path_links`` call per pair, the
+reference (:mod:`repro.harness.scale`).
 
 Each benchmark *cell* is one ``(substrate mode, protocol, member count,
 kernel)`` tuple, run in a **fresh subprocess** so its peak RSS is the
@@ -22,8 +26,9 @@ evidence that the metrics pass reused the tree walk's rows).
 Identity is enforced the PR 6/8 way — refuse to write on divergence:
 
 * **kernel identity** — for every cell that ran both kernels, the
-  batched walk's parents / join latencies / iteration counts must hash
-  identically to the scalar walk's, and every metric repr must match;
+  row-fed walk's parents / join latencies / iteration counts must hash
+  identically to the per-pair reference's, and every metric repr must
+  match;
 * **engine identity** — dense and sparse cells of the same (protocol,
   members) pair must agree on tree digests and metrics exactly.
 
@@ -43,8 +48,8 @@ CLI::
 ``--smoke`` runs only the sparse cells (CI wraps it in a hard
 address-space ``ulimit`` to keep the no-V^2-matrices claim honest);
 ``--routers`` decouples substrate size from member count; ``--scalar-max``
-bounds the member count up to which the scalar reference walk is also
-run (above it, only the batched kernel is feasible); ``--max-tree-s``
+bounds the member count up to which the per-pair reference is also
+run (above it, only batch-planned rows are feasible); ``--max-tree-s``
 turns the snapshot into an assertion for CI smoke jobs.
 """
 
@@ -93,11 +98,9 @@ def _cell_env() -> dict[str, str]:
     env[CACHE_ENABLED_ENV] = "0"
     env["REPRO_SPARSE_EXACT"] = "1"
     env.pop("REPRO_SUBSTRATE_DTYPE", None)
-    # The builder reads the explicit ``sparse=`` argument, and the cell
-    # passes the kernel explicitly too; pin the flags anyway so stray
-    # settings can't change unrelated code paths.
+    # The builder reads the explicit ``sparse=`` argument; pin the flag
+    # anyway so a stray setting can't change unrelated code paths.
     env.pop("REPRO_SPARSE_UNDERLAY", None)
-    env.pop("REPRO_SCALE_KERNEL", None)
     return env
 
 
@@ -336,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help="fail (exit 1) if any completed cell's tree_s exceeds this "
-        "bound — CI smoke uses it to pin the batched kernel's speed",
+        "bound — CI smoke uses it to pin the row-planned walk's speed",
     )
     parser.add_argument(
         "--smoke",

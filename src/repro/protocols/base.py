@@ -32,7 +32,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.join import Attach, Decision, Descend, Insert
+from repro.core.join import (
+    Attach,
+    Decision,
+    Descend,
+    Insert,
+    closest_free_else_closest,
+)
 from repro.protocols.messages import (
     ChildInfo,
     ChildRemove,
@@ -1488,15 +1494,14 @@ class JoinProcess:
         """Degree race: pick the closest free child, else descend."""
         me = self.agent.node_id
         tree = self.env.tree
-        candidates = [
-            ci
-            for ci in resp.children
-            if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
-        ]
-        free = [ci for ci in candidates if ci.free_degree > 0]
-        pool = free or candidates
-        if not pool:
+        nxt = closest_free_else_closest(
+            [
+                (ci.distance, ci.node_id, ci.free_degree)
+                for ci in resp.children
+                if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
+            ]
+        )
+        if nxt is None:
             self._restart_at_source()
             return
-        nxt = min(pool, key=lambda ci: (ci.distance, ci.node_id))
-        self._iterate(nxt.node_id)
+        self._iterate(nxt[1])

@@ -83,7 +83,13 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.join import Descend, Insert, split_cases, vdm_decide
+from repro.core.join import (
+    Descend,
+    Insert,
+    closest_free_else_closest,
+    split_cases,
+    vdm_decide,
+)
 from repro.core.vdm import VDMConfig
 from repro.metrics.collectors import (
     HopcountStats,
@@ -1196,16 +1202,17 @@ class _Emulator:
         """Mirror of ``JoinProcess._redirect_after_reject``."""
         me = proc.node
         is_descendant = self._is_descendant
-        candidates = [
-            ci for ci in kids if ci[0] != me and not is_descendant(ci[0], me)
-        ]
-        free = [ci for ci in candidates if ci[2] > 0]
-        pool = free or candidates
-        if not pool:
+        nxt = closest_free_else_closest(
+            [
+                (dist, child, free)
+                for child, dist, free in kids
+                if child != me and not is_descendant(child, me)
+            ]
+        )
+        if nxt is None:
             self._restart(proc)
             return
-        nxt = min(pool, key=lambda ci: (ci[1], ci[0]))
-        self._iterate(proc, nxt[0])
+        self._iterate(proc, nxt[1])
 
     # -- membership ---------------------------------------------------------------
 

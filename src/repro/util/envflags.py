@@ -73,15 +73,6 @@ Sparse substrates (PR 8) follow the same discipline:
   (halves artifact bytes for scale runs; narrowed results are refused
   by the perf-report identity oracle).
 
-The scale kernels (PR 9) add one more:
-
-* ``REPRO_SCALE_KERNEL`` — join-walk kernel selector for
-  :func:`repro.harness.scale.build_scale_tree`: ``batched`` (default;
-  array-native state, one vector distance read per iteration,
-  block-planned rows) or
-  ``scalar`` (the per-child reference walk the batched kernel must
-  match byte for byte — the ablation baseline and equivalence oracle).
-
 Flags are read at object construction time, not per call, so a running
 session never changes behavior mid-flight.
 """
@@ -99,7 +90,6 @@ __all__ = [
     "incremental_tree_enabled",
     "interrupt_grace_s",
     "retry_backoff_s",
-    "scale_kernel",
     "sparse_exact",
     "sparse_row_cache",
     "sparse_underlay_enabled",
@@ -198,10 +188,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     ),
     "REPRO_SPARSE_ROWS": FlagSpec(
         "128", "sparse-engine row-store capacity before any row plan",
-        "repro.util.envflags",
-    ),
-    "REPRO_SCALE_KERNEL": FlagSpec(
-        "batched", "join-walk kernel: batched or the scalar oracle",
         "repro.util.envflags",
     ),
     "REPRO_SUBSTRATE_DTYPE": FlagSpec(
@@ -326,23 +312,6 @@ def sparse_row_cache() -> int:
     if value < 4:
         raise ValueError(f"REPRO_SPARSE_ROWS must be >= 4, got {value}")
     return value
-
-
-def scale_kernel() -> str:
-    """Join-walk kernel selector (``REPRO_SCALE_KERNEL``).
-
-    ``batched`` (the default) runs the array-native walk with prefetched
-    Dijkstra rows; ``scalar`` forces the per-child reference walk, which
-    is the equivalence oracle the batched kernel is tested against.
-    """
-    raw = os.environ.get("REPRO_SCALE_KERNEL", "").strip().lower()
-    if not raw:
-        return "batched"
-    if raw not in ("batched", "scalar"):
-        raise ValueError(
-            f"REPRO_SCALE_KERNEL must be batched or scalar, got {raw!r}"
-        )
-    return raw
 
 
 def substrate_dtype() -> str:

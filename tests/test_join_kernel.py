@@ -28,6 +28,7 @@ from repro.core.join import (
     Descend,
     Insert,
     case1_tail,
+    closest_free_else_closest,
     hmtp_decide,
     split_cases,
     vdm_decide,
@@ -158,6 +159,52 @@ class TestCase1Tail:
         assert case1_tail(0, 0, probes) == Attach(2)
         full = [(d, child, 0) for d, child, _free in probes]
         assert case1_tail(0, 0, full) == Descend(2)
+
+
+class TestClosestFreeElseClosest:
+    """The rule a full node redirects by — BTP's descent, every
+    protocol's lost degree race, and the two child branches of the tail."""
+
+    def test_closest_free_child_beats_a_closer_full_one(self):
+        assert closest_free_else_closest([(1.0, 4, 0), (5.0, 9, 2)]) == (5.0, 9, 2)
+
+    def test_nobody_free_means_the_closest_child(self):
+        assert closest_free_else_closest([(6.0, 4, 0), (5.0, 9, 0)]) == (5.0, 9, 0)
+
+    def test_no_children_means_nothing(self):
+        assert closest_free_else_closest([]) is None
+        assert closest_free_else_closest(()) is None
+
+    def test_ties_break_on_lowest_id_by_plain_tuple_order(self):
+        probes = [(3.0, 8, 1), (3.0, 2, 4), (3.0, 5, 0), (2.0, 6, 0)]
+        assert closest_free_else_closest(probes) == (3.0, 2, 4)
+        assert closest_free_else_closest(probes[::-1]) == (3.0, 2, 4)
+
+    @given(
+        probes=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                st.integers(0, 30),
+                st.integers(0, 3),
+            ),
+            max_size=8,
+            unique_by=lambda probe: probe[1],
+        )
+    )
+    def test_is_the_rule_the_agents_used_to_spell_out(self, probes):
+        # JoinProcess._redirect_after_reject before it called the kernel.
+        free = [p for p in probes if p[2] > 0]
+        pool = free or probes
+        expected = min(pool, key=lambda p: (p[0], p[1])) if pool else None
+        assert closest_free_else_closest(probes) == expected
+        # ... and the tail is that rule behind a free-pivot check.
+        tail = case1_tail(7, 0, probes)
+        if expected is None:
+            assert tail == Attach(7)
+        elif expected[2] > 0:
+            assert tail == Attach(expected[1])
+        else:
+            assert tail == Descend(expected[1])
 
 
 class TestHmtpDecide:

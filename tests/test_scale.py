@@ -218,6 +218,29 @@ class TestMetrics:
         with pytest.raises(ValueError):
             scale_tree_metrics(sparse, parents)
 
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0, 3, 2, 0], [-1, 0, 2, 0], [-1, 0, 4, 2, 3, 0]],
+        ids=["two-cycle", "self-parent", "three-cycle"],
+    )
+    def test_rejects_members_the_root_cannot_reach(self, parents, kernel):
+        # One root, so "exactly one root" passes — but members 2.. hang
+        # off a cycle.  The parent commit returned a normal-looking
+        # record over the members it happened to reach.
+        for underlay in _underlays():
+            with pytest.raises(ValueError, match="not reachable from the root"):
+                scale_tree_metrics(underlay, np.array(parents), kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("bad", [4, 99, -2])
+    def test_rejects_out_of_range_parent_ids(self, bad, kernel):
+        for underlay in _underlays():
+            with pytest.raises(ValueError, match="outside"):
+                scale_tree_metrics(
+                    underlay, np.array([-1, 0, bad, 1]), kernel=kernel
+                )
+
 
 class TestScaleConfig:
     def test_total_nodes_track_request(self):

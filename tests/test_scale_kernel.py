@@ -1,13 +1,16 @@
-"""Batched scale kernel: byte-identical to the scalar reference walk.
+"""Row-fed scale walk: byte-identical to the per-pair reference.
 
-The contract under test (PR 9, DESIGN.md §13): for every protocol,
-degree limit, and plan block size — including the B=1 and
-B > n_members edges — the array-native batched kernel of
-:mod:`repro.harness.scale` produces a :class:`ScaleTree` whose parents,
-join latencies, and iteration counts are *bitwise equal* to the scalar
-per-child walk's, on both sparse and dense substrates.  The same holds
-for :func:`prim_mst_parents` over planned row blocks and for the
-vectorized metrics pass (bincount stress vs Counter stress), and for any
+The contract under test (DESIGN.md §13): :mod:`repro.harness.scale` has
+one join walk and one metrics pass; ``kernel=`` only picks where their
+distances come from.  For every protocol, degree limit, and plan block
+size — including the B=1 and B > n_members edges — gathering from rows
+the underlay computes in batches (``"batched"``: sparse Dijkstra rows, a
+compiled substrate's host-delay matrix) produces a :class:`ScaleTree`
+whose parents, join latencies, and iteration counts are *bitwise equal*
+to those of one ``underlay.rtt_ms`` call per pair (``"scalar"``, the
+reference, which installs no plan).  The same holds for
+:func:`prim_mst_parents` over planned row blocks, for the metrics pass
+(predecessor-chain stress vs ``path_links`` stress), and for any
 sequence of those calls sharing one underlay's row store.  The store and
 its plans are pinned separately in ``test_sparse_underlay.py``; here they
 are exercised end to end through the walks.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,8 +33,10 @@ from repro.harness.scale import (
     scale_tree_metrics,
 )
 from repro.harness.substrates import _transit_stub_attachments
+from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
+from repro.util import artifacts
 from repro.topology.transit_stub import (
     TransitStubConfig,
     generate_transit_stub,
@@ -81,7 +87,9 @@ class TestWalkEquivalence:
     @given(
         seed=st.integers(0, 7),
         protocol=st.sampled_from(SCALE_PROTOCOLS),
-        degree_limit=st.integers(1, 5),
+        # 16 and 64: fan-outs wide enough that a whole tree is one pivot's
+        # children — where gathering per row would pay off, if anywhere.
+        degree_limit=st.one_of(st.integers(1, 5), st.sampled_from([16, 64])),
         n_members=st.integers(2, 32),
         block=st.sampled_from([1, 3, 64, 10**6]),
     )
@@ -114,11 +122,29 @@ class TestWalkEquivalence:
         _assert_trees_bitwise_equal(scalar, batched)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
-    def test_env_flag_selects_kernel(self, protocol, monkeypatch):
-        underlay = _sparse(4)
-        default = build_scale_tree(underlay, protocol, 20)
+    def test_kernel_keyword_selects_distance_source(self, protocol, monkeypatch):
+        # The keyword is the only selector: the default is "batched"
+        # (a row plan goes in), "scalar" installs none, and the
+        # environment has no say (REPRO_SCALE_KERNEL was a flag once).
         monkeypatch.setenv("REPRO_SCALE_KERNEL", "scalar")
-        scalar = build_scale_tree(underlay, protocol, 20)
+        underlay = _fresh_sparse(4)
+        plans = []
+        inner = underlay.prefetch_rows
+
+        def prefetch_rows(sources, **kwargs):
+            plans.append(kwargs)
+            return inner(sources, **kwargs)
+
+        underlay.prefetch_rows = prefetch_rows
+        default = build_scale_tree(underlay, protocol, 20)
+        assert len(plans) == 1
+        batched = build_scale_tree(underlay, protocol, 20, kernel="batched")
+        assert len(plans) == 2
+        scalar = build_scale_tree(underlay, protocol, 20, kernel="scalar")
+        scale_tree_metrics(underlay, scalar.parents, kernel="scalar")
+        prim_mst_parents(underlay, 20, kernel="scalar")
+        assert len(plans) == 2
+        _assert_trees_bitwise_equal(default, batched)
         _assert_trees_bitwise_equal(default, scalar)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
@@ -152,6 +178,157 @@ class TestWalkEquivalence:
         # would never run (the parent commit accepted this silently).
         with pytest.raises(ValueError, match="tie_tolerance"):
             build_scale_tree(_sparse(0), "vdm", 2, tie_tolerance=-1.0, kernel=kernel)
+
+
+def _island_sparse() -> SparseUnderlay:
+    """Five hosts on a six-router graph with a cut: routers {0, 1, 2} and
+    {3, 4, 5} are not connected, and host 2 sits on the far side."""
+    return SparseUnderlay(
+        6,
+        np.array([0, 1, 3, 4]),
+        np.array([1, 2, 4, 5]),
+        np.array([3.0, 4.0, 5.0, 6.0]),
+        {0: 0, 1: 1, 2: 3, 3: 2, 4: 4},
+    )
+
+
+class TestUnreachablePairs:
+    """An unreachable pair is ``NetworkXNoPath`` from either distance
+    source — a row gather checks every value it reads, the per-pair
+    queries raise on their own."""
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
+    def test_walk_raises_no_path(self, protocol, kernel):
+        with pytest.raises(nx.NetworkXNoPath):
+            build_scale_tree(_island_sparse(), protocol, 5, kernel=kernel)
+
+    def test_walk_below_the_island_member_is_fine(self):
+        # Hosts 0 and 1 share a component; nothing is checked that the
+        # walk does not read.
+        tree = build_scale_tree(_island_sparse(), "vdm", 2, kernel="batched")
+        assert tree.parents.tolist() == [-1, 0]
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("include_stress", [True, False])
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0, 0, 0, 2], [-1, 0, 1, 0, 2], [-1, 0, 3, 1, 3]],
+        ids=["cut-at-root", "cut-below-root", "two-crossings"],
+    )
+    def test_metrics_raise_no_path(self, parents, include_stress, kernel):
+        with pytest.raises(nx.NetworkXNoPath):
+            scale_tree_metrics(
+                _island_sparse(),
+                np.array(parents),
+                include_stress=include_stress,
+                kernel=kernel,
+            )
+
+
+@pytest.fixture(scope="module")
+def dense_variants(tmp_path_factory):
+    """seed -> (lazy oracle, {variant: CompiledUnderlay}): compiled fresh,
+    restored from an artifact (memory-mapped matrix), and float32."""
+    root = tmp_path_factory.mktemp("dense-artifacts")
+    out = {}
+    for seed in (1, 5):
+        graph = generate_transit_stub(TINY_TS, seed=seed)
+        attachments = _transit_stub_attachments(graph, 32, seed)
+        fresh = CompiledUnderlay(graph, attachments)
+        arrays, meta = fresh.to_artifact()
+        key = artifacts.artifact_key({"test": "scale-dense", "seed": seed})
+        artifacts.store_artifact(key, arrays, meta, base_dir=root)
+        restored = CompiledUnderlay.from_artifact(
+            artifacts.load_artifact(key, base_dir=root)
+        )
+        assert isinstance(restored._hdelay, np.memmap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
+            narrow = CompiledUnderlay(graph, attachments)
+        assert narrow._hdelay.dtype == np.float32
+        out[seed] = (
+            RouterUnderlay(graph, attachments),
+            {"fresh": fresh, "restored": restored, "float32": narrow},
+        )
+    return out
+
+
+class TestDenseRows:
+    """The compiled engine's leg: rows of its host-delay matrix against
+    its own per-pair ``rtt_ms`` and against an independent lazy underlay."""
+
+    @pytest.mark.parametrize("variant", ["fresh", "restored", "float32"])
+    @pytest.mark.parametrize("degree_limit", [1, 4, 64])
+    @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_matrix_rows_match_per_pair_queries(
+        self, dense_variants, seed, protocol, degree_limit, variant
+    ):
+        lazy, compiled = dense_variants[seed]
+        underlay = compiled[variant]
+        batched = build_scale_tree(
+            underlay, protocol, 32, degree_limit=degree_limit, kernel="batched"
+        )
+        scalar = build_scale_tree(
+            underlay, protocol, 32, degree_limit=degree_limit, kernel="scalar"
+        )
+        _assert_trees_bitwise_equal(batched, scalar, variant)
+        assert repr(scale_tree_metrics(underlay, batched.parents)) == repr(
+            scale_tree_metrics(underlay, batched.parents, kernel="scalar")
+        )
+        if variant != "float32":  # narrowed delays leave the lazy oracle
+            on_lazy = build_scale_tree(
+                lazy, protocol, 32, degree_limit=degree_limit, kernel="scalar"
+            )
+            _assert_trees_bitwise_equal(batched, on_lazy, variant)
+
+    @pytest.mark.parametrize("variant", ["fresh", "restored", "float32"])
+    def test_rows_replace_every_rtt_query(self, dense_variants, variant):
+        underlay = dense_variants[1][1][variant]
+        calls = _count_pair_queries(underlay)
+        try:
+            build_scale_tree(underlay, "vdm", 32, kernel="batched")
+            assert calls["rtt_ms"] == 0
+            build_scale_tree(underlay, "vdm", 32, kernel="scalar")
+            assert calls["rtt_ms"] > 0
+        finally:
+            for name in calls:
+                delattr(underlay, name)
+
+
+def _count_pair_queries(underlay) -> dict[str, int]:
+    """Count calls of the per-pair queries through instance wrappers."""
+    calls = {"rtt_ms": 0, "delay_ms": 0, "path_links": 0}
+
+    def counting(name, inner):
+        def wrapper(a, b):
+            calls[name] += 1
+            return inner(a, b)
+
+        return wrapper
+
+    for name in calls:
+        setattr(underlay, name, counting(name, getattr(underlay, name)))
+    return calls
+
+
+class TestNoPairMemo:
+    def test_sparse_rows_never_touch_a_per_pair_query(self):
+        # Were any per-pair query reached, the underlay's pair memos
+        # (a million entries each) could be what answers a repeat build.
+        underlay = _fresh_sparse(3)
+        calls = _count_pair_queries(underlay)
+        for protocol in SCALE_PROTOCOLS:
+            tree = build_scale_tree(underlay, protocol, 32)
+            scale_tree_metrics(underlay, tree.parents)
+            scale_tree_metrics(underlay, tree.parents, include_stress=False)
+        assert calls == {"rtt_ms": 0, "delay_ms": 0, "path_links": 0}
+        assert len(underlay._delay_cache) == len(underlay._path_cache) == 0
+        # ... and the reference is exactly those queries.
+        build_scale_tree(underlay, "vdm", 32, kernel="scalar")
+        scale_tree_metrics(underlay, tree.parents, kernel="scalar")
+        assert min(calls.values()) > 0
 
 
 class TestIterationBound:
@@ -200,6 +377,9 @@ class TestMetricsEquivalence:
     def test_bincount_stress_matches_counter_stress(
         self, seed, protocol, n_members
     ):
+        # (Named for the np.bincount pass it first pinned.)  Stress from
+        # predecessor chains into integer link keys must equal stress
+        # from path_links tuples into a Counter.
         underlay = _sparse(seed)
         tree = build_scale_tree(underlay, protocol, n_members)
         scalar = scale_tree_metrics(underlay, tree.parents, kernel="scalar")
