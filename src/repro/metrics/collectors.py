@@ -30,7 +30,6 @@ from typing import Callable
 from repro.protocols.base import TreeRegistry
 from repro.protocols.mst import mst_parent_map, tree_cost
 from repro.sim.network import Underlay
-from repro.util.envflags import incremental_tree_enabled
 
 __all__ = [
     "StressStats",
@@ -209,14 +208,11 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
     The measurement loop calls this once per sample instead of invoking
     the four standalone collectors (which are now thin wrappers).
 
-    With ``REPRO_INCREMENTAL_TREE=0`` this falls back to the
-    pre-incremental implementation — four independent loops, each
-    re-deriving reachability, depth, or the full root path per node —
-    which visits nodes in the same order and accumulates floats in the
-    same association, so both modes return bit-identical values.
+    ``tests/oracles.py`` states the same answer as four independent loops,
+    each re-deriving reachability, depth, or the full root path per node,
+    in this traversal's visit order and float association — the tests
+    require bit-identical values.
     """
-    if not incremental_tree_enabled():
-        return _reference_tree_metrics(tree, underlay)
     source = tree.source
     children = tree.children
     parent_map = tree.parent
@@ -332,115 +328,6 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
         )
     else:
         hopcount = HopcountStats.empty()
-    if edge_count:
-        usage = ResourceUsage(
-            total_ms=total_ms,
-            normalized=total_ms / star_ms if star_ms > 0 else 0.0,
-            edges=edge_count,
-        )
-    else:
-        usage = ResourceUsage.empty()
-    return TreeMetrics(stress=stress, stretch=stretch, hopcount=hopcount, usage=usage)
-
-
-def _dfs_order(tree: TreeRegistry) -> list[int]:
-    """Reachable receivers in the exact visit order of the single-pass DFS."""
-    out: list[int] = []
-    stack = [tree.source]
-    while stack:
-        node = stack.pop()
-        if node != tree.source:
-            out.append(node)
-        kids = tree.children.get(node)
-        if kids:
-            stack.extend(sorted(kids, reverse=True))
-    return out
-
-
-def _reference_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
-    """Full-recompute oracle: one independent loop per metric family.
-
-    Mirrors the pre-incremental cost structure — reachability re-verified
-    per node, ``path_to_source`` walked per stretch sample, ``depth``
-    re-derived per hopcount sample — while visiting nodes in the DFS
-    order of :func:`collect_tree_metrics` so float accumulation matches
-    it bit for bit.
-    """
-    source = tree.source
-    order = [n for n in _dfs_order(tree) if tree.is_reachable(n)]
-    delay_ms = underlay.delay_ms
-    path_links = underlay.path_links
-
-    link_usage: Counter = Counter()
-    for node in order:
-        for link in path_links(tree.parent[node], node):
-            link_usage[link] += 1
-    if link_usage:
-        transmissions = sum(link_usage.values())
-        stress = StressStats(
-            average=transmissions / len(link_usage),
-            maximum=max(link_usage.values()),
-            links_used=len(link_usage),
-            total_transmissions=transmissions,
-        )
-    else:
-        stress = StressStats.empty()
-
-    stretch_vals: list[float] = []
-    leaf_stretch: list[float] = []
-    for node in order:
-        unicast = delay_ms(source, node)
-        if unicast <= 0:
-            continue
-        path = tree.path_to_source(node)
-        overlay = 0.0
-        for i in range(len(path) - 1, 0, -1):  # source-outward, as the DFS sums
-            overlay += delay_ms(path[i], path[i - 1])
-        ratio = overlay / unicast
-        stretch_vals.append(ratio)
-        if not tree.children.get(node):
-            leaf_stretch.append(ratio)
-    if stretch_vals:
-        stretch = StretchStats(
-            average=sum(stretch_vals) / len(stretch_vals),
-            minimum=min(stretch_vals),
-            maximum=max(stretch_vals),
-            leaf_average=(
-                sum(leaf_stretch) / len(leaf_stretch) if leaf_stretch else 0.0
-            ),
-            count=len(stretch_vals),
-        )
-    else:
-        stretch = StretchStats.empty()
-
-    depths: list[int] = []
-    leaf_depths: list[int] = []
-    for node in order:
-        d = tree.depth(node)
-        depths.append(d)
-        if not tree.children.get(node):
-            leaf_depths.append(d)
-    if depths:
-        hopcount = HopcountStats(
-            average=sum(depths) / len(depths),
-            maximum=max(depths),
-            leaf_average=(
-                sum(leaf_depths) / len(leaf_depths) if leaf_depths else 0.0
-            ),
-            count=len(depths),
-        )
-    else:
-        hopcount = HopcountStats.empty()
-
-    total_ms = 0.0
-    star_ms = 0.0
-    edge_count = 0
-    for node in order:
-        if not tree.is_reachable(node):  # pragma: no cover - order is reachable
-            continue
-        total_ms += delay_ms(tree.parent[node], node)
-        star_ms += delay_ms(source, node)
-        edge_count += 1
     if edge_count:
         usage = ResourceUsage(
             total_ms=total_ms,

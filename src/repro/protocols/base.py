@@ -54,7 +54,6 @@ from repro.protocols.messages import (
 )
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Underlay
-from repro.util.envflags import incremental_tree_enabled
 
 __all__ = [
     "ProtocolRuntime",
@@ -88,11 +87,9 @@ class TreeRegistry:
     updates only the affected subtree with one downward pass, so
     :meth:`is_reachable` and :meth:`depth` are O(1) lookups and
     :meth:`attached_nodes` is O(n) with no parent-chain walks.  The
-    pre-existing chain-walking implementations are kept as
-    ``_reference_*`` oracles; setting ``REPRO_INCREMENTAL_TREE=0`` in the
-    environment (read at construction) routes all queries through them —
-    the perf report uses that to measure what the maintained state buys,
-    and the equivalence tests assert both paths agree bit for bit.
+    chain-walking statements of the same answers live in
+    ``tests/oracles.py``; the equivalence tests assert the maintained
+    state agrees with them after every mutation.
 
     The incremental state is valid only for trees mutated through the
     public mutation methods.  Code that hand-corrupts ``parent`` /
@@ -105,7 +102,6 @@ class TreeRegistry:
         self.parent: dict[int, int | None] = {source: None}
         self.children: dict[int, set[int]] = {source: set()}
         self._listeners: list[Callable[[str, int, int | None, float], None]] = []
-        self._incremental = incremental_tree_enabled()
         #: nodes with an unbroken parent chain to the source (maintained).
         self._reachable: set[int] = {source}
         #: overlay hops from the source, for reachable nodes only (maintained).
@@ -139,10 +135,8 @@ class TreeRegistry:
 
     def attached_nodes(self) -> list[int]:
         """Nodes with an unbroken parent chain to the source."""
-        if self._incremental:
-            reachable = self._reachable
-            return [n for n in self.parent if n in reachable]
-        return [n for n in self.parent if self._reference_is_reachable(n)]
+        reachable = self._reachable
+        return [n for n in self.parent if n in reachable]
 
     def edges(self) -> list[tuple[int, int]]:
         """All (parent, child) edges currently committed."""
@@ -152,23 +146,7 @@ class TreeRegistry:
 
     def is_reachable(self, node: int) -> bool:
         """Whether ``node`` has an unbroken parent chain to the source."""
-        if self._incremental:
-            return node in self._reachable
-        return self._reference_is_reachable(node)
-
-    def _reference_is_reachable(self, node: int) -> bool:
-        """Full-recompute oracle: walk the parent chain to the source."""
-        seen = set()
-        while True:
-            if node == self.source:
-                return True
-            if node in seen or node not in self.parent:
-                return False
-            seen.add(node)
-            up = self.parent[node]
-            if up is None:
-                return False
-            node = up
+        return node in self._reachable
 
     def path_to_source(self, node: int) -> list[int]:
         """Node ids from ``node`` up to the source, inclusive.
@@ -176,11 +154,8 @@ class TreeRegistry:
         Raises ``ValueError`` if the chain is broken (orphaned subtree).
         A step counter bounds the walk instead of a per-call visited set —
         committed trees are acyclic, so the set only ever paid for the
-        pathological case, which the counter still detects.  The ablation
-        baseline keeps the old set-per-call implementation.
+        pathological case, which the counter still detects.
         """
-        if not self._incremental:
-            return self._reference_path_to_source(node)
         path = [node]
         limit = len(self.parent)
         cur = node
@@ -194,51 +169,29 @@ class TreeRegistry:
             cur = up
         return path
 
-    def _reference_path_to_source(self, node: int) -> list[int]:
-        """Pre-incremental implementation: visited-set cycle detection."""
-        path = [node]
-        seen = {node}
-        cur = node
-        while cur != self.source:
-            up = self.parent.get(cur)
-            if up is None:
-                raise ValueError(f"node {node} has no path to source")
-            if up in seen:
-                raise ValueError(f"parent cycle detected at {up}")
-            seen.add(up)
-            path.append(up)
-            cur = up
-        return path
-
     def depth(self, node: int) -> int:
         """Overlay hops from the source (source depth is 0)."""
-        if self._incremental:
-            d = self._depth.get(node)
-            if d is None:
-                raise ValueError(f"node {node} has no path to source")
-            return d
-        return self._reference_depth(node)
-
-    def _reference_depth(self, node: int) -> int:
-        """Full-recompute oracle: depth via the whole root path."""
-        return len(self.path_to_source(node)) - 1
+        d = self._depth.get(node)
+        if d is None:
+            raise ValueError(f"node {node} has no path to source")
+        return d
 
     def is_descendant(self, node: int, ancestor: int) -> bool:
         """Whether ``node`` lies strictly below ``ancestor``."""
         if node == ancestor:
             return False
-        if self._incremental:
-            dn = self._depth.get(node)
-            da = self._depth.get(ancestor)
-            if dn is not None and da is not None:
-                # Both reachable: the only candidate is node's unique
-                # ancestor at ancestor's depth, dn - da hops up.
-                if dn <= da:
-                    return False
-                cur = node
-                for _ in range(dn - da):
-                    cur = self.parent[cur]
-                return cur == ancestor
+        dn = self._depth.get(node)
+        da = self._depth.get(ancestor)
+        if dn is not None and da is not None:
+            # Both reachable: the only candidate is node's unique
+            # ancestor at ancestor's depth, dn - da hops up.
+            if dn <= da:
+                return False
+            cur = node
+            for _ in range(dn - da):
+                cur = self.parent[cur]
+            return cur == ancestor
+        # An orphaned subtree has no depths to compare: walk the chain.
         cur = self.parent.get(node)
         steps = 0
         limit = len(self.parent)
@@ -309,13 +262,14 @@ class TreeRegistry:
             raise ValueError(f"parent {parent} is not present")
         if self.parent.get(node) is not None:
             raise ValueError(f"node {node} already attached; use reparent")
+        if parent == node:
+            raise ValueError(f"cannot attach {node} under itself")
         if self.is_descendant(parent, node):
             raise ValueError(f"attaching {node} under its own descendant {parent}")
         self.parent[node] = parent
         self.children.setdefault(node, set())
         self.children[parent].add(node)
-        if self._incremental:
-            self._refresh_subtree(node)
+        self._refresh_subtree(node)
         self._emit("attach", node, parent, time)
 
     def reparent(self, node: int, new_parent: int, time: float) -> None:
@@ -334,8 +288,7 @@ class TreeRegistry:
         self.children[old].discard(node)
         self.parent[node] = new_parent
         self.children[new_parent].add(node)
-        if self._incremental:
-            self._refresh_subtree(node)
+        self._refresh_subtree(node)
         self._emit("reparent", node, new_parent, time)
 
     def depart(self, node: int, time: float) -> None:
@@ -355,11 +308,10 @@ class TreeRegistry:
         orphans = sorted(self.children.pop(node, set()))
         for child in orphans:
             self.parent[child] = None
-        if self._incremental:
-            self._reachable.discard(node)
-            self._depth.pop(node, None)
-            for child in orphans:
-                self._refresh_subtree(child)
+        self._reachable.discard(node)
+        self._depth.pop(node, None)
+        for child in orphans:
+            self._refresh_subtree(child)
         for child in orphans:
             self._emit("orphan", child, None, time)
         self._emit("depart", node, up, time)
@@ -379,8 +331,7 @@ class TreeRegistry:
             raise ValueError(f"node {node} is not attached")
         self.children[up].discard(node)
         self.parent[node] = None
-        if self._incremental:
-            self._refresh_subtree(node)
+        self._refresh_subtree(node)
         self._emit("orphan", node, None, time)
 
     def insert(
@@ -415,9 +366,8 @@ class TreeRegistry:
             self.children[parent].discard(child)
             self.parent[child] = node
             self.children[node].add(child)
-        if self._incremental:
-            # One pass from the inserted node covers the adopted subtrees too.
-            self._refresh_subtree(node)
+        # One pass from the inserted node covers the adopted subtrees too.
+        self._refresh_subtree(node)
         if old != parent:
             self._emit("attach" if old is None else "reparent", node, parent, time)
         for child in adopt:
@@ -514,10 +464,7 @@ class ProtocolRuntime:
         # consume them in stream order.  numpy Generators are
         # batch-invariant (the draw sequence does not depend on request
         # granularity), so the values are bit-for-bit what per-call draws
-        # produce.  The ablation baseline (REPRO_INCREMENTAL_TREE=0)
-        # keeps the pre-optimization one-Generator-call-per-probe path,
-        # and likewise the Event-per-delivery scheduling in tell/request.
-        self._fast_path = incremental_tree_enabled()
+        # produce.
         self._noise_buf: list[float] = []
         self._noise_pos = 0
         # Bound-method hoists for the per-message hot path.
@@ -595,24 +542,14 @@ class ProtocolRuntime:
             raise ValueError(f"samples must be >= 1, got {samples}")
         base = float(self.metric(a, b))
         if self._noisy and a != b:
-            if self._fast_path:
-                # Inline the single-sample case (the join-time hot path);
-                # multi-sample means go through _noise_mean.
-                pos = self._noise_pos
-                if samples == 1 and pos < len(self._noise_buf):
-                    self._noise_pos = pos + 1
-                    base *= self._noise_buf[pos]
-                else:
-                    base *= self._noise_mean(samples)
+            # Inline the single-sample case (the join-time hot path);
+            # multi-sample means go through _noise_mean.
+            pos = self._noise_pos
+            if samples == 1 and pos < len(self._noise_buf):
+                self._noise_pos = pos + 1
+                base *= self._noise_buf[pos]
             else:
-                # Pre-buffering behavior: one Generator call per probe.
-                base *= float(
-                    np.mean(
-                        self._noise_rng.lognormal(
-                            0.0, self.measurement_noise_sigma, size=samples
-                        )
-                    )
-                )
+                base *= self._noise_mean(samples)
         return base
 
     def _noise_mean(self, samples: int) -> float:
@@ -669,19 +606,14 @@ class ProtocolRuntime:
                 self.agents[dst].handle_tell(src, msg)
 
         if self.message_faults is None:
-            if self._fast_path:
-                # Fault-free fast path: no cancellation, no debug label,
-                # no Event allocation.  Consumes the same sequence number
-                # a schedule_in call would, so ordering is unchanged.
-                self._sched_fire(delay, deliver)
-                return
-            delays: tuple[float, ...] = (delay,)
-        else:
-            delays = self.message_faults.delivery_delays(
-                src, dst, msg, delay, leg="tell"
-            )
-
-        for d in delays:
+            # No cancellation, no debug label, no Event allocation.
+            # Consumes the same sequence number a schedule_in call would,
+            # so ordering is unchanged.
+            self._sched_fire(delay, deliver)
+            return
+        for d in self.message_faults.delivery_delays(
+            src, dst, msg, delay, leg="tell"
+        ):
             self.sim.schedule_in(d, deliver, label="tell")
 
     def request(
@@ -711,7 +643,7 @@ class ProtocolRuntime:
         completes queues nothing for it.
         """
         self._msg_counts[msg.__class__] += 1
-        if self.message_faults is None and self._fast_path:
+        if self.message_faults is None:
             seq = self._reserve_seq()
             now = self.sim.now
             deadline = now + self._timeout_s
@@ -753,9 +685,7 @@ class ProtocolRuntime:
 
         # Legs a fault plan can jitter or duplicate make the first reply's
         # arrival unknowable at send time, so this path queues a
-        # cancellable timeout eagerly.  It is also the ablation baseline
-        # (REPRO_INCREMENTAL_TREE=0), and as such the oracle for the path
-        # above.
+        # cancellable timeout eagerly.
         def fire_timeout() -> None:
             if src in self._alive:
                 on_timeout()
@@ -781,22 +711,14 @@ class ProtocolRuntime:
                 timeout_event.cancel()
                 on_reply(reply)
 
-            if self.message_faults is None:
-                rep_delays: tuple[float, ...] = (delay,)
-            else:
-                rep_delays = self.message_faults.delivery_delays(
-                    dst, src, reply, delay, leg="reply"
-                )
-            for d in rep_delays:
+            for d in self.message_faults.delivery_delays(
+                dst, src, reply, delay, leg="reply"
+            ):
                 self.sim.schedule_in(d, deliver_reply, label="reply")
 
-        if self.message_faults is None:
-            req_delays: tuple[float, ...] = (delay,)
-        else:
-            req_delays = self.message_faults.delivery_delays(
-                src, dst, msg, delay, leg="request"
-            )
-        for d in req_delays:
+        for d in self.message_faults.delivery_delays(
+            src, dst, msg, delay, leg="request"
+        ):
             self.sim.schedule_in(d, deliver_request, label="req")
 
     def _queue_timeout(

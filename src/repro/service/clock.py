@@ -50,7 +50,7 @@ class VirtualClock:
         """Register a timer; the returned future resolves when it fires."""
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
-        self._timers[fut] = self.sim.schedule_cancellable_in(
+        self._timers[fut] = self.sim.schedule_in(
             max(0.0, delay_s), lambda: self._fire(fut)
         )
         self.pulse.bump()

@@ -104,7 +104,6 @@ from repro.sim.churn import SlottedChurnModel
 from repro.sim.delivery import NodeDeliveryStats
 from repro.sim.faults import resolve_fault_plan
 from repro.sim.session import SessionConfig, SessionResult, draw_degree
-from repro.util.envflags import incremental_tree_enabled
 from repro.util.rngtools import spawn_rng
 
 __all__ = ["BatchedUnsupported", "BatchedCell"]
@@ -452,7 +451,7 @@ class _Emulator:
     # (``t > start`` fails) and are skipped.
 
     def _is_descendant(self, node: int, ancestor: int) -> bool:
-        """Mirror of ``TreeRegistry.is_descendant`` (incremental branch).
+        """Mirror of ``TreeRegistry.is_descendant``.
 
         Same booleans, fewer walks: a depth entry exists iff the node is
         reachable, a reachable node's whole ancestry is reachable (and an
@@ -1702,7 +1701,7 @@ class _Emulator:
 
         # Same GC pause the scalar session takes around its event loop
         # (collection timing cannot affect results).
-        gc_was_enabled = incremental_tree_enabled() and gc.isenabled()
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:

@@ -35,10 +35,12 @@ the same graph: the batched Dijkstra rows equal the per-source rows
 products multiply the same factors in the same left-to-right order as
 ``_compute_path_error`` (whose per-pair replay is the oracle kept in
 ``tests/test_compiled_underlay.py``).  The inherited lazy
-implementations remain available as the ``_reference_*`` oracle; the
-equivalence suite in ``tests/test_compiled_underlay.py`` pins it, and
-``REPRO_COMPILED_UNDERLAY=0`` makes the substrate builders skip this
-class entirely.
+implementations remain callable on a compiled instance
+(``RouterUnderlay.delay_ms(compiled, a, b)``; they use the lazy
+per-source Dijkstra dict, which is disjoint from the compiled arrays);
+the equivalence suite in ``tests/test_compiled_underlay.py`` uses them as
+its oracle, and ``REPRO_COMPILED_UNDERLAY=0`` makes the substrate
+builders skip this class entirely.
 
 Compiled arrays round-trip through :mod:`repro.util.artifacts` via
 :meth:`CompiledUnderlay.to_artifact` / :meth:`from_artifact`, so repeated
@@ -289,8 +291,7 @@ class CompiledUnderlay(RouterUnderlay):
         if cached is not None:
             return cached
         links = self._assemble_path_links(a, b)
-        if self._cache_enabled:
-            self._cpath_cache[key] = links
+        self._cpath_cache[key] = links
         return links
 
     def path_error(self, a: int, b: int) -> float:
@@ -308,25 +309,8 @@ class CompiledUnderlay(RouterUnderlay):
             # (whose table cell is nan, never served).
             self.delay_ms(a, b)
         value = 0.0 if self._perr is None else float(self._perr[ia, ib])
-        if self._cache_enabled:
-            self._cerr_cache[key] = value
+        self._cerr_cache[key] = value
         return value
-
-    # -- reference oracle ---------------------------------------------------
-    #
-    # The inherited lazy implementations, exposed under stable names so
-    # equivalence tests (and debugging sessions) can interrogate both
-    # code paths on one instance.  They use the lazy per-source Dijkstra
-    # dict, which is disjoint from the compiled arrays.
-
-    def _reference_delay_ms(self, a: int, b: int) -> float:
-        return RouterUnderlay.delay_ms(self, a, b)
-
-    def _reference_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
-        return RouterUnderlay.path_links(self, a, b)
-
-    def _reference_path_error(self, a: int, b: int) -> float:
-        return RouterUnderlay.path_error(self, a, b)
 
     # -- artifact round-trip -------------------------------------------------
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.protocols.base import TreeRegistry
-from repro.sim.network import Underlay, _cache_enabled_from_env
-from repro.util.envflags import incremental_tree_enabled
+from repro.sim.network import Underlay
 from repro.util.intervals import IntervalSet
 from repro.util.validation import check_positive
 
@@ -123,9 +122,6 @@ class DeliveryAccountant:
         # static, so each (parent, child) hop's success is a constant —
         # memoizing it keeps churn-driven subtree refreshes (which rebuild
         # ancestry products constantly) off the underlay's path machinery.
-        # Honors REPRO_UNDERLAY_CACHE so the perf report's uncached
-        # baseline disables every hot-path memo at once.
-        self._memo_enabled = _cache_enabled_from_env()
         # Substrates that hold their full loss picture (compiled
         # artifacts, matrix underlays) advertise global loss-freedom via
         # ``zero_error``; every hop success is then exactly 1.0 and the
@@ -137,11 +133,9 @@ class DeliveryAccountant:
         self._hop_success: dict[tuple[int, int], float] = {}
         # Cumulative path-success per reachable node, maintained in the
         # same top-down pass that refreshes a mutated subtree:
-        # success(child) = success(parent) * hop(parent, child).  Disabled
-        # by REPRO_INCREMENTAL_TREE=0, which falls back to the
-        # full-recompute oracle (_reference_path_success, identical
-        # multiplication order, so the two modes agree bit for bit).
-        self._incremental = incremental_tree_enabled()
+        # success(child) = success(parent) * hop(parent, child) — the
+        # multiplication order of the full root-path product the tests
+        # compare it with, so the two agree bit for bit.
         self._success: dict[int, float] = {tree.source: 1.0}
         # Window aggregates (loss_rate / mean_node_loss share one pass);
         # any tree mutation invalidates every memoized window.
@@ -187,8 +181,6 @@ class DeliveryAccountant:
 
     def _hop(self, parent: int, child: int) -> float:
         """Per-overlay-hop delivery probability (memoized; links are static)."""
-        if not self._memo_enabled:
-            return 1.0 - self.underlay.path_error(parent, child)
         hop = self._hop_success.get((parent, child))
         if hop is None:
             hop = 1.0 - self.underlay.path_error(parent, child)
@@ -199,24 +191,10 @@ class DeliveryAccountant:
         """Probability a chunk survives the overlay path source -> node."""
         if self._zero_loss:
             return 1.0
-        if self._incremental:
-            # O(1): extend the parent's maintained product by one hop.
-            parent = self.tree.parent[node]
-            success = self._success[parent] * self._hop(parent, node)
-            self._success[node] = success
-            return success
-        return self._reference_path_success(node)
-
-    def _reference_path_success(self, node: int) -> float:
-        """Full-recompute oracle: product over the whole root path.
-
-        Multiplies source-outward so the floating-point association is
-        identical to the incremental parent-times-hop product.
-        """
-        path = self.tree.path_to_source(node)
-        success = 1.0
-        for i in range(len(path) - 1, 0, -1):
-            success *= self._hop(path[i], path[i - 1])
+        # O(1): extend the parent's maintained product by one hop.
+        parent = self.tree.parent[node]
+        success = self._success[parent] * self._hop(parent, node)
+        self._success[node] = success
         return success
 
     # -- queries --------------------------------------------------------------------
@@ -320,16 +298,7 @@ class DeliveryAccountant:
 
     def loss_rate(self, w0: float, w1: float) -> float:
         """Aggregate loss over all tracked nodes in the window (eq. 3.7)."""
-        if not self._incremental:
-            # Pre-incremental behavior: own full pass, no shared memo.
-            expected = 0.0
-            received = 0.0
-            for node in self._ledger:
-                stats = self.node_stats(node, w0, w1)
-                expected += stats.expected_chunks
-                received += stats.received_chunks
-        else:
-            expected, received, _ = self._window_totals(w0, w1)
+        expected, received, _ = self._window_totals(w0, w1)
         if expected <= 0:
             return 0.0
         return max(0.0, 1.0 - received / expected)
@@ -337,14 +306,7 @@ class DeliveryAccountant:
     def mean_node_loss(self, w0: float, w1: float) -> float:
         """Unweighted mean of per-node loss rates (the paper's 'average
         loss rate for all nodes')."""
-        if not self._incremental:
-            rates = tuple(
-                stats.loss_rate
-                for node in self._ledger
-                if (stats := self.node_stats(node, w0, w1)).expected_chunks > 0
-            )
-        else:
-            _, _, rates = self._window_totals(w0, w1)
+        _, _, rates = self._window_totals(w0, w1)
         if not rates:
             return 0.0
         return sum(rates) / len(rates)
@@ -354,10 +316,9 @@ class DeliveryAccountant:
 
         Delegates to :meth:`loss_rate` / :meth:`mean_node_loss` /
         :meth:`data_messages` (so the floating-point evaluation order is
-        exactly theirs — under incremental mode the first two share one
-        memoized ledger pass); the value only packages them so session
-        measurements and equivalence tests consume the whole window
-        atomically.
+        exactly theirs — the first two share one memoized ledger pass);
+        the value only packages them so session measurements and
+        equivalence tests consume the whole window atomically.
         """
         return WindowSnapshot(
             loss_rate=self.loss_rate(w0, w1),

@@ -7,9 +7,8 @@ invariants after **every** mutation.  Per mutation it runs *localized*
 checks — only the touched node, its new ancestry, and the degree of the
 changed parent (O(depth) instead of O(n·depth)); a configurable periodic
 cadence (plus the end-of-run ``verify_all``) re-runs the full structural
-sweep as the oracle.  ``REPRO_INCREMENTAL_TREE=0`` forces the full sweep
-on every mutation — the pre-optimization behavior — which the perf
-report's ablation and the equivalence tests use.
+sweep as the oracle; ``full_sweep_every=1`` runs it on every mutation,
+which is how the equivalence tests compare the two.
 
 The global invariants the full sweep enforces:
 
@@ -39,8 +38,6 @@ from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
-
-from repro.util.envflags import incremental_tree_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import ProtocolRuntime
@@ -127,8 +124,7 @@ class InvariantChecker:
     full_sweep_every:
         Run the full structural sweep every this many mutations (the
         localized per-mutation checks run on all the others).  ``1``
-        full-sweeps every mutation — the pre-optimization behavior, also
-        forced when ``REPRO_INCREMENTAL_TREE=0`` is set.  ``None`` uses
+        full-sweeps every mutation.  ``None`` uses
         :attr:`DEFAULT_FULL_SWEEP_EVERY`.
     """
 
@@ -154,8 +150,6 @@ class InvariantChecker:
             raise ValueError(
                 f"full_sweep_every must be >= 1, got {full_sweep_every}"
             )
-        if not incremental_tree_enabled():
-            full_sweep_every = 1
         self.env = env
         self.mode = mode
         self.full_sweep_every = full_sweep_every

@@ -20,21 +20,20 @@ Hot-path caching: underlay paths are immutable after construction, yet the
 metric collectors and the delivery accountant re-query the same host pairs
 on every measurement window.  :class:`RouterUnderlay` therefore memoizes
 ``delay_ms`` / ``path_links`` / ``path_error`` per ordered host pair, and
-:class:`MatrixUnderlay` precomputes its one-way delay matrix.  Setting the
-environment variable ``REPRO_UNDERLAY_CACHE=0`` (read at construction
-time) disables the per-pair caches — the perf report uses that to measure
-what they buy.
+:class:`MatrixUnderlay` precomputes its one-way delay matrix.  A memo hit
+returns the very object the miss computed, so the caches are invisible to
+callers; ``tests/test_parallel_harness.py`` pins miss ``==`` hit.
 
 :class:`RouterUnderlay` discovers shortest paths *lazily*, one Dijkstra
 source at a time.  :class:`repro.sim.compiled.CompiledUnderlay` subclasses
 it to run one batched all-pairs Dijkstra up front and serve every query
-from dense arrays; the lazy implementations below double as its
-``_reference_*`` oracle, so the two must stay bit-for-bit equivalent.
+from dense arrays; the tests call the lazy implementations below on a
+compiled instance (``RouterUnderlay.delay_ms(compiled, a, b)``) as its
+oracle, so the two must stay bit-for-bit equivalent.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
@@ -51,14 +50,6 @@ LinkId = Hashable
 #: minimum path length before the loss product switches to numpy —
 #: below this, the pure-python loop is faster than array setup.
 _VECTORIZE_MIN_LINKS = 8
-
-
-def _cache_enabled_from_env() -> bool:
-    return os.environ.get("REPRO_UNDERLAY_CACHE", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-    )
 
 
 class Underlay(ABC):
@@ -189,7 +180,6 @@ class RouterUnderlay(Underlay):
         self._dist: dict[int, np.ndarray] = {}
         self._pred: dict[int, np.ndarray] = {}
         # Per-ordered-host-pair memos; paths never change once built.
-        self._cache_enabled = _cache_enabled_from_env()
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
@@ -283,8 +273,7 @@ class RouterUnderlay(Underlay):
         else:
             base = self.router_distance(self.attachments[a], self.attachments[b])
             value = self._access_delay[a] + base + self._access_delay[b]
-        if self._cache_enabled:
-            self._delay_cache[key] = value
+        self._delay_cache[key] = value
         return value
 
     def _assemble_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
@@ -301,8 +290,7 @@ class RouterUnderlay(Underlay):
         if cached is not None:
             return cached
         links = self._assemble_path_links(a, b)
-        if self._cache_enabled:
-            self._path_cache[key] = links
+        self._path_cache[key] = links
         return links
 
     def path_error(self, a: int, b: int) -> float:
@@ -311,8 +299,7 @@ class RouterUnderlay(Underlay):
         if cached is not None:
             return cached
         value = self._compute_path_error(self.path_links(a, b))
-        if self._cache_enabled:
-            self._error_cache[key] = value
+        self._error_cache[key] = value
         return value
 
     def link_delay(self, link: LinkId) -> float:

@@ -35,7 +35,6 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan, resolve_fault_plan
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.network import Underlay
-from repro.util.envflags import incremental_tree_enabled
 from repro.util.rngtools import spawn_rng
 from repro.util.validation import check_non_negative, check_positive, check_probability
 
@@ -422,10 +421,8 @@ class MulticastSession:
         # promote, for ~6% of wall time.  Collection timing cannot affect
         # simulation results, so pausing is observationally free; the prior
         # GC state is restored on exit and the deferred garbage is reclaimed
-        # by the next natural collection.  Gated with the other engine
-        # optimizations so REPRO_INCREMENTAL_TREE=0 stays a faithful
-        # pre-incremental baseline.
-        gc_was_enabled = incremental_tree_enabled() and gc.isenabled()
+        # by the next natural collection.
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:

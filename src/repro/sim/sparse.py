@@ -32,11 +32,10 @@ Exactness discipline (DESIGN.md §12):
   them (the PR 6 decline pattern), and the landmark test asserts the
   declared bound empirically.
 
-The per-ordered-pair memo dicts mirror the lazy underlay's (gated by the
-same ``REPRO_UNDERLAY_CACHE`` flag) but are *bounded*: at scale the set of
-queried pairs is itself O(members · probes), so each memo clears itself
-at ``_PAIR_MEMO_CAP`` entries — a transparent cache policy, never a
-correctness knob.
+The per-ordered-pair memo dicts mirror the lazy underlay's but are
+*bounded*: at scale the set of queried pairs is itself O(members ·
+probes), so each memo clears itself at ``_PAIR_MEMO_CAP`` entries — a
+transparent cache policy, never a correctness knob.
 
 The row store (DESIGN.md §12.3): one ``router → (dist, pred | None)``
 LRU per underlay, read and filled through a single lookup
@@ -71,7 +70,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import csgraph
 
-from repro.sim.network import LinkId, Underlay, _cache_enabled_from_env, _split_link
+from repro.sim.network import LinkId, Underlay, _split_link
 from repro.sim.pathtree import routers_along, walk_links
 from repro.util.artifacts import Artifact
 from repro.util.envflags import sparse_exact, sparse_row_cache
@@ -304,7 +303,6 @@ class SparseUnderlay(Underlay):
         self.evictions = 0
         self.pred_upgrades = 0  # dist-only rows recomputed with predecessors
 
-        self._cache_enabled = _cache_enabled_from_env()
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
@@ -586,10 +584,9 @@ class SparseUnderlay(Underlay):
             base = self.router_distance(self.attachments[a], self.attachments[b])
             # Exact left-to-right association of the lazy oracle.
             value = self._access_delay[a] + base + self._access_delay[b]
-        if self._cache_enabled:
-            if len(self._delay_cache) >= _PAIR_MEMO_CAP:
-                self._delay_cache.clear()
-            self._delay_cache[key] = value
+        if len(self._delay_cache) >= _PAIR_MEMO_CAP:
+            self._delay_cache.clear()
+        self._delay_cache[key] = value
         return value
 
     def delay_row(self, a: int) -> list[float] | None:
@@ -657,10 +654,9 @@ class SparseUnderlay(Underlay):
         else:
             hops = self._router_links(self.attachments[a], self.attachments[b])
             links = (("access", a), *hops, ("access", b))
-        if self._cache_enabled:
-            if len(self._path_cache) >= _PAIR_MEMO_CAP:
-                self._path_cache.clear()
-            self._path_cache[key] = links
+        if len(self._path_cache) >= _PAIR_MEMO_CAP:
+            self._path_cache.clear()
+        self._path_cache[key] = links
         return links
 
     def path_error(self, a: int, b: int) -> float:
@@ -674,10 +670,9 @@ class SparseUnderlay(Underlay):
             value = 0.0 if a == b else self._compute_path_error(self.path_links(a, b))
         else:
             value = self._compute_path_error(self.path_links(a, b))
-        if self._cache_enabled:
-            if len(self._error_cache) >= _PAIR_MEMO_CAP:
-                self._error_cache.clear()
-            self._error_cache[key] = value
+        if len(self._error_cache) >= _PAIR_MEMO_CAP:
+            self._error_cache.clear()
+        self._error_cache[key] = value
         return value
 
     def _edge_value(self, matrix: sp.csr_matrix, u: int, v: int) -> float:

@@ -1,15 +1,13 @@
 """Process-wide feature toggles read from the environment.
 
-Performance work in this repo always ships with an ablation switch so the
-perf report can measure exactly what an optimization buys and tests can
-assert the optimized and reference code paths agree bit for bit:
+A knob earns a place here when it picks between engines that both still
+run, bounds a resource, or configures the harness around a run.  An
+optimization that is always on gets no switch: the plain statement of the
+answer it must reproduce lives in ``tests/`` (``tests/oracles.py``) and the
+tests compare the two directly.
 
-* ``REPRO_UNDERLAY_CACHE=0`` — disable the per-pair underlay memos
-  (read in :mod:`repro.sim.network`, PR 1);
-* ``REPRO_INCREMENTAL_TREE=0`` — disable the incrementally maintained
-  tree state: :class:`~repro.protocols.base.TreeRegistry` falls back to
-  parent-chain walks, the invariant checker full-sweeps after every
-  mutation, and the delivery accountant recomputes whole path products;
+Substrate engines:
+
 * ``REPRO_COMPILED_UNDERLAY=0`` — disable underlay compilation: the
   substrate builders return the lazy per-source-Dijkstra
   :class:`~repro.sim.network.RouterUnderlay` instead of a
@@ -40,7 +38,7 @@ the fault-free hot path is unchanged:
   to a JSON file) injected by the supervisor for self-tests; see
   :mod:`repro.harness.chaos`.  Unset = no chaos, zero overhead.
 
-Batched execution ships with the same ablation discipline (PR 6):
+Batched execution (PR 6):
 
 * ``REPRO_BATCHED_REPS`` — cap the replications the batched
   multi-replication engine (:mod:`repro.harness.batchrun`) takes per
@@ -52,7 +50,7 @@ Batched execution ships with the same ablation discipline (PR 6):
   Paper-preset snapshots dial it down, and the report records the
   value used so a single-rep figure can't pose as a best-of-five.
 
-Sparse substrates (PR 8) follow the same discipline:
+Sparse substrates (PR 8):
 
 * ``REPRO_SPARSE_UNDERLAY=1`` — substrate builders return the CSR-native
   :class:`~repro.sim.sparse.SparseUnderlay` (on-demand Dijkstra rows, no
@@ -87,7 +85,6 @@ __all__ = [
     "FlagSpec",
     "batched_reps",
     "compiled_underlay_enabled",
-    "incremental_tree_enabled",
     "interrupt_grace_s",
     "retry_backoff_s",
     "sparse_exact",
@@ -117,12 +114,6 @@ class FlagSpec:
 #: last read site was deleted).  Keep descriptions to one line; the
 #: module docstring above carries the full story.
 FLAG_REGISTRY: dict[str, FlagSpec] = {
-    "REPRO_UNDERLAY_CACHE": FlagSpec(
-        "1", "per-pair underlay delay/path memos", "repro.sim.network"
-    ),
-    "REPRO_INCREMENTAL_TREE": FlagSpec(
-        "1", "incrementally maintained tree state", "repro.util.envflags"
-    ),
     "REPRO_COMPILED_UNDERLAY": FlagSpec(
         "1", "compile substrates up front (vs lazy Dijkstra)", "repro.util.envflags"
     ),
@@ -195,11 +186,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "repro.util.envflags",
     ),
 }
-
-
-def incremental_tree_enabled() -> bool:
-    """Whether incrementally maintained tree state is enabled (default on)."""
-    return os.environ.get("REPRO_INCREMENTAL_TREE", "1").lower() not in _FALSE_VALUES
 
 
 def compiled_underlay_enabled() -> bool:

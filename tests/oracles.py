@@ -1,0 +1,233 @@
+"""Independent statements of answers the production code maintains or memoizes.
+
+Each function here recomputes, from scratch and from public state only
+(``tree.parent`` / ``children`` / ``source``, ``accountant.node_stats``,
+``underlay.delay_ms`` / ``path_links`` / ``path_error``), a value that
+``src/`` keeps incrementally, in a buffer, or behind a memo.  The tests
+require the two to agree *bit for bit*, so where a float is accumulated
+the order of operations below is part of the contract.
+
+Not a test module (pytest does not collect it) and not a caller of the
+code under test: it imports nothing from ``repro`` at run time, which
+``tests/test_envflags_registry.py`` enforces.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:  # annotations only
+    from repro.protocols.base import TreeRegistry
+    from repro.sim.delivery import DeliveryAccountant
+    from repro.sim.network import Underlay
+
+
+# ---------------------------------------------------------------------------
+# TreeRegistry: reachability, root path, depth by walking the parent chain
+# ---------------------------------------------------------------------------
+
+
+def reachable(tree: TreeRegistry, node: int) -> bool:
+    """Whether ``node``'s parent chain reaches the source."""
+    seen = set()
+    while True:
+        if node == tree.source:
+            return True
+        if node in seen or node not in tree.parent:
+            return False
+        seen.add(node)
+        up = tree.parent[node]
+        if up is None:
+            return False
+        node = up
+
+
+def path_to_source(tree: TreeRegistry, node: int) -> list[int]:
+    """Node ids from ``node`` up to the source, inclusive.
+
+    ``ValueError`` on a broken chain or a parent cycle (visited-set form).
+    """
+    path = [node]
+    seen = {node}
+    cur = node
+    while cur != tree.source:
+        up = tree.parent.get(cur)
+        if up is None:
+            raise ValueError(f"node {node} has no path to source")
+        if up in seen:
+            raise ValueError(f"parent cycle detected at {up}")
+        seen.add(up)
+        path.append(up)
+        cur = up
+    return path
+
+
+def depth(tree: TreeRegistry, node: int) -> int:
+    """Overlay hops from the source, via the whole root path."""
+    return len(path_to_source(tree, node)) - 1
+
+
+# ---------------------------------------------------------------------------
+# DeliveryAccountant: path success and window loss, recomputed per query
+# ---------------------------------------------------------------------------
+
+
+def path_success(tree: TreeRegistry, underlay: Underlay, node: int) -> float:
+    """Probability a chunk survives the overlay path source -> ``node``.
+
+    Multiplies source-outward: the association of the accountant's
+    maintained parent-times-hop product.
+    """
+    path = path_to_source(tree, node)
+    success = 1.0
+    for i in range(len(path) - 1, 0, -1):
+        success *= 1.0 - underlay.path_error(path[i], path[i - 1])
+    return success
+
+
+def window_loss(
+    accountant: DeliveryAccountant, w0: float, w1: float
+) -> tuple[float, float]:
+    """``(loss_rate, mean_node_loss)`` over ``[w0, w1)``, one own pass each.
+
+    Nodes are visited in the order the accountant first saw them (its
+    ledger's insertion order — the one piece of private state read here,
+    because the float sums depend on it and no public query exposes it).
+    """
+    nodes = list(accountant._ledger)
+    expected = 0.0
+    received = 0.0
+    for node in nodes:
+        stats = accountant.node_stats(node, w0, w1)
+        expected += stats.expected_chunks
+        received += stats.received_chunks
+    loss = max(0.0, 1.0 - received / expected) if expected > 0 else 0.0
+    rates = []
+    for node in nodes:
+        stats = accountant.node_stats(node, w0, w1)
+        if stats.expected_chunks > 0:
+            rates.append(
+                max(0.0, 1.0 - stats.received_chunks / stats.expected_chunks)
+            )
+    return loss, (sum(rates) / len(rates) if rates else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# collect_tree_metrics: one independent loop per metric family
+# ---------------------------------------------------------------------------
+
+
+def tree_metrics(tree: TreeRegistry, underlay: Underlay) -> dict[str, dict]:
+    """Stress, stretch, hopcount and resource usage of the reachable tree,
+    as ``dataclasses.asdict(collect_tree_metrics(tree, underlay))`` spells
+    them.
+
+    Reachability is re-verified per node, the root path walked per stretch
+    sample and per hopcount sample; nodes are visited root-down with
+    siblings in ascending id order, so every float accumulates in the
+    order the single-pass collector uses.
+    """
+    source = tree.source
+    order: list[int] = []
+    stack = [source]
+    while stack:
+        node = stack.pop()
+        if node != source and reachable(tree, node):
+            order.append(node)
+        kids = tree.children.get(node)
+        if kids:
+            stack.extend(sorted(kids, reverse=True))
+
+    link_usage: Counter = Counter()
+    for node in order:
+        for link in underlay.path_links(tree.parent[node], node):
+            link_usage[link] += 1
+    stress = {"average": 0.0, "maximum": 0, "links_used": 0, "total_transmissions": 0}
+    if link_usage:
+        transmissions = sum(link_usage.values())
+        stress = {
+            "average": transmissions / len(link_usage),
+            "maximum": max(link_usage.values()),
+            "links_used": len(link_usage),
+            "total_transmissions": transmissions,
+        }
+
+    ratios: list[float] = []
+    leaf_ratios: list[float] = []
+    for node in order:
+        unicast = underlay.delay_ms(source, node)
+        if unicast <= 0:
+            continue
+        path = path_to_source(tree, node)
+        overlay = 0.0
+        for i in range(len(path) - 1, 0, -1):  # source-outward
+            overlay += underlay.delay_ms(path[i], path[i - 1])
+        ratio = overlay / unicast
+        ratios.append(ratio)
+        if not tree.children.get(node):
+            leaf_ratios.append(ratio)
+    stretch = {
+        "average": 0.0, "minimum": 0.0, "maximum": 0.0, "leaf_average": 0.0, "count": 0
+    }
+    if ratios:
+        stretch = {
+            "average": sum(ratios) / len(ratios),
+            "minimum": min(ratios),
+            "maximum": max(ratios),
+            "leaf_average": sum(leaf_ratios) / len(leaf_ratios) if leaf_ratios else 0.0,
+            "count": len(ratios),
+        }
+
+    depths = [depth(tree, node) for node in order]
+    leaf_depths = [
+        depth(tree, node) for node in order if not tree.children.get(node)
+    ]
+    hopcount = {"average": 0.0, "maximum": 0, "leaf_average": 0.0, "count": 0}
+    if depths:
+        hopcount = {
+            "average": sum(depths) / len(depths),
+            "maximum": max(depths),
+            "leaf_average": sum(leaf_depths) / len(leaf_depths) if leaf_depths else 0.0,
+            "count": len(depths),
+        }
+
+    total_ms = 0.0
+    star_ms = 0.0
+    for node in order:
+        total_ms += underlay.delay_ms(tree.parent[node], node)
+        star_ms += underlay.delay_ms(source, node)
+    usage = {"total_ms": 0.0, "normalized": 0.0, "edges": 0}
+    if order:
+        usage = {
+            "total_ms": total_ms,
+            "normalized": total_ms / star_ms if star_ms > 0 else 0.0,
+            "edges": len(order),
+        }
+    return {"stress": stress, "stretch": stretch, "hopcount": hopcount, "usage": usage}
+
+
+# ---------------------------------------------------------------------------
+# ProtocolRuntime: measurement noise and the eager message path
+# ---------------------------------------------------------------------------
+
+
+def noise_factor(rng: np.random.Generator, sigma: float, samples: int) -> float:
+    """One measurement's noise multiplier: a fresh ``size=samples`` draw
+    per call, averaged — what the runtime's block buffer must reproduce."""
+    return float(np.mean(rng.lognormal(0.0, sigma, size=samples)))
+
+
+class IdentityLegs:
+    """A ``message_faults`` hook that touches nothing: every leg is
+    delivered once, after exactly its propagation delay.
+
+    Assigned to ``env.message_faults`` it forces ``tell`` onto
+    ``schedule_in`` Events and ``request`` onto the eager cancellable
+    timeout, so a run with it and a run without must be indistinguishable.
+    """
+
+    def delivery_delays(self, src, dst, msg, delay, *, leg):
+        return (delay,)

@@ -129,12 +129,14 @@ class TestEquivalence:
         hosts = sorted(compiled.attachments)
         for a in hosts:
             for b in hosts:
-                assert compiled.delay_ms(a, b) == compiled._reference_delay_ms(a, b)
-                assert compiled.path_links(a, b) == compiled._reference_path_links(
-                    a, b
+                assert compiled.delay_ms(a, b) == RouterUnderlay.delay_ms(
+                    compiled, a, b
                 )
-                assert compiled.path_error(a, b) == compiled._reference_path_error(
-                    a, b
+                assert compiled.path_links(a, b) == RouterUnderlay.path_links(
+                    compiled, a, b
+                )
+                assert compiled.path_error(a, b) == RouterUnderlay.path_error(
+                    compiled, a, b
                 )
 
     def test_router_queries_match(self):
@@ -358,7 +360,7 @@ class TestTreePropagation:
             )
             assert calls == {"_compute_path_error": 0, "link_error": 0, "walk_links": 0}
             built.path_links(0, 1)
-            built._reference_path_error(0, 1)
+            RouterUnderlay.path_error(built, 0, 1)
             assert all(calls.values())  # the counters do see these calls
 
         (entry,) = [p for p in (tmp_path / "new").iterdir() if p.is_dir()]
@@ -404,9 +406,11 @@ class TestArtifactRoundtrip:
         hosts = sorted(restored.attachments)
         for a in hosts[:5]:
             for b in hosts:
-                assert restored.delay_ms(a, b) == restored._reference_delay_ms(a, b)
-                assert restored.path_error(a, b) == restored._reference_path_error(
-                    a, b
+                assert restored.delay_ms(a, b) == RouterUnderlay.delay_ms(
+                    restored, a, b
+                )
+                assert restored.path_error(a, b) == RouterUnderlay.path_error(
+                    restored, a, b
                 )
 
     def test_restored_instance_walks_without_a_memmap_read_per_hop(

@@ -126,6 +126,33 @@ class TestRunUntil:
         assert count == 4
         assert sim.pending == 6
 
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_event_budget_is_tested_before_firing(self, budget):
+        for drive in (
+            lambda sim: sim.run(max_events=budget),
+            lambda sim: sim.run_until(9.0, max_events=budget),
+        ):
+            sim = Simulator()
+            fired = []
+            sim.schedule(1.0, lambda: fired.append(1)).cancel()
+            for t in (2.0, 3.0, 4.0):
+                sim.schedule(t, lambda t=t: fired.append(t))
+            assert drive(sim) == budget
+            assert fired == [2.0][:budget]
+            assert sim.events_processed == budget
+            # a spent budget leaves the clock at the last event fired
+            assert sim.now == (2.0 if budget else 0.0)
+            assert sim.run() == 3 - budget
+
+    def test_negative_event_budget_refused(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=-1)
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run_until(5.0, max_events=-1)
+        assert sim.pending == 1 and sim.now == 0.0 and sim.events_processed == 0
+
 
 class TestReservedSeq:
     """``reserve_seq`` + ``schedule_reserved``: hold a place in the

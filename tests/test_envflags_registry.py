@@ -8,6 +8,7 @@ deleting a knob's last read site while leaving its entry behind.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -87,3 +88,54 @@ def test_tie_slack_arithmetic_lives_only_in_the_kernel():
         f"the Case I/II/III tie-slack expression appears in {sorted(found)}; "
         "call repro.core.join.split_cases instead of inlining it"
     )
+
+
+# Oracles live in tests/, not behind switches in production paths: the
+# two ablation flags PR 19 retired, and the second implementations they
+# selected, must not grow back — nor may src/ reach into tests/ for them.
+_RETIRED_RE = re.compile(
+    r"def _reference_|\b(?:incremental_tree_enabled|_cache_enabled_from_env"
+    r"|_tuple_heap|_fast_path)\b|^\s*(?:from|import)\s+tests\b",
+    re.MULTILINE,
+)
+
+
+def test_no_oracle_or_retired_switch_in_production_code():
+    found = {
+        path.relative_to(SRC).as_posix(): sorted(set(_RETIRED_RE.findall(text)))
+        for path in sorted(SRC.rglob("*.py"))
+        if _RETIRED_RE.search(text := path.read_text())
+    }
+    assert not found, (
+        f"retired switch or in-production oracle in {found}; state the "
+        "reference answer in tests/oracles.py and compare against it there"
+    )
+    assert _RETIRED_RE.search("def _reference_x(): self._fast_path")  # scan works
+    assert len(FLAG_REGISTRY) == 20
+
+
+def test_oracles_module_does_not_call_the_code_under_test():
+    """``tests/oracles.py`` may name ``repro`` types in annotations (under
+    ``TYPE_CHECKING``) and nothing more: an oracle that imported the
+    package at run time could end up restating the answer by calling it."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    typing_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If)
+        and isinstance(block.test, ast.Name)
+        and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    runtime_imports = []
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            runtime_imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            runtime_imports.append(node.module or "")
+    offenders = [m for m in runtime_imports if m.split(".")[0] in ("repro", "tests")]
+    assert not offenders, f"tests/oracles.py imports {offenders} at run time"
+    assert "numpy" in runtime_imports  # the walk sees the imports it filters

@@ -1,15 +1,19 @@
 """Equivalence tests for the incremental tree-state engine.
 
 Every incrementally maintained structure must agree *bit for bit* with
-its recompute-from-scratch oracle:
+its recompute-from-scratch oracle in ``tests/oracles.py``:
 
-* ``TreeRegistry._reachable`` / ``_depth`` vs the ``_reference_*``
-  parent-chain walks, after every mutation of a random sequence;
+* ``TreeRegistry._reachable`` / ``_depth`` vs the parent-chain walks,
+  after every mutation of a random sequence (and the registry refuses a
+  self-loop from any of its three placing mutations);
 * the delivery accountant's per-node path-success map vs the full
   root-path product;
-* whole sessions (including fault plans) run with
-  ``REPRO_INCREMENTAL_TREE=1`` vs ``0`` must produce identical
-  measurement records, join records, and loss numbers;
+* whole sessions (including fault plans) run on the lazily queued
+  request timeout vs the eager cancellable one (forced by
+  ``IdentityLegs``) must produce identical measurement records, join
+  records, and loss numbers — and at every measurement of both runs the
+  single-pass tree metrics and the shared window pass must equal the
+  oracle's four loops and own passes;
 * the localized per-mutation invariant checks must catch a broken
   protocol on their own, with the full sweep effectively disabled.
 """
@@ -17,13 +21,15 @@ its recompute-from-scratch oracle:
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.session as session_mod
 from repro.factories import btp, hmtp, vdm, vdm_r
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.protocols.base import ProtocolRuntime, TreeRegistry
+from repro.protocols.base import TreeRegistry
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantViolation
@@ -31,6 +37,7 @@ from repro.sim.network import MatrixUnderlay
 from repro.sim.session import MulticastSession, SessionConfig
 from repro.topology.transit_stub import TransitStubConfig
 
+from tests import oracles
 from tests.helpers import line_matrix
 from tests.test_invariants import _over_accepting_factory
 
@@ -45,18 +52,23 @@ NODES = list(range(1, 10))
 
 def _assert_registry_matches_oracle(tree: TreeRegistry) -> None:
     """The maintained sets must equal what the chain-walking oracle derives."""
-    ref_reachable = {
-        n for n in tree.parent if tree._reference_is_reachable(n)
-    }
+    ref_reachable = {n for n in tree.parent if oracles.reachable(tree, n)}
     assert tree._reachable == ref_reachable
     assert set(tree._depth) == ref_reachable
     for node in ref_reachable:
-        assert tree.depth(node) == tree._reference_depth(node)
+        assert tree.depth(node) == oracles.depth(tree, node)
+        assert tree.path_to_source(node) == oracles.path_to_source(tree, node)
     # the public queries agree with the oracle for every member
     for node in tree.parent:
-        assert tree.is_reachable(node) == tree._reference_is_reachable(node)
+        assert tree.is_reachable(node) == oracles.reachable(tree, node)
+    for node in set(tree.parent) - ref_reachable:
+        for query in (tree.depth, tree.path_to_source):
+            with pytest.raises(ValueError):
+                query(node)
+        with pytest.raises(ValueError):
+            oracles.path_to_source(tree, node)
     assert tree.attached_nodes() == [
-        n for n in tree.parent if tree._reference_is_reachable(n)
+        n for n in tree.parent if oracles.reachable(tree, n)
     ]
 
 
@@ -141,12 +153,34 @@ class TestRegistryOracleEquivalence:
         self, sequence
     ):
         tree = TreeRegistry(SOURCE)
-        assert tree._incremental, "suite must run with incremental state on"
+        events = []
+        tree.add_listener(lambda *event: events.append(event))
         t = 0.0
         for op, a, b in sequence:
             t += 1.0
             _apply_op(tree, op, a, b, t)
             _assert_registry_matches_oracle(tree)
+            # Rule: every placing mutation refuses a node as its own
+            # parent — attached, orphaned or absent — and leaves the
+            # registry as it was.
+            node = NODES[a % len(NODES)]
+            before = (
+                dict(tree.parent),
+                {n: set(kids) for n, kids in tree.children.items()},
+                set(tree._reachable),
+                dict(tree._depth),
+                len(events),
+            )
+            for mutate in (
+                lambda: tree.attach(node, node, t),
+                lambda: tree.reparent(node, node, t),
+                lambda: tree.insert(node, node, (), t),
+            ):
+                with pytest.raises(ValueError):
+                    mutate()
+            assert before == (
+                tree.parent, tree.children, tree._reachable, tree._depth, len(events)
+            )
 
     def test_orphan_subtree_loses_and_regains_state(self):
         tree = TreeRegistry(SOURCE)
@@ -200,7 +234,10 @@ class TestAccountantEquivalence:
         for node in tree.attached_nodes():
             if node == SOURCE:
                 continue
-            assert acc._success[node] == acc._reference_path_success(node)
+            assert acc._success[node] == oracles.path_success(
+                tree, acc.underlay, node
+            )
+            assert acc._success[node] < 1.0
 
     def test_unreachable_nodes_leave_the_success_map(self):
         tree, acc = self._build()
@@ -210,7 +247,7 @@ class TestAccountantEquivalence:
         assert 1 not in acc._success
         assert 2 not in acc._success
         tree.attach(2, 0, 4.0)
-        assert acc._success[2] == acc._reference_path_success(2)
+        assert acc._success[2] == oracles.path_success(tree, acc.underlay, 2)
 
     def test_window_memo_is_invalidated_by_mutations(self):
         tree, acc = self._build()
@@ -228,7 +265,8 @@ class TestAccountantEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# whole-session ablation equivalence (REPRO_INCREMENTAL_TREE=1 vs 0)
+# whole-session equivalence: lazy vs eager request timeouts, and the
+# maintained metrics/loss passes vs their oracles at every measurement
 # ---------------------------------------------------------------------------
 
 
@@ -254,19 +292,21 @@ _PROTOCOLS = {
 }
 
 
-def _run_session(monkeypatch, *, incremental: bool, faults=None, protocol="vdm"):
-    monkeypatch.setenv("REPRO_INCREMENTAL_TREE", "1" if incremental else "0")
+def _run_session(*, eager: bool, faults=None, protocol="vdm"):
     underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(40)]))
     session = MulticastSession(
         underlay, _PROTOCOLS[protocol](), _session_config(faults)
     )
-    assert session.env.tree._incremental is incremental
+    if eager and session.env.message_faults is None:
+        session.env.message_faults = oracles.IdentityLegs()
     return session.run()
 
 
 # "crashy" and "freezer" are message-inert: they ride the lazily queued
 # request timeouts *and* make them fire.  "chaos" touches message legs and
 # keeps the eager cancellable timeout on both sides.
+# (The function keeps its pre-PR 19 name, from when the eager side was
+# selected by an environment switch: its 16 ids are pinned downstream.)
 @pytest.mark.parametrize(
     ("protocol", "faults"),
     [
@@ -285,29 +325,60 @@ def test_sessions_identical_across_incremental_toggle(monkeypatch, protocol, fau
         push(sim, *args)
 
     monkeypatch.setattr(Simulator, "schedule_reserved", counting_push)
-    inc = _run_session(monkeypatch, incremental=True, faults=faults, protocol=protocol)
+
+    # Every measurement of both runs: the single-pass collector against
+    # the four-loop oracle (orphaned subtrees under crashy/chaos included)
+    # and the shared window pass against the own-pass oracle.
+    collect = session_mod.collect_tree_metrics
+    snapshot = DeliveryAccountant.window_snapshot
+    checked = Counter()
+
+    def checking_collect(tree, underlay):
+        metrics = collect(tree, underlay)
+        assert dataclasses.asdict(metrics) == oracles.tree_metrics(tree, underlay)
+        checked["metrics"] += 1
+        return metrics
+
+    def checking_snapshot(acc, w0, w1):
+        window = snapshot(acc, w0, w1)
+        assert (window.loss_rate, window.mean_node_loss) == oracles.window_loss(
+            acc, w0, w1
+        )
+        checked["windows"] += 1
+        return window
+
+    monkeypatch.setattr(session_mod, "collect_tree_metrics", checking_collect)
+    monkeypatch.setattr(DeliveryAccountant, "window_snapshot", checking_snapshot)
+
+    lazy = _run_session(eager=False, faults=faults, protocol=protocol)
     lazily_queued = len(queued)
-    ref = _run_session(monkeypatch, incremental=False, faults=faults, protocol=protocol)
+    ref = _run_session(eager=True, faults=faults, protocol=protocol)
     assert len(queued) == lazily_queued  # the oracle queues eagerly
     if faults in ("crashy", "freezer"):
         assert lazily_queued
     if faults == "chaos":
         assert not lazily_queued
+    assert checked["metrics"] == checked["windows"] == 2 * len(lazy.records) > 0
     # measurement records are nested float-bearing dataclasses; equality
     # is exact, so this asserts bit-identical metrics (incl. loss)
-    assert inc.records == ref.records
-    assert inc.join_records == ref.join_records
-    assert inc.fault_counts == ref.fault_counts
+    assert lazy.records == ref.records
+    assert lazy.join_records == ref.join_records
+    assert lazy.fault_counts == ref.fault_counts
     # ... and the event engine took the same steps to get there: a lazily
     # queued request timeout must leave no trace an eagerly queued one
     # would not.
-    assert inc.runtime.sim.events_processed == ref.runtime.sim.events_processed
-    assert inc.runtime.sim.events_scheduled == ref.runtime.sim.events_scheduled
-    assert inc.runtime.message_counts == ref.runtime.message_counts
-    assert inc.runtime.tree.parent == ref.runtime.tree.parent
-    window = (0.0, inc.config.total_s)
-    assert inc.accountant.loss_rate(*window) == ref.accountant.loss_rate(*window)
-    assert inc.accountant.mean_node_loss(*window) == ref.accountant.mean_node_loss(
+    assert lazy.runtime.sim.events_processed == ref.runtime.sim.events_processed
+    assert lazy.runtime.sim.events_scheduled == ref.runtime.sim.events_scheduled
+    assert lazy.runtime.message_counts == ref.runtime.message_counts
+    assert lazy.runtime.tree.parent == ref.runtime.tree.parent
+    window = (0.0, lazy.config.total_s)
+    for result in (lazy, ref):
+        assert (
+            result.accountant.loss_rate(*window),
+            result.accountant.mean_node_loss(*window),
+        ) == oracles.window_loss(result.accountant, *window)
+    assert lazy.accountant.loss_rate(*window) == ref.accountant.loss_rate(*window)
+    assert lazy.accountant.mean_node_loss(*window) == ref.accountant.mean_node_loss(
         *window
     )
 

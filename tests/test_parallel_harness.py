@@ -262,23 +262,10 @@ def _router_underlay_pair(monkeypatch_env: dict | None = None):
 
 
 _CACHED_UL, _UL_KWARGS = _router_underlay_pair()
-_UNCACHED_UL = None
 
 
-def _uncached_ul():
-    """A twin of ``_CACHED_UL`` built with per-pair caches disabled."""
-    global _UNCACHED_UL
-    if _UNCACHED_UL is None:
-        import os
-
-        from repro.harness.substrates import build_transit_stub_underlay
-
-        os.environ["REPRO_UNDERLAY_CACHE"] = "0"
-        try:
-            _UNCACHED_UL = build_transit_stub_underlay(**_UL_KWARGS)
-        finally:
-            os.environ.pop("REPRO_UNDERLAY_CACHE", None)
-    return _UNCACHED_UL
+def _answers(underlay, a, b):
+    return underlay.delay_ms(a, b), underlay.path_links(a, b), underlay.path_error(a, b)
 
 
 host_pairs = st.tuples(
@@ -287,15 +274,40 @@ host_pairs = st.tuples(
 
 
 class TestUnderlayCaches:
-    @given(pair=host_pairs)
-    @settings(max_examples=60, deadline=None)
-    def test_cached_matches_uncached(self, pair):
-        a, b = pair
-        cached, uncached = _CACHED_UL, _uncached_ul()
-        assert not uncached._cache_enabled
-        assert cached.delay_ms(a, b) == uncached.delay_ms(a, b)
-        assert cached.path_links(a, b) == uncached.path_links(a, b)
-        assert cached.path_error(a, b) == uncached.path_error(a, b)
+    def test_cached_matches_uncached(self, monkeypatch):
+        """Memo transparency on the dense and the lazy engine: the first
+        query of a pair on a fresh twin (a miss, computed), the repeat (a
+        hit, served) and the long-warm module underlay all answer alike."""
+        from repro.harness.substrates import build_transit_stub_underlay
+        from repro.sim.compiled import CompiledUnderlay
+
+        compiled = build_transit_stub_underlay(**_UL_KWARGS)
+        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
+        lazy = build_transit_stub_underlay(**_UL_KWARGS)
+        assert isinstance(compiled, CompiledUnderlay)
+        assert not isinstance(lazy, CompiledUnderlay)
+        for twin in (compiled, lazy):
+            for a in range(24):
+                for b in range(24):
+                    miss = _answers(twin, a, b)
+                    assert miss == _answers(twin, a, b) == _answers(_CACHED_UL, a, b)
+
+    def test_sparse_memos_answer_alike_across_a_cap_clear(self, monkeypatch):
+        """``_PAIR_MEMO_CAP`` is a bound, not a switch: with the cap at 4
+        every fifth new pair wipes the memo, and each answer — computed,
+        served, or recomputed after a wipe — equals the dense engine's."""
+        from repro.harness.substrates import build_transit_stub_underlay
+        from repro.sim import sparse as sparse_module
+
+        monkeypatch.setattr(sparse_module, "_PAIR_MEMO_CAP", 4)
+        twin = build_transit_stub_underlay(**_UL_KWARGS, sparse=True)
+        assert isinstance(twin, sparse_module.SparseUnderlay)
+        pairs = [(a, b) for a in range(8) for b in range(8)]
+        for a, b in pairs + pairs:  # second lap: every pair was wiped since
+            miss = _answers(twin, a, b)
+            assert miss == _answers(twin, a, b) == _answers(_CACHED_UL, a, b)
+            memos = (twin._delay_cache, twin._path_cache, twin._error_cache)
+            assert all(len(memo) <= 4 for memo in memos)
 
     @given(pair=host_pairs)
     @settings(max_examples=30, deadline=None)
@@ -312,11 +324,6 @@ class TestUnderlayCaches:
             _CACHED_UL.path_error(a, b),
         )
         assert first == second
-
-    def test_uncached_underlay_keeps_no_state(self):
-        ul = _uncached_ul()
-        ul.delay_ms(0, 1), ul.path_links(0, 1), ul.path_error(0, 1)
-        assert not ul._delay_cache and not ul._path_cache and not ul._error_cache
 
     def test_unknown_host_still_rejected_after_warmup(self):
         _CACHED_UL.delay_ms(2, 3)

@@ -10,6 +10,7 @@ from repro.protocols.messages import ChildRemove, InfoRequest, InfoResponse
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 
 
@@ -93,15 +94,15 @@ class TestRequestResponse:
 
 def _runtime(positions, *, fast: bool, timeout_ms: float = 1000.0):
     """A runtime on the message-inert fast path (request timeouts queued
-    only once certain to fire) or on the ``REPRO_INCREMENTAL_TREE=0``
-    oracle (a cancellable timeout queued eagerly per request)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_INCREMENTAL_TREE", "1" if fast else "0")
-        sim = Simulator()
-        env = ProtocolRuntime(
-            sim, MatrixUnderlay(line_matrix(positions)), source=0, timeout_ms=timeout_ms
-        )
-    assert env._fast_path is fast and sim._tuple_heap is fast
+    only once certain to fire) or, with ``IdentityLegs`` installed as its
+    message hook, on the oracle (a cancellable timeout queued eagerly per
+    request, every leg an ``Event``)."""
+    sim = Simulator()
+    env = ProtocolRuntime(
+        sim, MatrixUnderlay(line_matrix(positions)), source=0, timeout_ms=timeout_ms
+    )
+    if not fast:
+        env.message_faults = oracles.IdentityLegs()
     for i in range(len(positions)):
         env.register(VDMAgent(i, env))
     return sim, env
@@ -388,6 +389,35 @@ class TestConstruction:
         samples = {env.virtual_distance(0, 1) for _ in range(10)}
         assert len(samples) == 10
         assert all(s > 0 for s in samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(0.01, 1.5),
+        probes=st.lists(
+            st.one_of(st.integers(1, 12), st.just(300)), min_size=1, max_size=400
+        ),
+    )
+    def test_buffered_noise_equals_a_fresh_draw_per_probe(self, seed, sigma, probes):
+        """The 256-draw block buffer is invisible: every measurement is,
+        bit for bit, the metric times the mean of a fresh ``size=samples``
+        draw from an identically seeded generator — across refills, for
+        sample counts on both sides of the pairwise-mean threshold (8)
+        and larger than the block."""
+        ul = MatrixUnderlay(line_matrix([0.0, 100.0]))
+        env = ProtocolRuntime(
+            Simulator(),
+            ul,
+            0,
+            measurement_noise_sigma=sigma,
+            noise_rng=np.random.default_rng(seed),
+        )
+        rng = np.random.default_rng(seed)
+        base = float(ul.rtt_ms(0, 1))
+        for samples in probes:
+            assert env.virtual_distance(0, 1, samples=samples) == (
+                base * oracles.noise_factor(rng, sigma, samples)
+            )
 
     def test_noise_zero_for_self(self):
         ul = MatrixUnderlay(line_matrix([0.0, 100.0]))

@@ -483,6 +483,41 @@ class TestVirtualClockTimers:
 
         asyncio.run(go())
 
+    def test_timers_are_plain_schedule_in_events(self):
+        """The clock's one way into the engine: a timer is a cancellable
+        ``schedule_in`` Event — one sequence number each, ordered with
+        directly scheduled events by (time, seq), a negative delay clamped
+        to now, a disarmed timer tombstoned and never counted as run."""
+
+        async def go():
+            clock = self._clock()
+            sim = clock.sim
+            order: list[str] = []
+            sim.schedule_in(5.0, lambda: order.append("direct-before"))
+            delays = {"t5": 5.0, "gone": 5.0, "neg": -3.0, "t1": 1.0}
+            futs = {name: clock._arm(delay) for name, delay in delays.items()}
+            sim.schedule_in(5.0, lambda: order.append("direct-after"))
+            for name, fut in futs.items():
+                fut.add_done_callback(lambda _f, name=name: order.append(name))
+            events = list(clock._timers.values())
+            assert [type(ev).__name__ for ev in events] == ["Event"] * 4
+            assert [(ev.time, ev.seq) for ev in events] == [
+                (5.0, 1), (5.0, 2), (0.0, 3), (1.0, 4)
+            ]
+            assert sim.events_scheduled == 6 and sim.pending == 6
+            clock._disarm(futs["gone"])
+            assert events[1].cancelled and sim.pending == 6  # lazy tombstone
+            fired_at = []
+            while sim.step():
+                fired_at.append(sim.now)
+                await asyncio.sleep(0)  # let done-callbacks run in fire order
+            assert fired_at == [0.0, 1.0, 5.0, 5.0, 5.0]
+            assert order == ["neg", "t1", "direct-before", "t5", "direct-after"]
+            assert sim.events_processed == 5 and not futs["gone"].done()
+            assert clock.pending_timers == 0
+
+        asyncio.run(go())
+
     def test_jump_fires_in_registration_order(self):
         async def go():
             clock = self._clock()

@@ -48,6 +48,30 @@ class TestAttach:
             tree.parent[2] = None  # ensure orphan state
             tree.attach(2, 3, 5.0)
 
+    def test_cannot_attach_orphan_under_itself(self, tree):
+        # Before the guard this installed parent[2] = 2, children[2] = {2}
+        # and the depth refresh pushed 2 onto its own stack for ever.
+        tree.attach(1, 0, 1.0)
+        tree.attach(2, 1, 2.0)
+        tree.attach(3, 2, 3.0)
+        tree.depart(1, 4.0)
+        events = []
+        tree.add_listener(lambda *a: events.append(a))
+        with pytest.raises(ValueError, match="under itself"):
+            tree.attach(2, 2, 5.0)
+        assert tree.is_orphan(2) and tree.children[2] == {3}
+        assert tree.parent == {0: None, 2: None, 3: 2}
+        assert tree.attached_nodes() == [0] and events == []
+        tree.attach(2, 0, 6.0)  # the orphan can still rejoin properly
+        assert tree.depth(3) == 2
+
+    def test_cannot_attach_fresh_node_under_itself(self, tree):
+        tree.attach(1, 0, 1.0)
+        with pytest.raises(ValueError):
+            tree.attach(5, 5, 2.0)
+        assert not tree.is_present(5) and 5 not in tree.children
+        assert tree.parent == {0: None, 1: 0}
+
 
 class TestReparent:
     def test_reparent_moves_subtree(self, tree):
