@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.join import Decision, Descend, split_cases, vdm_decide
 from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildInfo, InfoResponse
-from repro.util.rngtools import rng_from_seed
+from repro.util.rngtools import RngLike
 
 __all__ = ["VDMAgent", "VDMConfig"]
 
@@ -99,11 +97,10 @@ class VDMAgent(OverlayAgent):
         *,
         degree_limit: int = 4,
         config: VDMConfig | None = None,
-        rng: np.random.Generator | int | None = None,
+        rng: RngLike = None,
     ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit)
+        super().__init__(node_id, env, degree_limit=degree_limit, rng=rng)
         self.config = config or VDMConfig()
-        self.rng = rng_from_seed(rng)
 
     def auto_refine_period(self) -> float | None:
         return self.config.refine_period_s

@@ -29,6 +29,7 @@ from typing import Callable
 
 from repro.protocols.base import TreeRegistry
 from repro.protocols.mst import mst_parent_map, tree_cost
+from repro.sim.invariants import tree_is_legal
 from repro.sim.network import Underlay
 
 __all__ = [
@@ -369,12 +370,13 @@ class RecoveryTracker:
             return
         if kind in ("attach", "reparent", "depart"):
             self.orphans.discard(node)
-            if not self.orphans and self._episode_start is not None:
-                from repro.sim.invariants import tree_is_legal
-
-                if tree_is_legal(self.env):
-                    self.recovery_times.append(time - self._episode_start)
-                    self._episode_start = None
+            if (
+                not self.orphans
+                and self._episode_start is not None
+                and tree_is_legal(self.env)
+            ):
+                self.recovery_times.append(time - self._episode_start)
+                self._episode_start = None
 
 
 def mst_ratio(

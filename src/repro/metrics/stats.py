@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
+# Only the Student-t quantile is needed: ``stdtrit`` is the function
+# ``scipy.stats.t.ppf`` itself evaluates, and importing it alone keeps
+# all of ``scipy.stats`` (~0.4 s, ~35 MiB resident) out of the process.
+from scipy.special import stdtrit
 
 __all__ = ["mean_ci", "summarize", "SummaryStats"]
 
@@ -50,7 +53,7 @@ def mean_ci(values: Sequence[float], confidence: float = 0.90) -> SummaryStats:
         return SummaryStats(mean, math.inf, 1, confidence)
     var = sum((v - mean) ** 2 for v in vals) / (n - 1)
     sem = math.sqrt(var / n)
-    t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return SummaryStats(mean, t * sem, n, confidence)
 
 

@@ -14,6 +14,7 @@ SSH/control channels), so they do not count toward protocol overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,7 +121,7 @@ class MainController:
             node,
             self.env,
             degree_limit=self.degree_limit,
-            rng=spawn_rng(self.seed, "agent", node),
+            rng=partial(spawn_rng, self.seed, "agent", node),
         )
         self.env.register(agent)
         return agent

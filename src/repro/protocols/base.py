@@ -27,6 +27,7 @@ how the paper's implementation treats root-path state.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -54,6 +55,7 @@ from repro.protocols.messages import (
 )
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Underlay
+from repro.util.rngtools import RngLike, rng_from_seed
 
 __all__ = [
     "ProtocolRuntime",
@@ -479,9 +481,6 @@ class ProtocolRuntime:
         #: the session's fault injector, if any (see
         #: :mod:`repro.sim.faults`); failover asks it about partitions.
         self.faults = None
-        #: per-message delivery hook: the injector again, but only when
-        #: its plan can touch a message leg.  ``None`` — fault-free or a
-        #: message-inert plan — keeps delivery on the tuple fast path.
         self.message_faults = None
         #: optional precomputed-failover manager (see
         #: :mod:`repro.protocols.failover`); ``None`` means the reactive
@@ -583,6 +582,42 @@ class ProtocolRuntime:
     # -- messaging ---------------------------------------------------------------
 
     @property
+    def message_faults(self):
+        """Per-message delivery hook: the fault injector again, but only
+        when its plan can touch a message leg (``None`` otherwise).
+
+        The hook is asked — ``delivery_delays(src, dst, msg, delay, leg=)``
+        returning one delay per copy delivered — only for legs that fall
+        inside one of the closed virtual-time windows it publishes as
+        ``message_windows``; strictly outside them it would answer
+        ``(delay,)`` without drawing, so :meth:`tell` and :meth:`request`
+        deliver on the tuple path instead.  A hook that publishes no
+        windows is asked about every leg, for ever.
+        """
+        return self._message_faults
+
+    @message_faults.setter
+    def message_faults(self, hook) -> None:
+        self._message_faults = hook
+        if hook is None:
+            windows = ()
+        else:
+            windows = getattr(hook, "message_windows", ((-math.inf, math.inf),))
+        # Simulation time only moves forward, so a cursor over the sorted
+        # windows answers "is this instant inside one?" by comparing with
+        # the bounds of the first window not yet behind the clock.
+        self._windows_ahead = iter(windows)
+        self._advance_window(self.sim.now)
+
+    def _advance_window(self, now: float) -> None:
+        """Move the cursor to the first window that does not end before ``now``."""
+        for lo, hi in self._windows_ahead:
+            if hi >= now:
+                self._window_lo, self._window_hi = lo, hi
+                return
+        self._window_lo = self._window_hi = math.inf
+
+    @property
     def total_control_messages(self) -> int:
         return sum(self._msg_counts.values())
 
@@ -605,16 +640,21 @@ class ProtocolRuntime:
             if dst in self._alive and dst not in self._frozen:
                 self.agents[dst].handle_tell(src, msg)
 
-        if self.message_faults is None:
-            # No cancellation, no debug label, no Event allocation.
-            # Consumes the same sequence number a schedule_in call would,
-            # so ordering is unchanged.
-            self._sched_fire(delay, deliver)
-            return
-        for d in self.message_faults.delivery_delays(
-            src, dst, msg, delay, leg="tell"
-        ):
-            self.sim.schedule_in(d, deliver, label="tell")
+        # A delivery is never cancelled, so it needs no Event on either
+        # path; schedule_fire_in consumes the sequence number a
+        # schedule_in call would, so ordering is the same.
+        hook = self._message_faults
+        if hook is not None:
+            now = self.sim.now
+            if now > self._window_hi:
+                self._advance_window(now)
+            if now >= self._window_lo:
+                for d in hook.delivery_delays(src, dst, msg, delay, leg="tell"):
+                    self._sched_fire(d, deliver)
+                return
+        # No hook, or strictly outside every window of it: the hook could
+        # only answer ``(delay,)``.
+        self._sched_fire(delay, deliver)
 
     def request(
         self,
@@ -631,26 +671,42 @@ class ProtocolRuntime:
         one-way latency.  If the target is (or dies) unreachable, the
         requester's ``on_timeout`` fires after ``timeout_ms``.
 
-        When no fault plan can touch a leg, each leg takes exactly
-        ``delay`` and the timeout is queued only once it is certain to
-        fire.  Its sequence number is reserved at send time — the place in
-        the ``(time, priority, seq)`` order an eagerly queued timeout
-        holds — and the entry goes on the heap at the instant no in-flight
-        leg can still beat it: a dead target at send, a dead/frozen/silent
-        target at arrival, a dead/frozen requester when the reply lands,
-        or at send time when the reply cannot land before the deadline
-        anyway (the late reply is still delivered).  An exchange that
-        completes queues nothing for it.
+        A leg is *quiet* when its instant lies strictly outside every
+        window of the :attr:`message_faults` hook (always, when there is
+        none).  The request leg is judged at ``now`` and the reply leg at
+        ``now + delay``, where a quiet request leg lands (a request to a
+        dead target has no second leg).  When both are quiet each leg
+        takes exactly ``delay`` and the timeout is queued only once it is
+        certain to fire.  Its sequence number is reserved
+        at send time — the place in the ``(time, priority, seq)`` order an
+        eagerly queued timeout holds — and the entry goes on the heap at
+        the instant no in-flight leg can still beat it: a dead target at
+        send, a dead/frozen/silent target at arrival, a dead/frozen
+        requester when the reply lands, or at send time when the reply
+        cannot land before the deadline anyway (the late reply is still
+        delivered).  An exchange that completes queues nothing for it.
+
+        Otherwise — an instant inside a window, on its boundary, or past
+        the start of the next one — every leg is handed to the hook, which
+        may drop, delay or duplicate it.  That makes the first reply's
+        arrival unknowable at send time, so the timeout is queued eagerly
+        as a cancellable event.
         """
         self._msg_counts[msg.__class__] += 1
-        if self.message_faults is None:
+        now = self.sim.now
+        # A dead target is never asked for its delay: the request is
+        # lost, and ``now`` alone decides which way its timeout is queued.
+        target_alive = dst in self._alive
+        delay = self._delay_ms(src, dst) / 1000.0 if target_alive else 0.0
+        hook = self._message_faults
+        if now > self._window_hi:
+            self._advance_window(now)
+        if hook is None or now + delay < self._window_lo:
             seq = self._reserve_seq()
-            now = self.sim.now
             deadline = now + self._timeout_s
-            if dst not in self._alive:
+            if not target_alive:
                 self._queue_timeout(deadline, seq, src, on_timeout)
                 return
-            delay = self._delay_ms(src, dst) / 1000.0
             # Whether a failing leg still owes the heap the timeout.  Same
             # floats the engine will stamp on the two legs, so rounding
             # cannot separate this path from the eager one below.
@@ -683,9 +739,6 @@ class ProtocolRuntime:
             self._sched_fire(delay, deliver_request)
             return
 
-        # Legs a fault plan can jitter or duplicate make the first reply's
-        # arrival unknowable at send time, so this path queues a
-        # cancellable timeout eagerly.
         def fire_timeout() -> None:
             if src in self._alive:
                 on_timeout()
@@ -693,9 +746,9 @@ class ProtocolRuntime:
         timeout_event = self.sim.schedule_in(
             self._timeout_s, fire_timeout, label="timeout"
         )
-        if dst not in self._alive:
+        if not target_alive:
             return  # request lost; timeout will fire
-        delay = self._delay_ms(src, dst) / 1000.0
+        delivery_delays = hook.delivery_delays
 
         def deliver_request() -> None:
             if dst not in self._alive or dst in self._frozen:
@@ -711,15 +764,12 @@ class ProtocolRuntime:
                 timeout_event.cancel()
                 on_reply(reply)
 
-            for d in self.message_faults.delivery_delays(
-                dst, src, reply, delay, leg="reply"
-            ):
-                self.sim.schedule_in(d, deliver_reply, label="reply")
+            # The legs are never cancelled, so they need no Event.
+            for d in delivery_delays(dst, src, reply, delay, leg="reply"):
+                self._sched_fire(d, deliver_reply)
 
-        for d in self.message_faults.delivery_delays(
-            src, dst, msg, delay, leg="request"
-        ):
-            self.sim.schedule_in(d, deliver_request, label="req")
+        for d in delivery_delays(src, dst, msg, delay, leg="request"):
+            self._sched_fire(d, deliver_request)
 
     def _queue_timeout(
         self, deadline: float, seq: int, src: int, on_timeout: Callable[[], None]
@@ -758,6 +808,9 @@ class OverlayAgent:
 
     ``degree_limit`` is the maximum number of children this node will
     accept — the paper's "degree limit", derived from uplink bandwidth.
+
+    ``rng`` is anything :func:`~repro.util.rngtools.rng_from_seed` accepts;
+    it becomes a generator only if the protocol draws (see :attr:`rng`).
     """
 
     #: subclass marker used in reports, e.g. "vdm", "hmtp".
@@ -769,12 +822,14 @@ class OverlayAgent:
         env: ProtocolRuntime,
         *,
         degree_limit: int = 4,
+        rng: RngLike = None,
     ) -> None:
         if degree_limit < 1:
             raise ValueError(f"degree_limit must be >= 1, got {degree_limit}")
         self.node_id = node_id
         self.env = env
         self.degree_limit = int(degree_limit)
+        self._rng = rng
         self.parent: int | None = None
         self.grandparent: int | None = None
         #: child id -> virtual distance measured when the child connected.
@@ -783,6 +838,21 @@ class OverlayAgent:
         self._refine_event: Event | None = None
 
     # -- basic state -----------------------------------------------------------
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This agent's private random stream, built on first use.
+
+        Sessions create one agent per join and most protocols never draw
+        (VDM only under ``case3_selection="random"``), so the join sites
+        hand over the stream's key path rather than a constructed
+        generator.  Keyed streams are independent of one another, so when
+        one is built cannot change a value it yields.
+        """
+        rng = self._rng
+        if not isinstance(rng, np.random.Generator):
+            rng = self._rng = rng_from_seed(rng)
+        return rng
 
     @property
     def is_source(self) -> bool:

@@ -64,6 +64,9 @@ class FailoverManager:
         #: node -> currently precomputed backup parent (``None`` = no
         #: valid candidate existed at the last refresh)
         self.backups: dict[int, int | None] = {}
+        #: backup -> the nodes holding it: the inverse of :attr:`backups`,
+        #: so a mutation at one node finds its holders without a scan
+        self._holders: dict[int, set[int]] = {}
         #: ``switch`` (local failover committed) / ``fallback`` (backup
         #: invalid at switch time, reactive path ran instead)
         self.counts: Counter[str] = Counter()
@@ -84,16 +87,14 @@ class FailoverManager:
             # may have lost the capacity slot or the direction clearance
             # they were counting on.  (Removals only relax constraints,
             # so depart/orphan need no mirror of this.)
-            for member in sorted(
-                n for n, b in self.backups.items() if b == parent
-            ):
+            for member in sorted(self._holders.get(parent, ())):
                 self._refresh(member)
         elif kind == "depart":
-            self.backups.pop(node, None)
+            held = self.backups.pop(node, None)
+            if held is not None:
+                self._holders[held].discard(node)
             # Everyone who had the departed node as backup must re-derive.
-            for member in sorted(
-                n for n, b in self.backups.items() if b == node
-            ):
+            for member in sorted(self._holders.get(node, ())):
                 self._refresh(member)
         # "orphan": keep the stored backup — it is exactly the value the
         # imminent try_switch needs; refreshing now would wipe it (an
@@ -123,9 +124,18 @@ class FailoverManager:
             return
         for i in range(2, len(path)):
             if self._candidate_ok(agent, path[i], exclude=path[i - 1]):
-                self.backups[node] = path[i]
+                self._store(node, path[i])
                 return
-        self.backups[node] = None
+        self._store(node, None)
+
+    def _store(self, node: int, backup: int | None) -> None:
+        """Record ``node``'s backup in both directions."""
+        held = self.backups.get(node)
+        if held is not None:
+            self._holders[held].discard(node)
+        if backup is not None:
+            self._holders.setdefault(backup, set()).add(node)
+        self.backups[node] = backup
 
     def _candidate_ok(
         self, agent, candidate: int, *, exclude: int | None = None

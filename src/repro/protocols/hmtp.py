@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.join import Attach, Decision, hmtp_decide
 from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildInfo, InfoResponse
-from repro.util.rngtools import rng_from_seed
+from repro.util.rngtools import RngLike
 
 __all__ = ["HMTPAgent", "HMTPConfig"]
 
@@ -74,11 +72,10 @@ class HMTPAgent(OverlayAgent):
         *,
         degree_limit: int = 4,
         config: HMTPConfig | None = None,
-        rng: np.random.Generator | int | None = None,
+        rng: RngLike = None,
     ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit)
+        super().__init__(node_id, env, degree_limit=degree_limit, rng=rng)
         self.config = config or HMTPConfig()
-        self.rng = rng_from_seed(rng)
 
     def auto_refine_period(self) -> float | None:
         """HMTP always refines; it needs it to converge."""

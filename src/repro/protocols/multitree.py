@@ -23,6 +23,7 @@ spare degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 
 from repro.sim.network import Underlay
@@ -199,7 +200,9 @@ class StripedSession:
         base_factory = self.agent_factory
 
         def make(node_id, env, *, degree_limit, rng=None):
-            stripe_rng = spawn_rng(self.config.seed, "stripe", stripe, node_id)
+            stripe_rng = partial(
+                spawn_rng, self.config.seed, "stripe", stripe, node_id
+            )
             return base_factory(
                 node_id, env, degree_limit=degree_limit, rng=stripe_rng
             )

@@ -61,6 +61,7 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from repro.factories import vdm
 from repro.harness.chaos import ServiceChaosRule, load_service_plan
@@ -309,7 +310,7 @@ class ServiceRuntime:
             self.source,
             self.env,
             degree_limit=degree,
-            rng=spawn_rng(self.config.seed, "agent", self.source),
+            rng=partial(spawn_rng, self.config.seed, "agent", self.source),
         )
         self.env.register(agent)
 
@@ -517,7 +518,7 @@ class ServiceRuntime:
             node,
             self.env,
             degree_limit=degree,
-            rng=spawn_rng(cfg.seed, "agent", node, arrival.index),
+            rng=partial(spawn_rng, cfg.seed, "agent", node, arrival.index),
         )
         self.env.register(agent)
         self._queued.discard(node)

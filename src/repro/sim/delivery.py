@@ -168,7 +168,9 @@ class DeliveryAccountant:
             self._refresh(member, time)
 
     def _refresh(self, node: int, time: float) -> None:
-        ledger = self._ledger.setdefault(node, _NodeLedger())
+        ledger = self._ledger.get(node)
+        if ledger is None:
+            ledger = self._ledger[node] = _NodeLedger()
         if self.tree.is_reachable(node):
             if not ledger.lifetime.is_open:
                 ledger.lifetime.open(time)

@@ -31,6 +31,7 @@ recovery time is bounded by protocol behaviour, not by lost notifications.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
@@ -173,26 +174,57 @@ class FaultPlan:
         check_positive("burst_duration_s", self.burst_duration_s)
         check_probability("burst_loss_rate", self.burst_loss_rate)
 
-    def touches_messages(self) -> bool:
-        """Whether this plan can drop, duplicate or delay a message leg.
+    def message_windows(self) -> tuple[tuple[float, float], ...]:
+        """Closed virtual-time intervals in which a message leg can be touched.
 
-        A plan that cannot (crashes, freezes and domain outages only — and
-        the noop plan) is *message-inert*: its
-        :meth:`FaultInjector.delivery_delays` would return
-        ``(base_delay + 0.0,)`` for every leg without drawing from the
-        RNG, so the injector leaves the runtime's per-message hook
-        uninstalled and delivery stays on the tuple fast path.
+        Derived from the plan alone, merged and sorted.  At any instant
+        strictly outside all of them :meth:`FaultInjector.delivery_delays`
+        returns ``(base_delay,)`` for every leg and draws nothing from
+        its RNG, so the runtime may deliver without asking it:
+
+        * an always-on rate (drop, duplicate, jitter, reply loss) can act
+          from ``0`` until ``active_until_s`` (for ever when that is
+          ``None``);
+        * a partition from ``partition_at_s`` to ``partition_heal_s`` —
+          both ends included, so a leg sharing its instant with the
+          partition or heal event is judged by the injector's own flag,
+          whichever of the two the engine fires first;
+        * a loss burst from ``burst_at_s`` until it ends or the plan goes
+          inactive, whichever comes first.
         """
-        return any(
-            (
-                self.drop_rate,
-                self.duplicate_rate,
-                self.jitter_ms,
-                self.reply_loss_rate,
-                self.partition_at_s is not None,
-                self.burst_at_s is not None and self.burst_loss_rate > 0.0,
+        until = math.inf if self.active_until_s is None else self.active_until_s
+        spans = []
+        if (
+            self.drop_rate
+            or self.duplicate_rate
+            or self.jitter_ms
+            or self.reply_loss_rate
+        ):
+            spans.append((0.0, until))
+        if self.partition_at_s is not None:
+            spans.append((self.partition_at_s, self.partition_heal_s))
+        if self.burst_at_s is not None and self.burst_loss_rate > 0.0:
+            spans.append(
+                (self.burst_at_s, min(self.burst_at_s + self.burst_duration_s, until))
             )
-        )
+        merged: list[tuple[float, float]] = []
+        for lo, hi in sorted(spans):
+            if lo > hi:
+                continue  # a burst that starts after the plan went inactive
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        return tuple(merged)
+
+    def touches_messages(self) -> bool:
+        """Whether this plan can ever drop, duplicate or delay a message leg.
+
+        A plan with no :meth:`message_windows` (crashes, freezes and
+        domain outages only — and the noop plan) is *message-inert*: the
+        injector leaves the runtime's per-message hook uninstalled.
+        """
+        return bool(self.message_windows())
 
     def is_noop(self) -> bool:
         """Whether this plan injects no faults at all."""
@@ -322,7 +354,9 @@ class FaultInjector:
     (the runtime's per-message delivery hook) — and subscribes to the tree
     registry so crashes committed late (a connection request already in
     flight when the sender died) and orphans created by lost leave notices
-    are still detected.
+    are still detected.  :attr:`message_windows` publishes the plan's
+    :meth:`~FaultPlan.message_windows`; the runtime hands
+    :meth:`delivery_delays` only the legs that fall inside one.
 
     The session drives the churn-plane faults through
     :meth:`crash_instead_of_leave` and :meth:`after_join`.
@@ -341,7 +375,14 @@ class FaultInjector:
         self.plan = plan
         self.env = env
         self.on_crash = on_crash
+        self.message_windows = plan.message_windows()
         self._rng_msg = spawn_rng(plan.seed, "faults", "msg")
+        # The message stream is read through a block buffer, like the
+        # runtime's measurement noise: ``random()`` and ``uniform(0, j)``
+        # each consume exactly one double of the stream, so serving both
+        # from ``random(256)`` blocks is bit-for-bit the per-call sequence.
+        self._msg_buf: list[float] = []
+        self._msg_pos = 0
         self._rng_life = spawn_rng(plan.seed, "faults", "life")
         self.log: deque[FaultEvent] = deque(maxlen=self.LOG_LEN)
         self.counts: Counter[str] = Counter()
@@ -358,7 +399,7 @@ class FaultInjector:
         if plan.needs_domains():
             self._domains = self._resolve_domains()
         env.faults = self
-        if plan.touches_messages():
+        if self.message_windows:
             env.message_faults = self
         env.tree.add_listener(self._on_tree_event)
         self._schedule_correlated()
@@ -450,25 +491,34 @@ class FaultInjector:
             return ()
         if not self._active():
             return (base_delay,)
-        rng = self._rng_msg
-        if self._burst_active() and rng.random() < plan.burst_loss_rate:
+        draw = self._draw
+        if self._burst_active() and draw() < plan.burst_loss_rate:
             self._log_leg("burst-drop", leg, msg, src, dst)
             return ()
-        if plan.drop_rate > 0.0 and rng.random() < plan.drop_rate:
+        if plan.drop_rate > 0.0 and draw() < plan.drop_rate:
             self._log_leg("drop", leg, msg, src, dst)
             return ()
         if (
             leg == "reply"
             and plan.reply_loss_rate > 0.0
-            and rng.random() < plan.reply_loss_rate
+            and draw() < plan.reply_loss_rate
         ):
             self._log_leg("reply-loss", leg, msg, src, dst)
             return ()
         delays = [base_delay + self._jitter()]
-        if plan.duplicate_rate > 0.0 and rng.random() < plan.duplicate_rate:
+        if plan.duplicate_rate > 0.0 and draw() < plan.duplicate_rate:
             self._log_leg("duplicate", leg, msg, src, dst)
             delays.append(base_delay + self._jitter())
         return tuple(delays)
+
+    def _draw(self) -> float:
+        """The next double of the message stream, in stream order."""
+        pos = self._msg_pos
+        if pos == len(self._msg_buf):
+            self._msg_buf = self._rng_msg.random(256).tolist()
+            pos = 0
+        self._msg_pos = pos + 1
+        return self._msg_buf[pos]
 
     def _log_leg(self, kind: str, leg: str, msg: "Message", src: int, dst: int) -> None:
         # Formats the label only on the rare faulted leg, never per message.
@@ -477,7 +527,8 @@ class FaultInjector:
     def _jitter(self) -> float:
         if self.plan.jitter_ms <= 0.0:
             return 0.0
-        return float(self._rng_msg.uniform(0.0, self.plan.jitter_ms)) / 1000.0
+        # ``Generator.uniform(0.0, j)`` is ``0.0 + j * next_double``.
+        return (0.0 + self.plan.jitter_ms * self._draw()) / 1000.0
 
     def _burst_active(self) -> bool:
         plan = self.plan

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -302,7 +303,7 @@ class MulticastSession:
             self.source,
             self.env,
             degree_limit=degree,
-            rng=spawn_rng(cfg.seed, "agent", self.source),
+            rng=partial(spawn_rng, cfg.seed, "agent", self.source),
         )
         self.env.register(agent)
 
@@ -316,7 +317,11 @@ class MulticastSession:
             node,
             self.env,
             degree_limit=degree,
-            rng=spawn_rng(self.config.seed, "agent", node, self.sim.events_processed),
+            # The stream's key path, not the stream (OverlayAgent.rng):
+            # most agents never draw.
+            rng=partial(
+                spawn_rng, self.config.seed, "agent", node, self.sim.events_processed
+            ),
         )
         self.env.register(agent)
         self._active.add(node)

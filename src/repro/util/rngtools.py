@@ -11,19 +11,29 @@ per-component generators with :func:`spawn_rng` so that
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["rng_from_seed", "spawn_rng"]
+__all__ = ["RngLike", "rng_from_seed", "spawn_rng"]
+
+#: what :func:`rng_from_seed` turns into a Generator
+RngLike = int | np.random.Generator | Callable[[], np.random.Generator] | None
 
 
-def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator:
+def rng_from_seed(seed: RngLike) -> np.random.Generator:
     """Coerce ``seed`` into a Generator.
 
     ``None`` produces a nondeterministic generator; an existing Generator is
-    returned unchanged; anything else is treated as an integer seed.
+    returned unchanged; a zero-argument callable is a *deferred* stream —
+    typically ``functools.partial(spawn_rng, seed, *keys)``, handed over by
+    a caller that knows the key path but not whether anyone will draw — and
+    is built here; anything else is treated as an integer seed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if callable(seed):
+        return seed()
     return np.random.default_rng(seed)
 
 

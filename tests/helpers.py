@@ -23,6 +23,21 @@ def line_matrix(positions: list[float]) -> np.ndarray:
     return np.abs(pos[:, None] - pos[None, :])
 
 
+def session_result_bytes(result) -> tuple:
+    """Everything of a ``SessionResult`` that two wirings of one session
+    must agree on, down to the engine's counters."""
+    return (
+        repr(result.records),
+        repr(result.join_records),
+        sorted(result.fault_counts.items()),
+        result.recovery_times,
+        result.runtime.sim.events_processed,
+        result.runtime.sim.events_scheduled,
+        sorted(result.runtime.message_counts.items()),
+        sorted(result.runtime.tree.parent.items()),
+    )
+
+
 def save_fault_fixture(
     path: Path, plan: FaultPlan, session: dict, *, comment: str = ""
 ) -> None:

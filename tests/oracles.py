@@ -224,10 +224,22 @@ class IdentityLegs:
     """A ``message_faults`` hook that touches nothing: every leg is
     delivered once, after exactly its propagation delay.
 
-    Assigned to ``env.message_faults`` it forces ``tell`` onto
-    ``schedule_in`` Events and ``request`` onto the eager cancellable
-    timeout, so a run with it and a run without must be indistinguishable.
+    It publishes no ``message_windows``, so the runtime asks it about
+    every leg for ever: assigned to ``env.message_faults`` it forces
+    ``tell`` and ``request`` onto the eager path (every leg through the
+    hook, a cancellable timeout ``Event`` queued per request), and a run
+    with it and a run without must be indistinguishable.
     """
 
     def delivery_delays(self, src, dst, msg, delay, *, leg):
         return (delay,)
+
+
+class NoWindows:
+    """``hook`` with its ``message_windows`` hidden: the runtime hands it
+    every leg of the session instead of only the legs inside a window —
+    what a real injector's windowed run must be indistinguishable from.
+    """
+
+    def __init__(self, hook):
+        self.delivery_delays = hook.delivery_delays

@@ -47,6 +47,24 @@ class TestPerfectDelivery:
         assert stats.loss_rate == 0.0
 
 
+    def test_one_ledger_is_built_per_node_not_per_refresh(self, monkeypatch):
+        from repro.sim import delivery
+
+        built = []
+        ledger_cls = delivery._NodeLedger
+        monkeypatch.setattr(
+            delivery, "_NodeLedger", lambda: built.append(1) or ledger_cls()
+        )
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        tree.attach(2, 1, 0.0)
+        tree.depart(1, 50.0)  # refreshes 2
+        tree.attach(2, 0, 60.0)  # and again
+        tree.attach(3, 2, 70.0)
+        tree.sever(2, 80.0)  # refreshes 2 and 3
+        assert len(built) == len(acct.tracked_nodes()) == 3
+
+
 class TestChurnOutage:
     def test_orphan_gap_counts_as_loss(self):
         _, tree, acct = make_world()

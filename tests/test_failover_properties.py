@@ -91,7 +91,20 @@ def _run_checked(plan_name: str, session_seed: int, churn: float):
     original = FailoverManager.try_switch
     FailoverManager.try_switch = _checked_try_switch(original, switches)
     try:
-        result = MulticastSession(underlay, factories.vdm(), cfg).run()
+        session = MulticastSession(underlay, factories.vdm(), cfg)
+        manager = session.env.failover
+
+        def holders_mirror_backups(*_event):
+            # the reverse map the manager refreshes from, after every
+            # mutation it has just digested
+            inverse: dict[int, set[int]] = {}
+            for node, backup in manager.backups.items():
+                if backup is not None:
+                    inverse.setdefault(backup, set()).add(node)
+            assert {b: h for b, h in manager._holders.items() if h} == inverse
+
+        session.env.tree.add_listener(holders_mirror_backups)
+        result = session.run()
     finally:
         FailoverManager.try_switch = original
     return result, switches

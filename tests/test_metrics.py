@@ -1,6 +1,10 @@
 """Tests for the metric collectors and replication statistics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,45 @@ class TestStats:
         sd = math.sqrt(5.0 / 3.0)
         s = mean_ci(vals, confidence=0.90)
         assert s.ci_halfwidth == pytest.approx(2.353363 * sd / 2.0, rel=1e-4)
+
+    # two-sided Student-t critical values, as printed in any t-table
+    T_TABLE = {
+        (1, 0.90): 6.314, (1, 0.95): 12.706, (1, 0.99): 63.657,
+        (2, 0.90): 2.920, (2, 0.95): 4.303, (2, 0.99): 9.925,
+        (4, 0.90): 2.132, (4, 0.95): 2.776, (4, 0.99): 4.604,
+        (9, 0.90): 1.833, (9, 0.95): 2.262, (9, 0.99): 3.250,
+        (31, 0.90): 1.696, (31, 0.95): 2.040, (31, 0.99): 2.744,
+        (120, 0.90): 1.658, (120, 0.95): 1.980, (120, 0.99): 2.617,
+    }
+
+    @pytest.mark.parametrize(("df", "confidence"), sorted(T_TABLE))
+    def test_halfwidth_is_the_t_table_value_times_the_standard_error(
+        self, df, confidence
+    ):
+        n = df + 1
+        vals = [float(v) for v in range(n)]
+        sem = math.sqrt(n * (n + 1) / 12.0 / n)  # var of 0..n-1 is n(n+1)/12
+        s = mean_ci(vals, confidence)
+        assert s.ci_halfwidth / sem == pytest.approx(
+            self.T_TABLE[df, confidence], abs=5e-4
+        )
+
+    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+        """``mean_ci`` needs one quantile function; all of ``scipy.stats``
+        costs ~0.4 s of start-up and ~35 MiB resident in every process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.harness, repro.service; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
