@@ -24,7 +24,6 @@ List everything::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shlex
 import sys
@@ -77,36 +76,11 @@ def main(argv: list[str] | None = None) -> int:
         "consistent backup parents, local switch on parent death)",
     )
     parser.add_argument(
-        "--perf-report",
-        nargs="?",
-        const="BENCH_PR6.json",
-        default=None,
-        metavar="PATH",
-        help="time experiment groups (lazy baseline / cold compile / warm "
-        "cache / batched engine / parallel) and write a JSON perf "
-        "snapshot (default path: BENCH_PR6.json)",
-    )
-    parser.add_argument(
         "--no-substrate-cache",
         action="store_true",
         help="disable the on-disk compiled-substrate cache for this run "
         "(substrates are still compiled in memory; equivalent to "
         "REPRO_SUBSTRATE_CACHE=0)",
-    )
-    parser.add_argument(
-        "--perf-groups",
-        default=None,
-        metavar="G1,G2,...",
-        help="comma-separated experiment groups for --perf-report "
-        "(default: ch3_churn,ch3_degree,ch5_churn)",
-    )
-    parser.add_argument(
-        "--perf-reps",
-        type=int,
-        default=None,
-        metavar="N",
-        help="timing repetitions per mode for --perf-report (default: "
-        "REPRO_PERF_REPS or 5; the report records the value used)",
     )
     parser.add_argument(
         "--sample-tree",
@@ -151,26 +125,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.sample_tree:
         print(ch5_sample_tree(PRESETS[args.preset], transatlantic=args.eu))
-        return 0
-
-    if args.perf_report is not None:
-        from repro.harness.perfreport import generate_perf_report
-
-        groups = (
-            [g.strip() for g in args.perf_groups.split(",") if g.strip()]
-            if args.perf_groups
-            else None
-        )
-        default_jobs = min(4, os.cpu_count() or 1)
-        report = generate_perf_report(
-            PRESETS[args.preset],
-            jobs=args.jobs if args.jobs is not None else default_jobs,
-            groups=groups,
-            path=args.perf_report,
-            reps=args.perf_reps,
-        )
-        print(json.dumps(report, indent=2))
-        print(f"\nperf snapshot written to {args.perf_report}", file=sys.stderr)
         return 0
 
     if not args.figures:

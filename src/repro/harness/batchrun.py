@@ -131,7 +131,7 @@ def cell_batch(spec: CellSpec):
 
     Returns a callable ``batch(pending) -> {rep: reduced metrics} | None``
     fitting :func:`repro.harness.parallel.run_replications`.  The hook
-    re-reads ``REPRO_BATCHED_REPS`` on every call (the perf report flips
+    re-reads ``REPRO_BATCHED_REPS`` on every call (the benchmark flips
     it between timed modes within one process) and reduces each session
     with ``spec.metrics`` exactly as the scalar worker does, so a batched
     result is bit-identical to the scalar worker's return value.

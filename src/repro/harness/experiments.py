@@ -89,7 +89,7 @@ GROUP_TIMINGS: dict[tuple[str, str, str, str], float] = {}
 
 def clear_cache() -> None:
     """Drop cached sweep results, substrate memos, the batched cells that
-    pin those substrates, and timings (tests and the perf report use
+    pin those substrates, and timings (tests and the benchmark use
     this)."""
     _CACHE.clear()
     GROUP_TIMINGS.clear()
@@ -153,8 +153,7 @@ def _hmtp_spec(refine_period_s: float) -> ProtocolSpec:
 # warm process usually means mmap-loading shared read-only arrays rather
 # than regenerating the topology.  ``clear_cache`` drops only in-process
 # state — the disk cache is content-addressed and never stale by
-# construction, so timed cold runs must point REPRO_CACHE_DIR elsewhere
-# (harness/perfreport.py does exactly that).
+# construction, so timed cold runs must point REPRO_CACHE_DIR elsewhere.
 
 
 @lru_cache(maxsize=32)

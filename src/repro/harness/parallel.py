@@ -28,8 +28,7 @@ method where available, overridable via ``REPRO_START_METHOD``), so
 per-process substrate memos stay warm across sweep points.  The pool is
 recreated whenever the requested worker count *or* the resolved start
 method changes, so a test forcing ``spawn`` never inherits a stale fork
-pool.  :func:`shutdown_pool` tears it down — the perf report uses that
-to keep timed runs honest.
+pool.  :func:`shutdown_pool` tears it down.
 """
 
 from __future__ import annotations

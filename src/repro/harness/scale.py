@@ -37,7 +37,7 @@ host — once per joining member, once per pivot whose children a
 decision has to place — and the handle gathers that host's distances to
 a short list of targets as Python floats:
 
-* exact sparse substrates: the host's attachment-router Dijkstra row,
+* sparse substrates: the host's attachment-router Dijkstra row,
   read with ``row.item`` in ``delay_ms``'s own float association
   (``2.0 * ((acc_a + dist) + acc_b)``), with a
   :class:`repro.sim.sparse.RowPlan` fed the full join order up front so
@@ -151,8 +151,8 @@ class _PairQueries:
     Serves every underlay, installs no plan and keeps no state of its
     own.  ``kernel="scalar"`` selects it everywhere (it is the oracle the
     row sources are tested against); underlays that serve no rows — the
-    lazy engine, landmark mode, sparse host ids — get it under either
-    kernel.  ``rtt_ms`` / ``delay_ms`` raise ``NetworkXNoPath`` themselves.
+    lazy engine, sparse host ids — get it under either kernel.
+    ``rtt_ms`` / ``delay_ms`` raise ``NetworkXNoPath`` themselves.
     """
 
     def __init__(self, underlay: Underlay) -> None:
@@ -298,15 +298,11 @@ def _finite(values: list[float], a: int) -> list[float]:
     return values
 
 
-def _sparse_exact_indexed(underlay: Underlay):
-    """The underlay as an exact, index-addressed SparseUnderlay, or None."""
+def _sparse_indexed(underlay: Underlay):
+    """The underlay as an index-addressed SparseUnderlay, or None."""
     from repro.sim.sparse import SparseUnderlay
 
-    if (
-        isinstance(underlay, SparseUnderlay)
-        and underlay.exact
-        and underlay._ids_are_indices
-    ):
+    if isinstance(underlay, SparseUnderlay) and underlay._ids_are_indices:
         return underlay
     return None
 
@@ -321,7 +317,7 @@ def _walk_distances(
 ) -> _PairQueries:
     """Where the join walk's distances come from on this underlay."""
     if kernel != "scalar":
-        sparse = _sparse_exact_indexed(underlay)
+        sparse = _sparse_indexed(underlay)
         if sparse is not None:
             return _SparseRows(sparse, n_members, block=prefetch_block)
         # The compiled engine's host-delay matrix, valid whenever its
@@ -537,7 +533,7 @@ def prim_mst_parents(
     (the source).  Deterministic: ``argmin`` takes the lowest index among
     ties.
 
-    On exact sparse underlays the rows are planned the way the join
+    On sparse underlays the rows are planned the way the join
     walk's are: Prim touches every member's row exactly once (whenever
     that member enters the tree), so a plan over the attachment routers
     in host order computes the same rows the demand path would, just in
@@ -553,7 +549,7 @@ def prim_mst_parents(
             f"underlay has {len(hosts)} hosts, cannot span {n_members}"
         )
     _check_kernel(kernel)
-    sparse = _sparse_exact_indexed(underlay) if kernel != "scalar" else None
+    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
     if sparse is not None:
         return _prim_mst_sparse_batched(sparse, n_members)
     return _prim_mst_scalar(underlay, n_members)
@@ -668,7 +664,7 @@ def scale_tree_metrics(
     ``-1`` (the root), every member reachable from it — anything else is
     a ``ValueError`` before the underlay is asked a thing.
 
-    On exact sparse underlays (unless ``kernel="scalar"``) overlay delays
+    On sparse underlays (unless ``kernel="scalar"``) overlay delays
     and physical paths come off the Dijkstra rows themselves, planned in
     the DFS's own visit order: a handle per internal node instead of a
     ``delay_ms`` call per edge, predecessor chains instead of
@@ -681,7 +677,7 @@ def scale_tree_metrics(
     children, order = _dfs_order(parents)
     n = len(children)
     source = order[0]
-    sparse = _sparse_exact_indexed(underlay) if kernel != "scalar" else None
+    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
     if sparse is None:
         rows = _PairQueries(underlay)
     else:

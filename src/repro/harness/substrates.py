@@ -6,17 +6,20 @@ pool filtered down to working nodes, with the source at a Colorado-like
 site.  These builders package that setup (and its seeding discipline) so
 experiments and tests share one code path.
 
-Since PR 4 both builders route through the substrate compilation layer:
-the transit-stub path returns a :class:`~repro.sim.compiled.CompiledUnderlay`
-(one batched all-pairs Dijkstra, dense delay/error matrices) and both
-consult the content-addressed artifact cache of
-:mod:`repro.util.artifacts`, keyed by the complete build recipe, so a
-warm cache skips topology generation and compilation entirely and loads
-memory-mapped arrays instead.  ``REPRO_COMPILED_UNDERLAY=0`` restores the
-lazy :class:`~repro.sim.network.RouterUnderlay` path (and bypasses the
-cache); ``REPRO_SUBSTRATE_CACHE=0`` keeps compilation but disables the
-disk cache.  Compiled and lazy substrates answer every query
-byte-identically — ``tests/test_compiled_underlay.py`` pins that.
+Which router-graph engine serves a run is decided here, by the caller,
+from the input size: the transit-stub builder returns a
+:class:`~repro.sim.compiled.CompiledUnderlay` (one batched all-pairs
+Dijkstra, dense delay/error matrices), or — for callers that pass
+``sparse=True`` because their substrate outgrows V² memory — a
+:class:`~repro.sim.sparse.SparseUnderlay` (CSR triplets, Dijkstra rows on
+demand).  Both engines are exact: they answer every query
+byte-identically to each other and to the lazy
+:class:`~repro.sim.network.RouterUnderlay` the tests build from the same
+three RNG streams (``tests/helpers.py``).  Every builder consults the
+content-addressed artifact cache of :mod:`repro.util.artifacts`, keyed by
+the complete build recipe, so a warm cache skips topology generation and
+compilation entirely and loads memory-mapped arrays instead;
+``REPRO_SUBSTRATE_CACHE=0`` disables the disk cache.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.compiled import ARTIFACT_SCHEMA, CompiledUnderlay
-from repro.sim.network import MatrixUnderlay, RouterUnderlay
-from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay, select_landmarks
+from repro.sim.network import MatrixUnderlay, Underlay
+from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay
 from repro.topology.geo import GeoSite
 from repro.topology.linkmodel import (
     LinkErrorConfig,
@@ -43,17 +46,11 @@ from repro.topology.transit_stub import (
     stub_routers,
 )
 from repro.util import artifacts
-from repro.util.envflags import (
-    compiled_underlay_enabled,
-    sparse_underlay_enabled,
-    substrate_dtype,
-)
 from repro.util.rngtools import spawn_rng
 
 __all__ = [
     "build_transit_stub_underlay",
     "build_planetlab_underlay",
-    "default_landmark_count",
     "PlanetLabSubstrate",
 ]
 
@@ -77,7 +74,7 @@ def build_transit_stub_underlay(
     link_errors: LinkErrorConfig | None = None,
     access_delay_ms: float = 0.5,
     sparse: bool | None = None,
-) -> RouterUnderlay:
+) -> Underlay:
     """Generate a transit-stub graph and attach ``n_hosts`` overlay hosts.
 
     Hosts get ids ``0..n_hosts-1`` and are attached to stub routers chosen
@@ -85,21 +82,15 @@ def build_transit_stub_underlay(
     sweep exceeds the stub-router count, at which point routers are
     shared).  Pass ``link_errors`` to enable the Chapter 4 loss model.
 
-    Returns a :class:`CompiledUnderlay` (possibly loaded straight from the
-    artifact cache) unless ``REPRO_COMPILED_UNDERLAY=0``, in which case
-    the historical lazy :class:`RouterUnderlay` is built instead.
-
-    ``sparse=True`` (or ``REPRO_SPARSE_UNDERLAY=1``) builds a
-    :class:`~repro.sim.sparse.SparseUnderlay` instead: CSR edge triplets
-    and on-demand Dijkstra rows, never a V^2 matrix — the only substrate
-    path that scales past ~10k routers.  Exact sparse substrates answer
-    every query byte-identically to the dense and lazy paths.
+    Returns a :class:`CompiledUnderlay`, or with ``sparse=True`` a
+    :class:`~repro.sim.sparse.SparseUnderlay`: CSR edge triplets and
+    on-demand Dijkstra rows, never a V^2 matrix — the only substrate path
+    that scales past ~10k routers.  Either may be loaded straight from
+    the artifact cache, and both answer every query byte-identically.
     """
     if n_hosts < 2:
         raise ValueError(f"need at least 2 hosts, got {n_hosts}")
     config = ts_config or TransitStubConfig()
-    if sparse is None:
-        sparse = sparse_underlay_enabled()
     if sparse:
         return _build_sparse_transit_stub(
             n_hosts=n_hosts,
@@ -109,18 +100,10 @@ def build_transit_stub_underlay(
             access_delay_ms=access_delay_ms,
         )
 
-    if not compiled_underlay_enabled():
-        graph = generate_transit_stub(config, seed=spawn_rng(seed, "topology"))
-        if link_errors is not None:
-            assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
-        attachments = _transit_stub_attachments(graph, n_hosts, seed)
-        return RouterUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
-
     key = artifacts.artifact_key(
         {
             "kind": "transit-stub",
             "schema": ARTIFACT_SCHEMA,
-            "dtype": substrate_dtype(),
             "ts_config": config,
             "link_errors": link_errors,
             "seed": int(seed),
@@ -147,11 +130,6 @@ def build_transit_stub_underlay(
     return underlay
 
 
-def default_landmark_count(n_routers: int) -> int:
-    """Landmark budget for sparse substrates: ~sqrt(V), clamped to [8, 64]."""
-    return max(8, min(64, int(round(n_routers**0.5))))
-
-
 def _build_sparse_transit_stub(
     *,
     n_hosts: int,
@@ -164,10 +142,8 @@ def _build_sparse_transit_stub(
 
     The topology generator, the error-assignment draws, and the host
     attachment draws all consume the same RNG streams as the dense path,
-    so an exact sparse substrate is query-for-query byte-identical to the
-    compiled/lazy builds of the same recipe.  Landmarks are always
-    selected and persisted; whether they are *used* is decided at
-    construction time by ``REPRO_SPARSE_EXACT`` (default: never).
+    so a sparse substrate is query-for-query byte-identical to the
+    compiled build of the same recipe.
     """
     key = artifacts.artifact_key(
         {
@@ -202,9 +178,6 @@ def _build_sparse_transit_stub(
     rng = spawn_rng(seed, "attach")
     routers = rng.choice(stubs, size=n_hosts, replace=n_hosts > len(stubs))
     attachments = {host: int(r) for host, r in enumerate(routers)}
-    landmarks = select_landmarks(
-        arr.n_nodes, arr.edge_u, arr.edge_v, default_landmark_count(arr.n_nodes)
-    )
     underlay = SparseUnderlay(
         arr.n_nodes,
         arr.edge_u,
@@ -214,7 +187,6 @@ def _build_sparse_transit_stub(
         access_delay_ms=access_delay_ms,
         edge_error=edge_error,
         router_domain=arr.transit_domain,
-        landmarks=landmarks,
     )
     if use_cache:
         arrays, meta = underlay.to_artifact()
@@ -293,7 +265,7 @@ def build_planetlab_underlay(
     the artifact cache: warm runs skip pool generation and the pairwise
     RTT synthesis and load the matrices with ``mmap_mode="r"``.
     """
-    use_cache = compiled_underlay_enabled() and artifacts.cache_enabled()
+    use_cache = artifacts.cache_enabled()
     key = artifacts.artifact_key(
         {
             "kind": "planetlab",

@@ -1257,8 +1257,8 @@ class JoinProcess:
        :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
        ``sim/batched.py`` (``_iterate`` / ``_probe_children`` /
        ``_redirect`` / ``_handle_conn``) must change in lock-step;
-       ``tests/test_batched_engine.py`` and the perf report's
-       byte-identity check will catch a drift.
+       ``tests/test_batched_engine.py`` and the benchmark's
+       ``sim_digest`` will catch a drift.
     """
 
     MAX_ITERATIONS = 64

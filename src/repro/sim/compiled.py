@@ -39,8 +39,7 @@ implementations remain callable on a compiled instance
 (``RouterUnderlay.delay_ms(compiled, a, b)``; they use the lazy
 per-source Dijkstra dict, which is disjoint from the compiled arrays);
 the equivalence suite in ``tests/test_compiled_underlay.py`` uses them as
-its oracle, and ``REPRO_COMPILED_UNDERLAY=0`` makes the substrate
-builders skip this class entirely.
+its oracle.
 
 Compiled arrays round-trip through :mod:`repro.util.artifacts` via
 :meth:`CompiledUnderlay.to_artifact` / :meth:`from_artifact`, so repeated
@@ -59,16 +58,12 @@ from scipy.sparse import csgraph
 from repro.sim.network import LinkId, RouterUnderlay
 from repro.sim.pathtree import LinkErrors, path_survival, walk_links
 from repro.util.artifacts import Artifact
-from repro.util.envflags import substrate_dtype
 
 __all__ = ["ARTIFACT_SCHEMA", "CompiledUnderlay"]
 
 #: version of the compiled array layout; part of every cache key, so a
 #: layout change invalidates (never misreads) existing cache entries.
-#: v2 added the per-router transit-domain array (correlated faults).
-#: v3 added the host-delay dtype knob (``REPRO_SUBSTRATE_DTYPE``) to the
-#: recorded metadata.
-ARTIFACT_SCHEMA = 3
+ARTIFACT_SCHEMA = 4
 
 
 class CompiledUnderlay(RouterUnderlay):
@@ -131,14 +126,6 @@ class CompiledUnderlay(RouterUnderlay):
         # association of the lazy ``delay_ms``, so values match bit for bit.
         hdelay = (acc[:, None] + dist[np.ix_(host_rows, host_cols)]) + acc[None, :]
         np.fill_diagonal(hdelay, 0.0)
-        # ``REPRO_SUBSTRATE_DTYPE=float32`` halves the dominant artifact
-        # array for scale runs.  The default (float64) is the only dtype
-        # inside the byte-identity envelope: narrowed delay values no
-        # longer match the lazy scalar oracle, so the perf report refuses
-        # to time narrowed runs (same decline pattern as approximations).
-        self._dtype = np.dtype(substrate_dtype())
-        if self._dtype != np.float64:
-            hdelay = hdelay.astype(self._dtype)
         self._hdelay = hdelay
 
         edge_errors = [
@@ -355,7 +342,6 @@ class CompiledUnderlay(RouterUnderlay):
             "zero_error": self._zero_error,
             "has_link_errors": has_link_errors,
             "maybe_unreachable": self._maybe_unreachable,
-            "dtype": str(self._hdelay.dtype),
         }
         return arrays, meta
 
@@ -418,7 +404,6 @@ class CompiledUnderlay(RouterUnderlay):
         self._bdist = arrays["router_dist"]
         self._bpred = arrays["router_pred"]
         self._hdelay = arrays["host_delay"]
-        self._dtype = np.dtype(meta.get("dtype", "float64"))
         self._zero_error = bool(meta["zero_error"])
         self._maybe_unreachable = bool(meta["maybe_unreachable"])
         self._set_domain_map(

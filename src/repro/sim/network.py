@@ -34,6 +34,7 @@ oracle, so the two must stay bit-for-bit equivalent.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
@@ -166,8 +167,8 @@ class RouterUnderlay(Underlay):
         self.attachments = dict(attachments)
         self._hosts = sorted(self.attachments)
         self._host_idx = {h: i for i, h in enumerate(self._hosts)}
-        self._access_delay = self._per_host(access_delay_ms)
-        self._access_error = self._per_host(access_error)
+        self._access_delay = self._per_host(access_delay_ms, "access_delay_ms")
+        self._access_error = self._per_host(access_error, "access_error", 1.0)
         # Router graph in CSR form for scipy's Dijkstra (profiling showed
         # pure-python Dijkstra dominating session time at paper scale).
         self._router_ids = list(graph.nodes())
@@ -184,13 +185,25 @@ class RouterUnderlay(Underlay):
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
 
-    def _per_host(self, value: float | dict[int, float]) -> dict[int, float]:
+    def _per_host(
+        self, value: float | dict[int, float], what: str, upper: float = math.inf
+    ) -> dict[int, float]:
+        """``value`` — a scalar, or a mapping covering every host — as a
+        per-host dict whose every entry is finite and in ``[0, upper]``."""
         if isinstance(value, dict):
             missing = set(self._hosts) - set(value)
             if missing:
                 raise KeyError(f"missing per-host values for hosts {sorted(missing)}")
-            return {h: float(value[h]) for h in self._hosts}
-        return {h: float(value) for h in self._hosts}
+            values = {h: float(value[h]) for h in self._hosts}
+        else:
+            values = dict.fromkeys(self._hosts, float(value))
+        for host, v in values.items():
+            if not (math.isfinite(v) and 0.0 <= v <= upper):
+                raise ValueError(
+                    f"{what} of host {host} must be finite and in "
+                    f"[0, {upper}], got {v}"
+                )
+        return values
 
     @property
     def hosts(self) -> Sequence[int]:

@@ -9,28 +9,14 @@ store** that lives as long as the underlay does.  Peak memory is
 O(E + store · V) instead of O(V²), which is what makes 10⁵–10⁶-router
 substrates tractable.
 
-Exactness discipline (DESIGN.md §12):
-
-* **Exact mode** (the default, and forced whenever ``REPRO_SPARSE_EXACT``
-  is left at ``1``) answers every query **byte-identically** to the
-  lazy :class:`~repro.sim.network.RouterUnderlay` / dense
-  :class:`~repro.sim.compiled.CompiledUnderlay` oracles: the CSR matrix
-  holds the same canonicalized values networkx would produce, scipy's
-  Dijkstra is deterministic on it, and the float association of
-  ``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.
-  The equivalence suite in ``tests/test_sparse_underlay.py`` pins this.
-* **Landmark mode** (opt-in: construct with ``landmarks`` *and* set
-  ``REPRO_SPARSE_EXACT=0``) estimates a distance as
-  ``min_l d(u, l) + d(l, v)`` over a small landmark set — an upper bound
-  by the triangle inequality — *combined with a bounded-horizon local
-  Dijkstra* (``local_horizon_ms``): sources explore only their local
-  neighborhood, so any pair closer than the horizon is answered exactly
-  and the landmark detour only applies to long paths, where hierarchical
-  routing makes it tight.  The estimate is always an upper bound, with a
-  *declared* multiplicative ``error_bound``.  Approximate answers are
-  outside the byte-identity envelope: the perf report refuses to time
-  them (the PR 6 decline pattern), and the landmark test asserts the
-  declared bound empirically.
+Exactness discipline (DESIGN.md §12): every query is answered
+**byte-identically** to the lazy
+:class:`~repro.sim.network.RouterUnderlay` / dense
+:class:`~repro.sim.compiled.CompiledUnderlay` oracles: the CSR matrix
+holds the same canonicalized values networkx would produce, scipy's
+Dijkstra is deterministic on it, and the float association of
+``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.
+The equivalence suite in ``tests/test_sparse_underlay.py`` pins this.
 
 The per-ordered-pair memo dicts mirror the lazy underlay's but are
 *bounded*: at scale the set of queried pairs is itself O(members ·
@@ -70,16 +56,16 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import csgraph
 
-from repro.sim.network import LinkId, Underlay, _split_link
+from repro.sim.network import LinkId, RouterUnderlay, Underlay, _split_link
 from repro.sim.pathtree import routers_along, walk_links
 from repro.util.artifacts import Artifact
-from repro.util.envflags import sparse_exact, sparse_row_cache
+from repro.util.envflags import sparse_row_cache
 
-__all__ = ["SPARSE_SCHEMA", "RowPlan", "SparseUnderlay", "select_landmarks"]
+__all__ = ["SPARSE_SCHEMA", "RowPlan", "SparseUnderlay"]
 
 #: artifact layout version for sparse substrates (own keyspace; a sparse
 #: entry is never confused with a dense one — ``meta["kind"]`` differs).
-SPARSE_SCHEMA = 1
+SPARSE_SCHEMA = 2
 
 #: per-ordered-pair memo dicts self-clear at this many entries so a
 #: 100k-member walk cannot accumulate unbounded Python-dict state.
@@ -89,28 +75,6 @@ _PAIR_MEMO_CAP = 1 << 20
 #: :class:`RowPlan` block, unless :meth:`SparseUnderlay.prefetch_rows`
 #: is told otherwise (the scale walks and the bench never do).
 _PLAN_BLOCK = 64
-
-
-def select_landmarks(
-    n_routers: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    n_landmarks: int,
-) -> np.ndarray:
-    """Deterministic landmark choice: the ``n_landmarks`` highest-degree
-    routers (ties broken by ascending id).
-
-    On transit-stub graphs this lands on transit/gateway routers — the
-    hubs real hierarchical routes go through — which is what keeps the
-    empirical stretch of the ``d(u,l)+d(l,v)`` upper bound small.
-    """
-    degree = np.bincount(edge_u, minlength=n_routers) + np.bincount(
-        edge_v, minlength=n_routers
-    )
-    n_landmarks = min(int(n_landmarks), n_routers)
-    # argsort on (-degree, id): stable sort over ids then stable resort.
-    order = np.argsort(-degree, kind="stable")
-    return np.sort(order[:n_landmarks]).astype(np.int64)
 
 
 class RowPlan:
@@ -204,9 +168,7 @@ class SparseUnderlay(Underlay):
     Parameters mirror :class:`~repro.sim.network.RouterUnderlay` where
     they overlap.  ``router_domain`` (per-router transit-domain indices,
     ``-1`` = unknown) feeds :meth:`host_domain` for correlated fault
-    plans.  ``landmarks`` enables the approximation layer — which stays
-    *dormant* (exact rows) unless ``REPRO_SPARSE_EXACT=0`` at
-    construction time.
+    plans.
     """
 
     def __init__(
@@ -221,9 +183,6 @@ class SparseUnderlay(Underlay):
         access_error: float | dict[int, float] = 0.0,
         edge_error: np.ndarray | None = None,
         router_domain: np.ndarray | None = None,
-        landmarks: np.ndarray | Sequence[int] | None = None,
-        error_bound: float = 2.0,
-        local_horizon_ms: float = 60.0,
         row_cache: int | None = None,
     ) -> None:
         if not attachments:
@@ -240,8 +199,8 @@ class SparseUnderlay(Underlay):
         self.attachments = dict(attachments)
         self._hosts = sorted(self.attachments)
         self._host_idx = {h: i for i, h in enumerate(self._hosts)}
-        self._access_delay = self._per_host(access_delay_ms)
-        self._access_error = self._per_host(access_error)
+        self._access_delay = self._per_host(access_delay_ms, "access_delay_ms")
+        self._access_error = self._per_host(access_error, "access_error", 1.0)
 
         # Canonical symmetric CSR.  coo->csr sorts indices and sums
         # duplicates, exactly like ``nx.to_scipy_sparse_array`` — so for
@@ -264,24 +223,6 @@ class SparseUnderlay(Underlay):
 
         self._router_domain = (
             None if router_domain is None else np.asarray(router_domain, np.int64)
-        )
-
-        # Exactness knob: landmarks are carried either way (so one
-        # artifact serves both modes), but approximation only activates
-        # when the env flag explicitly leaves the exact envelope.
-        self._landmarks = (
-            None if landmarks is None else np.asarray(landmarks, dtype=np.int64)
-        )
-        self.error_bound = float(error_bound)
-        self.local_horizon_ms = float(local_horizon_ms)
-        self._approx = self._landmarks is not None and not sparse_exact()
-        self._ldist: np.ndarray | None = None
-        self._lpred: np.ndarray | None = None
-        # Bounded-horizon local rows (landmark mode only): a truncated
-        # Dijkstra explores just the source's neighborhood, so these are
-        # cheap at any V.
-        self._local_rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
         )
 
         # The row store: one LRU of (dist, pred | None) Dijkstra rows keyed
@@ -313,22 +254,12 @@ class SparseUnderlay(Underlay):
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _per_host(self, value: float | dict[int, float]) -> dict[int, float]:
-        if isinstance(value, dict):
-            missing = set(self._hosts) - set(value)
-            if missing:
-                raise KeyError(f"missing per-host values for hosts {sorted(missing)}")
-            return {h: float(value[h]) for h in self._hosts}
-        return {h: float(value) for h in self._hosts}
+    # One access-link rule (and one refusal) for every router-graph engine.
+    _per_host = RouterUnderlay._per_host
 
     @property
     def hosts(self) -> Sequence[int]:
         return self._hosts
-
-    @property
-    def exact(self) -> bool:
-        """Whether every answer is inside the byte-identity envelope."""
-        return not self._approx
 
     @property
     def zero_error(self) -> bool:
@@ -450,10 +381,7 @@ class SparseUnderlay(Underlay):
         Serves the scale kernels.  scipy returns bit-identical distances
         with and without ``return_predecessors`` (the equivalence suite
         pins that), so whichever kind of row the store holds answers.
-        Not available in landmark mode, which has no exact rows to give.
         """
-        if self._approx:
-            raise RuntimeError("router_dist_row requires exact mode")
         return self._lookup(router, False)[0]
 
     def row_stats(self) -> dict[str, int]:
@@ -470,72 +398,10 @@ class SparseUnderlay(Underlay):
             "pred_upgrades": self.pred_upgrades,
         }
 
-    def _landmark_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """L×V distance and predecessor matrices from every landmark."""
-        if self._ldist is None:
-            if self._landmarks is None:
-                raise RuntimeError("underlay was built without landmarks")
-            dist, pred = csgraph.dijkstra(
-                self._csr,
-                directed=False,
-                indices=self._landmarks,
-                return_predecessors=True,
-            )
-            self._ldist = dist
-            self._lpred = pred.astype(np.int32, copy=False)
-        return self._ldist, self._lpred
-
-    def _local_row(self, router: int) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, pred) of a Dijkstra truncated at ``local_horizon_ms``.
-
-        Entries beyond the horizon are ``inf``; entries within it are the
-        exact shortest-path distances.  Exploration stops at the horizon,
-        so cost scales with the neighborhood, not with V.
-        """
-        cached = self._local_rows.get(router)
-        if cached is not None:
-            self._local_rows.move_to_end(router)
-            return cached
-        dist, pred = csgraph.dijkstra(
-            self._csr,
-            directed=False,
-            indices=router,
-            return_predecessors=True,
-            limit=self.local_horizon_ms,
-        )
-        self._local_rows[router] = (dist, pred)
-        if len(self._local_rows) > self._row_cap:
-            self._local_rows.popitem(last=False)
-        return dist, pred
-
-    def _approx_distance(self, r_a: int, r_b: int) -> tuple[float, int]:
-        """(estimate, landmark-or--1): the hybrid upper bound.
-
-        ``-1`` means the bounded local search found the (exact) path;
-        otherwise the returned landmark index is the detour hub.
-        """
-        if r_a == r_b:
-            return 0.0, -1
-        local, _ = self._local_row(r_a)
-        local_d = float(local[r_b])
-        ldist, _ = self._landmark_rows()
-        sums = ldist[:, r_a] + ldist[:, r_b]
-        best = int(np.argmin(sums))
-        land_d = float(sums[best])
-        if local_d <= land_d:
-            return local_d, -1
-        return land_d, best
-
     # -- router-level queries -------------------------------------------------
 
     def router_distance(self, r_a: int, r_b: int) -> float:
-        """Shortest-path delay between two routers (estimate in landmark
-        mode — an upper bound within the declared ``error_bound``)."""
-        if self._approx:
-            est, _ = self._approx_distance(r_a, r_b)
-            if not np.isfinite(est):
-                raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-            return est
+        """Shortest-path delay between two routers."""
         dist, _ = self._row(r_a)
         value = float(dist[r_b])
         if not np.isfinite(value):
@@ -543,27 +409,12 @@ class SparseUnderlay(Underlay):
         return value
 
     def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
-        """Router link ids of one shortest path (in landmark mode: of the
-        concatenated ``a → best-landmark → b`` route the estimate
-        corresponds to)."""
-        ids = range(self.n_routers)  # router ids are the CSR indices
-        if self._approx:
-            if r_a == r_b:
-                return []
-            est, best = self._approx_distance(r_a, r_b)
-            if not np.isfinite(est):
-                raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-            if best < 0:  # the bounded local search found the exact path
-                _, lpred_local = self._local_row(r_a)
-                return walk_links(lpred_local, r_a, r_b, ids)
-            _, lpred = self._landmark_rows()
-            landmark = int(self._landmarks[best])
-            to_a = walk_links(lpred[best], landmark, r_a, ids)  # l .. a
-            return to_a[::-1] + walk_links(lpred[best], landmark, r_b, ids)
+        """Router link ids of one shortest path."""
         dist, pred = self._row(r_a)
         if not np.isfinite(dist[r_b]):
             raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        return walk_links(pred, r_a, r_b, ids)
+        # router ids are the CSR indices
+        return walk_links(pred, r_a, r_b, range(self.n_routers))
 
     def router_path(self, r_a: int, r_b: int) -> list[int]:
         """The routers of that path, ``r_a`` first."""
@@ -597,18 +448,7 @@ class SparseUnderlay(Underlay):
         if row is not None:
             self._hrows.move_to_end(a)
             return row
-        r_a = self.attachments[a]
-        if self._approx:
-            ldist, _ = self._landmark_rows()
-            cols = self._host_cols()
-            land = np.min(ldist[:, [r_a]] + ldist[:, cols], axis=0)
-            local, _ = self._local_row(r_a)
-            base = np.minimum(land, local[cols])
-            # Same-router pairs are exactly 0 in delay_ms; keep the row
-            # consistent with the per-pair estimate.
-            base[cols == r_a] = 0.0
-        else:
-            base = self.router_dist_row(r_a)[self._host_cols()]
+        base = self.router_dist_row(self.attachments[a])[self._host_cols()]
         if not np.all(np.isfinite(base)):
             return None  # unreachable pairs: callers fall back to delay_ms
         # Elementwise ``(acc_a + base) + acc_b`` — the lazy association.
@@ -715,9 +555,8 @@ class SparseUnderlay(Underlay):
         """``(arrays, meta)`` for :func:`repro.util.artifacts.store_artifact`.
 
         Stores the CSR *triplets* (upper triangle only), attachments,
-        access links, domains and — when present — the precomputed
-        landmark matrices (sharded automatically when large).  No O(V²)
-        array is ever written.
+        access links and domains: O(E + hosts) bytes, and no Dijkstra
+        runs to produce them.
         """
         coo = sp.triu(self._csr).tocoo()
         hosts = self._hosts
@@ -733,24 +572,18 @@ class SparseUnderlay(Underlay):
             "access_error": np.asarray([self._access_error[h] for h in hosts]),
         }
         if self._err_csr is not None:
-            ecoo = sp.triu(self._err_csr).tocoo()
-            arrays["edge_error_u"] = ecoo.row.astype(np.int64)
-            arrays["edge_error_v"] = ecoo.col.astype(np.int64)
-            arrays["edge_error"] = ecoo.data.astype(np.float64)
+            # Same graph, same canonical upper-triangle order as the delay
+            # triplets above, so the (u, v) pairs are not stored twice.
+            arrays["edge_error"] = sp.triu(self._err_csr).tocoo().data.astype(
+                np.float64
+            )
         if self._router_domain is not None:
             arrays["router_domain"] = self._router_domain
-        if self._landmarks is not None:
-            arrays["landmarks"] = self._landmarks
-            ldist, lpred = self._landmark_rows()
-            arrays["landmark_dist"] = ldist
-            arrays["landmark_pred"] = lpred
         meta = {
             "kind": "sparse-router",
             "schema": SPARSE_SCHEMA,
             "n_routers": self.n_routers,
             "zero_error": self._zero_error,
-            "error_bound": self.error_bound,
-            "local_horizon_ms": self.local_horizon_ms,
         }
         return arrays, meta
 
@@ -766,12 +599,7 @@ class SparseUnderlay(Underlay):
         arrays = artifact.arrays
         hosts = arrays["hosts"].tolist()
         attachments = dict(zip(hosts, arrays["host_router"].tolist()))
-        edge_error = None
-        if "edge_error" in arrays:
-            # Error triplets share the delay triplets' (u, v) pairs; both
-            # are canonical upper-triangle COO of the same graph.
-            edge_error = np.asarray(arrays["edge_error"])
-        self = cls(
+        return cls(
             int(meta["n_routers"]),
             np.asarray(arrays["edge_u"]),
             np.asarray(arrays["edge_v"]),
@@ -779,19 +607,6 @@ class SparseUnderlay(Underlay):
             attachments,
             access_delay_ms=dict(zip(hosts, arrays["access_delay"].tolist())),
             access_error=dict(zip(hosts, arrays["access_error"].tolist())),
-            edge_error=edge_error,
-            router_domain=(
-                np.asarray(arrays["router_domain"])
-                if "router_domain" in arrays
-                else None
-            ),
-            landmarks=(
-                np.asarray(arrays["landmarks"]) if "landmarks" in arrays else None
-            ),
-            error_bound=float(meta.get("error_bound", 2.0)),
-            local_horizon_ms=float(meta.get("local_horizon_ms", 60.0)),
+            edge_error=arrays.get("edge_error"),
+            router_domain=arrays.get("router_domain"),
         )
-        if "landmark_dist" in arrays:
-            self._ldist = np.asarray(arrays["landmark_dist"])
-            self._lpred = np.asarray(arrays["landmark_pred"])
-        return self

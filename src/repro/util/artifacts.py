@@ -46,8 +46,7 @@ Environment knobs (also see ``--no-substrate-cache`` on the harness CLI):
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache`` in the
   current working directory);
 * ``REPRO_SUBSTRATE_CACHE=0`` — disable reads *and* writes (substrates
-  are still compiled in memory; see ``REPRO_COMPILED_UNDERLAY`` for the
-  compilation toggle itself);
+  are still compiled in memory);
 * ``REPRO_CACHE_MAX_BYTES`` — eviction cap in bytes.
 """
 

@@ -6,19 +6,15 @@ optimization that is always on gets no switch: the plain statement of the
 answer it must reproduce lives in ``tests/`` (``tests/oracles.py``) and the
 tests compare the two directly.
 
-Substrate engines:
+Which router-graph engine serves a run is not a knob: the caller of
+:func:`repro.harness.substrates.build_transit_stub_underlay` picks it
+from the input size (``sparse=True``), and every engine is exact.  The
+artifact-cache knobs (``REPRO_CACHE_DIR``, ``REPRO_SUBSTRATE_CACHE``,
+``REPRO_CACHE_MAX_BYTES``, ``REPRO_SHARD_BYTES``) live in
+:mod:`repro.util.artifacts`.
 
-* ``REPRO_COMPILED_UNDERLAY=0`` — disable underlay compilation: the
-  substrate builders return the lazy per-source-Dijkstra
-  :class:`~repro.sim.network.RouterUnderlay` instead of a
-  :class:`~repro.sim.compiled.CompiledUnderlay`, and the PlanetLab
-  builder regenerates its pool instead of consulting the artifact cache
-  (PR 4).  The related cache knobs (``REPRO_CACHE_DIR``,
-  ``REPRO_SUBSTRATE_CACHE``, ``REPRO_CACHE_MAX_BYTES``) live in
-  :mod:`repro.util.artifacts`.
-
-Robustness work ships with knobs too (PR 5) — all inert by default so
-the fault-free hot path is unchanged:
+Robustness knobs — all inert by default so the fault-free hot path is
+unchanged:
 
 * ``REPRO_TASK_TIMEOUT_S`` — per-replication wall-clock timeout in the
   supervised pooled path of :mod:`repro.harness.supervisor`; a hung
@@ -38,38 +34,20 @@ the fault-free hot path is unchanged:
   to a JSON file) injected by the supervisor for self-tests; see
   :mod:`repro.harness.chaos`.  Unset = no chaos, zero overhead.
 
-Batched execution (PR 6):
+Batched execution:
 
 * ``REPRO_BATCHED_REPS`` — cap the replications the batched
   multi-replication engine (:mod:`repro.harness.batchrun`) takes per
   batch; ``0`` disables it entirely so every replication runs on the
   scalar oracle engine (whose output the batched mode must match byte
   for byte).  Unset = unlimited, the default.
-* ``REPRO_PERF_REPS`` — timing repetitions per mode in
-  :mod:`repro.harness.perfreport` (read there, not here; default 5).
-  Paper-preset snapshots dial it down, and the report records the
-  value used so a single-rep figure can't pose as a best-of-five.
 
-Sparse substrates (PR 8):
+Sparse substrates:
 
-* ``REPRO_SPARSE_UNDERLAY=1`` — substrate builders return the CSR-native
-  :class:`~repro.sim.sparse.SparseUnderlay` (on-demand Dijkstra rows, no
-  V^2 matrices) instead of the dense compiled artifact.  Default off:
-  the dense path stays the oracle at paper scale.
-* ``REPRO_SPARSE_EXACT`` — exactness knob for the sparse engine.  The
-  default (``1``) forces exact Dijkstra rows, byte-identical to the
-  dense/lazy oracles.  ``0`` permits the landmark approximation layer
-  for substrates built with landmarks; approximate results declare an
-  error bound and are *refused* by the perf report's byte-identity
-  check (the PR 6 decline pattern).
 * ``REPRO_SPARSE_ROWS`` — capacity (in source rows) of the sparse
   engine's LRU row store until a row plan is installed (default 128;
   minimum 4).  ``prefetch_rows(retain_bytes=…)`` can only raise it, to
   the plan's byte budget, for the rest of that underlay's life.
-* ``REPRO_SUBSTRATE_DTYPE`` — dtype of compiled delay/RTT arrays:
-  ``float64`` (default, bit-exact vs the lazy oracle) or ``float32``
-  (halves artifact bytes for scale runs; narrowed results are refused
-  by the perf-report identity oracle).
 
 Flags are read at object construction time, not per call, so a running
 session never changes behavior mid-flight.
@@ -84,13 +62,9 @@ __all__ = [
     "FLAG_REGISTRY",
     "FlagSpec",
     "batched_reps",
-    "compiled_underlay_enabled",
     "interrupt_grace_s",
     "retry_backoff_s",
-    "sparse_exact",
     "sparse_row_cache",
-    "sparse_underlay_enabled",
-    "substrate_dtype",
     "task_max_attempts",
     "task_timeout_s",
 ]
@@ -114,9 +88,6 @@ class FlagSpec:
 #: last read site was deleted).  Keep descriptions to one line; the
 #: module docstring above carries the full story.
 FLAG_REGISTRY: dict[str, FlagSpec] = {
-    "REPRO_COMPILED_UNDERLAY": FlagSpec(
-        "1", "compile substrates up front (vs lazy Dijkstra)", "repro.util.envflags"
-    ),
     "REPRO_CACHE_DIR": FlagSpec(
         "~/.cache/repro-vdm", "artifact-cache root directory", "repro.util.artifacts"
     ),
@@ -167,30 +138,11 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "unlimited", "batched-engine replication cap (0 = scalar oracle)",
         "repro.util.envflags",
     ),
-    "REPRO_PERF_REPS": FlagSpec(
-        "5", "timing repetitions per perf-report mode", "repro.harness.perfreport"
-    ),
-    "REPRO_SPARSE_UNDERLAY": FlagSpec(
-        "0", "CSR-native sparse substrates (no V^2 matrices)",
-        "repro.util.envflags",
-    ),
-    "REPRO_SPARSE_EXACT": FlagSpec(
-        "1", "pin the sparse engine to exact Dijkstra rows", "repro.util.envflags"
-    ),
     "REPRO_SPARSE_ROWS": FlagSpec(
         "128", "sparse-engine row-store capacity before any row plan",
         "repro.util.envflags",
     ),
-    "REPRO_SUBSTRATE_DTYPE": FlagSpec(
-        "float64", "compiled-substrate array dtype (float32 leaves exactness)",
-        "repro.util.envflags",
-    ),
 }
-
-
-def compiled_underlay_enabled() -> bool:
-    """Whether substrate builders compile underlays up front (default on)."""
-    return os.environ.get("REPRO_COMPILED_UNDERLAY", "1").lower() not in _FALSE_VALUES
 
 
 def batched_reps() -> int | None:
@@ -268,21 +220,6 @@ def interrupt_grace_s() -> float:
     return _positive_float("REPRO_GRACE_S", 5.0)
 
 
-def sparse_underlay_enabled() -> bool:
-    """Whether substrate builders return sparse CSR underlays (default off)."""
-    return os.environ.get("REPRO_SPARSE_UNDERLAY", "0").lower() not in _FALSE_VALUES
-
-
-def sparse_exact() -> bool:
-    """Whether the sparse engine is pinned to exact rows (default on).
-
-    ``REPRO_SPARSE_EXACT=0`` permits the landmark approximation layer on
-    underlays built with landmarks; everything produced that way is
-    outside the byte-identity envelope and declined by the perf report.
-    """
-    return os.environ.get("REPRO_SPARSE_EXACT", "1").lower() not in _FALSE_VALUES
-
-
 def sparse_row_cache() -> int:
     """Row-store capacity before any row plan (``REPRO_SPARSE_ROWS``,
     default 128)."""
@@ -298,21 +235,3 @@ def sparse_row_cache() -> int:
     if value < 4:
         raise ValueError(f"REPRO_SPARSE_ROWS must be >= 4, got {value}")
     return value
-
-
-def substrate_dtype() -> str:
-    """Compiled-substrate array dtype (``REPRO_SUBSTRATE_DTYPE``).
-
-    ``float64`` (the default) keeps compiled delay/RTT arrays bit-exact
-    against the lazy scalar oracle; ``float32`` halves artifact size for
-    scale runs at the cost of leaving the exactness envelope (the perf
-    report refuses narrowed runs).
-    """
-    raw = os.environ.get("REPRO_SUBSTRATE_DTYPE", "").strip().lower()
-    if not raw:
-        return "float64"
-    if raw not in ("float32", "float64"):
-        raise ValueError(
-            f"REPRO_SUBSTRATE_DTYPE must be float32 or float64, got {raw!r}"
-        )
-    return raw

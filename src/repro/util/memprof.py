@@ -1,14 +1,13 @@
-"""Peak-RSS measurement for perf reports and the scale benchmarks.
+"""Peak-RSS measurement for the benchmark (``bench/run.py``).
 
 Linux exposes a per-process resident-set high-water mark (``VmHWM`` in
 ``/proc/self/status``) that can be *reset* by writing ``5`` to
 ``/proc/self/clear_refs`` — which is what lets one process measure the
-peak RSS of each timed mode independently instead of reporting one
+peak RSS of each timed phase independently instead of reporting one
 monotonically growing number.  Where either file is unavailable (non-
 Linux, restricted /proc) the fallback is ``resource.getrusage``'s
-``ru_maxrss``, which cannot be reset; callers can detect that via
-:func:`peak_rss_resettable` and interpret the figures as process-lifetime
-maxima.
+``ru_maxrss``, which cannot be reset; :func:`reset_peak_rss` says so by
+returning ``False``, and the figures are then process-lifetime maxima.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ from __future__ import annotations
 import resource
 import sys
 
-__all__ = [
-    "current_rss_bytes",
-    "peak_rss_bytes",
-    "peak_rss_resettable",
-    "reset_peak_rss",
-]
+__all__ = ["peak_rss_bytes", "reset_peak_rss"]
 
 _STATUS = "/proc/self/status"
 _CLEAR_REFS = "/proc/self/clear_refs"
@@ -52,14 +46,6 @@ def peak_rss_bytes() -> int:
     return _ru_maxrss_bytes()
 
 
-def current_rss_bytes() -> int:
-    """Current resident set size in bytes."""
-    kib = _read_status_kib("VmRSS")
-    if kib is not None:
-        return kib * 1024
-    return _ru_maxrss_bytes()
-
-
 def reset_peak_rss() -> bool:
     """Reset the peak-RSS high-water mark; returns whether it worked.
 
@@ -74,7 +60,3 @@ def reset_peak_rss() -> bool:
         return False
     return _read_status_kib("VmHWM") is not None
 
-
-def peak_rss_resettable() -> bool:
-    """Whether per-interval peak measurement is available on this host."""
-    return reset_peak_rss()

@@ -1,8 +1,7 @@
 """Wall-clock instrumentation for the experiment harness.
 
-One tiny primitive — :class:`Stopwatch` — so every layer (experiment
-groups, the perf report, benchmarks) times work the same way and the
-numbers in ``BENCH_PR1.json``-style snapshots are comparable across PRs.
+One tiny primitive — :class:`Stopwatch` — behind the per-group build
+times :func:`repro.harness.experiments.group_timings` reports.
 """
 
 from __future__ import annotations

@@ -8,6 +8,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.sim.faults import FaultPlan
+from repro.sim.network import RouterUnderlay
+from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
+from repro.topology.transit_stub import (
+    TransitStubConfig,
+    generate_transit_stub,
+    stub_routers,
+)
+from repro.util.rngtools import spawn_rng
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -21,6 +29,32 @@ def line_matrix(positions: list[float]) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=float)
     return np.abs(pos[:, None] - pos[None, :])
+
+
+def lazy_transit_stub_underlay(
+    *,
+    n_hosts: int,
+    seed: int,
+    ts_config: TransitStubConfig | None = None,
+    link_errors: LinkErrorConfig | None = None,
+    access_delay_ms: float = 0.5,
+) -> RouterUnderlay:
+    """``build_transit_stub_underlay``'s recipe on the lazy reference
+    engine: the builder's three RNG streams (``topology``, ``errors``,
+    ``attach``) replayed into a plain :class:`RouterUnderlay`, with no
+    compilation and no artifact cache.  No builder returns this class;
+    the engine-equivalence suites get their lazy twin here."""
+    graph = generate_transit_stub(
+        ts_config or TransitStubConfig(), seed=spawn_rng(seed, "topology")
+    )
+    if link_errors is not None:
+        assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
+    stubs = stub_routers(graph)
+    routers = spawn_rng(seed, "attach").choice(
+        stubs, size=n_hosts, replace=n_hosts > len(stubs)
+    )
+    attachments = {host: int(r) for host, r in enumerate(routers)}
+    return RouterUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
 
 
 def session_result_bytes(result) -> tuple:

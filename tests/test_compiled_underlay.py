@@ -1,12 +1,13 @@
 """CompiledUnderlay equivalence: compiled answers == lazy answers, bit for bit.
 
-The compilation layer (PR 4) is only allowed to change *when* shortest
-paths are computed, never *what* any query returns.  This suite pins
-that: a hypothesis sweep over random transit-stub configurations compares
-every ordered host pair across both implementations, the artifact cache
+The compilation layer is only allowed to change *when* shortest paths
+are computed, never *what* any query returns.  This suite pins that: a
+hypothesis sweep over random transit-stub configurations compares every
+ordered host pair across both implementations, the artifact cache
 round-trip is checked to be lossless, and a whole smoke-scale experiment
-group is rendered under both ``REPRO_COMPILED_UNDERLAY`` settings and
-compared as table JSON.
+group is rendered from the builder's compiled substrates and from their
+lazy twins (``tests.helpers.lazy_transit_stub_underlay``) and compared as
+table JSON.
 
 The pair-error table is compiled by one propagation down the
 shortest-path trees (``repro.sim.pathtree``).  The per-pair replay it
@@ -15,6 +16,8 @@ table must equal byte for byte.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import networkx as nx
 import numpy as np
@@ -38,6 +41,7 @@ from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
 from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
+from tests.helpers import lazy_transit_stub_underlay
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -324,14 +328,15 @@ class TestTreePropagation:
                             query(a, b)
                         assert str(raised.value) == str(expected.value)
 
-    def test_compile_replays_no_path_and_old_caches_stay_valid(
+    def test_compile_replays_no_path_and_stores_the_replay_bytes(
         self, tmp_path, monkeypatch
     ):
         """The count contract: compiling a lossy transit-stub makes 0 calls
-        to the per-pair machinery (parent: n(n-1) path walks and error
+        to the per-pair machinery (the replay: n(n-1) path walks and error
         replays, ~11 n(n-1) ``link_error`` lookups), and what it stores is
         file for file what the replay would have stored under the same
-        key — a cache directory populated before this change is hit."""
+        key.  The key is pinned with the schema: a layout change moves
+        both, so an entry of the previous layout is never looked up."""
         calls = {"_compute_path_error": 0, "link_error": 0, "walk_links": 0}
 
         def counted(name, fn):
@@ -350,7 +355,6 @@ class TestTreePropagation:
                     module, "walk_links", counted("walk_links", module.walk_links)
                 )
             patch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "new"))
-            patch.delenv("REPRO_COMPILED_UNDERLAY", raising=False)
             patch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
             built = build_transit_stub_underlay(
                 n_hosts=8,
@@ -364,8 +368,11 @@ class TestTreePropagation:
             assert all(calls.values())  # the counters do see these calls
 
         (entry,) = [p for p in (tmp_path / "new").iterdir() if p.is_dir()]
-        # the key the parent commit stored this recipe under
-        assert entry.name == (
+        assert ARTIFACT_SCHEMA == 4 and entry.name == (
+            "8d2c731b0eaff2297d962566ad2f887a7a24bb1bd78fdbc551dabf060c144a28"
+        )
+        # ... which is not where schema 3 (a ``dtype`` field) kept this recipe
+        assert entry.name != (
             "26f3259cecbd1b3396d5279cb9bb68f25946ac069eb64d854490a8df48a225ed"
         )
         arrays, meta = built.to_artifact()
@@ -378,7 +385,7 @@ class TestTreePropagation:
         )
         names = sorted(f.name for f in entry.iterdir())
         assert names == sorted(f.name for f in oracle.iterdir())
-        assert "pair_error.npy" in names and ARTIFACT_SCHEMA == 3
+        assert "pair_error.npy" in names
         for name in names:
             assert (entry / name).read_bytes() == (oracle / name).read_bytes(), name
 
@@ -466,15 +473,9 @@ class TestBuilders:
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_COMPILED_UNDERLAY", raising=False)
         monkeypatch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
 
-    def test_flag_off_restores_lazy_class(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert type(ul) is RouterUnderlay
-
-    def test_flag_on_compiles(self):
+    def test_builder_compiles(self):
         ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
         assert isinstance(ul, CompiledUnderlay)
 
@@ -495,10 +496,10 @@ class TestBuilders:
         assert isinstance(second._hdelay, np.memmap)
         _assert_equivalent(first, second)
 
-    def test_builder_matches_lazy_mode(self, monkeypatch):
+    def test_builder_matches_lazy_mode(self):
         compiled = build_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        lazy = build_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
+        lazy = lazy_transit_stub_underlay(n_hosts=7, seed=9, ts_config=TINY_TS)
+        assert type(lazy) is RouterUnderlay
         assert compiled.attachments == lazy.attachments
         _assert_equivalent(lazy, compiled)
 
@@ -509,6 +510,19 @@ class TestBuilders:
         (entry / "manifest.json").write_text("{broken")
         rebuilt = build_transit_stub_underlay(n_hosts=6, seed=2, ts_config=TINY_TS)
         assert isinstance(rebuilt, CompiledUnderlay)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_entry_of_an_older_schema_is_a_miss_not_a_crash(self, tmp_path, sparse):
+        recipe = dict(n_hosts=6, seed=2, ts_config=TINY_TS, sparse=sparse)
+        first = build_transit_stub_underlay(**recipe)
+        (entry,) = [p for p in (tmp_path / "cache").iterdir() if p.is_dir()]
+        shutil.rmtree(entry)
+        arrays, meta = first.to_artifact()
+        stale = {**meta, "schema": meta["schema"] - 1}
+        assert artifacts.store_artifact(entry.name, arrays, stale) == entry
+        rebuilt = build_transit_stub_underlay(**recipe)
+        assert isinstance(rebuilt, SparseUnderlay if sparse else CompiledUnderlay)
+        _assert_equivalent(first, rebuilt)
 
     def test_planetlab_cache_roundtrip(self):
         cold = build_planetlab_underlay(n_select=20, seed=5, n_us=60, loss_sigma=0.8)
@@ -559,10 +573,11 @@ class TestExperimentEquivalence:
             exp.clear_cache()
             return {name: tables[name].to_json() for name in sorted(tables)}
 
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "1")
         compiled_out = render()
         warm_out = render()  # second pass reads the artifact cache
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
+        monkeypatch.setattr(
+            exp, "build_transit_stub_underlay", lazy_transit_stub_underlay
+        )
         lazy_out = render()
         assert compiled_out == lazy_out
         assert warm_out == lazy_out

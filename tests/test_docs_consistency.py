@@ -1,12 +1,10 @@
-"""Docs-vs-repo consistency: every committed-snapshot name the docs and
-the harness mention exists in the repository, and every ``REPRO_*`` knob
-the docs name is one the code still reads.
+"""Docs-vs-repo consistency: the docs and the harness name no root perf
+snapshot (there are none: ``bench/`` is the one perf tool and keeps its
+baselines under ``bench/out/``), and every ``REPRO_*`` knob the docs name
+is one the code still reads.
 
-``BENCH_PR9.json`` was cited by README.md and was
-``scalebench.DEFAULT_OUT`` for five PRs without ever being committed;
-this keeps that from recurring silently.  The flag scan does the same
-for demoted flags: ``tests/test_envflags_registry.py`` ties the registry
-to the reads under ``src/``, this ties the docs to the registry.
+``tests/test_envflags_registry.py`` ties the flag registry to the reads
+under ``src/``; the flag scan here ties the docs to the registry.
 """
 
 from __future__ import annotations
@@ -32,29 +30,20 @@ def _files_naming_snapshots() -> list[Path]:
     return docs + sorted((ROOT / "src" / "repro" / "harness").glob("*.py"))
 
 
-def test_every_named_bench_snapshot_is_committed():
-    missing = {
+def test_no_root_bench_snapshot_is_named():
+    named = {
         f"{path.relative_to(ROOT)}: {name}"
         for path in _files_naming_snapshots()
         for name in _BENCH_RE.findall(path.read_text())
-        if not (ROOT / name).is_file()
     }
-    assert not missing, (
-        f"snapshot(s) named but absent from the repo root: {sorted(missing)} — "
-        "commit the file or fix the reference"
+    assert not named, (
+        f"root perf snapshot(s) named: {sorted(named)} — price performance "
+        "with bench/run.py and bench/compare.py instead"
     )
-
-
-def test_the_scan_sees_the_names_it_guards():
     # Spot-pin so a regex or path regression cannot make the check vacuous.
-    from repro.harness.scalebench import DEFAULT_OUT
-
-    named = {
-        name
-        for path in _files_naming_snapshots()
-        for name in _BENCH_RE.findall(path.read_text())
-    }
-    assert {"BENCH_PR6.json", "BENCH_PR8.json", DEFAULT_OUT} <= named
+    assert _BENCH_RE.findall("BENCH_PR6.json, bench/out/a.json") == ["BENCH_PR6.json"]
+    scanned = {path.name for path in _files_naming_snapshots()}
+    assert {"README.md", "EXPERIMENTS.md", "__main__.py", "substrates.py"} <= scanned
 
 
 def test_every_flag_the_docs_name_is_registered():

@@ -91,11 +91,16 @@ def test_tie_slack_arithmetic_lives_only_in_the_kernel():
 
 
 # Oracles live in tests/, not behind switches in production paths: the
-# two ablation flags PR 19 retired, and the second implementations they
-# selected, must not grow back — nor may src/ reach into tests/ for them.
+# retired ablation flags and the second implementations they selected,
+# the engine-selector and approximation flags (the caller picks the
+# router-graph engine; every engine is exact), and the perf reporter's
+# repetition knob must not grow back — nor may src/ reach into tests/.
 _RETIRED_RE = re.compile(
     r"def _reference_|\b(?:incremental_tree_enabled|_cache_enabled_from_env"
-    r"|_tuple_heap|_fast_path)\b|^\s*(?:from|import)\s+tests\b",
+    r"|_tuple_heap|_fast_path|compiled_underlay_enabled|sparse_underlay_enabled"
+    r"|sparse_exact|substrate_dtype|select_landmarks"
+    r"|REPRO_(?:PERF_REPS|COMPILED_UNDERLAY|SPARSE_UNDERLAY|SPARSE_EXACT"
+    r"|SUBSTRATE_DTYPE))\b|^\s*(?:from|import)\s+tests\b",
     re.MULTILINE,
 )
 
@@ -111,7 +116,8 @@ def test_no_oracle_or_retired_switch_in_production_code():
         "reference answer in tests/oracles.py and compare against it there"
     )
     assert _RETIRED_RE.search("def _reference_x(): self._fast_path")  # scan works
-    assert len(FLAG_REGISTRY) == 20
+    assert _RETIRED_RE.search('os.environ.get("REPRO_SPARSE_EXACT", "1")')
+    assert len(FLAG_REGISTRY) == 15
 
 
 def test_oracles_module_does_not_call_the_code_under_test():

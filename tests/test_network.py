@@ -4,7 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.harness.substrates import build_transit_stub_underlay
+from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import MatrixUnderlay, RouterUnderlay
+from repro.sim.sparse import SparseUnderlay
 
 
 def tiny_router_graph():
@@ -107,6 +110,61 @@ class TestRouterUnderlay:
         g.add_edge(2, 3, delay=1.0)
         ul = RouterUnderlay(g, {10: 0, 11: 3})
         assert ul.path_links(10, 11) == ul.path_links(10, 11)
+
+
+def _lazy(**access):
+    return RouterUnderlay(tiny_router_graph(), {10: 0, 11: 1}, **access)
+
+
+def _compiled(**access):
+    return CompiledUnderlay(tiny_router_graph(), {10: 0, 11: 1}, **access)
+
+
+def _sparse(**access):
+    return SparseUnderlay(
+        4, [0, 1, 2], [1, 2, 3], [5.0, 10.0, 5.0], {10: 0, 11: 1}, **access
+    )
+
+
+class TestAccessParameters:
+    """Access links are physical links: a delay is finite and >= 0, an
+    error a probability.  (All three engines used to take anything:
+    ``access_delay_ms=-5.0`` made ``delay_ms(10, 11) == -5.0``, ``nan``
+    made every delay ``nan``, ``access_error=1.5`` a ``path_error`` of
+    ``0.75``.)"""
+
+    @pytest.mark.parametrize("per_host", [False, True], ids=["scalar", "dict"])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("access_delay_ms", -5.0),
+            ("access_delay_ms", float("nan")),
+            ("access_delay_ms", float("inf")),
+            ("access_error", -0.1),
+            ("access_error", 1.5),
+            ("access_error", float("nan")),
+        ],
+    )
+    @pytest.mark.parametrize("engine", [_lazy, _compiled, _sparse])
+    def test_illegal_values_rejected_on_every_engine(
+        self, engine, name, bad, per_host
+    ):
+        value = {10: 0.0, 11: bad} if per_host else bad
+        with pytest.raises(ValueError, match=f"{name} of host 1[01] must be"):
+            engine(**{name: value})
+
+    @pytest.mark.parametrize("engine", [_lazy, _compiled, _sparse])
+    def test_the_bounds_themselves_are_legal(self, engine):
+        ul = engine(access_delay_ms=0.0, access_error={10: 0.0, 11: 1.0})
+        assert ul.delay_ms(10, 11) == 5.0
+        assert ul.path_error(10, 11) == 1.0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_builder_refuses_a_negative_access_delay(self, sparse):
+        with pytest.raises(ValueError, match="access_delay_ms"):
+            build_transit_stub_underlay(
+                n_hosts=4, seed=1, access_delay_ms=-1.0, sparse=sparse
+            )
 
 
 class TestMatrixUnderlay:

@@ -24,7 +24,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.presets import PRESETS
 from repro.sim.network import MatrixUnderlay
-from tests.helpers import line_matrix
+from tests.helpers import lazy_transit_stub_underlay, line_matrix
 
 SMOKE = PRESETS["smoke"]
 
@@ -274,7 +274,7 @@ host_pairs = st.tuples(
 
 
 class TestUnderlayCaches:
-    def test_cached_matches_uncached(self, monkeypatch):
+    def test_cached_matches_uncached(self):
         """Memo transparency on the dense and the lazy engine: the first
         query of a pair on a fresh twin (a miss, computed), the repeat (a
         hit, served) and the long-warm module underlay all answer alike."""
@@ -282,8 +282,7 @@ class TestUnderlayCaches:
         from repro.sim.compiled import CompiledUnderlay
 
         compiled = build_transit_stub_underlay(**_UL_KWARGS)
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        lazy = build_transit_stub_underlay(**_UL_KWARGS)
+        lazy = lazy_transit_stub_underlay(**_UL_KWARGS)
         assert isinstance(compiled, CompiledUnderlay)
         assert not isinstance(lazy, CompiledUnderlay)
         for twin in (compiled, lazy):

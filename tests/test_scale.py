@@ -8,10 +8,17 @@ queries.  Then the baselines: Prim's MST is pinned against its
 optimality property (no protocol tree can beat its total RTT weight) and
 against a brute-force Kruskal on a small instance; tree metrics are
 pinned against a naive reference implementation.  Finally the ch7 sweep
-itself is smoke-run end to end through the figure registry.
+itself is smoke-run end to end through the figure registry, and one
+10 000-router cell runs under an address-space cap no V^2 array fits in.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +282,73 @@ class TestCh7Sweep:
                     assert point.mean > 0
         finally:
             exp.clear_cache()
+
+
+# What the child of ``TestAddressSpaceCap`` runs: a 10 000-router sparse
+# substrate with 1 000 members, the VDM tree from rows and — on a fresh
+# twin — from the per-pair reference, then the metrics pass, with
+# ``row_stats()`` read after each phase.  The dense engine needs ~7.8 GiB
+# here and dies on the cap; one V x V float64 array (763 MiB) would fit
+# under it, so where /proc reports address space the child also says how
+# far its own grew past the imports.
+_CAPPED_CELL = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from repro.harness.scale import build_scale_tree, scale_tree_metrics, scale_ts_config
+from repro.harness.substrates import build_transit_stub_underlay
+from repro.util.memprof import _read_status_kib as vm_kib  # None without /proc
+
+def substrate():
+    return build_transit_stub_underlay(
+        n_hosts=1000, seed=2011, ts_config=scale_ts_config(10_000), sparse=True
+    )
+
+def record(tree):
+    return [tree.parents.tolist(), tree.join_latency_ms.tolist(),
+            tree.iterations.tolist()]
+
+mapped_kib = vm_kib("VmSize")
+underlay = substrate()
+rows = build_scale_tree(underlay, "vdm", 1000)
+after_tree = underlay.row_stats()
+metrics = scale_tree_metrics(underlay, rows.parents)
+after_metrics = underlay.row_stats()
+pairs = build_scale_tree(substrate(), "vdm", 1000, kernel="scalar")
+print(json.dumps({
+    "n_routers": underlay.n_routers, "stretch": metrics.stretch_avg,
+    "rows": record(rows), "pairs": record(pairs),
+    "after_tree": after_tree, "after_metrics": after_metrics,
+    "grew_kib": mapped_kib and vm_kib("VmPeak") - mapped_kib,
+}))
+"""
+
+
+class TestAddressSpaceCap:
+    @pytest.mark.slow
+    def test_10k_router_cell_fits_2gib_and_reuses_its_rows(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        env = dict(os.environ, REPRO_SUBSTRATE_CACHE="0")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CELL],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        cell = json.loads(child.stdout)
+        assert cell["n_routers"] == 10_000 and cell["stretch"] > 0
+        assert cell["rows"] == cell["pairs"]  # parents, latencies, iterations
+        if cell["grew_kib"] is not None:  # never by one V x V float64 array
+            assert cell["grew_kib"] * 1024 < 10_000**2 * 8, cell["grew_kib"]
+        # Row reuse: the walk computed each attachment-router row once, in
+        # plan blocks, and kept them; every row the metrics pass computed
+        # is a predecessor upgrade of one it held, never a fresh distance
+        # row.
+        tree, metrics = cell["after_tree"], cell["after_metrics"]
+        assert tree["demand_rows"] == 0 and tree["plan_rows"] > 0, tree
+        assert metrics["evictions"] == 0, metrics
+        computed = (metrics["plan_rows"] + metrics["demand_rows"]) - (
+            tree["plan_rows"] + tree["demand_rows"]
+        )
+        assert computed == metrics["pred_upgrades"] - tree["pred_upgrades"] > 0

@@ -229,7 +229,7 @@ class TestUnreachablePairs:
 @pytest.fixture(scope="module")
 def dense_variants(tmp_path_factory):
     """seed -> (lazy oracle, {variant: CompiledUnderlay}): compiled fresh,
-    restored from an artifact (memory-mapped matrix), and float32."""
+    and restored from an artifact (memory-mapped matrix)."""
     root = tmp_path_factory.mktemp("dense-artifacts")
     out = {}
     for seed in (1, 5):
@@ -243,13 +243,9 @@ def dense_variants(tmp_path_factory):
             artifacts.load_artifact(key, base_dir=root)
         )
         assert isinstance(restored._hdelay, np.memmap)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-            narrow = CompiledUnderlay(graph, attachments)
-        assert narrow._hdelay.dtype == np.float32
         out[seed] = (
             RouterUnderlay(graph, attachments),
-            {"fresh": fresh, "restored": restored, "float32": narrow},
+            {"fresh": fresh, "restored": restored},
         )
     return out
 
@@ -258,7 +254,7 @@ class TestDenseRows:
     """The compiled engine's leg: rows of its host-delay matrix against
     its own per-pair ``rtt_ms`` and against an independent lazy underlay."""
 
-    @pytest.mark.parametrize("variant", ["fresh", "restored", "float32"])
+    @pytest.mark.parametrize("variant", ["fresh", "restored"])
     @pytest.mark.parametrize("degree_limit", [1, 4, 64])
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     @pytest.mark.parametrize("seed", [1, 5])
@@ -277,13 +273,12 @@ class TestDenseRows:
         assert repr(scale_tree_metrics(underlay, batched.parents)) == repr(
             scale_tree_metrics(underlay, batched.parents, kernel="scalar")
         )
-        if variant != "float32":  # narrowed delays leave the lazy oracle
-            on_lazy = build_scale_tree(
-                lazy, protocol, 32, degree_limit=degree_limit, kernel="scalar"
-            )
-            _assert_trees_bitwise_equal(batched, on_lazy, variant)
+        on_lazy = build_scale_tree(
+            lazy, protocol, 32, degree_limit=degree_limit, kernel="scalar"
+        )
+        _assert_trees_bitwise_equal(batched, on_lazy, variant)
 
-    @pytest.mark.parametrize("variant", ["fresh", "restored", "float32"])
+    @pytest.mark.parametrize("variant", ["fresh", "restored"])
     def test_rows_replace_every_rtt_query(self, dense_variants, variant):
         underlay = dense_variants[1][1][variant]
         calls = _count_pair_queries(underlay)
@@ -406,8 +401,8 @@ class TestMetricsEquivalence:
             )
 
     def test_metric_floats_are_python_floats(self):
-        # scalebench reprs the record as its cross-kernel identity
-        # oracle; np.float64 reprs would diverge from the scalar path.
+        # ``repr`` of the record is the cross-kernel identity oracle;
+        # np.float64 reprs would diverge from the scalar path.
         metrics = scale_tree_metrics(_sparse(3), build_scale_tree(
             _sparse(3), "vdm", 16
         ).parents, kernel="batched")

@@ -1,20 +1,13 @@
 """Service-mode cells are *typed* declines, not crashes or silent zeros.
 
-The batched engine and the perf report both refuse service cells
-explicitly: ``decline_reason`` names why a cell cannot batch, and
-``generate_perf_report`` raises :class:`ServiceModeUnsupported` rather
-than timing an engine-mode comparison that has no meaning for a live
-control plane.
+The batched engine refuses service cells explicitly: ``decline_reason``
+names why a cell cannot batch, and the scalar path runs instead.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.vdm import VDMConfig
 from repro.harness.batchrun import BatchDecline, CellSpec, cell_batch, decline_reason
-from repro.harness.perfreport import SERVICE_GROUPS, ServiceModeUnsupported
-from repro.harness.presets import PRESETS
 
 
 def _spec(protocol) -> CellSpec:
@@ -56,30 +49,3 @@ class TestCellBatchHook:
         batch = cell_batch(_spec(("service", None)))
         assert batch([(0, 1234), (1, 5678)]) is None
 
-
-class TestPerfReportRefusal:
-    def test_ch8_service_group_is_declared(self):
-        assert "ch8_service" in SERVICE_GROUPS
-
-    def test_generate_perf_report_raises_typed_error(self, tmp_path):
-        from repro.harness.perfreport import generate_perf_report
-
-        with pytest.raises(ServiceModeUnsupported) as exc:
-            generate_perf_report(
-                PRESETS["smoke"],
-                groups=["ch8_service"],
-                path=str(tmp_path / "bench.json"),
-            )
-        msg = str(exc.value)
-        assert "ch8_service" in msg
-        assert "repro.service" in msg  # points at the real benchmark path
-
-    def test_unknown_group_still_keyerror(self, tmp_path):
-        from repro.harness.perfreport import generate_perf_report
-
-        with pytest.raises(KeyError):
-            generate_perf_report(
-                PRESETS["smoke"],
-                groups=["nonsense"],
-                path=str(tmp_path / "bench.json"),
-            )

@@ -1,16 +1,15 @@
 """SparseUnderlay equivalence: sparse answers == lazy/dense, bit for bit.
 
-The sparse engine (PR 8) is only allowed to change *how much memory*
-shortest paths cost, never *what* any query returns — in its default
-exact mode.  This suite pins that with a hypothesis sweep over random
-substrates (every ordered host pair compared against both the lazy
-``RouterUnderlay`` and the dense ``CompiledUnderlay`` oracles), checks
-the LRU row store is a transparent policy knob (under random
-interleavings of every row consumer and plan shape), round-trips the sparse
-artifact format, verifies ``link_error_array`` reproduces the
-graph-order error draws on triplet arrays, and — for the opt-in landmark
-approximation — asserts the *declared* error bound empirically and that
-the exactness flag keeps it dormant by default.
+The sparse engine is only allowed to change *how much memory* shortest
+paths cost, never *what* any query returns.  This suite pins that with a
+hypothesis sweep over random substrates (every ordered host pair compared
+against both the lazy ``RouterUnderlay`` and the dense
+``CompiledUnderlay`` oracles), checks the LRU row store is a transparent
+policy knob (under random interleavings of every row consumer and plan
+shape), round-trips the sparse artifact format — which holds what the
+constructor was given and nothing computed from it — and verifies
+``link_error_array`` reproduces the graph-order error draws on triplet
+arrays.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.harness.substrates import (
     _transit_stub_attachments,
     build_transit_stub_underlay,
-    default_landmark_count,
 )
 from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import RouterUnderlay
-from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay, select_landmarks
+from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay
 from repro.topology.linkmodel import (
     LinkErrorConfig,
     assign_link_errors,
@@ -42,6 +40,7 @@ from repro.topology.transit_stub import (
 )
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
+from tests.helpers import lazy_transit_stub_underlay
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -175,79 +174,6 @@ class TestLinkErrorArray:
         assert errors.shape == (arr.n_edges,) and not errors.any()
 
 
-class TestLandmarks:
-    def test_selection_is_deterministic_and_sorted(self):
-        arr = generate_transit_stub_arrays(MID_TS, seed=5)
-        lm1 = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 16)
-        lm2 = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 16)
-        np.testing.assert_array_equal(lm1, lm2)
-        assert (np.diff(lm1) > 0).all() and lm1.size == 16
-
-    def test_count_capped_at_router_count(self):
-        arr = generate_transit_stub_arrays(TINY_TS, seed=5)
-        lm = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 10_000)
-        assert lm.size == arr.n_nodes
-
-    def test_default_landmark_count_scales_with_sqrt(self):
-        assert default_landmark_count(64) == 8
-        assert default_landmark_count(10_000) == 64
-        assert 8 <= default_landmark_count(1_000) <= 64
-
-    def test_exact_mode_ignores_landmarks(self):
-        # REPRO_SPARSE_EXACT defaults to 1: landmarks present but dormant.
-        arr = generate_transit_stub_arrays(MID_TS, seed=9)
-        graph = generate_transit_stub(MID_TS, seed=9)
-        attachments = _transit_stub_attachments(graph, 12, 9)
-        landmarks = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 13)
-        sparse = SparseUnderlay(
-            arr.n_nodes,
-            arr.edge_u,
-            arr.edge_v,
-            arr.edge_delay,
-            attachments,
-            landmarks=landmarks,
-        )
-        assert sparse.exact
-        lazy = RouterUnderlay(graph, attachments)
-        _assert_equivalent(lazy, sparse)
-
-    def test_approximate_mode_respects_declared_bound(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
-        arr = generate_transit_stub_arrays(MID_TS, seed=17)
-        graph = generate_transit_stub(MID_TS, seed=17)
-        attachments = _transit_stub_attachments(graph, 20, 17)
-        landmarks = select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 13)
-        sparse = SparseUnderlay(
-            arr.n_nodes,
-            arr.edge_u,
-            arr.edge_v,
-            arr.edge_delay,
-            attachments,
-            landmarks=landmarks,
-            error_bound=2.0,
-        )
-        assert not sparse.exact
-        exact = RouterUnderlay(graph, attachments)
-        hosts = sorted(attachments)
-        for a in hosts:
-            for b in hosts:
-                est = sparse.delay_ms(a, b)
-                true = exact.delay_ms(a, b)
-                # upper bound by the triangle inequality, within the
-                # declared multiplicative error bound
-                assert est >= true - 1e-9
-                if true > 0:
-                    assert est <= 2.0 * true
-
-    def test_approximate_without_landmarks_stays_exact(self, monkeypatch):
-        # the flag alone must not degrade a substrate built without
-        # landmarks: there is nothing to approximate with
-        monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
-        lazy, _, sparse = _build(4, 8, None)
-        assert sparse.exact
-        _assert_equivalent(lazy, sparse)
-
-
 class TestArtifactRoundtrip:
     def _roundtrip(self, sparse, cache_root):
         arrays, meta = sparse.to_artifact()
@@ -263,23 +189,25 @@ class TestArtifactRoundtrip:
             restored = self._roundtrip(sparse, tmp_path)
             _assert_equivalent(sparse, restored)
 
-    def test_roundtrip_preserves_landmarks_and_domains(self, tmp_path):
-        arr = generate_transit_stub_arrays(TINY_TS, seed=3)
-        graph = generate_transit_stub(TINY_TS, seed=3)
-        attachments = _transit_stub_attachments(graph, 6, 3)
-        sparse = SparseUnderlay(
-            arr.n_nodes,
-            arr.edge_u,
-            arr.edge_v,
-            arr.edge_delay,
-            attachments,
-            router_domain=arr.transit_domain,
-            landmarks=select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 8),
-        )
+    def test_roundtrip_preserves_domains(self, tmp_path):
+        _, _, sparse = _build(3, 6, None)
         restored = self._roundtrip(sparse, tmp_path)
-        np.testing.assert_array_equal(restored._landmarks, sparse._landmarks)
-        for h in sorted(attachments):
-            assert restored.host_domain(h) == sparse.host_domain(h)
+        hosts = sorted(sparse.attachments)
+        domains = [sparse.host_domain(h) for h in hosts]
+        assert None not in domains
+        assert [restored.host_domain(h) for h in hosts] == domains
+
+    def test_artifact_is_the_inputs_and_costs_no_dijkstra(self):
+        _, _, sparse = _build(3, 6, LinkErrorConfig(max_error=0.05))
+        arrays, meta = sparse.to_artifact()
+        assert set(arrays) == {
+            *("edge_u", "edge_v", "edge_delay", "edge_error", "router_domain"),
+            *("hosts", "host_router", "access_delay", "access_error"),
+        }
+        assert sorted(meta) == ["kind", "n_routers", "schema", "zero_error"]
+        stats = sparse.row_stats()
+        assert stats["resident_rows"] == stats["plan_rows"] == 0
+        assert stats["demand_rows"] == 0
 
     def test_rejects_foreign_artifact(self):
         art = artifacts.Artifact(key="x" * 64, meta={"kind": "transit-stub"}, arrays={})
@@ -300,7 +228,6 @@ class TestBuilders:
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_SPARSE_UNDERLAY", raising=False)
         monkeypatch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
 
     def test_explicit_sparse_argument(self):
@@ -309,26 +236,20 @@ class TestBuilders:
         )
         assert isinstance(ul, SparseUnderlay)
 
-    def test_env_flag_selects_sparse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_UNDERLAY", "1")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert isinstance(ul, SparseUnderlay)
-
     def test_default_stays_dense(self):
         ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
         assert isinstance(ul, CompiledUnderlay)
 
-    def test_builder_sparse_matches_builder_lazy(self, monkeypatch):
+    def test_builder_sparse_matches_builder_lazy(self):
         # End-to-end builder parity: same seed, same link errors, the
-        # sparse product answers byte-identically to the lazy one —
+        # sparse product answers byte-identically to the lazy twin —
         # including attachments, which the sparse path derives from
         # arrays rather than the graph.
         errors = LinkErrorConfig(max_error=0.05)
         sparse = build_transit_stub_underlay(
             n_hosts=10, seed=4, ts_config=TINY_TS, link_errors=errors, sparse=True
         )
-        monkeypatch.setenv("REPRO_COMPILED_UNDERLAY", "0")
-        lazy = build_transit_stub_underlay(
+        lazy = lazy_transit_stub_underlay(
             n_hosts=10, seed=4, ts_config=TINY_TS, link_errors=errors
         )
         assert sparse.attachments == lazy.attachments
@@ -342,52 +263,6 @@ class TestBuilders:
             n_hosts=8, seed=4, ts_config=TINY_TS, sparse=True
         )
         _assert_equivalent(first, second)
-
-
-class TestDtypeKnob:
-    @pytest.fixture(autouse=True)
-    def isolated_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
-
-    def test_float32_narrows_compiled_arrays(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        ul = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        assert ul._hdelay.dtype == np.float32
-
-    def test_float32_values_close_but_outside_envelope(self, monkeypatch):
-        wide = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        narrow = build_transit_stub_underlay(n_hosts=6, seed=1, ts_config=TINY_TS)
-        hosts = sorted(wide.attachments)
-        a, b = hosts[0], hosts[-1]
-        assert narrow.delay_ms(a, b) == pytest.approx(wide.delay_ms(a, b), rel=1e-6)
-
-    def test_bad_dtype_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float16")
-        from repro.util.envflags import substrate_dtype
-
-        with pytest.raises(ValueError):
-            substrate_dtype()
-
-    def test_perf_report_refuses_narrowed_runs(self, monkeypatch, tmp_path):
-        from repro.harness.perfreport import generate_perf_report
-        from repro.harness.presets import PRESETS
-
-        monkeypatch.setenv("REPRO_SUBSTRATE_DTYPE", "float32")
-        with pytest.raises(RuntimeError, match="float32"):
-            generate_perf_report(
-                PRESETS["smoke"], groups=["ch3_churn"], path=tmp_path / "x.json"
-            )
-
-    def test_perf_report_refuses_inexact_sparse(self, monkeypatch, tmp_path):
-        from repro.harness.perfreport import generate_perf_report
-        from repro.harness.presets import PRESETS
-
-        monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
-        with pytest.raises(RuntimeError, match="REPRO_SPARSE_EXACT"):
-            generate_perf_report(
-                PRESETS["smoke"], groups=["ch3_churn"], path=tmp_path / "x.json"
-            )
 
 
 class TestRowPrefetch:
@@ -507,23 +382,6 @@ class TestRowPrefetch:
         assert (first.hits, second.hits, second.sources_computed) == (1, 1, 0)
         second.close()
         assert sparse._plan is None
-
-    def test_router_dist_row_refused_in_landmark_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_EXACT", "0")
-        arr = generate_transit_stub_arrays(TINY_TS, seed=3)
-        graph = generate_transit_stub(TINY_TS, seed=3)
-        attachments = _transit_stub_attachments(graph, 12, 3)
-        sparse = SparseUnderlay(
-            arr.n_nodes,
-            arr.edge_u,
-            arr.edge_v,
-            arr.edge_delay,
-            attachments,
-            landmarks=select_landmarks(arr.n_nodes, arr.edge_u, arr.edge_v, 8),
-            error_bound=2.0,
-        )
-        with pytest.raises(RuntimeError, match="exact"):
-            sparse.router_dist_row(0)
 
 
 @lru_cache(maxsize=None)
