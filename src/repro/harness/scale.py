@@ -33,9 +33,14 @@ join *i−1* left behind — so there is nothing to vectorise across, and a
 pivot has at most ``degree_limit`` children, so there is nothing worth
 vectorising within.  What varies by underlay is only where a distance
 comes from.  The walk asks a *distance source* for a **handle** on one
-host — once per joining member, once per pivot whose children a
-decision has to place — and the handle gathers that host's distances to
-a short list of targets as Python floats:
+host, and the handle gathers that host's distances to a short list of
+targets as Python floats.  Each joining member opens one for its own
+probes.  A pivot's RTTs to its children are gathered the first time a
+decision reads them and kept beside its child list, as the paper's
+nodes keep "their children list and distances to them"; a later read
+gathers only children attached since.  So a build opens at most
+2·(n−1) handles: one per joining member, at most one fill per attach.
+The sources:
 
 * sparse substrates: the host's attachment-router Dijkstra row,
   read with ``row.item`` in ``delay_ms``'s own float association
@@ -56,6 +61,7 @@ a short list of targets as Python floats:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isfinite
 
@@ -312,6 +318,16 @@ def _check_kernel(kernel: str | None) -> None:
         raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
 
 
+def _check_hosts(underlay: Underlay, n: int) -> None:
+    """The module's host contract: members are hosts ``0..n-1``, in the
+    underlay's ascending id order, host 0 the source."""
+    hosts = underlay.hosts
+    if n > len(hosts):
+        raise ValueError(f"underlay has {len(hosts)} hosts, cannot place {n} members")
+    if list(hosts[:n]) != list(range(n)):
+        raise ValueError(f"scale walks need host ids 0..{n - 1}, got {list(hosts[:n])}")
+
+
 def _walk_distances(
     underlay: Underlay, n_members: int, kernel: str | None, prefetch_block: int | None
 ) -> _PairQueries:
@@ -364,14 +380,13 @@ def build_scale_tree(
     if tie_tolerance < 0:
         raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
     _check_kernel(kernel)
-    hosts = underlay.hosts
-    if n_members > len(hosts):
-        raise ValueError(
-            f"underlay has {len(hosts)} hosts, cannot join {n_members}"
-        )
-    source = int(hosts[0])
+    _check_hosts(underlay, n_members)
+    source = 0
     parents = [-1] * n_members
     children: list[list[int]] = [[] for _ in range(n_members)]
+    # measured[p][i] = rtt(p, children[p][i]) for a prefix of the children:
+    # each node keeps its distances to its children, as the agents do.
+    measured: list[list[float]] = [[] for _ in range(n_members)]
     latency = [0.0] * n_members
     iters = [0] * n_members
     step = _STEPS[protocol]
@@ -379,6 +394,15 @@ def build_scale_tree(
     hop_is_attempt = protocol == "btp"
     max_iter = _max_iterations(n_members)
     rows = _walk_distances(underlay, n_members, kernel, prefetch_block)
+
+    def pivot_rtts(p: int) -> list[float]:
+        """``p``'s RTTs to its children; only the unmeasured ones are
+        gathered, off one handle on ``p``."""
+        have, kids = measured[p], children[p]
+        if len(have) < len(kids):
+            have += rows.rtts(p)(kids[len(have):])
+        return have
+
     try:
         for node in range(1, n_members):
             rtts = rows.rtts(node)
@@ -400,7 +424,7 @@ def build_scale_tree(
                 else:
                     d_new = []
                 decision = step(
-                    rows,
+                    pivot_rtts,
                     pivot,
                     kids,
                     dist_to_pivot,
@@ -425,10 +449,17 @@ def build_scale_tree(
                 dist_to_pivot if target == pivot else d_new[kids.index(target)]
             )
             if type(decision) is Insert:
-                for child in decision.adopt:
-                    kids.remove(child)
-                    parents[child] = node
+                # The newcomer's RTTs to the adopted children are the bits
+                # its own handle would read, so they seed its list.
                 children[node] = list(decision.adopt)
+                measured[node] = [d_new[kids.index(c)] for c in decision.adopt]
+                have = measured[pivot]
+                for child in decision.adopt:
+                    i = kids.index(child)
+                    del kids[i]
+                    if i < len(have):
+                        del have[i]
+                    parents[child] = node
             parents[node] = target
             children[target].append(node)
             latency[node] = lat
@@ -445,13 +476,15 @@ def build_scale_tree(
 
 # One join iteration per protocol.  ``d_new`` are the newcomer's RTTs to
 # the pivot's children ``kids``, and ``probes`` the same round in the join
-# kernel's ``(d_new, child, free)`` shape; the pivot's own RTTs to its
-# children come off a handle on the pivot, opened only where a decision
-# reads them.
+# kernel's ``(d_new, child, free)`` shape; ``pivot_rtts(pivot)`` are the
+# pivot's own RTTs to ``kids``, aligned with them and measured only once
+# a decision first reads them.
+
+_PivotRtts = Callable[[int], list[float]]
 
 
 def _vdm_step(
-    rows: _PairQueries,
+    pivot_rtts: _PivotRtts,
     pivot: int,
     kids: list[int],
     dist_to_pivot: float,
@@ -465,7 +498,7 @@ def _vdm_step(
     case2 = case3 = ()
     if kids:
         case2, case3 = split_cases(
-            dist_to_pivot, zip(kids, d_new, rows.rtts(pivot)(kids)), tie_tolerance
+            dist_to_pivot, zip(kids, d_new, pivot_rtts(pivot)), tie_tolerance
         )
     return vdm_decide(
         pivot, degree_limit - len(kids), case2, case3, degree_limit, probes, False
@@ -473,7 +506,7 @@ def _vdm_step(
 
 
 def _hmtp_step(
-    rows: _PairQueries,
+    pivot_rtts: _PivotRtts,
     pivot: int,
     kids: list[int],
     dist_to_pivot: float,
@@ -489,12 +522,12 @@ def _hmtp_step(
         degree_limit - len(kids),
         dist_to_pivot,
         probes,
-        lambda child: rows.rtts(pivot)((child,))[0],
+        lambda child: pivot_rtts(pivot)[kids.index(child)],
     )
 
 
 def _btp_step(
-    rows: _PairQueries,
+    pivot_rtts: _PivotRtts,
     pivot: int,
     kids: list[int],
     dist_to_pivot: float,
@@ -513,7 +546,7 @@ def _btp_step(
         closest_free_else_closest(
             [
                 (d_pivot, child, free)
-                for d_pivot, (_d_new, child, free) in zip(rows.rtts(pivot)(kids), probes)
+                for d_pivot, (_d_new, child, free) in zip(pivot_rtts(pivot), probes)
             ]
         )[1]
     )
@@ -543,11 +576,7 @@ def prim_mst_parents(
     """
     if n_members < 2:
         raise ValueError(f"need at least 2 members, got {n_members}")
-    hosts = underlay.hosts
-    if n_members > len(hosts):
-        raise ValueError(
-            f"underlay has {len(hosts)} hosts, cannot span {n_members}"
-        )
+    _check_hosts(underlay, n_members)
     _check_kernel(kernel)
     sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
     if sparse is not None:
@@ -660,9 +689,10 @@ def scale_tree_metrics(
     path expansion (the only part whose state grows with the *router*
     link count), for cells where only stretch/depth are charted.
 
-    ``parents`` must describe one tree: ids in ``[0, n)``, exactly one
-    ``-1`` (the root), every member reachable from it — anything else is
-    a ``ValueError`` before the underlay is asked a thing.
+    ``parents`` must describe one tree over hosts ``0..n-1``: a 1-D
+    integer array, ids in ``[0, n)``, exactly one ``-1`` (the root),
+    every member reachable from it — anything else is a ``ValueError``
+    before the underlay is asked a distance.
 
     On sparse underlays (unless ``kernel="scalar"``) overlay delays
     and physical paths come off the Dijkstra rows themselves, planned in
@@ -676,6 +706,7 @@ def scale_tree_metrics(
     _check_kernel(kernel)
     children, order = _dfs_order(parents)
     n = len(children)
+    _check_hosts(underlay, n)
     source = order[0]
     sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
     if sparse is None:
@@ -740,11 +771,16 @@ def scale_tree_metrics(
 def _dfs_order(parents: np.ndarray) -> tuple[list[list[int]], list[int]]:
     """Child lists (ascending ids) and the DFS pre-order from the root.
 
-    The one place a parent array is vetted: out-of-range ids, forests,
-    and members the root cannot reach (detached subtrees, cycles) all
-    raise ``ValueError`` here.
+    The one place a parent array is vetted: anything but a 1-D integer
+    array, out-of-range ids, forests, and members the root cannot reach
+    (detached subtrees, cycles) all raise ``ValueError`` here.
     """
-    plist = np.asarray(parents).tolist()
+    array = np.asarray(parents)
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise ValueError(
+            f"parents must be a 1-D integer array, got {array.ndim}-D {array.dtype}"
+        )
+    plist = array.tolist()
     n = len(plist)
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []

@@ -1,7 +1,8 @@
 """Docs-vs-repo consistency: the docs and the harness name no root perf
 snapshot (there are none: ``bench/`` is the one perf tool and keeps its
-baselines under ``bench/out/``), and every ``REPRO_*`` knob the docs name
-is one the code still reads.
+baselines under ``bench/out/``), every ``REPRO_*`` knob the docs name
+is one the code still reads, and the scale walk's docs state the handle
+bound it keeps rather than a handle per pivot decision.
 
 ``tests/test_envflags_registry.py`` ties the flag registry to the reads
 under ``src/``; the flag scan here ties the docs to the registry.
@@ -44,6 +45,39 @@ def test_no_root_bench_snapshot_is_named():
     assert _BENCH_RE.findall("BENCH_PR6.json, bench/out/a.json") == ["BENCH_PR6.json"]
     scanned = {path.name for path in _files_naming_snapshots()}
     assert {"README.md", "EXPERIMENTS.md", "__main__.py", "substrates.py"} <= scanned
+
+
+_ONCE_PER_PIVOT_RE = re.compile(r"once\s+per\s+pivot")
+_HANDLE_BOUND_RE = re.compile(r"at\s+most\s+\**2·\(n−1\)\**\s+handles")
+
+
+def _scale_walk_docs() -> dict[str, str]:
+    import repro.harness.scale as scale
+
+    design = (ROOT / "DESIGN.md").read_text()
+    start = design.index("\n## 13. ")
+    return {
+        "DESIGN.md §13": design[start : design.index("\n## 14. ", start)],
+        "README.md": (ROOT / "README.md").read_text(),
+        "harness/scale.py docstring": scale.__doc__,
+    }
+
+
+def test_scale_walk_docs_name_the_handle_bound():
+    docs = _scale_walk_docs()
+    for name, text in docs.items():
+        assert not _ONCE_PER_PIVOT_RE.search(text), (
+            f"{name} still says a handle is opened once per pivot decision"
+        )
+        assert _HANDLE_BOUND_RE.search(text), (
+            f"{name} does not name the 2·(n−1) handle bound of a scale build"
+        )
+    # Spot-pin so a regex or slicing regression cannot make the scan vacuous.
+    assert _ONCE_PER_PIVOT_RE.search("once per joining member, once per\n  pivot")
+    assert _HANDLE_BOUND_RE.search("opens at most **2·(n−1)\nhandles**")
+    assert _HANDLE_BOUND_RE.search("opens at most\n2·(n−1) handles: one per")
+    section = docs["DESIGN.md §13"]
+    assert "### 13.1" in section and "## 14." not in section
 
 
 def test_every_flag_the_docs_name_is_registered():

@@ -14,10 +14,16 @@ reference, which installs no plan).  The same holds for
 sequence of those calls sharing one underlay's row store.  The store and
 its plans are pinned separately in ``test_sparse_underlay.py``; here they
 are exercised end to end through the walks.
+
+Both kernels keep each pivot's RTTs to its children once measured, so
+that list is pinned on its own: golden tree digests from walks that
+gathered every pivot afresh, and a bound of 2·(n−1) distance handles per
+build.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 import networkx as nx
@@ -28,6 +34,9 @@ from hypothesis import strategies as st
 
 from repro.harness.scale import (
     SCALE_PROTOCOLS,
+    _DenseRows,
+    _PairQueries,
+    _SparseRows,
     build_scale_tree,
     prim_mst_parents,
     scale_tree_metrics,
@@ -70,6 +79,16 @@ def _lazy(seed: int, n_hosts: int = 32) -> RouterUnderlay:
     graph = generate_transit_stub(TINY_TS, seed=seed)
     attachments = _transit_stub_attachments(graph, n_hosts, seed)
     return RouterUnderlay(graph, attachments)
+
+
+@lru_cache(maxsize=None)
+def _dense(seed: int, n_hosts: int = 32) -> CompiledUnderlay:
+    graph = generate_transit_stub(TINY_TS, seed=seed)
+    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    return CompiledUnderlay(graph, attachments)
+
+
+_ENGINES = {"sparse": _sparse, "dense": _dense, "lazy": _lazy}
 
 
 def _assert_trees_bitwise_equal(a, b, context: str = "") -> None:
@@ -224,6 +243,132 @@ class TestUnreachablePairs:
                 include_stress=include_stress,
                 kernel=kernel,
             )
+
+
+def _underlay_with_hosts(engine: str, host_ids: tuple[int, ...]):
+    """A TINY_TS underlay of ``engine`` whose hosts carry ``host_ids``."""
+    graph = generate_transit_stub(TINY_TS, seed=2)
+    routers = _transit_stub_attachments(graph, len(host_ids), 2).values()
+    attachments = dict(zip(host_ids, routers))
+    if engine == "sparse":
+        arr = generate_transit_stub_arrays(TINY_TS, seed=2)
+        return SparseUnderlay(
+            arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
+        )
+    return (CompiledUnderlay if engine == "dense" else RouterUnderlay)(
+        graph, attachments
+    )
+
+
+_SHIFTED, _GAPPED, _INDEXED = (1, 2, 3, 4, 5, 6), (0, 1, 2, 7), (0, 1, 2, 3)
+
+#: case -> (host ids, call); every call breaks the module's contract.
+_OFF_CONTRACT = {
+    "walk-hosts-1..6": (_SHIFTED, lambda u, k: build_scale_tree(u, "vdm", 6, kernel=k)),
+    "walk-hosts-0,1,2,7": (
+        _GAPPED,
+        lambda u, k: build_scale_tree(u, "vdm", 4, kernel=k),
+    ),
+    "prim-hosts-1..6": (_SHIFTED, lambda u, k: prim_mst_parents(u, 6, kernel=k)),
+    "prim-hosts-0,1,2,7": (_GAPPED, lambda u, k: prim_mst_parents(u, 4, kernel=k)),
+    "metrics-hosts-1..6": (
+        _SHIFTED,
+        lambda u, k: scale_tree_metrics(u, np.arange(-1, 5), kernel=k),
+    ),
+    "metrics-hosts-0,1,2,7": (
+        _GAPPED,
+        lambda u, k: scale_tree_metrics(u, np.arange(-1, 3), kernel=k),
+    ),
+    "metrics-float-parents": (
+        _INDEXED,
+        lambda u, k: scale_tree_metrics(u, np.array([-1.0, 0.0, 1.0, 2.0]), kernel=k),
+    ),
+    "metrics-2d-parents": (
+        _INDEXED,
+        lambda u, k: scale_tree_metrics(u, np.array([[-1, 0], [1, 2]]), kernel=k),
+    ),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("engine", ["sparse", "dense", "lazy"])
+    @pytest.mark.parametrize("case", sorted(_OFF_CONTRACT))
+    def test_off_contract_input_is_a_value_error(self, case, engine, kernel):
+        # Members are hosts 0..n-1 and a tree is a 1-D integer array.  Hosts
+        # {1..6} used to give member 1 itself as parent, hosts {0, 1, 2, 7}
+        # a KeyError mid-walk (or a lucky MST), bad arrays a TypeError.
+        host_ids, call = _OFF_CONTRACT[case]
+        underlay = _underlay_with_hosts(engine, host_ids)
+        with pytest.raises(ValueError, match="host ids|integer array"):
+            call(underlay, kernel)
+
+
+def _tree_digest(tree) -> str:
+    blob = tree.parents.tobytes() + tree.join_latency_ms.tobytes()
+    return hashlib.sha256(blob + tree.iterations.tobytes()).hexdigest()[:16]
+
+
+#: (protocol, degree limit, seed) -> sha256 prefix of a 32-member tree's
+#: parents + join latencies + iterations bytes, computed when every pivot
+#: decision gathered the pivot's RTTs afresh.  One pin serves every
+#: engine and kernel: they all build the same tree.
+_GOLDEN_TREES = {
+    ("vdm", 1, 1): "badbdeb9d9500afb",
+    ("vdm", 4, 1): "a11fda5dc1037b0b",
+    ("hmtp", 1, 1): "f9da77dd4085face",
+    ("hmtp", 4, 1): "d888b0bf7acdf887",
+    ("btp", 1, 1): "cea0614e5e8280d5",
+    ("btp", 4, 1): "d232fc0ba5fe7b71",
+    ("vdm", 1, 5): "60442498593db014",
+    ("vdm", 4, 5): "b82ea57536455986",
+    ("hmtp", 1, 5): "874ce466dad7427b",
+    ("hmtp", 4, 5): "644e360f3f3d4fbc",
+    ("btp", 1, 5): "aed6ee3b6c460b40",
+    ("btp", 4, 5): "d809084c43547e8f",
+}
+
+
+class TestPivotRttCache:
+    """A pivot's RTTs to its children are measured once and kept with its
+    child list.  Both kernels share that list, so equality between them
+    cannot catch one that drifts from a fresh gather: the golden pins can."""
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    @pytest.mark.parametrize(
+        "key", sorted(_GOLDEN_TREES), ids=lambda key: "-".join(map(str, key))
+    )
+    def test_trees_match_the_fresh_gather_pins(self, key, engine, kernel):
+        protocol, degree_limit, seed = key
+        underlay = _ENGINES[engine](seed)
+        tree = build_scale_tree(
+            underlay, protocol, 32, degree_limit=degree_limit, kernel=kernel
+        )
+        assert _tree_digest(tree) == _GOLDEN_TREES[key]
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    @pytest.mark.parametrize("engine", ["sparse", "dense"])
+    @pytest.mark.parametrize("degree_limit", [1, 2, 4, 16])
+    @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
+    def test_a_build_opens_at_most_two_handles_per_member(
+        self, protocol, degree_limit, engine, kernel, monkeypatch
+    ):
+        # One handle per joining member, plus at most one fill per attach.
+        opened = []
+        for source in (_PairQueries, _DenseRows, _SparseRows):
+            inner = source.__dict__["rtts"]
+
+            def counting(self, a, *args, _inner=inner):
+                opened.append(a)
+                return _inner(self, a, *args)
+
+            monkeypatch.setattr(source, "rtts", counting)
+        n = 32
+        build_scale_tree(
+            _ENGINES[engine](3), protocol, n, degree_limit=degree_limit, kernel=kernel
+        )
+        assert n - 1 <= len(opened) <= 2 * (n - 1)
 
 
 @pytest.fixture(scope="module")
