@@ -7,14 +7,12 @@ written under ``benchmarks/results/`` so the series survive pytest's
 output capture.
 
 Figures sharing a parameter sweep share one cached run: the first figure
-of a group pays for the sweep, the rest read the cache.  The benchmark
-timings therefore measure "cost to produce this figure given the suite is
-run in order", which is also how a user would run it.
+of a group pays for the sweep, the rest read the cache.  The suite times
+nothing; ``bench/run.py`` owns timing.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -63,13 +61,11 @@ def expect_shape(preset):
 
 
 @pytest.fixture
-def figure_bench(benchmark, preset, results_dir):
-    """Benchmark one figure id and persist its rendered table."""
+def figure_bench(preset, results_dir):
+    """Regenerate one figure id and persist its rendered table."""
 
     def run(fig_id: str):
-        table = benchmark.pedantic(
-            run_experiment, args=(fig_id, preset), rounds=1, iterations=1
-        )
+        table = run_experiment(fig_id, preset)
         text = table.render()
         print("\n" + text)
         (results_dir / f"{fig_id}.txt").write_text(text + "\n")
@@ -78,28 +74,3 @@ def figure_bench(benchmark, preset, results_dir):
 
     return run
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the per-group wall-clock timings the harness gathered.
-
-    Complements pytest-benchmark's per-figure numbers: benchmark timings
-    charge a whole sweep to whichever figure ran first (see module
-    docstring), while these are the true cost of each sweep group.
-    """
-    from repro.harness.experiments import group_timings
-
-    timings = group_timings()
-    if not timings:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {}
-    for (group, preset_name, fault, failover), seconds in sorted(timings.items()):
-        label = f"{group}@{preset_name}"
-        if fault:
-            label += f"+{fault}"
-        if failover != "reactive":
-            label += f"+{failover}"
-        payload[label] = round(seconds, 4)
-    (RESULTS_DIR / "group_timings.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )

@@ -16,10 +16,8 @@ def _cross_region_stats(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def test_fig5_5_us_sample_tree(benchmark, preset, results_dir):
-    text = benchmark.pedantic(
-        ch5_sample_tree, args=(preset,), rounds=1, iterations=1
-    )
+def test_fig5_5_us_sample_tree(preset, results_dir):
+    text = ch5_sample_tree(preset)
     print("\n" + text)
     (results_dir / "fig5_5.txt").write_text(text + "\n")
     edges, cross = _cross_region_stats(text)
@@ -27,14 +25,8 @@ def test_fig5_5_us_sample_tree(benchmark, preset, results_dir):
     assert cross == 0  # single-region pool: nothing to cross
 
 
-def test_fig5_6_transatlantic_sample_tree(benchmark, preset, results_dir, expect_shape):
-    text = benchmark.pedantic(
-        ch5_sample_tree,
-        args=(preset,),
-        kwargs={"transatlantic": True},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig5_6_transatlantic_sample_tree(preset, results_dir, expect_shape):
+    text = ch5_sample_tree(preset, transatlantic=True)
     print("\n" + text)
     (results_dir / "fig5_6.txt").write_text(text + "\n")
     edges, cross = _cross_region_stats(text)

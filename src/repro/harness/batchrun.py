@@ -1,10 +1,12 @@
-"""Sweep-cell adapter for the batched multi-replication engine (PR 6).
+"""Sweep-cell adapter for the batched multi-replication engine.
 
 :mod:`repro.sim.batched` runs *one* replication fast; this module turns
 it into the ``batch=`` hook that
 :func:`repro.harness.parallel.run_replications` understands, so the
-experiment runners in :mod:`repro.harness.experiments` batch whole sweep
-cells with a one-line change per call site.
+sweep runner in :mod:`repro.harness.experiments` batches whole sweep
+cells.  Which cells batch is decided here and in the engine's envelope
+(:func:`decline_reason`, :class:`~repro.sim.batched.BatchedCell`), not
+by the caller.
 
 A *cell* is one ``run_replications`` call: one underlay, one protocol,
 one parameter value, many ``(rep, seed)`` replications.  That is also the
@@ -105,7 +107,7 @@ def decline_reason(spec: CellSpec) -> BatchDecline | None:
 
 
 # BatchedCell memo.  Underlays are memoized per process (lru_cache in
-# repro.harness.experiments) and keyed by identity; the cell holds its
+# repro.harness.cells) and keyed by identity; the cell holds its
 # underlay, so the id cannot be recycled while the entry exists.  The
 # config is keyed by value (VDMConfig is frozen), so sweeps that build an
 # equal config per cell share one BatchedCell.

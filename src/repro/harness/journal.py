@@ -38,8 +38,9 @@ shortest-repr floats, which parse back to the same IEEE-754 doubles —
 the resume byte-identity tests pin that end to end.  The flip side is
 that journaled workers must return *JSON-natural* values (dicts, lists,
 scalars): a replayed result is parsed JSON, so a tuple would come back
-as a list and break replay transparency.  Every replication worker in
-:mod:`repro.harness.experiments` returns dicts of floats.
+as a list and break replay transparency.  Every replication worker of
+:mod:`repro.harness.experiments` returns a dict of floats (or of float
+lists).
 
 Orchestration
 -------------

@@ -1,128 +1,19 @@
-"""Figure-id registry: maps ``fig3_25``-style ids onto experiment runners.
+"""Figure-id lookup: ``run_experiment`` runs the sweep group behind an id.
 
 Used by the CLI (``python -m repro.harness <id> [--preset quick]``) and by
-the benchmark suite.  Each entry names the sweep group it belongs to and
-the metric key inside that group's table dict.
+the benchmark suite.  The ids themselves (:data:`REGISTRY`) are read off
+the sweep rows of :mod:`repro.harness.experiments`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import dataclasses
 
-from repro.harness import experiments as exp
+from repro.harness.experiments import REGISTRY, run_group
 from repro.harness.presets import PRESETS, Preset
 from repro.metrics.report import SeriesTable
 
-__all__ = ["REGISTRY", "RegistryEntry", "run_experiment"]
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One figure: which sweep produces it and which metric to pull."""
-
-    figure: str
-    description: str
-    group: Callable[[Preset], dict[str, SeriesTable]]
-    metric: str
-
-
-REGISTRY: dict[str, RegistryEntry] = {
-    # Chapter 3 — churn sweep (VDM vs HMTP)
-    "fig3_25": RegistryEntry("3.25", "Stress vs churn", exp.ch3_churn_tables, "stress"),
-    "fig3_26": RegistryEntry("3.26", "Stretch vs churn", exp.ch3_churn_tables, "stretch"),
-    "fig3_27": RegistryEntry("3.27", "Loss vs churn", exp.ch3_churn_tables, "loss_pct"),
-    "fig3_28": RegistryEntry("3.28", "Overhead vs churn", exp.ch3_churn_tables, "overhead_pct"),
-    # Chapter 3 — population sweep (VDM)
-    "fig3_29": RegistryEntry("3.29", "Stress vs N", exp.ch3_nodes_tables, "stress"),
-    "fig3_30": RegistryEntry("3.30", "Stretch vs N", exp.ch3_nodes_tables, "stretch"),
-    "fig3_31": RegistryEntry("3.31", "Loss vs N", exp.ch3_nodes_tables, "loss_pct"),
-    "fig3_32": RegistryEntry("3.32", "Overhead vs N", exp.ch3_nodes_tables, "overhead_pct"),
-    # Chapter 3 — degree sweep (VDM)
-    "fig3_33": RegistryEntry("3.33", "Stress vs degree", exp.ch3_degree_tables, "stress"),
-    "fig3_34": RegistryEntry("3.34", "Stretch vs degree", exp.ch3_degree_tables, "stretch"),
-    "fig3_35": RegistryEntry("3.35", "Loss vs degree", exp.ch3_degree_tables, "loss_pct"),
-    "fig3_36": RegistryEntry("3.36", "Overhead vs degree", exp.ch3_degree_tables, "overhead_pct"),
-    # Chapter 4 — generalized metrics
-    "fig4_6": RegistryEntry("4.6", "Stress vs time (VDM-D/L)", exp.ch4_time_tables, "stress"),
-    "fig4_7": RegistryEntry("4.7", "Stretch vs time (VDM-D/L)", exp.ch4_time_tables, "stretch"),
-    "fig4_8": RegistryEntry("4.8", "Loss vs time (VDM-D/L)", exp.ch4_time_tables, "loss_pct"),
-    "fig4_9": RegistryEntry("4.9", "Overhead vs time (VDM-D/L)", exp.ch4_time_tables, "overhead_pct"),
-    # Chapter 5 — churn sweep (VDM vs HMTP)
-    "fig5_7": RegistryEntry("5.7", "Startup vs churn", exp.ch5_churn_tables, "startup_s"),
-    "fig5_8": RegistryEntry("5.8", "Reconnection vs churn", exp.ch5_churn_tables, "reconnect_s"),
-    "fig5_9": RegistryEntry("5.9", "Stretch vs churn", exp.ch5_churn_tables, "stretch"),
-    "fig5_10": RegistryEntry("5.10", "Hopcount vs churn", exp.ch5_churn_tables, "hopcount"),
-    "fig5_11": RegistryEntry("5.11", "Resource usage vs churn", exp.ch5_churn_tables, "usage"),
-    "fig5_12": RegistryEntry("5.12", "Loss vs churn", exp.ch5_churn_tables, "loss_pct"),
-    "fig5_13": RegistryEntry("5.13", "Overhead vs churn", exp.ch5_churn_tables, "overhead_pct"),
-    # Chapter 5 — population sweep (VDM)
-    "fig5_14": RegistryEntry("5.14", "Startup vs N", exp.ch5_nodes_tables, "startup_s"),
-    "fig5_15": RegistryEntry("5.15", "Reconnection vs N", exp.ch5_nodes_tables, "reconnect_s"),
-    "fig5_16": RegistryEntry("5.16", "Stretch vs N", exp.ch5_nodes_tables, "stretch"),
-    "fig5_17": RegistryEntry("5.17", "Hopcount vs N", exp.ch5_nodes_tables, "hopcount"),
-    "fig5_18": RegistryEntry("5.18", "Resource usage vs N", exp.ch5_nodes_tables, "usage"),
-    "fig5_19": RegistryEntry("5.19", "Loss vs N", exp.ch5_nodes_tables, "loss_pct"),
-    "fig5_20": RegistryEntry("5.20", "Overhead vs N", exp.ch5_nodes_tables, "overhead_pct"),
-    # Chapter 5 — degree sweep (VDM)
-    "fig5_21": RegistryEntry("5.21", "Startup vs degree", exp.ch5_degree_tables, "startup_s"),
-    "fig5_22": RegistryEntry("5.22", "Reconnection vs degree", exp.ch5_degree_tables, "reconnect_s"),
-    "fig5_23": RegistryEntry("5.23", "Stretch vs degree", exp.ch5_degree_tables, "stretch"),
-    "fig5_24": RegistryEntry("5.24", "Hopcount vs degree", exp.ch5_degree_tables, "hopcount"),
-    "fig5_25": RegistryEntry("5.25", "Resource usage vs degree", exp.ch5_degree_tables, "usage"),
-    "fig5_26": RegistryEntry("5.26", "Loss vs degree", exp.ch5_degree_tables, "loss_pct"),
-    "fig5_27": RegistryEntry("5.27", "Overhead vs degree", exp.ch5_degree_tables, "overhead_pct"),
-    # Chapter 5 — refinement and MST
-    "fig5_28": RegistryEntry("5.28", "Refinement: stretch", exp.ch5_refinement_tables, "stretch"),
-    "fig5_29": RegistryEntry("5.29", "Refinement: hopcount", exp.ch5_refinement_tables, "hopcount"),
-    "fig5_30": RegistryEntry("5.30", "Refinement: overhead", exp.ch5_refinement_tables, "overhead_pct"),
-    "fig5_31": RegistryEntry("5.31", "VDM / MST ratio", exp.ch5_mst_table, "mst_ratio"),
-    # Chapter 6 — failover under correlated failures
-    "fig6_outage": RegistryEntry(
-        "—", "Outage seconds per member by scenario", exp.ch6_failover_tables, "outage_s"
-    ),
-    "fig6_lost": RegistryEntry(
-        "—", "Chunks lost by scenario", exp.ch6_failover_tables, "chunks_lost"
-    ),
-    "fig6_ttl": RegistryEntry(
-        "—", "Time to legal state by scenario", exp.ch6_failover_tables, "ttl_s"
-    ),
-    # Chapter 7 — scale study on sparse substrates (beyond the paper)
-    "fig7_joinlat": RegistryEntry(
-        "—", "Join latency vs members (scale model)", exp.ch7_scale_tables, "joinlat_ms"
-    ),
-    "fig7_stretch": RegistryEntry(
-        "—", "Stretch vs members (scale model)", exp.ch7_scale_tables, "stretch"
-    ),
-    "fig7_stress": RegistryEntry(
-        "—", "Link stress vs members (scale model)", exp.ch7_scale_tables, "stress"
-    ),
-    # Chapter 8 — live service mode (beyond the paper)
-    "fig8_p99": RegistryEntry(
-        "—", "p99 join-to-first-chunk vs load (service)", exp.ch8_service_tables,
-        "p99_first_chunk_s",
-    ),
-    "fig8_rejected": RegistryEntry(
-        "—", "Rejected joins vs load (service)", exp.ch8_service_tables,
-        "rejected_pct",
-    ),
-    "fig8_degraded": RegistryEntry(
-        "—", "Time in degraded state vs load (service)", exp.ch8_service_tables,
-        "degraded_pct",
-    ),
-    # Ablations
-    "abl": RegistryEntry("—", "VDM design-choice ablations", exp.ablation_tables, "ablations"),
-    "abl_refine_period": RegistryEntry(
-        "—", "VDM-R refinement-period sweep", exp.ablation_tables, "refine_period"
-    ),
-    # Extensions beyond the paper (its future-work list)
-    "ext_free_riders": RegistryEntry(
-        "—", "free-rider fraction vs tree quality", exp.extension_tables, "free_riders"
-    ),
-    "ext_striping": RegistryEntry(
-        "—", "multi-tree striping resilience", exp.extension_tables, "striping"
-    ),
-}
+__all__ = ["REGISTRY", "run_experiment"]
 
 
 def run_experiment(
@@ -150,16 +41,9 @@ def run_experiment(
             raise KeyError(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             ) from None
-    overrides: dict[str, object] = {}
-    if jobs is not None:
-        overrides["jobs"] = jobs
-    if faults is not None:
-        overrides["fault_plan"] = faults
-    if failover is not None:
-        overrides["failover"] = failover
+    overrides = {"jobs": jobs, "fault_plan": faults, "failover": failover}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
     if overrides:
-        import dataclasses
-
         preset = dataclasses.replace(preset, **overrides)
     try:
         entry = REGISTRY[fig_id]
@@ -167,4 +51,4 @@ def run_experiment(
         raise KeyError(
             f"unknown figure id {fig_id!r}; choose from {sorted(REGISTRY)}"
         ) from None
-    return entry.group(preset)[entry.metric]
+    return run_group(entry.group, preset)[entry.table]

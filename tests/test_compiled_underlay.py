@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness import experiments as exp
+from repro.harness import cells, experiments as exp
 from repro.harness.presets import PRESETS
 from repro.harness.substrates import (
     _planetlab_loss_matrix,
@@ -576,7 +576,7 @@ class TestExperimentEquivalence:
         compiled_out = render()
         warm_out = render()  # second pass reads the artifact cache
         monkeypatch.setattr(
-            exp, "build_transit_stub_underlay", lazy_transit_stub_underlay
+            cells, "build_transit_stub_underlay", lazy_transit_stub_underlay
         )
         lazy_out = render()
         assert compiled_out == lazy_out

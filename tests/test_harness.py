@@ -1,5 +1,6 @@
 """Tests for the experiment harness: substrates, registry, CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -109,6 +110,15 @@ class TestRegistry:
         # The cache key is the group: identical x axes, distinct metrics.
         assert t1.x_values == t2.x_values
         assert t1 is not t2
+
+    def test_cache_is_keyed_by_preset_value(self):
+        """A preset differing only in a swept axis is another sweep, whatever
+        its name; only the worker count (execution policy) shares an entry."""
+        first = experiments.ch3_degree_tables(SMOKE)
+        narrowed = dataclasses.replace(SMOKE, degree_values=(3,))
+        assert experiments.ch3_degree_tables(narrowed)["stress"].x_values == [3.0]
+        serial = dataclasses.replace(SMOKE, jobs=1)
+        assert experiments.ch3_degree_tables(serial)["stress"] is first["stress"]
 
     def test_run_ch5_mst_smoke(self):
         table = run_experiment("fig5_31", SMOKE)

@@ -230,12 +230,6 @@ class TestSerialParallelEquivalence:
         )["mst_ratio"].to_json()
         assert serial == parallel
 
-    def test_group_timing_recorded(self):
-        experiments.ch5_mst_table(SMOKE)
-        timings = experiments.group_timings()
-        assert ("ch5_mst", "smoke", "", "reactive") in timings
-        assert timings[("ch5_mst", "smoke", "", "reactive")] > 0
-
 
 # ---------------------------------------------------------------------------
 # underlay cache transparency
