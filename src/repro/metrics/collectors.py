@@ -29,7 +29,6 @@ from typing import Callable
 
 from repro.protocols.base import TreeRegistry
 from repro.protocols.mst import mst_parent_map, tree_cost
-from repro.sim.invariants import tree_is_legal
 from repro.sim.network import Underlay
 
 __all__ = [
@@ -345,12 +344,25 @@ class RecoveryTracker:
 
     A *damage episode* opens when the first orphan appears in a fully
     healed tree and closes when the last orphan is gone **and** the tree
-    passes the structural legality oracle
-    (:func:`repro.sim.invariants.tree_is_legal`).  The elapsed wall time
-    of each episode lands in :attr:`recovery_times` — the paper-facing
-    "time to legal state" the failover experiments compare.  Episodes
-    still open at session end are dropped (the tree never healed), which
-    keeps the statistic honest under unrecoverable fault plans.
+    is structurally legal.  The elapsed wall time of each episode lands
+    in :attr:`recovery_times` — the paper-facing "time to legal state"
+    the failover experiments compare.  Episodes still open at session
+    end are dropped (the tree never healed), which keeps the statistic
+    honest under unrecoverable fault plans.
+
+    Legality is a maintained answer (:meth:`tree_is_legal`), not a full
+    scan per episode.  :class:`~repro.protocols.base.TreeRegistry`
+    refuses every structural violation at its public API (self-loops,
+    cycles, dangling parents, moving the source), so under API mutation
+    only the degree bound can fail.  The tracker keeps the set of
+    parents that *may* be over their agent's ``degree_limit``: every
+    ``attach``/``reparent`` event adds the parent it names, every
+    :meth:`~repro.protocols.base.ProtocolRuntime.register` adds the node
+    that got a new limit, and a query prunes the set lazily.  A registry
+    whose ``parent``/``children`` maps were edited by hand is outside
+    this argument: validate it with the full-scan oracle
+    (:func:`repro.sim.invariants.tree_is_legal`), which the tests hold
+    this answer equal to.
     """
 
     def __init__(self, env) -> None:
@@ -358,7 +370,28 @@ class RecoveryTracker:
         self.orphans: set[int] = set()
         self.recovery_times: list[float] = []
         self._episode_start: float | None = None
+        #: parents that may hold more children than their degree limit
+        self._suspects: set[int] = set(env.tree.children)
         env.tree.add_listener(self._on_tree_event)
+        env.add_register_listener(self._suspects.add)
+
+    def tree_is_legal(self) -> bool:
+        """Whether the registry is structurally legal *now*.
+
+        Equal to :func:`repro.sim.invariants.tree_is_legal` for any tree
+        mutated through the registry's API; costs O(parents touched since
+        the last call) instead of O(n).
+        """
+        suspects = self._suspects
+        if suspects:
+            children = self.env.tree.children
+            agents = self.env.agents
+            for p in list(suspects):
+                kids = children.get(p)
+                agent = agents.get(p)
+                if kids is None or agent is None or len(kids) <= agent.degree_limit:
+                    suspects.discard(p)
+        return not suspects
 
     def _on_tree_event(
         self, kind: str, node: int, parent: int | None, time: float
@@ -368,15 +401,16 @@ class RecoveryTracker:
                 self._episode_start = time
             self.orphans.add(node)
             return
-        if kind in ("attach", "reparent", "depart"):
-            self.orphans.discard(node)
-            if (
-                not self.orphans
-                and self._episode_start is not None
-                and tree_is_legal(self.env)
-            ):
-                self.recovery_times.append(time - self._episode_start)
-                self._episode_start = None
+        if kind != "depart":
+            self._suspects.add(parent)
+        self.orphans.discard(node)
+        if (
+            not self.orphans
+            and self._episode_start is not None
+            and self.tree_is_legal()
+        ):
+            self.recovery_times.append(time - self._episode_start)
+            self._episode_start = None
 
 
 def mst_ratio(

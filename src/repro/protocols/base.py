@@ -491,8 +491,18 @@ class ProtocolRuntime:
         #: path.  The public name-keyed view is :attr:`message_counts`.
         self._msg_counts: Counter[type] = Counter()
         self.join_records: list[JoinRecord] = []
+        self._register_listeners: list[Callable[[int], None]] = []
 
     # -- agent lifecycle ------------------------------------------------------
+
+    def add_register_listener(self, listener: Callable[[int], None]) -> None:
+        """Call ``listener(node)`` after every :meth:`register`.
+
+        A registration can give a node still present in the tree (crashed,
+        not yet purged) a new agent with a smaller ``degree_limit``;
+        maintained degree-bound answers must hear about it.
+        """
+        self._register_listeners.append(listener)
 
     def register(self, agent: "OverlayAgent") -> None:
         if agent.node_id in self.agents and self.is_alive(agent.node_id):
@@ -501,6 +511,8 @@ class ProtocolRuntime:
         self.agents[agent.node_id] = agent
         self._alive.add(agent.node_id)
         self._frozen.discard(agent.node_id)
+        for listener in self._register_listeners:
+            listener(agent.node_id)
 
     def mark_dead(self, node: int) -> None:
         self._alive.discard(node)

@@ -38,16 +38,23 @@ class Pulse:
     timer arm/fire, gate change, join completion, worker exit) calls
     :meth:`bump`.  The driver reads the count two ways: it keeps yielding
     to the loop until the count stops moving (quiescence), and it then
-    steps the simulator synchronously until the count moves again — a
-    simulator event resolved an asyncio future — and only then yields.
-    The count itself is deterministic, which makes the driver's
+    runs simulator events in one burst
+    (:meth:`~repro.sim.engine.Simulator.run_burst`) until the count moves
+    again — a simulator event resolved an asyncio future — and only then
+    yields.  The count itself is deterministic, which makes the driver's
     interleaving deterministic.
+
+    ``halt`` ends a burst *without* moving the count: a drain request
+    must stop the simulator, but one that lands while the driver
+    quiesces (a signal) must not read as asyncio progress and cost the
+    quiescence wait another loop pass.
     """
 
-    __slots__ = ("count",)
+    __slots__ = ("count", "halt")
 
     def __init__(self) -> None:
         self.count = 0
+        self.halt = False
 
     def bump(self) -> None:
         self.count += 1

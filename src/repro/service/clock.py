@@ -24,6 +24,7 @@ import asyncio
 
 from repro.service.bus import Pulse
 from repro.sim.engine import Event, Simulator
+from repro.util.validation import check_non_negative
 
 __all__ = ["VirtualClock"]
 
@@ -47,12 +48,16 @@ class VirtualClock:
         return len(self._timers)
 
     def _arm(self, delay_s: float) -> asyncio.Future:
-        """Register a timer; the returned future resolves when it fires."""
+        """Register a timer; the returned future resolves when it fires.
+
+        ``delay_s`` must be >= 0 and not NaN (``+inf`` never fires): the
+        engine's ``schedule_in`` contract, refused here with a typed error
+        rather than clamped.
+        """
+        delay_s = check_non_negative("delay_s", delay_s)
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
-        self._timers[fut] = self.sim.schedule_in(
-            max(0.0, delay_s), lambda: self._fire(fut)
-        )
+        self._timers[fut] = self.sim.schedule_in(delay_s, lambda: self._fire(fut))
         self.pulse.bump()
         return fut
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.service.clock import VirtualClock
+from repro.util.validation import check_positive
 
 __all__ = ["HealthMonitor", "HealthTransition"]
 
@@ -51,8 +52,7 @@ class HealthMonitor:
         *,
         period_s: float,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError(f"period_s must be > 0, got {period_s}")
+        check_positive("period_s", period_s)
         if not probes:
             raise ValueError("at least one probe is required")
         self.clock = clock

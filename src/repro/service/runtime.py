@@ -17,10 +17,12 @@ Architecture (one :class:`ServiceRuntime` = one live run):
   the shared pulse* (a timer firing, a join completing, a bus gate
   reopening).  It yields to asyncio until the pulse stops moving
   (quiescence: every task is parked on a future only the simulator can
-  resolve), then steps the simulator in a plain synchronous loop until
-  the pulse moves — an event crossed into asyncio — and only then yields
-  again.  Events that stay inside the simulator (the protocol's own
-  messages, by far the most) cost no loop pass.  Asyncio's ready queue
+  resolve), then runs one burst inside the engine's own event loop
+  (``Simulator.run_burst``) that stops right after the pulse moves — an
+  event crossed into asyncio — or a drain raises the pulse's halt flag,
+  and only then yields again.  Events that stay inside the simulator (the
+  protocol's own messages, by far the most) cost no loop pass and no
+  per-event call into the driver.  Asyncio's ready queue
   is FIFO and every await in the service sleeps on the simulator, so the
   interleaving — and therefore the whole run — is a pure function of
   the config.  ``_finished`` is set *before* the orchestrator tears its
@@ -28,6 +30,8 @@ Architecture (one :class:`ServiceRuntime` = one live run):
   simulator event fires once the run is over;
 * **health probes** (bus gates, tree legality + orphan set, admission
   depth) run on a virtual-time cadence and integrate time-in-degraded;
+  the tree probe reads the :class:`RecoveryTracker`'s maintained
+  legality answer, not a full registry scan;
 * **chaos** (:class:`repro.harness.chaos.ServiceChaosRule`) strikes at
   fixed virtual times: agent crashes go through the session fault arm
   (:class:`repro.sim.faults.FaultInjector`), bus stalls close consumer
@@ -74,7 +78,7 @@ from repro.service.health import HealthMonitor
 from repro.service.workload import SCENARIOS, SessionArrival, build_workload
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.invariants import InvariantChecker, tree_is_legal
+from repro.sim.invariants import InvariantChecker
 from repro.sim.session import draw_degree
 from repro.util.artifacts import artifact_key
 from repro.util.retry import RetryPolicy
@@ -173,7 +177,8 @@ class DriverStats:
     #: simulator events the driver fired (``run()``'s synchronous tail to
     #: the horizon is not counted)
     sim_events: int = 0
-    #: synchronous runs of events between two yields to asyncio
+    #: ``Simulator.run_burst`` calls: runs of events between two yields
+    #: to asyncio
     bursts: int = 0
     #: ``asyncio.sleep(0)`` loop passes spent waiting for quiescence
     loop_yields: int = 0
@@ -276,7 +281,7 @@ class ServiceRuntime:
             {
                 "bus": lambda: not self.bus.stalled(),
                 "tree": lambda: not self.recovery.orphans
-                and tree_is_legal(self.env),
+                and self.recovery.tree_is_legal(),
                 "admission": lambda: self.bus.depth(JOINS_TOPIC)
                 < config.join_queue_hwm,
             },
@@ -363,12 +368,17 @@ class ServiceRuntime:
     def request_drain(self) -> None:
         """Ask the run to drain: stop admissions, finish in-flight joins.
 
-        Signal-handler-safe (sets a flag the driver polls); idempotent.
+        Signal-handler-safe (sets two flags: the one the driver polls
+        between bursts, and the pulse's halt flag that ends a running
+        burst after the current event); idempotent.
         """
         self._drain_requested = True
+        if not self._draining:
+            self.pulse.halt = True
 
     def _begin_drain(self) -> None:
         self._draining = True
+        self.pulse.halt = False
         self.drained = True
         self.drain_time_s = self.sim.now
         if self._drain_fut is not None and not self._drain_fut.done():
@@ -407,9 +417,12 @@ class ServiceRuntime:
 
         Once asyncio is quiescent nothing on its side can change until a
         simulator event resolves a future — and every such crossing bumps
-        the pulse — so the driver steps the simulator synchronously until
-        the pulse moves (or a drain is requested) and only then pays for
-        another round trip through the loop.
+        the pulse — so the driver hands the simulator one burst
+        (:meth:`~repro.sim.engine.Simulator.run_burst`), which stops right
+        after the event that bumped the pulse or raised its halt flag (a
+        drain request), and only then pays for another round trip through
+        the loop.  Pacing (``pace_s``) sleeps once per burst, for the
+        virtual time the burst covered.
         """
         sim, pulse, stats = self.sim, self.pulse, self.driver
         pace = self._pace_s
@@ -421,23 +434,17 @@ class ServiceRuntime:
                 self._begin_drain()
                 continue
             mark = pulse.count
-            burst = 0
-            while True:
-                before = sim.now
-                if not sim.step():
-                    raise RuntimeError(
-                        "service runtime stalled: asyncio is quiescent, the "
-                        "event queue is empty, and the run is not finished"
-                    )
-                burst += 1
-                if pace > 0:
-                    wall = (sim.now - before) * pace
-                    if wall > 0:
-                        time.sleep(min(wall, 0.25))
-                if pulse.count != mark or (
-                    self._drain_requested and not self._draining
-                ):
-                    break
+            before = sim.now
+            burst = sim.run_burst(pulse)
+            if pulse.count == mark and not pulse.halt:
+                raise RuntimeError(
+                    "service runtime stalled: asyncio is quiescent, the "
+                    "event queue is empty, and the run is not finished"
+                )
+            if pace > 0:
+                wall = (sim.now - before) * pace
+                if wall > 0:
+                    time.sleep(min(wall, 0.25))
             stats.sim_events += burst
             stats.bursts += 1
             if burst > stats.longest_burst:

@@ -7,7 +7,11 @@ A deliberately small, deterministic discrete-event core:
 * cancellation is handled lazily with tombstones (O(1) cancel, amortized
   cleanup on pop), the standard idiom for heap-backed schedulers;
 * the simulator never advances past an explicit horizon, which lets callers
-  interleave simulation with measurement (``run_until``).
+  interleave simulation with measurement (``run_until``);
+* a driver that must hand control back whenever an event crosses into
+  another scheduler (the service's asyncio side) runs bursts with
+  ``run_burst``: the same inlined loop, stopped by a pulse counter moving
+  or a halt flag instead of a horizon.
 
 The heap holds plain ``(time, priority, seq, callback, event)`` tuples
 rather than ordered event instances: tuple comparison is a single C-level
@@ -289,4 +293,32 @@ class Simulator:
             if count == max_events:
                 return count
         self._now = horizon
+        return count
+
+    def run_burst(self, pulse) -> int:
+        """Run events until one moves ``pulse.count`` or sets ``pulse.halt``.
+
+        ``run_until``'s loop with a different stop test: the burst ends
+        right after the event that changed the count or raised the halt
+        flag, or when the queue holds no live event.  ``pulse`` is any
+        object with ``count`` and ``halt`` attributes — the service's
+        :class:`~repro.service.bus.Pulse`.  Returns the number of events
+        fired; an empty (or all-tombstone) queue returns 0 and leaves the
+        clock where it was.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        mark = pulse.count
+        count = 0
+        while queue:
+            entry = pop(queue)
+            ev = entry[4]
+            if ev is not None and ev.cancelled:
+                continue
+            self._now = entry[0]
+            self._events_processed += 1
+            count += 1
+            entry[3]()
+            if pulse.count != mark or pulse.halt:
+                break
         return count

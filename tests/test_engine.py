@@ -255,3 +255,114 @@ def test_any_schedule_order_fires_sorted(times):
     sim.run()
     assert fired == sorted(times)
     assert sim.events_processed == len(times)
+
+
+# ---------------------------------------------------------------------------
+# run_burst: the service driver's loop against repeated step()
+# ---------------------------------------------------------------------------
+
+_ACTIONS = ("plain", "bump", "halt", "spawn", "cancel")
+
+
+def _build(spec, cancelled):
+    """A simulator + pulse + log from one drawn heap description.
+
+    ``spec`` is a list of ``(time, action, tombstone_able)``; actions bump
+    the pulse, raise its halt flag, schedule a follow-up event, or cancel
+    a later event.  Entries in ``cancelled`` are tombstoned up front.
+    """
+    from repro.service.bus import Pulse
+
+    sim, pulse, log = Simulator(), Pulse(), []
+    events = {}
+
+    def fire(i, action):
+        log.append((i, sim.now))
+        if action == "bump":
+            pulse.bump()
+        elif action == "halt":
+            pulse.halt = True
+        elif action == "spawn":
+            sim.schedule_fire_in(0.5, lambda: log.append((f"spawn{i}", sim.now)))
+        elif action == "cancel":
+            for j in sorted(events):
+                if j > i and not events[j].cancelled:
+                    events[j].cancel()
+                    break
+
+    for i, (t, action, cancellable) in enumerate(spec):
+        cb = lambda i=i, a=action: fire(i, a)
+        if cancellable:
+            events[i] = sim.schedule(t, cb)
+        else:
+            sim.schedule_fire_in(t, cb)
+    for i in cancelled:
+        if i in events:
+            events[i].cancel()
+    return sim, pulse, log
+
+
+def _stepped_burst(sim, pulse) -> int:
+    """The per-event driver ``run_burst`` replaced."""
+    mark, count = pulse.count, 0
+    while sim.step():
+        count += 1
+        if pulse.count != mark or pulse.halt:
+            break
+    return count
+
+
+class TestRunBurst:
+    @given(
+        spec=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                st.sampled_from(_ACTIONS),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        cancelled=st.sets(st.integers(0, 39), max_size=15),
+    )
+    def test_matches_repeated_step(self, spec, cancelled):
+        fast, fast_pulse, fast_log = _build(spec, cancelled)
+        ref, ref_pulse, ref_log = _build(spec, cancelled)
+        while True:
+            fast_pulse.halt = ref_pulse.halt = False
+            mark = fast_pulse.count
+            n = fast.run_burst(fast_pulse)
+            assert n == _stepped_burst(ref, ref_pulse)
+            assert fast_log == ref_log
+            assert fast.now == ref.now
+            assert fast.events_processed == ref.events_processed
+            assert fast_pulse.count == ref_pulse.count
+            if n == 0:
+                break
+            # it stopped right after the crossing, or ran the queue dry
+            crossed = fast_pulse.count != mark or fast_pulse.halt
+            assert crossed or fast.peek_time() == math.inf
+        assert fast.pending == ref.pending == 0
+
+    def test_stops_right_after_the_crossing_event(self):
+        for stopper in ("bump", "halt"):
+            spec = [(1.0, "plain", True), (2.0, stopper, False), (3.0, "plain", True)]
+            sim, pulse, log = _build(spec, ())
+            assert sim.run_burst(pulse) == 2
+            assert [i for i, _ in log] == [0, 1] and sim.now == 2.0
+            assert sim.pending == 1
+
+    def test_a_drain_halt_does_not_move_the_count(self):
+        sim, pulse, _ = _build([(1.0, "halt", True), (2.0, "plain", True)], ())
+        assert sim.run_burst(pulse) == 1
+        assert pulse.count == 0 and pulse.halt
+
+    @pytest.mark.parametrize("n_tombstones", [0, 1, 5])
+    def test_empty_or_all_tombstone_queue_returns_zero(self, n_tombstones):
+        sim, pulse, log = _build(
+            [(float(i + 1), "bump", True) for i in range(n_tombstones)],
+            range(n_tombstones),
+        )
+        sim.run_until(0.5)
+        assert sim.run_burst(pulse) == 0
+        assert sim.now == 0.5 and sim.events_processed == 0 and not log
+        assert pulse.count == 0 and not pulse.halt

@@ -1,8 +1,9 @@
 """The service driver's invariant, pinned against a per-event reference.
 
 The production driver (:meth:`ServiceRuntime._drive`) quiesces asyncio
-once, then steps the simulator synchronously until an event crosses into
-asyncio (the pulse moves).  That is only sound if *every* such crossing
+once, then runs one burst in the engine's own loop
+(:meth:`~repro.sim.engine.Simulator.run_burst`) until an event crosses
+into asyncio (the pulse moves).  That is only sound if *every* such crossing
 bumps the pulse.  The oracle here is the obviously-correct driver it
 replaced — a full asyncio round trip after every single simulator event —
 kept in this file only (it is 2.5x slower per event): on a grid of
@@ -32,6 +33,7 @@ from repro.harness.presets import PRESETS
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.service.bus import Pulse
 from repro.service.clock import VirtualClock
+from repro.service.health import HealthMonitor
 from repro.service.runtime import ServiceConfig, ServiceRuntime
 from repro.sim.engine import Simulator
 from repro.sim.faults import FAULT_PRESETS, FaultPlan
@@ -220,26 +222,29 @@ class TestHorizon:
             self.CFG, _underlay(self.CFG.n_hosts), chaos_plan=plan,
             journal_outcomes=False,
         )
-        seen = {}
-        finish, step = rt._finish, rt.sim.step
+        seen = {"bursts": 0}
+        finish, run_burst = rt._finish, rt.sim.run_burst
 
         def spy_finish():
             seen.setdefault("events_at_finish", rt.sim.events_processed)
             finish()
 
-        def spy_step():
-            assert not rt._finished, "simulator event fired after _finished"
-            return step()
+        def spy_burst(pulse):
+            assert not rt._finished, "simulator burst ran after _finished"
+            seen["bursts"] += 1
+            return run_burst(pulse)
 
-        rt._finish, rt.sim.step = spy_finish, spy_step
+        rt._finish, rt.sim.run_burst = spy_finish, spy_burst
         return rt, seen
 
     @pytest.mark.parametrize("chaos", sorted(CHAOS))
     def test_no_event_fires_once_the_orchestrator_finished(self, chaos):
         rt, seen = self._instrumented(CHAOS[chaos])
         rt.run()
-        # every event the driver fired preceded _finish(); the rest of
-        # events_processed is run()'s synchronous tail to the horizon
+        # the spy saw every burst the driver ran (it is not vacuous) ...
+        assert seen["bursts"] == rt.driver.bursts > 0
+        # ... and every event the driver fired preceded _finish(); the rest
+        # of events_processed is run()'s synchronous tail to the horizon
         assert rt.driver.sim_events == seen["events_at_finish"]
 
     def test_run_stops_at_the_horizon(self):
@@ -487,15 +492,15 @@ class TestVirtualClockTimers:
     def test_timers_are_plain_schedule_in_events(self):
         """The clock's one way into the engine: a timer is a cancellable
         ``schedule_in`` Event — one sequence number each, ordered with
-        directly scheduled events by (time, seq), a negative delay clamped
-        to now, a disarmed timer tombstoned and never counted as run."""
+        directly scheduled events by (time, seq), a zero delay firing at
+        now, a disarmed timer tombstoned and never counted as run."""
 
         async def go():
             clock = self._clock()
             sim = clock.sim
             order: list[str] = []
             sim.schedule_in(5.0, lambda: order.append("direct-before"))
-            delays = {"t5": 5.0, "gone": 5.0, "neg": -3.0, "t1": 1.0}
+            delays = {"t5": 5.0, "gone": 5.0, "zero": 0.0, "t1": 1.0}
             futs = {name: clock._arm(delay) for name, delay in delays.items()}
             sim.schedule_in(5.0, lambda: order.append("direct-after"))
             for name, fut in futs.items():
@@ -513,11 +518,49 @@ class TestVirtualClockTimers:
                 fired_at.append(sim.now)
                 await asyncio.sleep(0)  # let done-callbacks run in fire order
             assert fired_at == [0.0, 1.0, 5.0, 5.0, 5.0]
-            assert order == ["neg", "t1", "direct-before", "t5", "direct-after"]
+            assert order == ["zero", "t1", "direct-before", "t5", "direct-after"]
             assert sim.events_processed == 5 and not futs["gone"].done()
             assert clock.pending_timers == 0
 
         asyncio.run(go())
+
+    @pytest.mark.parametrize("delay", [-5.0, -1e-12, float("nan"), "soon"])
+    def test_illegal_delays_are_refused_not_clamped(self, delay):
+        """``schedule_in`` refuses a negative or NaN delay; the clock used
+        to clamp both to a zero-delay timer instead."""
+
+        async def go():
+            clock = self._clock()
+            before = clock.pulse.count
+            with pytest.raises(ValueError, match="delay_s"):
+                await clock.sleep(delay)
+            with pytest.raises(ValueError, match="delay_s"):
+                await clock.wait_for(
+                    asyncio.get_running_loop().create_future(), delay
+                )
+            assert clock.pending_timers == 0 and clock.sim.pending == 0
+            assert clock.pulse.count == before
+
+        asyncio.run(go())
+
+    def test_infinite_delay_is_legal(self):
+        async def go():
+            clock = self._clock()
+            fut = asyncio.get_running_loop().create_future()
+            waiter = asyncio.ensure_future(clock.wait_for(fut, float("inf")))
+            await asyncio.sleep(0)
+            assert clock.pending_timers == 1
+            assert clock.sim.run_until(1e300) == 0  # the timer never fires
+            fut.set_result(None)
+            assert await waiter is True and clock.pending_timers == 0
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+    def test_health_period_must_be_positive(self, period):
+        clock = self._clock()
+        with pytest.raises(ValueError, match="period_s"):
+            HealthMonitor(clock, {"ok": lambda: True}, period_s=period)
 
     def test_jump_fires_in_registration_order(self):
         async def go():
