@@ -78,8 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-substrate-cache",
         action="store_true",
-        help="disable the on-disk compiled-substrate cache for this run "
-        "(substrates are still compiled in memory; equivalent to "
+        help="disable the on-disk substrate cache for this run "
+        "(substrates are still built in memory; equivalent to "
         "REPRO_SUBSTRATE_CACHE=0)",
     )
     parser.add_argument(

@@ -18,8 +18,8 @@ the batched engine finishes in milliseconds.
 
 The adapter is fail-safe by construction: any
 :class:`~repro.sim.batched.BatchedUnsupported` — wrong protocol, probe
-noise, faults, refinement, an underlay without dense rows — makes the
-hook decline, and ``run_replications`` falls back to the scalar engine
+noise, faults, refinement, an underlay without host-indexed delay rows —
+makes the hook decline, and ``run_replications`` falls back to the scalar engine
 for exactly the replications the batch did not take.  ``REPRO_BATCHED_REPS``
 (:func:`repro.util.envflags.batched_reps`) is the ablation knob: ``0``
 declines everything (the byte-identity oracle mode), a positive value

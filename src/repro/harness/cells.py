@@ -235,7 +235,6 @@ def ch7_rep(
         n_hosts=n_members,
         seed=seed,
         ts_config=scale_ts_config(max(n_members, 120)),
-        sparse=True,
     )
     nan = float("nan")
     if proto == "MST":

@@ -42,17 +42,17 @@ gathers only children attached since.  So a build opens at most
 2·(n−1) handles: one per joining member, at most one fill per attach.
 The sources:
 
-* sparse substrates: the host's attachment-router Dijkstra row,
-  read with ``row.item`` in ``delay_ms``'s own float association
+* router-graph substrates (:class:`repro.sim.sparse.SparseUnderlay`):
+  the host's attachment-router Dijkstra row, read with ``row.item`` in
+  ``delay_ms``'s own float association
   (``2.0 * ((acc_a + dist) + acc_b)``), with a
   :class:`repro.sim.sparse.RowPlan` fed the full join order up front so
   missing rows are computed in multi-source blocks.  The row store
   outlives the call: a tree walk, its metrics pass and a Prim pass on
   one underlay compute each attachment-router row once between them;
-* compiled substrates: a zero-copy row of the host-delay matrix;
 * everything else, and ``kernel="scalar"`` everywhere: one
   ``underlay.rtt_ms`` / ``delay_ms`` / ``path_links`` call per pair —
-  the reference the row sources are pinned against, byte for byte, in
+  the reference the row source is pinned against, byte for byte, in
   ``tests/test_scale_kernel.py`` (same parents, same join latencies,
   same iteration counts, same metric reprs, across protocols, degree
   limits and plan block sizes).
@@ -156,8 +156,9 @@ class _PairQueries:
 
     Serves every underlay, installs no plan and keeps no state of its
     own.  ``kernel="scalar"`` selects it everywhere (it is the oracle the
-    row sources are tested against); underlays that serve no rows — the
-    lazy engine, sparse host ids — get it under either kernel.
+    row source is tested against); underlays that serve no rows — the
+    lazy engine, host ids that are not indices — get it under either
+    kernel.
     ``rtt_ms`` / ``delay_ms`` raise ``NetworkXNoPath`` themselves.
     """
 
@@ -189,31 +190,6 @@ class _PairQueries:
 
     def close(self) -> None:
         pass
-
-
-class _DenseRows(_PairQueries):
-    """RTTs read off rows of a host-delay matrix.
-
-    ``rtt_ms(a, b) == 2.0 * delay[a, b]`` bit for bit on the compiled
-    engine (its rtt rows are ``2.0 * delay`` elementwise, and doubling is
-    exact in any float width), so one zero-copy row view per source
-    serves every gather from it.  The metrics pass keeps the per-pair
-    queries: the dense engine's ``path_links`` has no row form.
-    """
-
-    def __init__(self, underlay: Underlay, matrix: np.ndarray) -> None:
-        super().__init__(underlay)
-        # One base-class view up front: a memory-mapped matrix would pay
-        # ``np.memmap.__getitem__`` for every row taken from it.
-        self._matrix = matrix.view(np.ndarray)
-
-    def rtts(self, a: int):
-        item = self._matrix[a].item
-
-        def gather(targets):
-            return _finite([2.0 * item(b) for b in targets], a)
-
-        return gather
 
 
 class _SparseRows(_PairQueries):
@@ -332,17 +308,9 @@ def _walk_distances(
     underlay: Underlay, n_members: int, kernel: str | None, prefetch_block: int | None
 ) -> _PairQueries:
     """Where the join walk's distances come from on this underlay."""
-    if kernel != "scalar":
-        sparse = _sparse_indexed(underlay)
-        if sparse is not None:
-            return _SparseRows(sparse, n_members, block=prefetch_block)
-        # The compiled engine's host-delay matrix, valid whenever its
-        # ``delay_row`` is: ids are indices and every pair is reachable.
-        matrix = getattr(underlay, "_hdelay", None)
-        if getattr(underlay, "_ids_are_indices", False) and isinstance(
-            matrix, np.ndarray
-        ):
-            return _DenseRows(underlay, matrix)
+    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
+    if sparse is not None:
+        return _SparseRows(sparse, n_members, block=prefetch_block)
     return _PairQueries(underlay)
 
 
@@ -365,10 +333,10 @@ def build_scale_tree(
 
     ``kernel`` picks where distances come from: ``"batched"`` (the
     default) reads them off rows the underlay computes in batches — a
-    sparse substrate's Dijkstra rows, planned ``prefetch_block`` sources
-    at a time, or a compiled substrate's host-delay matrix — and
-    ``"scalar"`` asks ``underlay.rtt_ms`` pair by pair, which is also
-    what underlays that serve no rows (the lazy path) always get.  The
+    router-graph substrate's Dijkstra rows, planned ``prefetch_block``
+    sources at a time — and ``"scalar"`` asks ``underlay.rtt_ms`` pair by
+    pair, which is also what underlays that serve no rows (the lazy path)
+    always get.  The
     walk is the same and the trees are byte-identical.
     """
     if protocol not in SCALE_PROTOCOLS:

@@ -6,19 +6,15 @@ pool filtered down to working nodes, with the source at a Colorado-like
 site.  These builders package that setup (and its seeding discipline) so
 experiments and tests share one code path.
 
-Which router-graph engine serves a run is decided here, by the caller,
-from the input size: the transit-stub builder returns a
-:class:`~repro.sim.compiled.CompiledUnderlay` (one batched all-pairs
-Dijkstra, dense delay/error matrices), or — for callers that pass
-``sparse=True`` because their substrate outgrows V² memory — a
-:class:`~repro.sim.sparse.SparseUnderlay` (CSR triplets, Dijkstra rows on
-demand).  Both engines are exact: they answer every query
-byte-identically to each other and to the lazy
+Every transit-stub substrate, from the paper's size to 10⁵-router scale
+cells, is a :class:`~repro.sim.sparse.SparseUnderlay`: CSR triplets and
+Dijkstra rows computed on first use, with a row store whose capacity the
+input size decides.  It answers every query byte-identically to the lazy
 :class:`~repro.sim.network.RouterUnderlay` the tests build from the same
 three RNG streams (``tests/helpers.py``).  Every builder consults the
 content-addressed artifact cache of :mod:`repro.util.artifacts`, keyed by
-the complete build recipe, so a warm cache skips topology generation and
-compilation entirely and loads memory-mapped arrays instead;
+the complete build recipe, so a warm cache skips topology generation
+entirely and loads memory-mapped arrays instead;
 ``REPRO_SUBSTRATE_CACHE=0`` disables the disk cache.
 """
 
@@ -29,21 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.compiled import ARTIFACT_SCHEMA, CompiledUnderlay
-from repro.sim.network import MatrixUnderlay, Underlay
+from repro.sim.network import MatrixUnderlay
 from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay
 from repro.topology.geo import GeoSite
-from repro.topology.linkmodel import (
-    LinkErrorConfig,
-    assign_link_errors,
-    link_error_array,
-)
+from repro.topology.linkmodel import LinkErrorConfig, link_error_array
 from repro.topology.planetlab import PlanetLabNode, generate_planetlab_pool
 from repro.topology.transit_stub import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_transit_stub_arrays,
-    stub_routers,
 )
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
@@ -54,16 +43,8 @@ __all__ = [
     "PlanetLabSubstrate",
 ]
 
-
-def _transit_stub_attachments(
-    graph, n_hosts: int, seed: int
-) -> dict[int, int]:
-    """The paper's attachment rule: uniform stub routers, shared only when
-    the host count exceeds the stub-router count."""
-    stubs = stub_routers(graph)
-    rng = spawn_rng(seed, "attach")
-    routers = rng.choice(stubs, size=n_hosts, replace=n_hosts > len(stubs))
-    return {host: int(r) for host, r in enumerate(routers)}
+#: layout version of the PlanetLab artifact (part of its cache key).
+_PLANETLAB_SCHEMA = 4
 
 
 def build_transit_stub_underlay(
@@ -74,7 +55,7 @@ def build_transit_stub_underlay(
     link_errors: LinkErrorConfig | None = None,
     access_delay_ms: float = 0.5,
     sparse: bool | None = None,
-) -> Underlay:
+) -> SparseUnderlay:
     """Generate a transit-stub graph and attach ``n_hosts`` overlay hosts.
 
     Hosts get ids ``0..n_hosts-1`` and are attached to stub routers chosen
@@ -82,69 +63,14 @@ def build_transit_stub_underlay(
     sweep exceeds the stub-router count, at which point routers are
     shared).  Pass ``link_errors`` to enable the Chapter 4 loss model.
 
-    Returns a :class:`CompiledUnderlay`, or with ``sparse=True`` a
-    :class:`~repro.sim.sparse.SparseUnderlay`: CSR edge triplets and
-    on-demand Dijkstra rows, never a V^2 matrix — the only substrate path
-    that scales past ~10k routers.  Either may be loaded straight from
-    the artifact cache, and both answer every query byte-identically.
+    Returns the one router-graph engine, a :class:`SparseUnderlay`,
+    possibly loaded straight from the artifact cache.  ``sparse`` is
+    accepted and ignored: it chose between two engines once, and callers
+    written then still pass it.
     """
     if n_hosts < 2:
         raise ValueError(f"need at least 2 hosts, got {n_hosts}")
     config = ts_config or TransitStubConfig()
-    if sparse:
-        return _build_sparse_transit_stub(
-            n_hosts=n_hosts,
-            seed=seed,
-            config=config,
-            link_errors=link_errors,
-            access_delay_ms=access_delay_ms,
-        )
-
-    key = artifacts.artifact_key(
-        {
-            "kind": "transit-stub",
-            "schema": ARTIFACT_SCHEMA,
-            "ts_config": config,
-            "link_errors": link_errors,
-            "seed": int(seed),
-            "n_hosts": int(n_hosts),
-            "access_delay_ms": float(access_delay_ms),
-        }
-    )
-    use_cache = artifacts.cache_enabled()
-    if use_cache:
-        artifact = artifacts.load_artifact(key)
-        if artifact is not None:
-            try:
-                return CompiledUnderlay.from_artifact(artifact)
-            except (KeyError, ValueError):
-                pass  # inconsistent entry: fall through and rebuild
-    graph = generate_transit_stub(config, seed=spawn_rng(seed, "topology"))
-    if link_errors is not None:
-        assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
-    underlay = CompiledUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
-    if use_cache:
-        arrays, meta = underlay.to_artifact()
-        artifacts.store_artifact(key, arrays, meta)
-    return underlay
-
-
-def _build_sparse_transit_stub(
-    *,
-    n_hosts: int,
-    seed: int,
-    config: TransitStubConfig,
-    link_errors: LinkErrorConfig | None,
-    access_delay_ms: float,
-) -> SparseUnderlay:
-    """The sparse substrate path: triplet topology, no V^2 anything.
-
-    The topology generator, the error-assignment draws, and the host
-    attachment draws all consume the same RNG streams as the dense path,
-    so a sparse substrate is query-for-query byte-identical to the
-    compiled build of the same recipe.
-    """
     key = artifacts.artifact_key(
         {
             "kind": "transit-stub-sparse",
@@ -174,6 +100,8 @@ def _build_sparse_transit_stub(
             link_errors,
             seed=spawn_rng(seed, "errors"),
         )
+    # The paper's attachment rule: uniform stub routers, shared only when
+    # the host count exceeds the stub-router count.
     stubs = arr.stub_ids()
     rng = spawn_rng(seed, "attach")
     routers = rng.choice(stubs, size=n_hosts, replace=n_hosts > len(stubs))
@@ -269,7 +197,7 @@ def build_planetlab_underlay(
     key = artifacts.artifact_key(
         {
             "kind": "planetlab",
-            "schema": ARTIFACT_SCHEMA,
+            "schema": _PLANETLAB_SCHEMA,
             "n_select": int(n_select),
             "seed": int(seed),
             "n_us": int(n_us),
@@ -310,7 +238,7 @@ def build_planetlab_underlay(
             arrays["loss"] = loss
         meta = {
             "kind": "planetlab",
-            "schema": ARTIFACT_SCHEMA,
+            "schema": _PLANETLAB_SCHEMA,
             "source": int(source),
             "nodes": [_node_to_json(node) for node in selected],
             "has_loss": loss is not None,
@@ -321,7 +249,7 @@ def build_planetlab_underlay(
 
 def _planetlab_from_artifact(artifact: artifacts.Artifact) -> PlanetLabSubstrate:
     meta = artifact.meta
-    if meta.get("kind") != "planetlab" or meta.get("schema") != ARTIFACT_SCHEMA:
+    if meta.get("kind") != "planetlab" or meta.get("schema") != _PLANETLAB_SCHEMA:
         raise ValueError("not a planetlab substrate artifact")
     loss = artifact.arrays.get("loss")
     if meta["has_loss"] and loss is None:

@@ -217,11 +217,11 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
     children = tree.children
     parent_map = tree.parent
     # Bound-method hoist: these two run once per tree edge per sample, and
-    # on compiled substrates they are dense-artifact lookups whose attribute
-    # dispatch would otherwise dominate.
+    # are mostly pair-memo hits whose attribute dispatch would otherwise
+    # dominate.
     delay_ms = underlay.delay_ms
     path_links = underlay.path_links
-    # Substrates with a materialized delay matrix hand out whole rows
+    # Substrates whose host ids are indices hand out whole delay rows
     # (bit-identical to per-pair delay_ms); others return None and the
     # per-pair calls below are used instead.
     source_row = underlay.delay_row(source)

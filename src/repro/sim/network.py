@@ -25,11 +25,13 @@ returns the very object the miss computed, so the caches are invisible to
 callers; ``tests/test_parallel_harness.py`` pins miss ``==`` hit.
 
 :class:`RouterUnderlay` discovers shortest paths *lazily*, one Dijkstra
-source at a time.  :class:`repro.sim.compiled.CompiledUnderlay` subclasses
-it to run one batched all-pairs Dijkstra up front and serve every query
-from dense arrays; the tests call the lazy implementations below on a
-compiled instance (``RouterUnderlay.delay_ms(compiled, a, b)``) as its
-oracle, so the two must stay bit-for-bit equivalent.
+source at a time, on a networkx graph.  It is the public entry point for
+hand-built router graphs and the tests' lazy oracle; the substrate
+builders serve every transit-stub run from the one CSR router-graph
+engine, :class:`repro.sim.sparse.SparseUnderlay`, which answers every
+query byte-identically.  Both router-graph engines refuse illegal input
+at construction through the same two checks: :meth:`RouterUnderlay._per_host`
+for access links and :func:`_check_links` for router links.
 """
 
 from __future__ import annotations
@@ -173,6 +175,15 @@ class RouterUnderlay(Underlay):
         # pure-python Dijkstra dominating session time at paper scale).
         self._router_ids = list(graph.nodes())
         self._router_idx = {r: i for i, r in enumerate(self._router_ids)}
+        idx = self._router_idx
+        edges = list(graph.edges(data=True))
+        # A missing ``delay`` is networkx's default weight of 1 in the CSR.
+        _check_links(
+            [idx[u] for u, _, _ in edges],
+            [idx[v] for _, v, _ in edges],
+            [data.get("delay", 1.0) for _, _, data in edges],
+            [data.get("error", 0.0) for _, _, data in edges],
+        )
         self._csr = nx.to_scipy_sparse_array(
             graph, nodelist=self._router_ids, weight="delay", format="csr"
         )
@@ -184,6 +195,7 @@ class RouterUnderlay(Underlay):
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
+        self._domain_map: dict[int, int] | None = None  # read on first use
 
     def _per_host(
         self, value: float | dict[int, float], what: str, upper: float = math.inf
@@ -216,7 +228,7 @@ class RouterUnderlay(Underlay):
     def host_domain(self, host: int) -> int | None:
         """Transit domain of ``host``'s router (transit-stub graphs only)."""
         self.validate_host(host)
-        domains = getattr(self, "_domain_map", None)
+        domains = self._domain_map
         if domains is None:
             try:
                 from repro.topology.transit_stub import router_transit_domains
@@ -228,16 +240,6 @@ class RouterUnderlay(Underlay):
                 domains = {}
             self._domain_map = domains
         return domains.get(self.attachments[host])
-
-    def _set_domain_map(self, domains: dict[int, int]) -> None:
-        """Pre-populate the router->domain map (artifact restore path).
-
-        Graphs rebuilt from compiled artifacts carry edges and delays but
-        no node attributes, so :func:`router_transit_domains` cannot run on
-        them; the compiled layer persists the mapping instead and injects
-        it here.
-        """
-        self._domain_map = dict(domains)
 
     def _ensure_dijkstra(self, router: int) -> None:
         if router not in self._dist:
@@ -341,6 +343,41 @@ def _split_link(link: LinkId) -> tuple[object, tuple]:
     if not isinstance(link, tuple) or not link:
         raise KeyError(f"unknown link id {link!r}")
     return link[0], link[1:]
+
+
+def _check_links(edge_u, edge_v, delay, error=None) -> None:
+    """Refuse illegal router links: the router-link twin of
+    :meth:`RouterUnderlay._per_host`, shared by both router-graph engines.
+
+    Every delay must be finite and ``>= 0`` (a negative one never lets
+    Dijkstra settle; ``nan``/``inf`` would surface as a missing route at
+    query time), every error finite and in ``[0, 1]``, and each undirected
+    link given once, in either orientation (the CSR would sum a
+    duplicate's delays).  Endpoints are router indices.
+    """
+    u = np.asarray(edge_u, dtype=np.int64)
+    v = np.asarray(edge_v, dtype=np.int64)
+    delay = np.asarray(delay, dtype=np.float64)
+    legal_delay = np.isfinite(delay) & (delay >= 0.0)
+    checks = [(delay, "delay", legal_delay, "finite and >= 0")]
+    if error is not None:
+        error = np.asarray(error, dtype=np.float64)
+        if error.shape != delay.shape:
+            raise ValueError("edge errors must match the edge triplets in length")
+        checks.append((error, "error", (error >= 0.0) & (error <= 1.0), "in [0, 1]"))
+    for values, what, ok, rule in checks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"{what} of router link ({u[i]}, {v[i]}) must be {rule}, "
+                f"got {values[i]}"
+            )
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * (int(hi.max(initial=0)) + 1) + hi
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if unique.size != keys.size:
+        i = int(first[np.argmax(counts > 1)])
+        raise ValueError(f"router link ({lo[i]}, {hi[i]}) is given more than once")
 
 
 class MatrixUnderlay(Underlay):

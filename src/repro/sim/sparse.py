@@ -1,47 +1,48 @@
-"""Sparse substrates: CSR-native underlays with on-demand Dijkstra rows.
+"""The router-graph engine: a CSR graph and on-demand Dijkstra rows.
 
-The dense compiled path (:mod:`repro.sim.compiled`) materializes an
-all-pairs host-delay matrix plus router dist/pred matrices — O(V²) memory
-that caps substrates near ~10⁴ routers.  :class:`SparseUnderlay` keeps the
-underlay as a CSR graph end-to-end and serves every query from
+:class:`SparseUnderlay` serves every transit-stub substrate the builders
+make, from the paper's 792 routers to 10⁵-router scale cells.  It keeps
+the underlay as a CSR graph end to end and answers every query from
 **Dijkstra rows computed on first use**, held in one bounded LRU **row
-store** that lives as long as the underlay does.  Peak memory is
-O(E + store · V) instead of O(V²), which is what makes 10⁵–10⁶-router
-substrates tractable.
+store** that lives as long as the underlay does.  There is no V² matrix:
+peak memory is O(E + store · V).
 
-Exactness discipline (DESIGN.md §12): every query is answered
-**byte-identically** to the lazy
-:class:`~repro.sim.network.RouterUnderlay` / dense
-:class:`~repro.sim.compiled.CompiledUnderlay` oracles: the CSR matrix
-holds the same canonicalized values networkx would produce, scipy's
-Dijkstra is deterministic on it, and the float association of
-``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.
-The equivalence suite in ``tests/test_sparse_underlay.py`` pins this.
+Exactness discipline (DESIGN.md §8): every query is answered
+**byte-identically** to the lazy :class:`~repro.sim.network.RouterUnderlay`
+on the same graph: the CSR matrix holds the same canonicalized values
+networkx would produce, scipy's Dijkstra is deterministic on it, and the
+float association of ``delay_ms`` (``(access_a + base) + access_b``) is
+copied verbatim.  The equivalence suite in ``tests/test_sparse_underlay.py``
+pins this.
 
 The per-ordered-pair memo dicts mirror the lazy underlay's but are
 *bounded*: at scale the set of queried pairs is itself O(members ·
 probes), so each memo clears itself at ``_PAIR_MEMO_CAP`` entries — a
 transparent cache policy, never a correctness knob.
 
-The row store (DESIGN.md §12.3): one ``router → (dist, pred | None)``
-LRU per underlay, read and filled through a single lookup
-(:meth:`SparseUnderlay._lookup`) by every row consumer.  A row is
-computed once per underlay, not once per call: a tree walk, its metrics
-pass and a Prim pass on the same underlay share their rows.  The store
-holds ``REPRO_SPARSE_ROWS`` rows until a caller that knows its source
-routers up front — the static-join walk knows the whole join order
-before the first query — hands the ordered plan to
-:meth:`SparseUnderlay.prefetch_rows`, which raises the capacity to the
-plan's byte budget for the rest of the underlay's life.  The returned
-:class:`RowPlan` adds exactly one thing: a store miss for a planned
-source computes that source's whole block
-(``_PLAN_BLOCK`` sources unless the caller says otherwise) in **one multi-source**
-``csgraph.dijkstra`` call, synchronously, skipping the sources the
-store already holds.  scipy computes each source of a multi-source call
+The row store: one ``router → (dist, pred | None)`` LRU per underlay,
+read and filled through a single lookup (:meth:`SparseUnderlay._lookup`)
+by every row consumer.  A row is computed once per underlay, not once
+per call: a session's queries, a tree walk, its metrics pass and a Prim
+pass on the same underlay share their rows.  Its capacity is the input
+size's answer, not a knob: ``_RETAIN_BYTES`` divided by the row size.
+When the rows of all attachment routers, with predecessors, fit that
+budget — every paper-size substrate — the constructor installs a
+standing :class:`RowPlan` over them, so the first lookup computes them
+in multi-source blocks and the store then answers every host query.  A
+caller that knows its source routers up front — the static-join walk
+knows the whole join order before the first query — replaces that plan
+with its own through :meth:`SparseUnderlay.prefetch_rows`, which may
+raise the capacity to the plan's byte budget for the rest of the
+underlay's life.  A plan adds exactly one thing: a store miss for a
+planned source computes that source's whole block (``_PLAN_BLOCK``
+sources unless the caller says otherwise) in **one multi-source**
+``csgraph.dijkstra`` call, synchronously, skipping the sources the store
+already holds.  scipy computes each source of a multi-source call
 independently, so a block row is bit-identical to its single-source twin
 (pinned in ``tests/test_sparse_underlay.py``).  There is no worker
 thread: ``csgraph.dijkstra`` holds the GIL inside the solver (measured,
-DESIGN.md §12.3), so a background block would not overlap the walk.
+DESIGN.md §8), so a background block would not overlap the walk.
 Eviction is only ever a cache policy — an evicted row is recomputed on
 its next use, still exact.
 """
@@ -56,16 +57,27 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import csgraph
 
-from repro.sim.network import LinkId, RouterUnderlay, Underlay, _split_link
+from repro.sim.network import (
+    LinkId,
+    RouterUnderlay,
+    Underlay,
+    _check_links,
+    _split_link,
+)
 from repro.sim.pathtree import routers_along, walk_links
 from repro.util.artifacts import Artifact
-from repro.util.envflags import sparse_row_cache
 
 __all__ = ["SPARSE_SCHEMA", "RowPlan", "SparseUnderlay"]
 
-#: artifact layout version for sparse substrates (own keyspace; a sparse
-#: entry is never confused with a dense one — ``meta["kind"]`` differs).
+#: artifact layout version of router-graph substrates (part of every
+#: cache key, and checked against ``meta["schema"]`` on load).
 SPARSE_SCHEMA = 2
+
+#: the row store's byte budget: its capacity from construction on
+#: (``_RETAIN_BYTES // row_bytes`` rows), and the default budget a row
+#: plan may raise it to.  256 MiB holds every predecessor row of a
+#: paper-size substrate many times over, and ~2.2k of them at 10k routers.
+_RETAIN_BYTES = 1 << 28
 
 #: per-ordered-pair memo dicts self-clear at this many entries so a
 #: 100k-member walk cannot accumulate unbounded Python-dict state.
@@ -164,11 +176,15 @@ class SparseUnderlay(Underlay):
     Router ids must be dense ``0..n_routers-1`` (what
     :func:`repro.topology.transit_stub.generate_transit_stub_arrays`
     emits); each undirected edge appears once in the triplet arrays.
+    Illegal links (negative or non-finite delays, errors outside
+    ``[0, 1]``, a link given twice) are a ``ValueError`` here, not a
+    hang or a wrong answer later.
 
     Parameters mirror :class:`~repro.sim.network.RouterUnderlay` where
     they overlap.  ``router_domain`` (per-router transit-domain indices,
-    ``-1`` = unknown) feeds :meth:`host_domain` for correlated fault
-    plans.
+    ``-1`` = unknown; one per router) feeds :meth:`host_domain` for
+    correlated fault plans.  ``row_cache`` overrides the row store's
+    size-derived capacity (tests use it to force eviction).
     """
 
     def __init__(
@@ -192,7 +208,13 @@ class SparseUnderlay(Underlay):
         edge_delay = np.asarray(edge_delay, dtype=np.float64)
         if not (edge_u.shape == edge_v.shape == edge_delay.shape):
             raise ValueError("edge triplet arrays must have equal length")
+        _check_links(edge_u, edge_v, edge_delay, edge_error)
         self.n_routers = int(n_routers)
+        if router_domain is not None and np.shape(router_domain) != (n_routers,):
+            raise ValueError(
+                f"router_domain needs one entry per router ({self.n_routers}), "
+                f"got shape {np.shape(router_domain)}"
+            )
         for host, router in attachments.items():
             if not 0 <= router < self.n_routers:
                 raise KeyError(f"host {host} attached to unknown router {router}")
@@ -202,10 +224,11 @@ class SparseUnderlay(Underlay):
         self._access_delay = self._per_host(access_delay_ms, "access_delay_ms")
         self._access_error = self._per_host(access_error, "access_error", 1.0)
 
-        # Canonical symmetric CSR.  coo->csr sorts indices and sums
-        # duplicates, exactly like ``nx.to_scipy_sparse_array`` — so for
-        # the same edge set scipy's Dijkstra sees an identical matrix and
-        # returns bit-identical dist/pred rows (the exactness anchor).
+        # Canonical symmetric CSR.  coo->csr sorts indices exactly like
+        # ``nx.to_scipy_sparse_array`` (and each link is given once, so
+        # there is nothing to sum) — so for the same edge set scipy's
+        # Dijkstra sees an identical matrix and returns bit-identical
+        # dist/pred rows (the exactness anchor).
         both_u = np.concatenate([edge_u, edge_v])
         both_v = np.concatenate([edge_v, edge_u])
         both_d = np.concatenate([edge_delay, edge_delay])
@@ -227,17 +250,29 @@ class SparseUnderlay(Underlay):
 
         # The row store: one LRU of (dist, pred | None) Dijkstra rows keyed
         # by source router, shared by every consumer (see ``_lookup``).
-        self._row_cap = max(
-            1, row_cache if row_cache is not None else sparse_row_cache()
-        )
+        # Capacity is the byte budget over a predecessor row (8-byte
+        # distances, 4-byte predecessors per router).
+        if row_cache is None:
+            row_cache = _RETAIN_BYTES // (12 * self.n_routers)
+        self._row_cap = max(1, row_cache)
         self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
             OrderedDict()
         )
-        # Host-id-indexed delay rows (for collectors): small LRU of lists.
-        self._hrow_cap = max(8, self._row_cap // 4)
+        # Host-id-indexed delay rows (for collectors), an LRU of lists
+        # sized from the same budget: a list slot and a float per host.
+        self._hrow_cap = max(8, _RETAIN_BYTES // (32 * len(self._hosts)))
         self._hrows: OrderedDict[int, list[float]] = OrderedDict()
         self._ids_are_indices = all(h == i for i, h in enumerate(self._hosts))
-        self._plan: RowPlan | None = None  # active block plan, if any
+        # The standing plan: when every attachment row fits the store,
+        # the first lookup computes them in blocks, as one batched
+        # Dijkstra over the attachment routers would — on first use, not
+        # at construction.  ``prefetch_rows`` replaces it.
+        att_routers = sorted(set(self.attachments.values()))
+        self._plan: RowPlan | None = (
+            RowPlan(self, att_routers, block=_PLAN_BLOCK, predecessors=True)
+            if len(att_routers) <= self._row_cap
+            else None
+        )
         # Store counters, deterministic per seed (see ``row_stats``).
         self.demand_rows = 0  # single-source demand Dijkstras
         self.plan_rows = 0  # rows computed in plan blocks
@@ -285,7 +320,7 @@ class SparseUnderlay(Underlay):
         *,
         block: int | None = None,
         predecessors: bool = False,
-        retain_bytes: int = 1 << 28,
+        retain_bytes: int = _RETAIN_BYTES,
     ) -> RowPlan:
         """Install a :class:`RowPlan` over an ordered source-router plan.
 
@@ -295,13 +330,13 @@ class SparseUnderlay(Underlay):
         store miss is a demand row); ``predecessors=True`` makes
         the plan's blocks compute predecessor rows too (for path
         expansion), upgrading dist-only rows the store already holds.
-        ``retain_bytes`` is the store's byte budget (default 256 MiB,
-        ~3.3k float64 rows at 10k routers): the store's capacity rises
-        to ``max(current, 2·block, retain_bytes // row_bytes)`` rows and
-        stays there for the rest of the underlay's life.  The plan is a
-        context manager — ``close()`` detaches it and drops nothing.
-        Only one plan is active at a time; installing a new one closes
-        the old.
+        ``retain_bytes`` is the store's byte budget (default
+        ``_RETAIN_BYTES``, ~3.3k float64 rows at 10k routers): the
+        store's capacity rises to ``max(current, 2·block, retain_bytes //
+        row_bytes)`` rows and stays there for the rest of the underlay's
+        life.  The plan is a context manager — ``close()`` detaches it
+        and drops nothing.  Only one plan is active at a time; installing
+        a new one closes the old (the standing plan included).
         """
         if self._plan is not None:
             self._plan.close()
@@ -439,6 +474,16 @@ class SparseUnderlay(Underlay):
             self._delay_cache.clear()
         self._delay_cache[key] = value
         return value
+
+    def rtt_ms(self, a: int, b: int) -> float:
+        # Doubling a float64 only bumps its exponent, so this is the base
+        # class's ``2.0 * self.delay_ms(a, b)`` bit for bit; reading the
+        # pair memo first skips a method call on one of the hottest query
+        # paths (session metrics, every probe).
+        cached = self._delay_cache.get((a, b))
+        if cached is None:
+            cached = self.delay_ms(a, b)
+        return 2.0 * cached
 
     def delay_row(self, a: int) -> list[float] | None:
         if not self._ids_are_indices:

@@ -21,7 +21,7 @@ is the core: it emits the topology directly as flat CSR-ready triplet
 arrays (edge endpoints, delays, kinds, plus per-node level/domain arrays)
 without ever building a per-node adjacency structure, so generation stays
 O(E) in memory and is usable at 100k+ routers.  :func:`generate_transit_stub`
-wraps it into the :class:`networkx.Graph` the dense/lazy substrate path
+wraps it into the :class:`networkx.Graph` the lazy ``RouterUnderlay``
 consumes; both layers draw from the RNG in the exact order of the original
 graph-first implementation, so existing seeds reproduce bit-identically
 (pinned in ``tests/test_transit_stub_arrays.py``).

@@ -1,9 +1,13 @@
-"""Content-addressed on-disk artifact cache for compiled substrates.
+"""Content-addressed on-disk artifact cache for built substrates.
 
 Substrates are deterministic functions of their configuration, so the
-expensive part of building one — topology generation plus the batched
-all-pairs Dijkstra of :mod:`repro.sim.compiled` — can be done once and
-reused by every later process.  This module provides the storage layer:
+expensive part of building one — topology generation and link-error
+draws for a router graph, pool synthesis and pairwise RTTs for a
+PlanetLab slice — can be done once and reused by every later process.
+An artifact holds what a substrate's constructor is given (CSR
+triplets, attachments, access links; an RTT matrix), never a V² table
+derived from it, so every array is O(E + hosts) or the slice's own
+matrix.  This module provides the storage layer:
 
 * **Keying** — :func:`artifact_key` hashes a canonical-JSON rendering of
   the full build recipe (topology config, seed, link-error config,
@@ -11,18 +15,12 @@ reused by every later process.  This module provides the storage layer:
   to any input, or a bump of the schema version, yields a new key; stale
   entries are never read, only evicted.
 * **Layout** — one directory per key under the cache root, holding one
-  ``<name>.npy`` per compiled array plus a ``manifest.json`` describing
+  ``<name>.npy`` per array plus a ``manifest.json`` describing
   the expected shape, dtype, and byte size of each array.  Plain ``.npy``
   files (rather than a bundled ``.npz``) are what make ``mmap_mode="r"``
   genuinely memory-map: the OS page cache then shares the read-only
   pages across every process that loads the same artifact, including
   fork- and spawn-started pool workers.
-* **Sharding** — arrays larger than ``REPRO_SHARD_BYTES`` (default
-  256 MiB) are split into row-block ``<name>.shardNNNN.npy`` files
-  instead of one blob.  Loads reassemble them as a :class:`ShardedArray`
-  — a row-addressable view over the mmapped blocks — so a multi-GiB
-  substrate never needs one contiguous allocation and pool workers share
-  pages per block.  Values are unchanged; sharding is pure layout.
 * **Atomicity** — writers build the entry in a private temporary
   directory and publish it with a single :func:`os.rename`.  Concurrent
   writers race benignly: the first rename wins, the loser discards its
@@ -46,7 +44,7 @@ Environment knobs (also see ``--no-substrate-cache`` on the harness CLI):
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache`` in the
   current working directory);
 * ``REPRO_SUBSTRATE_CACHE=0`` — disable reads *and* writes (substrates
-  are still compiled in memory);
+  are still built in memory);
 * ``REPRO_CACHE_MAX_BYTES`` — eviction cap in bytes.
 """
 
@@ -68,25 +66,21 @@ import numpy as np
 
 __all__ = [
     "Artifact",
-    "ShardedArray",
     "artifact_key",
     "cache_dir",
     "cache_enabled",
     "cache_max_bytes",
     "evict_to_cap",
     "load_artifact",
-    "shard_bytes",
     "store_artifact",
 ]
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_ENABLED_ENV = "REPRO_SUBSTRATE_CACHE"
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-SHARD_BYTES_ENV = "REPRO_SHARD_BYTES"
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 DEFAULT_MAX_BYTES = 2 * 1024**3
-DEFAULT_SHARD_BYTES = 256 * 1024**2
 
 _MANIFEST = "manifest.json"
 _FALSE_VALUES = ("0", "false", "no")
@@ -118,76 +112,6 @@ def cache_max_bytes() -> int:
     return value
 
 
-def shard_bytes() -> int:
-    """Row-block shard threshold/size (``REPRO_SHARD_BYTES``, default 256 MiB).
-
-    Arrays whose total size exceeds this are stored as row-block shards
-    of at most this many bytes each (always whole rows per shard).
-    """
-    raw = os.environ.get(SHARD_BYTES_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SHARD_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SHARD_BYTES_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"{SHARD_BYTES_ENV} must be > 0, got {value}")
-    return value
-
-
-class ShardedArray:
-    """Row-addressable view over the mmapped row-block shards of one array.
-
-    Supports exactly the access patterns the substrate runtime uses —
-    ``arr[i]`` (one row), ``arr[i, j]`` / ``arr[i, cols]`` (row then
-    column index), ``len``, ``np.asarray(arr)`` (materialize, small
-    arrays/tests only).  Each shard stays an independent read-only mmap,
-    so no contiguous allocation of the full array ever happens.
-    """
-
-    def __init__(self, shards: list[np.ndarray], shape, dtype) -> None:
-        self._shards = shards
-        starts = np.zeros(len(shards) + 1, dtype=np.int64)
-        np.cumsum([s.shape[0] for s in shards], out=starts[1:])
-        self._starts = starts
-        self.shape = tuple(int(d) for d in shape)
-        self.dtype = np.dtype(dtype)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(s.nbytes for s in self._shards)
-
-    def _locate(self, row: int) -> tuple[np.ndarray, int]:
-        row = int(row)
-        if row < 0:
-            row += self.shape[0]
-        if not 0 <= row < self.shape[0]:
-            raise IndexError(f"row {row} out of range for shape {self.shape}")
-        k = int(np.searchsorted(self._starts, row, side="right")) - 1
-        return self._shards[k], row - int(self._starts[k])
-
-    def __getitem__(self, index):
-        if isinstance(index, tuple):
-            shard, local = self._locate(index[0])
-            return shard[(local, *index[1:])]
-        shard, local = self._locate(index)
-        return shard[local]
-
-    def __array__(self, dtype=None, copy=None):
-        full = np.concatenate([np.asarray(s) for s in self._shards], axis=0)
-        return full.astype(dtype) if dtype is not None else full
-
-
 def _jsonable(value):
     """Render key-payload values canonically (dataclasses, tuples, numpy)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -212,7 +136,7 @@ def _jsonable(value):
 def artifact_key(payload: dict) -> str:
     """SHA-256 of the canonical JSON rendering of ``payload``.
 
-    The payload must spell out *everything* the compiled arrays depend
+    The payload must spell out *everything* the stored arrays depend
     on — config dataclasses, seeds, and the code schema version — so the
     key is a complete content address: equal keys imply bit-identical
     artifacts, and any recipe change misses cleanly.
@@ -225,15 +149,11 @@ def artifact_key(payload: dict) -> str:
 
 @dataclass(frozen=True)
 class Artifact:
-    """A loaded cache entry: metadata plus memory-mapped arrays.
-
-    Arrays stored as row-block shards come back as :class:`ShardedArray`
-    views; everything else is a plain read-only mmap.
-    """
+    """A loaded cache entry: metadata plus read-only memory-mapped arrays."""
 
     key: str
     meta: dict
-    arrays: dict[str, "np.ndarray | ShardedArray"]
+    arrays: dict[str, np.ndarray]
 
 
 def _entry_dir(key: str, base_dir: Path | None) -> Path:
@@ -265,7 +185,7 @@ def _warn_degraded(exc: OSError) -> None:
     warnings.warn(
         f"substrate cache at {cache_dir()} is not writable "
         f"({exc.__class__.__name__}: {exc}); continuing with in-memory "
-        "substrates only — compiled arrays will not persist across "
+        "substrates only — built arrays will not persist across "
         "processes this run",
         RuntimeWarning,
         stacklevel=4,
@@ -302,44 +222,16 @@ def store_artifact(
             _warn_degraded(exc)
             return None
         raise
-    shard_cap = shard_bytes()
     try:
         manifest_arrays = {}
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr)
-            row_bytes = arr[0].nbytes if arr.ndim >= 1 and arr.shape[0] else 0
-            if (
-                arr.ndim >= 1
-                and arr.nbytes > shard_cap
-                and 0 < row_bytes <= shard_cap
-            ):
-                rows_per_shard = max(1, shard_cap // row_bytes)
-                shards = []
-                for snum, start in enumerate(
-                    range(0, arr.shape[0], rows_per_shard)
-                ):
-                    block = arr[start : start + rows_per_shard]
-                    fname = f"{name}.shard{snum:04d}.npy"
-                    np.save(tmp / fname, block)
-                    shards.append(
-                        {
-                            "file": fname,
-                            "rows": int(block.shape[0]),
-                            "bytes": (tmp / fname).stat().st_size,
-                        }
-                    )
-                manifest_arrays[name] = {
-                    "shape": list(arr.shape),
-                    "dtype": str(arr.dtype),
-                    "shards": shards,
-                }
-            else:
-                np.save(tmp / f"{name}.npy", arr)
-                manifest_arrays[name] = {
-                    "shape": list(arr.shape),
-                    "dtype": str(arr.dtype),
-                    "bytes": (tmp / f"{name}.npy").stat().st_size,
-                }
+            np.save(tmp / f"{name}.npy", arr)
+            manifest_arrays[name] = {
+                "shape": list(arr.shape),
+                "dtype": str(arr.dtype),
+                "bytes": (tmp / f"{name}.npy").stat().st_size,
+            }
         manifest = {"key": key, "meta": meta, "arrays": manifest_arrays}
         (tmp / _MANIFEST).write_text(json.dumps(manifest, indent=1))
         try:
@@ -377,28 +269,8 @@ def load_artifact(key: str, *, base_dir: Path | None = None) -> Artifact | None:
     try:
         manifest = json.loads(manifest_path.read_text())
         described = manifest["arrays"]
-        arrays: dict[str, np.ndarray | ShardedArray] = {}
+        arrays: dict[str, np.ndarray] = {}
         for name, spec in described.items():
-            if "shards" in spec:
-                blocks: list[np.ndarray] = []
-                rows = 0
-                for shard in spec["shards"]:
-                    path = entry / shard["file"]
-                    if path.stat().st_size != shard["bytes"]:
-                        raise ValueError(f"shard {shard['file']!r} truncated")
-                    block = np.load(path, mmap_mode="r")
-                    if (
-                        block.shape[0] != shard["rows"]
-                        or list(block.shape[1:]) != spec["shape"][1:]
-                        or str(block.dtype) != spec["dtype"]
-                    ):
-                        raise ValueError(f"shard {shard['file']!r} layout drift")
-                    rows += block.shape[0]
-                    blocks.append(block)
-                if rows != spec["shape"][0]:
-                    raise ValueError(f"array {name!r} shard rows != shape")
-                arrays[name] = ShardedArray(blocks, spec["shape"], spec["dtype"])
-                continue
             path = entry / f"{name}.npy"
             if path.stat().st_size != spec["bytes"]:
                 raise ValueError(f"array {name!r} has unexpected size")

@@ -6,11 +6,10 @@ optimization that is always on gets no switch: the plain statement of the
 answer it must reproduce lives in ``tests/`` (``tests/oracles.py``) and the
 tests compare the two directly.
 
-Which router-graph engine serves a run is not a knob: the caller of
-:func:`repro.harness.substrates.build_transit_stub_underlay` picks it
-from the input size (``sparse=True``), and every engine is exact.  The
-artifact-cache knobs (``REPRO_CACHE_DIR``, ``REPRO_SUBSTRATE_CACHE``,
-``REPRO_CACHE_MAX_BYTES``, ``REPRO_SHARD_BYTES``) live in
+There is one router-graph engine, and how many Dijkstra rows its store
+keeps is the input size's answer (a byte budget over the row size), not
+a knob.  The artifact-cache knobs (``REPRO_CACHE_DIR``,
+``REPRO_SUBSTRATE_CACHE``, ``REPRO_CACHE_MAX_BYTES``) live in
 :mod:`repro.util.artifacts`.
 
 Robustness knobs — all inert by default so the fault-free hot path is
@@ -42,13 +41,6 @@ Batched execution:
   scalar oracle engine (whose output the batched mode must match byte
   for byte).  Unset = unlimited, the default.
 
-Sparse substrates:
-
-* ``REPRO_SPARSE_ROWS`` — capacity (in source rows) of the sparse
-  engine's LRU row store until a row plan is installed (default 128;
-  minimum 4).  ``prefetch_rows(retain_bytes=…)`` can only raise it, to
-  the plan's byte budget, for the rest of that underlay's life.
-
 Flags are read at object construction time, not per call, so a running
 session never changes behavior mid-flight.
 """
@@ -64,7 +56,6 @@ __all__ = [
     "batched_reps",
     "interrupt_grace_s",
     "retry_backoff_s",
-    "sparse_row_cache",
     "task_max_attempts",
     "task_timeout_s",
 ]
@@ -89,17 +80,14 @@ class FlagSpec:
 #: module docstring above carries the full story.
 FLAG_REGISTRY: dict[str, FlagSpec] = {
     "REPRO_CACHE_DIR": FlagSpec(
-        "~/.cache/repro-vdm", "artifact-cache root directory", "repro.util.artifacts"
+        ".repro_cache", "artifact-cache root directory (under the cwd)",
+        "repro.util.artifacts",
     ),
     "REPRO_SUBSTRATE_CACHE": FlagSpec(
-        "1", "on-disk compiled-substrate artifact cache", "repro.util.artifacts"
+        "1", "on-disk substrate artifact cache", "repro.util.artifacts"
     ),
     "REPRO_CACHE_MAX_BYTES": FlagSpec(
         "2147483648", "artifact-cache size bound (LRU eviction)", "repro.util.artifacts"
-    ),
-    "REPRO_SHARD_BYTES": FlagSpec(
-        "134217728", "compiled-matrix shard size for mmap artifacts",
-        "repro.util.artifacts",
     ),
     "REPRO_TASK_TIMEOUT_S": FlagSpec(
         "0 (off)", "per-replication wall-clock timeout (supervised pool)",
@@ -136,10 +124,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     ),
     "REPRO_BATCHED_REPS": FlagSpec(
         "unlimited", "batched-engine replication cap (0 = scalar oracle)",
-        "repro.util.envflags",
-    ),
-    "REPRO_SPARSE_ROWS": FlagSpec(
-        "128", "sparse-engine row-store capacity before any row plan",
         "repro.util.envflags",
     ),
 }
@@ -219,19 +203,3 @@ def interrupt_grace_s() -> float:
     """Seconds an interrupted run waits for in-flight tasks (``REPRO_GRACE_S``)."""
     return _positive_float("REPRO_GRACE_S", 5.0)
 
-
-def sparse_row_cache() -> int:
-    """Row-store capacity before any row plan (``REPRO_SPARSE_ROWS``,
-    default 128)."""
-    raw = os.environ.get("REPRO_SPARSE_ROWS", "").strip()
-    if not raw:
-        return 128
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SPARSE_ROWS must be an integer, got {raw!r}"
-        ) from None
-    if value < 4:
-        raise ValueError(f"REPRO_SPARSE_ROWS must be >= 4, got {value}")
-    return value

@@ -31,6 +31,17 @@ def line_matrix(positions: list[float]) -> np.ndarray:
     return np.abs(pos[:, None] - pos[None, :])
 
 
+def transit_stub_attachments(graph, n_hosts: int, seed: int) -> dict[int, int]:
+    """The builder's attachment draw (its ``attach`` stream) on a
+    transit-stub graph: uniform stub routers, shared only when the host
+    count exceeds the stub-router count."""
+    stubs = stub_routers(graph)
+    routers = spawn_rng(seed, "attach").choice(
+        stubs, size=n_hosts, replace=n_hosts > len(stubs)
+    )
+    return {host: int(r) for host, r in enumerate(routers)}
+
+
 def lazy_transit_stub_underlay(
     *,
     n_hosts: int,
@@ -42,18 +53,14 @@ def lazy_transit_stub_underlay(
     """``build_transit_stub_underlay``'s recipe on the lazy reference
     engine: the builder's three RNG streams (``topology``, ``errors``,
     ``attach``) replayed into a plain :class:`RouterUnderlay`, with no
-    compilation and no artifact cache.  No builder returns this class;
-    the engine-equivalence suites get their lazy twin here."""
+    row store and no artifact cache.  No builder returns this class; the
+    engine-equivalence suites get their lazy twin here."""
     graph = generate_transit_stub(
         ts_config or TransitStubConfig(), seed=spawn_rng(seed, "topology")
     )
     if link_errors is not None:
         assign_link_errors(graph, link_errors, seed=spawn_rng(seed, "errors"))
-    stubs = stub_routers(graph)
-    routers = spawn_rng(seed, "attach").choice(
-        stubs, size=n_hosts, replace=n_hosts > len(stubs)
-    )
-    attachments = {host: int(r) for host, r in enumerate(routers)}
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     return RouterUnderlay(graph, attachments, access_delay_ms=access_delay_ms)
 
 

@@ -1,6 +1,6 @@
 """The content-addressed substrate artifact cache (repro.util.artifacts).
 
-Covers the storage contract PR 4's compilation layer leans on: stable
+Covers the storage contract the substrate builders lean on: stable
 content addressing, atomic publication under concurrent writers,
 corruption self-healing, LRU (not FIFO) eviction, and the environment
 knobs (``REPRO_CACHE_DIR``, ``REPRO_SUBSTRATE_CACHE``,
@@ -362,70 +362,3 @@ class TestGracefulDegradation:
         assert loaded is not None
         assert loaded.meta == {"m": 1}
 
-
-class TestSharding:
-    """Row-block sharding (PR 8): pure layout, identical values."""
-
-    @pytest.fixture(autouse=True)
-    def tiny_shards(self, monkeypatch):
-        # 256-byte cap: a 3x4 float64 row is 32 bytes, so the delay array
-        # below shards at 8 rows per block
-        monkeypatch.setenv(artifacts.SHARD_BYTES_ENV, "256")
-
-    def _big(self):
-        return {"delay": np.arange(20 * 4, dtype=np.float64).reshape(20, 4)}
-
-    def test_large_array_stored_as_shard_files(self, cache_root):
-        key = artifact_key({"shard": 1})
-        store_artifact(key, self._big(), {"m": 1}, base_dir=cache_root)
-        entry = cache_root / key
-        shard_files = sorted(p.name for p in entry.glob("delay.shard*.npy"))
-        assert len(shard_files) > 1
-        assert not (entry / "delay.npy").exists()
-        manifest = json.loads((entry / "manifest.json").read_text())
-        recorded = manifest["arrays"]["delay"]
-        assert sum(s["rows"] for s in recorded["shards"]) == 20
-
-    def test_roundtrip_values_identical(self, cache_root):
-        key = artifact_key({"shard": 2})
-        arrays = self._big()
-        store_artifact(key, arrays, {}, base_dir=cache_root)
-        loaded = load_artifact(key, base_dir=cache_root)
-        out = loaded.arrays["delay"]
-        assert isinstance(out, artifacts.ShardedArray)
-        assert out.shape == (20, 4) and out.dtype == np.float64
-        np.testing.assert_array_equal(np.asarray(out), arrays["delay"])
-
-    def test_sharded_row_and_element_access(self, cache_root):
-        key = artifact_key({"shard": 3})
-        arrays = self._big()
-        store_artifact(key, arrays, {}, base_dir=cache_root)
-        out = load_artifact(key, base_dir=cache_root).arrays["delay"]
-        ref = arrays["delay"]
-        for i in (0, 7, 8, 19, -1):
-            np.testing.assert_array_equal(out[i], ref[i])
-        assert out[13, 2] == ref[13, 2]
-        np.testing.assert_array_equal(out[5, [0, 3]], ref[5, [0, 3]])
-        with pytest.raises(IndexError):
-            out[20]
-        assert len(out) == 20 and out.ndim == 2 and out.nbytes == ref.nbytes
-
-    def test_small_arrays_stay_unsharded(self, cache_root, monkeypatch):
-        monkeypatch.setenv(artifacts.SHARD_BYTES_ENV, str(1 << 20))
-        key = artifact_key({"shard": 4})
-        store_artifact(key, self._big(), {}, base_dir=cache_root)
-        out = load_artifact(key, base_dir=cache_root).arrays["delay"]
-        assert isinstance(out, np.ndarray)
-
-    def test_missing_shard_file_heals_as_miss(self, cache_root):
-        key = artifact_key({"shard": 5})
-        store_artifact(key, self._big(), {}, base_dir=cache_root)
-        victim = next((cache_root / key).glob("delay.shard*.npy"))
-        victim.unlink()
-        assert load_artifact(key, base_dir=cache_root) is None
-        assert not (cache_root / key).exists()  # entry self-healed away
-
-    def test_bad_shard_bytes_rejected(self, monkeypatch):
-        monkeypatch.setenv(artifacts.SHARD_BYTES_ENV, "0")
-        with pytest.raises(ValueError):
-            artifacts.shard_bytes()

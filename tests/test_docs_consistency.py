@@ -104,4 +104,4 @@ def test_the_flag_allow_list_is_not_a_hiding_place():
     named = {
         flag for name in _DOCS for flag in _FLAG_RE.findall((ROOT / name).read_text())
     }
-    assert {"REPRO_JOBS", "REPRO_SPARSE_ROWS"} | _READ_OUTSIDE_SRC <= named
+    assert {"REPRO_JOBS", "REPRO_CACHE_DIR"} | _READ_OUTSIDE_SRC <= named

@@ -65,6 +65,20 @@ def test_registry_covers_known_knobs():
         assert name in FLAG_REGISTRY
 
 
+def test_registered_defaults_are_the_module_constants():
+    # A registry default restates a constant the code reads; this ties
+    # the two wherever the constant exists (the cache root once read
+    # ``~/.cache/repro-vdm`` here while the code used ``.repro_cache``).
+    from repro.util import artifacts
+
+    constants = {
+        "REPRO_CACHE_DIR": artifacts.DEFAULT_CACHE_DIR,
+        "REPRO_CACHE_MAX_BYTES": str(artifacts.DEFAULT_MAX_BYTES),
+    }
+    for name, value in constants.items():
+        assert FLAG_REGISTRY[name].default == value, name
+
+
 # The same two-way discipline for the paper's one arithmetic rule: the
 # longest-side test with its relative tie slack lives in the validating
 # reference (core/cases.py) and the join kernel (core/join.py).  Every
@@ -92,15 +106,16 @@ def test_tie_slack_arithmetic_lives_only_in_the_kernel():
 
 # Oracles live in tests/, not behind switches in production paths: the
 # retired ablation flags and the second implementations they selected,
-# the engine-selector and approximation flags (the caller picks the
-# router-graph engine; every engine is exact), and the perf reporter's
-# repetition knob must not grow back — nor may src/ reach into tests/.
+# the engine-selector, approximation and row-store/shard sizing flags
+# (there is one router-graph engine, sized by its input), and the perf
+# reporter's repetition knob must not grow back — nor may src/ reach
+# into tests/.
 _RETIRED_RE = re.compile(
     r"def _reference_|\b(?:incremental_tree_enabled|_cache_enabled_from_env"
     r"|_tuple_heap|_fast_path|compiled_underlay_enabled|sparse_underlay_enabled"
-    r"|sparse_exact|substrate_dtype|select_landmarks"
+    r"|sparse_exact|substrate_dtype|select_landmarks|sparse_row_cache|shard_bytes"
     r"|REPRO_(?:PERF_REPS|COMPILED_UNDERLAY|SPARSE_UNDERLAY|SPARSE_EXACT"
-    r"|SUBSTRATE_DTYPE))\b|^\s*(?:from|import)\s+tests\b",
+    r"|SUBSTRATE_DTYPE|SPARSE_ROWS|SHARD_BYTES))\b|^\s*(?:from|import)\s+tests\b",
     re.MULTILINE,
 )
 
@@ -117,7 +132,7 @@ def test_no_oracle_or_retired_switch_in_production_code():
     )
     assert _RETIRED_RE.search("def _reference_x(): self._fast_path")  # scan works
     assert _RETIRED_RE.search('os.environ.get("REPRO_SPARSE_EXACT", "1")')
-    assert len(FLAG_REGISTRY) == 15
+    assert len(FLAG_REGISTRY) == 13
 
 
 def test_oracles_module_does_not_call_the_code_under_test():

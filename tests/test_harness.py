@@ -3,18 +3,23 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness import experiments
 from repro.harness.__main__ import main as cli_main
 from repro.harness.presets import PRESETS
 from repro.harness.registry import REGISTRY, run_experiment
 from repro.harness.substrates import (
+    _planetlab_loss_matrix,
     build_planetlab_underlay,
     build_transit_stub_underlay,
 )
 from repro.metrics.report import SeriesTable
 from repro.topology.transit_stub import TransitStubConfig
+from repro.util import artifacts
+from repro.util.rngtools import spawn_rng
 
 SMOKE = PRESETS["smoke"]
 
@@ -78,6 +83,41 @@ class TestSubstrates:
     def test_planetlab_overselect_rejected(self):
         with pytest.raises(ValueError, match="cannot select"):
             build_planetlab_underlay(n_select=100, seed=2, n_us=30)
+
+    def test_planetlab_cache_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(artifacts.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        monkeypatch.delenv(artifacts.CACHE_ENABLED_ENV, raising=False)
+        cold = build_planetlab_underlay(n_select=20, seed=5, n_us=60, loss_sigma=0.8)
+        warm = build_planetlab_underlay(n_select=20, seed=5, n_us=60, loss_sigma=0.8)
+        np.testing.assert_array_equal(
+            np.asarray(warm.underlay._rtt), np.asarray(cold.underlay._rtt)
+        )
+        assert warm.source == cold.source
+        assert warm.nodes == cold.nodes
+        hosts = list(range(cold.n_hosts))[:6]
+        for a in hosts:
+            for b in hosts:
+                assert warm.underlay.delay_ms(a, b) == cold.underlay.delay_ms(a, b)
+                assert warm.underlay.path_error(a, b) == cold.underlay.path_error(
+                    a, b
+                )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+        sigma=st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
+    )
+    def test_loss_block_draw_matches_scalar_loop_bitwise(self, n, seed, sigma):
+        # the historical per-pair loop, verbatim
+        loss_rng = spawn_rng(seed, "loss")
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                rate = min(0.2, loss_rng.lognormal(np.log(0.005), sigma))
+                expected[i, j] = expected[j, i] = rate
+        actual = _planetlab_loss_matrix(n, seed, sigma)
+        np.testing.assert_array_equal(actual, expected)
 
 
 class TestRegistry:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import MatrixUnderlay, RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 
@@ -116,10 +115,6 @@ def _lazy(**access):
     return RouterUnderlay(tiny_router_graph(), {10: 0, 11: 1}, **access)
 
 
-def _compiled(**access):
-    return CompiledUnderlay(tiny_router_graph(), {10: 0, 11: 1}, **access)
-
-
 def _sparse(**access):
     return SparseUnderlay(
         4, [0, 1, 2], [1, 2, 3], [5.0, 10.0, 5.0], {10: 0, 11: 1}, **access
@@ -128,7 +123,7 @@ def _sparse(**access):
 
 class TestAccessParameters:
     """Access links are physical links: a delay is finite and >= 0, an
-    error a probability.  (All three engines used to take anything:
+    error a probability.  (Every engine used to take anything:
     ``access_delay_ms=-5.0`` made ``delay_ms(10, 11) == -5.0``, ``nan``
     made every delay ``nan``, ``access_error=1.5`` a ``path_error`` of
     ``0.75``.)"""
@@ -145,7 +140,7 @@ class TestAccessParameters:
             ("access_error", float("nan")),
         ],
     )
-    @pytest.mark.parametrize("engine", [_lazy, _compiled, _sparse])
+    @pytest.mark.parametrize("engine", [_lazy, _sparse])
     def test_illegal_values_rejected_on_every_engine(
         self, engine, name, bad, per_host
     ):
@@ -153,7 +148,7 @@ class TestAccessParameters:
         with pytest.raises(ValueError, match=f"{name} of host 1[01] must be"):
             engine(**{name: value})
 
-    @pytest.mark.parametrize("engine", [_lazy, _compiled, _sparse])
+    @pytest.mark.parametrize("engine", [_lazy, _sparse])
     def test_the_bounds_themselves_are_legal(self, engine):
         ul = engine(access_delay_ms=0.0, access_error={10: 0.0, 11: 1.0})
         assert ul.delay_ms(10, 11) == 5.0

@@ -269,17 +269,16 @@ host_pairs = st.tuples(
 
 class TestUnderlayCaches:
     def test_cached_matches_uncached(self):
-        """Memo transparency on the dense and the lazy engine: the first
-        query of a pair on a fresh twin (a miss, computed), the repeat (a
-        hit, served) and the long-warm module underlay all answer alike."""
+        """Memo transparency on the builder's substrate and its lazy twin:
+        the first query of a pair on a fresh twin (a miss, computed), the
+        repeat (a hit, served) and the long-warm module underlay all
+        answer alike."""
         from repro.harness.substrates import build_transit_stub_underlay
-        from repro.sim.compiled import CompiledUnderlay
 
-        compiled = build_transit_stub_underlay(**_UL_KWARGS)
+        built = build_transit_stub_underlay(**_UL_KWARGS)
         lazy = lazy_transit_stub_underlay(**_UL_KWARGS)
-        assert isinstance(compiled, CompiledUnderlay)
-        assert not isinstance(lazy, CompiledUnderlay)
-        for twin in (compiled, lazy):
+        assert built is not _CACHED_UL and type(lazy) is not type(built)
+        for twin in (built, lazy):
             for a in range(24):
                 for b in range(24):
                     miss = _answers(twin, a, b)
@@ -288,12 +287,13 @@ class TestUnderlayCaches:
     def test_sparse_memos_answer_alike_across_a_cap_clear(self, monkeypatch):
         """``_PAIR_MEMO_CAP`` is a bound, not a switch: with the cap at 4
         every fifth new pair wipes the memo, and each answer — computed,
-        served, or recomputed after a wipe — equals the dense engine's."""
+        served, or recomputed after a wipe — equals the long-warm module
+        underlay's."""
         from repro.harness.substrates import build_transit_stub_underlay
         from repro.sim import sparse as sparse_module
 
         monkeypatch.setattr(sparse_module, "_PAIR_MEMO_CAP", 4)
-        twin = build_transit_stub_underlay(**_UL_KWARGS, sparse=True)
+        twin = build_transit_stub_underlay(**_UL_KWARGS)
         assert isinstance(twin, sparse_module.SparseUnderlay)
         pairs = [(a, b) for a in range(8) for b in range(8)]
         for a, b in pairs + pairs:  # second lap: every pair was wiped since

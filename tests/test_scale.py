@@ -30,7 +30,6 @@ from repro.harness.scale import (
     scale_tree_metrics,
     scale_ts_config,
 )
-from repro.harness.substrates import _transit_stub_attachments
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import (
@@ -38,6 +37,7 @@ from repro.topology.transit_stub import (
     generate_transit_stub,
     generate_transit_stub_arrays,
 )
+from tests.helpers import transit_stub_attachments
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -51,7 +51,7 @@ def _underlays(seed=11, n_hosts=24):
     """The same substrate served lazily and sparsely."""
     arr = generate_transit_stub_arrays(TINY_TS, seed=seed)
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     lazy = RouterUnderlay(graph, attachments)
     sparse = SparseUnderlay(
         arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
@@ -287,8 +287,8 @@ class TestCh7Sweep:
 # What the child of ``TestAddressSpaceCap`` runs: a 10 000-router sparse
 # substrate with 1 000 members, the VDM tree from rows and — on a fresh
 # twin — from the per-pair reference, then the metrics pass, with
-# ``row_stats()`` read after each phase.  The dense engine needs ~7.8 GiB
-# here and dies on the cap; one V x V float64 array (763 MiB) would fit
+# ``row_stats()`` read after each phase.  A dense all-pairs engine needs
+# ~7.8 GiB here and dies on the cap; one V x V float64 array (763 MiB) would fit
 # under it, so where /proc reports address space the child also says how
 # far its own grew past the imports.
 _CAPPED_CELL = """
@@ -300,7 +300,7 @@ from repro.util.memprof import _read_status_kib as vm_kib  # None without /proc
 
 def substrate():
     return build_transit_stub_underlay(
-        n_hosts=1000, seed=2011, ts_config=scale_ts_config(10_000), sparse=True
+        n_hosts=1000, seed=2011, ts_config=scale_ts_config(10_000)
     )
 
 def record(tree):

@@ -4,8 +4,8 @@ The contract under test (DESIGN.md §13): :mod:`repro.harness.scale` has
 one join walk and one metrics pass; ``kernel=`` only picks where their
 distances come from.  For every protocol, degree limit, and plan block
 size — including the B=1 and B > n_members edges — gathering from rows
-the underlay computes in batches (``"batched"``: sparse Dijkstra rows, a
-compiled substrate's host-delay matrix) produces a :class:`ScaleTree`
+the underlay computes in batches (``"batched"``: Dijkstra rows, planned
+in blocks or already resident) produces a :class:`ScaleTree`
 whose parents, join latencies, and iteration counts are *bitwise equal*
 to those of one ``underlay.rtt_ms`` call per pair (``"scalar"``, the
 reference, which installs no plan).  The same holds for
@@ -34,15 +34,12 @@ from hypothesis import strategies as st
 
 from repro.harness.scale import (
     SCALE_PROTOCOLS,
-    _DenseRows,
     _PairQueries,
     _SparseRows,
     build_scale_tree,
     prim_mst_parents,
     scale_tree_metrics,
 )
-from repro.harness.substrates import _transit_stub_attachments
-from repro.sim.compiled import CompiledUnderlay
 from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 from repro.util import artifacts
@@ -51,6 +48,7 @@ from repro.topology.transit_stub import (
     generate_transit_stub,
     generate_transit_stub_arrays,
 )
+from tests.helpers import transit_stub_attachments
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -63,7 +61,7 @@ TINY_TS = TransitStubConfig(
 def _fresh_sparse(seed: int = 6, n_hosts: int = 32, **kwargs) -> SparseUnderlay:
     arr = generate_transit_stub_arrays(TINY_TS, seed=seed)
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     return SparseUnderlay(
         arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments, **kwargs
     )
@@ -77,15 +75,24 @@ def _sparse(seed: int, n_hosts: int = 32) -> SparseUnderlay:
 @lru_cache(maxsize=None)
 def _lazy(seed: int, n_hosts: int = 32) -> RouterUnderlay:
     graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
+    attachments = transit_stub_attachments(graph, n_hosts, seed)
     return RouterUnderlay(graph, attachments)
 
 
+def _resident(underlay: SparseUnderlay) -> SparseUnderlay:
+    """``underlay`` with every attachment row in its store: one host query
+    runs the standing plan, whose one block covers up to 64 routers."""
+    underlay.delay_ms(*underlay.hosts[:2])
+    att = set(underlay.attachments.values())
+    assert underlay.row_stats()["resident_rows"] == len(att) <= 64
+    return underlay
+
+
 @lru_cache(maxsize=None)
-def _dense(seed: int, n_hosts: int = 32) -> CompiledUnderlay:
-    graph = generate_transit_stub(TINY_TS, seed=seed)
-    attachments = _transit_stub_attachments(graph, n_hosts, seed)
-    return CompiledUnderlay(graph, attachments)
+def _dense(seed: int, n_hosts: int = 32) -> SparseUnderlay:
+    """The paper-size regime: every row the walk reads is resident before
+    it starts, as the standing plan leaves a session's substrate."""
+    return _resident(_fresh_sparse(seed, n_hosts))
 
 
 _ENGINES = {"sparse": _sparse, "dense": _dense, "lazy": _lazy}
@@ -248,16 +255,15 @@ class TestUnreachablePairs:
 def _underlay_with_hosts(engine: str, host_ids: tuple[int, ...]):
     """A TINY_TS underlay of ``engine`` whose hosts carry ``host_ids``."""
     graph = generate_transit_stub(TINY_TS, seed=2)
-    routers = _transit_stub_attachments(graph, len(host_ids), 2).values()
+    routers = transit_stub_attachments(graph, len(host_ids), 2).values()
     attachments = dict(zip(host_ids, routers))
-    if engine == "sparse":
-        arr = generate_transit_stub_arrays(TINY_TS, seed=2)
-        return SparseUnderlay(
-            arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
-        )
-    return (CompiledUnderlay if engine == "dense" else RouterUnderlay)(
-        graph, attachments
+    if engine == "lazy":
+        return RouterUnderlay(graph, attachments)
+    arr = generate_transit_stub_arrays(TINY_TS, seed=2)
+    sparse = SparseUnderlay(
+        arr.n_nodes, arr.edge_u, arr.edge_v, arr.edge_delay, attachments
     )
+    return _resident(sparse) if engine == "dense" else sparse
 
 
 _SHIFTED, _GAPPED, _INDEXED = (1, 2, 3, 4, 5, 6), (0, 1, 2, 7), (0, 1, 2, 3)
@@ -356,7 +362,7 @@ class TestPivotRttCache:
     ):
         # One handle per joining member, plus at most one fill per attach.
         opened = []
-        for source in (_PairQueries, _DenseRows, _SparseRows):
+        for source in (_PairQueries, _SparseRows):
             inner = source.__dict__["rtts"]
 
             def counting(self, a, *args, _inner=inner):
@@ -373,31 +379,31 @@ class TestPivotRttCache:
 
 @pytest.fixture(scope="module")
 def dense_variants(tmp_path_factory):
-    """seed -> (lazy oracle, {variant: CompiledUnderlay}): compiled fresh,
-    and restored from an artifact (memory-mapped matrix)."""
+    """seed -> (lazy oracle, {variant: SparseUnderlay}): every attachment
+    row resident, built fresh and restored from an artifact — the restore
+    installs the same standing plan the constructor does."""
     root = tmp_path_factory.mktemp("dense-artifacts")
     out = {}
     for seed in (1, 5):
-        graph = generate_transit_stub(TINY_TS, seed=seed)
-        attachments = _transit_stub_attachments(graph, 32, seed)
-        fresh = CompiledUnderlay(graph, attachments)
+        fresh = _fresh_sparse(seed)
         arrays, meta = fresh.to_artifact()
         key = artifacts.artifact_key({"test": "scale-dense", "seed": seed})
         artifacts.store_artifact(key, arrays, meta, base_dir=root)
-        restored = CompiledUnderlay.from_artifact(
+        restored = SparseUnderlay.from_artifact(
             artifacts.load_artifact(key, base_dir=root)
         )
-        assert isinstance(restored._hdelay, np.memmap)
+        graph = generate_transit_stub(TINY_TS, seed=seed)
         out[seed] = (
-            RouterUnderlay(graph, attachments),
-            {"fresh": fresh, "restored": restored},
+            RouterUnderlay(graph, fresh.attachments),
+            {"fresh": _resident(fresh), "restored": _resident(restored)},
         )
     return out
 
 
 class TestDenseRows:
-    """The compiled engine's leg: rows of its host-delay matrix against
-    its own per-pair ``rtt_ms`` and against an independent lazy underlay."""
+    """The paper-size regime's leg: walks over a store that holds every
+    attachment row before they start, against the engine's own per-pair
+    ``rtt_ms`` and against an independent lazy underlay."""
 
     @pytest.mark.parametrize("variant", ["fresh", "restored"])
     @pytest.mark.parametrize("degree_limit", [1, 4, 64])
@@ -427,9 +433,12 @@ class TestDenseRows:
     def test_rows_replace_every_rtt_query(self, dense_variants, variant):
         underlay = dense_variants[1][1][variant]
         calls = _count_pair_queries(underlay)
+        rows_before = underlay.plan_rows + underlay.demand_rows
         try:
             build_scale_tree(underlay, "vdm", 32, kernel="batched")
             assert calls["rtt_ms"] == 0
+            # every row the walk read was resident: none was computed
+            assert underlay.plan_rows + underlay.demand_rows == rows_before
             build_scale_tree(underlay, "vdm", 32, kernel="scalar")
             assert calls["rtt_ms"] > 0
         finally:
