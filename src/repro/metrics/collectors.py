@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.protocols.base import TreeRegistry
 from repro.protocols.mst import mst_parent_map, tree_cost
@@ -39,6 +39,7 @@ __all__ = [
     "RecoveryTracker",
     "TreeMetrics",
     "collect_tree_metrics",
+    "reachable_link_usage",
     "latency_percentile",
     "stress_stats",
     "stretch_stats",
@@ -83,6 +84,20 @@ def _reachable_edges(tree: TreeRegistry) -> list[tuple[int, int]]:
     ]
 
 
+def reachable_link_usage(tree: TreeRegistry, underlay: Underlay) -> Counter:
+    """Physical link -> copies of each chunk crossing it, walked once.
+
+    The one-shot form of the multiset a
+    :class:`~repro.sim.delivery.DeliveryAccountant` maintains as
+    ``link_usage``, for callers that have no accountant.
+    """
+    usage: Counter = Counter()
+    path_links = underlay.path_links
+    for parent, child in _reachable_edges(tree):
+        usage.update(path_links(parent, child))
+    return usage
+
+
 @dataclass(frozen=True)
 class StressStats:
     """Link stress distribution over the distinct physical links in use."""
@@ -99,7 +114,9 @@ class StressStats:
 
 def stress_stats(tree: TreeRegistry, underlay: Underlay) -> StressStats:
     """Average and max physical-link stress of the current tree (eq. 3.4)."""
-    return collect_tree_metrics(tree, underlay).stress
+    return collect_tree_metrics(
+        tree, underlay, reachable_link_usage(tree, underlay)
+    ).stress
 
 
 @dataclass(frozen=True)
@@ -125,7 +142,9 @@ def stretch_stats(tree: TreeRegistry, underlay: Underlay) -> StretchStats:
     estimate on PlanetLab-style underlays, so minima below 1 are real
     (the paper observes exactly this in Fig. 5.16).
     """
-    return collect_tree_metrics(tree, underlay).stretch
+    return collect_tree_metrics(
+        tree, underlay, reachable_link_usage(tree, underlay)
+    ).stretch
 
 
 @dataclass(frozen=True)
@@ -183,7 +202,9 @@ class ResourceUsage:
 
 
 def resource_usage(tree: TreeRegistry, underlay: Underlay) -> ResourceUsage:
-    return collect_tree_metrics(tree, underlay).usage
+    return collect_tree_metrics(
+        tree, underlay, reachable_link_usage(tree, underlay)
+    ).usage
 
 
 @dataclass(frozen=True)
@@ -196,17 +217,20 @@ class TreeMetrics:
     usage: ResourceUsage
 
 
-def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
+def collect_tree_metrics(
+    tree: TreeRegistry, underlay: Underlay, link_usage: Mapping
+) -> TreeMetrics:
     """Compute stress, stretch, hopcount, and resource usage in one pass.
 
-    A single root-down traversal of the reachable tree carries depth and
+    Stress is read off ``link_usage``, the physical-link multiset of the
+    reachable tree: a session passes its accountant's maintained
+    :attr:`~repro.sim.delivery.DeliveryAccountant.link_usage`, any other
+    caller :func:`reachable_link_usage`.  The rest comes from a single
+    root-down traversal of the reachable tree, which carries depth and
     accumulated overlay delay with each frame, so per-node work is one
     overlay hop (not a ``path_to_source`` walk per metric).  Siblings are
     visited in sorted order, making float accumulation deterministic
     regardless of insertion history.
-
-    The measurement loop calls this once per sample instead of invoking
-    the four standalone collectors (which are now thin wrappers).
 
     ``tests/oracles.py`` states the same answer as four independent loops,
     each re-deriving reachability, depth, or the full root path per node,
@@ -215,17 +239,14 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
     """
     source = tree.source
     children = tree.children
-    parent_map = tree.parent
-    # Bound-method hoist: these two run once per tree edge per sample, and
-    # are mostly pair-memo hits whose attribute dispatch would otherwise
-    # dominate.
+    # Bound-method hoist: runs once per tree edge per sample on substrates
+    # without delay rows, mostly pair-memo hits whose attribute dispatch
+    # would otherwise dominate.
     delay_ms = underlay.delay_ms
-    path_links = underlay.path_links
     # Substrates whose host ids are indices hand out whole delay rows
     # (bit-identical to per-pair delay_ms); others return None and the
     # per-pair calls below are used instead.
     source_row = underlay.delay_row(source)
-    link_usage: Counter = Counter()
     # Streaming accumulators (PR 8): running sum/min/max/count instead of
     # per-node lists, so a metrics pass over a million-member tree holds
     # O(links) state, not O(members).  ``sum(list)`` folds left-to-right
@@ -267,7 +288,6 @@ def collect_tree_metrics(tree: TreeRegistry, underlay: Underlay) -> TreeMetrics:
                     stack.append((child, child_depth, overlay + d, d))
         if node == source:
             continue
-        link_usage.update(path_links(parent_map[node], node))
         total_ms += edge_ms
         edge_count += 1
         unicast = source_row[node] if source_row is not None else delay_ms(source, node)
@@ -356,7 +376,9 @@ class RecoveryTracker:
     cycles, dangling parents, moving the source), so under API mutation
     only the degree bound can fail.  The tracker keeps the set of
     parents that *may* be over their agent's ``degree_limit``: every
-    ``attach``/``reparent`` event adds the parent it names, every
+    ``attach``/``reparent`` event adds the parent it names and the node
+    it moves (an insert hands the node its adoptees before the node's
+    own event fires), every
     :meth:`~repro.protocols.base.ProtocolRuntime.register` adds the node
     that got a new limit, and a query prunes the set lazily.  A registry
     whose ``parent``/``children`` maps were edited by hand is outside
@@ -403,6 +425,7 @@ class RecoveryTracker:
             return
         if kind != "depart":
             self._suspects.add(parent)
+            self._suspects.add(node)
         self.orphans.discard(node)
         if (
             not self.orphans

@@ -56,6 +56,7 @@ from repro.protocols.messages import (
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Underlay
 from repro.util.rngtools import RngLike, rng_from_seed
+from repro.util.validation import check_finite, check_non_negative, check_positive
 
 __all__ = [
     "ProtocolRuntime",
@@ -184,15 +185,19 @@ class TreeRegistry:
             return False
         dn = self._depth.get(node)
         da = self._depth.get(ancestor)
-        if dn is not None and da is not None:
-            # Both reachable: the only candidate is node's unique
-            # ancestor at ancestor's depth, dn - da hops up.
-            if dn <= da:
+        if dn is not None:
+            # A reachable node's whole ancestry is reachable: the only
+            # candidate is its unique ancestor at ancestor's depth.
+            if da is None or dn <= da:
                 return False
             cur = node
             for _ in range(dn - da):
                 cur = self.parent[cur]
             return cur == ancestor
+        if da is not None or ancestor not in self.parent:
+            # An unreachable node's ancestry is unreachable, and an absent
+            # node is nobody's parent.
+            return False
         # An orphaned subtree has no depths to compare: walk the chain.
         cur = self.parent.get(node)
         steps = 0
@@ -231,28 +236,33 @@ class TreeRegistry:
 
         One downward pass, O(subtree size) — the only state a mutation at
         ``root`` can change.  Everything above and beside ``root`` keeps
-        its maintained values.
+        its maintained values.  The whole subtree shares its root's
+        reachability, so the branch is taken once.
         """
         up = self.parent.get(root)
-        if root == self.source:
-            reachable, depth = True, 0
-        elif up is not None and up in self._reachable:
-            reachable, depth = True, self._depth[up] + 1
-        else:
-            reachable, depth = False, 0
-        stack = [(root, reachable, depth)]
+        children = self.children
         reach_set = self._reachable
         depth_map = self._depth
-        while stack:
-            node, reach, d = stack.pop()
-            if reach:
+        if root == self.source or (up is not None and up in reach_set):
+            stack = [(root, depth_map[up] + 1 if up is not None else 0)]
+            while stack:
+                node, d = stack.pop()
                 reach_set.add(node)
                 depth_map[node] = d
-            else:
+                kids = children.get(node)
+                if kids:
+                    d += 1
+                    for child in kids:
+                        stack.append((child, d))
+        else:
+            stack = [root]
+            while stack:
+                node = stack.pop()
                 reach_set.discard(node)
                 depth_map.pop(node, None)
-            for child in self.children.get(node, ()):
-                stack.append((child, reach, d + 1))
+                kids = children.get(node)
+                if kids:
+                    stack.extend(kids)
 
     # -- mutations ------------------------------------------------------------
 
@@ -444,12 +454,11 @@ class ProtocolRuntime:
         measurement_noise_sigma: float = 0.0,
         noise_rng=None,
     ) -> None:
-        if timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
-        if measurement_noise_sigma < 0:
-            raise ValueError(
-                f"measurement_noise_sigma must be >= 0, got {measurement_noise_sigma}"
-            )
+        check_finite("timeout_ms", check_positive("timeout_ms", timeout_ms))
+        check_finite(
+            "measurement_noise_sigma",
+            check_non_negative("measurement_noise_sigma", measurement_noise_sigma),
+        )
         if measurement_noise_sigma > 0 and noise_rng is None:
             raise ValueError("noise_rng is required when measurement noise is on")
         underlay.validate_host(source)

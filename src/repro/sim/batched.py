@@ -1,4 +1,4 @@
-"""Batched multi-replication engine (PR 6).
+"""Batched multi-replication engine.
 
 The scalar stack (:mod:`repro.sim.engine` + :mod:`repro.protocols.base` +
 :mod:`repro.sim.session`) executes one Python callback per event: every
@@ -40,28 +40,18 @@ How the speedup is obtained
   nothing and draws no RNG), so dropping it cannot change results on
   violation-free runs — and a violating run is a bug either way.
 
-* **Fused tree + ledger state.**  The scalar stack layers
-  :class:`~repro.protocols.base.TreeRegistry` (pointer maintenance, one
-  listener dispatch per mutation) under
-  :class:`~repro.sim.delivery.DeliveryAccountant` (a second subtree
-  traversal per mutation, plus per-node ``IntervalSet``/dataclass
-  machinery per measurement window).  Here both are *mirrored flat*: one
-  traversal per tree mutation updates reachability, depth, and the
-  per-node delivery ledger together, and the measurement window math runs
-  as one inlined pass over plain float-pair lists.  The envelope requires
-  ``underlay.zero_error`` so every segment's path success is exactly
-  ``1.0`` — multiplying by which is the float identity, so dropping the
-  stored success changes no bit.  Interval merge rules, fragment
-  boundaries, accumulation order (ledger dicts keep scalar insertion
-  order), and every ``max``/``min``/compare are copied from
-  :mod:`repro.util.intervals` / :mod:`repro.sim.delivery` /
-  :mod:`repro.metrics.collectors` operation for operation.
-
 What stays real
 ---------------
-:class:`~repro.sim.churn.SlottedChurnModel`,
-:func:`~repro.sim.session.draw_degree`,
-:class:`~repro.metrics.report.MeasurementRecord`, and
+The tree, the delivery ledger and the metrics are the message engine's
+own objects: each replication mutates a
+:class:`~repro.protocols.base.TreeRegistry` through its public API, a
+:class:`~repro.sim.delivery.DeliveryAccountant` listens to it, and every
+measurement goes through :func:`~repro.sim.session.take_measurement`
+(the accountant's window snapshot and link multiset, and
+:func:`~repro.metrics.collectors.collect_tree_metrics`).  The result's
+``accountant`` is that accountant, answering every query a scalar
+result's does.  :class:`~repro.sim.churn.SlottedChurnModel`,
+:func:`~repro.sim.session.draw_degree` and
 :class:`~repro.protocols.base.JoinRecord` are reused as-is.  All RNG
 streams (:func:`~repro.util.rngtools.spawn_rng` keyed exactly as the
 session spawns them) are consumed in the same order, so results match the
@@ -79,7 +69,6 @@ from __future__ import annotations
 import gc
 import heapq
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -91,19 +80,17 @@ from repro.core.join import (
     vdm_decide,
 )
 from repro.core.vdm import VDMConfig
-from repro.metrics.collectors import (
-    HopcountStats,
-    ResourceUsage,
-    StressStats,
-    StretchStats,
-    TreeMetrics,
-)
 from repro.metrics.report import MeasurementRecord
-from repro.protocols.base import JoinRecord
+from repro.protocols.base import JoinRecord, TreeRegistry
 from repro.sim.churn import SlottedChurnModel
-from repro.sim.delivery import NodeDeliveryStats
+from repro.sim.delivery import DeliveryAccountant
 from repro.sim.faults import resolve_fault_plan
-from repro.sim.session import SessionConfig, SessionResult, draw_degree
+from repro.sim.session import (
+    SessionConfig,
+    SessionResult,
+    draw_degree,
+    take_measurement,
+)
 from repro.util.rngtools import spawn_rng
 
 __all__ = ["BatchedUnsupported", "BatchedCell"]
@@ -247,8 +234,8 @@ class BatchedCell:
             )
         if not getattr(underlay, "zero_error", False):
             raise BatchedUnsupported(
-                "underlay carries link errors; loss accounting needs the "
-                "scalar accountant's per-hop success products"
+                "underlay carries link errors; the emulator is held equal "
+                "to the scalar engine on loss-free underlays only"
             )
         max_delay = -math.inf
         min_delay = math.inf
@@ -267,11 +254,6 @@ class BatchedCell:
         #: per-source RTT rows (``2*delay_ms`` — doubling only bumps the
         #: float64 exponent, matching ``Underlay.rtt_ms`` bit for bit).
         self._rtt_rows: dict[int, list[float]] = {}
-        #: raw ``delay_row`` objects (the exact lists the scalar metric
-        #: collector indexes) and physical-path link tuples, both static
-        #: per underlay and therefore shared by every replication.
-        self._raw_rows: dict[int, list[float]] = {}
-        self._links: dict[tuple[int, int], tuple] = {}
 
     # -- envelope ------------------------------------------------------------
 
@@ -307,19 +289,6 @@ class BatchedCell:
             base = np.asarray(self.underlay.delay_row(a), dtype=np.float64)
             row = self._rtt_rows[a] = (2.0 * base).tolist()
         return row
-
-    def raw_row(self, a: int) -> list[float]:
-        row = self._raw_rows.get(a)
-        if row is None:
-            row = self._raw_rows[a] = self.underlay.delay_row(a)
-        return row
-
-    def links(self, a: int, b: int) -> tuple:
-        key = (a, b)
-        links = self._links.get(key)
-        if links is None:
-            links = self._links[key] = self.underlay.path_links(a, b)
-        return links
 
     # -- running ------------------------------------------------------------
 
@@ -360,26 +329,11 @@ class _Emulator:
         self._seq = 0
         self._heap: list[tuple] = []
         self._timeout_s = cfg.timeout_ms / 1000.0
-        # Flat mirror of TreeRegistry state (source pre-registered exactly
-        # as TreeRegistry.__init__ does) ...
-        self.parent: dict[int, int | None] = {self.source: None}
-        self.kidsets: dict[int, set[int]] = {self.source: set()}
-        self._reachable: set[int] = {self.source}
-        self._depth: dict[int, int] = {self.source: 0}
-        # ... and of the delivery ledger: node -> [lifetime intervals,
-        # lifetime open-start, reachable intervals, reachable open-start,
-        # closed segments, segment open-start, then one window cursor per
-        # interval list].  Dict insertion order matches the scalar
-        # accountant's ledger (entries are created at the same refresh),
-        # which fixes the accumulation order of every windowed float sum.
-        # The cursors skip intervals that ended at or before the previous
-        # measure: windows only move forward and a skipped interval clips
-        # to nothing (``hi <= lo`` adds no term), so the sums keep every
-        # bit.  A passed interval can never merge-extend later — merging
-        # needs a reopen at or before its end, and post-measure events are
-        # strictly after the measure time.
-        self._led: dict[int, list] = {}
-        self._rate = float(cfg.chunk_rate)
+        # The message engine's own tree, with its delivery accountant.
+        self.tree = TreeRegistry(self.source)
+        self.accountant = DeliveryAccountant(
+            self.tree, cell.underlay, chunk_rate=cfg.chunk_rate
+        )
         self.agents: dict[int, _Agent] = {}
         self._alive: set[int] = set()
         self._active: set[int] = set()
@@ -404,9 +358,6 @@ class _Emulator:
             int(degree), cell.sec_row(self.source), cell.rtt_row(self.source)
         )
         self._alive.add(self.source)
-        #: per-node ``sorted(kids, reverse=True)`` memo for the metric
-        #: collector, invalidated at every kid-set mutation.
-        self._skids: dict[int, list[int]] = {}
         # Scheduling knowledge for the probe-round fast path: churn is
         # slotted, so every leave inside the current slot is already in
         # the heap — ``_death_at`` maps node -> its pending leave time,
@@ -419,321 +370,9 @@ class _Emulator:
         self._next_measure = math.inf
         self._mtimes: list[float] = []
         self._mt_i = 0
-        # Incrementally maintained link-stress multiset: exactly the
-        # physical links under every reachable tree edge, as integer
-        # counts (zero entries deleted).  The metric collector's stress
-        # stats (sum/len/max over int counts) are order-free, so counting
-        # edges at reachability flips instead of walking them per measure
-        # is bit-exact.  ``_cedge`` remembers the link tuple counted for
-        # each node, which makes uncounting immune to parent mutations
-        # that happen before the uncount.
-        self._lstress: Counter = Counter()
-        self._cedge: dict[int, tuple] = {}
-        self._links = cell._links  # the cell-wide physical-path memo
 
     # Virtual distance with sigma=0 is exactly ``underlay.rtt_ms(a, b)``:
     # every site below indexes ``agent.rtt`` (the cell's shared RTT row).
-
-    # -- fused tree + delivery-ledger mirror -----------------------------------
-    #
-    # These methods replace TreeRegistry mutations plus the delivery
-    # accountant's listener with ONE traversal per mutation.  Ledger
-    # fragment boundaries are preserved exactly: the scalar accountant
-    # closes and reopens every subtree member's segment at each
-    # attach/orphan/reparent in its ancestry, and those fragment edges
-    # change the windowed float sums, so the mirror fragments at the very
-    # same times.  Re-emits at an unchanged timestamp (insert's per-child
-    # reparent events after the node's own attach) are provable no-ops
-    # (``t > start`` fails) and are skipped.
-
-    def _is_descendant(self, node: int, ancestor: int) -> bool:
-        """Mirror of ``TreeRegistry.is_descendant``.
-
-        Same booleans, fewer walks: a depth entry exists iff the node is
-        reachable, a reachable node's whole ancestry is reachable (and an
-        unreachable node's is unreachable — refreshes run inside every
-        mutation, so the invariant holds whenever this is called), and a
-        node absent from the parent map is never anyone's parent.  So
-        mixed reachability answers False without the scalar fallback's
-        full chain walk, which only remains for the unreachable/
-        unreachable pair.
-        """
-        if node == ancestor:
-            return False
-        depth = self._depth
-        dn = depth.get(node)
-        da = depth.get(ancestor)
-        if dn is not None:
-            if da is None or dn <= da:
-                return False
-            parent = self.parent
-            cur = node
-            for _ in range(dn - da):
-                cur = parent[cur]
-            return cur == ancestor
-        if da is not None:
-            return False
-        parent = self.parent
-        if ancestor not in parent:
-            return False
-        cur = parent.get(node)
-        steps = 0
-        limit = len(parent)
-        while cur is not None and steps <= limit:
-            if cur == ancestor:
-                return True
-            cur = parent.get(cur)
-            steps += 1
-        return False
-
-    def _count_edge(self, node: int, parent_id: int) -> None:
-        # Inlined cell.links memo (shared across the cell's replications)
-        # plus a C-speed Counter.update for the per-link increments.
-        key = (parent_id, node)
-        tup = self._links.get(key)
-        if tup is None:
-            tup = self._links[key] = self.cell.underlay.path_links(parent_id, node)
-        self._cedge[node] = tup
-        self._lstress.update(tup)
-
-    def _uncount_edge(self, node: int) -> None:
-        tup = self._cedge.pop(node, None)
-        if tup is None:
-            return
-        counts = self._lstress
-        pop = counts.pop  # dict.pop — skips Counter's Python __delitem__
-        for link in tup:
-            c = counts[link] - 1
-            if c:
-                counts[link] = c
-            else:
-                pop(link)
-
-    def _refresh_combined(self, root: int, t: float) -> None:
-        """One subtree pass: reachability + depth + ledger refresh.
-
-        Mirrors ``TreeRegistry._refresh_subtree`` fused with
-        ``DeliveryAccountant._on_tree_event``/``_refresh``.  A subtree
-        shares its root's reachability (every member routes through the
-        root), so the branch is picked once.  Traversal order within the
-        subtree is free: per-node ledger state depends only on that
-        node's transition times, and new ledger entries can only be the
-        event's root (members were refreshed at their own earlier
-        attach), so dict insertion order matches the scalar preorder.
-        """
-        parent = self.parent
-        kidsets = self.kidsets
-        reach_set = self._reachable
-        depth_map = self._depth
-        led_map = self._led
-        up = parent.get(root)
-        if up is not None and up in reach_set:
-            kids = kidsets[root]
-            if not kids:  # leaf fast path: the common single-node refresh
-                reach_set.add(root)
-                depth_map[root] = depth_map[up] + 1
-                led = led_map.get(root)
-                if led is None:
-                    led = led_map[root] = [[], None, [], None, [], None, 0, 0, 0, 0, 0]
-                if led[1] is None:
-                    led[1] = t
-                if led[3] is None:
-                    led[3] = t
-                s = led[5]
-                if s is not None and t > s:
-                    led[4].append((s, t))
-                led[5] = t
-                led[9] = 0  # wake a dormant rejoiner
-                led[10] = 0  # windows disturbed: drop the steady-state flag
-                if root not in self._cedge:
-                    self._count_edge(root, up)
-                return
-            cedge = self._cedge
-            stack = [(root, depth_map[up] + 1, up)]
-            while stack:
-                node, d, p = stack.pop()
-                reach_set.add(node)
-                depth_map[node] = d
-                if node not in cedge:
-                    self._count_edge(node, p)
-                led = led_map.get(node)
-                if led is None:
-                    led = led_map[node] = [[], None, [], None, [], None, 0, 0, 0, 0, 0]
-                if led[1] is None:  # lifetime.open (no-op when open)
-                    led[1] = t
-                if led[3] is None:  # reachable.open (no-op when open)
-                    led[3] = t
-                s = led[5]  # open_new: close fragment, reopen at t
-                if s is not None and t > s:
-                    led[4].append((s, t))
-                led[5] = t
-                led[9] = 0  # wake a dormant rejoiner
-                led[10] = 0  # windows disturbed: drop the steady-state flag
-                dn = d + 1
-                for child in kidsets[node]:
-                    stack.append((child, dn, node))
-        else:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                reach_set.discard(node)
-                depth_map.pop(node, None)
-                self._uncount_edge(node)
-                led = led_map.get(node)
-                if led is None:
-                    led = led_map[node] = [[], None, [], None, [], None, 0, 0, 0, 0, 0]
-                led[10] = 0  # windows disturbed: drop the steady-state flag
-                s = led[5]  # close_segment
-                if s is not None:
-                    if t > s:
-                        led[4].append((s, t))
-                    led[5] = None
-                o = led[3]  # reachable.close (merge like IntervalSet._append)
-                if o is not None:
-                    if t > o:
-                        iv = led[2]
-                        if iv and o <= iv[-1][1]:
-                            ps, pe = iv[-1]
-                            iv[-1] = (ps, pe if pe >= t else t)
-                        else:
-                            iv.append((o, t))
-                    led[3] = None
-                stack.extend(kidsets[node])
-
-    def _maint_subtree(self, root: int) -> None:
-        """Reachability/depth-only subtree refresh (no ledger updates).
-
-        Used for the one insert shape whose scalar counterpart refreshes
-        maintained state without an accountant event for the subtree root
-        (``old parent == new parent``).
-        """
-        parent = self.parent
-        kidsets = self.kidsets
-        reach_set = self._reachable
-        depth_map = self._depth
-        up = parent.get(root)
-        if up is not None and up in reach_set:
-            cedge = self._cedge
-            stack = [(root, depth_map[up] + 1, up)]
-            while stack:
-                node, d, p = stack.pop()
-                reach_set.add(node)
-                depth_map[node] = d
-                if node not in cedge:
-                    self._count_edge(node, p)
-                dn = d + 1
-                for child in kidsets[node]:
-                    stack.append((child, dn, node))
-        else:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                reach_set.discard(node)
-                depth_map.pop(node, None)
-                self._uncount_edge(node)
-                stack.extend(kidsets[node])
-
-    def _tree_attach(self, node: int, parent_id: int, t: float) -> None:
-        self._uncount_edge(node)
-        self.parent[node] = parent_id
-        if node not in self.kidsets:
-            self.kidsets[node] = set()
-        self.kidsets[parent_id].add(node)
-        self._skids.pop(parent_id, None)
-        self._refresh_combined(node, t)
-
-    def _tree_reparent(self, node: int, new_parent: int, t: float) -> None:
-        old = self.parent[node]
-        if new_parent == old:
-            return
-        self._uncount_edge(node)
-        self.kidsets[old].discard(node)
-        self.parent[node] = new_parent
-        self.kidsets[new_parent].add(node)
-        skids = self._skids
-        skids.pop(old, None)
-        skids.pop(new_parent, None)
-        self._refresh_combined(node, t)
-
-    def _tree_insert(
-        self, node: int, parent_id: int, adopt: tuple[int, ...], t: float
-    ) -> None:
-        parent = self.parent
-        kidsets = self.kidsets
-        skids = self._skids
-        self._uncount_edge(node)
-        old = parent.get(node)
-        if old is not None:
-            kidsets[old].discard(node)
-            skids.pop(old, None)
-        parent[node] = parent_id
-        kids = kidsets.get(node)
-        if kids is None:
-            kids = kidsets[node] = set()
-        kidsets[parent_id].add(node)
-        skids.pop(parent_id, None)
-        if adopt:
-            skids.pop(node, None)
-            for child in adopt:
-                self._uncount_edge(child)
-                kidsets[parent_id].discard(child)
-                parent[child] = node
-                kids.add(child)
-        if old != parent_id:
-            # Scalar emits attach/reparent for the node first; the later
-            # per-adoptee reparent emits re-refresh at the same t — no-ops.
-            self._refresh_combined(node, t)
-        else:
-            self._maint_subtree(node)
-            for child in adopt:
-                self._refresh_combined(child, t)
-
-    def _tree_depart(self, node: int, t: float) -> None:
-        parent = self.parent
-        kidsets = self.kidsets
-        up = parent.pop(node)
-        if up is not None:
-            kidsets[up].discard(node)
-            self._skids.pop(up, None)
-        orphans = kidsets.pop(node, ())
-        self._skids.pop(node, None)
-        self._reachable.discard(node)
-        self._depth.pop(node, None)
-        self._uncount_edge(node)
-        for child in orphans:
-            parent[child] = None
-        for child in orphans:
-            self._refresh_combined(child, t)
-        # The departing node's own ledger closes last ("depart" is the
-        # final emit in the scalar mutation).
-        led = self._led.get(node)
-        if led is not None:
-            led[10] = 0  # windows disturbed: drop the steady-state flag
-            s = led[5]
-            if s is not None:
-                if t > s:
-                    led[4].append((s, t))
-                led[5] = None
-            o = led[3]
-            if o is not None:
-                if t > o:
-                    iv = led[2]
-                    if iv and o <= iv[-1][1]:
-                        ps, pe = iv[-1]
-                        iv[-1] = (ps, pe if pe >= t else t)
-                    else:
-                        iv.append((o, t))
-                led[3] = None
-            o = led[1]
-            if o is not None:
-                if t > o:
-                    iv = led[0]
-                    if iv and o <= iv[-1][1]:
-                        ps, pe = iv[-1]
-                        iv[-1] = (ps, pe if pe >= t else t)
-                    else:
-                        iv.append((o, t))
-                led[1] = None
 
     # -- sends -----------------------------------------------------------------
     #
@@ -861,10 +500,10 @@ class _Emulator:
 
     def _probe_children(self, proc: _Join, pivot: int, pivot_free: int, kids) -> None:
         me = proc.node
-        if self.kidsets.get(me):
+        if self.tree.children.get(me):
             # Only a joiner that kept a subtree through a parent loss can
             # have descendants among the pivot's children.
-            is_descendant = self._is_descendant
+            is_descendant = self.tree.is_descendant
             candidates = [
                 ci for ci in kids if ci[0] != me and not is_descendant(ci[0], me)
             ]
@@ -1094,7 +733,7 @@ class _Emulator:
     def _send_conn_checked(self, proc: _Join, target: int, adopt) -> None:
         """Mirror of ``JoinProcess._request_connection`` (join/reconnect)."""
         me = proc.node
-        if target == me or self._is_descendant(target, me):
+        if target == me or self.tree.is_descendant(target, me):
             self._restart(proc)
             return
         self._send_conn(proc, target, adopt)
@@ -1108,8 +747,9 @@ class _Emulator:
         """
         agent = self.agents[node]
         children = agent.children
+        tree = self.tree
         # _reconcile_children
-        registry = self.kidsets.get(node, set())
+        registry = tree.children.get(node, set())
         stale = [c for c in children if c not in registry]
         if stale:
             agent.csort = None
@@ -1124,14 +764,14 @@ class _Emulator:
         else:
             rtt = agent.rtt
         reject_kids = self._child_info(agent)
-        if node != self.source and node not in self._reachable:
+        if node != self.source and not tree.is_reachable(node):
             return (False, reject_kids)
-        if self._is_descendant(node, sender):
+        if tree.is_descendant(node, sender):
             return (False, reject_kids)
 
         if adopt is not None:  # insert
             alive = self._alive
-            tree_parent = self.parent
+            tree_parent = tree.parent
             transferable = [
                 c
                 for c in adopt
@@ -1143,14 +783,14 @@ class _Emulator:
             sender_agent = self.agents.get(sender)
             if sender_agent is not None:
                 room = sender_agent.degree_limit - len(
-                    self.kidsets.get(sender, ())
+                    tree.children.get(sender, ())
                 )
                 if len(transferable) > room:
                     transferable = transferable[: max(room, 0)]
             if not transferable and agent.degree_limit - len(children) <= 0:
                 return (False, reject_kids)
             dist = rtt[sender]
-            self._tree_insert(sender, node, tuple(transferable), self.now)
+            tree.insert(sender, node, tuple(transferable), self.now)
             children[sender] = dist
             for child in transferable:
                 del children[child]
@@ -1165,10 +805,10 @@ class _Emulator:
         agent.csort = None
         # is_present and is_attached (sender is never the source): one
         # non-None parent-pointer check covers both.
-        if self.parent.get(sender) is not None:
-            self._tree_reparent(sender, node, self.now)
+        if tree.parent.get(sender) is not None:
+            tree.reparent(sender, node, self.now)
         else:
-            self._tree_attach(sender, node, self.now)
+            tree.attach(sender, node, self.now)
         return (True, agent.parent, ())
 
     def _commit(self, proc: _Join, new_parent: int, acc_parent, transferred) -> None:
@@ -1196,7 +836,7 @@ class _Emulator:
     def _redirect(self, proc: _Join, kids) -> None:
         """Mirror of ``JoinProcess._redirect_after_reject``."""
         me = proc.node
-        is_descendant = self._is_descendant
+        is_descendant = self.tree.is_descendant
         nxt = closest_free_else_closest(
             [
                 (dist, child, free)
@@ -1245,8 +885,8 @@ class _Emulator:
         agent.csort = None
         if agent.parent is not None:
             self._tell(srow, node, agent.parent, _TELL_CHILD_REMOVE)
-        if node in self.parent:
-            self._tree_depart(node, self.now)
+        if node in self.tree.parent:
+            self.tree.depart(node, self.now)
         self._alive.discard(node)
         agent.parent = None
         agent.grandparent = None
@@ -1289,20 +929,8 @@ class _Emulator:
         )
 
     def _measure(self, _entry=None) -> None:
-        """Mirror of ``MulticastSession._measure`` over the flat state.
-
-        One inlined pass over the ledger computes what the scalar
-        accountant's ``data_messages`` + ``_window_totals`` passes
-        compute.  Each accumulator sees the same per-node additions in
-        the same (ledger insertion) order, and the interval clipping uses
-        the exact compare-and-select forms of ``max``/``min``, so every
-        float is bit-identical; fusing the passes changes which loop the
-        additions happen in, not their sequence.
-        """
+        """``MulticastSession._measure``, plus the guard list's cursor."""
         now = self.now
-        control_now = self.control
-        w0 = self._last_measure_time
-        rate = self._rate
         mt = self._mtimes
         i = self._mt_i
         n_mt = len(mt)
@@ -1310,257 +938,17 @@ class _Emulator:
             i += 1
         self._mt_i = i
         self._next_measure = mt[i] if i < n_mt else math.inf
-        data_time = 0.0
-        expected_total = 0.0
-        received_total = 0.0
-        rates_sum = 0.0
-        rates_n = 0
-        # Steady nodes — everything open since before the previous
-        # measurement, every interval list consumed — all contribute the
-        # very same floats: covered time ``now - w0`` (each clip picks
-        # ``lo = w0``, ``hi = now``), expected == received == that times
-        # the rate (the identical multiply, so ``min`` keeps it), loss
-        # exactly 0.0 (``x / x == 1.0`` for finite positive x) whose
-        # ``+= 0.0`` is an exact no-op on these non-negative sums.
-        # Precomputed once; the flag is dropped at every ledger touch.
-        stead_c = now - w0
-        stead_e = stead_c * rate
-        stead_pos = stead_e > 0
-        for led in self._led.values():
-            # Dormant: departed long enough ago that nothing is open and
-            # the cursors have passed every interval — contributes 0.0 to
-            # every accumulator (adding which is exact: all accumulators
-            # are non-negative, so no -0.0 can arise) until a rejoin
-            # refresh clears the flag.
-            if led[9]:
-                continue
-            if led[10]:
-                if stead_c > 0:
-                    data_time += stead_c
-                if stead_pos:
-                    expected_total += stead_e
-                    received_total += stead_e
-                    rates_n += 1
-                continue
-            # Each interval list is chronological with non-decreasing
-            # ends, so intervals ending at or before w0 clip to nothing
-            # for this window and every later one — the cursor skips
-            # them for good (see the ledger comment in __init__).
-            # data_messages: reachable.covered_within(w0, now)
-            tot = 0.0
-            iv = led[2]
-            i = led[7]
-            n = len(iv)
-            while i < n and iv[i][1] <= w0:
-                i += 1
-            led[7] = i
-            if i < n:
-                for s, e in iv[i:] if i else iv:
-                    lo = s if s >= w0 else w0
-                    hi = e if e <= now else now
-                    if hi > lo:
-                        tot += hi - lo
-            o = led[3]
-            if o is not None:
-                lo = o if o >= w0 else w0
-                if now > lo:
-                    tot += now - lo
-            data_time += tot
-            # expected: lifetime.covered_within(w0, now) * rate
-            cov = 0.0
-            iv = led[0]
-            i = led[6]
-            n = len(iv)
-            while i < n and iv[i][1] <= w0:
-                i += 1
-            led[6] = i
-            if i < n:
-                for s, e in iv[i:] if i else iv:
-                    lo = s if s >= w0 else w0
-                    hi = e if e <= now else now
-                    if hi > lo:
-                        cov += hi - lo
-            o = led[1]
-            if o is not None:
-                lo = o if o >= w0 else w0
-                if now > lo:
-                    cov += now - lo
-            expected = cov * rate
-            # received: segment pass; success is exactly 1.0, and
-            # ``(hi-lo)*1.0`` is the float identity, so the multiply the
-            # scalar ledger performs is elided without changing a bit.
-            tot = 0.0
-            iv = led[4]
-            i = led[8]
-            n = len(iv)
-            while i < n and iv[i][1] <= w0:
-                i += 1
-            led[8] = i
-            if i < n:
-                for s, e in iv[i:] if i else iv:
-                    lo = s if s >= w0 else w0
-                    hi = e if e <= now else now
-                    if hi > lo:
-                        tot += hi - lo
-            s = led[5]
-            if s is not None:
-                lo = s if s >= w0 else w0
-                if now > lo:
-                    tot += now - lo
-            received = tot * rate
-            if received > expected:  # min(received, expected)
-                received = expected
-            expected_total += expected
-            received_total += received
-            if expected > 0:
-                loss = 1.0 - received / expected
-                rates_sum += loss if loss > 0.0 else 0.0  # max(0.0, loss)
-                rates_n += 1
-            elif led[1] is None and led[3] is None and led[5] is None:
-                if (
-                    led[6] >= len(led[0])
-                    and led[7] >= len(led[2])
-                    and led[8] >= len(led[4])
-                ):
-                    led[9] = 1
-            if (
-                led[1] is not None
-                and led[3] is not None
-                and led[5] is not None
-                and led[6] >= len(led[0])
-                and led[7] >= len(led[2])
-                and led[8] >= len(led[4])
-            ):
-                # All opens predate the next window start (they are <= now)
-                # and every closed interval is behind the cursors, so until
-                # the next ledger touch this node is in the steady state.
-                led[10] = 1
-        data_msgs = data_time * rate
-        control_delta = control_now - self._last_control_count
-        overhead = control_delta / data_msgs if data_msgs > 0 else 0.0
-        if expected_total > 0:
-            window_loss = 1.0 - received_total / expected_total
-            if not window_loss > 0.0:
-                window_loss = 0.0
-        else:
-            window_loss = 0.0
-        mean_node_loss = rates_sum / rates_n if rates_n else 0.0
-        metrics = self._collect()
         self._records.append(
-            MeasurementRecord(
-                time=now,
-                n_members=len(self.parent),
-                n_reachable=len(self._reachable),
-                stress=metrics.stress,
-                stretch=metrics.stretch,
-                hopcount=metrics.hopcount,
-                usage=metrics.usage,
-                window_loss=window_loss,
-                window_mean_node_loss=mean_node_loss,
-                window_overhead=overhead,
-                cumulative_control_messages=control_now,
+            take_measurement(
+                self.accountant,
+                self._last_measure_time,
+                now,
+                self._last_control_count,
+                self.control,
             )
         )
         self._last_measure_time = now
-        self._last_control_count = control_now
-
-    def _collect(self) -> TreeMetrics:
-        """Mirror of :func:`~repro.metrics.collectors.collect_tree_metrics`.
-
-        Same single root-down traversal, same sorted-sibling visit order,
-        same accumulation association — against the flat tree, with the
-        cell's shared ``delay_row`` objects and memoized physical-path
-        link tuples (both static per underlay).
-        """
-        cell = self.cell
-        source = self.source
-        kidsets = self.kidsets
-        raw_row = cell.raw_row
-        source_row = raw_row(source)
-        # Link stress comes from the maintained multiset (see __init__):
-        # same integer counts the scalar collector's per-walk Counter
-        # builds, kept current at reachability flips and reparents.
-        link_usage = self._lstress
-        stretch_vals: list[float] = []
-        leaf_stretch: list[float] = []
-        depths: list[int] = []
-        leaf_depths: list[int] = []
-        total_ms = 0.0
-        star_ms = 0.0
-        edge_count = 0
-        skids = self._skids
-        stack: list[tuple[int, int, float, float]] = [(source, 0, 0.0, 0.0)]
-        while stack:
-            node, depth, overlay, edge_ms = stack.pop()
-            kids = kidsets.get(node)
-            if kids:
-                ordered = skids.get(node)
-                if ordered is None:
-                    ordered = skids[node] = sorted(kids, reverse=True)
-                child_depth = depth + 1
-                row = raw_row(node)
-                for child in ordered:
-                    d = row[child]
-                    stack.append((child, child_depth, overlay + d, d))
-            if node == source:
-                continue
-            total_ms += edge_ms
-            edge_count += 1
-            unicast = source_row[node]
-            star_ms += unicast
-            depths.append(depth)
-            is_leaf = not kids
-            if is_leaf:
-                leaf_depths.append(depth)
-            if unicast > 0:
-                ratio = overlay / unicast
-                stretch_vals.append(ratio)
-                if is_leaf:
-                    leaf_stretch.append(ratio)
-        if link_usage:
-            transmissions = sum(link_usage.values())
-            stress = StressStats(
-                average=transmissions / len(link_usage),
-                maximum=max(link_usage.values()),
-                links_used=len(link_usage),
-                total_transmissions=transmissions,
-            )
-        else:
-            stress = StressStats.empty()
-        if stretch_vals:
-            stretch = StretchStats(
-                average=sum(stretch_vals) / len(stretch_vals),
-                minimum=min(stretch_vals),
-                maximum=max(stretch_vals),
-                leaf_average=(
-                    sum(leaf_stretch) / len(leaf_stretch) if leaf_stretch else 0.0
-                ),
-                count=len(stretch_vals),
-            )
-        else:
-            stretch = StretchStats.empty()
-        if depths:
-            hopcount = HopcountStats(
-                average=sum(depths) / len(depths),
-                maximum=max(depths),
-                leaf_average=(
-                    sum(leaf_depths) / len(leaf_depths) if leaf_depths else 0.0
-                ),
-                count=len(depths),
-            )
-        else:
-            hopcount = HopcountStats.empty()
-        if edge_count:
-            usage = ResourceUsage(
-                total_ms=total_ms,
-                normalized=total_ms / star_ms if star_ms > 0 else 0.0,
-                edges=edge_count,
-            )
-        else:
-            usage = ResourceUsage.empty()
-        return TreeMetrics(
-            stress=stress, stretch=stretch, hopcount=hopcount, usage=usage
-        )
+        self._last_control_count = self.control
 
     # -- event handlers --------------------------------------------------------------
 
@@ -1819,112 +1207,6 @@ class _Emulator:
             records=self._records,
             join_records=self.join_records,
             runtime=None,
-            accountant=_LedgerView(self._led, self._rate),
+            accountant=self.accountant,
         )
 
-
-class _LedgerView:
-    """Read-only stand-in for the ``accountant`` slot of a batched result.
-
-    Mirrors the :class:`~repro.sim.delivery.DeliveryAccountant` query
-    surface over the emulator's flat ledger (zero-loss envelope: every
-    segment's path success is exactly 1.0).  The windowed math follows the
-    scalar implementations operation for operation, so queries agree bit
-    for bit with what a scalar run's accountant would answer.
-    """
-
-    def __init__(self, led: dict[int, list], chunk_rate: float) -> None:
-        self._led = led
-        self.chunk_rate = chunk_rate
-
-    def tracked_nodes(self) -> list[int]:
-        return sorted(self._led)
-
-    def reception_segments(
-        self, node: int, until: float
-    ) -> list[tuple[float, float, float]]:
-        led = self._led.get(node)
-        if led is None:
-            return []
-        segments = [
-            (start, min(end, until), 1.0)
-            for start, end in led[4]
-            if start < until
-        ]
-        if led[5] is not None and led[5] < until:
-            segments.append((led[5], until, 1.0))
-        return segments
-
-    def lifetime_start(self, node: int) -> float | None:
-        led = self._led.get(node)
-        if led is None:
-            return None
-        if led[0]:
-            return led[0][0][0]
-        return led[1]
-
-    def lifetime_intervals(
-        self, node: int, until: float
-    ) -> list[tuple[float, float]]:
-        led = self._led.get(node)
-        if led is None:
-            return []
-        out = [
-            (start, min(end, until)) for start, end in led[0] if start < until
-        ]
-        if led[1] is not None and led[1] < until:
-            out.append((led[1], until))
-        return out
-
-    @staticmethod
-    def _covered(intervals, open_start, w0: float, w1: float) -> float:
-        tot = 0.0
-        for start, end in intervals:
-            lo = max(start, w0)
-            hi = min(end, w1)
-            if hi > lo:
-                tot += hi - lo
-        if open_start is not None:
-            lo = max(open_start, w0)
-            if w1 > lo:
-                tot += w1 - lo
-        return tot
-
-    def node_stats(self, node: int, w0: float, w1: float) -> NodeDeliveryStats:
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
-        led = self._led.get(node)
-        if led is None:
-            return NodeDeliveryStats(node, 0.0, 0.0)
-        expected = self._covered(led[0], led[1], w0, w1) * self.chunk_rate
-        received = self._covered(led[4], led[5], w0, w1) * self.chunk_rate
-        return NodeDeliveryStats(node, expected, min(received, expected))
-
-    def loss_rate(self, w0: float, w1: float) -> float:
-        expected = 0.0
-        received = 0.0
-        for node in self._led:
-            stats = self.node_stats(node, w0, w1)
-            expected += stats.expected_chunks
-            received += stats.received_chunks
-        if expected <= 0:
-            return 0.0
-        return max(0.0, 1.0 - received / expected)
-
-    def mean_node_loss(self, w0: float, w1: float) -> float:
-        rates = [
-            stats.loss_rate
-            for node in self._led
-            if (stats := self.node_stats(node, w0, w1)).expected_chunks > 0
-        ]
-        if not rates:
-            return 0.0
-        return sum(rates) / len(rates)
-
-    def data_messages(self, w0: float, w1: float) -> float:
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
-        total_time = sum(
-            self._covered(led[2], led[3], w0, w1) for led in self._led.values()
-        )
-        return total_time * self.chunk_rate

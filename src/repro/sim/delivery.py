@@ -21,11 +21,18 @@ A node's *lifetime* (the denominator of eq. 3.7, "packets supposed to be
 received in the peer's lifetime") starts when it first connects and pauses
 only when it departs; reconnection gaps count against it, which is what
 makes churn visible as loss.
+
+The same per-event walk keeps :attr:`DeliveryAccountant.link_usage`, the
+physical links every chunk crosses (the stress of eq. 3.4), so a
+measurement reads stress off a maintained multiset instead of walking
+every overlay edge's path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import Counter
+from dataclasses import dataclass
 
 from repro.protocols.base import TreeRegistry
 from repro.sim.network import Underlay
@@ -34,28 +41,53 @@ from repro.util.validation import check_positive
 
 __all__ = ["DeliveryAccountant", "NodeDeliveryStats", "WindowSnapshot"]
 
+# A ledger's state in the fused window pass (DeliveryAccountant._fused_window).
+_SCAN = 0  # integrate it interval by interval
+_DORMANT = 1  # nothing open, nothing closed inside or after the last window
+_STEADY = 2  # everything open since before the window, nothing closed ahead
 
-@dataclass
+
 class _NodeLedger:
-    """Per-node accounting state."""
+    """Per-node accounting state.
 
-    lifetime: IntervalSet = field(default_factory=IntervalSet)
-    reachable: IntervalSet = field(default_factory=IntervalSet)
-    #: closed segments: (start, end, path success probability)
-    segments: list[tuple[float, float, float]] = field(default_factory=list)
-    open_segment: tuple[float, float] | None = None  # (start, success)
+    ``segments`` are the closed reception segments ``(start, end, path
+    success)``; ``seg_start``/``seg_success`` describe the open one.  The
+    ``at_*`` cursors and ``state`` serve only the fused window pass.
+    """
 
-    def close_segment(self, t: float) -> None:
-        if self.open_segment is None:
-            return
-        start, success = self.open_segment
-        if t > start:
-            self.segments.append((start, t, success))
-        self.open_segment = None
+    __slots__ = (
+        "lifetime",
+        "reachable",
+        "segments",
+        "seg_start",
+        "seg_success",
+        "at_life",
+        "at_reach",
+        "at_seg",
+        "state",
+    )
 
-    def open_new(self, t: float, success: float) -> None:
-        self.close_segment(t)
-        self.open_segment = (t, success)
+    def __init__(self) -> None:
+        self.lifetime = IntervalSet()
+        self.reachable = IntervalSet()
+        self.segments: list[tuple[float, float, float]] = []
+        self.seg_start: float | None = None
+        self.seg_success = 1.0
+        self.at_life = 0
+        self.at_reach = 0
+        self.at_seg = 0
+        self.state = _SCAN
+
+    def cut(self, t: float) -> None:
+        """The overlay path is lost at ``t``: close the segment and stint."""
+        self.state = _SCAN
+        start = self.seg_start
+        if start is not None:
+            if t > start:
+                self.segments.append((start, t, self.seg_success))
+            self.seg_start = None
+        if self.reachable.open_start is not None:
+            self.reachable.close(t)
 
     def expected_received(self, w0: float, w1: float, rate: float) -> float:
         total = 0.0
@@ -63,11 +95,10 @@ class _NodeLedger:
             lo, hi = max(start, w0), min(end, w1)
             if hi > lo:
                 total += (hi - lo) * success
-        if self.open_segment is not None:
-            start, success = self.open_segment
-            lo = max(start, w0)
+        if self.seg_start is not None:
+            lo = max(self.seg_start, w0)
             if w1 > lo:
-                total += (w1 - lo) * success
+                total += (w1 - lo) * self.seg_success
         return total * rate
 
 
@@ -75,12 +106,12 @@ class _NodeLedger:
 class WindowSnapshot:
     """All windowed delivery aggregates of one measurement, in one value.
 
-    This is the scalar definition the batched engine's fused measurement
-    pass (:mod:`repro.sim.batched`) mirrors number for number: the three
-    fields here are exactly what a session's measurement consumes from
-    the accountant per window.  Keeping them in one snapshot gives the
-    equivalence tests a single comparison point instead of three method
-    calls whose windows could accidentally drift apart.
+    The three fields are exactly what a session measurement consumes per
+    window, and both session engines take them from
+    :meth:`DeliveryAccountant.window_snapshot`, whose fused pass must
+    equal :meth:`~DeliveryAccountant.loss_rate`,
+    :meth:`~DeliveryAccountant.mean_node_loss` and
+    :meth:`~DeliveryAccountant.data_messages` bit for bit.
     """
 
     loss_rate: float
@@ -104,7 +135,11 @@ class NodeDeliveryStats:
 
 
 class DeliveryAccountant:
-    """Tracks per-node reachability segments off the tree registry."""
+    """Tracks per-node reachability segments off the tree registry.
+
+    It must subscribe while the registry holds only the source, so that
+    every later member enters its ledger at the event that placed it.
+    """
 
     def __init__(
         self,
@@ -114,9 +149,15 @@ class DeliveryAccountant:
         chunk_rate: float = 10.0,
     ) -> None:
         check_positive("chunk_rate", chunk_rate)
+        if len(tree.parent) > 1:
+            raise ValueError(
+                "the accountant must subscribe to a tree of just the source"
+            )
         self.tree = tree
         self.underlay = underlay
         self.chunk_rate = float(chunk_rate)
+        #: node -> ledger, in the order the accountant first refreshed the
+        #: nodes: every windowed float sum accumulates in this order.
         self._ledger: dict[int, _NodeLedger] = {}
         # Per-overlay-hop delivery probability.  Underlay link errors are
         # static, so each (parent, child) hop's success is a constant —
@@ -137,11 +178,24 @@ class DeliveryAccountant:
         # multiplication order of the full root-path product the tests
         # compare it with, so the two agree bit for bit.
         self._success: dict[int, float] = {tree.source: 1.0}
+        #: physical link -> copies of each chunk crossing it: the
+        #: ``path_links`` of every reachable overlay edge, counted when
+        #: the edge's child becomes reachable or moves and uncounted when
+        #: it stops being reachable or departs.  Integer counts with zero
+        #: entries deleted, so the order-free stress statistics over it
+        #: equal those of a fresh walk over the reachable edges.
+        self.link_usage: Counter = Counter()
+        #: node -> the link tuple counted for its edge; uncounting reads
+        #: it back, whatever the parent pointer has done since.
+        self._counted: dict[int, tuple] = {}
         # Window aggregates (loss_rate / mean_node_loss share one pass);
         # any tree mutation invalidates every memoized window.
         self._window_memo: dict[
-            tuple[float, float], tuple[float, float, tuple[float, ...]]
+            tuple[float, float], tuple[float, float, float, int]
         ] = {}
+        #: the earliest window start the fused pass may serve: the end of
+        #: the last window it served (see :meth:`window_snapshot`).
+        self._fused_from = -math.inf
         tree.add_listener(self._on_tree_event)
 
     # -- event handling ---------------------------------------------------------
@@ -152,34 +206,112 @@ class DeliveryAccountant:
         self._window_memo.clear()
         if kind == "depart":
             self._success.pop(node, None)
+            self._uncount(node)
             ledger = self._ledger.get(node)
             if ledger is not None:
-                ledger.close_segment(time)
-                ledger.reachable.close(time)
+                ledger.cut(time)
                 ledger.lifetime.close(time)
             return
-        # attach / orphan / reparent: the whole subtree's paths changed.
-        # subtree() is preorder, so a member's parent is refreshed (and its
-        # cumulative success stored) before the member itself.
-        source = self.tree.source
-        for member in self.tree.subtree(node):
-            if member == source:
-                continue
-            self._refresh(member, time)
-
-    def _refresh(self, node: int, time: float) -> None:
-        ledger = self._ledger.get(node)
-        if ledger is None:
-            ledger = self._ledger[node] = _NodeLedger()
+        # attach / orphan / reparent: the whole subtree's paths changed,
+        # and it shares its root's reachability (every member routes
+        # through the root), so the answer is looked up once.
         if self.tree.is_reachable(node):
-            if not ledger.lifetime.is_open:
-                ledger.lifetime.open(time)
-            ledger.reachable.open(time)
-            ledger.open_new(time, self._path_success(node))
+            self._open_subtree(node, time)
         else:
-            self._success.pop(node, None)
-            ledger.close_segment(time)
-            ledger.reachable.close(time)
+            self._close_subtree(node, time)
+
+    def _open_subtree(self, root: int, t: float) -> None:
+        """Reopen every ledger of ``root``'s (reachable) subtree at ``t``.
+
+        Depth-first without sorting: a ledger's state depends only on its
+        own node's transition times, and only ``root`` can be new to the
+        ledger (every other member got its ledger at the event that placed
+        it), so the ledger's order — and every float sum over it — is the
+        preorder refresh's.  A parent is still visited before its
+        children, which the path-success products need.
+        """
+        ledger = self._ledger
+        led = ledger.get(root)
+        if led is None:
+            ledger[root] = _NodeLedger()
+        elif led.seg_start == t and self._zero_loss:
+            # A re-emit at an unchanged instant (an insert's adoptee after
+            # the inserted node's own event walked it): every ledger below
+            # already reopened at t, and with every path success exactly
+            # 1.0 reopening them again changes nothing.  Only the root's
+            # edge moved.
+            self._uncount(root)
+            self._count(root)
+            return
+        counted = self._counted
+        if root in counted:
+            self._uncount(root)
+        parent = self.tree.parent
+        children = self.tree.children
+        count = self.link_usage.update
+        path_links = self.underlay.path_links
+        zero_loss = self._zero_loss
+        success = self._success
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            led = ledger[node]
+            if node not in counted:
+                links = counted[node] = path_links(parent[node], node)
+                count(links)
+            led.state = _SCAN
+            if led.lifetime.open_start is None:
+                led.lifetime.open(t)
+            if led.reachable.open_start is None:
+                led.reachable.open(t)
+            start = led.seg_start
+            if start is not None and t > start:
+                led.segments.append((start, t, led.seg_success))
+            led.seg_start = t
+            if not zero_loss:
+                up = parent[node]
+                led.seg_success = success[node] = success[up] * self._hop(up, node)
+            kids = children.get(node)
+            if kids:
+                stack.extend(kids)
+
+    def _close_subtree(self, root: int, t: float) -> None:
+        """Cut every ledger of ``root``'s (unreachable) subtree at ``t``."""
+        ledger = self._ledger
+        if root not in ledger:
+            ledger[root] = _NodeLedger()
+        children = self.tree.children
+        counted = self._counted
+        success = self._success
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            success.pop(node, None)
+            if node in counted:
+                self._uncount(node)
+            ledger[node].cut(t)
+            kids = children.get(node)
+            if kids:
+                stack.extend(kids)
+
+    def _count(self, node: int) -> None:
+        links = self._counted[node] = self.underlay.path_links(
+            self.tree.parent[node], node
+        )
+        self.link_usage.update(links)
+
+    def _uncount(self, node: int) -> None:
+        links = self._counted.pop(node, None)
+        if not links:
+            return
+        usage = self.link_usage
+        drop = usage.pop  # dict.pop: skips Counter's Python-level __delitem__
+        for link in links:
+            c = usage[link] - 1
+            if c:
+                usage[link] = c
+            else:
+                drop(link)
 
     def _hop(self, parent: int, child: int) -> float:
         """Per-overlay-hop delivery probability (memoized; links are static)."""
@@ -188,16 +320,6 @@ class DeliveryAccountant:
             hop = 1.0 - self.underlay.path_error(parent, child)
             self._hop_success[(parent, child)] = hop
         return hop
-
-    def _path_success(self, node: int) -> float:
-        """Probability a chunk survives the overlay path source -> node."""
-        if self._zero_loss:
-            return 1.0
-        # O(1): extend the parent's maintained product by one hop.
-        parent = self.tree.parent[node]
-        success = self._success[parent] * self._hop(parent, node)
-        self._success[node] = success
-        return success
 
     # -- queries --------------------------------------------------------------------
 
@@ -220,10 +342,8 @@ class DeliveryAccountant:
             for start, end, success in ledger.segments
             if start < until
         ]
-        if ledger.open_segment is not None:
-            start, success = ledger.open_segment
-            if start < until:
-                segments.append((start, until, success))
+        if ledger.seg_start is not None and ledger.seg_start < until:
+            segments.append((ledger.seg_start, until, ledger.seg_success))
         return segments
 
     def lifetime_start(self, node: int) -> float | None:
@@ -271,8 +391,9 @@ class DeliveryAccountant:
 
     def _window_totals(
         self, w0: float, w1: float
-    ) -> tuple[float, float, tuple[float, ...]]:
-        """One pass over the ledger: (sum expected, sum received, loss rates).
+    ) -> tuple[float, float, float, int]:
+        """One pass over the ledger: sums of expected, received and the
+        per-node loss rates, and the number of rates.
 
         Backs both :meth:`loss_rate` and :meth:`mean_node_loss` so callers
         polling both per measurement window walk the ledger once, not
@@ -287,20 +408,22 @@ class DeliveryAccountant:
             return cached
         expected_total = 0.0
         received_total = 0.0
-        rates: list[float] = []
+        rate_sum = 0.0
+        rate_n = 0
         for node in self._ledger:
             stats = self.node_stats(node, w0, w1)
             expected_total += stats.expected_chunks
             received_total += stats.received_chunks
             if stats.expected_chunks > 0:
-                rates.append(stats.loss_rate)
-        result = (expected_total, received_total, tuple(rates))
+                rate_sum += stats.loss_rate
+                rate_n += 1
+        result = (expected_total, received_total, rate_sum, rate_n)
         self._window_memo[key] = result
         return result
 
     def loss_rate(self, w0: float, w1: float) -> float:
         """Aggregate loss over all tracked nodes in the window (eq. 3.7)."""
-        expected, received, _ = self._window_totals(w0, w1)
+        expected, received, _, _ = self._window_totals(w0, w1)
         if expected <= 0:
             return 0.0
         return max(0.0, 1.0 - received / expected)
@@ -308,24 +431,171 @@ class DeliveryAccountant:
     def mean_node_loss(self, w0: float, w1: float) -> float:
         """Unweighted mean of per-node loss rates (the paper's 'average
         loss rate for all nodes')."""
-        _, _, rates = self._window_totals(w0, w1)
-        if not rates:
-            return 0.0
-        return sum(rates) / len(rates)
+        _, _, rate_sum, rate_n = self._window_totals(w0, w1)
+        return rate_sum / rate_n if rate_n else 0.0
 
     def window_snapshot(self, w0: float, w1: float) -> WindowSnapshot:
         """One measurement window's aggregates as a single snapshot.
 
-        Delegates to :meth:`loss_rate` / :meth:`mean_node_loss` /
-        :meth:`data_messages` (so the floating-point evaluation order is
-        exactly theirs — the first two share one memoized ledger pass);
-        the value only packages them so session measurements and
-        equivalence tests consume the whole window atomically.
+        Equal, bit for bit, to :meth:`loss_rate`, :meth:`mean_node_loss`
+        and :meth:`data_messages` over the same window.  On a loss-free
+        underlay a window starting at or after the end of the previous
+        fused one (every session measurement) is served by
+        :meth:`_fused_window`; any other window delegates to the three
+        queries.
         """
+        if w1 < w0:
+            raise ValueError(f"bad window [{w0}, {w1})")
+        if self._zero_loss and w0 >= self._fused_from:
+            self._fused_from = w1
+            return self._fused_window(w0, w1)
         return WindowSnapshot(
             loss_rate=self.loss_rate(w0, w1),
             mean_node_loss=self.mean_node_loss(w0, w1),
             data_messages=self.data_messages(w0, w1),
+        )
+
+    def _fused_window(self, w0: float, w1: float) -> WindowSnapshot:
+        """:meth:`window_snapshot` in one pass over the ledger.
+
+        Each accumulator receives the additions of the three separate
+        passes, in ledger order, with the same clipping arithmetic
+        (``max``/``min`` spelled as their compare-and-select), so every
+        float is bit-identical.  What the pass skips adds nothing:
+
+        * cursors pass closed intervals that ended at or before a fused
+          window's start — they clip to nothing in every later window,
+          which starts no earlier.  A cursor never passes the last
+          interval of its list, the only one a close can still extend;
+        * a *dormant* ledger (nothing open, every closed interval ended
+          by the window's start) would add 0.0 to non-negative sums,
+          which is exact;
+        * a *steady* ledger (everything opened no later than the previous
+          fused window's end, every closed interval ended by that
+          window's start) adds the closed form: covered time ``w1 - w0``,
+          expected == received == that times the rate (the identical
+          multiply, so ``min`` keeps it) and a loss of exactly 0.0.
+
+        Every ledger change resets ``state``.  Every path success is
+        exactly 1.0, and ``(hi - lo) * 1.0`` is the float identity, so
+        the segment multiply is elided.
+        """
+        rate = self.chunk_rate
+        data_time = 0.0
+        expected_total = 0.0
+        received_total = 0.0
+        rate_sum = 0.0
+        rate_n = 0
+        span = w1 - w0
+        steady = span * rate
+        for led in self._ledger.values():
+            state = led.state
+            if state:
+                if state == _STEADY:
+                    if span > 0:
+                        data_time += span
+                    if steady > 0:
+                        expected_total += steady
+                        received_total += steady
+                        rate_n += 1
+                continue
+            # data_messages: reachable time in the window
+            tot = 0.0
+            reachable = led.reachable
+            iv = reachable.intervals
+            last = len(iv) - 1
+            i = led.at_reach
+            while i < last and iv[i][1] <= w0:
+                i += 1
+            led.at_reach = i
+            for s, e in iv[i:] if i else iv:
+                lo = s if s >= w0 else w0
+                hi = e if e <= w1 else w1
+                if hi > lo:
+                    tot += hi - lo
+            reach_open = reachable.open_start
+            if reach_open is not None:
+                lo = reach_open if reach_open >= w0 else w0
+                if w1 > lo:
+                    tot += w1 - lo
+            data_time += tot
+            # every closed interval ended by the window's start?
+            behind = not iv or iv[-1][1] <= w0
+            # expected: lifetime inside the window, times the rate
+            tot = 0.0
+            lifetime = led.lifetime
+            iv = lifetime.intervals
+            last = len(iv) - 1
+            i = led.at_life
+            while i < last and iv[i][1] <= w0:
+                i += 1
+            led.at_life = i
+            for s, e in iv[i:] if i else iv:
+                lo = s if s >= w0 else w0
+                hi = e if e <= w1 else w1
+                if hi > lo:
+                    tot += hi - lo
+            life_open = lifetime.open_start
+            if life_open is not None:
+                lo = life_open if life_open >= w0 else w0
+                if w1 > lo:
+                    tot += w1 - lo
+            expected = tot * rate
+            if iv and iv[-1][1] > w0:
+                behind = False
+            # received: reception segments inside the window, times the rate
+            tot = 0.0
+            iv = led.segments
+            last = len(iv) - 1
+            i = led.at_seg
+            while i < last and iv[i][1] <= w0:
+                i += 1
+            led.at_seg = i
+            for s, e, _ in iv[i:] if i else iv:
+                lo = s if s >= w0 else w0
+                hi = e if e <= w1 else w1
+                if hi > lo:
+                    tot += hi - lo
+            seg_start = led.seg_start
+            if seg_start is not None:
+                lo = seg_start if seg_start >= w0 else w0
+                if w1 > lo:
+                    tot += w1 - lo
+            received = tot * rate
+            if received > expected:  # min(received, expected)
+                received = expected
+            expected_total += expected
+            received_total += received
+            if expected > 0:
+                loss = 1.0 - received / expected
+                rate_sum += loss if loss > 0.0 else 0.0  # max(0.0, loss)
+                rate_n += 1
+            if not behind or (iv and iv[-1][1] > w0):
+                continue
+            if life_open is None:
+                if reach_open is None and seg_start is None:
+                    led.state = _DORMANT
+            elif (
+                reach_open is not None
+                and seg_start is not None
+                and life_open <= w1
+                and reach_open <= w1
+                and seg_start <= w1
+            ):
+                led.state = _STEADY
+        self._window_memo[(w0, w1)] = (
+            expected_total, received_total, rate_sum, rate_n
+        )
+        if expected_total > 0:
+            loss_rate = 1.0 - received_total / expected_total
+            if not loss_rate > 0.0:  # max(0.0, loss_rate)
+                loss_rate = 0.0
+        else:
+            loss_rate = 0.0
+        return WindowSnapshot(
+            loss_rate=loss_rate,
+            mean_node_loss=rate_sum / rate_n if rate_n else 0.0,
+            data_messages=data_time * rate,
         )
 
     def outage_seconds(self, w0: float, w1: float) -> float:
@@ -376,8 +646,7 @@ class DeliveryAccountant:
         """
         if w1 < w0:
             raise ValueError(f"bad window [{w0}, {w1})")
-        total_time = sum(
-            ledger.reachable.covered_within(w0, w1)
-            for ledger in self._ledger.values()
-        )
+        total_time = 0.0
+        for ledger in self._ledger.values():
+            total_time += ledger.reachable.covered_within(w0, w1)
         return total_time * self.chunk_rate

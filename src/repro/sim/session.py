@@ -37,9 +37,20 @@ from repro.sim.faults import FaultInjector, FaultPlan, resolve_fault_plan
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.network import Underlay
 from repro.util.rngtools import spawn_rng
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import (
+    check_finite,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
-__all__ = ["SessionConfig", "SessionResult", "MulticastSession", "draw_degree"]
+__all__ = [
+    "SessionConfig",
+    "SessionResult",
+    "MulticastSession",
+    "draw_degree",
+    "take_measurement",
+]
 
 AgentFactory = Callable[..., OverlayAgent]
 MetricFactory = Callable[[Underlay], Callable[[int, int], float]]
@@ -80,6 +91,41 @@ def draw_degree(spec: DegreeSpec, rng: np.random.Generator) -> int:
     if value < 1:
         raise ValueError(f"drawn degree {value} < 1 from spec {spec!r}")
     return value
+
+
+def take_measurement(
+    accountant: DeliveryAccountant,
+    since: float,
+    now: float,
+    control_since: int,
+    control_now: int,
+) -> MeasurementRecord:
+    """One measurement: the accountant's tree now, and the window since.
+
+    ``control_since`` and ``control_now`` are the session's cumulative
+    control-message counts at the two instants; their difference is the
+    numerator of the window's overhead (eq. 3.6).  Both session engines
+    (this module's and :mod:`repro.sim.batched`) record through here.
+    """
+    tree = accountant.tree
+    window = accountant.window_snapshot(since, now)
+    data_msgs = window.data_messages
+    metrics = collect_tree_metrics(tree, accountant.underlay, accountant.link_usage)
+    return MeasurementRecord(
+        time=now,
+        n_members=len(tree.parent),
+        n_reachable=len(tree.attached_nodes()),
+        stress=metrics.stress,
+        stretch=metrics.stretch,
+        hopcount=metrics.hopcount,
+        usage=metrics.usage,
+        window_loss=window.loss_rate,
+        window_mean_node_loss=window.mean_node_loss,
+        window_overhead=(
+            (control_now - control_since) / data_msgs if data_msgs > 0 else 0.0
+        ),
+        cumulative_control_messages=control_now,
+    )
 
 
 @dataclass(frozen=True)
@@ -125,14 +171,23 @@ class SessionConfig:
     invariant_sweep_every: int | None = None
 
     def __post_init__(self) -> None:
-        check_positive("n_nodes", self.n_nodes)
-        check_positive("join_phase_s", self.join_phase_s)
-        check_positive("total_s", self.total_s)
-        check_positive("slot_s", self.slot_s)
+        # Finite as well as positive: an infinite horizon, slot, rate or
+        # timeout hangs the scheduling loops or turns the loss into NaN.
+        for name in (
+            "n_nodes", "join_phase_s", "total_s", "slot_s", "chunk_rate", "timeout_ms"
+        ):
+            check_finite(name, check_positive(name, getattr(self, name)))
         check_non_negative("settle_s", self.settle_s)
         check_probability("churn_rate", self.churn_rate)
-        check_positive("chunk_rate", self.chunk_rate)
-        check_positive("timeout_ms", self.timeout_ms)
+        check_finite(
+            "measurement_noise_sigma",
+            check_non_negative("measurement_noise_sigma", self.measurement_noise_sigma),
+        )
+        if self.join_measure_interval_s is not None:
+            check_finite(
+                "join_measure_interval_s",
+                check_positive("join_measure_interval_s", self.join_measure_interval_s),
+            )
         if self.total_s < self.join_phase_s:
             raise ValueError("total_s must cover the join phase")
         if self.settle_s >= self.slot_s:
@@ -355,27 +410,16 @@ class MulticastSession:
 
     def _measure(self) -> None:
         now = self.sim.now
-        tree = self.env.tree
         control_now = self.env.total_control_messages
-        window = self.accountant.window_snapshot(self._last_measure_time, now)
-        data_msgs = window.data_messages
-        control_delta = control_now - self._last_control_count
-        overhead = control_delta / data_msgs if data_msgs > 0 else 0.0
-        metrics = collect_tree_metrics(tree, self.underlay)
-        record = MeasurementRecord(
-            time=now,
-            n_members=len(tree.members()),
-            n_reachable=len(tree.attached_nodes()),
-            stress=metrics.stress,
-            stretch=metrics.stretch,
-            hopcount=metrics.hopcount,
-            usage=metrics.usage,
-            window_loss=window.loss_rate,
-            window_mean_node_loss=window.mean_node_loss,
-            window_overhead=overhead,
-            cumulative_control_messages=control_now,
+        self._records.append(
+            take_measurement(
+                self.accountant,
+                self._last_measure_time,
+                now,
+                self._last_control_count,
+                control_now,
+            )
         )
-        self._records.append(record)
         self._last_measure_time = now
         self._last_control_count = control_now
 

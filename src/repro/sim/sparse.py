@@ -488,11 +488,11 @@ class SparseUnderlay(Underlay):
     def delay_row(self, a: int) -> list[float] | None:
         if not self._ids_are_indices:
             return None
-        self.validate_host(a)
         row = self._hrows.get(a)
-        if row is not None:
+        if row is not None:  # validated when it was stored
             self._hrows.move_to_end(a)
             return row
+        self.validate_host(a)
         base = self.router_dist_row(self.attachments[a])[self._host_cols()]
         if not np.all(np.isfinite(base)):
             return None  # unreachable pairs: callers fall back to delay_ms

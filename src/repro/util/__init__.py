@@ -3,6 +3,7 @@
 from repro.util.intervals import IntervalSet
 from repro.util.rngtools import spawn_rng, rng_from_seed
 from repro.util.validation import (
+    check_finite,
     check_positive,
     check_non_negative,
     check_probability,
@@ -13,6 +14,7 @@ __all__ = [
     "IntervalSet",
     "spawn_rng",
     "rng_from_seed",
+    "check_finite",
     "check_positive",
     "check_non_negative",
     "check_probability",

@@ -11,6 +11,7 @@ import math
 from typing import Any
 
 __all__ = [
+    "check_finite",
     "check_positive",
     "check_non_negative",
     "check_probability",
@@ -25,6 +26,14 @@ def _check_real(name: str, value: Any) -> float:
         raise ValueError(f"{name} must be a real number, got {value!r}") from exc
     if math.isnan(out):
         raise ValueError(f"{name} must not be NaN")
+    return out
+
+
+def check_finite(name: str, value: Any) -> float:
+    """Return ``value`` as float, requiring it to be neither NaN nor infinite."""
+    out = _check_real(name, value)
+    if math.isinf(out):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return out
 
 

@@ -120,16 +120,8 @@ def window_loss(
 # ---------------------------------------------------------------------------
 
 
-def tree_metrics(tree: TreeRegistry, underlay: Underlay) -> dict[str, dict]:
-    """Stress, stretch, hopcount and resource usage of the reachable tree,
-    as ``dataclasses.asdict(collect_tree_metrics(tree, underlay))`` spells
-    them.
-
-    Reachability is re-verified per node, the root path walked per stretch
-    sample and per hopcount sample; nodes are visited root-down with
-    siblings in ascending id order, so every float accumulates in the
-    order the single-pass collector uses.
-    """
+def _reachable_preorder(tree: TreeRegistry) -> list[int]:
+    """Reachable non-source nodes, root-down, siblings in ascending order."""
     source = tree.source
     order: list[int] = []
     stack = [source]
@@ -140,18 +132,38 @@ def tree_metrics(tree: TreeRegistry, underlay: Underlay) -> dict[str, dict]:
         kids = tree.children.get(node)
         if kids:
             stack.extend(sorted(kids, reverse=True))
+    return order
 
-    link_usage: Counter = Counter()
-    for node in order:
+
+def link_usage(tree: TreeRegistry, underlay: Underlay) -> Counter:
+    """Physical link -> copies of each chunk: every reachable overlay
+    edge's path, walked now (the accountant maintains it per event)."""
+    usage: Counter = Counter()
+    for node in _reachable_preorder(tree):
         for link in underlay.path_links(tree.parent[node], node):
-            link_usage[link] += 1
+            usage[link] += 1
+    return usage
+
+
+def tree_metrics(tree: TreeRegistry, underlay: Underlay) -> dict[str, dict]:
+    """Stress, stretch, hopcount and resource usage of the reachable tree,
+    as ``dataclasses.asdict(collect_tree_metrics(...))`` spells them.
+
+    Reachability is re-verified per node, the root path walked per stretch
+    sample and per hopcount sample; nodes are visited root-down with
+    siblings in ascending id order, so every float accumulates in the
+    order the single-pass collector uses.
+    """
+    source = tree.source
+    order = _reachable_preorder(tree)
+    usage = link_usage(tree, underlay)
     stress = {"average": 0.0, "maximum": 0, "links_used": 0, "total_transmissions": 0}
-    if link_usage:
-        transmissions = sum(link_usage.values())
+    if usage:
+        transmissions = sum(usage.values())
         stress = {
-            "average": transmissions / len(link_usage),
-            "maximum": max(link_usage.values()),
-            "links_used": len(link_usage),
+            "average": transmissions / len(usage),
+            "maximum": max(usage.values()),
+            "links_used": len(usage),
             "total_transmissions": transmissions,
         }
 

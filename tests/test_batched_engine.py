@@ -26,11 +26,14 @@ from repro.harness.experiments import CH3_METRICS
 from repro.harness.parallel import run_replications
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.sim.batched import BatchedCell, BatchedUnsupported
+from repro.sim.delivery import DeliveryAccountant
 from repro.sim.faults import FAULT_PRESETS
 from repro.sim.network import MatrixUnderlay
 from repro.sim.session import MulticastSession, SessionConfig
 from repro.topology.transit_stub import TransitStubConfig
 from repro.util.rngtools import rng_from_seed
+
+from tests import oracles
 
 # ---------------------------------------------------------------------------
 # shared fixtures
@@ -82,11 +85,40 @@ def _scalar(underlay, cfg: SessionConfig):
 
 
 def _assert_equivalent(batched_res, scalar_res) -> None:
-    """Full-strength equality: records, joins, and every Ch.3 metric."""
+    """Full-strength equality: records, joins, every Ch.3 metric, and an
+    accountant that answers every public query as the scalar one does."""
     assert batched_res.records == scalar_res.records
     assert batched_res.join_records == scalar_res.join_records
     for name, extract in CH3_METRICS.items():
         assert extract(batched_res) == extract(scalar_res), name
+    batched, scalar = batched_res.accountant, scalar_res.accountant
+    assert type(batched) is DeliveryAccountant
+    until = scalar_res.config.total_s
+    window = (0.0, until)
+    nodes = scalar.tracked_nodes()
+    assert batched.tracked_nodes() == nodes
+    for node in nodes:
+        for query in ("reception_segments", "lifetime_intervals"):
+            assert getattr(batched, query)(node, until) == getattr(scalar, query)(
+                node, until
+            ), query
+        assert batched.lifetime_start(node) == scalar.lifetime_start(node)
+        assert batched.node_stats(node, *window) == scalar.node_stats(node, *window)
+    for query in (
+        "loss_rate",
+        "mean_node_loss",
+        "window_snapshot",
+        "outage_seconds",
+        "chunks_lost",
+        "data_messages",
+    ):
+        assert getattr(batched, query)(*window) == getattr(scalar, query)(
+            *window
+        ), query
+    assert dict(batched.link_usage) == dict(scalar.link_usage)
+    assert dict(batched.link_usage) == dict(
+        oracles.link_usage(batched.tree, batched.underlay)
+    )
 
 
 # ---------------------------------------------------------------------------

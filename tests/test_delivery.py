@@ -64,6 +64,17 @@ class TestPerfectDelivery:
         tree.sever(2, 80.0)  # refreshes 2 and 3
         assert len(built) == len(acct.tracked_nodes()) == 3
 
+    def test_subscribes_to_a_tree_of_just_the_source(self):
+        # Every member must enter the ledger at the event that placed it:
+        # the window sums accumulate in ledger order.
+        ul = MatrixUnderlay(line_matrix([0.0, 10.0]))
+        tree = TreeRegistry(source=0)
+        tree.attach(1, 0, 0.0)
+        with pytest.raises(ValueError, match="just the source"):
+            DeliveryAccountant(tree, ul)
+        tree.depart(1, 1.0)
+        DeliveryAccountant(tree, ul)
+
 
 class TestChurnOutage:
     def test_orphan_gap_counts_as_loss(self):
@@ -173,6 +184,28 @@ class TestWindowing:
         assert acct.loss_rate(60.0, 100.0) == 0.0
         # The burst window contains all of it.
         assert acct.loss_rate(40.0, 60.0) > 0.0
+
+    def test_fused_window_rereads_an_interval_a_close_extends(self):
+        # Node 1 departs at 10 and is back at the same instant: the closes
+        # that follow merge into the lifetime and reachable intervals the
+        # fused pass at [10, 10) had already reached, so it must reread them.
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        acct.window_snapshot(0.0, 10.0)
+        tree.depart(1, 10.0)
+        acct.window_snapshot(10.0, 10.0)
+        tree.attach(1, 0, 10.0)
+        tree.sever(1, 12.0)
+        tree.depart(1, 15.0)
+        assert acct.lifetime_intervals(1, 20.0) == [(0.0, 15.0)]
+        separate = (
+            acct.loss_rate(10.0, 20.0),
+            acct.mean_node_loss(10.0, 20.0),
+            acct.data_messages(10.0, 20.0),
+        )
+        assert separate == pytest.approx((0.6, 0.6, 20.0))
+        snap = acct.window_snapshot(10.0, 20.0)
+        assert (snap.loss_rate, snap.mean_node_loss, snap.data_messages) == separate
 
     def test_chunk_rate_validation(self):
         _, tree, _ = make_world()

@@ -326,15 +326,17 @@ def test_sessions_identical_across_incremental_toggle(monkeypatch, protocol, fau
 
     monkeypatch.setattr(Simulator, "schedule_reserved", counting_push)
 
-    # Every measurement of both runs: the single-pass collector against
-    # the four-loop oracle (orphaned subtrees under crashy/chaos included)
-    # and the shared window pass against the own-pass oracle.
+    # Every measurement of both runs: the accountant's maintained link
+    # multiset and the single-pass collector against the oracle's walks
+    # (orphaned subtrees under crashy/chaos included), and the window
+    # snapshot against the own-pass oracle.
     collect = session_mod.collect_tree_metrics
     snapshot = DeliveryAccountant.window_snapshot
     checked = Counter()
 
-    def checking_collect(tree, underlay):
-        metrics = collect(tree, underlay)
+    def checking_collect(tree, underlay, link_usage):
+        assert dict(link_usage) == dict(oracles.link_usage(tree, underlay))
+        metrics = collect(tree, underlay, link_usage)
         assert dataclasses.asdict(metrics) == oracles.tree_metrics(tree, underlay)
         checked["metrics"] += 1
         return metrics

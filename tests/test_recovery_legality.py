@@ -1,20 +1,29 @@
-"""The recovery tracker's maintained legality against the full-scan oracle.
+"""Maintained answers off the registry's listener stream, from any state.
 
 :meth:`RecoveryTracker.tree_is_legal` keeps the set of parents that may be
 over their degree limit instead of rescanning the registry; episode close
-and the service's ``"tree"`` health probe read it.  A hypothesis state
-machine drives random mutations through a runtime — every placing
-mutation of the registry, cuts, departures, and re-registration of a
-present node under a new degree limit — and after every step requires the
-maintained answer to equal :func:`repro.sim.invariants.tree_is_legal`, and
-the episode log to equal a tracker that runs the scan itself.  It also
-offers the mutations the registry must refuse (self-attach, cycles,
-adopting a non-child) and requires a ``ValueError`` with the state
-untouched.
+and the service's ``"tree"`` health probe read it.  A
+:class:`~repro.sim.delivery.DeliveryAccountant` keeps the physical-link
+multiset of the reachable tree and serves forward measurement windows
+from a fused pass with cursors and dormant/steady flags.
+
+A hypothesis state machine drives random mutations through a runtime —
+every placing mutation of the registry, cuts, departures, and
+re-registration of a present node under a new degree limit — and after
+every step requires the maintained legality to equal
+:func:`repro.sim.invariants.tree_is_legal`, the episode log to equal a
+tracker that runs the scan itself, and each accountant's link multiset (one
+on a loss-free, one on a lossy underlay) to equal a walk over the
+reachable edges.  Its ``measure`` rule requires a window snapshot, forward
+or reaching back before the last one, to equal the accountant's separate
+queries bit for bit.  It also offers the mutations the registry must
+refuse (self-attach, cycles, adopting a non-child) and requires a
+``ValueError`` with the state untouched.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -27,10 +36,12 @@ from hypothesis.stateful import (
 
 from repro.metrics.collectors import RecoveryTracker
 from repro.protocols.base import OverlayAgent, ProtocolRuntime
+from repro.sim.delivery import DeliveryAccountant
 from repro.sim.engine import Simulator
 from repro.sim.invariants import tree_is_legal
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 
 HOSTS = list(range(8))
@@ -38,6 +49,10 @@ SOURCE = 0
 #: hosts with an agent from the start; the rest get one only by ``register``
 REGISTERED = HOSTS[:6]
 LIMITS = st.integers(1, 3)
+
+
+def _bits(*values: float) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
 
 
 class ScanningTracker(RecoveryTracker):
@@ -60,10 +75,19 @@ def _snapshot(env: ProtocolRuntime) -> tuple:
 class MaintainedLegality(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        underlay = MatrixUnderlay(line_matrix([10.0 * h for h in HOSTS]))
+        rtt = line_matrix([10.0 * h for h in HOSTS])
+        underlay = MatrixUnderlay(rtt)
         self.env = ProtocolRuntime(Simulator(), underlay, source=SOURCE)
         self.tracker = RecoveryTracker(self.env)
         self.scanning = ScanningTracker(self.env)
+        loss = np.full(rtt.shape, 0.03)
+        np.fill_diagonal(loss, 0.0)
+        self.accountants = [
+            DeliveryAccountant(self.tree, underlay),
+            DeliveryAccountant(self.tree, MatrixUnderlay(rtt, loss=loss)),
+        ]
+        #: the end of the last forward measurement window
+        self.measured_to = 0.0
         self.t = 0.0
         for host in REGISTERED:
             self.env.register(OverlayAgent(host, self.env, degree_limit=2))
@@ -75,7 +99,9 @@ class MaintainedLegality(RuleBasedStateMachine):
         return self.env.tree
 
     def _tick(self) -> float:
-        self.t += 1.0
+        # Inexact steps: a segment reopened inside a window then splits
+        # its coverage into sums that can round differently from one span.
+        self.t += 0.1
         return self.t
 
     def _members(self) -> list[int]:
@@ -146,6 +172,25 @@ class MaintainedLegality(RuleBasedStateMachine):
         self.env.mark_dead(node)
         self.env.register(OverlayAgent(node, self.env, degree_limit=limit))
 
+    @rule(back=st.booleans())
+    def measure(self, back):
+        w0 = self.measured_to / 2 if back else self.measured_to
+        w1 = self.t
+        for acc in self.accountants:
+            # The separate queries first: the fused pass memoizes its
+            # totals, and they must not be read back as the reference.
+            separate = _bits(
+                acc.loss_rate(w0, w1),
+                acc.mean_node_loss(w0, w1),
+                acc.data_messages(w0, w1),
+            )
+            snap = acc.window_snapshot(w0, w1)
+            assert _bits(
+                snap.loss_rate, snap.mean_node_loss, snap.data_messages
+            ) == separate
+        if not back:
+            self.measured_to = w1
+
     # -- refused mutations --------------------------------------------------
 
     @rule(node=st.sampled_from(HOSTS[1:]))
@@ -198,6 +243,10 @@ class MaintainedLegality(RuleBasedStateMachine):
         assert self.tracker.tree_is_legal() == tree_is_legal(self.env)
         assert self.tracker.recovery_times == self.scanning.recovery_times
         assert self.tracker.orphans == self.scanning.orphans
+        for acc in self.accountants:
+            assert dict(acc.link_usage) == dict(
+                oracles.link_usage(self.tree, acc.underlay)
+            )
 
 
 MaintainedLegality.TestCase.settings = settings(
@@ -229,3 +278,26 @@ def test_state_machine_reaches_illegal_trees():
     env.mark_dead(SOURCE)
     env.register(OverlayAgent(SOURCE, env, degree_limit=1))
     assert not tracker.tree_is_legal() and not tree_is_legal(env)
+
+
+def test_rejoin_that_adopts_past_the_limit_is_illegal():
+    """An orphan that kept its children and adopts one more as it rejoins
+    is over its limit at its own ``attach`` event, before the adoptee's
+    ``reparent`` names it: no episode may close there."""
+    underlay = MatrixUnderlay(line_matrix([10.0 * h for h in HOSTS]))
+    env = ProtocolRuntime(Simulator(), underlay, source=SOURCE)
+    tracker = RecoveryTracker(env)
+    for host in REGISTERED:
+        env.register(OverlayAgent(host, env, degree_limit=2))
+    tree = env.tree
+    tree.attach(1, SOURCE, 1.0)
+    tree.attach(2, 1, 2.0)
+    tree.sever(1, 3.0)  # the episode opens
+    tree.attach(3, SOURCE, 4.0)
+    tree.attach(4, 1, 5.0)
+    assert tracker.tree_is_legal()  # the query prunes every suspect
+    legal_at = []
+    tree.add_listener(lambda *_: legal_at.append(tracker.tree_is_legal()))
+    tree.insert(1, SOURCE, (3,), 6.0)  # 1 now holds 2, 4 and 3
+    assert legal_at == [False, False] and not tree_is_legal(env)
+    assert tracker.recovery_times == []

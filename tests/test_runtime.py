@@ -1,5 +1,7 @@
 """Tests for the ProtocolRuntime message layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +368,20 @@ class TestConstruction:
         _, env, _ = setup
         with pytest.raises(ValueError, match="timeout_ms"):
             ProtocolRuntime(Simulator(), env.underlay, 0, timeout_ms=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(timeout_ms=math.inf),
+            dict(measurement_noise_sigma=math.nan),  # noise would be off
+        ],
+        ids=["timeout_ms-inf", "measurement_noise_sigma-nan"],
+    )
+    def test_refuses_non_finite(self, setup, kwargs):
+        _, env, _ = setup
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            ProtocolRuntime(Simulator(), env.underlay, 0, **kwargs)
 
     def test_unknown_source(self):
         ul = MatrixUnderlay(line_matrix([0.0, 1.0]))

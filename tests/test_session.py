@@ -1,5 +1,7 @@
 """Integration tests: full sessions for every protocol, plus invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestConfigValidation:
     def test_invalid(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SessionConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("join_measure_interval_s", 0.0),  # the schedule would never end
+            ("join_measure_interval_s", -10.0),  # would fail only in the simulator
+            ("join_measure_interval_s", math.nan),  # would measure nothing
+            ("total_s", math.inf),  # the slot schedule would never end
+            ("chunk_rate", math.inf),  # the loss would be NaN, reported as 0.0
+            ("timeout_ms", math.inf),
+            ("measurement_noise_sigma", math.nan),  # noise would be off
+        ],
+    )
+    def test_refuses_values_that_hang_or_blank_a_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SessionConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
