@@ -85,6 +85,8 @@ class TreeRegistry:
 
     Listener signature: ``listener(kind, node, parent, time)`` where kind is
     one of ``"attach"``, ``"orphan"``, ``"depart"``, ``"reparent"``.
+    Mutation times never decrease: a mutation refuses a NaN time, or one
+    earlier than the last mutation's, before any pointer moves.
 
     Reachability and depth are maintained *incrementally*: every mutation
     updates only the affected subtree with one downward pass, so
@@ -109,6 +111,8 @@ class TreeRegistry:
         self._reachable: set[int] = {source}
         #: overlay hops from the source, for reachable nodes only (maintained).
         self._depth: dict[int, int] = {source: 0}
+        #: time of the last mutation; none may be earlier.
+        self._clock = -math.inf
 
     # -- listeners ----------------------------------------------------------
 
@@ -266,6 +270,19 @@ class TreeRegistry:
 
     # -- mutations ------------------------------------------------------------
 
+    def _advance_clock(self, time: float) -> None:
+        """Refuse a NaN mutation time or one before the last mutation's.
+
+        Every mutation calls this after its other checks and before it
+        moves a pointer, so a refused mutation leaves the registry, its
+        clock and its listeners untouched.
+        """
+        if not time >= self._clock:
+            raise ValueError(
+                f"mutation at time {time} before the last one at {self._clock}"
+            )
+        self._clock = time
+
     def attach(self, node: int, parent: int, time: float) -> None:
         """Commit ``node`` under ``parent`` (fresh join or orphan rejoin)."""
         if node == self.source:
@@ -278,6 +295,7 @@ class TreeRegistry:
             raise ValueError(f"cannot attach {node} under itself")
         if self.is_descendant(parent, node):
             raise ValueError(f"attaching {node} under its own descendant {parent}")
+        self._advance_clock(time)
         self.parent[node] = parent
         self.children.setdefault(node, set())
         self.children[parent].add(node)
@@ -295,6 +313,7 @@ class TreeRegistry:
             raise ValueError(f"parent {new_parent} is not present")
         if new_parent == node or self.is_descendant(new_parent, node):
             raise ValueError(f"reparenting {node} under its own subtree")
+        self._advance_clock(time)
         if new_parent == old:
             return
         self.children[old].discard(node)
@@ -314,6 +333,7 @@ class TreeRegistry:
             raise ValueError("the source cannot depart")
         if node not in self.parent:
             raise ValueError(f"node {node} is not present")
+        self._advance_clock(time)
         up = self.parent.pop(node)
         if up is not None:
             self.children[up].discard(node)
@@ -341,6 +361,7 @@ class TreeRegistry:
         up = self.parent.get(node)
         if up is None:
             raise ValueError(f"node {node} is not attached")
+        self._advance_clock(time)
         self.children[up].discard(node)
         self.parent[node] = None
         self._refresh_subtree(node)
@@ -368,6 +389,7 @@ class TreeRegistry:
                 raise ValueError(f"node {node} cannot adopt itself")
             if self.parent.get(child) != parent:
                 raise ValueError(f"cannot adopt {child}: not a child of {parent}")
+        self._advance_clock(time)
         old = self.parent.get(node)
         if old is not None:
             self.children[old].discard(node)

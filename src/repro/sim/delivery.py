@@ -22,10 +22,11 @@ received in the peer's lifetime") starts when it first connects and pauses
 only when it departs; reconnection gaps count against it, which is what
 makes churn visible as loss.
 
-The same per-event walk keeps :attr:`DeliveryAccountant.link_usage`, the
-physical links every chunk crosses (the stress of eq. 3.4), so a
-measurement reads stress off a maintained multiset instead of walking
-every overlay edge's path.
+The same per-event walk marks the nodes whose overlay edge may have
+changed; reading :attr:`DeliveryAccountant.link_usage`, the physical links
+every chunk crosses (the stress of eq. 3.4), settles those marks, so a
+measurement reads stress off a multiset maintained at measurement instants
+instead of walking every overlay edge's path.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from repro.protocols.base import TreeRegistry
 from repro.sim.network import Underlay
 from repro.util.intervals import IntervalSet
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_positive
 
 __all__ = ["DeliveryAccountant", "NodeDeliveryStats", "WindowSnapshot"]
 
@@ -45,6 +46,14 @@ __all__ = ["DeliveryAccountant", "NodeDeliveryStats", "WindowSnapshot"]
 _SCAN = 0  # integrate it interval by interval
 _DORMANT = 1  # nothing open, nothing closed inside or after the last window
 _STEADY = 2  # everything open since before the window, nothing closed ahead
+
+
+def _check_window(w0: float, w1: float) -> None:
+    """Every window query's bounds: finite, and ``w0 <= w1``."""
+    check_finite("w0", w0)
+    check_finite("w1", w1)
+    if w1 < w0:
+        raise ValueError(f"bad window [{w0}, {w1})")
 
 
 class _NodeLedger:
@@ -178,16 +187,19 @@ class DeliveryAccountant:
         # multiplication order of the full root-path product the tests
         # compare it with, so the two agree bit for bit.
         self._success: dict[int, float] = {tree.source: 1.0}
-        #: physical link -> copies of each chunk crossing it: the
-        #: ``path_links`` of every reachable overlay edge, counted when
-        #: the edge's child becomes reachable or moves and uncounted when
-        #: it stops being reachable or departs.  Integer counts with zero
-        #: entries deleted, so the order-free stress statistics over it
-        #: equal those of a fresh walk over the reachable edges.
-        self.link_usage: Counter = Counter()
-        #: node -> the link tuple counted for its edge; uncounting reads
-        #: it back, whatever the parent pointer has done since.
-        self._counted: dict[int, tuple] = {}
+        # Physical link -> copies of each chunk crossing it: the
+        # ``path_links`` of every reachable overlay edge, as of the last
+        # read of :attr:`link_usage`.  Tree events only mark the nodes
+        # whose edge may have changed since; the read settles the marks.
+        # Integer counts with zero entries deleted, so the order-free
+        # stress statistics over it equal those of a fresh walk over the
+        # reachable edges.
+        self._usage: Counter = Counter()
+        #: node -> (parent, link tuple) counted for its edge; a settle
+        #: uncounts the tuple, whatever the parent pointer has done since.
+        self._counted: dict[int, tuple[int, tuple]] = {}
+        #: nodes whose counted edge may differ from the tree's now.
+        self._marked: set[int] = set()
         # Window aggregates (loss_rate / mean_node_loss share one pass);
         # any tree mutation invalidates every memoized window.
         self._window_memo: dict[
@@ -206,7 +218,7 @@ class DeliveryAccountant:
         self._window_memo.clear()
         if kind == "depart":
             self._success.pop(node, None)
-            self._uncount(node)
+            self._marked.add(node)
             ledger = self._ledger.get(node)
             if ledger is not None:
                 ledger.cut(time)
@@ -229,7 +241,13 @@ class DeliveryAccountant:
         it), so the ledger's order — and every float sum over it — is the
         preorder refresh's.  A parent is still visited before its
         children, which the path-success products need.
+
+        Only the root's edge moved, so only the root is marked for the
+        link multiset — plus any member not counted now: one settled
+        while its subtree was orphaned has to be counted again.
         """
+        marked = self._marked
+        marked.add(root)
         ledger = self._ledger
         led = ledger.get(root)
         if led is None:
@@ -238,18 +256,11 @@ class DeliveryAccountant:
             # A re-emit at an unchanged instant (an insert's adoptee after
             # the inserted node's own event walked it): every ledger below
             # already reopened at t, and with every path success exactly
-            # 1.0 reopening them again changes nothing.  Only the root's
-            # edge moved.
-            self._uncount(root)
-            self._count(root)
+            # 1.0 reopening them again changes nothing.
             return
         counted = self._counted
-        if root in counted:
-            self._uncount(root)
         parent = self.tree.parent
         children = self.tree.children
-        count = self.link_usage.update
-        path_links = self.underlay.path_links
         zero_loss = self._zero_loss
         success = self._success
         stack = [root]
@@ -257,8 +268,7 @@ class DeliveryAccountant:
             node = stack.pop()
             led = ledger[node]
             if node not in counted:
-                links = counted[node] = path_links(parent[node], node)
-                count(links)
+                marked.add(node)
             led.state = _SCAN
             if led.lifetime.open_start is None:
                 led.lifetime.open(t)
@@ -281,37 +291,59 @@ class DeliveryAccountant:
         if root not in ledger:
             ledger[root] = _NodeLedger()
         children = self.tree.children
-        counted = self._counted
+        marked = self._marked
         success = self._success
         stack = [root]
         while stack:
             node = stack.pop()
             success.pop(node, None)
-            if node in counted:
-                self._uncount(node)
+            marked.add(node)
             ledger[node].cut(t)
             kids = children.get(node)
             if kids:
                 stack.extend(kids)
 
-    def _count(self, node: int) -> None:
-        links = self._counted[node] = self.underlay.path_links(
-            self.tree.parent[node], node
-        )
-        self.link_usage.update(links)
+    @property
+    def link_usage(self) -> Counter:
+        """Physical link -> copies of each chunk crossing it, now.
 
-    def _uncount(self, node: int) -> None:
-        links = self._counted.pop(node, None)
-        if not links:
-            return
-        usage = self.link_usage
+        Settles the marks tree events left since the last read: a marked
+        node still reachable under the parent it was counted for keeps
+        its count (links are static); any other has its old links
+        uncounted and, if reachable, its current edge's links counted.
+        O(edges changed since the last read x path length).
+        """
+        if self._marked:
+            self._settle()
+        return self._usage
+
+    def _settle(self) -> None:
+        usage = self._usage
         drop = usage.pop  # dict.pop: skips Counter's Python-level __delitem__
-        for link in links:
-            c = usage[link] - 1
-            if c:
-                usage[link] = c
-            else:
-                drop(link)
+        count = usage.update
+        counted = self._counted
+        parent = self.tree.parent
+        is_reachable = self.tree.is_reachable
+        path_links = self.underlay.path_links
+        for node in self._marked:
+            up = parent.get(node)
+            live = up is not None and is_reachable(node)
+            entry = counted.get(node)
+            if entry is not None:
+                if live and entry[0] == up:
+                    continue
+                del counted[node]
+                for link in entry[1]:
+                    c = usage[link] - 1
+                    if c:
+                        usage[link] = c
+                    else:
+                        drop(link)
+            if live:
+                links = path_links(up, node)
+                counted[node] = (up, links)
+                count(links)
+        self._marked.clear()
 
     def _hop(self, parent: int, child: int) -> float:
         """Per-overlay-hop delivery probability (memoized; links are static)."""
@@ -334,6 +366,7 @@ class DeliveryAccountant:
         An open segment is closed at ``until``.  This is the input the
         playout-buffer model (:mod:`repro.streaming`) consumes.
         """
+        check_finite("until", until)
         ledger = self._ledger.get(node)
         if ledger is None:
             return []
@@ -361,6 +394,7 @@ class DeliveryAccountant:
 
         An open stint is closed at ``until``.
         """
+        check_finite("until", until)
         ledger = self._ledger.get(node)
         if ledger is None:
             return []
@@ -380,9 +414,12 @@ class DeliveryAccountant:
         window; reconnection outages therefore count as loss while periods
         after a graceful depart do not.
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
-        ledger = self._ledger.get(node)
+        _check_window(w0, w1)
+        return self._node_stats(node, self._ledger.get(node), w0, w1)
+
+    def _node_stats(
+        self, node: int, ledger: _NodeLedger | None, w0: float, w1: float
+    ) -> NodeDeliveryStats:
         if ledger is None:
             return NodeDeliveryStats(node, 0.0, 0.0)
         expected = ledger.lifetime.covered_within(w0, w1) * self.chunk_rate
@@ -400,8 +437,7 @@ class DeliveryAccountant:
         twice.  Memoized per window; any tree mutation clears the memo
         (see :meth:`_on_tree_event`).
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
+        _check_window(w0, w1)
         key = (w0, w1)
         cached = self._window_memo.get(key)
         if cached is not None:
@@ -410,8 +446,8 @@ class DeliveryAccountant:
         received_total = 0.0
         rate_sum = 0.0
         rate_n = 0
-        for node in self._ledger:
-            stats = self.node_stats(node, w0, w1)
+        for node, ledger in self._ledger.items():
+            stats = self._node_stats(node, ledger, w0, w1)
             expected_total += stats.expected_chunks
             received_total += stats.received_chunks
             if stats.expected_chunks > 0:
@@ -438,15 +474,13 @@ class DeliveryAccountant:
         """One measurement window's aggregates as a single snapshot.
 
         Equal, bit for bit, to :meth:`loss_rate`, :meth:`mean_node_loss`
-        and :meth:`data_messages` over the same window.  On a loss-free
-        underlay a window starting at or after the end of the previous
-        fused one (every session measurement) is served by
-        :meth:`_fused_window`; any other window delegates to the three
-        queries.
+        and :meth:`data_messages` over the same window.  A window starting
+        at or after the end of the previous fused one (every session
+        measurement, on any underlay) is served by :meth:`_fused_window`;
+        a window reaching back before it delegates to the three queries.
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
-        if self._zero_loss and w0 >= self._fused_from:
+        _check_window(w0, w1)
+        if w0 >= self._fused_from:
             self._fused_from = w1
             return self._fused_window(w0, w1)
         return WindowSnapshot(
@@ -472,13 +506,14 @@ class DeliveryAccountant:
           which is exact;
         * a *steady* ledger (everything opened no later than the previous
           fused window's end, every closed interval ended by that
-          window's start) adds the closed form: covered time ``w1 - w0``,
-          expected == received == that times the rate (the identical
-          multiply, so ``min`` keeps it) and a loss of exactly 0.0.
+          window's start) adds the closed form: every earlier interval
+          clips to nothing and ``0.0 + x == x``, so covered time is
+          ``span = w1 - w0``, expected is ``span * rate`` and received
+          ``(span * seg_success) * rate``, clipped to expected.
 
-        Every ledger change resets ``state``.  Every path success is
-        exactly 1.0, and ``(hi - lo) * 1.0`` is the float identity, so
-        the segment multiply is elided.
+        Every ledger change resets ``state``.  A received segment adds
+        ``(hi - lo) * success``, the association of
+        :meth:`_NodeLedger.expected_received`.
         """
         rate = self.chunk_rate
         data_time = 0.0
@@ -495,8 +530,13 @@ class DeliveryAccountant:
                     if span > 0:
                         data_time += span
                     if steady > 0:
+                        received = span * led.seg_success * rate
+                        if received > steady:  # min(received, expected)
+                            received = steady
                         expected_total += steady
-                        received_total += steady
+                        received_total += received
+                        loss = 1.0 - received / steady
+                        rate_sum += loss if loss > 0.0 else 0.0  # max(0.0, loss)
                         rate_n += 1
                 continue
             # data_messages: reachable time in the window
@@ -551,16 +591,16 @@ class DeliveryAccountant:
             while i < last and iv[i][1] <= w0:
                 i += 1
             led.at_seg = i
-            for s, e, _ in iv[i:] if i else iv:
+            for s, e, p in iv[i:] if i else iv:
                 lo = s if s >= w0 else w0
                 hi = e if e <= w1 else w1
                 if hi > lo:
-                    tot += hi - lo
+                    tot += (hi - lo) * p
             seg_start = led.seg_start
             if seg_start is not None:
                 lo = seg_start if seg_start >= w0 else w0
                 if w1 > lo:
-                    tot += w1 - lo
+                    tot += (w1 - lo) * led.seg_success
             received = tot * rate
             if received > expected:  # min(received, expected)
                 received = expected
@@ -608,8 +648,7 @@ class DeliveryAccountant:
         typical member suffered" and is directly comparable across
         session sizes.
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
+        _check_window(w0, w1)
         total = 0.0
         members = 0
         for ledger in self._ledger.values():
@@ -629,11 +668,10 @@ class DeliveryAccountant:
         ``expected - received`` per member, so a correlated outage's cost
         shows up in stream units rather than a ratio.
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
+        _check_window(w0, w1)
         lost = 0.0
-        for node in self._ledger:
-            stats = self.node_stats(node, w0, w1)
+        for node, ledger in self._ledger.items():
+            stats = self._node_stats(node, ledger, w0, w1)
             lost += stats.expected_chunks - stats.received_chunks
         return lost
 
@@ -644,8 +682,7 @@ class DeliveryAccountant:
         second from its parent (sent regardless of en-route loss), so the
         total is the rate times the summed reachable time.
         """
-        if w1 < w0:
-            raise ValueError(f"bad window [{w0}, {w1})")
+        _check_window(w0, w1)
         total_time = 0.0
         for ledger in self._ledger.values():
             total_time += ledger.reachable.covered_within(w0, w1)

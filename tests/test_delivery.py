@@ -173,6 +173,50 @@ class TestDataMessages:
             acct.node_stats(1, 10.0, 5.0)
 
 
+WINDOW_QUERIES = {
+    "window_snapshot": lambda acct, w0, w1: acct.window_snapshot(w0, w1),
+    "loss_rate": lambda acct, w0, w1: acct.loss_rate(w0, w1),
+    "mean_node_loss": lambda acct, w0, w1: acct.mean_node_loss(w0, w1),
+    "outage_seconds": lambda acct, w0, w1: acct.outage_seconds(w0, w1),
+    "chunks_lost": lambda acct, w0, w1: acct.chunks_lost(w0, w1),
+    "data_messages": lambda acct, w0, w1: acct.data_messages(w0, w1),
+    "node_stats": lambda acct, w0, w1: acct.node_stats(1, w0, w1),
+}
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize("query", sorted(WINDOW_QUERIES))
+    @pytest.mark.parametrize(
+        "w0, w1",
+        [(NAN, 3.0), (0.0, NAN), (0.0, INF), (-INF, 3.0)],
+        ids=["nan-start", "nan-end", "inf-end", "-inf-start"],
+    )
+    def test_window_refused(self, query, w0, w1):
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        tree.attach(2, 1, 1.0)
+        with pytest.raises(ValueError, match="w0|w1"):
+            WINDOW_QUERIES[query](acct, w0, w1)
+
+    @pytest.mark.parametrize("query", ["reception_segments", "lifetime_intervals"])
+    @pytest.mark.parametrize("until", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    def test_until_refused(self, query, until):
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        with pytest.raises(ValueError, match="until"):
+            getattr(acct, query)(1, until)
+
+    @pytest.mark.parametrize("w1", [NAN, INF], ids=["nan", "inf"])
+    def test_a_refused_snapshot_keeps_the_fused_pass(self, w1):
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        acct.window_snapshot(0.0, 5.0)
+        with pytest.raises(ValueError):
+            acct.window_snapshot(5.0, w1)
+        assert acct._fused_from == 5.0
+
+
 class TestWindowing:
     def test_windowed_loss_isolates_churn_burst(self):
         _, tree, acct = make_world()
@@ -206,6 +250,32 @@ class TestWindowing:
         assert separate == pytest.approx((0.6, 0.6, 20.0))
         snap = acct.window_snapshot(10.0, 20.0)
         assert (snap.loss_rate, snap.mean_node_loss, snap.data_messages) == separate
+
+    def test_lossy_steady_windows_equal_the_separate_queries(self):
+        # Paths of success 0.9 and 0.9 * 0.8 stay unchanged across several
+        # forward windows: after the first, both ledgers are steady and the
+        # fused pass serves them from the closed form.
+        from repro.sim import delivery
+
+        _, tree, acct = make_world(loss_pairs={(0, 1): 0.1, (1, 2): 0.2})
+        tree.attach(1, 0, 0.0)
+        tree.attach(2, 1, 0.3)
+        bounds = [0.0, 0.7, 1.3, 2.9, 4.1, 4.1, 5.3]
+        steady = []
+        for w0, w1 in zip(bounds, bounds[1:]):
+            steady.append(
+                [acct._ledger[n].state == delivery._STEADY for n in (1, 2)]
+            )
+            separate = (
+                acct.loss_rate(w0, w1),
+                acct.mean_node_loss(w0, w1),
+                acct.data_messages(w0, w1),
+            )
+            snap = acct.window_snapshot(w0, w1)
+            got = (snap.loss_rate, snap.mean_node_loss, snap.data_messages)
+            assert [v.hex() for v in got] == [v.hex() for v in separate]
+            assert (separate[0] > 0.0) == (w1 > w0)
+        assert steady[1:] == [[True, True]] * 5
 
     def test_chunk_rate_validation(self):
         _, tree, _ = make_world()

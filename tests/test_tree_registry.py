@@ -1,8 +1,15 @@
 """Tests for the ground-truth TreeRegistry."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.protocols.base import TreeRegistry
+from repro.sim.delivery import DeliveryAccountant
+from repro.sim.network import MatrixUnderlay
+
+from tests.helpers import line_matrix
 
 
 @pytest.fixture
@@ -318,3 +325,66 @@ class TestInsert:
     def test_insert_source_rejected(self, tree):
         with pytest.raises(ValueError, match="source"):
             tree.insert(0, 0, (), 1.0)
+
+
+#: one legal call of every mutation on the world :func:`_timed_world` builds
+MUTATIONS = {
+    "attach": lambda tree, t: tree.attach(4, 0, t),
+    "reparent": lambda tree, t: tree.reparent(2, 0, t),
+    "depart": lambda tree, t: tree.depart(1, t),
+    "sever": lambda tree, t: tree.sever(2, t),
+    "insert": lambda tree, t: tree.insert(4, 0, (3,), t),
+}
+
+
+def _timed_world():
+    """Source 0, chain 0-1-2 and leaf 3, the last mutation at 6.0, with a
+    lossy accountant listening."""
+    loss = np.zeros((5, 5))
+    loss[0, 1] = loss[1, 0] = 0.1
+    ul = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0, 30.0, 40.0]), loss=loss)
+    tree = TreeRegistry(source=0)
+    acct = DeliveryAccountant(tree, ul)
+    tree.attach(1, 0, 1.0)
+    tree.attach(2, 1, 2.0)
+    tree.attach(3, 0, 6.0)
+    return tree, acct
+
+
+def _state(tree, acct):
+    return (
+        dict(tree.parent),
+        {p: set(kids) for p, kids in tree.children.items()},
+        set(tree._reachable),
+        dict(tree._depth),
+        tree._clock,
+        dict(acct.link_usage),
+        {
+            n: (acct.reception_segments(n, 10.0), acct.lifetime_intervals(n, 10.0))
+            for n in acct.tracked_nodes()
+        },
+        acct.window_snapshot(0.0, 10.0),
+    )
+
+
+class TestMutationTimes:
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    @pytest.mark.parametrize("time", [math.nan, 3.0], ids=["nan", "backward"])
+    def test_refused_before_any_pointer_moves(self, kind, time):
+        tree, acct = _timed_world()
+        before = _state(tree, acct)
+        events = []
+        tree.add_listener(lambda *a: events.append(a))
+        with pytest.raises(ValueError, match="before the last"):
+            MUTATIONS[kind](tree, time)
+        assert events == []
+        assert _state(tree, acct) == before
+        MUTATIONS[kind](tree, 6.0)  # the same instant is still open
+        assert events
+
+    def test_a_refused_structure_leaves_the_clock(self, tree):
+        tree.attach(1, 0, 5.0)
+        with pytest.raises(ValueError, match="already attached"):
+            tree.attach(1, 0, 9.0)
+        tree.attach(2, 1, 7.0)
+        assert tree._clock == 7.0
