@@ -37,11 +37,14 @@ class Pulse:
     Every component that makes asyncio-visible progress (publish, deliver,
     timer arm/fire, gate change, join completion, worker exit) calls
     :meth:`bump`.  The driver reads the count two ways: it keeps yielding
-    to the loop until the count stops moving (quiescence), and it then
-    runs simulator events in one burst
+    to the loop until one pass leaves the count unmoved (quiescence), and
+    it then runs simulator events in one burst
     (:meth:`~repro.sim.engine.Simulator.run_burst`) until the count moves
     again — a simulator event resolved an asyncio future — and only then
-    yields.  The count itself is deterministic, which makes the driver's
+    yields.  One unmoved pass means quiescent only because every wakeup
+    is a single hop: the bump and the resolved future come from the same
+    call, so no task can become runnable through a callback that bumps
+    nothing.  The count itself is deterministic, which makes the driver's
     interleaving deterministic.
 
     ``halt`` ends a burst *without* moving the count: a drain request

@@ -11,6 +11,16 @@ to the loop (see :mod:`repro.service.runtime`).  Awaiting
 importantly — always resumes at exactly the same point in the
 deterministic event order.
 
+Every wakeup the clock hands out is *one hop*: the future a coroutine
+awaits is resolved directly by the simulator event (or the completer)
+that ends the wait, so the task runs on the very next loop pass.  That
+is what lets the driver call the loop quiescent after a single clean
+pass.  :meth:`VirtualClock.wait_for` is the case that needs care: its
+one awaited future is the timeout timer itself, and the completion's
+owner resolves it through :meth:`VirtualClock.resolve` instead of
+``fut.set_result`` — never through ``asyncio.wait``, whose internal
+done-callback is a second, bump-free hop.
+
 :meth:`VirtualClock.jump` is the ``clock-jump`` chaos arm: it resolves
 every pending timer *now*, modelling a monotonic clock that leapt past
 all deadlines.  Join-timeout races lose spuriously, producers fire early
@@ -37,6 +47,8 @@ class VirtualClock:
         self.pulse = pulse
         #: pending timers in registration order: asyncio Future -> sim Event
         self._timers: dict[asyncio.Future, Event] = {}
+        #: completion future -> the timer its parked :meth:`wait_for` awaits
+        self._waits: dict[asyncio.Future, asyncio.Future] = {}
 
     @property
     def now(self) -> float:
@@ -82,20 +94,42 @@ class VirtualClock:
         """Await ``fut`` for up to ``timeout_s`` virtual seconds.
 
         Returns ``True`` if ``fut`` completed, ``False`` on timeout.
-        ``fut`` is *not* cancelled on timeout — the service's join waits
-        re-arm against the same future on retry, because the underlying
-        protocol operation is still in flight.
+        ``fut`` is a *completion*: whoever completes it must call
+        :meth:`resolve`, which wakes this wait in the same simulator event
+        and tombstones its timer; a timer that fires first wakes it
+        instead.  Either way the coroutine awaits one future, resolved
+        directly — a single loop hop.  ``fut`` is *not* cancelled on
+        timeout: the service's join waits re-arm against the same future
+        on retry, because the underlying protocol operation is still in
+        flight, and a completion that landed meanwhile is returned at once.
         """
         if fut.done():
             return True
         timer = self._arm(timeout_s)
+        self._waits[fut] = timer
         try:
-            await asyncio.wait((fut, timer), return_when=asyncio.FIRST_COMPLETED)
+            await timer
         finally:
+            self._waits.pop(fut, None)
             if not timer.done():
                 self._disarm(timer)
                 timer.cancel()
         return fut.done()
+
+    def resolve(self, fut: asyncio.Future, result=None) -> None:
+        """Complete ``fut`` and wake the :meth:`wait_for` parked on it.
+
+        The wait's timer is disarmed (its simulator event tombstoned) and
+        resolved here, so the waiting task runs on the next loop pass.
+        With no wait parked, ``fut`` just holds the result for the next
+        one.  Bumps the pulse: a completion is a crossing.
+        """
+        fut.set_result(result)
+        timer = self._waits.pop(fut, None)
+        if timer is not None and not timer.done():
+            self._disarm(timer)
+            timer.set_result(None)
+        self.pulse.bump()
 
     def jump(self) -> int:
         """Chaos: fire every pending timer immediately.  Returns the count.

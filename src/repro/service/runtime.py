@@ -15,9 +15,14 @@ Architecture (one :class:`ServiceRuntime` = one live run):
 * the **driver** interleaves the asyncio loop with the discrete-event
   simulator under one invariant: *every simulator→asyncio crossing bumps
   the shared pulse* (a timer firing, a join completing, a bus gate
-  reopening).  It yields to asyncio until the pulse stops moving
-  (quiescence: every task is parked on a future only the simulator can
-  resolve), then runs one burst inside the engine's own event loop
+  reopening).  It yields to asyncio until one loop pass goes by without a
+  bump (quiescence: every task is parked on a future only the simulator
+  can resolve).  One clean pass suffices because every wakeup the driver
+  quiesces over is a *single hop* — a task parks on one future that the
+  crossing resolves directly (:meth:`VirtualClock.wait_for` and
+  :meth:`VirtualClock.resolve`; the orchestrator awaits its workers one
+  by one, never through ``gather``).  It then runs one burst inside the
+  engine's own event loop
   (``Simulator.run_burst``) that stops right after the pulse moves — an
   event crossed into asyncio — or a drain raises the pulse's halt flag,
   and only then yields again.  Events that stay inside the simulator (the
@@ -83,7 +88,7 @@ from repro.sim.session import draw_degree
 from repro.util.artifacts import artifact_key
 from repro.util.retry import RetryPolicy
 from repro.util.rngtools import spawn_rng
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_non_negative, check_positive
 
 __all__ = [
     "DriverStats",
@@ -143,13 +148,24 @@ class ServiceConfig:
             raise ValueError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
-        check_positive("duration_s", self.duration_s)
-        check_positive("arrival_rate_hz", self.arrival_rate_hz)
-        check_positive("hold_s", self.hold_s)
-        check_positive("join_timeout_s", self.join_timeout_s)
-        check_positive("probe_period_s", self.probe_period_s)
-        check_positive("chunk_rate", self.chunk_rate)
-        check_positive("timeout_ms", self.timeout_ms)
+        # Finite as well as positive: an infinite horizon or rate never
+        # ends the workload loops, an infinite chunk rate overflows the
+        # first-chunk epoch.
+        for name in (
+            "duration_s", "arrival_rate_hz", "hold_s", "timeout_ms",
+            "join_timeout_s", "probe_period_s", "chunk_rate",
+        ):
+            check_finite(name, check_positive(name, getattr(self, name)))
+        # Offsets and shape knobs: a NaN burst start drops the burst, a
+        # negative one admits arrivals stamped before t = 0.
+        for name in (
+            "burst_at_s", "burst_rate_hz", "burst_duration_s", "diurnal_period_s",
+        ):
+            check_finite(name, check_non_negative(name, getattr(self, name)))
+        if check_non_negative("diurnal_depth", self.diurnal_depth) >= 1.0:
+            raise ValueError(
+                f"diurnal_depth must be in [0, 1), got {self.diurnal_depth!r}"
+            )
         if self.n_hosts < 2:
             raise ValueError(f"n_hosts must be >= 2, got {self.n_hosts}")
         if self.join_queue_hwm < 1:
@@ -213,7 +229,7 @@ class ServiceRuntime:
             load_service_plan() if chaos_plan is None else tuple(chaos_plan)
         )
         self._journal_outcomes = journal_outcomes
-        self._pace_s = pace_s
+        self._pace_s = check_finite("pace_s", check_non_negative("pace_s", pace_s))
 
         hosts = sorted(int(h) for h in underlay.hosts)
         if len(hosts) < 2:
@@ -332,8 +348,7 @@ class ServiceRuntime:
             if fut is not None:
                 if not fut.done():
                     self._waiters.pop(rec.node, None)
-                    fut.set_result(rec)
-                    self.pulse.bump()
+                    self.clock.resolve(fut, rec)
             elif rec.succeeded and rec.node in self._abandoned:
                 # A join the control plane gave up on completed late:
                 # honour the abandonment by leaving immediately.
@@ -381,9 +396,7 @@ class ServiceRuntime:
         self.pulse.halt = False
         self.drained = True
         self.drain_time_s = self.sim.now
-        if self._drain_fut is not None and not self._drain_fut.done():
-            self._drain_fut.set_result(None)
-        self.pulse.bump()
+        self.clock.resolve(self._drain_fut)
 
     # -- membership actions ----------------------------------------------------
 
@@ -398,27 +411,34 @@ class ServiceRuntime:
     # -- the asyncio side ------------------------------------------------------
 
     async def _quiesce(self) -> None:
-        """Yield to the loop until the pulse counter settles.
+        """Yield to the loop until one pass goes by without a bump.
 
-        Two consecutive passes without a bump: every wakeup chain in the
-        service is at most two loop passes long after the bump that
-        started it (``asyncio.wait`` and ``gather`` add one hop to a
-        plain future wakeup), so by then every runnable task has parked.
+        Every wakeup in the service is a single hop: a task parks on one
+        future that whatever ends the wait resolves directly (a timer, a
+        :meth:`VirtualClock.resolve`, a queue or gate waiter, a task it
+        awaits).  A task that runs either bumps or parks, so a pass that
+        bumped nothing ran no task that could have scheduled another, and
+        the ready queue is empty.  A bump-free hop (``asyncio.wait``,
+        ``gather``, ``wait_for`` or ``shield``, each of which wakes its
+        caller from a done-callback) on any path the driver quiesces over
+        would break this.
         """
-        idle = 0
-        while idle < 2:
-            before = self.pulse.count
+        stats, pulse = self.driver, self.pulse
+        while True:
+            before = pulse.count
             await asyncio.sleep(0)
-            self.driver.loop_yields += 1
-            idle = idle + 1 if self.pulse.count == before else 0
+            stats.loop_yields += 1
+            if pulse.count == before:
+                return
 
     async def _drive(self) -> None:
         """Alternate asyncio quiescence with bursts of simulator events.
 
-        Once asyncio is quiescent nothing on its side can change until a
-        simulator event resolves a future — and every such crossing bumps
-        the pulse — so the driver hands the simulator one burst
-        (:meth:`~repro.sim.engine.Simulator.run_burst`), which stops right
+        Once asyncio is quiescent (:meth:`_quiesce`: one pass without a
+        bump, so the ready queue is empty) nothing on its side can change
+        until a simulator event resolves a future — and every such
+        crossing bumps the pulse — so the driver hands the simulator one
+        burst (:meth:`~repro.sim.engine.Simulator.run_burst`), which stops right
         after the event that bumped the pulse or raised its halt flag (a
         drain request), and only then pays for another round trip through
         the loop.  Pacing (``pace_s``) sleeps once per burst, for the
@@ -700,7 +720,7 @@ class ServiceRuntime:
         """Run one service task; if it dies, end the run now.
 
         Without this a dead worker is only noticed when the orchestrator
-        gathers it after the horizon, the run having limped on short-handed.
+        awaits it after the horizon, the run having limped on short-handed.
         """
         try:
             await coro
@@ -732,10 +752,15 @@ class ServiceRuntime:
             await self._produce()
             for _ in workers:
                 await self.bus.publish_forced(JOINS_TOPIC, None)
-            await asyncio.gather(*workers)
+            # One by one: awaiting a task is a single hop, while gather's
+            # done-callbacks are bump-free hops the driver would read as
+            # quiescence and fire events through.
+            for worker in workers:
+                await worker
         finally:
             # _finished first: cancelling tasks takes loop passes that bump
-            # no pulse, which the driver would read as quiescence.
+            # no pulse, which the driver would read as quiescence.  The
+            # teardown gather below is safe: no burst runs after this.
             self._finish()
             for task in (*workers, *background):
                 task.cancel()

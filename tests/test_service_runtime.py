@@ -7,6 +7,7 @@ whole file is fast despite exercising multi-hundred-second service runs.
 from __future__ import annotations
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -336,6 +337,43 @@ class TestServiceRuntime:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**{**BASE.__dict__, **kwargs})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", math.inf),  # the producer's tail never ends
+            ("arrival_rate_hz", math.inf),  # the schedule never ends
+            ("burst_rate_hz", math.inf),  # the burst stream never ends
+            ("burst_at_s", math.nan),  # the burst would be dropped silently
+            ("burst_at_s", -30.0),  # arrivals stamped before t = 0
+            ("burst_duration_s", math.inf),
+            ("burst_duration_s", -1.0),
+            ("chunk_rate", math.inf),  # OverflowError in the first-chunk epoch
+            ("hold_s", math.inf),
+            ("timeout_ms", math.inf),
+            ("join_timeout_s", math.inf),
+            ("probe_period_s", math.inf),
+            ("diurnal_period_s", math.inf),
+            ("diurnal_period_s", -1.0),
+            ("diurnal_depth", 1.0),  # refused only by the diurnal workload
+            ("diurnal_depth", -0.1),
+            ("diurnal_depth", math.nan),
+        ],
+    )
+    def test_refuses_values_that_hang_or_corrupt_a_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{**BASE.__dict__, field: value})
+
+    @pytest.mark.parametrize("pace_s", [-1.0, math.nan, math.inf])
+    def test_refuses_a_pace_it_would_ignore(self, pace_s):
+        with pytest.raises(ValueError, match="pace_s"):
+            ServiceRuntime(BASE, _underlay(), chaos_plan=(), pace_s=pace_s)
+
+    def test_cli_refuses_an_infinite_duration(self):
+        from repro.service.__main__ import main
+
+        with pytest.raises(ValueError, match="duration_s"):
+            main(["poisson", "--duration", "inf"])
 
 
 class TestServiceChaos:
