@@ -16,9 +16,10 @@ Quickstart
 
 Package map
 -----------
-* :mod:`repro.core` — VDM itself: directionality cases, generalized
-  virtual distances, the agent.
-* :mod:`repro.protocols` — shared agent runtime plus HMTP, BTP, MST.
+* :mod:`repro.core` — VDM itself: directionality cases, the join
+  kernel, generalized virtual distances, VDM's config.
+* :mod:`repro.protocols` — the protocol table (VDM, HMTP, BTP, MST as
+  rows), the one agent class that runs a row, and the shared runtime.
 * :mod:`repro.sim` — event engine, underlays, delivery accounting,
   churn, session orchestration.
 * :mod:`repro.topology` — transit-stub and PlanetLab-like substrates.
@@ -30,7 +31,6 @@ Package map
 from repro.core import (
     Case,
     classify_case,
-    VDMAgent,
     VDMConfig,
     DelayDistance,
     LossDistance,
@@ -47,10 +47,9 @@ from repro.factories import (
     composite_metric,
 )
 from repro.protocols import (
-    HMTPAgent,
     HMTPConfig,
-    BTPAgent,
     BTPConfig,
+    OverlayAgent,
     ProtocolRuntime,
     TreeRegistry,
     mst_parent_map,
@@ -88,7 +87,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Case",
     "classify_case",
-    "VDMAgent",
     "VDMConfig",
     "DelayDistance",
     "LossDistance",
@@ -101,10 +99,9 @@ __all__ = [
     "delay_metric",
     "loss_metric",
     "composite_metric",
-    "HMTPAgent",
     "HMTPConfig",
-    "BTPAgent",
     "BTPConfig",
+    "OverlayAgent",
     "ProtocolRuntime",
     "TreeRegistry",
     "mst_parent_map",

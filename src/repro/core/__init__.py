@@ -8,8 +8,10 @@
   attach), shared by every engine in the repo.
 * :mod:`repro.core.distance` — generalized virtual distances (Chapter 4):
   delay (VDM-D), loss (VDM-L), and weighted composites.
-* :mod:`repro.core.vdm` — the VDM agent: the kernel wrapped in RTT probes
-  and timeouts (Section 3.2), grandparent reconnection (3.3), periodic
+* :mod:`repro.core.vdm` — VDM's config and its row functions for the
+  protocol table (:mod:`repro.protocols.table`): the kernel over measured
+  probes (Section 3.2) and the direction-consistent backup filter; the
+  shared agent adds grandparent reconnection (3.3) and periodic
   refinement (3.4).
 """
 
@@ -28,7 +30,7 @@ from repro.core.distance import (
     CompositeDistance,
     VirtualDistance,
 )
-from repro.core.vdm import VDMAgent, VDMConfig
+from repro.core.vdm import VDMConfig
 
 __all__ = [
     "Case",
@@ -43,6 +45,5 @@ __all__ = [
     "LossDistance",
     "CompositeDistance",
     "VirtualDistance",
-    "VDMAgent",
     "VDMConfig",
 ]

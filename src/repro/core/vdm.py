@@ -1,18 +1,18 @@
-"""The VDM agent.
+"""VDM's row of the protocol table: its config and its join brain.
 
-Runs the join procedure of Fig. 3.6 on top of the shared
-:class:`repro.protocols.base.JoinProcess` loop: query the pivot
-(initially the source) for its children, probe each, and hand the
-measured distances to the join kernel (:mod:`repro.core.join`), which
-splits the children by directionality case and answers descend / insert /
-attach; the loop carries the answer out as messages.
+The shared :class:`~repro.protocols.base.JoinProcess` loop queries the
+pivot (initially the source) for its children, probes each, and hands
+the measured distances to :func:`vdm_join_decision`, which asks the join
+kernel (:mod:`repro.core.join`) to split the children by directionality
+case and answer descend / insert / attach; the loop carries the answer
+out as messages.
 
-Reconnection (Section 3.3) restarts the join at the grandparent — that is
-the :class:`~repro.protocols.base.OverlayAgent` default.  Refinement
-(Section 3.4) periodically re-runs the join from the source and switches
-parents when a different one is found; arm it with
-:meth:`OverlayAgent.start_refinement` or via ``refine_period_s`` (the
-paper's VDM-R uses 3 min in simulation, 5 min on PlanetLab).
+Reconnection (Section 3.3) restarts the join at the grandparent.
+Refinement (Section 3.4) periodically re-runs the join from the source
+and switches parents when a different one is found; ``refine_period_s``
+arms it (the paper's VDM-R uses 3 min in simulation, 5 min on
+PlanetLab).  :func:`vdm_backup_ok` is the direction-consistency filter
+precomputed failover applies to backup parents.
 
 The config also exposes the design decisions Section 3.2.2 discusses as
 ablation knobs (descend-vs-insert priority, closest-vs-random directional
@@ -25,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.join import Decision, Descend, split_cases, vdm_decide
-from repro.protocols.base import OverlayAgent, ProtocolRuntime
-from repro.protocols.messages import ChildInfo, InfoResponse
-from repro.util.rngtools import RngLike
+from repro.util.validation import check_finite, check_non_negative, check_positive
 
-__all__ = ["VDMAgent", "VDMConfig"]
+__all__ = ["VDMConfig", "vdm_join_decision", "vdm_backup_ok"]
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,13 @@ class VDMConfig:
     foster_child: bool = False
 
     def __post_init__(self) -> None:
-        if self.tie_tolerance < 0:
-            raise ValueError(f"tie_tolerance must be >= 0, got {self.tie_tolerance}")
+        tol = self.tie_tolerance
+        check_finite("tie_tolerance", check_non_negative("tie_tolerance", tol))
         if self.max_adopt is not None and self.max_adopt < 1:
             raise ValueError(f"max_adopt must be >= 1, got {self.max_adopt}")
-        if self.refine_period_s is not None and self.refine_period_s <= 0:
-            raise ValueError(
-                f"refine_period_s must be > 0, got {self.refine_period_s}"
-            )
+        if self.refine_period_s is not None:
+            name = "refine_period_s"
+            check_finite(name, check_positive(name, self.refine_period_s))
         if self.case_priority not in ("case3", "case2"):
             raise ValueError(f"unknown case_priority {self.case_priority!r}")
         if self.case3_selection not in ("closest", "random"):
@@ -85,98 +82,54 @@ class VDMConfig:
             raise ValueError(f"unknown reconnect_at {self.reconnect_at!r}")
 
 
-class VDMAgent(OverlayAgent):
-    """Virtual Direction Multicast peer."""
+def vdm_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:
+    """One iteration of Fig. 3.6 for ``agent`` under ``row.config``."""
+    config = row.config
+    case2, case3 = split_cases(
+        dist_to_pivot,
+        [(child, d_new, ci.distance) for child, (d_new, ci) in sorted(probes.items())],
+        config.tie_tolerance,
+    )
+    budget = agent.free_degree
+    if config.max_adopt is not None:
+        budget = min(budget, config.max_adopt)
+    decision = vdm_decide(
+        pivot,
+        info.free_degree,
+        case2,
+        case3,
+        budget,
+        [(d_new, child, ci.free_degree) for child, (d_new, ci) in probes.items()],
+        config.case_priority == "case2",
+    )
+    if case3 and config.case3_selection == "random" and isinstance(decision, Descend):
+        # The ablation knob: a uniform pick among the children on the way
+        # (listed in ascending id order) instead of the kernel's closest.
+        decision = Descend(case3[int(agent.rng.integers(len(case3)))][1])
+    return decision
 
-    protocol_name = "vdm"
 
-    def __init__(
-        self,
-        node_id: int,
-        env: ProtocolRuntime,
-        *,
-        degree_limit: int = 4,
-        config: VDMConfig | None = None,
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit, rng=rng)
-        self.config = config or VDMConfig()
+def vdm_backup_ok(row, agent, candidate: int, candidate_children: set[int]) -> bool:
+    """Direction-consistency filter for precomputed backup parents.
 
-    def auto_refine_period(self) -> float | None:
-        return self.config.refine_period_s
-
-    def foster_join_enabled(self) -> bool:
-        return self.config.foster_child
-
-    def _reconnect(self) -> None:
-        if self.config.reconnect_at == "source":
-            self.start_join(kind="reconnect", at=self.env.source)
-        else:
-            super()._reconnect()
-
-    def backup_parent_ok(self, candidate: int, candidate_children: set[int]) -> bool:
-        """Direction-consistency filter for precomputed backup parents.
-
-        Attaching under ``candidate`` is consistent with VDM's virtual
-        directions only if no existing child of the candidate lies
-        strictly *on the way* from the candidate to this node (the
-        kernel's third case):
-        such a child defines a direction this node belongs under, and a
-        direct attach would shadow it.  Distances use the protocol metric
-        directly (not :meth:`ProtocolRuntime.virtual_distance`) so the
-        check never consumes the shared measurement-noise RNG stream.
-        """
-        env = self.env
-        metric = env.metric
-        me = self.node_id
-        _case2, case3 = split_cases(
-            metric(me, candidate),
-            [
-                (child, metric(me, child), metric(candidate, child))
-                for child in candidate_children
-                if child != me and env.is_alive(child)
-            ],
-            self.config.tie_tolerance,
-        )
-        return not case3
-
-    # -- the join brain -----------------------------------------------------------
-
-    def join_decision(
-        self,
-        pivot: int,
-        dist_to_pivot: float,
-        pivot_info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
-    ) -> Decision:
-        config = self.config
-        case2, case3 = split_cases(
-            dist_to_pivot,
-            [
-                (child, d_new, ci.distance)
-                for child, (d_new, ci) in sorted(probes.items())
-            ],
-            config.tie_tolerance,
-        )
-        budget = self.free_degree
-        if config.max_adopt is not None:
-            budget = min(budget, config.max_adopt)
-        decision = vdm_decide(
-            pivot,
-            pivot_info.free_degree,
-            case2,
-            case3,
-            budget,
-            [(d_new, child, ci.free_degree) for child, (d_new, ci) in probes.items()],
-            config.case_priority == "case2",
-        )
-        if (
-            case3
-            and config.case3_selection == "random"
-            and isinstance(decision, Descend)
-        ):
-            # The ablation knob: a uniform pick among the children on
-            # the way (listed in ascending id order) instead of the
-            # kernel's closest one.
-            decision = Descend(case3[int(self.rng.integers(len(case3)))][1])
-        return decision
+    Attaching under ``candidate`` is consistent with VDM's virtual
+    directions only if no existing child of the candidate lies strictly
+    *on the way* from the candidate to this node (the kernel's third
+    case): such a child defines a direction this node belongs under, and
+    a direct attach would shadow it.  Distances use the protocol metric
+    directly (not ``virtual_distance``) so the check never consumes the
+    shared measurement-noise RNG stream.
+    """
+    env = agent.env
+    metric = env.metric
+    me = agent.node_id
+    _case2, case3 = split_cases(
+        metric(me, candidate),
+        [
+            (child, metric(me, child), metric(candidate, child))
+            for child in candidate_children
+            if child != me and env.is_alive(child)
+        ],
+        row.config.tie_tolerance,
+    )
+    return not case3

@@ -1,4 +1,4 @@
-"""Agent factories — the bridge between protocol classes and sessions.
+"""Agent factories — the bridge between the protocol table and sessions.
 
 A :class:`~repro.sim.session.MulticastSession` is protocol-agnostic; it
 creates one agent per joining host through a factory with the uniform
@@ -18,14 +18,15 @@ keep the plain VDM factory.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from repro.core.distance import CompositeDistance, DelayDistance, LossDistance
-from repro.core.vdm import VDMAgent, VDMConfig
-from repro.protocols.base import OverlayAgent, ProtocolRuntime
-from repro.protocols.btp import BTPAgent, BTPConfig
-from repro.protocols.hmtp import HMTPAgent, HMTPConfig
-from repro.protocols.mst import MSTAgent
+from repro.core.vdm import VDMConfig
+from repro.protocols.base import OverlayAgent
+from repro.protocols.btp import BTPConfig
+from repro.protocols.hmtp import HMTPConfig
+from repro.protocols.table import ProtocolSpec, protocol_spec
 from repro.sim.network import Underlay
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "hmtp",
     "btp",
     "mst",
+    "agent_factory",
     "delay_metric",
     "loss_metric",
     "composite_metric",
@@ -43,16 +45,20 @@ __all__ = [
 AgentFactory = Callable[..., OverlayAgent]
 
 
-def vdm(config: VDMConfig | None = None) -> AgentFactory:
-    """Factory for plain VDM agents."""
-    cfg = config or VDMConfig()
+def agent_factory(row: ProtocolSpec) -> AgentFactory:
+    """The factory of agents running the protocol table's ``row``."""
 
-    def make(
-        node_id: int, env: ProtocolRuntime, *, degree_limit: int, rng=None
-    ) -> VDMAgent:
-        return VDMAgent(node_id, env, degree_limit=degree_limit, config=cfg, rng=rng)
+    def make(node_id: int, env, *, degree_limit: int, rng=None) -> OverlayAgent:
+        return OverlayAgent(
+            node_id, env, degree_limit=degree_limit, protocol=row, rng=rng
+        )
 
     return make
+
+
+def vdm(config: VDMConfig | None = None) -> AgentFactory:
+    """Factory for plain VDM agents."""
+    return agent_factory(protocol_spec("vdm", config))
 
 
 def vdm_r(period_s: float = 180.0, config: VDMConfig | None = None) -> AgentFactory:
@@ -61,10 +67,7 @@ def vdm_r(period_s: float = 180.0, config: VDMConfig | None = None) -> AgentFact
     The paper uses a 3-minute period in simulation (Section 3.4) and a
     5-minute period on PlanetLab (Section 5.4.5).
     """
-    import dataclasses
-
-    base = config or VDMConfig()
-    return vdm(dataclasses.replace(base, refine_period_s=period_s))
+    return vdm(dataclasses.replace(config or VDMConfig(), refine_period_s=period_s))
 
 
 def vdm_loss(config: VDMConfig | None = None) -> AgentFactory:
@@ -77,39 +80,17 @@ def vdm_loss(config: VDMConfig | None = None) -> AgentFactory:
 
 def hmtp(config: HMTPConfig | None = None) -> AgentFactory:
     """Factory for HMTP agents (periodic refinement armed by default)."""
-    cfg = config or HMTPConfig()
-
-    def make(
-        node_id: int, env: ProtocolRuntime, *, degree_limit: int, rng=None
-    ) -> HMTPAgent:
-        return HMTPAgent(
-            node_id, env, degree_limit=degree_limit, config=cfg, rng=rng
-        )
-
-    return make
+    return agent_factory(protocol_spec("hmtp", config))
 
 
 def btp(config: BTPConfig | None = None) -> AgentFactory:
     """Factory for BTP agents."""
-    cfg = config or BTPConfig()
-
-    def make(
-        node_id: int, env: ProtocolRuntime, *, degree_limit: int, rng=None
-    ) -> BTPAgent:
-        return BTPAgent(node_id, env, degree_limit=degree_limit, config=cfg)
-
-    return make
+    return agent_factory(protocol_spec("btp", config))
 
 
 def mst() -> AgentFactory:
     """Factory for the centralized greedy-MST reference agents."""
-
-    def make(
-        node_id: int, env: ProtocolRuntime, *, degree_limit: int, rng=None
-    ) -> MSTAgent:
-        return MSTAgent(node_id, env, degree_limit=degree_limit)
-
-    return make
+    return agent_factory(protocol_spec("mst"))
 
 
 # -- metric factories (session's ``metric_factory`` argument) ----------------

@@ -4,9 +4,9 @@
 it into the ``batch=`` hook that
 :func:`repro.harness.parallel.run_replications` understands, so the
 sweep runner in :mod:`repro.harness.experiments` batches whole sweep
-cells.  Which cells batch is decided here and in the engine's envelope
-(:func:`decline_reason`, :class:`~repro.sim.batched.BatchedCell`), not
-by the caller.
+cells.  Which cells batch is decided by the engine's envelope
+(:func:`decline_reason` over
+:func:`~repro.sim.batched.envelope_decline`), not by the caller.
 
 A *cell* is one ``run_replications`` call: one underlay, one protocol,
 one parameter value, many ``(rep, seed)`` replications.  That is also the
@@ -16,10 +16,12 @@ one in-process :class:`~repro.sim.batched.BatchedCell` (they reuse the
 same underlay rows), instead of paying per-replication pickling for work
 the batched engine finishes in milliseconds.
 
-The adapter is fail-safe by construction: any
-:class:`~repro.sim.batched.BatchedUnsupported` — wrong protocol, probe
-noise, faults, refinement, an underlay without host-indexed delay rows —
-makes the hook decline, and ``run_replications`` falls back to the scalar engine
+The adapter is fail-safe by construction.  A protocol row or session
+config outside the envelope — another protocol, probe noise, faults,
+refinement — declines before anything is built; an underlay the engine
+refuses (no host-indexed delay rows, link errors, the timeout margin)
+raises :class:`~repro.sim.batched.BatchedUnsupported`, which declines
+too.  Either way ``run_replications`` falls back to the scalar engine
 for exactly the replications the batch did not take.  ``REPRO_BATCHED_REPS``
 (:func:`repro.util.envflags.batched_reps`) is the ablation knob: ``0``
 declines everything (the byte-identity oracle mode), a positive value
@@ -33,11 +35,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.vdm import VDMConfig
-from repro.sim.batched import BatchedCell, BatchedUnsupported
+from repro.protocols.table import ProtocolSpec
+from repro.sim.batched import BatchedCell, BatchedUnsupported, envelope_decline
 from repro.sim.session import SessionConfig, SessionResult
 from repro.util import envflags
 
-__all__ = ["BatchDecline", "CellSpec", "cell_batch", "decline_reason"]
+__all__ = ["BatchDecline", "CellSpec", "SERVICE", "cell_batch", "decline_reason"]
+
+#: the protocol of a live service-mode cell, which has no protocol row of
+#: its own to batch
+SERVICE = "service"
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,9 @@ class CellSpec:
     underlay_factory: Callable[[], object]
     #: seed -> the session config the scalar worker would build
     config_factory: Callable[[int], SessionConfig]
-    #: the experiment's ``(kind, config)`` protocol spec; only ``"vdm"``
-    #: can batch, anything else declines
-    protocol: tuple[str, object]
+    #: the cell's protocol-table row, or :data:`SERVICE`; only the VDM
+    #: row can batch
+    protocol: ProtocolSpec | str
     #: metric extractors applied to each session result — must be the
     #: same mapping the scalar worker's ``_reduce`` uses
     metrics: dict[str, Callable[[SessionResult], float]] = field(hash=False)
@@ -67,11 +74,11 @@ class BatchDecline:
     """Typed reason the batched engine refuses a sweep cell.
 
     Tests pin these codes so a decline stays an explicit, inspectable
-    decision rather than a silent ``None``.  In particular, live
-    service-mode cells (``protocol kind == "service"``) must *never*
-    batch: the batched engine replays array-native join walks against a
-    static schedule, while a service run's schedule is shaped at runtime
-    by admission control, retries, and chaos.
+    decision rather than a silent ``None``.  Live service cells
+    (``"service-mode"``) must *never* batch: the batched engine replays
+    join walks against a static schedule, while a service run's schedule
+    is shaped at runtime by admission control, retries, and chaos.  The
+    other codes are :func:`~repro.sim.batched.envelope_decline`'s.
     """
 
     code: str
@@ -81,29 +88,26 @@ class BatchDecline:
 def decline_reason(spec: CellSpec) -> BatchDecline | None:
     """Why ``spec`` cannot run on the batched engine (``None`` = it can).
 
-    Structural reasons only — the ``REPRO_BATCHED_REPS=0`` ablation knob
-    and runtime :class:`BatchedUnsupported` fallbacks are handled inside
-    the hook, not here.
+    Decided from the protocol row and the cell's session config, before
+    any underlay or :class:`~repro.sim.batched.BatchedCell` is built.
+    Cells vary their configs by seed only, so seed 0's stands for all
+    (``BatchedCell.run_session`` still checks each).  The
+    ``REPRO_BATCHED_REPS=0`` knob and the underlay's
+    :class:`BatchedUnsupported` are handled inside the hook.
     """
-    kind, proto_config = spec.protocol
-    if kind == "service":
+    if spec.protocol == SERVICE:
         return BatchDecline(
             "service-mode",
             "live service cells are driven by the asyncio control plane "
             "(admission control, retries, chaos); the batched array "
             "engine has no equivalent execution model",
         )
-    if kind != "vdm":
-        return BatchDecline(
-            "protocol", f"only 'vdm' cells can batch, got {kind!r}"
-        )
-    if proto_config is not None and not isinstance(proto_config, VDMConfig):
-        return BatchDecline(
-            "config",
-            f"protocol config must be a VDMConfig, got "
-            f"{type(proto_config).__name__}",
-        )
-    return None
+    if not isinstance(spec.protocol, ProtocolSpec):
+        return BatchDecline("protocol", f"not a protocol row: {spec.protocol!r}")
+    declined = envelope_decline(spec.protocol)
+    if declined is None:
+        declined = envelope_decline(spec.protocol, spec.config_factory(0))
+    return None if declined is None else BatchDecline(*declined)
 
 
 # BatchedCell memo.  Underlays are memoized per process (lru_cache in
@@ -112,10 +116,10 @@ def decline_reason(spec: CellSpec) -> BatchDecline | None:
 # config is keyed by value (VDMConfig is frozen), so sweeps that build an
 # equal config per cell share one BatchedCell.
 # ``experiments.clear_cache`` drops these together with the underlays.
-_CELLS: dict[tuple[int, VDMConfig | None], BatchedCell] = {}
+_CELLS: dict[tuple[int, VDMConfig], BatchedCell] = {}
 
 
-def _get_cell(underlay, vdm_config: VDMConfig | None) -> BatchedCell:
+def _get_cell(underlay, vdm_config: VDMConfig) -> BatchedCell:
     key = (id(underlay), vdm_config)
     cell = _CELLS.get(key)
     if cell is None:
@@ -143,14 +147,11 @@ def cell_batch(spec: CellSpec):
         cap = envflags.batched_reps()
         if cap == 0:
             return None
-        if decline_reason(spec) is not None:
-            return None
-        _, proto_config = spec.protocol
         take = list(pending) if cap is None else list(pending)[:cap]
-        if not take:
+        if not take or decline_reason(spec) is not None:
             return None
         try:
-            cell = _get_cell(spec.underlay_factory(), proto_config)
+            cell = _get_cell(spec.underlay_factory(), spec.protocol.config)
             out = {}
             for rep, seed in take:
                 res = cell.run_session(spec.config_factory(seed))

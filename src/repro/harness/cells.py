@@ -1,14 +1,15 @@
-"""What one sweep cell runs: protocol specs, substrates, session configs,
-and the replications that are not one plain session.
+"""What one sweep cell runs: substrates, session configs, and the
+replications that are not one plain session.
 
 A *cell* is one ``run_replications`` call of a figure row in
 :mod:`repro.harness.experiments`: one substrate, one protocol, one
 parameter value, many seeded replications.  The rows name the builders
 here; nothing here knows which figure it serves.
 
-Agent factories are closures (not picklable), so rows carry ``(kind,
-config)`` protocol specs that each worker process resolves.  Substrates
-are deterministic functions of their parameters, so workers rebuild them
+Figure rows carry protocol-table rows
+(:func:`~repro.protocols.table.protocol_spec`), which pickle like their
+configs; each worker turns one into an agent factory.  Substrates are
+deterministic functions of their parameters, so workers rebuild them
 behind per-process memos instead of unpickling graph blobs; a warm
 rebuild usually mmap-loads the on-disk artifact cache.
 :func:`clear_memos` drops only in-process state — the disk cache is
@@ -19,14 +20,12 @@ value, rep, seed)`` and returns a JSON-natural record.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from repro.core.vdm import VDMConfig
-from repro.factories import hmtp, loss_metric, vdm
+from repro.factories import loss_metric, vdm
 from repro.harness.presets import Preset
 from repro.harness.scale import (
     build_scale_tree, prim_mst_parents, scale_tree_metrics, scale_ts_config,
@@ -35,36 +34,11 @@ from repro.harness.substrates import (
     build_planetlab_underlay, build_transit_stub_underlay,
 )
 from repro.metrics.collectors import mst_ratio
-from repro.protocols.hmtp import HMTPConfig
 from repro.protocols.multitree import StripedSession
 from repro.sim.session import MulticastSession, SessionConfig
 from repro.topology.linkmodel import LinkErrorConfig
 from repro.topology.transit_stub import TransitStubConfig
 from repro.util.rngtools import spawn_rng
-
-ProtocolSpec = tuple[str, object]
-
-_FACTORIES = {"vdm": vdm, "hmtp": hmtp}
-
-
-def resolve_protocol(spec: ProtocolSpec):
-    kind, config = spec
-    if kind not in _FACTORIES:
-        raise ValueError(f"unknown protocol spec {spec!r}")
-    return _FACTORIES[kind](config)
-
-
-def vdm_spec(config: VDMConfig | None = None) -> ProtocolSpec:
-    return ("vdm", config or VDMConfig())
-
-
-def vdm_r_spec(period_s: float) -> ProtocolSpec:
-    return ("vdm", dataclasses.replace(VDMConfig(), refine_period_s=period_s))
-
-
-def hmtp_spec(refine_period_s: float) -> ProtocolSpec:
-    return ("hmtp", HMTPConfig(refine_period_s=refine_period_s))
-
 
 @lru_cache(maxsize=32)
 def _ts_underlay(

@@ -37,16 +37,17 @@ import numpy as np
 
 from repro.core.capacity import UplinkPopulation
 from repro.core.vdm import VDMConfig
-from repro.factories import vdm
+from repro.factories import agent_factory, vdm
 from repro.harness import cells
-from repro.harness.batchrun import CellSpec, cell_batch, clear_cells
-from repro.harness.cells import hmtp_spec, vdm_r_spec, vdm_spec
+from repro.harness.batchrun import SERVICE, CellSpec, cell_batch, clear_cells
 from repro.harness.parallel import run_replications
 from repro.harness.presets import Preset
 from repro.harness.substrates import build_planetlab_underlay
 from repro.metrics.report import SeriesTable
 from repro.metrics.stats import mean_ci
 from repro.metrics.treeviz import render_tree_text
+from repro.protocols.hmtp import HMTPConfig
+from repro.protocols.table import protocol_spec
 from repro.sim.faults import CORRELATED_PRESETS
 from repro.sim.session import MulticastSession, SessionResult
 from repro.util.rngtools import spawn_rng
@@ -168,6 +169,11 @@ class Table(NamedTuple):
     series: tuple[str, ...] = ()
 
 
+def _vdm(**knobs):
+    """The VDM row of the protocol table, ``knobs`` set on its config."""
+    return protocol_spec("vdm", VDMConfig(**knobs))
+
+
 def _pct_axis(p: Preset, xs) -> list:
     return [100 * x for x in xs]
 
@@ -188,7 +194,7 @@ def _session_rep(row_id: str, preset: Preset, v, x, rep: int, seed: int):
     cell = _cell(ROWS[row_id], preset, v, x)
     res = MulticastSession(
         cell.underlay_factory(),
-        cells.resolve_protocol(cell.protocol),
+        agent_factory(cell.protocol),
         cell.config_factory(seed),
     ).run()
     return {name: extract(res) for name, extract in cell.metrics.items()}
@@ -210,7 +216,7 @@ class Row:
     #: the x axis: a :class:`Preset` field name, or the axis itself
     xs: str | tuple
     #: p -> ((series name, value), ...)
-    series: Callable = lambda p: (("VDM", vdm_spec()),)
+    series: Callable = lambda p: (("VDM", _vdm()),)
     #: (s, x) -> the ``spawn_rng`` key path of the cell's seeds
     seed_key: Callable
     #: (s, x) -> the cell's journal key
@@ -223,7 +229,8 @@ class Row:
     #: row with a config gets the batch hook
     underlay: Callable | None = None
     config: Callable | None = None
-    #: (p, v, x) -> the cell's protocol spec (default: the series value)
+    #: (p, v, x) -> the cell's protocol-table row (default: the series
+    #: value), or :data:`~repro.harness.batchrun.SERVICE`
     protocol: Callable = lambda p, v, x: v
     #: name -> SessionResult extractor, applied by the session worker and
     #: the batch hook alike
@@ -379,7 +386,8 @@ ROWS: dict[str, Row] = {row.id: row for row in (
     # -- Chapter 3: NS-2-style simulation ------------------------------------
     Row(id="ch3_churn", xs="churn_rates",
         series=lambda p: (
-            ("VDM", vdm_spec()), ("HMTP", hmtp_spec(p.ch3_hmtp_refine_s))
+            ("VDM", _vdm()),
+            ("HMTP", protocol_spec("hmtp", HMTPConfig(p.ch3_hmtp_refine_s))),
         ),
         seed_key=lambda s, x: ("ch3churn", s), key=lambda s, x: ("ch3_churn", s, x),
         underlay=lambda p, v, x: cells.ch3_underlay(p),
@@ -461,7 +469,8 @@ ROWS: dict[str, Row] = {row.id: row for row in (
     # -- Chapter 5: PlanetLab emulation --------------------------------------
     Row(id="ch5_churn", xs="pl_churn_rates", reps="pl_replications",
         series=lambda p: (
-            ("VDM", vdm_spec()), ("HMTP", hmtp_spec(p.pl_hmtp_refine_s))
+            ("VDM", _vdm()),
+            ("HMTP", protocol_spec("hmtp", HMTPConfig(p.pl_hmtp_refine_s))),
         ),
         seed_key=lambda s, x: ("ch5churn", s), key=lambda s, x: ("ch5_churn", s, x),
         **_pl_cells(cells.pl_slice("churn"), churn=lambda x: x),
@@ -535,7 +544,8 @@ ROWS: dict[str, Row] = {row.id: row for row in (
         )),
     Row(id="ch5_refinement", xs="pl_refine_node_counts", reps="pl_replications",
         series=lambda p: (
-            ("VDM", vdm_spec()), ("VDM-R", vdm_r_spec(p.pl_vdm_r_period_s))
+            ("VDM", _vdm()),
+            ("VDM-R", _vdm(refine_period_s=p.pl_vdm_r_period_s)),
         ),
         seed_key=lambda s, n: ("ch5ref", s, n),
         key=lambda s, n: ("ch5_refinement", s, n),
@@ -569,7 +579,7 @@ ROWS: dict[str, Row] = {row.id: row for row in (
         series=lambda p: tuple((mode, mode) for mode in CH6_MODES),
         seed_key=lambda s, x: ("ch6", x), key=lambda s, x: ("ch6_failover", s, x),
         underlay=lambda p, v, x: cells.ch3_underlay(p),
-        config=cells.ch6_config, protocol=lambda p, v, x: vdm_spec(),
+        config=cells.ch6_config, protocol=lambda p, v, x: _vdm(),
         metrics=CH6_METRICS,
         title="Ch 6 — {} by correlated-failure scenario "
         f"[{_legend(CORRELATED_PRESETS)}]",
@@ -615,7 +625,7 @@ ROWS: dict[str, Row] = {row.id: row for row in (
         key=lambda s, x: ("ch8_service", s, x),
         worker=cells.service_rep,
         underlay=lambda p, v, x: cells.ch8_underlay(p),
-        config=cells.ch8_config, protocol=lambda p, v, x: ("service", None),
+        config=cells.ch8_config, protocol=lambda p, v, x: SERVICE,
         title="Ch 8 — {} vs offered load (service mode)", x_label="load_factor",
         tables=(
             Table("p50_first_chunk_s", None, None,
@@ -638,10 +648,10 @@ ROWS: dict[str, Row] = {row.id: row for row in (
     # directional child, grandparent (paper) vs source restart.
     Row(id="ablations", xs=(None,),
         series=lambda p: (
-            ("paper-default", vdm_spec()),
-            ("prefer-case2", vdm_spec(VDMConfig(case_priority="case2"))),
-            ("random-case3", vdm_spec(VDMConfig(case3_selection="random"))),
-            ("reconnect-at-source", vdm_spec(VDMConfig(reconnect_at="source"))),
+            ("paper-default", _vdm()),
+            ("prefer-case2", _vdm(case_priority="case2")),
+            ("random-case3", _vdm(case3_selection="random")),
+            ("reconnect-at-source", _vdm(reconnect_at="source")),
         ),
         seed_key=lambda s, x: ("abl", s), key=lambda s, x: ("ablations", s),
         **_ch3_cells(0.05), metrics=ABLATION_METRICS,
@@ -663,7 +673,7 @@ ROWS: dict[str, Row] = {row.id: row for row in (
     Row(id="abl_refine", group="ablations", xs=(60.0, 180.0, 600.0),
         seed_key=lambda s, x: ("ablref", str(x)),
         key=lambda s, x: ("abl_refine", x),
-        **_ch3_cells(0.05), protocol=lambda p, v, period: vdm_r_spec(period),
+        **_ch3_cells(0.05), protocol=lambda p, v, period: _vdm(refine_period_s=period),
         metrics={"stretch": _stretch, "overhead_pct": _overhead_pct},
         title="Ablation — VDM-R refinement period sweep", x_label="period_s",
         tables=(

@@ -80,6 +80,7 @@ from repro.core.join import (
 )
 from repro.sim.network import Underlay
 from repro.topology.transit_stub import TransitStubConfig
+from repro.util.validation import check_finite
 
 __all__ = [
     "ScaleTree",
@@ -345,7 +346,7 @@ def build_scale_tree(
         raise ValueError(f"need at least 2 members, got {n_members}")
     if degree_limit < 1:
         raise ValueError(f"degree_limit must be >= 1, got {degree_limit}")
-    if tie_tolerance < 0:
+    if check_finite("tie_tolerance", tie_tolerance) < 0:
         raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
     _check_kernel(kernel)
     _check_hosts(underlay, n_members)

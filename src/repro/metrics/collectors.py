@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.protocols.base import TreeRegistry
+from repro.protocols.tree import TreeRegistry
 from repro.protocols.mst import mst_parent_map, tree_cost
 from repro.sim.network import Underlay
 
@@ -371,7 +371,7 @@ class RecoveryTracker:
     honest under unrecoverable fault plans.
 
     Legality is a maintained answer (:meth:`tree_is_legal`), not a full
-    scan per episode.  :class:`~repro.protocols.base.TreeRegistry`
+    scan per episode.  :class:`~repro.protocols.tree.TreeRegistry`
     refuses every structural violation at its public API (self-loops,
     cycles, dangling parents, moving the source), so under API mutation
     only the degree bound can fail.  The tracker keeps the set of

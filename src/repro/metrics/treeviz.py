@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.protocols.base import TreeRegistry
+from repro.protocols.tree import TreeRegistry
 
 __all__ = ["render_tree_text", "tree_to_dot", "tree_edge_list"]
 

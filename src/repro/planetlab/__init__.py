@@ -2,7 +2,7 @@
 
 The paper's PlanetLab system has four components (Fig. 5.3): a *scenario
 generator* producing timed join/leave scripts, a *main controller* that
-executes a scenario by messaging per-node agents, the *VDMAgent* running
+executes a scenario by messaging per-node agents, the *VDM agent* running
 the protocol on each node, and a per-node *result calculator* collected at
 session end.  This package mirrors that architecture on top of the
 simulator:

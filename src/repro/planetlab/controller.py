@@ -131,7 +131,7 @@ class MainController:
             return
         agent = self._register(node)
         agent.start_join()
-        period = agent.auto_refine_period()
+        period = agent.protocol.refine_period_s
         if period is not None:
             agent.start_refinement(
                 period, jitter_rng=spawn_rng(self.seed, "refine", node)

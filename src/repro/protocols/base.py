@@ -7,22 +7,16 @@ Everything the overlay protocols share lives here:
   timeouts to departed peers, counts every control message (the numerator
   of the paper's overhead metric, eq. 3.6), and records join/reconnect
   durations (the startup-time and reconnection-time metrics of Chapter 5).
-* :class:`TreeRegistry` — the ground-truth overlay tree, updated at the
-  instant a parent commits a connection.  Metrics and the data-plane
-  accountant observe the registry; agents keep their own (slightly lagged)
-  local views, exactly as real peers would.
-* :class:`OverlayAgent` — per-node protocol state and default handlers for
-  the shared message vocabulary.
-* :class:`JoinProcess` — the iterative query/probe/decide loop that VDM,
-  HMTP, and BTP all follow; each protocol plugs in its own decision rule
-  (:meth:`OverlayAgent.join_decision`).
+* :class:`OverlayAgent` — per-node protocol state and the handlers for
+  the shared message vocabulary.  It has no subclasses: what differs
+  between VDM, HMTP, BTP and MST is a row of the protocol table
+  (:class:`~repro.protocols.table.ProtocolSpec`), which the agent reads.
+* :class:`JoinProcess` — the iterative query/probe/decide loop every
+  protocol follows; the row's ``decide`` is the only protocol-specific
+  step.
 
-Design note: the joining peer's "don't attach inside my own subtree" guard
-is implemented as a parent-chain walk on the registry
-(:meth:`TreeRegistry.is_descendant`).  In a deployed system each node keeps
-its root path for exactly this check (as HMTP and BTP do); consulting the
-registry is the simulation-local equivalent and costs no messages, matching
-how the paper's implementation treats root-path state.
+The ground-truth tree, :class:`~repro.protocols.tree.TreeRegistry`, lives
+in :mod:`repro.protocols.tree` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -33,13 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.join import (
-    Attach,
-    Decision,
-    Descend,
-    Insert,
-    closest_free_else_closest,
-)
+from repro.core.join import Attach, Descend, Insert, closest_free_else_closest
 from repro.protocols.messages import (
     ChildInfo,
     ChildRemove,
@@ -53,6 +41,8 @@ from repro.protocols.messages import (
     Message,
     ParentChange,
 )
+from repro.protocols.table import ProtocolSpec, protocol_spec
+from repro.protocols.tree import TreeRegistry
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Underlay
 from repro.util.rngtools import RngLike, rng_from_seed
@@ -68,344 +58,6 @@ __all__ = [
     "Attach",
     "Insert",
 ]
-
-
-# --------------------------------------------------------------------------
-# Tree registry (ground truth)
-# --------------------------------------------------------------------------
-
-
-class TreeRegistry:
-    """Authoritative view of the overlay tree.
-
-    Nodes are in one of three states: *attached* (has a parent, or is the
-    source), *orphan* (present with a dangling subtree, waiting to
-    reconnect), or *absent*.  Mutations fire listener callbacks with the
-    simulation timestamp, which drives the data-plane accountant.
-
-    Listener signature: ``listener(kind, node, parent, time)`` where kind is
-    one of ``"attach"``, ``"orphan"``, ``"depart"``, ``"reparent"``.
-    Mutation times never decrease: a mutation refuses a NaN time, or one
-    earlier than the last mutation's, before any pointer moves.
-
-    Reachability and depth are maintained *incrementally*: every mutation
-    updates only the affected subtree with one downward pass, so
-    :meth:`is_reachable` and :meth:`depth` are O(1) lookups and
-    :meth:`attached_nodes` is O(n) with no parent-chain walks.  The
-    chain-walking statements of the same answers live in
-    ``tests/oracles.py``; the equivalence tests assert the maintained
-    state agrees with them after every mutation.
-
-    The incremental state is valid only for trees mutated through the
-    public mutation methods.  Code that hand-corrupts ``parent`` /
-    ``children`` (the invariant tests do) must validate with the
-    full-sweep oracle, not with these queries.
-    """
-
-    def __init__(self, source: int) -> None:
-        self.source = source
-        self.parent: dict[int, int | None] = {source: None}
-        self.children: dict[int, set[int]] = {source: set()}
-        self._listeners: list[Callable[[str, int, int | None, float], None]] = []
-        #: nodes with an unbroken parent chain to the source (maintained).
-        self._reachable: set[int] = {source}
-        #: overlay hops from the source, for reachable nodes only (maintained).
-        self._depth: dict[int, int] = {source: 0}
-        #: time of the last mutation; none may be earlier.
-        self._clock = -math.inf
-
-    # -- listeners ----------------------------------------------------------
-
-    def add_listener(
-        self, listener: Callable[[str, int, int | None, float], None]
-    ) -> None:
-        self._listeners.append(listener)
-
-    def _emit(self, kind: str, node: int, parent: int | None, time: float) -> None:
-        for listener in self._listeners:
-            listener(kind, node, parent, time)
-
-    # -- queries -------------------------------------------------------------
-
-    def is_present(self, node: int) -> bool:
-        return node in self.parent
-
-    def is_attached(self, node: int) -> bool:
-        return node == self.source or self.parent.get(node) is not None
-
-    def is_orphan(self, node: int) -> bool:
-        return node != self.source and node in self.parent and self.parent[node] is None
-
-    def members(self) -> list[int]:
-        """All present nodes (attached or orphan), source included."""
-        return list(self.parent)
-
-    def attached_nodes(self) -> list[int]:
-        """Nodes with an unbroken parent chain to the source."""
-        reachable = self._reachable
-        return [n for n in self.parent if n in reachable]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All (parent, child) edges currently committed."""
-        return [
-            (p, c) for c, p in self.parent.items() if p is not None
-        ]
-
-    def is_reachable(self, node: int) -> bool:
-        """Whether ``node`` has an unbroken parent chain to the source."""
-        return node in self._reachable
-
-    def path_to_source(self, node: int) -> list[int]:
-        """Node ids from ``node`` up to the source, inclusive.
-
-        Raises ``ValueError`` if the chain is broken (orphaned subtree).
-        A step counter bounds the walk instead of a per-call visited set —
-        committed trees are acyclic, so the set only ever paid for the
-        pathological case, which the counter still detects.
-        """
-        path = [node]
-        limit = len(self.parent)
-        cur = node
-        while cur != self.source:
-            up = self.parent.get(cur)
-            if up is None:
-                raise ValueError(f"node {node} has no path to source")
-            path.append(up)
-            if len(path) > limit:
-                raise ValueError(f"parent cycle detected at {up}")
-            cur = up
-        return path
-
-    def depth(self, node: int) -> int:
-        """Overlay hops from the source (source depth is 0)."""
-        d = self._depth.get(node)
-        if d is None:
-            raise ValueError(f"node {node} has no path to source")
-        return d
-
-    def is_descendant(self, node: int, ancestor: int) -> bool:
-        """Whether ``node`` lies strictly below ``ancestor``."""
-        if node == ancestor:
-            return False
-        dn = self._depth.get(node)
-        da = self._depth.get(ancestor)
-        if dn is not None:
-            # A reachable node's whole ancestry is reachable: the only
-            # candidate is its unique ancestor at ancestor's depth.
-            if da is None or dn <= da:
-                return False
-            cur = node
-            for _ in range(dn - da):
-                cur = self.parent[cur]
-            return cur == ancestor
-        if da is not None or ancestor not in self.parent:
-            # An unreachable node's ancestry is unreachable, and an absent
-            # node is nobody's parent.
-            return False
-        # An orphaned subtree has no depths to compare: walk the chain.
-        cur = self.parent.get(node)
-        steps = 0
-        limit = len(self.parent)
-        while cur is not None and steps <= limit:
-            if cur == ancestor:
-                return True
-            cur = self.parent.get(cur)
-            steps += 1
-        return False
-
-    def subtree(self, node: int) -> list[int]:
-        """``node`` and everything below it (committed edges only).
-
-        Preorder: a node always precedes its descendants, so consumers can
-        derive child state from parent state in one forward scan (the
-        delivery accountant's path-success products rely on this).
-        Siblings appear in ascending id order, making traversal-dependent
-        float accumulations reproducible across interpreter builds.
-        """
-        out = [node]
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            kids = self.children.get(cur)
-            if kids:
-                ordered = sorted(kids)
-                out.extend(ordered)
-                stack.extend(reversed(ordered))
-        return out
-
-    # -- incremental maintenance ----------------------------------------------
-
-    def _refresh_subtree(self, root: int) -> None:
-        """Re-derive reachability and depth for ``root``'s subtree.
-
-        One downward pass, O(subtree size) — the only state a mutation at
-        ``root`` can change.  Everything above and beside ``root`` keeps
-        its maintained values.  The whole subtree shares its root's
-        reachability, so the branch is taken once.
-        """
-        up = self.parent.get(root)
-        children = self.children
-        reach_set = self._reachable
-        depth_map = self._depth
-        if root == self.source or (up is not None and up in reach_set):
-            stack = [(root, depth_map[up] + 1 if up is not None else 0)]
-            while stack:
-                node, d = stack.pop()
-                reach_set.add(node)
-                depth_map[node] = d
-                kids = children.get(node)
-                if kids:
-                    d += 1
-                    for child in kids:
-                        stack.append((child, d))
-        else:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                reach_set.discard(node)
-                depth_map.pop(node, None)
-                kids = children.get(node)
-                if kids:
-                    stack.extend(kids)
-
-    # -- mutations ------------------------------------------------------------
-
-    def _advance_clock(self, time: float) -> None:
-        """Refuse a NaN mutation time or one before the last mutation's.
-
-        Every mutation calls this after its other checks and before it
-        moves a pointer, so a refused mutation leaves the registry, its
-        clock and its listeners untouched.
-        """
-        if not time >= self._clock:
-            raise ValueError(
-                f"mutation at time {time} before the last one at {self._clock}"
-            )
-        self._clock = time
-
-    def attach(self, node: int, parent: int, time: float) -> None:
-        """Commit ``node`` under ``parent`` (fresh join or orphan rejoin)."""
-        if node == self.source:
-            raise ValueError("cannot attach the source")
-        if parent not in self.parent:
-            raise ValueError(f"parent {parent} is not present")
-        if self.parent.get(node) is not None:
-            raise ValueError(f"node {node} already attached; use reparent")
-        if parent == node:
-            raise ValueError(f"cannot attach {node} under itself")
-        if self.is_descendant(parent, node):
-            raise ValueError(f"attaching {node} under its own descendant {parent}")
-        self._advance_clock(time)
-        self.parent[node] = parent
-        self.children.setdefault(node, set())
-        self.children[parent].add(node)
-        self._refresh_subtree(node)
-        self._emit("attach", node, parent, time)
-
-    def reparent(self, node: int, new_parent: int, time: float) -> None:
-        """Atomically move an attached node (and its subtree) to a new parent."""
-        if node == self.source:
-            raise ValueError("cannot reparent the source")
-        old = self.parent.get(node)
-        if old is None:
-            raise ValueError(f"node {node} is not attached; use attach")
-        if new_parent not in self.parent:
-            raise ValueError(f"parent {new_parent} is not present")
-        if new_parent == node or self.is_descendant(new_parent, node):
-            raise ValueError(f"reparenting {node} under its own subtree")
-        self._advance_clock(time)
-        if new_parent == old:
-            return
-        self.children[old].discard(node)
-        self.parent[node] = new_parent
-        self.children[new_parent].add(node)
-        self._refresh_subtree(node)
-        self._emit("reparent", node, new_parent, time)
-
-    def depart(self, node: int, time: float) -> None:
-        """Remove a departing node; its children become orphans.
-
-        All pointer mutations happen before any listener fires, so
-        observers (invariant checkers in particular) never see a child
-        whose parent pointer references the already-removed node.
-        """
-        if node == self.source:
-            raise ValueError("the source cannot depart")
-        if node not in self.parent:
-            raise ValueError(f"node {node} is not present")
-        self._advance_clock(time)
-        up = self.parent.pop(node)
-        if up is not None:
-            self.children[up].discard(node)
-        orphans = sorted(self.children.pop(node, set()))
-        for child in orphans:
-            self.parent[child] = None
-        self._reachable.discard(node)
-        self._depth.pop(node, None)
-        for child in orphans:
-            self._refresh_subtree(child)
-        for child in orphans:
-            self._emit("orphan", child, None, time)
-        self._emit("depart", node, up, time)
-
-    def sever(self, node: int, time: float) -> None:
-        """Cut the edge above ``node``, leaving it (and its subtree) orphaned.
-
-        The partition fault uses this: the node is still alive and its
-        subtree intact, but its uplink crossed the partition and is dead.
-        Pointer mutations complete before the listener fires, exactly like
-        :meth:`depart`.
-        """
-        if node == self.source:
-            raise ValueError("cannot sever the source")
-        up = self.parent.get(node)
-        if up is None:
-            raise ValueError(f"node {node} is not attached")
-        self._advance_clock(time)
-        self.children[up].discard(node)
-        self.parent[node] = None
-        self._refresh_subtree(node)
-        self._emit("orphan", node, None, time)
-
-    def insert(
-        self, node: int, parent: int, adopt: tuple[int, ...], time: float
-    ) -> None:
-        """Atomically place ``node`` under ``parent`` while handing it the
-        children in ``adopt`` (VDM's :class:`~repro.core.join.Insert`).
-
-        Equivalent to an attach/reparent of ``node`` followed by
-        reparenting each adopted child under it, except that every pointer
-        moves before any listener fires — observers never see the parent's
-        degree transiently exceed its limit mid-insertion.
-        """
-        if node == self.source:
-            raise ValueError("cannot insert the source")
-        if parent not in self.parent:
-            raise ValueError(f"parent {parent} is not present")
-        if node == parent or self.is_descendant(parent, node):
-            raise ValueError(f"inserting {node} under its own subtree")
-        for child in adopt:
-            if child == node:
-                raise ValueError(f"node {node} cannot adopt itself")
-            if self.parent.get(child) != parent:
-                raise ValueError(f"cannot adopt {child}: not a child of {parent}")
-        self._advance_clock(time)
-        old = self.parent.get(node)
-        if old is not None:
-            self.children[old].discard(node)
-        self.parent[node] = parent
-        self.children.setdefault(node, set())
-        self.children[parent].add(node)
-        for child in adopt:
-            self.children[parent].discard(child)
-            self.parent[child] = node
-            self.children[node].add(child)
-        # One pass from the inserted node covers the adopted subtrees too.
-        self._refresh_subtree(node)
-        if old != parent:
-            self._emit("attach" if old is None else "reparent", node, parent, time)
-        for child in adopt:
-            self._emit("reparent", child, node, time)
 
 
 # --------------------------------------------------------------------------
@@ -831,6 +483,9 @@ class ProtocolRuntime:
         self.join_records.append(record)
 
 
+#: the row of an agent built without one
+_PLAIN_VDM = protocol_spec("vdm")
+
 # Interned probe payloads: immutable values sent hundreds of thousands of
 # times per run — one instance each is enough.
 _INFO_WITH_CHILDREN = InfoRequest(want_children=True)
@@ -843,11 +498,10 @@ _INFO_PROBE = InfoRequest(want_children=False)
 
 
 class OverlayAgent:
-    """Per-node protocol state plus default handlers for shared messages.
+    """Per-node protocol state plus the handlers for shared messages.
 
-    Subclasses implement :meth:`join_decision` (the protocol's brain) and
-    may override :meth:`on_parent_lost` (reconnection policy; the default
-    is VDM's grandparent restart).
+    ``protocol`` is the agent's row of the protocol table (plain VDM when
+    omitted); every protocol-specific step reads it.
 
     ``degree_limit`` is the maximum number of children this node will
     accept — the paper's "degree limit", derived from uplink bandwidth.
@@ -856,15 +510,13 @@ class OverlayAgent:
     it becomes a generator only if the protocol draws (see :attr:`rng`).
     """
 
-    #: subclass marker used in reports, e.g. "vdm", "hmtp".
-    protocol_name = "base"
-
     def __init__(
         self,
         node_id: int,
         env: ProtocolRuntime,
         *,
         degree_limit: int = 4,
+        protocol: ProtocolSpec | None = None,
         rng: RngLike = None,
     ) -> None:
         if degree_limit < 1:
@@ -872,6 +524,7 @@ class OverlayAgent:
         self.node_id = node_id
         self.env = env
         self.degree_limit = int(degree_limit)
+        self.protocol = protocol if protocol is not None else _PLAIN_VDM
         self._rng = rng
         self.parent: int | None = None
         self.grandparent: int | None = None
@@ -887,7 +540,8 @@ class OverlayAgent:
         """This agent's private random stream, built on first use.
 
         Sessions create one agent per join and most protocols never draw
-        (VDM only under ``case3_selection="random"``), so the join sites
+        (VDM only under ``case3_selection="random"``, HMTP to pick its
+        refinement start), so the join sites
         hand over the stream's key path rather than a constructed
         generator.  Keyed streams are independent of one another, so when
         one is built cannot change a value it yields.
@@ -923,27 +577,27 @@ class OverlayAgent:
     # -- lifecycle ---------------------------------------------------------------
 
     def start_join(self, *, kind: str = "join", at: int | None = None) -> None:
-        """Begin the iterative join process (from the source by default).
+        """Begin the iterative join process (from the source by default;
+        the row's ``join_start`` overrides ``at``).
 
-        With foster-child mode enabled (HMTP's quick-start concept,
-        Section 2.4.7: "A node connects root at the beginning to start
-        stream immediately.  Then, it jumps to ideal parent when it is
-        found."), a fresh join first grabs any free slot at the source
-        and then optimizes its placement in the background.
+        With the row's foster-child quick start (HMTP's concept, Section
+        2.4.7: "A node connects root at the beginning to start stream
+        immediately.  Then, it jumps to ideal parent when it is found."),
+        a fresh join first grabs any free slot at the source and then
+        optimizes its placement in the background.
         """
+        row = self.protocol
+        if row.join_start is not None:
+            at = row.join_start(self)
         if self.is_source:
             raise ValueError("the source does not join")
         self.cancel_active_process()
         start = at if at is not None else self.env.source
-        if kind == "join" and self.parent is None and self.foster_join_enabled():
+        if kind == "join" and self.parent is None and row.foster_child:
             self._foster_attach(start)
             return
         self.active_process = JoinProcess(self, start_node=start, kind=kind)
         self.active_process.start()
-
-    def foster_join_enabled(self) -> bool:
-        """Whether fresh joins use the foster-child quick start."""
-        return False
 
     def _foster_attach(self, start: int) -> None:
         """Foster-child quick start: attach at the source immediately,
@@ -970,16 +624,8 @@ class OverlayAgent:
             self.parent = src
             self.grandparent = reply.parent
             self.env.record_join(
-                JoinRecord(
-                    node=me,
-                    kind="join",
-                    started_at=started_at,
-                    completed_at=self.env.sim.now,
-                    succeeded=True,
-                    iterations=1,
-                )
+                JoinRecord(me, "join", started_at, self.env.sim.now, True, 1)
             )
-            self.on_connected()
             begin_real_join(as_switch=True)
 
         def on_timeout() -> None:
@@ -1009,97 +655,40 @@ class OverlayAgent:
             self.active_process.cancel()
             self.active_process = None
 
-    # -- protocol hooks ------------------------------------------------------------
-
-    def join_decision(
-        self,
-        pivot: int,
-        dist_to_pivot: float,
-        pivot_info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
-    ) -> Decision:
-        """Protocol-specific decision for one join iteration.
-
-        Parameters
-        ----------
-        pivot:
-            The node currently being queried.
-        dist_to_pivot:
-            Virtual distance from this node to the pivot.
-        pivot_info:
-            The pivot's information response (children, free degree).
-        probes:
-            Probed children: child id -> (distance from this node to the
-            child, the pivot's :class:`ChildInfo` for the child).  Children
-            that timed out or were filtered (self, own descendants) are
-            absent.
-        """
-        raise NotImplementedError
+    # -- recovery ------------------------------------------------------------------
 
     def on_parent_lost(self) -> None:
-        """Parent-death handling: try the precomputed backup first.
-
-        With precomputed failover enabled (``env.failover``), a valid
-        backup parent absorbs the orphan locally — no rejoin round-trip.
-        Otherwise (or when the backup fails revalidation at switch time)
-        the protocol's reactive reconnection policy runs unchanged.
+        """Parent-death handling: with precomputed failover enabled
+        (``env.failover``), a valid backup parent absorbs the orphan
+        locally; otherwise (or when the backup fails revalidation) the
+        join restarts where the row's ``reconnect_at`` says — the
+        grandparent (Section 3.3; the source when unknown) or the source.
         """
-        if self._try_failover():
-            return
-        self._reconnect()
-
-    def _try_failover(self) -> bool:
         manager = self.env.failover
-        return manager is not None and manager.try_switch(self.node_id)
-
-    def _reconnect(self) -> None:
-        """Reactive reconnection policy.  Default: restart join at the
-        grandparent (Section 3.3), falling back to the source when
-        unknown."""
-        target = self.grandparent if self.grandparent is not None else self.env.source
-        if target == self.node_id:
-            target = self.env.source
+        if manager is not None and manager.try_switch(self.node_id):
+            return
+        source = self.env.source
+        target = source
+        if self.protocol.reconnect_at == "grandparent":
+            target = self.grandparent if self.grandparent is not None else source
+            if target == self.node_id:
+                target = source
         self.start_join(kind="reconnect", at=target)
 
     def backup_parent_ok(self, candidate: int, candidate_children: set[int]) -> bool:
-        """Protocol veto for a precomputed backup-parent candidate.
-
-        The failover manager proposes ancestors; a protocol may reject
-        candidates that would violate its structural rules.  Default:
-        accept (tree protocols without directionality constraints are
-        safe under any non-descendant ancestor).  VDM overrides this with
-        the direction-consistency filter.
-        """
-        return True
-
-    def on_connected(self) -> None:
-        """Hook called after a (re)connection commits.  Default: no-op."""
-
-    def accept_refine_target(self, target: int) -> bool:
-        """Whether a refinement pass should switch to ``target``.
-
-        VDM's rule (the default): switch whenever the rejoin finds any
-        parent different from the current one.  HMTP overrides this to
-        require the new parent to be strictly closer.
-        """
-        return True
-
-    def auto_refine_period(self) -> float | None:
-        """Default refinement period for this protocol, or ``None``.
-
-        Sessions arm refinement with this period unless overridden.  VDM
-        runs without refinement by default (Section 3.4: "In our regular
-        experiments, we don't use refinement"); HMTP depends on its
-        periodic refinement and always returns one.
-        """
-        return None
+        """The row's veto on a precomputed backup parent the failover
+        manager proposes (an ancestor, safe for any tree protocol without
+        directionality constraints); VDM's is its direction filter."""
+        row = self.protocol
+        return row.backup_ok is None or row.backup_ok(
+            row, self, candidate, candidate_children
+        )
 
     # -- refinement ------------------------------------------------------------------
 
     def start_refinement(self, period_s: float, *, jitter_rng=None) -> None:
         """Arm the periodic refinement timer (Section 3.4)."""
-        if period_s <= 0:
-            raise ValueError(f"period_s must be > 0, got {period_s}")
+        check_positive("period_s", check_finite("period_s", period_s))
         self.stop_refinement()
         first = period_s
         if jitter_rng is not None:
@@ -1124,21 +713,19 @@ class OverlayAgent:
         # not preempt its recovery with a refinement probe.
         if self.parent is None or self.active_process is not None:
             return
+        start = self.protocol.refine_start
         self.active_process = JoinProcess(
-            self, start_node=self.refinement_start_node(), kind="refine"
+            self,
+            start_node=self.env.source if start is None else start(self),
+            kind="refine",
         )
         self.active_process.start()
-
-    def refinement_start_node(self) -> int:
-        """Where a refinement rejoin starts.  VDM restarts at the source."""
-        return self.env.source
 
     # -- message handlers -----------------------------------------------------------
 
     def handle_request(self, sender: int, msg: Message) -> Message | None:
         # Exact type checks: the message vocabulary has no subclasses, and
-        # this dispatch runs once per request in a session.  free_degree
-        # stays a property access — subclasses override it.
+        # this dispatch runs once per request in a session.
         if type(msg) is InfoRequest:
             return InfoResponse(
                 self.node_id,
@@ -1284,8 +871,8 @@ class JoinProcess:
     """One iterative join/reconnect/refinement attempt.
 
     Implements the query-pivot -> probe-children -> decide loop shared by
-    all tree-based protocols here.  The protocol's brain is
-    :meth:`OverlayAgent.join_decision`; this class supplies the plumbing:
+    all tree-based protocols here.  The protocol's brain is its row's
+    ``decide``; this class supplies the plumbing:
     sequential iterations, parallel child probes, timeout recovery
     (restart at the source), rejection redirects, and commit semantics
     (fresh attach vs atomic parent switch for refinement).
@@ -1351,8 +938,6 @@ class JoinProcess:
         )
         if self.agent.active_process is self:
             self.agent.active_process = None
-        if succeeded:
-            self.agent.on_connected()
 
     def _restart_at_source(self) -> None:
         self.restarts += 1
@@ -1448,11 +1033,12 @@ class JoinProcess:
         info: InfoResponse,
         probes: dict[int, tuple[float, ChildInfo]],
     ) -> None:
-        me = self.agent.node_id
+        agent = self.agent
         dist_to_pivot = self.env.virtual_distance(
-            me, pivot, samples=self.probe_samples
+            agent.node_id, pivot, samples=self.probe_samples
         )
-        decision = self.agent.join_decision(pivot, dist_to_pivot, info, probes)
+        row = agent.protocol
+        decision = row.decide(row, agent, pivot, dist_to_pivot, info, probes)
         if isinstance(decision, Descend):
             self._iterate(decision.child)
         elif isinstance(decision, Attach):
@@ -1467,15 +1053,21 @@ class JoinProcess:
     # -- commit -------------------------------------------------------------------
 
     def _request_connection(self, msg: ConnRequest, target: int) -> None:
-        me = self.agent.node_id
+        agent = self.agent
+        me = agent.node_id
         if self.kind in ("refine", "switch"):
-            if target == self.agent.parent:
+            parent = agent.parent
+            if target == parent:
                 # Refinement found the current parent again: nothing to do.
                 self._done(True)
                 return
-            if not self.agent.accept_refine_target(target):
-                self._done(True)
-                return
+            if agent.protocol.strictly_closer and parent is not None:
+                # The switch rule HMTP and BTP share: only to a strictly
+                # closer parent.  (VDM's: any parent the rejoin found.)
+                distance = self.env.virtual_distance
+                if not distance(me, target) < distance(me, parent):
+                    self._done(True)
+                    return
         if target == me or self.env.tree.is_descendant(target, me):
             self._restart_at_source()
             return

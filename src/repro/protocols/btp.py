@@ -17,15 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.protocols.base import (
-    Attach,
-    Decision,
-    OverlayAgent,
-    ProtocolRuntime,
-)
-from repro.protocols.messages import ChildInfo, InfoResponse
+from repro.core.join import Attach, Decision
+from repro.util.validation import check_finite, check_positive
 
-__all__ = ["BTPAgent", "BTPConfig"]
+__all__ = ["BTPConfig", "btp_join_decision", "parent_or_source"]
 
 
 @dataclass(frozen=True)
@@ -35,70 +30,29 @@ class BTPConfig:
     refine_period_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.refine_period_s <= 0:
-            raise ValueError(
-                f"refine_period_s must be > 0, got {self.refine_period_s}"
-            )
+        name = "refine_period_s"
+        check_finite(name, check_positive(name, self.refine_period_s))
 
 
-class BTPAgent(OverlayAgent):
-    """Banana Tree Protocol peer."""
+def btp_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:
+    """Attach to the contacted node; while refining, switch to a sibling."""
+    process = agent.active_process
+    if process is not None and process.kind == "refine" and probes:
+        # Sibling switch: adopt the closest sibling with a free slot if it
+        # beats the parent; otherwise stay put (Attach(parent) is a no-op
+        # for refinement).
+        open_sibs = [
+            (dist, sib) for sib, (dist, ci) in probes.items() if ci.free_degree > 0
+        ]
+        if open_sibs:
+            sib_dist, closest_sib = min(open_sibs)
+            if sib_dist < dist_to_pivot:
+                return Attach(closest_sib)
+    # Initial join / reconnect: attach to the contacted node; a full
+    # node's rejection redirects us to its closest free child.
+    return Attach(pivot)
 
-    protocol_name = "btp"
 
-    def __init__(
-        self,
-        node_id: int,
-        env: ProtocolRuntime,
-        *,
-        degree_limit: int = 4,
-        config: BTPConfig | None = None,
-    ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit)
-        self.config = config or BTPConfig()
-
-    def auto_refine_period(self) -> float | None:
-        """BTP's sibling switching is its whole optimization; keep it on."""
-        return self.config.refine_period_s
-
-    def join_decision(
-        self,
-        pivot: int,
-        dist_to_pivot: float,
-        pivot_info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
-    ) -> Decision:
-        refining = (
-            self.active_process is not None and self.active_process.kind == "refine"
-        )
-        if refining and probes:
-            # Sibling switch: adopt the closest sibling with a free slot if
-            # it beats the parent; otherwise stay put (Attach(parent) is a
-            # no-op for refinement).
-            open_sibs = {
-                sib: (dist, ci)
-                for sib, (dist, ci) in probes.items()
-                if ci.free_degree > 0
-            }
-            if open_sibs:
-                closest_sib, (sib_dist, _) = min(
-                    open_sibs.items(), key=lambda kv: (kv[1][0], kv[0])
-                )
-                if sib_dist < dist_to_pivot:
-                    return Attach(closest_sib)
-            return Attach(pivot)
-        # Initial join / reconnect: attach to the contacted node; a full
-        # node's rejection redirects us to its closest free child.
-        return Attach(pivot)
-
-    def refinement_start_node(self) -> int:
-        """BTP refines against its current parent's children list."""
-        return self.parent if self.parent is not None else self.env.source
-
-    def accept_refine_target(self, target: int) -> bool:
-        """Only switch to a strictly closer sibling."""
-        if self.parent is None:
-            return True
-        return self.env.virtual_distance(
-            self.node_id, target
-        ) < self.env.virtual_distance(self.node_id, self.parent)
+def parent_or_source(agent) -> int:
+    """Where BTP refines: against its current parent's children list."""
+    return agent.parent if agent.parent is not None else agent.env.source

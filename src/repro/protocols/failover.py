@@ -6,7 +6,7 @@ Under correlated failures — a transit domain going dark orphans many
 nodes at once — those round-trips stack into seconds of outage.  This
 module ports the precomputed-backup idea from SDN resilient multicast to
 overlay form: every attached node keeps one *precomputed backup parent*,
-maintained incrementally off the :class:`~repro.protocols.base.TreeRegistry`
+maintained incrementally off the :class:`~repro.protocols.tree.TreeRegistry`
 listener stream, and switches to it locally the instant parent death is
 detected — no probes, no round-trips.
 

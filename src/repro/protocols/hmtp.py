@@ -22,6 +22,9 @@ HMTP (Zhang, Jamin, Zhang, INFOCOM 2002) builds its tree by *closeness*:
 
 The root-path lookup for refinement uses the ground-truth registry, the
 simulation-local stand-in for the root-path state every HMTP member keeps.
+The protocol's row of the table (:mod:`repro.protocols.table`) pairs
+:func:`hmtp_join_decision` and :func:`root_path_member` with the shared
+"strictly closer" switch rule and source reconnection.
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.join import Attach, Decision, hmtp_decide
-from repro.protocols.base import OverlayAgent, ProtocolRuntime
-from repro.protocols.messages import ChildInfo, InfoResponse
-from repro.util.rngtools import RngLike
+from repro.util.validation import check_finite, check_positive
 
-__all__ = ["HMTPAgent", "HMTPConfig"]
+__all__ = ["HMTPConfig", "hmtp_join_decision", "root_path_member"]
 
 
 @dataclass(frozen=True)
@@ -54,102 +55,49 @@ class HMTPConfig:
     foster_child: bool = False
 
     def __post_init__(self) -> None:
-        if self.refine_period_s <= 0:
-            raise ValueError(
-                f"refine_period_s must be > 0, got {self.refine_period_s}"
-            )
+        name = "refine_period_s"
+        check_finite(name, check_positive(name, self.refine_period_s))
 
 
-class HMTPAgent(OverlayAgent):
-    """Host Multicast Tree Protocol peer."""
-
-    protocol_name = "hmtp"
-
-    def __init__(
-        self,
-        node_id: int,
-        env: ProtocolRuntime,
-        *,
-        degree_limit: int = 4,
-        config: HMTPConfig | None = None,
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit, rng=rng)
-        self.config = config or HMTPConfig()
-
-    def auto_refine_period(self) -> float | None:
-        """HMTP always refines; it needs it to converge."""
-        return self.config.refine_period_s
-
-    def foster_join_enabled(self) -> bool:
-        return self.config.foster_child
-
-    # -- join ------------------------------------------------------------------
-
-    def join_decision(
-        self,
-        pivot: int,
-        dist_to_pivot: float,
-        pivot_info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
-    ) -> Decision:
-        refining = (
-            self.active_process is not None and self.active_process.kind == "refine"
+def hmtp_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:
+    """Greedy closest-child descent; a one-level check while refining."""
+    process = agent.active_process
+    if process is not None and process.kind == "refine":
+        # One-level refinement check (Section 3.4/3.5 of the dissertation:
+        # a node "selects one node on its root path and looks for if any
+        # closer peer than its parent connected in meantime") — probe the
+        # chosen root-path node and its children, switch to the closest
+        # candidate with a free slot if it is strictly closer than the
+        # current parent (the loop checks that), otherwise stay put.
+        candidates: list[tuple[float, int]] = []
+        if info.free_degree > 0:
+            candidates.append((dist_to_pivot, pivot))
+        candidates.extend(
+            (dist, child) for child, (dist, ci) in probes.items() if ci.free_degree > 0
         )
-        if refining:
-            # One-level refinement check (Section 3.4/3.5 of the
-            # dissertation: a node "selects one node on its root path and
-            # looks for if any closer peer than its parent connected in
-            # meantime") — probe the chosen root-path node and its
-            # children, switch to the closest candidate with a free slot
-            # if it beats the current parent (checked by
-            # :meth:`accept_refine_target`), otherwise stay put.
-            candidates: list[tuple[float, int]] = []
-            if pivot_info.free_degree > 0:
-                candidates.append((dist_to_pivot, pivot))
-            candidates.extend(
-                (dist, child)
-                for child, (dist, ci) in probes.items()
-                if ci.free_degree > 0
-            )
-            if not candidates:
-                return Attach(self.parent if self.parent is not None else pivot)
-            _, best = min(candidates)
-            return Attach(best)
-        return hmtp_decide(
-            pivot,
-            pivot_info.free_degree,
-            dist_to_pivot,
-            [(dist, child, ci.free_degree) for child, (dist, ci) in probes.items()],
-            lambda child: probes[child][1].distance,
-        )
+        if not candidates:
+            return Attach(agent.parent if agent.parent is not None else pivot)
+        _, best = min(candidates)
+        return Attach(best)
+    return hmtp_decide(
+        pivot,
+        info.free_degree,
+        dist_to_pivot,
+        [(dist, child, ci.free_degree) for child, (dist, ci) in probes.items()],
+        lambda child: probes[child][1].distance,
+    )
 
-    # -- refinement ---------------------------------------------------------------
 
-    def refinement_start_node(self) -> int:
-        """A uniformly random member of this node's root path."""
-        try:
-            path = self.env.tree.path_to_source(self.node_id)
-        except ValueError:
-            return self.env.source
-        # Exclude ourselves (index 0); the path still includes our parent
-        # and root.  Indexing instead of slicing skips a tuple copy per
-        # refinement tick.
-        n = len(path) - 1
-        if n <= 0:
-            return self.env.source
-        return int(path[1 + int(self.rng.integers(n))])
-
-    def accept_refine_target(self, target: int) -> bool:
-        """Switch only to a strictly closer parent (HMTP's rule)."""
-        if self.parent is None:
-            return True
-        return self.env.virtual_distance(
-            self.node_id, target
-        ) < self.env.virtual_distance(self.node_id, self.parent)
-
-    # -- recovery ----------------------------------------------------------------
-
-    def _reconnect(self) -> None:
-        """HMTP orphans rejoin from the root."""
-        self.start_join(kind="reconnect", at=self.env.source)
+def root_path_member(agent) -> int:
+    """Where HMTP refines: a uniformly random member of the root path."""
+    source = agent.env.source
+    try:
+        path = agent.env.tree.path_to_source(agent.node_id)
+    except ValueError:
+        return source
+    # Exclude ourselves (index 0); the path still includes our parent and
+    # root.  Indexing instead of slicing skips a tuple copy per tick.
+    n = len(path) - 1
+    if n <= 0:
+        return source
+    return int(path[1 + int(agent.rng.integers(n))])

@@ -13,8 +13,9 @@ measured against:
   in when degree limits matter.
 * :func:`tree_cost` — summed edge weight of any parent map, the "network
   usage" both are compared on.
-* :class:`MSTAgent` — the same greedy rule as an *online* agent: each
-  joiner attaches to the globally closest non-saturated tree member,
+* :func:`closest_open_member` and :func:`attach_at_pivot` — the same
+  greedy rule as the ``"mst"`` row of the protocol table, run *online*:
+  each joiner attaches to the globally closest non-saturated tree member,
   looked up through the registry oracle.  This makes the MST reference
   runnable inside a live session (churn, faults, invariant checking)
   alongside the distributed protocols.
@@ -27,10 +28,15 @@ from typing import Callable, Mapping, Sequence
 
 import networkx as nx
 
-from repro.protocols.base import Attach, Decision, OverlayAgent, ProtocolRuntime
-from repro.protocols.messages import ChildInfo, InfoResponse
+from repro.core.join import Attach, Decision
 
-__all__ = ["mst_parent_map", "degree_constrained_mst", "tree_cost", "MSTAgent"]
+__all__ = [
+    "mst_parent_map",
+    "degree_constrained_mst",
+    "tree_cost",
+    "closest_open_member",
+    "attach_at_pivot",
+]
 
 WeightFn = Callable[[int, int], float]
 
@@ -131,59 +137,31 @@ def tree_cost(parents: Mapping[int, int], weight: WeightFn) -> float:
     return sum(float(weight(child, parent)) for child, parent in parents.items())
 
 
-class MSTAgent(OverlayAgent):
-    """Online greedy degree-constrained MST reference.
+def closest_open_member(agent) -> int:
+    """Where every MST join starts: the nearest alive attached member with
+    a free child slot, else the source — :func:`degree_constrained_mst`'s
+    growth rule one join at a time, reconnections included.  The registry
+    scan is the point: it shows what the greedy global rule achieves with
+    none of VDM's locality constraints."""
+    env = agent.env
+    tree = env.tree
+    me = agent.node_id
+    best: int | None = None
+    best_key: tuple[float, int] | None = None
+    for cand in tree.attached_nodes():
+        if cand == me or not env.is_alive(cand):
+            continue
+        if tree.is_descendant(cand, me):
+            continue
+        other = env.agents.get(cand)
+        if other is None or other.free_degree <= 0:
+            continue
+        key = (env.virtual_distance(me, cand), cand)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return env.source if best is None else best
 
-    Applies :func:`degree_constrained_mst`'s growth rule one join at a
-    time: a joining node attaches to the closest already-attached member
-    that still has a free child slot.  The candidate scan consults the
-    tree registry directly — this agent is a *centralized reference*, not
-    a protocol proposal, so the oracle lookup is the point: it shows what
-    the greedy global rule achieves with none of VDM's locality
-    constraints.  Reconnection after a parent loss reuses the same rule.
-    """
 
-    protocol_name = "mst"
-
-    def __init__(
-        self,
-        node_id: int,
-        env: ProtocolRuntime,
-        *,
-        degree_limit: int = 4,
-        rng=None,  # accepted for factory-signature uniformity; unused
-    ) -> None:
-        super().__init__(node_id, env, degree_limit=degree_limit)
-
-    def _closest_open_member(self) -> int:
-        """The nearest alive attached member with a free child slot."""
-        env = self.env
-        tree = env.tree
-        best: int | None = None
-        best_key: tuple[float, int] | None = None
-        for cand in tree.attached_nodes():
-            if cand == self.node_id or not env.is_alive(cand):
-                continue
-            if tree.is_descendant(cand, self.node_id):
-                continue
-            agent = env.agents.get(cand)
-            if agent is None or agent.free_degree <= 0:
-                continue
-            key = (env.virtual_distance(self.node_id, cand), cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        return env.source if best is None else best
-
-    def start_join(self, *, kind: str = "join", at: int | None = None) -> None:
-        # The oracle overrides any suggested start: the reference always
-        # aims straight at the globally cheapest open attachment point.
-        super().start_join(kind=kind, at=self._closest_open_member())
-
-    def join_decision(
-        self,
-        pivot: int,
-        dist_to_pivot: float,
-        pivot_info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
-    ) -> Decision:
-        return Attach(pivot)
+def attach_at_pivot(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:
+    """MST's decision: attach where the oracle pointed the join."""
+    return Attach(pivot)

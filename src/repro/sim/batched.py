@@ -44,7 +44,7 @@ What stays real
 ---------------
 The tree, the delivery ledger and the metrics are the message engine's
 own objects: each replication mutates a
-:class:`~repro.protocols.base.TreeRegistry` through its public API, a
+:class:`~repro.protocols.tree.TreeRegistry` through its public API, a
 :class:`~repro.sim.delivery.DeliveryAccountant` listens to it, and every
 measurement goes through :func:`~repro.sim.session.take_measurement`
 (the accountant's window snapshot and link multiset, and
@@ -59,9 +59,10 @@ serial and parallel harness paths bit for bit.  ``REPRO_BATCHED_REPS=0``
 (:func:`repro.util.envflags.batched_reps`) disables the batched path
 entirely and is the ablation oracle the byte-identity CI step runs.
 
-Sessions outside the envelope raise :class:`BatchedUnsupported`; the
-harness (:mod:`repro.harness.batchrun`) catches it and falls back to the
-scalar path, so enabling batching is always safe.
+Sessions outside the envelope — see :func:`envelope_decline` for the
+protocol row and session config, :class:`BatchedCell` for the underlay —
+fall back to the scalar path (:mod:`repro.harness.batchrun`), so
+enabling batching is always safe.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ from repro.core.join import (
 )
 from repro.core.vdm import VDMConfig
 from repro.metrics.report import MeasurementRecord
-from repro.protocols.base import JoinRecord, TreeRegistry
+from repro.protocols.base import JoinRecord
+from repro.protocols.table import ProtocolSpec, protocol_spec
+from repro.protocols.tree import TreeRegistry
 from repro.sim.churn import SlottedChurnModel
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.faults import resolve_fault_plan
@@ -93,7 +96,7 @@ from repro.sim.session import (
 )
 from repro.util.rngtools import spawn_rng
 
-__all__ = ["BatchedUnsupported", "BatchedCell"]
+__all__ = ["BatchedUnsupported", "BatchedCell", "envelope_decline"]
 
 
 class BatchedUnsupported(Exception):
@@ -102,6 +105,37 @@ class BatchedUnsupported(Exception):
     Raised before any simulation state is touched; callers fall back to
     the scalar engine, which handles every configuration.
     """
+
+
+def envelope_decline(
+    row: ProtocolSpec, cfg: SessionConfig | None = None
+) -> tuple[str, str] | None:
+    """Why the emulator cannot run ``row`` — in session ``cfg``, when
+    given — exactly: a ``(code, detail)`` pair, or ``None`` if it can.
+
+    Reads only the row and the session config, so a caller can decline
+    before it builds an underlay or a :class:`BatchedCell`.
+    """
+    if row.name != "vdm":
+        return "protocol", f"only the 'vdm' row can batch, got {row.name!r}"
+    if row.config.case3_selection != "closest":
+        return "config", "random Case III selection draws the agent RNG"
+    if row.foster_child:
+        return "config", "foster-child quick start not emulated"
+    if row.refine_period_s is not None:
+        return "refinement", "refinement not emulated"
+    if cfg is None:
+        return None
+    if cfg.measurement_noise_sigma != 0.0:
+        return "probe-noise", "probe noise draws the shared noise RNG"
+    if cfg.refine_period_s is not None:
+        return "refinement", "refinement not emulated"
+    if cfg.failover != "reactive":
+        return "failover", "precomputed failover not emulated"
+    plan = resolve_fault_plan(cfg.faults)
+    if plan is not None and not plan.is_noop():
+        return "faults", "fault plans not emulated"
+    return None
 
 
 # Op codes for the per-replication heap.  ``seq`` is unique per heap, so
@@ -213,17 +247,9 @@ class BatchedCell:
     """
 
     def __init__(self, underlay, vdm_config: VDMConfig | None = None) -> None:
-        config = vdm_config if vdm_config is not None else VDMConfig()
-        if config.case3_selection != "closest":
-            raise BatchedUnsupported(
-                "random Case III selection draws the agent RNG"
-            )
-        if config.foster_child:
-            raise BatchedUnsupported("foster-child quick start not emulated")
-        if config.refine_period_s is not None:
-            raise BatchedUnsupported("refinement not emulated")
+        self.row = protocol_spec("vdm", vdm_config)
+        self.check_config()
         self.underlay = underlay
-        self.vdm_config = config
         self.hosts = list(underlay.hosts)
         if not self.hosts:
             raise BatchedUnsupported("underlay has no hosts")
@@ -257,17 +283,14 @@ class BatchedCell:
 
     # -- envelope ------------------------------------------------------------
 
-    def check_config(self, cfg: SessionConfig) -> None:
-        """Raise :class:`BatchedUnsupported` unless ``cfg`` is emulated exactly."""
-        if cfg.measurement_noise_sigma != 0.0:
-            raise BatchedUnsupported("probe noise draws the shared noise RNG")
-        if cfg.refine_period_s is not None:
-            raise BatchedUnsupported("refinement not emulated")
-        if cfg.failover != "reactive":
-            raise BatchedUnsupported("precomputed failover not emulated")
-        plan = resolve_fault_plan(cfg.faults)
-        if plan is not None and not plan.is_noop():
-            raise BatchedUnsupported("fault plans not emulated")
+    def check_config(self, cfg: SessionConfig | None = None) -> None:
+        """Raise :class:`BatchedUnsupported` unless the cell's row — in
+        session ``cfg``, when given — is emulated exactly."""
+        declined = envelope_decline(self.row, cfg)
+        if declined is not None:
+            raise BatchedUnsupported(declined[1])
+        if cfg is None:
+            return
         timeout_s = cfg.timeout_ms / 1000.0
         if not 2.0 * (self._max_delay_ms / 1000.0) < timeout_s - _TIMEOUT_MARGIN_S:
             raise BatchedUnsupported(
@@ -496,7 +519,6 @@ class _Emulator:
         )
         if proc.agent.proc is proc:
             proc.agent.proc = None
-        # on_connected: a no-op for plain VDM.
 
     def _probe_children(self, proc: _Join, pivot: int, pivot_free: int, kids) -> None:
         me = proc.node
@@ -599,7 +621,7 @@ class _Emulator:
         if ok:
             heap = self._heap
             case2, case3 = split_cases(
-                rtt[pivot], replying, self.cell.vdm_config.tie_tolerance
+                rtt[pivot], replying, self.cell.row.config.tie_tolerance
             )
             if pivot_free <= 0 and not case3 and n_reply:
                 # ---- middle path: free degrees sampled by FREE_READ ----
@@ -698,7 +720,7 @@ class _Emulator:
         remaining[0] = n
         if not n:
             case2, case3 = split_cases(
-                rtt[pivot], replying, self.cell.vdm_config.tie_tolerance
+                rtt[pivot], replying, self.cell.row.config.tie_tolerance
             )
             self._decide(proc, pivot, pivot_free, case2, case3, probes)
 
@@ -714,7 +736,7 @@ class _Emulator:
         passes no probes.
         """
         agent = proc.agent
-        config = self.cell.vdm_config
+        config = self.cell.row.config
         budget = agent.degree_limit - len(agent.children)
         if config.max_adopt is not None:
             budget = min(budget, config.max_adopt)
@@ -893,8 +915,8 @@ class _Emulator:
         agent.children.clear()
 
     def _on_parent_lost(self, node: int, agent: _Agent) -> None:
-        """Mirror of ``VDMAgent.on_parent_lost``."""
-        if self.cell.vdm_config.reconnect_at == "source":
+        """Mirror of ``OverlayAgent.on_parent_lost`` for the VDM row."""
+        if self.cell.row.reconnect_at == "source":
             self._start_join(node, agent, "reconnect", self.source)
             return
         target = agent.grandparent if agent.grandparent is not None else self.source

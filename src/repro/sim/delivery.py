@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.protocols.base import TreeRegistry
+from repro.protocols.tree import TreeRegistry
 from repro.sim.network import Underlay
 from repro.util.intervals import IntervalSet
 from repro.util.validation import check_finite, check_positive

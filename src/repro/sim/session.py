@@ -148,7 +148,7 @@ class SessionConfig:
     #: ``None`` means measure only at churn-slot boundaries.
     join_measure_interval_s: float | None = None
     #: override the agents' own refinement period; ``None`` keeps each
-    #: protocol's default (:meth:`OverlayAgent.auto_refine_period`).
+    #: protocol row's ``refine_period_s``.
     refine_period_s: float | None = None
     #: lognormal sigma on every distance measurement (testbed probe noise;
     #: keep 0 for the NS-2-style runs, nonzero for PlanetLab emulation).
@@ -183,11 +183,9 @@ class SessionConfig:
             "measurement_noise_sigma",
             check_non_negative("measurement_noise_sigma", self.measurement_noise_sigma),
         )
-        if self.join_measure_interval_s is not None:
-            check_finite(
-                "join_measure_interval_s",
-                check_positive("join_measure_interval_s", self.join_measure_interval_s),
-            )
+        for name in ("join_measure_interval_s", "refine_period_s"):
+            if getattr(self, name) is not None:
+                check_finite(name, check_positive(name, getattr(self, name)))
         if self.total_s < self.join_phase_s:
             raise ValueError("total_s must cover the join phase")
         if self.settle_s >= self.slot_s:
@@ -383,7 +381,7 @@ class MulticastSession:
         agent.start_join()
         period = self.config.refine_period_s
         if period is None:
-            period = agent.auto_refine_period()
+            period = agent.protocol.refine_period_s
         if period is not None:
             agent.start_refinement(
                 period, jitter_rng=spawn_rng(self.config.seed, "refine", node)

@@ -113,7 +113,8 @@ def cache_max_bytes() -> int:
 
 
 def _jsonable(value):
-    """Render key-payload values canonically (dataclasses, tuples, numpy)."""
+    """Render key-payload values canonically (dataclasses, tuples, numpy,
+    functions)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,
@@ -130,6 +131,10 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
+    if callable(value):
+        # a protocol row's decision and policy functions: module-level
+        # functions, named by what they are
+        return f"{value.__module__}.{value.__qualname__}"
     return value
 
 

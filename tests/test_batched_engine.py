@@ -21,10 +21,17 @@ from hypothesis import strategies as st
 
 from repro.core.vdm import VDMConfig
 from repro.factories import vdm
-from repro.harness.batchrun import CellSpec, cell_batch, clear_cells
+from repro.harness.batchrun import (
+    SERVICE,
+    CellSpec,
+    cell_batch,
+    clear_cells,
+    decline_reason,
+)
 from repro.harness.experiments import CH3_METRICS
 from repro.harness.parallel import run_replications
 from repro.harness.substrates import build_transit_stub_underlay
+from repro.protocols.table import protocol_spec
 from repro.sim.batched import BatchedCell, BatchedUnsupported
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.faults import FAULT_PRESETS
@@ -166,7 +173,7 @@ def test_non_vdm_protocols_decline(kind):
                 "declining must not build the underlay"
             ),
             config_factory=lambda seed: _cfg(seed=seed),
-            protocol=(kind, None),
+            protocol=protocol_spec(kind),
             metrics=CH3_METRICS,
         )
     )
@@ -186,6 +193,53 @@ def test_config_envelope_declines(overrides, reason):
     cell = BatchedCell(_ts_underlay(), None)
     with pytest.raises(BatchedUnsupported, match=reason):
         cell.check_config(_cfg(**overrides))
+
+
+@pytest.mark.parametrize(
+    "protocol, overrides, code",
+    [
+        pytest.param(SERVICE, {}, "service-mode", id="service-mode"),
+        pytest.param(protocol_spec("hmtp"), {}, "protocol", id="protocol"),
+        pytest.param(
+            protocol_spec("vdm", VDMConfig(case3_selection="random")), {}, "config",
+            id="config-random-case3",
+        ),
+        pytest.param(
+            protocol_spec("vdm", VDMConfig(foster_child=True)), {}, "config",
+            id="config-foster-child",
+        ),
+        pytest.param(
+            protocol_spec("vdm", VDMConfig(refine_period_s=120.0)), {}, "refinement",
+            id="refinement-row",
+        ),
+        pytest.param(
+            protocol_spec("vdm"), dict(refine_period_s=120.0), "refinement",
+            id="refinement-session",
+        ),
+        pytest.param(
+            protocol_spec("vdm"), dict(measurement_noise_sigma=0.3), "probe-noise",
+            id="probe-noise",
+        ),
+        pytest.param(
+            protocol_spec("vdm"), dict(failover="precomputed"), "failover",
+            id="failover",
+        ),
+        pytest.param(
+            protocol_spec("vdm"), dict(faults="crashy"), "faults", id="faults"
+        ),
+    ],
+)
+def test_declines_before_building_anything(protocol, overrides, code):
+    """Every config-level decline carries its code, and neither
+    ``decline_reason`` nor the hook builds the cell's underlay."""
+    spec = CellSpec(
+        underlay_factory=lambda: pytest.fail("declining must not build the underlay"),
+        config_factory=lambda seed: _cfg(seed=seed, **overrides),
+        protocol=protocol,
+        metrics=CH3_METRICS,
+    )
+    assert decline_reason(spec).code == code
+    assert cell_batch(spec)([(0, 1), (1, 2)]) is None
 
 
 def test_vdm_config_envelope_declines():
@@ -211,7 +265,7 @@ def _vdm_hook(underlay_key, cfg_proto: SessionConfig):
         CellSpec(
             underlay_factory=lambda: _ts_underlay(*underlay_key),
             config_factory=lambda seed: dataclasses.replace(cfg_proto, seed=seed),
-            protocol=("vdm", None),
+            protocol=protocol_spec("vdm"),
             metrics=CH3_METRICS,
         )
     )
@@ -298,7 +352,7 @@ def test_ch5_cell_regression_pin():
         CellSpec(
             underlay_factory=lambda: _pl_underlay(),
             config_factory=lambda seed: dataclasses.replace(cfg, seed=seed),
-            protocol=("vdm", None),
+            protocol=protocol_spec("vdm"),
             metrics=CH3_METRICS,
         )
     )

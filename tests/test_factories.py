@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.distance import CompositeDistance, DelayDistance, LossDistance
-from repro.core.vdm import VDMAgent, VDMConfig
+from repro.core.vdm import VDMConfig
 from repro.factories import (
     btp,
     composite_metric,
@@ -15,9 +15,8 @@ from repro.factories import (
     vdm_loss,
     vdm_r,
 )
-from repro.protocols.base import ProtocolRuntime
-from repro.protocols.btp import BTPAgent
-from repro.protocols.hmtp import HMTPAgent, HMTPConfig
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
+from repro.protocols.hmtp import HMTPConfig
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
@@ -33,35 +32,35 @@ def env():
 class TestAgentFactories:
     def test_vdm(self, env):
         agent = vdm()(1, env, degree_limit=3, rng=np.random.default_rng(0))
-        assert isinstance(agent, VDMAgent)
+        assert isinstance(agent, OverlayAgent) and agent.protocol.name == "vdm"
         assert agent.degree_limit == 3
-        assert agent.auto_refine_period() is None
+        assert agent.protocol.refine_period_s is None
 
     def test_vdm_r_sets_period(self, env):
         agent = vdm_r(period_s=120.0)(1, env, degree_limit=3, rng=None)
-        assert agent.auto_refine_period() == 120.0
+        assert agent.protocol.refine_period_s == 120.0
 
     def test_vdm_r_preserves_other_config(self, env):
         base = VDMConfig(case_priority="case2", tie_tolerance=0.1)
         agent = vdm_r(period_s=60.0, config=base)(1, env, degree_limit=3, rng=None)
-        assert agent.config.case_priority == "case2"
-        assert agent.config.tie_tolerance == 0.1
-        assert agent.config.refine_period_s == 60.0
+        assert agent.protocol.config.case_priority == "case2"
+        assert agent.protocol.config.tie_tolerance == 0.1
+        assert agent.protocol.config.refine_period_s == 60.0
 
     def test_vdm_loss_is_vdm(self, env):
         agent = vdm_loss()(1, env, degree_limit=2, rng=None)
-        assert isinstance(agent, VDMAgent)
+        assert agent.protocol == vdm()(1, env, degree_limit=2).protocol
 
     def test_hmtp(self, env):
         agent = hmtp(HMTPConfig(refine_period_s=45.0))(
             1, env, degree_limit=4, rng=np.random.default_rng(1)
         )
-        assert isinstance(agent, HMTPAgent)
-        assert agent.auto_refine_period() == 45.0
+        assert agent.protocol.name == "hmtp"
+        assert agent.protocol.refine_period_s == 45.0
 
     def test_btp(self, env):
         agent = btp()(1, env, degree_limit=4, rng=None)
-        assert isinstance(agent, BTPAgent)
+        assert isinstance(agent, OverlayAgent) and agent.protocol.name == "btp"
 
 
 class TestMetricFactories:

@@ -22,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import factories
-from repro.core.vdm import VDMAgent, VDMConfig
+from repro.core.vdm import VDMConfig
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.protocols.base import ProtocolRuntime
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildRemove, InfoRequest
 from repro.sim import session as session_mod
 from repro.sim.engine import Simulator
@@ -169,7 +169,7 @@ _TICK = 0.0125
 _POSITIONS = [0.0, 25.0, 50.0, 100.0, 200.0, 400.0]
 
 
-class _LoggingAgent(VDMAgent):
+class _LoggingAgent(OverlayAgent):
     """Logs every delivery it is handed: (time, events fired, kind, from, to)."""
 
     def __init__(self, node_id, env, log):
@@ -446,14 +446,14 @@ def test_deferred_stream_equals_the_eagerly_spawned_one():
     path = (5, "agent", 3, 17)
     eager = spawn_rng(*path)
     _, env, _ = _rig(FaultPlan())
-    agent = VDMAgent(1, env, rng=partial(spawn_rng, *path))
+    agent = OverlayAgent(1, env, rng=partial(spawn_rng, *path))
     assert not isinstance(agent._rng, np.random.Generator)  # not built yet
     rng = agent.rng
     assert isinstance(rng, np.random.Generator) and agent.rng is rng  # built once
     assert [rng.random() for _ in range(16)] == [eager.random() for _ in range(16)]
     # the other things an agent may be handed still work
     assert rng_from_seed(rng) is rng
-    assert VDMAgent(1, env, rng=7).rng.random() == np.random.default_rng(7).random()
+    assert OverlayAgent(1, env, rng=7).rng.random() == np.random.default_rng(7).random()
 
 
 @lru_cache(maxsize=None)

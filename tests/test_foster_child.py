@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.vdm import VDMAgent, VDMConfig
-from repro.factories import vdm
+from repro.core.vdm import VDMConfig
+from repro.factories import hmtp, vdm
 from repro.protocols.base import ProtocolRuntime
-from repro.protocols.hmtp import HMTPAgent, HMTPConfig
+from repro.protocols.hmtp import HMTPConfig
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 from repro.sim.session import MulticastSession, SessionConfig
@@ -22,7 +22,7 @@ def build(positions, *, foster=True, degrees=None):
     config = VDMConfig(foster_child=foster)
     for host in range(len(positions)):
         limit = degrees[host] if degrees else 4
-        agents[host] = VDMAgent(host, env, degree_limit=limit, config=config)
+        agents[host] = vdm(config)(host, env, degree_limit=limit)
         env.register(agents[host])
     return sim, env, agents
 
@@ -77,9 +77,9 @@ class TestFosterQuickStart:
         ul = MatrixUnderlay(line_matrix([0.0, 30.0, 50.0, 55.0]))
         sim = Simulator()
         env = ProtocolRuntime(sim, ul, source=0)
-        cfg = HMTPConfig(foster_child=True)
+        make = hmtp(HMTPConfig(foster_child=True))
         agents = {
-            h: HMTPAgent(h, env, config=cfg, rng=np.random.default_rng(h))
+            h: make(h, env, degree_limit=4, rng=np.random.default_rng(h))
             for h in range(4)
         }
         for a in agents.values():

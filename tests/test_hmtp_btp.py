@@ -3,28 +3,26 @@
 import numpy as np
 import pytest
 
+from repro.factories import btp, hmtp
 from repro.protocols.base import ProtocolRuntime
-from repro.protocols.btp import BTPAgent, BTPConfig
-from repro.protocols.hmtp import HMTPAgent, HMTPConfig
+from repro.protocols.btp import BTPConfig
+from repro.protocols.hmtp import HMTPConfig
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
 from tests.helpers import line_matrix
 
 
-def build(positions, agent_cls, *, degree=4, degrees=None, config=None, seed=0):
+def build(positions, protocol, *, degree=4, degrees=None, config=None, seed=0):
     ul = MatrixUnderlay(line_matrix(positions))
     sim = Simulator()
     env = ProtocolRuntime(sim, ul, source=0)
     agents = {}
     for host in range(len(positions)):
         limit = degrees[host] if degrees else degree
-        kwargs = {"degree_limit": limit}
-        if config is not None:
-            kwargs["config"] = config
-        if agent_cls is HMTPAgent:
-            kwargs["rng"] = np.random.default_rng(seed + host)
-        agents[host] = agent_cls(host, env, **kwargs)
+        agents[host] = protocol(config)(
+            host, env, degree_limit=limit, rng=np.random.default_rng(seed + host)
+        )
         env.register(agents[host])
     return sim, env, agents
 
@@ -33,7 +31,7 @@ class TestHMTPJoin:
     def test_attaches_to_closest_via_descent(self):
         # Source 0 -> child 30 -> grandchild 50.  Newcomer at 55 must
         # greedily descend to the grandchild.
-        sim, env, agents = build([0.0, 30.0, 50.0, 55.0], HMTPAgent)
+        sim, env, agents = build([0.0, 30.0, 50.0, 55.0], hmtp)
         for n in (1, 2, 3):
             agents[n].start_join()
             sim.run()
@@ -41,7 +39,7 @@ class TestHMTPJoin:
 
     def test_stops_when_pivot_closest(self):
         # Children exist but are farther than the source itself.
-        sim, env, agents = build([50.0, 100.0, 45.0], HMTPAgent)
+        sim, env, agents = build([50.0, 100.0, 45.0], hmtp)
         agents[1].start_join()
         sim.run()
         agents[2].start_join()
@@ -55,7 +53,7 @@ class TestHMTPJoin:
         # Stage the real U-turn: child at 70, newcomer at 40:
         # d(N,C)=30 < d(N,S)=40 would descend, but d(S,C)=70 > d(N,S)=40
         # marks N as between -> attach to the source instead.
-        sim, env, agents = build([0.0, 70.0, 40.0], HMTPAgent)
+        sim, env, agents = build([0.0, 70.0, 40.0], hmtp)
         agents[1].start_join()
         sim.run()
         agents[2].start_join()
@@ -64,7 +62,7 @@ class TestHMTPJoin:
 
     def test_full_node_redirects(self):
         sim, env, agents = build(
-            [0.0, 10.0, 12.0, 14.0], HMTPAgent, degrees={0: 1, 1: 4, 2: 4, 3: 4}
+            [0.0, 10.0, 12.0, 14.0], hmtp, degrees={0: 1, 1: 4, 2: 4, 3: 4}
         )
         for n in (1, 2, 3):
             agents[n].start_join()
@@ -81,7 +79,7 @@ class TestHMTPRefinement:
         # Bad tree: node 3 (at 32) under the source (at 0) while node 1
         # (at 30) is much closer.  Root-path refinement from the source
         # probes the source's children and finds node 1.
-        sim, env, agents = build([0.0, 30.0, 90.0, 32.0], HMTPAgent)
+        sim, env, agents = build([0.0, 30.0, 90.0, 32.0], hmtp)
         for n in (1, 2):
             agents[n].start_join()
             sim.run()
@@ -93,7 +91,7 @@ class TestHMTPRefinement:
         assert env.tree.parent[3] == 1
 
     def test_no_switch_when_parent_closer(self):
-        sim, env, agents = build([0.0, 5.0, 90.0], HMTPAgent)
+        sim, env, agents = build([0.0, 5.0, 90.0], hmtp)
         agents[1].start_join()
         sim.run()
         agents[2].start_join()
@@ -105,12 +103,12 @@ class TestHMTPRefinement:
 
     def test_auto_refine_period_from_config(self):
         sim, env, agents = build(
-            [0.0, 10.0], HMTPAgent, config=HMTPConfig(refine_period_s=77.0)
+            [0.0, 10.0], hmtp, config=HMTPConfig(refine_period_s=77.0)
         )
-        assert agents[1].auto_refine_period() == 77.0
+        assert agents[1].protocol.refine_period_s == 77.0
 
     def test_reconnects_at_source(self):
-        sim, env, agents = build([0.0, 30.0, 60.0, 90.0], HMTPAgent)
+        sim, env, agents = build([0.0, 30.0, 60.0, 90.0], hmtp)
         for n in (1, 2, 3):
             agents[n].start_join()
             sim.run()
@@ -124,7 +122,7 @@ class TestHMTPRefinement:
 
 class TestBTP:
     def test_joins_at_root(self):
-        sim, env, agents = build([0.0, 50.0, 80.0], BTPAgent)
+        sim, env, agents = build([0.0, 50.0, 80.0], btp)
         for n in (1, 2):
             agents[n].start_join()
             sim.run()
@@ -133,7 +131,7 @@ class TestBTP:
 
     def test_full_root_redirects_to_closest_free_child(self):
         sim, env, agents = build(
-            [0.0, 50.0, 80.0], BTPAgent, degrees={0: 1, 1: 4, 2: 4}
+            [0.0, 50.0, 80.0], btp, degrees={0: 1, 1: 4, 2: 4}
         )
         for n in (1, 2):
             agents[n].start_join()
@@ -142,7 +140,7 @@ class TestBTP:
 
     def test_sibling_switch(self):
         # Siblings at 50 and 55 under root 0: 55 should re-hang below 50.
-        sim, env, agents = build([0.0, 50.0, 55.0], BTPAgent)
+        sim, env, agents = build([0.0, 50.0, 55.0], btp)
         for n in (1, 2):
             agents[n].start_join()
             sim.run()
@@ -153,7 +151,7 @@ class TestBTP:
 
     def test_no_switch_when_root_closest(self):
         # Sibling on the far side of the root: root stays the best parent.
-        sim, env, agents = build([0.0, -50.0, 30.0], BTPAgent)
+        sim, env, agents = build([0.0, -50.0, 30.0], btp)
         for n in (1, 2):
             agents[n].start_join()
             sim.run()

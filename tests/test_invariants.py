@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.vdm import VDMAgent
 from repro.factories import vdm
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.protocols.base import ProtocolRuntime
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.network import MatrixUnderlay
@@ -184,11 +183,9 @@ class TestJoinRecords:
         assert {v.invariant for v in checker.violations} == {invariant}
 
 
-class _OverAcceptingVDM(VDMAgent):
-    """Deliberately broken protocol variant: lies about its free capacity,
-    so it accepts children past its degree limit."""
-
-    protocol_name = "vdm-broken"
+class _OverAcceptingVDM(OverlayAgent):
+    """Deliberately broken VDM agent: lies about its free capacity, so it
+    accepts children past its degree limit."""
 
     @property
     def free_degree(self) -> int:

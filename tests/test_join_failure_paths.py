@@ -7,8 +7,7 @@ no usable candidates.
 
 import pytest
 
-from repro.core.vdm import VDMAgent
-from repro.protocols.base import JoinProcess, ProtocolRuntime
+from repro.protocols.base import JoinProcess, OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ConnRequest
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
@@ -23,7 +22,7 @@ def build(positions, *, degrees=None, timeout_ms=500.0):
     agents = {}
     for host in range(len(positions)):
         limit = degrees[host] if degrees else 4
-        agents[host] = VDMAgent(host, env, degree_limit=limit)
+        agents[host] = OverlayAgent(host, env, degree_limit=limit)
         env.register(agents[host])
     return sim, env, agents
 
@@ -163,4 +162,4 @@ class TestJoinProcessGuards:
     def test_degree_limit_validation(self):
         sim, env, agents = build([0.0, 30.0])
         with pytest.raises(ValueError, match="degree_limit"):
-            VDMAgent(1, env, degree_limit=0)
+            OverlayAgent(1, env, degree_limit=0)

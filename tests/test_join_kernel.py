@@ -360,7 +360,8 @@ def test_decisions_are_the_runtime_s_decisions():
 @pytest.mark.parametrize("selection", ["closest", "random"])
 def test_agent_random_selection_only_replaces_a_case_iii_descend(selection):
     """The one knob the agent layers over the kernel."""
-    from repro.core.vdm import VDMAgent, VDMConfig
+    from repro.core.vdm import VDMConfig
+    from repro.factories import vdm
     from repro.protocols.base import ProtocolRuntime
     from repro.protocols.messages import ChildInfo, InfoResponse
     from repro.sim.engine import Simulator
@@ -370,16 +371,15 @@ def test_agent_random_selection_only_replaces_a_case_iii_descend(selection):
     env = ProtocolRuntime(
         Simulator(), MatrixUnderlay(line_matrix([0.0, 30.0, 50.0, 70.0])), source=0
     )
-    agent = VDMAgent(
-        3, env, config=VDMConfig(case3_selection=selection), rng=5
-    )
+    agent = vdm(VDMConfig(case3_selection=selection))(3, env, degree_limit=4, rng=5)
+    row = agent.protocol
     info = InfoResponse(node_id=0, free_degree=0, parent=None)
     # both children on the way to the newcomer at 70: a Case III descend
     probes = {1: (40.0, ChildInfo(1, 30.0, 0)), 2: (20.0, ChildInfo(2, 50.0, 0))}
-    decision = agent.join_decision(0, 70.0, info, probes)
+    decision = row.decide(row, agent, 0, 70.0, info, probes)
     assert isinstance(decision, Descend) and decision.child in (1, 2)
     if selection == "closest":
         assert decision == Descend(2)
     # a Case-I last-resort descend is never randomised
     opposite = {1: (100.0, ChildInfo(1, 30.0, 0)), 2: (120.0, ChildInfo(2, 50.0, 0))}
-    assert agent.join_decision(0, 70.0, info, opposite) == Descend(1)
+    assert row.decide(row, agent, 0, 70.0, info, opposite) == Descend(1)

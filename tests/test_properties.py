@@ -9,10 +9,8 @@ reconnection of every surviving node.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.vdm import VDMAgent
+from repro.factories import btp, hmtp, vdm
 from repro.protocols.base import ProtocolRuntime
-from repro.protocols.btp import BTPAgent
-from repro.protocols.hmtp import HMTPAgent
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
@@ -33,16 +31,13 @@ positions = st.lists(
 )
 
 
-def run_script(agent_cls, coords, script, degree=3):
+def run_script(factory, coords, script, degree=3):
     ul = MatrixUnderlay(line_matrix(coords))
     sim = Simulator()
     env = ProtocolRuntime(sim, ul, source=0)
 
     def make(node):
-        kwargs = {"degree_limit": degree}
-        if agent_cls is HMTPAgent:
-            kwargs["rng"] = np.random.default_rng(node)
-        agent = agent_cls(node, env, **kwargs)
+        agent = factory(node, env, degree_limit=degree, rng=np.random.default_rng(node))
         env.register(agent)
         return agent
 
@@ -94,28 +89,28 @@ def check_invariants(env, alive):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coords=positions, script=scripts)
 def test_vdm_invariants_under_random_churn(coords, script):
-    env, alive = run_script(VDMAgent, coords, script)
+    env, alive = run_script(vdm(), coords, script)
     check_invariants(env, alive)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coords=positions, script=scripts)
 def test_hmtp_invariants_under_random_churn(coords, script):
-    env, alive = run_script(HMTPAgent, coords, script)
+    env, alive = run_script(hmtp(), coords, script)
     check_invariants(env, alive)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coords=positions, script=scripts)
 def test_btp_invariants_under_random_churn(coords, script):
-    env, alive = run_script(BTPAgent, coords, script)
+    env, alive = run_script(btp(), coords, script)
     check_invariants(env, alive)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coords=positions, script=scripts, degree=st.integers(1, 5))
 def test_vdm_degree_limit_never_violated(coords, script, degree):
-    env, alive = run_script(VDMAgent, coords, script, degree=degree)
+    env, alive = run_script(vdm(), coords, script, degree=degree)
     for node in env.tree.members():
         assert len(env.tree.children.get(node, ())) <= degree
 
@@ -124,7 +119,7 @@ def test_vdm_degree_limit_never_violated(coords, script, degree):
 @given(coords=positions)
 def test_vdm_sequential_join_connects_everyone(coords):
     """With no churn, every join must eventually succeed."""
-    env, alive = run_script(VDMAgent, coords, list(range(1, N_HOSTS)))
+    env, alive = run_script(vdm(), coords, list(range(1, N_HOSTS)))
     tree = env.tree
     for node in range(1, N_HOSTS):
         assert tree.is_present(node)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.vdm import VDMAgent
-from repro.protocols.base import ProtocolRuntime
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ChildRemove, InfoRequest, InfoResponse
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
@@ -21,7 +20,7 @@ def setup():
     ul = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0]))
     sim = Simulator()
     env = ProtocolRuntime(sim, ul, source=0, timeout_ms=1000.0)
-    agents = {i: VDMAgent(i, env) for i in range(3)}
+    agents = {i: OverlayAgent(i, env) for i in range(3)}
     for a in agents.values():
         env.register(a)
     return sim, env, agents
@@ -106,7 +105,7 @@ def _runtime(positions, *, fast: bool, timeout_ms: float = 1000.0):
     if not fast:
         env.message_faults = oracles.IdentityLegs()
     for i in range(len(positions)):
-        env.register(VDMAgent(i, env))
+        env.register(OverlayAgent(i, env))
     return sim, env
 
 
@@ -172,7 +171,7 @@ class TestRequestContract:
         log = []
         _logging_request(sim, env, log, 0, 1)
         sim.schedule(0.006, lambda: env.mark_dead(0))
-        sim.schedule(0.5, lambda: env.register(VDMAgent(0, env)))
+        sim.schedule(0.5, lambda: env.register(OverlayAgent(0, env)))
         sim.run()
         assert _observed(sim, env, log) == (
             [(1.0, "TO")],
@@ -329,7 +328,7 @@ def _drive(fast, n_nodes, ops):
         elif kind == "thaw":
             env.thaw(a)
         elif not env.is_alive(a):
-            env.register(VDMAgent(a, env))
+            env.register(OverlayAgent(a, env))
 
     for index, (at, kind, a, b) in enumerate(ops):
         a, b = a % n_nodes, b % n_nodes
@@ -449,10 +448,10 @@ class TestConstruction:
     def test_duplicate_registration_rejected(self, setup):
         _, env, agents = setup
         with pytest.raises(ValueError, match="already registered"):
-            env.register(VDMAgent(1, env))
+            env.register(OverlayAgent(1, env))
 
     def test_reregistration_after_death_allowed(self, setup):
         _, env, agents = setup
         env.mark_dead(1)
-        env.register(VDMAgent(1, env))
+        env.register(OverlayAgent(1, env))
         assert env.is_alive(1)

@@ -75,3 +75,62 @@ class TestRng:
         v1 = spawn_rng(7, "churn").integers(1_000_000)
         v2 = spawn_rng(7, "churn").integers(1_000_000)
         assert v1 == v2
+
+
+def _start_refinement(period_s):
+    from repro.protocols.base import OverlayAgent, ProtocolRuntime
+    from repro.sim.engine import Simulator
+    from repro.sim.network import MatrixUnderlay
+    from tests.helpers import line_matrix
+
+    env = ProtocolRuntime(Simulator(), MatrixUnderlay(line_matrix([0.0, 10.0])), 0)
+    OverlayAgent(1, env).start_refinement(period_s)
+
+
+def _scale_tree(tie_tolerance):
+    from repro.harness.scale import build_scale_tree
+    from repro.sim.network import MatrixUnderlay
+    from tests.helpers import line_matrix
+
+    underlay = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0]))
+    build_scale_tree(underlay, "vdm", 3, tie_tolerance=tie_tolerance)
+
+
+def _builders():
+    from repro.core.vdm import VDMConfig
+    from repro.protocols.btp import BTPConfig
+    from repro.protocols.hmtp import HMTPConfig
+    from repro.sim.session import SessionConfig
+
+    return {
+        "VDMConfig.tie_tolerance": lambda v: VDMConfig(tie_tolerance=v),
+        "VDMConfig.refine_period_s": lambda v: VDMConfig(refine_period_s=v),
+        "HMTPConfig.refine_period_s": lambda v: HMTPConfig(refine_period_s=v),
+        "BTPConfig.refine_period_s": lambda v: BTPConfig(refine_period_s=v),
+        "SessionConfig.refine_period_s": lambda v: SessionConfig(refine_period_s=v),
+        "build_scale_tree.tie_tolerance": _scale_tree,
+        "OverlayAgent.start_refinement": _start_refinement,
+    }
+
+
+class TestProtocolKnobsRefuseNonFinite:
+    """A NaN tie tolerance put every child in Case III; a NaN period died
+    mid-run on a NaN event time; an infinite HMTP period silently turned
+    off the refinement HMTP needs to converge.  All refuse up front."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "VDMConfig.tie_tolerance",
+            "VDMConfig.refine_period_s",
+            "HMTPConfig.refine_period_s",
+            "BTPConfig.refine_period_s",
+            "SessionConfig.refine_period_s",
+            "build_scale_tree.tie_tolerance",
+            "OverlayAgent.start_refinement",
+        ],
+    )
+    def test_refused_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match="NaN|finite"):
+            _builders()[knob](value)

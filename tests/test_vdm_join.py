@@ -6,7 +6,8 @@ equals coordinate distance.
 """
 
 
-from repro.core.vdm import VDMAgent, VDMConfig
+from repro.core.vdm import VDMConfig
+from repro.factories import vdm
 from repro.protocols.base import ProtocolRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
@@ -22,7 +23,7 @@ def build(positions, *, source=0, degree=4, config=None, degrees=None):
     agents = {}
     for host in range(len(positions)):
         limit = degrees[host] if degrees else degree
-        agents[host] = VDMAgent(host, env, degree_limit=limit, config=config)
+        agents[host] = vdm(config)(host, env, degree_limit=limit)
         env.register(agents[host])
     return sim, env, agents
 
