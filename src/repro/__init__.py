@@ -8,10 +8,8 @@ regenerating every figure of the paper's evaluation.
 
 Quickstart
 ----------
->>> from repro import (
-...     MulticastSession, SessionConfig, RouterUnderlay,
-...     generate_transit_stub, vdm,
-... )
+>>> from repro import MulticastSession, SessionConfig, vdm
+>>> from repro.harness.substrates import build_transit_stub_underlay
 >>> # (see examples/quickstart.py for a complete runnable walkthrough)
 
 Package map
@@ -58,17 +56,15 @@ from repro.protocols import (
 from repro.sim import (
     Simulator,
     Underlay,
-    RouterUnderlay,
     MatrixUnderlay,
+    NoRouteError,
     MulticastSession,
     SessionConfig,
     SessionResult,
 )
 from repro.topology import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_planetlab_pool,
-    assign_link_errors,
     LinkErrorConfig,
 )
 from repro.core.capacity import UplinkPopulation, degree_from_uplink
@@ -108,15 +104,13 @@ __all__ = [
     "degree_constrained_mst",
     "Simulator",
     "Underlay",
-    "RouterUnderlay",
     "MatrixUnderlay",
+    "NoRouteError",
     "MulticastSession",
     "SessionConfig",
     "SessionResult",
     "TransitStubConfig",
-    "generate_transit_stub",
     "generate_planetlab_pool",
-    "assign_link_errors",
     "LinkErrorConfig",
     "UplinkPopulation",
     "degree_from_uplink",

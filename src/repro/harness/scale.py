@@ -65,7 +65,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import isfinite
 
-import networkx as nx
 import numpy as np
 
 from repro.core.join import (
@@ -78,7 +77,7 @@ from repro.core.join import (
     split_cases,
     vdm_decide,
 )
-from repro.sim.network import Underlay
+from repro.sim.network import NoRouteError, Underlay
 from repro.topology.transit_stub import TransitStubConfig
 from repro.util.validation import check_finite
 
@@ -160,7 +159,7 @@ class _PairQueries:
     row source is tested against); underlays that serve no rows — the
     lazy engine, host ids that are not indices — get it under either
     kernel.
-    ``rtt_ms`` / ``delay_ms`` raise ``NetworkXNoPath`` themselves.
+    ``rtt_ms`` / ``delay_ms`` raise ``NoRouteError`` themselves.
     """
 
     def __init__(self, underlay: Underlay) -> None:
@@ -273,11 +272,11 @@ class _SparseRows(_PairQueries):
 
 
 def _finite(values: list[float], a: int) -> list[float]:
-    """``values`` gathered from host ``a``, or ``NetworkXNoPath`` when
+    """``values`` gathered from host ``a``, or ``NoRouteError`` when
     any of them is not finite (an unreachable pair reads ``inf`` off a
     Dijkstra row)."""
     if not all(map(isfinite, values)):
-        raise nx.NetworkXNoPath(f"no route from host {a}")
+        raise NoRouteError(f"no route from host {a}")
     return values
 
 

@@ -10,8 +10,8 @@ Every transit-stub substrate, from the paper's size to 10⁵-router scale
 cells, is a :class:`~repro.sim.sparse.SparseUnderlay`: CSR triplets and
 Dijkstra rows computed on first use, with a row store whose capacity the
 input size decides.  It answers every query byte-identically to the lazy
-:class:`~repro.sim.network.RouterUnderlay` the tests build from the same
-three RNG streams (``tests/helpers.py``).  Every builder consults the
+networkx oracle the tests build from the same three RNG streams
+(``tests/helpers.py``).  Every builder consults the
 content-addressed artifact cache of :mod:`repro.util.artifacts`, keyed by
 the complete build recipe, so a warm cache skips topology generation
 entirely and loads memory-mapped arrays instead;

@@ -24,9 +24,9 @@ measured against:
 from __future__ import annotations
 
 import heapq
+import math
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
-
-import networkx as nx
 
 from repro.core.join import Attach, Decision
 
@@ -58,19 +58,47 @@ def mst_parent_map(
     """Exact MST over the complete member graph, rooted at ``source``.
 
     Returns a parent map (child -> parent) covering every member except the
-    source.  Edge weights come from ``weight(a, b)``, typically the session
-    RTT metric.
+    source, in breadth-first order.  Edge weights come from
+    ``weight(a, b)``, typically the session RTT metric; a NaN weight is a
+    ``ValueError``.
+
+    Kruskal over the member pairs ``(nodes[i], nodes[j])``, ``i < j``,
+    stably sorted by weight, so ties go to the earlier pair; then a BFS
+    from the source that visits each member's tree neighbours in the
+    order their edges were accepted.  That is networkx's
+    ``minimum_spanning_tree`` + ``bfs_edges`` answer, dict order
+    included, which ``tests/test_mst.py`` holds it to.
     """
     nodes = _check_members(members, source)
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
+    edges = []
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
-            graph.add_edge(a, b, weight=float(weight(a, b)))
-    mst = nx.minimum_spanning_tree(graph, weight="weight")
+            w = float(weight(a, b))
+            if math.isnan(w):
+                raise ValueError(f"NaN weight on member pair ({a}, {b})")
+            edges.append((w, a, b))
+    edges.sort(key=itemgetter(0))
+    component = {n: n for n in nodes}
+
+    def find(n: int) -> int:
+        while component[n] != n:
+            component[n] = n = component[component[n]]
+        return n
+
+    neighbours: dict[int, list[int]] = {n: [] for n in nodes}
+    for _, a, b in edges:
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            component[root_a] = root_b
+            neighbours[a].append(b)
+            neighbours[b].append(a)
     parents: dict[int, int] = {}
-    for parent, child in nx.bfs_edges(mst, source):
-        parents[child] = parent
+    queue = [source]
+    for parent in queue:  # grows while it is walked: a FIFO
+        for child in neighbours[parent]:
+            if child != source and child not in parents:
+                parents[child] = parent
+                queue.append(child)
     return parents
 
 

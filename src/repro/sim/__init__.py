@@ -16,7 +16,7 @@ substrate built from scratch:
 """
 
 from repro.sim.engine import Simulator, Event
-from repro.sim.network import Underlay, RouterUnderlay, MatrixUnderlay
+from repro.sim.network import Underlay, MatrixUnderlay, NoRouteError
 from repro.sim.delivery import DeliveryAccountant, WindowSnapshot
 from repro.sim.churn import ChurnSchedule, SlottedChurnModel
 from repro.sim.faults import FAULT_PRESETS, FaultInjector, FaultPlan, resolve_fault_plan
@@ -27,8 +27,8 @@ __all__ = [
     "Simulator",
     "Event",
     "Underlay",
-    "RouterUnderlay",
     "MatrixUnderlay",
+    "NoRouteError",
     "DeliveryAccountant",
     "WindowSnapshot",
     "ChurnSchedule",

@@ -4,34 +4,30 @@ The overlay protocols only ever see *hosts* and inter-host delays; the
 underlay decides what those delays are and which physical links an overlay
 hop consumes.  Two concrete models mirror the paper's two environments:
 
-* :class:`RouterUnderlay` — a router-level graph (transit-stub for Chapter
-  3) with hosts attached to stub routers through access links.  Supports
-  per-physical-link *stress* accounting (eq. 3.4) because multiple overlay
-  hops share router links.
+* :class:`repro.sim.sparse.SparseUnderlay` — a router-level CSR graph
+  (transit-stub for Chapter 3) with hosts attached to stub routers
+  through access links.  Supports per-physical-link *stress* accounting
+  (eq. 3.4) because multiple overlay hops share router links.
 * :class:`MatrixUnderlay` — a host-level RTT matrix (the PlanetLab
   emulation of Chapter 5).  Physical paths are opaque, so resource usage is
   measured as the summed latency of used overlay links (Section 5.3), which
   is exactly how the paper measured it on PlanetLab.
 
-Both expose the same interface, so sessions, protocols, and metrics are
-substrate-agnostic.
+Both expose the same :class:`Underlay` interface, so sessions, protocols,
+and metrics are substrate-agnostic.
 
 Hot-path caching: underlay paths are immutable after construction, yet the
 metric collectors and the delivery accountant re-query the same host pairs
-on every measurement window.  :class:`RouterUnderlay` therefore memoizes
+on every measurement window.  The router-graph engine therefore memoizes
 ``delay_ms`` / ``path_links`` / ``path_error`` per ordered host pair, and
 :class:`MatrixUnderlay` precomputes its one-way delay matrix.  A memo hit
 returns the very object the miss computed, so the caches are invisible to
 callers; ``tests/test_parallel_harness.py`` pins miss ``==`` hit.
 
-:class:`RouterUnderlay` discovers shortest paths *lazily*, one Dijkstra
-source at a time, on a networkx graph.  It is the public entry point for
-hand-built router graphs and the tests' lazy oracle; the substrate
-builders serve every transit-stub run from the one CSR router-graph
-engine, :class:`repro.sim.sparse.SparseUnderlay`, which answers every
-query byte-identically.  Both router-graph engines refuse illegal input
-at construction through the same two checks: :meth:`RouterUnderlay._per_host`
-for access links and :func:`_check_links` for router links.
+Router-graph input is refused at construction through two module-level
+checks, :func:`_per_host` for access links and :func:`_check_links` for
+router links; the tests' lazy networkx oracle (``tests/lazy_underlay.py``)
+runs the same two.  An unreachable host pair raises :class:`NoRouteError`.
 """
 
 from __future__ import annotations
@@ -40,13 +36,9 @@ import math
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csgraph
 
-from repro.sim.pathtree import routers_along, walk_links
-
-__all__ = ["Underlay", "RouterUnderlay", "MatrixUnderlay"]
+__all__ = ["Underlay", "MatrixUnderlay", "NoRouteError"]
 
 LinkId = Hashable
 
@@ -132,208 +124,33 @@ class Underlay(ABC):
         return cached
 
 
-class RouterUnderlay(Underlay):
-    """Hosts attached to routers of a weighted graph (e.g. transit-stub).
+class NoRouteError(Exception):
+    """No path joins the two endpoints: the routers lie in different
+    components of the router graph."""
 
-    Parameters
-    ----------
-    graph:
-        Undirected router graph.  Edges need a ``delay`` attribute (one-way
-        ms) and may carry an ``error`` attribute (loss probability,
-        default 0).
-    attachments:
-        Mapping host id -> router id.  Multiple hosts may share a router
-        (the paper's 1000-host sweep exceeds its 792 routers).
-    access_delay_ms:
-        Mapping host id -> one-way access-link delay, or a scalar applied
-        to every host.  The access link is a real physical link for stress
-        purposes: a host with k children sends k copies over it.
-    access_error:
-        Loss probability of access links (scalar or per-host mapping).
-    """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        attachments: dict[int, int],
-        *,
-        access_delay_ms: float | dict[int, float] = 0.5,
-        access_error: float | dict[int, float] = 0.0,
-    ) -> None:
-        if not attachments:
-            raise ValueError("attachments must not be empty")
-        for host, router in attachments.items():
-            if router not in graph:
-                raise KeyError(f"host {host} attached to unknown router {router}")
-        self.graph = graph
-        self.attachments = dict(attachments)
-        self._hosts = sorted(self.attachments)
-        self._host_idx = {h: i for i, h in enumerate(self._hosts)}
-        self._access_delay = self._per_host(access_delay_ms, "access_delay_ms")
-        self._access_error = self._per_host(access_error, "access_error", 1.0)
-        # Router graph in CSR form for scipy's Dijkstra (profiling showed
-        # pure-python Dijkstra dominating session time at paper scale).
-        self._router_ids = list(graph.nodes())
-        self._router_idx = {r: i for i, r in enumerate(self._router_ids)}
-        idx = self._router_idx
-        edges = list(graph.edges(data=True))
-        # A missing ``delay`` is networkx's default weight of 1 in the CSR.
-        _check_links(
-            [idx[u] for u, _, _ in edges],
-            [idx[v] for _, v, _ in edges],
-            [data.get("delay", 1.0) for _, _, data in edges],
-            [data.get("error", 0.0) for _, _, data in edges],
-        )
-        self._csr = nx.to_scipy_sparse_array(
-            graph, nodelist=self._router_ids, weight="delay", format="csr"
-        )
-        # Per-source-router Dijkstra results, filled lazily:
-        # router -> (distance array, predecessor-index array).
-        self._dist: dict[int, np.ndarray] = {}
-        self._pred: dict[int, np.ndarray] = {}
-        # Per-ordered-host-pair memos; paths never change once built.
-        self._delay_cache: dict[tuple[int, int], float] = {}
-        self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
-        self._error_cache: dict[tuple[int, int], float] = {}
-        self._domain_map: dict[int, int] | None = None  # read on first use
-
-    def _per_host(
-        self, value: float | dict[int, float], what: str, upper: float = math.inf
-    ) -> dict[int, float]:
-        """``value`` — a scalar, or a mapping covering every host — as a
-        per-host dict whose every entry is finite and in ``[0, upper]``."""
-        if isinstance(value, dict):
-            missing = set(self._hosts) - set(value)
-            if missing:
-                raise KeyError(f"missing per-host values for hosts {sorted(missing)}")
-            values = {h: float(value[h]) for h in self._hosts}
-        else:
-            values = dict.fromkeys(self._hosts, float(value))
-        for host, v in values.items():
-            if not (math.isfinite(v) and 0.0 <= v <= upper):
-                raise ValueError(
-                    f"{what} of host {host} must be finite and in "
-                    f"[0, {upper}], got {v}"
-                )
-        return values
-
-    @property
-    def hosts(self) -> Sequence[int]:
-        return self._hosts
-
-    def router_of(self, host: int) -> int:
-        self.validate_host(host)
-        return self.attachments[host]
-
-    def host_domain(self, host: int) -> int | None:
-        """Transit domain of ``host``'s router (transit-stub graphs only)."""
-        self.validate_host(host)
-        domains = self._domain_map
-        if domains is None:
-            try:
-                from repro.topology.transit_stub import router_transit_domains
-
-                domains = router_transit_domains(self.graph)
-            except KeyError:
-                # Not a transit-stub graph (no level/domain attributes) —
-                # remember that so we only probe once.
-                domains = {}
-            self._domain_map = domains
-        return domains.get(self.attachments[host])
-
-    def _ensure_dijkstra(self, router: int) -> None:
-        if router not in self._dist:
-            dist, pred = csgraph.dijkstra(
-                self._csr,
-                directed=False,
-                indices=self._router_idx[router],
-                return_predecessors=True,
+def _per_host(
+    hosts: Sequence[int],
+    value: float | dict[int, float],
+    what: str,
+    upper: float = math.inf,
+) -> dict[int, float]:
+    """``value`` — a scalar, or a mapping covering every host — as a
+    per-host dict whose every entry is finite and in ``[0, upper]``."""
+    if isinstance(value, dict):
+        missing = set(hosts) - set(value)
+        if missing:
+            raise KeyError(f"missing per-host values for hosts {sorted(missing)}")
+        values = {h: float(value[h]) for h in hosts}
+    else:
+        values = dict.fromkeys(hosts, float(value))
+    for host, v in values.items():
+        if not (math.isfinite(v) and 0.0 <= v <= upper):
+            raise ValueError(
+                f"{what} of host {host} must be finite and in "
+                f"[0, {upper}], got {v}"
             )
-            self._dist[router] = dist
-            self._pred[router] = pred
-
-    def router_distance(self, r_a: int, r_b: int) -> float:
-        """Shortest-path delay between two routers."""
-        self._ensure_dijkstra(r_a)
-        dist = float(self._dist[r_a][self._router_idx[r_b]])
-        if not np.isfinite(dist):
-            raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        return dist
-
-    def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
-        """Router link ids of one shortest path from ``r_a`` to ``r_b``
-        (deterministic: scipy's predecessor choice is stable for a fixed
-        graph)."""
-        self._ensure_dijkstra(r_a)
-        target = self._router_idx[r_b]
-        if not np.isfinite(self._dist[r_a][target]):
-            raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
-        return walk_links(
-            self._pred[r_a], self._router_idx[r_a], target, self._router_ids
-        )
-
-    def router_path(self, r_a: int, r_b: int) -> list[int]:
-        """The routers of that path, ``r_a`` first."""
-        return routers_along(r_a, self._router_links(r_a, r_b))
-
-    def delay_ms(self, a: int, b: int) -> float:
-        key = (a, b)
-        cached = self._delay_cache.get(key)
-        if cached is not None:
-            return cached
-        self.validate_host(a)
-        self.validate_host(b)
-        if a == b:
-            value = 0.0
-        else:
-            base = self.router_distance(self.attachments[a], self.attachments[b])
-            value = self._access_delay[a] + base + self._access_delay[b]
-        self._delay_cache[key] = value
-        return value
-
-    def _assemble_path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
-        self.validate_host(a)
-        self.validate_host(b)
-        if a == b:
-            return ()
-        hops = self._router_links(self.attachments[a], self.attachments[b])
-        return (("access", a), *hops, ("access", b))
-
-    def path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
-        key = (a, b)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        links = self._assemble_path_links(a, b)
-        self._path_cache[key] = links
-        return links
-
-    def path_error(self, a: int, b: int) -> float:
-        key = (a, b)
-        cached = self._error_cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._compute_path_error(self.path_links(a, b))
-        self._error_cache[key] = value
-        return value
-
-    def link_delay(self, link: LinkId) -> float:
-        kind, payload = _split_link(link)
-        if kind == "access" and len(payload) == 1:
-            return self._access_delay[payload[0]]
-        if kind == "router" and len(payload) == 2:
-            u, v = payload
-            return float(self.graph.edges[u, v]["delay"])
-        raise KeyError(f"unknown link id {link!r}")
-
-    def link_error(self, link: LinkId) -> float:
-        kind, payload = _split_link(link)
-        if kind == "access" and len(payload) == 1:
-            return self._access_error[payload[0]]
-        if kind == "router" and len(payload) == 2:
-            u, v = payload
-            return float(self.graph.edges[u, v].get("error", 0.0))
-        raise KeyError(f"unknown link id {link!r}")
+    return values
 
 
 def _split_link(link: LinkId) -> tuple[object, tuple]:
@@ -347,7 +164,7 @@ def _split_link(link: LinkId) -> tuple[object, tuple]:
 
 def _check_links(edge_u, edge_v, delay, error=None) -> None:
     """Refuse illegal router links: the router-link twin of
-    :meth:`RouterUnderlay._per_host`, shared by both router-graph engines.
+    :func:`_per_host`.
 
     Every delay must be finite and ``>= 0`` (a negative one never lets
     Dijkstra settle; ``nan``/``inf`` would surface as a missing route at
@@ -380,6 +197,15 @@ def _check_links(edge_u, edge_v, delay, error=None) -> None:
         raise ValueError(f"router link ({lo[i]}, {hi[i]}) is given more than once")
 
 
+def _check_entries(matrix: np.ndarray, ok: np.ndarray, what: str, rule: str) -> None:
+    """Refuse the first matrix entry where ``ok`` is false, by position."""
+    if not ok.all():
+        i, j = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        raise ValueError(
+            f"{what} matrix entry ({i}, {j}) must be {rule}, got {matrix[i, j]}"
+        )
+
+
 class MatrixUnderlay(Underlay):
     """Host-level substrate defined by a pairwise RTT matrix.
 
@@ -398,6 +224,13 @@ class MatrixUnderlay(Underlay):
         rtt_arr = np.asarray(rtt_ms, dtype=float)
         if rtt_arr.ndim != 2 or rtt_arr.shape[0] != rtt_arr.shape[1]:
             raise ValueError(f"rtt matrix must be square, got shape {rtt_arr.shape}")
+        _check_entries(rtt_arr, np.isfinite(rtt_arr), "rtt", "finite")
+        if loss is not None:
+            loss = np.asarray(loss, dtype=float)
+            if loss.shape != rtt_arr.shape:
+                raise ValueError("loss matrix shape must match rtt matrix")
+            # NaN fails both comparisons, so it is refused here too.
+            _check_entries(loss, (loss >= 0.0) & (loss <= 1.0), "loss", "in [0, 1]")
         if not np.allclose(rtt_arr, rtt_arr.T):
             raise ValueError("rtt matrix must be symmetric")
         if np.any(rtt_arr < 0):
@@ -411,12 +244,6 @@ class MatrixUnderlay(Underlay):
             raise ValueError(
                 f"host_ids length {len(host_ids)} != matrix size {n}"
             )
-        if loss is not None:
-            loss = np.asarray(loss, dtype=float)
-            if loss.shape != rtt_arr.shape:
-                raise ValueError("loss matrix shape must match rtt matrix")
-            if np.any((loss < 0) | (loss > 1)):
-                raise ValueError("loss matrix entries must be probabilities")
         self._rtt = rtt_arr
         # One-way delays, precomputed once (0.5 scaling is exact in IEEE
         # floats, so this matches the historical per-call division bit for

@@ -3,10 +3,10 @@
 A Dijkstra predecessor row is a tree rooted at its source router.  The
 one thing the underlays do with that tree lives here, once:
 :func:`walk_links`, the predecessor hop walk, emits the
-``("router", lo, hi)`` link ids of one source → target path.  The lazy
-:class:`~repro.sim.network.RouterUnderlay` and the CSR
-:class:`~repro.sim.sparse.SparseUnderlay` both reconstruct paths through
-it; :func:`routers_along` recovers the router sequence from the links.
+``("router", lo, hi)`` link ids of one source → target path.  The CSR
+:class:`~repro.sim.sparse.SparseUnderlay` and the tests' lazy networkx
+oracle (``tests/lazy_underlay.py``) both reconstruct paths through it;
+:func:`routers_along` recovers the router sequence from the links.
 A path's loss probability is then the per-pair product over those links
 (``Underlay._compute_path_error``), memoized per ordered pair.
 

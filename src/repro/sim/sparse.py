@@ -8,14 +8,14 @@ store** that lives as long as the underlay does.  There is no V² matrix:
 peak memory is O(E + store · V).
 
 Exactness discipline (DESIGN.md §8): every query is answered
-**byte-identically** to the lazy :class:`~repro.sim.network.RouterUnderlay`
-on the same graph: the CSR matrix holds the same canonicalized values
-networkx would produce, scipy's Dijkstra is deterministic on it, and the
-float association of ``delay_ms`` (``(access_a + base) + access_b``) is
-copied verbatim.  The equivalence suite in ``tests/test_sparse_underlay.py``
-pins this.
+**byte-identically** to the tests' lazy networkx oracle
+(``tests/lazy_underlay.py``) on the same graph: the CSR matrix holds the
+same canonicalized values ``networkx.to_scipy_sparse_array`` produces,
+scipy's Dijkstra is deterministic on it, and the float association of
+``delay_ms`` (``(access_a + base) + access_b``) is copied verbatim.  The
+equivalence suite in ``tests/test_sparse_underlay.py`` pins this.
 
-The per-ordered-pair memo dicts mirror the lazy underlay's but are
+The per-ordered-pair memo dicts mirror the oracle's but are
 *bounded*: at scale the set of queried pairs is itself O(members ·
 probes), so each memo clears itself at ``_PAIR_MEMO_CAP`` entries — a
 transparent cache policy, never a correctness knob.
@@ -52,16 +52,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import csgraph
 
 from repro.sim.network import (
     LinkId,
-    RouterUnderlay,
+    NoRouteError,
     Underlay,
     _check_links,
+    _per_host,
     _split_link,
 )
 from repro.sim.pathtree import routers_along, walk_links
@@ -180,8 +180,9 @@ class SparseUnderlay(Underlay):
     ``[0, 1]``, a link given twice) are a ``ValueError`` here, not a
     hang or a wrong answer later.
 
-    Parameters mirror :class:`~repro.sim.network.RouterUnderlay` where
-    they overlap.  ``router_domain`` (per-router transit-domain indices,
+    ``attachments`` maps host id -> router id (hosts may share a router);
+    ``access_delay_ms`` / ``access_error`` give each host's access link,
+    as a scalar or a per-host mapping.  ``router_domain`` (per-router transit-domain indices,
     ``-1`` = unknown; one per router) feeds :meth:`host_domain` for
     correlated fault plans.  ``row_cache`` overrides the row store's
     size-derived capacity (tests use it to force eviction).
@@ -221,8 +222,8 @@ class SparseUnderlay(Underlay):
         self.attachments = dict(attachments)
         self._hosts = sorted(self.attachments)
         self._host_idx = {h: i for i, h in enumerate(self._hosts)}
-        self._access_delay = self._per_host(access_delay_ms, "access_delay_ms")
-        self._access_error = self._per_host(access_error, "access_error", 1.0)
+        self._access_delay = _per_host(self._hosts, access_delay_ms, "access_delay_ms")
+        self._access_error = _per_host(self._hosts, access_error, "access_error", 1.0)
 
         # Canonical symmetric CSR.  coo->csr sorts indices exactly like
         # ``nx.to_scipy_sparse_array`` (and each link is given once, so
@@ -288,9 +289,6 @@ class SparseUnderlay(Underlay):
         ) and self._err_csr is None
 
     # -- shared plumbing -----------------------------------------------------
-
-    # One access-link rule (and one refusal) for every router-graph engine.
-    _per_host = RouterUnderlay._per_host
 
     @property
     def hosts(self) -> Sequence[int]:
@@ -440,14 +438,14 @@ class SparseUnderlay(Underlay):
         dist, _ = self._row(r_a)
         value = float(dist[r_b])
         if not np.isfinite(value):
-            raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
+            raise NoRouteError(f"no route between routers {r_a} and {r_b}")
         return value
 
     def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
         """Router link ids of one shortest path."""
         dist, pred = self._row(r_a)
         if not np.isfinite(dist[r_b]):
-            raise nx.NetworkXNoPath(f"no route between routers {r_a} and {r_b}")
+            raise NoRouteError(f"no route between routers {r_a} and {r_b}")
         # router ids are the CSR indices
         return walk_links(pred, r_a, r_b, range(self.n_routers))
 

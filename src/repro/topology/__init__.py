@@ -12,24 +12,22 @@ The paper's two evaluation environments are rebuilt here:
   the delay/loss decorrelation that motivates Chapter 4.
 """
 
-from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
+from repro.topology.transit_stub import TransitStubConfig
 from repro.topology.geo import GeoSite, great_circle_km, rtt_ms_between
 from repro.topology.planetlab import (
     PlanetLabNode,
     PlanetLabPool,
     generate_planetlab_pool,
 )
-from repro.topology.linkmodel import assign_link_errors, LinkErrorConfig
+from repro.topology.linkmodel import LinkErrorConfig
 
 __all__ = [
     "TransitStubConfig",
-    "generate_transit_stub",
     "GeoSite",
     "great_circle_km",
     "rtt_ms_between",
     "PlanetLabNode",
     "PlanetLabPool",
     "generate_planetlab_pool",
-    "assign_link_errors",
     "LinkErrorConfig",
 ]

@@ -7,7 +7,7 @@ inversely correlated and the rest gave differing ratios.  The Chapter 4
 experiments then assign each physical link "a random error rate between 0%
 and 2%".
 
-:func:`assign_link_errors` implements both regimes:
+:func:`link_error_array` implements both regimes:
 
 * ``correlation=0`` (the paper's setup) — i.i.d. uniform error rates,
   independent of link delay;
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
 from repro.util.validation import check_in_range, check_probability
 
-__all__ = ["LinkErrorConfig", "assign_link_errors", "link_error_array"]
+__all__ = ["LinkErrorConfig", "link_error_array"]
 
 
 @dataclass(frozen=True)
@@ -51,43 +50,6 @@ class LinkErrorConfig:
         check_in_range("correlation", self.correlation, -1.0, 1.0)
 
 
-def assign_link_errors(
-    graph: nx.Graph,
-    config: LinkErrorConfig | None = None,
-    *,
-    seed: int | np.random.Generator | None = None,
-) -> None:
-    """Attach an ``error`` attribute (loss probability) to every edge.
-
-    With nonzero ``correlation`` c, the error *rank* of each link is a blend
-    of its delay rank and an independent random rank: rank = |c| * delay_rank
-    + (1-|c|) * random_rank, inverted when c < 0.  Ranks map linearly onto
-    [min_error, max_error].
-    """
-    config = config or LinkErrorConfig()
-    rng = rng_from_seed(seed)
-    edges = list(graph.edges())
-    m = len(edges)
-    if m == 0:
-        return
-    lo, hi = config.min_error, config.max_error
-
-    if config.correlation == 0.0:
-        errors = rng.uniform(lo, hi, size=m)
-    else:
-        delays = np.array([graph.edges[e].get("delay", 1.0) for e in edges])
-        delay_rank = np.argsort(np.argsort(delays)) / max(1, m - 1)
-        random_rank = rng.permutation(m) / max(1, m - 1)
-        c = abs(config.correlation)
-        blended = c * delay_rank + (1.0 - c) * random_rank
-        if config.correlation < 0:
-            blended = 1.0 - blended
-        errors = lo + blended * (hi - lo)
-
-    for e, err in zip(edges, errors):
-        graph.edges[e]["error"] = float(err)
-
-
 def link_error_array(
     edge_u: np.ndarray,
     edge_v: np.ndarray,
@@ -96,14 +58,19 @@ def link_error_array(
     *,
     seed: int | np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Per-edge error rates for a triplet-form edge list (sparse substrates).
+    """Per-edge error rates for a triplet-form edge list.
 
-    Bit-identical to :func:`assign_link_errors` on the equivalent
-    ``nx.Graph``: that path draws in ``graph.edges()`` order, which for a
-    graph whose nodes were added ascending is the *stable sort of the edge
-    list by min endpoint* (each edge is yielded when its lower endpoint is
-    visited, in per-node insertion order).  We draw in that order and
-    scatter the results back to edge-array order.
+    With nonzero ``correlation`` c, the error *rank* of each link is a blend
+    of its delay rank and an independent random rank: rank = |c| * delay_rank
+    + (1-|c|) * random_rank, inverted when c < 0.  Ranks map linearly onto
+    [min_error, max_error].
+
+    Draws happen in the *stable sort of the edge list by min endpoint* —
+    the ``graph.edges()`` order of the historical graph-form draw, whose
+    nodes were added ascending (each edge is yielded when its lower
+    endpoint is visited, in per-node insertion order) — and scatter back
+    to edge-array order.  ``tests/lazy_underlay.assign_link_errors`` is
+    that graph-form twin; the equivalence suites pin the two bit for bit.
     """
     config = config or LinkErrorConfig()
     rng = rng_from_seed(seed)

@@ -16,26 +16,21 @@ medium intra-transit and stub-transit links, short intra-stub links), so the
 stress/stretch behaviour of overlay trees on top of it is comparable to the
 paper's substrate.
 
-The generator works in two layers.  :func:`generate_transit_stub_arrays`
-is the core: it emits the topology directly as flat CSR-ready triplet
-arrays (edge endpoints, delays, kinds, plus per-node level/domain arrays)
-without ever building a per-node adjacency structure, so generation stays
-O(E) in memory and is usable at 100k+ routers.  :func:`generate_transit_stub`
-wraps it into the :class:`networkx.Graph` the lazy ``RouterUnderlay``
-consumes; both layers draw from the RNG in the exact order of the original
-graph-first implementation, so existing seeds reproduce bit-identically
-(pinned in ``tests/test_transit_stub_arrays.py``).
-
-Nodes carry a ``level`` attribute (``"transit"`` or ``"stub"``) and a
-``domain`` attribute; edges carry ``delay`` (one-way, milliseconds) and
-``kind`` attributes.
+:func:`generate_transit_stub_arrays` emits the topology directly as flat
+CSR-ready triplet arrays (edge endpoints, one-way delays in milliseconds,
+kinds, plus per-router level/domain arrays) without ever building a
+per-node adjacency structure, so generation stays O(E) in memory and is
+usable at 100k+ routers.  It draws from the RNG in the exact order of the
+original graph-first implementation, so existing seeds reproduce
+bit-identically: ``tests/test_transit_stub_arrays.py`` pins it against
+the graph-form twin in ``tests/lazy_underlay.py`` and against per-preset
+topology digests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
@@ -45,10 +40,7 @@ __all__ = [
     "TransitStubConfig",
     "TransitStubArrays",
     "EDGE_KINDS",
-    "generate_transit_stub",
     "generate_transit_stub_arrays",
-    "stub_routers",
-    "router_transit_domains",
 ]
 
 
@@ -246,7 +238,7 @@ def generate_transit_stub_arrays(
     adjacency structure, so a 100k-router topology costs O(E) array
     memory.  RNG draws happen in exactly the order of the historical
     graph-building implementation, so for any given seed the edge set,
-    delays and domains match :func:`generate_transit_stub` bit-for-bit.
+    delays and domains are those of that implementation, bit for bit.
     """
     config = config or TransitStubConfig()
     rng = rng_from_seed(seed)
@@ -359,83 +351,3 @@ def generate_transit_stub_arrays(
         node_domain=node_domain,
         transit_domain=transit_domain,
     )
-
-
-def generate_transit_stub(
-    config: TransitStubConfig | None = None,
-    *,
-    seed: int | np.random.Generator | None = None,
-) -> nx.Graph:
-    """Generate a transit-stub router topology.
-
-    Returns an undirected :class:`networkx.Graph` whose nodes are integer
-    router ids.  Node attributes: ``level`` in {"transit", "stub"},
-    ``domain`` (a ``(kind, index)`` tuple).  Edge attributes: ``delay``
-    (one-way ms) and ``kind`` in {"inter_transit", "intra_transit",
-    "stub_transit", "intra_stub"}.
-
-    The graph is guaranteed connected.  This is a thin wrapper over
-    :func:`generate_transit_stub_arrays`; the sparse substrate path
-    consumes the arrays directly and never pays the nx.Graph overhead.
-    """
-    config = config or TransitStubConfig()
-    arrays = generate_transit_stub_arrays(config, seed=seed)
-    graph = nx.Graph()
-    for node in range(arrays.n_nodes):
-        if arrays.level[node] == 0:
-            graph.add_node(
-                node, level="transit", domain=("transit", int(arrays.node_domain[node]))
-            )
-        else:
-            graph.add_node(
-                node, level="stub", domain=("stub", int(arrays.node_domain[node]))
-            )
-    for u, v, delay, kind in zip(
-        arrays.edge_u.tolist(),
-        arrays.edge_v.tolist(),
-        arrays.edge_delay.tolist(),
-        arrays.edge_kind.tolist(),
-    ):
-        graph.add_edge(u, v, delay=delay, kind=EDGE_KINDS[kind])
-
-    assert graph.number_of_nodes() == config.total_nodes
-    assert nx.is_connected(graph)
-    return graph
-
-
-def stub_routers(graph: nx.Graph) -> list[int]:
-    """All stub-level router ids (hosts attach at stub routers)."""
-    return [n for n, data in graph.nodes(data=True) if data["level"] == "stub"]
-
-
-def router_transit_domains(graph: nx.Graph) -> dict[int, int]:
-    """Map every router to the index of the transit domain serving it.
-
-    Transit routers carry their domain directly in the ``domain`` node
-    attribute; a stub router belongs to the transit domain of the transit
-    router its stub domain's gateway edge (``kind="stub_transit"``)
-    uplinks to.  A whole-transit-domain outage therefore takes out the
-    domain's transit routers *and* every stub domain hanging off them —
-    which is exactly the correlated-failure footprint the fault layer
-    models.
-
-    Raises ``KeyError`` if the graph lacks transit-stub attributes (it
-    was not produced by :func:`generate_transit_stub`).
-    """
-    transit_domain: dict[int, int] = {}
-    for node, data in graph.nodes(data=True):
-        if data["level"] == "transit":
-            transit_domain[node] = int(data["domain"][1])
-    # Stub domain -> transit domain, via each gateway edge.
-    stub_domain_of: dict[int, int] = {}
-    for u, v, data in graph.edges(data=True):
-        if data.get("kind") != "stub_transit":
-            continue
-        stub, transit = (u, v) if graph.nodes[u]["level"] == "stub" else (v, u)
-        stub_dom = graph.nodes[stub]["domain"][1]
-        stub_domain_of[stub_dom] = transit_domain[transit]
-    domains = dict(transit_domain)
-    for node, data in graph.nodes(data=True):
-        if data["level"] == "stub":
-            domains[node] = stub_domain_of[data["domain"][1]]
-    return domains

@@ -22,14 +22,11 @@ os.environ.setdefault(
 )
 
 from repro.sim.engine import Simulator
-from repro.sim.network import MatrixUnderlay, RouterUnderlay
+from repro.sim.network import MatrixUnderlay
 from repro.protocols.base import ProtocolRuntime
-from repro.topology.transit_stub import (
-    TransitStubConfig,
-    generate_transit_stub,
-    stub_routers,
-)
+from repro.topology.transit_stub import TransitStubConfig
 from tests.helpers import line_matrix
+from tests.lazy_underlay import RouterUnderlay, generate_transit_stub, stub_routers
 
 SMALL_TS = TransitStubConfig(
     total_nodes=80,

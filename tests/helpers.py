@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.sim.faults import FaultPlan
-from repro.sim.network import RouterUnderlay
-from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
-from repro.topology.transit_stub import (
-    TransitStubConfig,
+from repro.topology.linkmodel import LinkErrorConfig
+from repro.topology.transit_stub import TransitStubConfig
+from repro.util.rngtools import spawn_rng
+from tests.lazy_underlay import (
+    RouterUnderlay,
+    assign_link_errors,
     generate_transit_stub,
     stub_routers,
 )
-from repro.util.rngtools import spawn_rng
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 

@@ -27,13 +27,18 @@ from repro.harness.substrates import (
     build_planetlab_underlay,
     build_transit_stub_underlay,
 )
-from repro.sim.network import RouterUnderlay
+from repro.sim.network import NoRouteError
 from repro.sim.sparse import SPARSE_SCHEMA, SparseUnderlay
-from repro.topology.linkmodel import LinkErrorConfig, assign_link_errors
-from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
+from repro.topology.linkmodel import LinkErrorConfig
+from repro.topology.transit_stub import TransitStubConfig
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
 from tests.helpers import lazy_transit_stub_underlay, transit_stub_attachments
+from tests.lazy_underlay import (
+    RouterUnderlay,
+    assign_link_errors,
+    generate_transit_stub,
+)
 from tests.test_sparse_underlay import (
     _assert_equivalent,
     _lossy_recipes,
@@ -84,7 +89,7 @@ def _pair_table(hosts, value):
             if i != j:
                 try:
                     err[i, j] = value(a, b)
-                except nx.NetworkXNoPath:
+                except NoRouteError:
                     err[i, j] = np.nan
     return err
 
@@ -110,7 +115,7 @@ def _assert_same_table(actual, expected):
 def _routers_or_no_path(underlay, r_a, r_b):
     try:
         return underlay.router_path(r_a, r_b)
-    except nx.NetworkXNoPath as exc:
+    except NoRouteError as exc:
         return str(exc)
 
 
@@ -211,7 +216,7 @@ class TestTreePropagation:
                 for other in underlays[1:]:
                     assert _routers_or_no_path(other, r_a, r_b) == routers
                     if isinstance(routers, str):  # no route: same error text
-                        with pytest.raises(nx.NetworkXNoPath, match=routers):
+                        with pytest.raises(NoRouteError, match=routers):
                             other.path_links(a, b)
                     else:
                         assert other.path_links(a, b) == lazy.path_links(a, b)

@@ -17,9 +17,10 @@ from repro.metrics.collectors import (
 )
 from repro.metrics.stats import mean_ci, summarize
 from repro.protocols.base import TreeRegistry
-from repro.sim.network import MatrixUnderlay, RouterUnderlay
+from repro.sim.network import MatrixUnderlay
 
 from tests.helpers import line_matrix
+from tests.lazy_underlay import RouterUnderlay
 
 
 def chain_world():

@@ -15,6 +15,72 @@ def matrix_weight(rtt):
     return lambda a, b: rtt[a][b]
 
 
+def networkx_mst_parent_map(members, source, weight):
+    """The oracle: networkx's Kruskal MST over the same member graph,
+    walked by ``bfs_edges`` from the source (what ``mst_parent_map`` was
+    before it ran without a graph library)."""
+    nodes = list(dict.fromkeys(members))
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            graph.add_edge(a, b, weight=float(weight(a, b)))
+    mst = nx.minimum_spanning_tree(graph, weight="weight")
+    return {child: parent for parent, child in nx.bfs_edges(mst, source)}
+
+
+@st.composite
+def tied_member_graphs(draw):
+    """A shuffled member list with the source anywhere in it, and
+    symmetric pair weights from a few values, so ties are the rule.
+    Either small integers, or floats whose sums depend on their order
+    (which is what makes ``tree_cost`` bits a test of dict order)."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    members = draw(st.permutations(ids))
+    source = draw(st.sampled_from(members))
+    values = draw(
+        st.sampled_from(
+            [st.integers(0, 3).map(float), st.sampled_from([0.1, 0.2, 0.3, 0.7])]
+        )
+    )
+    table = {}
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            table[frozenset((a, b))] = draw(values)
+    return members, source, lambda a, b: table[frozenset((a, b))]
+
+
+class TestExactnessAgainstNetworkx:
+    """``mst_parent_map`` is networkx's answer, dict order included, so
+    ``tree_cost`` (and Fig 5.31's ``mst_ratio``) keep their bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tied_member_graphs())
+    def test_same_parent_map_in_the_same_order(self, case):
+        members, source, weight = case
+        got = mst_parent_map(members, source, weight)
+        want = networkx_mst_parent_map(members, source, weight)
+        assert list(got.items()) == list(want.items())
+        assert repr(tree_cost(got, weight)) == repr(tree_cost(want, weight))
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=tied_member_graphs(), data=st.data())
+    def test_a_nan_weight_raises_from_both(self, case, data):
+        members, source, weight = case
+        if len(members) < 2:
+            members = [*members, max(members) + 1]
+        i = data.draw(st.integers(0, len(members) - 2))
+        j = data.draw(st.integers(i + 1, len(members) - 1))
+        bad = frozenset((members[i], members[j]))
+
+        def nan_weight(a, b):
+            return float("nan") if frozenset((a, b)) == bad else 1.0
+
+        for implementation in (mst_parent_map, networkx_mst_parent_map):
+            with pytest.raises(ValueError, match="NaN"):
+                implementation(members, source, nan_weight)
+
+
 class TestExactMST:
     def test_line_topology_chains(self):
         rtt = line_matrix([0.0, 10.0, 20.0, 30.0])

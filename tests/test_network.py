@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.harness.substrates import build_transit_stub_underlay
-from repro.sim.network import MatrixUnderlay, RouterUnderlay
+from repro.sim.network import MatrixUnderlay
 from repro.sim.sparse import SparseUnderlay
+from tests.lazy_underlay import RouterUnderlay
 
 
 def tiny_router_graph():
@@ -212,6 +213,32 @@ class TestMatrixUnderlay:
     def test_invalid_matrices_rejected(self, rtt, message):
         with pytest.raises(ValueError, match=message):
             MatrixUnderlay(rtt)
+
+    @pytest.mark.parametrize(
+        "rtt_entry, loss_entry, message",
+        [
+            (float("nan"), None, r"rtt matrix entry \(0, 1\) must be finite, got nan"),
+            (float("inf"), None, r"rtt matrix entry \(0, 1\) must be finite, got inf"),
+            (10.0, float("nan"), r"loss matrix entry \(0, 1\) must be in \[0, 1\]"),
+            (10.0, -0.1, r"loss matrix entry \(0, 1\) must be in \[0, 1\]"),
+            (10.0, 1.5, r"loss matrix entry \(0, 1\) must be in \[0, 1\]"),
+        ],
+        ids=["nan-rtt", "inf-rtt", "nan-loss", "negative-loss", "loss-above-one"],
+    )
+    def test_non_finite_or_improbable_entries_rejected(
+        self, rtt_entry, loss_entry, message
+    ):
+        """A NaN loss used to be accepted (``path_error`` read NaN, and
+        the delivery accountant clipped it to zero loss); an infinite RTT
+        too; a NaN RTT was refused as "must be symmetric".  Each is now
+        refused by position, before the symmetry check."""
+        rtt = np.array([[0.0, rtt_entry, 4.0], [rtt_entry, 0.0, 6.0], [4.0, 6.0, 0.0]])
+        loss = None
+        if loss_entry is not None:
+            loss = np.full((3, 3), 0.01)
+            loss[0, 1] = loss[1, 0] = loss_entry
+        with pytest.raises(ValueError, match=message):
+            MatrixUnderlay(rtt, loss=loss)
 
     def test_duplicate_host_ids_rejected(self):
         rtt = np.zeros((2, 2))

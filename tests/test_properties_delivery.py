@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.protocols.base import TreeRegistry
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.network import MatrixUnderlay
-from repro.topology.transit_stub import TransitStubConfig, generate_transit_stub
+from repro.topology.transit_stub import TransitStubConfig
 
 from tests.helpers import line_matrix
+from tests.lazy_underlay import generate_transit_stub
 
 N_NODES = 8
 

@@ -30,14 +30,13 @@ from repro.harness.scale import (
     scale_tree_metrics,
     scale_ts_config,
 )
-from repro.sim.network import RouterUnderlay
 from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_transit_stub_arrays,
 )
 from tests.helpers import transit_stub_attachments
+from tests.lazy_underlay import RouterUnderlay, generate_transit_stub
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,

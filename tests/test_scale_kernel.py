@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,15 +39,15 @@ from repro.harness.scale import (
     prim_mst_parents,
     scale_tree_metrics,
 )
-from repro.sim.network import RouterUnderlay
+from repro.sim.network import NoRouteError
 from repro.sim.sparse import SparseUnderlay
 from repro.util import artifacts
 from repro.topology.transit_stub import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_transit_stub_arrays,
 )
 from tests.helpers import transit_stub_attachments
+from tests.lazy_underlay import RouterUnderlay, generate_transit_stub
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -219,14 +218,14 @@ def _island_sparse() -> SparseUnderlay:
 
 
 class TestUnreachablePairs:
-    """An unreachable pair is ``NetworkXNoPath`` from either distance
+    """An unreachable pair is ``NoRouteError`` from either distance
     source — a row gather checks every value it reads, the per-pair
     queries raise on their own."""
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     def test_walk_raises_no_path(self, protocol, kernel):
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoRouteError):
             build_scale_tree(_island_sparse(), protocol, 5, kernel=kernel)
 
     def test_walk_below_the_island_member_is_fine(self):
@@ -243,7 +242,7 @@ class TestUnreachablePairs:
         ids=["cut-at-root", "cut-below-root", "two-crossings"],
     )
     def test_metrics_raise_no_path(self, parents, include_stress, kernel):
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoRouteError):
             scale_tree_metrics(
                 _island_sparse(),
                 np.array(parents),

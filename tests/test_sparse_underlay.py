@@ -34,22 +34,22 @@ from repro.harness import cells, experiments as exp
 from repro.harness.presets import PRESETS
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.sim import network as network_module
-from repro.sim.network import RouterUnderlay
+from repro.sim.network import NoRouteError
 from repro.sim.session import MulticastSession, SessionConfig
 from repro.sim.sparse import _RETAIN_BYTES, SPARSE_SCHEMA, SparseUnderlay
-from repro.topology.linkmodel import (
-    LinkErrorConfig,
-    assign_link_errors,
-    link_error_array,
-)
+from repro.topology.linkmodel import LinkErrorConfig, link_error_array
 from repro.topology.transit_stub import (
     TransitStubConfig,
-    generate_transit_stub,
     generate_transit_stub_arrays,
 )
 from repro.util import artifacts
 from repro.util.rngtools import spawn_rng
 from tests.helpers import lazy_transit_stub_underlay, transit_stub_attachments
+from tests.lazy_underlay import (
+    RouterUnderlay,
+    assign_link_errors,
+    generate_transit_stub,
+)
 
 TINY_TS = TransitStubConfig(
     total_nodes=60,
@@ -261,7 +261,7 @@ def _answers(underlay, a, b):
             underlay.path_error(a, b),
             underlay.router_path(underlay.attachments[a], underlay.attachments[b]),
         )
-    except nx.NetworkXNoPath as exc:
+    except NoRouteError as exc:
         return str(exc)
 
 
@@ -314,10 +314,10 @@ class TestLossyPaths:
                     if (a < 12) == (b < 12):
                         assert underlay.path_error(a, b) == lazy.path_error(a, b)
                         continue
-                    with pytest.raises(nx.NetworkXNoPath) as expected:
+                    with pytest.raises(NoRouteError) as expected:
                         lazy.path_error(a, b)
                     for query in (underlay.path_error, underlay.path_links):
-                        with pytest.raises(nx.NetworkXNoPath) as raised:
+                        with pytest.raises(NoRouteError) as raised:
                             query(a, b)
                         assert str(raised.value) == str(expected.value)
 

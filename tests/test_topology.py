@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from repro.topology.geo import GeoSite, great_circle_km, rtt_ms_between
-from repro.topology.linkmodel import (
-    LinkErrorConfig,
+from repro.topology.linkmodel import LinkErrorConfig, path_success_probability
+from repro.topology.transit_stub import TransitStubConfig
+from tests.lazy_underlay import (
     assign_link_errors,
-    path_success_probability,
-)
-from repro.topology.transit_stub import (
-    TransitStubConfig,
     generate_transit_stub,
     stub_routers,
 )

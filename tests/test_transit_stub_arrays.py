@@ -2,7 +2,7 @@
 
 The transit-stub generator was refactored (PR 8) to emit CSR-triplet
 arrays directly, with the historical ``nx.Graph`` builder reduced to a
-thin wrapper.  The refactor's contract is *bit-identical output for any
+thin wrapper, which now lives in ``tests/lazy_underlay.py``.  The refactor's contract is *bit-identical output for any
 seed*: the RNG draw order was preserved, so the edge set, delays, and
 domain assignments of every preset topology are unchanged.  This suite
 pins that with content digests of each preset's topology (nodes, edges,
@@ -23,14 +23,13 @@ import pytest
 
 from repro.harness.presets import PRESETS
 from repro.harness.scale import scale_ts_config
-from repro.topology.transit_stub import (
-    EDGE_KINDS,
+from repro.topology.transit_stub import EDGE_KINDS, generate_transit_stub_arrays
+from repro.util.rngtools import spawn_rng
+from tests.lazy_underlay import (
     generate_transit_stub,
-    generate_transit_stub_arrays,
     router_transit_domains,
     stub_routers,
 )
-from repro.util.rngtools import spawn_rng
 
 #: (graph digest, transit-domain digest) per preset, for the topology each
 #: preset's experiments actually run on (seed = spawn_rng(seed, "topology")).
