@@ -40,27 +40,31 @@ decision reads them and kept beside its child list, as the paper's
 nodes keep "their children list and distances to them"; a later read
 gathers only children attached since.  So a build opens at most
 2·(n−1) handles: one per joining member, at most one fill per attach.
-The sources:
 
-* router-graph substrates (:class:`repro.sim.sparse.SparseUnderlay`):
-  the host's attachment-router Dijkstra row, read with ``row.item`` in
-  ``delay_ms``'s own float association
-  (``2.0 * ((acc_a + dist) + acc_b)``), with a
-  :class:`repro.sim.sparse.RowPlan` fed the full join order up front so
-  missing rows are computed in multi-source blocks.  The row store
-  outlives the call: a tree walk, its metrics pass and a Prim pass on
-  one underlay compute each attachment-router row once between them;
-* everything else, and ``kernel="scalar"`` everywhere: one
-  ``underlay.rtt_ms`` / ``delay_ms`` / ``path_links`` call per pair —
-  the reference the row source is pinned against, byte for byte, in
-  ``tests/test_scale_kernel.py`` (same parents, same join latencies,
-  same iteration counts, same metric reprs, across protocols, degree
-  limits and plan block sizes).
+There is one distance source, and it needs an index-addressed
+router-graph substrate (:class:`repro.sim.sparse.SparseUnderlay`, host
+ids ``0..k-1``): a handle reads the host's attachment-router Dijkstra
+row with ``row.item``, in ``delay_ms``'s own float association
+(``2.0 * ((acc_a + dist) + acc_b)``), and a
+:class:`repro.sim.sparse.RowPlan` fed the full join order up front
+computes missing rows in multi-source blocks.  The row store outlives
+the call: a tree walk, its metrics pass and a Prim pass on one underlay
+compute each attachment-router row once between them.  Any other
+underlay is a ``TypeError``, raised after the ``ValueError`` of any bad
+argument and before the underlay is asked anything.
+
+The per-pair reference — one ``rtt_ms`` / ``delay_ms`` / ``path_links``
+call per pair, and a Prim pass relaxing on ``rtt_ms`` — lives in
+``tests/scale_reference.py``.  ``tests/test_scale_kernel.py`` pins the
+row source to it byte for byte (same parents, join latencies, iteration
+counts and metric reprs, across protocols, degree limits and plan block
+sizes) by handing it to :func:`_build_scale_tree` and
+:func:`_scale_tree_metrics`, which take their distance source as an
+argument.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import isfinite
@@ -78,8 +82,9 @@ from repro.core.join import (
     vdm_decide,
 )
 from repro.sim.network import NoRouteError, Underlay
+from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import TransitStubConfig
-from repro.util.validation import check_finite
+from repro.util.validation import check_count, check_finite
 
 __all__ = [
     "ScaleTree",
@@ -101,7 +106,7 @@ def scale_ts_config(n_routers: int) -> TransitStubConfig:
     causes.  Below ~600 routers the shape collapses to a 2-transit-domain
     miniature (the quick preset's silhouette).
     """
-    if n_routers < 120:
+    if check_count("n_routers", n_routers) < 120:
         raise ValueError(f"need at least 120 routers, got {n_routers}")
     if n_routers < 600:
         transit_domains, per_domain, stubs_per = 2, 4, 3
@@ -151,55 +156,14 @@ class ScaleTree:
         return int(self.parents.size)
 
 
-class _PairQueries:
-    """The reference distance source: one underlay query per pair.
-
-    Serves every underlay, installs no plan and keeps no state of its
-    own.  ``kernel="scalar"`` selects it everywhere (it is the oracle the
-    row source is tested against); underlays that serve no rows — the
-    lazy engine, host ids that are not indices — get it under either
-    kernel.
-    ``rtt_ms`` / ``delay_ms`` raise ``NoRouteError`` themselves.
-    """
-
-    def __init__(self, underlay: Underlay) -> None:
-        self.underlay = underlay
-        self.link_usage: Counter = Counter()
-
-    def rtts(self, a: int):
-        """Host ``a``'s handle: ``handle(targets)`` lists the RTTs from
-        ``a`` to each target."""
-        rtt_ms = self.underlay.rtt_ms
-        return lambda targets: [rtt_ms(a, b) for b in targets]
-
-    def delays(self, a: int):
-        """Same, one-way delays."""
-        delay_ms = self.underlay.delay_ms
-        return lambda targets: [delay_ms(a, b) for b in targets]
-
-    def count_links(self, parent: int, kids: list[int]) -> None:
-        """Charge every physical link under the overlay edges
-        ``parent -> kid``."""
-        path_links = self.underlay.path_links
-        for child in kids:
-            self.link_usage.update(path_links(parent, child))
-
-    def link_counts(self) -> list[int]:
-        """Transmissions per physical link used, one entry per link."""
-        return list(self.link_usage.values())
-
-    def close(self) -> None:
-        pass
-
-
-class _SparseRows(_PairQueries):
-    """Distances gathered from router-level Dijkstra rows.
+class _SparseRows:
+    """The distance source: router-level Dijkstra rows.
 
     A handle holds the source's attachment-router row (so it survives
     the row's eviction from a tight store) and gathers plain Python
     floats in ``delay_ms``'s own association, ``(acc_a + dist) + acc_b``.
     The constructor installs a :class:`repro.sim.sparse.RowPlan` over the
-    caller's known source order (attachment routers in join order by
+    attachment routers of ``plan_hosts`` (all members in join order by
     default), so rows the underlay's store does not hold yet are computed
     in multi-source blocks.  Stress walks each overlay edge's predecessor
     chain into canonical ``min * V + max`` router-link keys — the integer
@@ -209,25 +173,27 @@ class _SparseRows(_PairQueries):
 
     def __init__(
         self,
-        underlay,
+        underlay: Underlay,
         n_members: int,
         *,
-        block: int | None = None,
+        plan_hosts: list[int] | None = None,
         predecessors: bool = False,
-        plan_sources=None,
     ) -> None:
-        super().__init__(underlay)
+        _check_rows(underlay)
+        self.underlay = underlay
         att = underlay._host_cols()[:n_members]
         self.att: list[int] = att.tolist()
         self.acc: list[float] = underlay._acc_array()[:n_members].tolist()
+        self.link_usage: dict[int, int] = {}
         self.access_usage = [0] * n_members
         self.plan = underlay.prefetch_rows(
-            att if plan_sources is None else plan_sources,
-            block=block,
+            att if plan_hosts is None else att[plan_hosts],
             predecessors=predecessors,
         )
 
     def rtts(self, a: int, legs: float = 2.0):
+        """Host ``a``'s handle: ``handle(targets)`` lists the RTTs from
+        ``a`` to each target."""
         # ``legs`` = 1.0 gathers one-way delays: scaling a float by 1.0
         # or 2.0 is exact, so both are the per-pair queries' bits.
         att, acc = self.att, self.acc
@@ -242,9 +208,12 @@ class _SparseRows(_PairQueries):
         return gather
 
     def delays(self, a: int):
+        """Same, one-way delays."""
         return self.rtts(a, 1.0)
 
     def count_links(self, parent: int, kids: list[int]) -> None:
+        """Charge every physical link under the overlay edges
+        ``parent -> kid``."""
         att = self.att
         target = att[parent]
         # A memoryview is the fastest int read of a numpy row (PR 15).
@@ -263,6 +232,7 @@ class _SparseRows(_PairQueries):
                 cur = nxt
 
     def link_counts(self) -> list[int]:
+        """Transmissions per physical link used, one entry per link."""
         counts = [count for count in self.access_usage if count]
         counts.extend(self.link_usage.values())
         return counts
@@ -280,18 +250,14 @@ def _finite(values: list[float], a: int) -> list[float]:
     return values
 
 
-def _sparse_indexed(underlay: Underlay):
-    """The underlay as an index-addressed SparseUnderlay, or None."""
-    from repro.sim.sparse import SparseUnderlay
-
-    if isinstance(underlay, SparseUnderlay) and underlay._ids_are_indices:
-        return underlay
-    return None
-
-
-def _check_kernel(kernel: str | None) -> None:
-    if kernel not in (None, "batched", "scalar"):
-        raise ValueError(f"kernel must be batched or scalar, got {kernel!r}")
+def _check_rows(underlay: Underlay) -> None:
+    """Refuse an underlay that serves no host-indexed Dijkstra rows —
+    before it is asked anything."""
+    if not (isinstance(underlay, SparseUnderlay) and underlay._ids_are_indices):
+        raise TypeError(
+            "scale walks read Dijkstra rows: they need a SparseUnderlay "
+            f"whose host ids are 0..k-1, got {type(underlay).__name__}"
+        )
 
 
 def _check_hosts(underlay: Underlay, n: int) -> None:
@@ -304,16 +270,6 @@ def _check_hosts(underlay: Underlay, n: int) -> None:
         raise ValueError(f"scale walks need host ids 0..{n - 1}, got {list(hosts[:n])}")
 
 
-def _walk_distances(
-    underlay: Underlay, n_members: int, kernel: str | None, prefetch_block: int | None
-) -> _PairQueries:
-    """Where the join walk's distances come from on this underlay."""
-    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
-    if sparse is not None:
-        return _SparseRows(sparse, n_members, block=prefetch_block)
-    return _PairQueries(underlay)
-
-
 def build_scale_tree(
     underlay: Underlay,
     protocol: str,
@@ -321,34 +277,39 @@ def build_scale_tree(
     *,
     degree_limit: int = 4,
     tie_tolerance: float = 1e-9,
-    kernel: str | None = None,
-    prefetch_block: int | None = None,
 ) -> ScaleTree:
     """Join hosts ``1..n_members-1`` sequentially under ``protocol``.
 
     ``degree_limit`` bounds children per node (the source included), as
     :attr:`OverlayAgent.free_degree` does — a node's parent edge does not
     consume a slot.  Deterministic: every tie-break matches the agent
-    code (distance first, lowest id second).
-
-    ``kernel`` picks where distances come from: ``"batched"`` (the
-    default) reads them off rows the underlay computes in batches — a
-    router-graph substrate's Dijkstra rows, planned ``prefetch_block``
-    sources at a time — and ``"scalar"`` asks ``underlay.rtt_ms`` pair by
-    pair, which is also what underlays that serve no rows (the lazy path)
-    always get.  The
-    walk is the same and the trees are byte-identical.
+    code (distance first, lowest id second).  Distances come off the
+    underlay's Dijkstra rows, planned in join order; ``underlay`` must
+    be an index-addressed :class:`~repro.sim.sparse.SparseUnderlay`.
     """
+    return _build_scale_tree(
+        underlay, protocol, n_members, degree_limit, tie_tolerance, _SparseRows
+    )
+
+
+def _build_scale_tree(
+    underlay: Underlay,
+    protocol: str,
+    n_members: int,
+    degree_limit: int,
+    tie_tolerance: float,
+    distances: Callable[..., _SparseRows],
+) -> ScaleTree:
+    """The walk, reading from ``distances(underlay, n_members)`` once
+    every argument has been vetted."""
     if protocol not in SCALE_PROTOCOLS:
         raise ValueError(f"unknown scale protocol {protocol!r}")
-    if n_members < 2:
-        raise ValueError(f"need at least 2 members, got {n_members}")
-    if degree_limit < 1:
-        raise ValueError(f"degree_limit must be >= 1, got {degree_limit}")
+    check_count("n_members", n_members, 2)
+    check_count("degree_limit", degree_limit)
     if check_finite("tie_tolerance", tie_tolerance) < 0:
         raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
-    _check_kernel(kernel)
     _check_hosts(underlay, n_members)
+    rows = distances(underlay, n_members)
     source = 0
     parents = [-1] * n_members
     children: list[list[int]] = [[] for _ in range(n_members)]
@@ -361,7 +322,6 @@ def build_scale_tree(
     # BTP descends by being turned away: each hop is a connection attempt.
     hop_is_attempt = protocol == "btp"
     max_iter = _max_iterations(n_members)
-    rows = _walk_distances(underlay, n_members, kernel, prefetch_block)
 
     def pivot_rtts(p: int) -> list[float]:
         """``p``'s RTTs to its children; only the unmeasured ones are
@@ -523,75 +483,28 @@ def _btp_step(
 _STEPS = {"vdm": _vdm_step, "hmtp": _hmtp_step, "btp": _btp_step}
 
 
-def prim_mst_parents(
-    underlay: Underlay, n_members: int, *, kernel: str | None = None
-) -> np.ndarray:
+def prim_mst_parents(underlay: Underlay, n_members: int) -> np.ndarray:
     """Exact MST over the first ``n_members`` hosts (RTT metric), O(N) memory.
 
-    Classic dense Prim driven by ``delay_row``: each time a host enters
-    the tree its single underlay row relaxes the frontier, so the whole
-    pass holds three length-N vectors and never a matrix.  Root is host 0
-    (the source).  Deterministic: ``argmin`` takes the lowest index among
-    ties.
+    Classic dense Prim: each time a host enters the tree its attachment
+    router's Dijkstra row relaxes the frontier, so the whole pass holds
+    three length-N vectors and never a matrix.  Root is host 0 (the
+    source).  Deterministic: ``argmin`` takes the lowest index among
+    ties.  An unreachable member is ``NoRouteError``.
 
-    On sparse underlays the rows are planned the way the join
-    walk's are: Prim touches every member's row exactly once (whenever
-    that member enters the tree), so a plan over the attachment routers
-    in host order computes the same rows the demand path would, just in
+    The rows are planned the way the join walk's are: Prim touches every
+    member's row exactly once (whenever that member enters the tree), so
+    a plan over the attachment routers in host order computes them in
     multi-source blocks — and none at all for rows an earlier walk on
-    this underlay left in the store.  Bitwise identical either way;
-    ``kernel="scalar"`` forces the demand path.
+    this underlay left in the store.  Relaxations replay ``delay_ms``'s
+    float ops, ``2.0 * ((acc_a + dist) + acc_b)``, so the tree is the one
+    a per-pair ``rtt_ms`` Prim builds, bit for bit.
     """
-    if n_members < 2:
-        raise ValueError(f"need at least 2 members, got {n_members}")
+    check_count("n_members", n_members, 2)
     _check_hosts(underlay, n_members)
-    _check_kernel(kernel)
-    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
-    if sparse is not None:
-        return _prim_mst_sparse_batched(sparse, n_members)
-    return _prim_mst_scalar(underlay, n_members)
-
-
-def _prim_mst_scalar(underlay: Underlay, n_members: int) -> np.ndarray:
-    hosts = underlay.hosts
-    parents = np.full(n_members, -1, dtype=np.int64)
-    best = np.full(n_members, np.inf)
-    best_from = np.full(n_members, -1, dtype=np.int64)
-    in_tree = np.zeros(n_members, dtype=bool)
-    current = 0
-    in_tree[0] = True
-    for _ in range(n_members - 1):
-        row = underlay.delay_row(current)
-        if row is None:
-            rtts = np.array(
-                [underlay.rtt_ms(current, int(h)) for h in hosts[:n_members]]
-            )
-        else:
-            rtts = 2.0 * np.asarray(row[:n_members])
-        improved = ~in_tree & (rtts < best)
-        best[improved] = rtts[improved]
-        best_from[improved] = current
-        masked = np.where(in_tree, np.inf, best)
-        current = int(np.argmin(masked))
-        parents[current] = best_from[current]
-        in_tree[current] = True
-    return parents
-
-
-def _prim_mst_sparse_batched(underlay, n_members: int) -> np.ndarray:
-    """The same Prim pass, rows planned in blocks.
-
-    Replays ``delay_row``'s float ops without the list round-trip
-    (``tolist``/``asarray`` is exact, so skipping it changes no bits)
-    and its fallback condition: any non-finite entry over the *full*
-    host set sends that relaxation through the per-pair ``rtt_ms`` loop,
-    exactly as a ``None`` row does in the scalar pass.
-    """
-    hosts = underlay.hosts
-    host_cols = underlay._host_cols()
-    acc_all = underlay._acc_array()
-    att = host_cols[:n_members]
-    acc = acc_all[:n_members]
+    _check_rows(underlay)
+    att = underlay._host_cols()[:n_members]
+    acc = underlay._acc_array()[:n_members]
     parents = np.full(n_members, -1, dtype=np.int64)
     best = np.full(n_members, np.inf)
     best_from = np.full(n_members, -1, dtype=np.int64)
@@ -600,15 +513,11 @@ def _prim_mst_sparse_batched(underlay, n_members: int) -> np.ndarray:
     in_tree[0] = True
     with underlay.prefetch_rows(att):
         for _ in range(n_members - 1):
-            dist = underlay.router_dist_row(int(att[current]))
-            base_all = dist[host_cols]
-            if np.all(np.isfinite(base_all)):
-                rtts = 2.0 * ((acc[current] + base_all[:n_members]) + acc)
-                rtts[current] = 0.0  # delay_row pins the self entry
-            else:
-                rtts = np.array(
-                    [underlay.rtt_ms(current, int(h)) for h in hosts[:n_members]]
-                )
+            base = underlay.router_dist_row(int(att[current]))[att]
+            if not np.all(np.isfinite(base)):
+                raise NoRouteError(f"no route from host {current}")
+            rtts = 2.0 * ((acc[current] + base) + acc)
+            rtts[current] = 0.0  # delay_ms(a, a) is 0, not twice the access
             improved = ~in_tree & (rtts < best)
             best[improved] = rtts[improved]
             best_from[improved] = current
@@ -647,7 +556,6 @@ def scale_tree_metrics(
     parents: np.ndarray,
     *,
     include_stress: bool = True,
-    kernel: str | None = None,
 ) -> ScaleTreeMetrics:
     """Stretch, depth, and link stress of a parent-array tree.
 
@@ -662,37 +570,37 @@ def scale_tree_metrics(
     every member reachable from it — anything else is a ``ValueError``
     before the underlay is asked a distance.
 
-    On sparse underlays (unless ``kernel="scalar"``) overlay delays
-    and physical paths come off the Dijkstra rows themselves, planned in
-    the DFS's own visit order: a handle per internal node instead of a
-    ``delay_ms`` call per edge, predecessor chains instead of
-    ``path_links`` tuples.  Rows the tree walk left in the underlay's
-    store are reused (a dist-only row is recomputed once with
-    predecessors when stress needs them).  Bit-identical results either
-    way.
+    Overlay delays and physical paths come off the Dijkstra rows
+    themselves, planned in the DFS's own visit order: a handle per
+    internal node instead of a ``delay_ms`` call per edge, predecessor
+    chains instead of ``path_links`` tuples.  Rows the tree walk left in
+    the underlay's store are reused (a dist-only row is recomputed once
+    with predecessors when stress needs them).
     """
-    _check_kernel(kernel)
+    return _scale_tree_metrics(underlay, parents, include_stress, _SparseRows)
+
+
+def _scale_tree_metrics(
+    underlay: Underlay,
+    parents: np.ndarray,
+    include_stress: bool,
+    distances: Callable[..., _SparseRows],
+) -> ScaleTreeMetrics:
+    """The metrics pass, reading from ``distances`` (as the walk does)."""
     children, order = _dfs_order(parents)
     n = len(children)
     _check_hosts(underlay, n)
     source = order[0]
-    sparse = _sparse_indexed(underlay) if kernel != "scalar" else None
-    if sparse is None:
-        rows = _PairQueries(underlay)
-    else:
-        # The internal-node visit order *is* the row consumption order,
-        # so the plan is exact.
-        visit = np.array([v for v in order if children[v]], dtype=np.intp)
-        rows = _SparseRows(
-            sparse,
-            n,
-            predecessors=include_stress,
-            plan_sources=sparse._host_cols()[visit],
-        )
+    # The internal-node visit order *is* the row consumption order, so
+    # the plan is exact.
+    rows = distances(
+        underlay,
+        n,
+        plan_hosts=[v for v in order if children[v]],
+        predecessors=include_stress,
+    )
     try:
-        unicast = underlay.delay_row(source)
-        if unicast is None:  # no host-indexed row to hand out: gather one
-            unicast = rows.delays(source)(range(n))
+        unicast = rows.delays(source)(range(n))
         overlay = [0.0] * n
         depths = [0] * n
         stretch_sum = 0.0

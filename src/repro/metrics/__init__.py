@@ -9,10 +9,6 @@
 """
 
 from repro.metrics.collectors import (
-    stress_stats,
-    stretch_stats,
-    hopcount_stats,
-    resource_usage,
     mst_ratio,
     StressStats,
     StretchStats,
@@ -23,10 +19,6 @@ from repro.metrics.stats import mean_ci, summarize
 from repro.metrics.report import MeasurementRecord, Series, SeriesTable
 
 __all__ = [
-    "stress_stats",
-    "stretch_stats",
-    "hopcount_stats",
-    "resource_usage",
     "mst_ratio",
     "StressStats",
     "StretchStats",

@@ -23,7 +23,6 @@ Definitions (paper section 3.6.3 / 5.3):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -39,12 +38,7 @@ __all__ = [
     "RecoveryTracker",
     "TreeMetrics",
     "collect_tree_metrics",
-    "reachable_link_usage",
     "latency_percentile",
-    "stress_stats",
-    "stretch_stats",
-    "hopcount_stats",
-    "resource_usage",
     "mst_ratio",
 ]
 
@@ -84,20 +78,6 @@ def _reachable_edges(tree: TreeRegistry) -> list[tuple[int, int]]:
     ]
 
 
-def reachable_link_usage(tree: TreeRegistry, underlay: Underlay) -> Counter:
-    """Physical link -> copies of each chunk crossing it, walked once.
-
-    The one-shot form of the multiset a
-    :class:`~repro.sim.delivery.DeliveryAccountant` maintains as
-    ``link_usage``, for callers that have no accountant.
-    """
-    usage: Counter = Counter()
-    path_links = underlay.path_links
-    for parent, child in _reachable_edges(tree):
-        usage.update(path_links(parent, child))
-    return usage
-
-
 @dataclass(frozen=True)
 class StressStats:
     """Link stress distribution over the distinct physical links in use."""
@@ -112,16 +92,15 @@ class StressStats:
         return StressStats(0.0, 0, 0, 0)
 
 
-def stress_stats(tree: TreeRegistry, underlay: Underlay) -> StressStats:
-    """Average and max physical-link stress of the current tree (eq. 3.4)."""
-    return collect_tree_metrics(
-        tree, underlay, reachable_link_usage(tree, underlay)
-    ).stress
-
-
 @dataclass(frozen=True)
 class StretchStats:
-    """Per-node stretch distribution (eq. 3.5)."""
+    """Per-node stretch distribution (eq. 3.5) over reachable receivers.
+
+    Nodes whose unicast delay to the source is zero are skipped (they
+    cannot define a ratio); overlay routing *can* beat the "unicast" RTT
+    estimate on PlanetLab-style underlays, so minima below 1 are real
+    (the paper observes exactly this in Fig. 5.16).
+    """
 
     average: float
     minimum: float
@@ -132,19 +111,6 @@ class StretchStats:
     @staticmethod
     def empty() -> "StretchStats":
         return StretchStats(0.0, 0.0, 0.0, 0.0, 0)
-
-
-def stretch_stats(tree: TreeRegistry, underlay: Underlay) -> StretchStats:
-    """Stretch over all reachable receivers.
-
-    Nodes whose unicast delay to the source is zero are skipped (they
-    cannot define a ratio); overlay routing *can* beat the "unicast" RTT
-    estimate on PlanetLab-style underlays, so minima below 1 are real
-    (the paper observes exactly this in Fig. 5.16).
-    """
-    return collect_tree_metrics(
-        tree, underlay, reachable_link_usage(tree, underlay)
-    ).stretch
 
 
 @dataclass(frozen=True)
@@ -161,33 +127,6 @@ class HopcountStats:
         return HopcountStats(0.0, 0, 0.0, 0)
 
 
-def hopcount_stats(tree: TreeRegistry) -> HopcountStats:
-    """Hopcount distribution via a depth-only traversal (no underlay needed)."""
-    depths: list[int] = []
-    leaf_depths: list[int] = []
-    children = tree.children
-    stack: list[tuple[int, int]] = [(tree.source, 0)]
-    while stack:
-        node, depth = stack.pop()
-        kids = children.get(node)
-        if kids:
-            child_depth = depth + 1
-            for child in sorted(kids, reverse=True):
-                stack.append((child, child_depth))
-        elif node != tree.source:
-            leaf_depths.append(depth)
-        if node != tree.source:
-            depths.append(depth)
-    if not depths:
-        return HopcountStats.empty()
-    return HopcountStats(
-        average=sum(depths) / len(depths),
-        maximum=max(depths),
-        leaf_average=(sum(leaf_depths) / len(leaf_depths)) if leaf_depths else 0.0,
-        count=len(depths),
-    )
-
-
 @dataclass(frozen=True)
 class ResourceUsage:
     """Total latency of overlay links in use (Section 5.3)."""
@@ -199,12 +138,6 @@ class ResourceUsage:
     @staticmethod
     def empty() -> "ResourceUsage":
         return ResourceUsage(0.0, 0.0, 0)
-
-
-def resource_usage(tree: TreeRegistry, underlay: Underlay) -> ResourceUsage:
-    return collect_tree_metrics(
-        tree, underlay, reachable_link_usage(tree, underlay)
-    ).usage
 
 
 @dataclass(frozen=True)
@@ -224,9 +157,9 @@ def collect_tree_metrics(
 
     Stress is read off ``link_usage``, the physical-link multiset of the
     reachable tree: a session passes its accountant's maintained
-    :attr:`~repro.sim.delivery.DeliveryAccountant.link_usage`, any other
-    caller :func:`reachable_link_usage`.  The rest comes from a single
-    root-down traversal of the reachable tree, which carries depth and
+    :attr:`~repro.sim.delivery.DeliveryAccountant.link_usage`, the tests
+    the one-shot ``tests/oracles.link_usage``.  The rest comes from a
+    single root-down traversal of the reachable tree, which carries depth and
     accumulated overlay delay with each frame, so per-node work is one
     overlay hop (not a ``path_to_source`` walk per metric).  Siblings are
     visited in sorted order, making float accumulation deterministic

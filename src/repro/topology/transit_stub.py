@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_count, check_probability
 
 __all__ = [
     "TransitStubConfig",
@@ -83,10 +83,14 @@ class TransitStubConfig:
     delay_intra_stub: tuple[float, float] = (0.5, 3.0)
 
     def __post_init__(self) -> None:
-        check_positive("total_nodes", self.total_nodes)
-        check_positive("transit_domains", self.transit_domains)
-        check_positive("transit_nodes_per_domain", self.transit_nodes_per_domain)
-        check_positive("stub_domains_per_transit", self.stub_domains_per_transit)
+        for name in (
+            "total_nodes",
+            "transit_domains",
+            "transit_nodes_per_domain",
+            "stub_domains_per_transit",
+        ):
+            check_count(name, getattr(self, name))
+        check_count("extra_transit_transit_links", self.extra_transit_transit_links, 0)
         check_probability("intra_transit_edge_prob", self.intra_transit_edge_prob)
         check_probability("intra_stub_edge_prob", self.intra_stub_edge_prob)
         for name in (

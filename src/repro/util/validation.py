@@ -8,9 +8,11 @@ than deep inside the simulator.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Any
 
 __all__ = [
+    "check_count",
     "check_finite",
     "check_positive",
     "check_non_negative",
@@ -35,6 +37,21 @@ def check_finite(name: str, value: Any) -> float:
     if math.isinf(out):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return out
+
+
+def check_count(name: str, value: Any, minimum: int = 1) -> int:
+    """Return ``value`` as int, requiring a whole number >= ``minimum``.
+
+    A float is refused even when it is whole (``20.0``): counts size
+    loops and slices, where a float one fails far from the caller or,
+    fractional, never lets a countdown reach zero.
+    """
+    if not isinstance(value, Integral):
+        check_finite(name, value)  # NaN and the infinities say so
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_positive(name: str, value: Any) -> float:

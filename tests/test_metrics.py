@@ -8,19 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.metrics.collectors import (
-    hopcount_stats,
-    mst_ratio,
-    resource_usage,
-    stress_stats,
-    stretch_stats,
-)
+from repro.metrics.collectors import collect_tree_metrics, mst_ratio
 from repro.metrics.stats import mean_ci, summarize
 from repro.protocols.base import TreeRegistry
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 from tests.lazy_underlay import RouterUnderlay
+
+
+def _collect(tree, ul):
+    """The one collector, fed the walked-once link multiset."""
+    return collect_tree_metrics(tree, ul, oracles.link_usage(tree, ul))
 
 
 def chain_world():
@@ -44,7 +44,7 @@ def star_world():
 class TestStretch:
     def test_chain_stretch_one_on_a_line(self):
         ul, tree = chain_world()
-        s = stretch_stats(tree, ul)
+        s = _collect(tree, ul).stretch
         # On a line the chain is exactly the unicast path.
         assert s.average == pytest.approx(1.0)
         assert s.minimum == pytest.approx(1.0)
@@ -58,38 +58,38 @@ class TestStretch:
         tree = TreeRegistry(0)
         tree.attach(1, 0, 0.0)  # at 20
         tree.attach(2, 1, 0.0)  # at 10: U-turn
-        s = stretch_stats(tree, ul)
+        s = _collect(tree, ul).stretch
         # node 2: overlay 20 + 10 = 30 vs unicast 10 -> stretch 3.
         assert s.maximum == pytest.approx(3.0)
 
     def test_leaf_average(self):
         ul, tree = chain_world()
-        s = stretch_stats(tree, ul)
+        s = _collect(tree, ul).stretch
         assert s.leaf_average == pytest.approx(1.0)  # only node 3 is a leaf
 
     def test_orphan_subtrees_excluded(self):
         ul, tree = chain_world()
         tree.depart(1, 1.0)
-        s = stretch_stats(tree, ul)
+        s = _collect(tree, ul).stretch
         assert s.count == 0
 
     def test_empty_tree(self):
         ul = MatrixUnderlay(line_matrix([0.0, 1.0]))
-        s = stretch_stats(TreeRegistry(0), ul)
+        s = _collect(TreeRegistry(0), ul).stretch
         assert s.count == 0 and s.average == 0.0
 
 
 class TestHopcount:
     def test_chain_depths(self):
-        _, tree = chain_world()
-        h = hopcount_stats(tree)
+        ul, tree = chain_world()
+        h = _collect(tree, ul).hopcount
         assert h.average == pytest.approx(2.0)  # (1+2+3)/3
         assert h.maximum == 3
         assert h.leaf_average == pytest.approx(3.0)
 
     def test_star_depths(self):
-        _, tree = star_world()
-        h = hopcount_stats(tree)
+        ul, tree = star_world()
+        h = _collect(tree, ul).hopcount
         assert h.average == pytest.approx(1.0)
         assert h.maximum == 1
 
@@ -109,7 +109,7 @@ class TestStressRouterUnderlay:
         tree = TreeRegistry(10)
         tree.attach(11, 10, 0.0)
         tree.attach(12, 10, 0.0)
-        s = stress_stats(tree, ul)
+        s = _collect(tree, ul).stress
         # Both overlay edges traverse router links (0,1) and (1,2) and the
         # source access link: those carry 2 copies each.
         assert s.maximum == 2
@@ -120,7 +120,7 @@ class TestStressRouterUnderlay:
         tree = TreeRegistry(10)
         tree.attach(11, 10, 0.0)
         tree.attach(12, 11, 0.0)  # 11 and 12 share router 2
-        s = stress_stats(tree, ul)
+        s = _collect(tree, ul).stress
         # Router links carry one copy each; host 11's access link carries
         # two (its own stream in, plus the copy forwarded to 12).
         assert s.maximum == 2
@@ -135,14 +135,14 @@ class TestStressRouterUnderlay:
 
     def test_empty(self):
         ul = self.make()
-        s = stress_stats(TreeRegistry(10), ul)
+        s = _collect(TreeRegistry(10), ul).stress
         assert s.average == 0.0 and s.links_used == 0
 
 
 class TestResourceUsage:
     def test_chain_total(self):
         ul, tree = chain_world()
-        u = resource_usage(tree, ul)
+        u = _collect(tree, ul).usage
         assert u.total_ms == pytest.approx(15.0)  # 5+5+5 one-way
         # Star would cost 5+10+15=30 -> normalized 0.5
         assert u.normalized == pytest.approx(0.5)
@@ -150,7 +150,7 @@ class TestResourceUsage:
 
     def test_star_normalized_is_one(self):
         ul, tree = star_world()
-        u = resource_usage(tree, ul)
+        u = _collect(tree, ul).usage
         assert u.normalized == pytest.approx(1.0)
 
 

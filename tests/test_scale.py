@@ -4,7 +4,8 @@ Structural guarantees first: every protocol walk produces a valid
 spanning tree (one root, acyclic, degree-bounded) with positive modelled
 join latencies, deterministically, and identically on sparse and lazy
 substrates — the scale model must not care which engine serves its
-queries.  Then the baselines: Prim's MST is pinned against its
+queries (the lazy engine serves no rows, so it is walked through the
+per-pair reference of ``tests/scale_reference.py``).  Then the baselines: Prim's MST is pinned against its
 optimality property (no protocol tree can beat its total RTT weight) and
 against a brute-force Kruskal on a small instance; tree metrics are
 pinned against a naive reference implementation.  Finally the ch7 sweep
@@ -35,6 +36,7 @@ from repro.topology.transit_stub import (
     TransitStubConfig,
     generate_transit_stub_arrays,
 )
+from tests import scale_reference as ref
 from tests.helpers import transit_stub_attachments
 from tests.lazy_underlay import RouterUnderlay, generate_transit_stub
 
@@ -106,7 +108,7 @@ class TestTreeConstruction:
         # lazy and sparse substrates answer identically, so the walks —
         # pure functions of the answers — must produce identical trees.
         lazy, sparse = _underlays()
-        on_lazy = build_scale_tree(lazy, protocol, 24)
+        on_lazy = ref.build(lazy, protocol, 24)
         on_sparse = build_scale_tree(sparse, protocol, 24)
         np.testing.assert_array_equal(on_lazy.parents, on_sparse.parents)
         np.testing.assert_array_equal(
@@ -155,7 +157,7 @@ class TestMst:
     def test_engine_independent(self):
         lazy, sparse = _underlays(seed=5)
         np.testing.assert_array_equal(
-            prim_mst_parents(lazy, 20), prim_mst_parents(sparse, 20)
+            ref.prim(lazy, 20), prim_mst_parents(sparse, 20)
         )
 
     def test_rejects_bad_arguments(self):
@@ -236,22 +238,27 @@ class TestMetrics:
         # record over the members it happened to reach.
         for underlay in _underlays():
             with pytest.raises(ValueError, match="not reachable from the root"):
-                scale_tree_metrics(underlay, np.array(parents), kernel=kernel)
+                ref.metrics(underlay, np.array(parents), kernel=kernel)
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
     @pytest.mark.parametrize("bad", [4, 99, -2])
     def test_rejects_out_of_range_parent_ids(self, bad, kernel):
         for underlay in _underlays():
             with pytest.raises(ValueError, match="outside"):
-                scale_tree_metrics(
-                    underlay, np.array([-1, 0, bad, 1]), kernel=kernel
-                )
+                ref.metrics(underlay, np.array([-1, 0, bad, 1]), kernel=kernel)
 
 
 class TestScaleConfig:
     def test_total_nodes_track_request(self):
         for n in (120, 599, 600, 4100, 41_000):
             assert scale_ts_config(n).total_nodes == n
+
+    @pytest.mark.parametrize("n", [600.5, 600.0, float("nan")])
+    def test_rejects_non_integral_router_counts(self, n):
+        # 600.5 went straight into TransitStubConfig, whose generator
+        # then never returned.
+        with pytest.raises(ValueError, match="n_routers"):
+            scale_ts_config(n)
 
     def test_domain_count_grows_linearly(self):
         small = scale_ts_config(10_000)
@@ -286,7 +293,8 @@ class TestCh7Sweep:
 # What the child of ``TestAddressSpaceCap`` runs: a 10 000-router sparse
 # substrate with 1 000 members, the VDM tree from rows and — on a fresh
 # twin — from the per-pair reference, then the metrics pass, with
-# ``row_stats()`` read after each phase.  A dense all-pairs engine needs
+# ``row_stats()`` read after each phase.  The reference comes from the
+# tests' own ``scale_reference`` module, hence the repo root on the path.  A dense all-pairs engine needs
 # ~7.8 GiB here and dies on the cap; one V x V float64 array (763 MiB) would fit
 # under it, so where /proc reports address space the child also says how
 # far its own grew past the imports.
@@ -296,6 +304,7 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from repro.harness.scale import build_scale_tree, scale_tree_metrics, scale_ts_config
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.util.memprof import _read_status_kib as vm_kib  # None without /proc
+from tests import scale_reference as ref
 
 def substrate():
     return build_transit_stub_underlay(
@@ -312,7 +321,7 @@ rows = build_scale_tree(underlay, "vdm", 1000)
 after_tree = underlay.row_stats()
 metrics = scale_tree_metrics(underlay, rows.parents)
 after_metrics = underlay.row_stats()
-pairs = build_scale_tree(substrate(), "vdm", 1000, kernel="scalar")
+pairs = ref.build(substrate(), "vdm", 1000, kernel="scalar")
 print(json.dumps({
     "n_routers": underlay.n_routers, "stretch": metrics.stretch_avg,
     "rows": record(rows), "pairs": record(pairs),
@@ -329,7 +338,8 @@ class TestAddressSpaceCap:
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no RLIMIT_AS on this platform")
         env = dict(os.environ, REPRO_SUBSTRATE_CACHE="0")
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
         child = subprocess.run(
             [sys.executable, "-c", _CAPPED_CELL],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,

@@ -1,21 +1,25 @@
 """Row-fed scale walk: byte-identical to the per-pair reference.
 
 The contract under test (DESIGN.md §13): :mod:`repro.harness.scale` has
-one join walk and one metrics pass; ``kernel=`` only picks where their
-distances come from.  For every protocol, degree limit, and plan block
-size — including the B=1 and B > n_members edges — gathering from rows
-the underlay computes in batches (``"batched"``: Dijkstra rows, planned
-in blocks or already resident) produces a :class:`ScaleTree`
-whose parents, join latencies, and iteration counts are *bitwise equal*
-to those of one ``underlay.rtt_ms`` call per pair (``"scalar"``, the
-reference, which installs no plan).  The same holds for
-:func:`prim_mst_parents` over planned row blocks, for the metrics pass
-(predecessor-chain stress vs ``path_links`` stress), and for any
-sequence of those calls sharing one underlay's row store.  The store and
-its plans are pinned separately in ``test_sparse_underlay.py``; here they
-are exercised end to end through the walks.
+one join walk, one metrics pass and one Prim pass, and they read every
+distance off an index-addressed ``SparseUnderlay``'s Dijkstra rows.  The
+suites' ``kernel`` parameter picks the side of each comparison
+(``tests/scale_reference.py``): ``"batched"`` is the public function —
+rows planned in blocks or already resident — and ``"scalar"`` the same
+walk and pass handed the per-pair reference source (one
+``underlay.rtt_ms`` / ``delay_ms`` / ``path_links`` call per pair, no
+plan) through the private seam, or the per-pair Prim.  For every
+protocol, degree limit, and plan block size — including the B=1 and
+B > n_members edges — a :class:`ScaleTree`'s parents, join latencies,
+and iteration counts are *bitwise equal* between the two.  The same
+holds for :func:`prim_mst_parents` over planned row blocks, for the
+metrics pass (predecessor-chain stress vs ``path_links`` stress), and
+for any sequence of those calls sharing one underlay's row store.  The
+store and its plans are pinned separately in ``test_sparse_underlay.py``;
+here they are exercised end to end through the walks.  The lazy engine
+serves no rows: its cases run the reference under either ``kernel``.
 
-Both kernels keep each pivot's RTTs to its children once measured, so
+Both sources keep each pivot's RTTs to its children once measured, so
 that list is pinned on its own: golden tree digests from walks that
 gathered every pivot afresh, and a bound of 2·(n−1) distance handles per
 build.
@@ -24,6 +28,8 @@ build.
 from __future__ import annotations
 
 import hashlib
+import inspect
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -33,20 +39,20 @@ from hypothesis import strategies as st
 
 from repro.harness.scale import (
     SCALE_PROTOCOLS,
-    _PairQueries,
     _SparseRows,
     build_scale_tree,
     prim_mst_parents,
     scale_tree_metrics,
 )
-from repro.sim.network import NoRouteError
+from repro.sim.network import MatrixUnderlay, NoRouteError
 from repro.sim.sparse import SparseUnderlay
 from repro.util import artifacts
 from repro.topology.transit_stub import (
     TransitStubConfig,
     generate_transit_stub_arrays,
 )
-from tests.helpers import transit_stub_attachments
+from tests import scale_reference as ref
+from tests.helpers import line_matrix, transit_stub_attachments
 from tests.lazy_underlay import RouterUnderlay, generate_transit_stub
 
 TINY_TS = TransitStubConfig(
@@ -97,6 +103,21 @@ def _dense(seed: int, n_hosts: int = 32) -> SparseUnderlay:
 _ENGINES = {"sparse": _sparse, "dense": _dense, "lazy": _lazy}
 
 
+@contextmanager
+def _plan_block(underlay: SparseUnderlay, block: int):
+    """Plans installed on ``underlay`` run ``block`` sources per Dijkstra
+    call (``0``: an inert plan) — set through the instance attribute, as
+    the benchmark wraps it."""
+    inner = underlay.prefetch_rows
+    underlay.prefetch_rows = lambda sources, **kw: inner(
+        sources, **{**kw, "block": block}
+    )
+    try:
+        yield underlay
+    finally:
+        del underlay.prefetch_rows
+
+
 def _assert_trees_bitwise_equal(a, b, context: str = "") -> None:
     np.testing.assert_array_equal(a.parents, b.parents, err_msg=context)
     assert a.join_latency_ms.tobytes() == b.join_latency_ms.tobytes(), context
@@ -122,17 +143,17 @@ class TestWalkEquivalence:
         self, seed, protocol, degree_limit, n_members, block
     ):
         underlay = _sparse(seed)
-        scalar = build_scale_tree(
+        scalar = ref.build(
             underlay, protocol, n_members, degree_limit=degree_limit, kernel="scalar"
         )
-        batched = build_scale_tree(
-            underlay,
-            protocol,
-            n_members,
-            degree_limit=degree_limit,
-            kernel="batched",
-            prefetch_block=block,
-        )
+        with _plan_block(underlay, block):
+            batched = ref.build(
+                underlay,
+                protocol,
+                n_members,
+                degree_limit=degree_limit,
+                kernel="batched",
+            )
         _assert_trees_bitwise_equal(
             scalar, batched, f"{protocol} deg={degree_limit} B={block}"
         )
@@ -140,17 +161,17 @@ class TestWalkEquivalence:
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     def test_prefetch_disabled_is_still_batched_and_identical(self, protocol):
         underlay = _sparse(2)
-        scalar = build_scale_tree(underlay, protocol, 24, kernel="scalar")
-        batched = build_scale_tree(
-            underlay, protocol, 24, kernel="batched", prefetch_block=0
-        )
+        scalar = ref.build(underlay, protocol, 24, kernel="scalar")
+        with _plan_block(underlay, 0):
+            batched = ref.build(underlay, protocol, 24, kernel="batched")
         _assert_trees_bitwise_equal(scalar, batched)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     def test_kernel_keyword_selects_distance_source(self, protocol, monkeypatch):
-        # The keyword is the only selector: the default is "batched"
-        # (a row plan goes in), "scalar" installs none, and the
-        # environment has no say (REPRO_SCALE_KERNEL was a flag once).
+        # There is no selector left: every public call installs a row
+        # plan, the per-pair reference (reachable only through the
+        # private seam) installs none, and the environment has no say
+        # (REPRO_SCALE_KERNEL was a flag once).
         monkeypatch.setenv("REPRO_SCALE_KERNEL", "scalar")
         underlay = _fresh_sparse(4)
         plans = []
@@ -163,46 +184,48 @@ class TestWalkEquivalence:
         underlay.prefetch_rows = prefetch_rows
         default = build_scale_tree(underlay, protocol, 20)
         assert len(plans) == 1
-        batched = build_scale_tree(underlay, protocol, 20, kernel="batched")
+        batched = ref.build(underlay, protocol, 20, kernel="batched")
         assert len(plans) == 2
-        scalar = build_scale_tree(underlay, protocol, 20, kernel="scalar")
-        scale_tree_metrics(underlay, scalar.parents, kernel="scalar")
-        prim_mst_parents(underlay, 20, kernel="scalar")
+        scalar = ref.build(underlay, protocol, 20, kernel="scalar")
+        ref.metrics(underlay, scalar.parents, kernel="scalar")
+        ref.prim(underlay, 20, kernel="scalar")
         assert len(plans) == 2
         _assert_trees_bitwise_equal(default, batched)
         _assert_trees_bitwise_equal(default, scalar)
 
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     def test_lazy_underlay_falls_back_to_scalar_and_agrees(self, protocol):
-        # The lazy substrate serves no rows: batched mode must quietly
-        # walk scalar there, and still agree with the sparse batched walk
-        # on the same substrate (the PR 8 engine-independence promise).
+        # The lazy substrate serves no rows, so it walks on the per-pair
+        # reference, and still agrees with the row walk on the same
+        # substrate: the scale model does not care which engine answers.
         lazy = _lazy(5)
         sparse = _sparse(5)
-        on_lazy = build_scale_tree(lazy, protocol, 24, kernel="batched")
-        on_sparse = build_scale_tree(sparse, protocol, 24, kernel="batched")
+        on_lazy = ref.build(lazy, protocol, 24, kernel="batched")
+        on_sparse = ref.build(sparse, protocol, 24, kernel="batched")
         np.testing.assert_array_equal(on_lazy.parents, on_sparse.parents)
         assert (
             on_lazy.join_latency_ms.tobytes() == on_sparse.join_latency_ms.tobytes()
         )
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            build_scale_tree(_sparse(0), "vdm", 8, kernel="vectorized")
-        with pytest.raises(ValueError):
-            prim_mst_parents(_sparse(0), 8, kernel="vectorized")
-        with pytest.raises(ValueError):
-            scale_tree_metrics(
-                _sparse(0), np.array([-1, 0]), kernel="vectorized"
-            )
-
+        # The selector keywords are gone from all three entry points.
+        for entry in (build_scale_tree, prim_mst_parents, scale_tree_metrics):
+            params = inspect.signature(entry).parameters
+            assert "kernel" not in params and "prefetch_block" not in params
+        for extra in ({"kernel": "scalar"}, {"prefetch_block": 0}):
+            with pytest.raises(TypeError):
+                build_scale_tree(_sparse(0), "vdm", 8, **extra)
+            with pytest.raises(TypeError):
+                prim_mst_parents(_sparse(0), 8, **extra)
+            with pytest.raises(TypeError):
+                scale_tree_metrics(_sparse(0), np.array([-1, 0]), **extra)
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
     def test_negative_tie_tolerance_rejected_up_front(self, kernel):
         # Two members: no pivot ever has children, so a per-step check
         # would never run (the parent commit accepted this silently).
         with pytest.raises(ValueError, match="tie_tolerance"):
-            build_scale_tree(_sparse(0), "vdm", 2, tie_tolerance=-1.0, kernel=kernel)
+            ref.build(_sparse(0), "vdm", 2, tie_tolerance=-1.0, kernel=kernel)
 
 
 def _island_sparse() -> SparseUnderlay:
@@ -226,12 +249,17 @@ class TestUnreachablePairs:
     @pytest.mark.parametrize("protocol", SCALE_PROTOCOLS)
     def test_walk_raises_no_path(self, protocol, kernel):
         with pytest.raises(NoRouteError):
-            build_scale_tree(_island_sparse(), protocol, 5, kernel=kernel)
+            ref.build(_island_sparse(), protocol, 5, kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", ["batched", "scalar"])
+    def test_prim_raises_no_path(self, kernel):
+        with pytest.raises(NoRouteError):
+            ref.prim(_island_sparse(), 5, kernel=kernel)
 
     def test_walk_below_the_island_member_is_fine(self):
         # Hosts 0 and 1 share a component; nothing is checked that the
         # walk does not read.
-        tree = build_scale_tree(_island_sparse(), "vdm", 2, kernel="batched")
+        tree = ref.build(_island_sparse(), "vdm", 2, kernel="batched")
         assert tree.parents.tolist() == [-1, 0]
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
@@ -243,7 +271,7 @@ class TestUnreachablePairs:
     )
     def test_metrics_raise_no_path(self, parents, include_stress, kernel):
         with pytest.raises(NoRouteError):
-            scale_tree_metrics(
+            ref.metrics(
                 _island_sparse(),
                 np.array(parents),
                 include_stress=include_stress,
@@ -269,28 +297,28 @@ _SHIFTED, _GAPPED, _INDEXED = (1, 2, 3, 4, 5, 6), (0, 1, 2, 7), (0, 1, 2, 3)
 
 #: case -> (host ids, call); every call breaks the module's contract.
 _OFF_CONTRACT = {
-    "walk-hosts-1..6": (_SHIFTED, lambda u, k: build_scale_tree(u, "vdm", 6, kernel=k)),
+    "walk-hosts-1..6": (_SHIFTED, lambda u, k: ref.build(u, "vdm", 6, kernel=k)),
     "walk-hosts-0,1,2,7": (
         _GAPPED,
-        lambda u, k: build_scale_tree(u, "vdm", 4, kernel=k),
+        lambda u, k: ref.build(u, "vdm", 4, kernel=k),
     ),
-    "prim-hosts-1..6": (_SHIFTED, lambda u, k: prim_mst_parents(u, 6, kernel=k)),
-    "prim-hosts-0,1,2,7": (_GAPPED, lambda u, k: prim_mst_parents(u, 4, kernel=k)),
+    "prim-hosts-1..6": (_SHIFTED, lambda u, k: ref.prim(u, 6, kernel=k)),
+    "prim-hosts-0,1,2,7": (_GAPPED, lambda u, k: ref.prim(u, 4, kernel=k)),
     "metrics-hosts-1..6": (
         _SHIFTED,
-        lambda u, k: scale_tree_metrics(u, np.arange(-1, 5), kernel=k),
+        lambda u, k: ref.metrics(u, np.arange(-1, 5), kernel=k),
     ),
     "metrics-hosts-0,1,2,7": (
         _GAPPED,
-        lambda u, k: scale_tree_metrics(u, np.arange(-1, 3), kernel=k),
+        lambda u, k: ref.metrics(u, np.arange(-1, 3), kernel=k),
     ),
     "metrics-float-parents": (
         _INDEXED,
-        lambda u, k: scale_tree_metrics(u, np.array([-1.0, 0.0, 1.0, 2.0]), kernel=k),
+        lambda u, k: ref.metrics(u, np.array([-1.0, 0.0, 1.0, 2.0]), kernel=k),
     ),
     "metrics-2d-parents": (
         _INDEXED,
-        lambda u, k: scale_tree_metrics(u, np.array([[-1, 0], [1, 2]]), kernel=k),
+        lambda u, k: ref.metrics(u, np.array([[-1, 0], [1, 2]]), kernel=k),
     ),
 }
 
@@ -307,6 +335,34 @@ class TestInputContract:
         underlay = _underlay_with_hosts(engine, host_ids)
         with pytest.raises(ValueError, match="host ids|integer array"):
             call(underlay, kernel)
+
+    @pytest.mark.parametrize("engine", ["matrix", "lazy"])
+    @pytest.mark.parametrize(
+        "entry", ["build_scale_tree", "scale_tree_metrics", "prim_mst_parents"]
+    )
+    def test_underlays_without_rows_are_refused_before_any_query(
+        self, entry, engine
+    ):
+        # The row source is the only one: anything but an index-addressed
+        # SparseUnderlay is a TypeError, and the underlay is asked nothing
+        # first (the lazy engine used to be walked pair by pair).
+        if engine == "matrix":
+            underlay = MatrixUnderlay(line_matrix([0.0, 10.0, 25.0, 45.0]))
+        else:
+            underlay = _underlay_with_hosts("lazy", _INDEXED)
+        calls = []
+        for name in ("rtt_ms", "delay_ms", "path_links", "delay_row", "prefetch_rows"):
+            setattr(underlay, name, lambda *a, _name=name, **k: calls.append(_name))
+        call = {
+            "build_scale_tree": lambda: build_scale_tree(underlay, "vdm", 4),
+            "scale_tree_metrics": lambda: scale_tree_metrics(
+                underlay, np.array([-1, 0, 1, 1])
+            ),
+            "prim_mst_parents": lambda: prim_mst_parents(underlay, 4),
+        }[entry]
+        with pytest.raises(TypeError, match="SparseUnderlay"):
+            call()
+        assert calls == []
 
 
 def _tree_digest(tree) -> str:
@@ -336,7 +392,7 @@ _GOLDEN_TREES = {
 
 class TestPivotRttCache:
     """A pivot's RTTs to its children are measured once and kept with its
-    child list.  Both kernels share that list, so equality between them
+    child list.  Both sources share that list, so equality between them
     cannot catch one that drifts from a fresh gather: the golden pins can."""
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
@@ -347,7 +403,7 @@ class TestPivotRttCache:
     def test_trees_match_the_fresh_gather_pins(self, key, engine, kernel):
         protocol, degree_limit, seed = key
         underlay = _ENGINES[engine](seed)
-        tree = build_scale_tree(
+        tree = ref.build(
             underlay, protocol, 32, degree_limit=degree_limit, kernel=kernel
         )
         assert _tree_digest(tree) == _GOLDEN_TREES[key]
@@ -361,7 +417,7 @@ class TestPivotRttCache:
     ):
         # One handle per joining member, plus at most one fill per attach.
         opened = []
-        for source in (_PairQueries, _SparseRows):
+        for source in (ref.PairQueries, _SparseRows):
             inner = source.__dict__["rtts"]
 
             def counting(self, a, *args, _inner=inner):
@@ -370,7 +426,7 @@ class TestPivotRttCache:
 
             monkeypatch.setattr(source, "rtts", counting)
         n = 32
-        build_scale_tree(
+        ref.build(
             _ENGINES[engine](3), protocol, n, degree_limit=degree_limit, kernel=kernel
         )
         assert n - 1 <= len(opened) <= 2 * (n - 1)
@@ -413,17 +469,17 @@ class TestDenseRows:
     ):
         lazy, compiled = dense_variants[seed]
         underlay = compiled[variant]
-        batched = build_scale_tree(
+        batched = ref.build(
             underlay, protocol, 32, degree_limit=degree_limit, kernel="batched"
         )
-        scalar = build_scale_tree(
+        scalar = ref.build(
             underlay, protocol, 32, degree_limit=degree_limit, kernel="scalar"
         )
         _assert_trees_bitwise_equal(batched, scalar, variant)
         assert repr(scale_tree_metrics(underlay, batched.parents)) == repr(
-            scale_tree_metrics(underlay, batched.parents, kernel="scalar")
+            ref.metrics(underlay, batched.parents, kernel="scalar")
         )
-        on_lazy = build_scale_tree(
+        on_lazy = ref.build(
             lazy, protocol, 32, degree_limit=degree_limit, kernel="scalar"
         )
         _assert_trees_bitwise_equal(batched, on_lazy, variant)
@@ -434,11 +490,11 @@ class TestDenseRows:
         calls = _count_pair_queries(underlay)
         rows_before = underlay.plan_rows + underlay.demand_rows
         try:
-            build_scale_tree(underlay, "vdm", 32, kernel="batched")
+            ref.build(underlay, "vdm", 32, kernel="batched")
             assert calls["rtt_ms"] == 0
             # every row the walk read was resident: none was computed
             assert underlay.plan_rows + underlay.demand_rows == rows_before
-            build_scale_tree(underlay, "vdm", 32, kernel="scalar")
+            ref.build(underlay, "vdm", 32, kernel="scalar")
             assert calls["rtt_ms"] > 0
         finally:
             for name in calls:
@@ -474,8 +530,8 @@ class TestNoPairMemo:
         assert calls == {"rtt_ms": 0, "delay_ms": 0, "path_links": 0}
         assert len(underlay._delay_cache) == len(underlay._path_cache) == 0
         # ... and the reference is exactly those queries.
-        build_scale_tree(underlay, "vdm", 32, kernel="scalar")
-        scale_tree_metrics(underlay, tree.parents, kernel="scalar")
+        ref.build(underlay, "vdm", 32, kernel="scalar")
+        ref.metrics(underlay, tree.parents, kernel="scalar")
         assert min(calls.values()) > 0
 
 
@@ -485,10 +541,10 @@ class TestIterationBound:
         # iterations, so n=100 legitimately blows through the old fixed
         # bound of 64.  Both kernels must complete and agree.
         underlay = _sparse(9, n_hosts=100)
-        scalar = build_scale_tree(
+        scalar = ref.build(
             underlay, "btp", 100, degree_limit=1, kernel="scalar"
         )
-        batched = build_scale_tree(
+        batched = ref.build(
             underlay, "btp", 100, degree_limit=1, kernel="batched"
         )
         _assert_trees_bitwise_equal(scalar, batched)
@@ -504,14 +560,14 @@ class TestPrimEquivalence:
     def test_prefetched_prim_matches_scalar(self, seed):
         underlay = _sparse(seed)
         np.testing.assert_array_equal(
-            prim_mst_parents(underlay, 28, kernel="scalar"),
-            prim_mst_parents(underlay, 28, kernel="batched"),
+            ref.prim(underlay, 28, kernel="scalar"),
+            ref.prim(underlay, 28, kernel="batched"),
         )
 
     def test_prefetched_prim_matches_lazy_oracle(self):
         np.testing.assert_array_equal(
-            prim_mst_parents(_lazy(6), 24),
-            prim_mst_parents(_sparse(6), 24, kernel="batched"),
+            ref.prim(_lazy(6), 24),
+            ref.prim(_sparse(6), 24, kernel="batched"),
         )
 
 
@@ -530,18 +586,18 @@ class TestMetricsEquivalence:
         # from path_links tuples into a Counter.
         underlay = _sparse(seed)
         tree = build_scale_tree(underlay, protocol, n_members)
-        scalar = scale_tree_metrics(underlay, tree.parents, kernel="scalar")
-        batched = scale_tree_metrics(underlay, tree.parents, kernel="batched")
+        scalar = ref.metrics(underlay, tree.parents, kernel="scalar")
+        batched = ref.metrics(underlay, tree.parents, kernel="batched")
         # repr round-trips floats exactly: this is bitwise equality.
         assert repr(scalar) == repr(batched)
 
     def test_stress_skip_agrees(self):
         underlay = _sparse(1)
         tree = build_scale_tree(underlay, "hmtp", 20)
-        scalar = scale_tree_metrics(
+        scalar = ref.metrics(
             underlay, tree.parents, include_stress=False, kernel="scalar"
         )
-        batched = scale_tree_metrics(
+        batched = ref.metrics(
             underlay, tree.parents, include_stress=False, kernel="batched"
         )
         assert repr(scalar) == repr(batched)
@@ -549,14 +605,14 @@ class TestMetricsEquivalence:
 
     def test_batched_metrics_reject_forests(self):
         with pytest.raises(ValueError):
-            scale_tree_metrics(
+            ref.metrics(
                 _sparse(0), np.array([-1, 0, -1, 2]), kernel="batched"
             )
 
     def test_metric_floats_are_python_floats(self):
         # ``repr`` of the record is the cross-kernel identity oracle;
         # np.float64 reprs would diverge from the scalar path.
-        metrics = scale_tree_metrics(_sparse(3), build_scale_tree(
+        metrics = ref.metrics(_sparse(3), build_scale_tree(
             _sparse(3), "vdm", 16
         ).parents, kernel="batched")
         for value in metrics.as_record().values():
@@ -584,7 +640,7 @@ class TestRowReuse:
         """vdm → metrics → hmtp → metrics → btp → Prim, as comparable bytes."""
         out = []
         for protocol in SCALE_PROTOCOLS:
-            tree = build_scale_tree(
+            tree = ref.build(
                 underlay_for_step(), protocol, self.N, kernel=kernel
             )
             out.append(
@@ -597,12 +653,12 @@ class TestRowReuse:
             if protocol != "btp":
                 out.append(
                     repr(
-                        scale_tree_metrics(
+                        ref.metrics(
                             underlay_for_step(), tree.parents, kernel=kernel
                         )
                     )
                 )
-        mst = prim_mst_parents(underlay_for_step(), self.N, kernel=kernel)
+        mst = ref.prim(underlay_for_step(), self.N, kernel=kernel)
         out.append(mst.tobytes())
         return out
 

@@ -34,6 +34,35 @@ class TestTransitStubConfig:
         with pytest.raises(ValueError):
             TransitStubConfig(intra_stub_edge_prob=1.5)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("total_nodes", 100.5),  # the generator's size deficit never hit 0
+            ("total_nodes", 100.0),
+            ("transit_domains", 1.5),
+            ("transit_nodes_per_domain", 2.0),
+            ("stub_domains_per_transit", float("nan")),
+            ("stub_domains_per_transit", 0),
+            ("extra_transit_transit_links", -1),  # was silently 0
+            ("extra_transit_transit_links", 1.5),
+        ],
+    )
+    def test_rejects_non_integral_or_out_of_range_counts(self, field, value):
+        # Refused at construction, so a regression fails here instead of
+        # hanging the generator.
+        base = dict(
+            total_nodes=100,
+            transit_domains=1,
+            transit_nodes_per_domain=2,
+            stub_domains_per_transit=2,
+        )
+        with pytest.raises(ValueError, match=field):
+            TransitStubConfig(**{**base, field: value})
+
+    def test_zero_extra_transit_links_accepted(self):
+        cfg = TransitStubConfig(extra_transit_transit_links=0)
+        assert cfg.extra_transit_transit_links == 0
+
 
 SMALL = TransitStubConfig(
     total_nodes=60,

@@ -87,13 +87,19 @@ def _start_refinement(period_s):
     OverlayAgent(1, env).start_refinement(period_s)
 
 
-def _scale_tree(tie_tolerance):
-    from repro.harness.scale import build_scale_tree
+def _scale_call(entry, **knobs):
+    """One scale entry point on a matrix underlay: the row walks refuse
+    its type, so only an up-front ``ValueError`` can come first."""
+    from repro.harness import scale
     from repro.sim.network import MatrixUnderlay
     from tests.helpers import line_matrix
 
     underlay = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0]))
-    build_scale_tree(underlay, "vdm", 3, tie_tolerance=tie_tolerance)
+    n_members = knobs.pop("n_members", 3)
+    if entry == "prim":
+        scale.prim_mst_parents(underlay, n_members)
+    else:
+        scale.build_scale_tree(underlay, "vdm", n_members, **knobs)
 
 
 def _builders():
@@ -108,7 +114,14 @@ def _builders():
         "HMTPConfig.refine_period_s": lambda v: HMTPConfig(refine_period_s=v),
         "BTPConfig.refine_period_s": lambda v: BTPConfig(refine_period_s=v),
         "SessionConfig.refine_period_s": lambda v: SessionConfig(refine_period_s=v),
-        "build_scale_tree.tie_tolerance": _scale_tree,
+        "build_scale_tree.tie_tolerance": lambda v: _scale_call(
+            "walk", tie_tolerance=v
+        ),
+        "build_scale_tree.degree_limit": lambda v: _scale_call(
+            "walk", degree_limit=v
+        ),
+        "build_scale_tree.n_members": lambda v: _scale_call("walk", n_members=v),
+        "prim_mst_parents.n_members": lambda v: _scale_call("prim", n_members=v),
         "OverlayAgent.start_refinement": _start_refinement,
     }
 
@@ -116,7 +129,9 @@ def _builders():
 class TestProtocolKnobsRefuseNonFinite:
     """A NaN tie tolerance put every child in Case III; a NaN period died
     mid-run on a NaN event time; an infinite HMTP period silently turned
-    off the refinement HMTP needs to converge.  All refuse up front."""
+    off the refinement HMTP needs to converge; a NaN scale degree limit
+    built a chain, and a fractional member count or degree limit died on
+    a slice index.  All refuse up front."""
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
@@ -129,8 +144,25 @@ class TestProtocolKnobsRefuseNonFinite:
             "SessionConfig.refine_period_s",
             "build_scale_tree.tie_tolerance",
             "OverlayAgent.start_refinement",
+            "build_scale_tree.degree_limit",
+            "build_scale_tree.n_members",
+            "prim_mst_parents.n_members",
         ],
     )
     def test_refused_at_construction(self, knob, value):
         with pytest.raises(ValueError, match="NaN|finite"):
+            _builders()[knob](value)
+
+    @pytest.mark.parametrize("value", [2.5, 20.0])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "build_scale_tree.degree_limit",
+            "build_scale_tree.n_members",
+            "prim_mst_parents.n_members",
+        ],
+    )
+    def test_counts_refuse_fractions(self, knob, value):
+        name = knob.split(".")[1]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             _builders()[knob](value)
