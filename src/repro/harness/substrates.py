@@ -35,7 +35,7 @@ from repro.topology.transit_stub import (
     generate_transit_stub_arrays,
 )
 from repro.util import artifacts
-from repro.util.rngtools import spawn_rng
+from repro.util.rngtools import check_seed, spawn_rng
 
 __all__ = [
     "build_transit_stub_underlay",
@@ -77,7 +77,7 @@ def build_transit_stub_underlay(
             "schema": SPARSE_SCHEMA,
             "ts_config": config,
             "link_errors": link_errors,
-            "seed": int(seed),
+            "seed": check_seed(seed),
             "n_hosts": int(n_hosts),
             "access_delay_ms": float(access_delay_ms),
         }
@@ -199,7 +199,7 @@ def build_planetlab_underlay(
             "kind": "planetlab",
             "schema": _PLANETLAB_SCHEMA,
             "n_select": int(n_select),
-            "seed": int(seed),
+            "seed": check_seed(seed),
             "n_us": int(n_us),
             "n_eu": int(n_eu),
             "loss_sigma": None if loss_sigma is None else float(loss_sigma),

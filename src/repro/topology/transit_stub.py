@@ -20,21 +20,24 @@ paper's substrate.
 CSR-ready triplet arrays (edge endpoints, one-way delays in milliseconds,
 kinds, plus per-router level/domain arrays) without ever building a
 per-node adjacency structure, so generation stays O(E) in memory and is
-usable at 100k+ routers.  It draws from the RNG in the exact order of the
-original graph-first implementation, so existing seeds reproduce
-bit-identically: ``tests/test_transit_stub_arrays.py`` pins it against
-the graph-form twin in ``tests/lazy_underlay.py`` and against per-preset
-topology digests.
+usable at 100k+ routers.  Each domain's pairs are drawn as one mask over
+its upper triangle, with no per-pair Python work.  It draws from the RNG
+in the exact order of the original graph-first implementation, so
+existing seeds reproduce bit-identically: ``tests/test_transit_stub_arrays.py``
+pins every output array of the presets and of the scale and degenerate
+recipes to digests, and one domain's draw to the set-and-sort reference
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_count, check_probability
+from repro.util.validation import check_count, check_finite, check_probability
 
 __all__ = [
     "TransitStubConfig",
@@ -56,6 +59,8 @@ _KIND_INTRA_TRANSIT = 1
 _KIND_STUB_TRANSIT = 2
 _KIND_INTRA_STUB = 3
 
+_NO_NODES = np.empty(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class TransitStubConfig:
@@ -67,7 +72,9 @@ class TransitStubConfig:
 
     Delay ranges are one-way link delays in milliseconds, chosen to mirror
     GT-ITM's convention that inter-domain links are an order of magnitude
-    longer than intra-stub links.
+    longer than intra-stub links.  Each is a pair of finite reals with
+    ``0 < lo <= hi``, given as a tuple or a list and stored as a tuple of
+    floats.
     """
 
     total_nodes: int = 792
@@ -99,9 +106,14 @@ class TransitStubConfig:
             "delay_stub_transit",
             "delay_intra_stub",
         ):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}")
+            lo, hi = (check_finite(name, bound) for bound in pair)
             if not 0 < lo <= hi:
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+            # Stored as a tuple of floats, so the config stays hashable.
+            object.__setattr__(self, name, (lo, hi))
         n_transit = self.transit_domains * self.transit_nodes_per_domain
         if self.total_nodes <= n_transit:
             raise ValueError(
@@ -118,41 +130,46 @@ class TransitStubConfig:
         return self.n_transit * self.stub_domains_per_transit
 
 
+@lru_cache(maxsize=64)
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``(iu[i], ju[i])`` of ``0..n-1`` in row-major upper-triangle
+    order, and ``index[a, b] == index[b, a]``, the position of pair
+    ``{a, b}`` in it.  Read-only; an entry holds 16·n² bytes, and stub
+    domains stay at tens of routers at every scale."""
+    iu, ju = np.triu_indices(n, k=1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    for table in (iu, ju, index):
+        table.flags.writeable = False
+    return iu, ju, index
+
+
 def _connected_random_graph(
     n: int, p: float, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Edges of a connected Erdos-Renyi-style graph on nodes 0..n-1.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``(us[i], vs[i])``, ``us < vs``, of a connected
+    Erdos-Renyi-style graph on nodes 0..n-1, in lexicographic order.
 
     Connectivity is guaranteed by first threading a random spanning chain
     (a random permutation path), then adding each remaining pair with
     probability ``p`` — GT-ITM uses the same trick.
 
-    The pair sampling is a single block draw rather than an O(n^2) Python
-    loop.  Bit-stream compatibility with the historical scalar loop is
-    preserved: ``Generator.random(size=k)`` consumes the underlying bit
-    stream exactly like ``k`` scalar ``Generator.random()`` calls, and the
-    spanning-chain pairs — which the scalar loop skipped without drawing —
-    are masked out of the block before drawing.
+    Chain and drawn pairs are one boolean mask over the row-major upper
+    triangle, whose order is already lexicographic.  The pairs off the
+    chain take one ``Generator.random`` block, which consumes the bit
+    stream exactly like one scalar draw per pair in row-major order, the
+    chain pairs drawing nothing.
     """
     if n <= 0:
-        return []
+        return _NO_NODES, _NO_NODES
     order = rng.permutation(n)
-    chain = {
-        (min(a, b), max(a, b))
-        for a, b in zip(order[:-1].tolist(), order[1:].tolist())
-    }
     if n < 2:
-        return sorted(chain)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = np.ones(iu.size, dtype=bool)
-    for a, b in chain:
-        # Row-major linear index of pair (a, b) with a < b.
-        mask[a * (2 * n - a - 1) // 2 + (b - a - 1)] = False
-    draws = rng.random(int(mask.sum()))
-    sel = np.zeros(iu.size, dtype=bool)
-    sel[mask] = draws < p
-    edges = set(zip(iu[sel].tolist(), ju[sel].tolist())) | chain
-    return sorted(edges)
+        return _NO_NODES, _NO_NODES
+    iu, ju, index = _pair_tables(n)
+    keep = np.zeros(iu.size, dtype=bool)
+    keep[index[order[:-1], order[1:]]] = True
+    keep[~keep] = rng.random(iu.size - (n - 1)) < p
+    return iu[keep], ju[keep]
 
 
 def _draw_delays(
@@ -246,35 +263,33 @@ def generate_transit_stub_arrays(
     """
     config = config or TransitStubConfig()
     rng = rng_from_seed(seed)
+    per_domain = config.transit_nodes_per_domain
 
     edge_u: list[np.ndarray] = []
     edge_v: list[np.ndarray] = []
     edge_delay: list[np.ndarray] = []
-    edge_kind: list[np.ndarray] = []
+    kinds: list[int] = []
+    counts: list[int] = []
 
     def emit(us: np.ndarray, vs: np.ndarray, delays: np.ndarray, kind: int) -> None:
-        edge_u.append(np.asarray(us, dtype=np.int64))
-        edge_v.append(np.asarray(vs, dtype=np.int64))
-        edge_delay.append(np.asarray(delays, dtype=np.float64))
-        edge_kind.append(np.full(len(delays), kind, dtype=np.uint8))
-
-    next_id = 0
+        edge_u.append(us)
+        edge_v.append(vs)
+        edge_delay.append(delays)
+        kinds.append(kind)
+        counts.append(len(delays))
 
     # --- transit level -----------------------------------------------------
-    transit_ids: list[list[int]] = []  # per domain
-    for _dom in range(config.transit_domains):
-        ids = list(range(next_id, next_id + config.transit_nodes_per_domain))
-        next_id += config.transit_nodes_per_domain
-        pairs = _connected_random_graph(len(ids), config.intra_transit_edge_prob, rng)
-        if pairs:
-            pa = np.asarray(pairs, dtype=np.int64) + ids[0]
-            emit(
-                pa[:, 0],
-                pa[:, 1],
-                _draw_delays(rng, config.delay_intra_transit, len(pairs)),
-                _KIND_INTRA_TRANSIT,
-            )
-        transit_ids.append(ids)
+    for dom in range(config.transit_domains):
+        first = dom * per_domain
+        us, vs = _connected_random_graph(
+            per_domain, config.intra_transit_edge_prob, rng
+        )
+        emit(
+            us + first,
+            vs + first,
+            _draw_delays(rng, config.delay_intra_transit, us.size),
+            _KIND_INTRA_TRANSIT,
+        )
 
     # Connect transit domains: a random chain plus extra random pairs
     # (a single-domain topology has no inter-domain links at all).
@@ -286,8 +301,8 @@ def generate_transit_stub_arrays(
             inter_pairs.append((int(a), int(b)))
     seen_inter: set[tuple[int, int]] = set()
     for dom_a, dom_b in inter_pairs:
-        u = int(rng.choice(transit_ids[int(dom_a)]))
-        v = int(rng.choice(transit_ids[int(dom_b)]))
+        u = int(dom_a) * per_domain + int(rng.integers(per_domain))
+        v = int(dom_b) * per_domain + int(rng.integers(per_domain))
         pair = (min(u, v), max(u, v))
         # The historical generator drew the delay only when the edge was
         # new; replicate that so the RNG stream stays aligned.
@@ -302,56 +317,40 @@ def generate_transit_stub_arrays(
 
     # --- stub level ---------------------------------------------------------
     sizes = _stub_domain_sizes(config, rng)
-    all_transit = [t for dom in transit_ids for t in dom]
-    n_total = config.total_nodes
-    level = np.zeros(n_total, dtype=np.uint8)
-    node_domain = np.zeros(n_total, dtype=np.int64)
-    transit_domain = np.zeros(n_total, dtype=np.int64)
-    for dom, ids in enumerate(transit_ids):
-        node_domain[ids] = dom
-        transit_domain[ids] = dom
+    stubs_per = config.stub_domains_per_transit
+    n_transit = first = config.n_transit
+    for stub_index, size in enumerate(sizes):
+        us, vs = _connected_random_graph(size, config.intra_stub_edge_prob, rng)
+        emit(
+            us + first,
+            vs + first,
+            _draw_delays(rng, config.delay_intra_stub, us.size),
+            _KIND_INTRA_STUB,
+        )
+        # Gateway: one stub router uplinks to the transit router (transit
+        # routers serve ``stubs_per`` consecutive stub domains each).
+        # ``integers(size)`` is the one bounded draw that picking from the
+        # domain's ids with ``rng.choice`` makes, so the stream is unchanged.
+        emit(
+            np.asarray([first + int(rng.integers(size))]),
+            np.asarray([stub_index // stubs_per]),
+            _draw_delays(rng, config.delay_stub_transit, 1),
+            _KIND_STUB_TRANSIT,
+        )
+        first += size
 
-    stub_index = 0
-    for transit_node in all_transit:
-        t_dom = int(transit_domain[transit_node])
-        for _ in range(config.stub_domains_per_transit):
-            size = sizes[stub_index]
-            first = next_id
-            next_id += size
-            level[first : first + size] = 1
-            node_domain[first : first + size] = stub_index
-            transit_domain[first : first + size] = t_dom
-            pairs = _connected_random_graph(size, config.intra_stub_edge_prob, rng)
-            if pairs:
-                pa = np.asarray(pairs, dtype=np.int64) + first
-                emit(
-                    pa[:, 0],
-                    pa[:, 1],
-                    _draw_delays(rng, config.delay_intra_stub, len(pairs)),
-                    _KIND_INTRA_STUB,
-                )
-            # Gateway: one stub router uplinks to the transit router.
-            gateway = int(rng.choice(list(range(first, first + size))))
-            emit(
-                np.asarray([gateway]),
-                np.asarray([transit_node]),
-                _draw_delays(rng, config.delay_stub_transit, 1),
-                _KIND_STUB_TRANSIT,
-            )
-            stub_index += 1
-
-    assert next_id == n_total
+    transit_dom = np.arange(n_transit) // per_domain
+    stub_dom = np.repeat(np.arange(len(sizes)), sizes)
+    level = np.repeat(np.asarray([0, 1], dtype=np.uint8), [n_transit, stub_dom.size])
     return TransitStubArrays(
-        n_nodes=n_total,
-        edge_u=np.concatenate(edge_u) if edge_u else np.empty(0, dtype=np.int64),
-        edge_v=np.concatenate(edge_v) if edge_v else np.empty(0, dtype=np.int64),
-        edge_delay=(
-            np.concatenate(edge_delay) if edge_delay else np.empty(0, dtype=np.float64)
-        ),
-        edge_kind=(
-            np.concatenate(edge_kind) if edge_kind else np.empty(0, dtype=np.uint8)
-        ),
+        n_nodes=config.total_nodes,
+        edge_u=np.concatenate(edge_u),
+        edge_v=np.concatenate(edge_v),
+        edge_delay=np.concatenate(edge_delay),
+        edge_kind=np.repeat(np.asarray(kinds, dtype=np.uint8), counts),
         level=level,
-        node_domain=node_domain,
-        transit_domain=transit_domain,
+        node_domain=np.concatenate([transit_dom, stub_dom]),
+        transit_domain=np.concatenate(
+            [transit_dom, transit_dom[stub_dom // stubs_per]]
+        ),
     )

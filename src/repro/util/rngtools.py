@@ -11,11 +11,12 @@ per-component generators with :func:`spawn_rng` so that
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["RngLike", "rng_from_seed", "spawn_rng"]
+__all__ = ["RngLike", "check_seed", "rng_from_seed", "spawn_rng"]
 
 #: what :func:`rng_from_seed` turns into a Generator
 RngLike = int | np.random.Generator | Callable[[], np.random.Generator] | None
@@ -53,16 +54,32 @@ def _hash_key(key: str) -> int:
     return acc
 
 
+def check_seed(value: object, position: str = "seed") -> int:
+    """Return a seed or integer key as an ``int``, refusing what ``int()``
+    would silently truncate onto another seed's stream.
+
+    Integers (numpy ones included) and whole floats are accepted; a bool,
+    NaN, an infinity or a fractional float is a ``ValueError`` naming
+    ``position``.
+    """
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{position} must be an integer or a whole float, got {value!r}")
+
+
 def spawn_rng(seed: int, *keys: int | str) -> np.random.Generator:
     """Derive an independent generator from ``seed`` and a key path.
 
     String keys are hashed stably (not with :func:`hash`, which is salted per
-    process) so the same key path always yields the same stream.
+    process) so the same key path always yields the same stream.  The seed
+    and integer keys go through :func:`check_seed`.
     """
-    ints: list[int] = [int(seed) & 0xFFFFFFFF]
-    for key in keys:
+    ints: list[int] = [check_seed(seed) & 0xFFFFFFFF]
+    for i, key in enumerate(keys):
         if isinstance(key, str):
             ints.append(_hash_key(key))
         else:
-            ints.append(int(key) & 0xFFFFFFFF)
+            ints.append(check_seed(key, f"key {i}") & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(ints))

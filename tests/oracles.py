@@ -255,3 +255,39 @@ class NoWindows:
 
     def __init__(self, hook):
         self.delivery_delays = hook.delivery_delays
+
+
+# ---------------------------------------------------------------------------
+# Transit-stub generation: one domain's edges by set and sort
+# ---------------------------------------------------------------------------
+
+
+def connected_random_graph(
+    n: int, p: float, rng: np.random.Generator
+) -> list[tuple[int, int]]:
+    """Edges of a connected random graph on ``0..n-1``, sorted: a random
+    permutation path, plus each other pair with probability ``p``.
+
+    The chain pairs are collected in a set, the others drawn as one
+    ``rng.random`` block over the upper-triangle pairs that are not on
+    the chain (row-major order), and the union is sorted — the draws and
+    the edge list ``_connected_random_graph`` must reproduce, leaving
+    ``rng`` at the same point of its stream.
+    """
+    if n <= 0:
+        return []
+    order = rng.permutation(n)
+    chain = {
+        (min(a, b), max(a, b))
+        for a, b in zip(order[:-1].tolist(), order[1:].tolist())
+    }
+    if n < 2:
+        return sorted(chain)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = np.ones(iu.size, dtype=bool)
+    for a, b in chain:
+        mask[a * (2 * n - a - 1) // 2 + (b - a - 1)] = False
+    draws = rng.random(int(mask.sum()))
+    sel = np.zeros(iu.size, dtype=bool)
+    sel[mask] = draws < p
+    return sorted(set(zip(iu[sel].tolist(), ju[sel].tolist())) | chain)

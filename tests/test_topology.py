@@ -30,6 +30,31 @@ class TestTransitStubConfig:
         with pytest.raises(ValueError, match="lo <= hi"):
             TransitStubConfig(delay_intra_stub=(5.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            (0.5, float("inf")),  # died at generation in numpy's uniform
+            (float("nan"), 3.0),
+            (0.0, 3.0),
+            (1.0, 2.0, 3.0),  # "too many values to unpack"
+            (1.0,),
+            2.0,
+            None,
+        ],
+    )
+    def test_rejects_malformed_delay_pair(self, value):
+        with pytest.raises(ValueError, match="delay_intra_stub"):
+            TransitStubConfig(delay_intra_stub=value)
+
+    def test_delay_pair_list_is_stored_as_tuple(self):
+        # A list kept as given made the config unhashable, and the figure
+        # sweep's cache lookup died on it.
+        cfg = TransitStubConfig(delay_intra_stub=[0.5, 3.0])
+        assert cfg.delay_intra_stub == (0.5, 3.0)
+        assert isinstance(cfg.delay_intra_stub, tuple)
+        assert hash(cfg) == hash(TransitStubConfig())
+        assert cfg == TransitStubConfig()
+
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             TransitStubConfig(intra_stub_edge_prob=1.5)

@@ -77,6 +77,78 @@ class TestRng:
         assert v1 == v2
 
 
+_ALIASING_SEEDS = [1.5, True, np.bool_(True), float("nan"), float("inf"), -float("inf")]
+_ALIAS_IDS = ["fraction", "bool", "numpy-bool", "nan", "inf", "-inf"]
+
+
+def _seeded(entry, seed):
+    """Derive ``entry``'s streams from ``seed`` (each reaches
+    :func:`spawn_rng` at construction)."""
+    from repro import factories
+    from repro.harness.substrates import build_transit_stub_underlay
+    from repro.service.runtime import ServiceConfig, ServiceRuntime
+    from repro.sim.faults import FaultInjector, FaultPlan
+    from repro.sim.network import MatrixUnderlay
+    from repro.sim.session import MulticastSession, SessionConfig
+    from repro.topology.transit_stub import TransitStubConfig
+    from tests.conftest import make_runtime
+    from tests.helpers import line_matrix
+
+    line = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0, 30.0]))
+    tiny = TransitStubConfig(
+        total_nodes=30,
+        transit_domains=1,
+        transit_nodes_per_domain=2,
+        stub_domains_per_transit=2,
+    )
+    return {
+        "spawn_rng.seed": lambda: spawn_rng(seed, "k"),
+        "spawn_rng.key": lambda: spawn_rng(1, "k", seed),
+        "build_transit_stub_underlay": lambda: build_transit_stub_underlay(
+            n_hosts=4, seed=seed, ts_config=tiny
+        ),
+        "SessionConfig": lambda: MulticastSession(
+            line, factories.vdm(), SessionConfig(n_nodes=3, seed=seed)
+        ),
+        "ServiceConfig": lambda: ServiceRuntime(ServiceConfig(seed=seed), line),
+        "FaultPlan": lambda: FaultInjector(FaultPlan(seed=seed), make_runtime(line)),
+    }[entry]()
+
+
+class TestSeedsDoNotAlias:
+    """``int()`` truncated a fractional, boolean or non-finite seed or key
+    onto another seed's streams: ``seed=1.5`` and ``seed=True`` ran seed
+    1.  Every stream derives through ``spawn_rng``, which now refuses."""
+
+    @pytest.mark.parametrize("seed", _ALIASING_SEEDS, ids=_ALIAS_IDS)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "spawn_rng.seed",
+            "spawn_rng.key",
+            "build_transit_stub_underlay",
+            "SessionConfig",
+            "ServiceConfig",
+            "FaultPlan",
+        ],
+    )
+    def test_refused(self, entry, seed):
+        position = "key 1" if entry == "spawn_rng.key" else "seed"
+        with pytest.raises(ValueError, match=f"{position} must be an integer"):
+            _seeded(entry, seed)
+
+    @pytest.mark.parametrize(
+        ("seed", "key"),
+        [(7.0, 4), (7, 4.0), (np.int64(7), np.int32(4)), (np.float64(7.0), 4)],
+        ids=["whole-seed", "whole-key", "numpy-ints", "numpy-whole-float"],
+    )
+    def test_integral_values_keep_their_stream(self, seed, key):
+        assert spawn_rng(seed, "k", key).random() == spawn_rng(7, "k", 4).random()
+
+    def test_wide_integers_still_fold_to_32_bits(self):
+        assert spawn_rng(2**32 + 7, -1).random() == spawn_rng(7, 2**32 - 1).random()
+
+
 def _start_refinement(period_s):
     from repro.protocols.base import OverlayAgent, ProtocolRuntime
     from repro.sim.engine import Simulator
