@@ -34,8 +34,13 @@ How the speedup is obtained
   is output-neutral: its only consumer is the agent-RNG spawn key, and a
   plain VDM agent (``case3_selection="closest"``) never draws that RNG.
 * **Cell-level sharing.**  All replications of one sweep cell share the
-  underlay plus lazily materialized per-source delay/RTT rows
-  (:class:`BatchedCell`), instead of re-deriving them per replication.
+  underlay (:class:`BatchedCell`), and every agent reads the underlay's
+  own host delay row (``Underlay.delay_row``, in ms, read-only) instead
+  of a converted copy.  Each read site applies the scalar runtime's
+  arithmetic at use — ``row[x] / 1000.0`` for a send, as
+  ``ProtocolRuntime.tell`` and ``request`` do, and ``2.0 * row[x]`` for
+  a virtual distance, as ``Underlay.rtt_ms`` does — so every float is
+  the scalar engine's, and the figure path holds one copy of each row.
 * **No invariant checker.**  The checker is a pure observer (it schedules
   nothing and draws no RNG), so dropping it cannot change results on
   violation-free runs — and a violating run is a bug either way.
@@ -175,10 +180,10 @@ class _Agent:
     """Mirror of :class:`~repro.protocols.base.OverlayAgent` state.
 
     Only the fields the envelope can reach: no refinement timer, no
-    per-agent RNG (never drawn by plain VDM), no foster state.  The
-    agent carries direct references to its (static, cell-shared) delay
-    and RTT rows so the hot send/decide paths index a list instead of
-    going through the cell's row-cache lookup per message.
+    per-agent RNG (never drawn by plain VDM), no foster state.  ``row``
+    is the underlay's own ``delay_row(node)`` list (ms, never written):
+    the hot send/decide paths index it directly, dividing by 1000 for a
+    send delay and doubling for a virtual distance.
     """
 
     __slots__ = (
@@ -187,22 +192,18 @@ class _Agent:
         "grandparent",
         "children",
         "proc",
-        "sec",
-        "rtt",
+        "row",
         "csort",
     )
 
-    def __init__(
-        self, degree_limit: int, sec: list[float], rtt: list[float]
-    ) -> None:
+    def __init__(self, degree_limit: int, row: list[float]) -> None:
         self.degree_limit = degree_limit
         self.parent: int | None = None
         self.grandparent: int | None = None
         #: child id -> virtual distance measured when the child connected.
         self.children: dict[int, float] = {}
         self.proc: _Join | None = None
-        self.sec = sec  # one-way delay row of this node, in seconds
-        self.rtt = rtt  # RTT row of this node (the sigma=0 virtual distance)
+        self.row = row  # the underlay's one-way delay row of this node, in ms
         #: memo of ``sorted(children.items())`` — reset to None at every
         #: children mutation, rebuilt lazily by ``_child_info``.
         self.csort: list[tuple[int, float]] | None = None
@@ -242,8 +243,9 @@ class BatchedCell:
     """Shared per-sweep-cell state: one underlay, many replications.
 
     Validates the underlay/protocol half of the exactness envelope once;
-    per-config checks happen in :meth:`check_config`.  The delay and RTT
-    row caches are shared by every replication run through this cell.
+    per-config checks happen in :meth:`check_config`.  The cell keeps no
+    row store of its own: every replication's agents hold the underlay's
+    ``delay_row`` lists, which the underlay already keeps.
     """
 
     def __init__(self, underlay, vdm_config: VDMConfig | None = None) -> None:
@@ -274,12 +276,6 @@ class BatchedCell:
         if not math.isfinite(max_delay) or min_delay < 0:
             raise BatchedUnsupported("underlay delays must be finite and >= 0")
         self._max_delay_ms = max_delay
-        #: per-source one-way delay rows in *seconds* (``delay_ms/1000``,
-        #: the exact elementwise op the scalar runtime applies per send).
-        self._sec_rows: dict[int, list[float]] = {}
-        #: per-source RTT rows (``2*delay_ms`` — doubling only bumps the
-        #: float64 exponent, matching ``Underlay.rtt_ms`` bit for bit).
-        self._rtt_rows: dict[int, list[float]] = {}
 
     # -- envelope ------------------------------------------------------------
 
@@ -296,22 +292,6 @@ class BatchedCell:
             raise BatchedUnsupported(
                 "timeout elision needs 2*max_delay strictly below timeout_ms"
             )
-
-    # -- shared row caches -----------------------------------------------------
-
-    def sec_row(self, a: int) -> list[float]:
-        row = self._sec_rows.get(a)
-        if row is None:
-            base = np.asarray(self.underlay.delay_row(a), dtype=np.float64)
-            row = self._sec_rows[a] = (base / 1000.0).tolist()
-        return row
-
-    def rtt_row(self, a: int) -> list[float]:
-        row = self._rtt_rows.get(a)
-        if row is None:
-            base = np.asarray(self.underlay.delay_row(a), dtype=np.float64)
-            row = self._rtt_rows[a] = (2.0 * base).tolist()
-        return row
 
     # -- running ------------------------------------------------------------
 
@@ -378,7 +358,7 @@ class _Emulator:
         if degree is None:
             degree = draw_degree(cfg.degree, self._rng_degrees)
         self.agents[self.source] = _Agent(
-            int(degree), cell.sec_row(self.source), cell.rtt_row(self.source)
+            int(degree), cell.underlay.delay_row(self.source)
         )
         self._alive.add(self.source)
         # Scheduling knowledge for the probe-round fast path: churn is
@@ -394,8 +374,11 @@ class _Emulator:
         self._mtimes: list[float] = []
         self._mt_i = 0
 
-    # Virtual distance with sigma=0 is exactly ``underlay.rtt_ms(a, b)``:
-    # every site below indexes ``agent.rtt`` (the cell's shared RTT row).
+    # Every site below reads ``agent.row`` (ms) with the scalar runtime's
+    # own arithmetic: ``row[x] / 1000.0`` is the send delay in seconds,
+    # and ``2.0 * row[x]`` the virtual distance with sigma=0, which is
+    # ``underlay.rtt_ms(a, b)`` bit for bit (doubling only bumps the
+    # float64 exponent).
 
     # -- sends -----------------------------------------------------------------
     #
@@ -404,12 +387,12 @@ class _Emulator:
     # index 2 and the trailing fields are free to hold arbitrary payload
     # without a nested tuple allocation per event.
 
-    def _tell(self, srow, src: int, dst: int, kind: int, a=None, b=None) -> None:
-        """``srow`` is the sender's delay row (``agents[src].sec``)."""
+    def _tell(self, row, src: int, dst: int, kind: int, a=None, b=None) -> None:
+        """``row`` is the sender's delay row (``agents[src].row``)."""
         self.control += 1
         if dst not in self._alive:
             return
-        d = srow[dst]
+        d = row[dst] / 1000.0
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
@@ -426,7 +409,7 @@ class _Emulator:
                 self._heap, (ttime, 0, tseq, _OP_TIMEOUT_RESTART, proc)
             )
             return
-        d = proc.agent.sec[pivot]
+        d = proc.agent.row[pivot] / 1000.0
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
@@ -445,7 +428,7 @@ class _Emulator:
                 self._heap, (ttime, 0, tseq, _OP_TIMEOUT_RESTART, proc)
             )
             return
-        d = proc.agent.sec[target]
+        d = proc.agent.row[target] / 1000.0
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(
@@ -566,8 +549,7 @@ class _Emulator:
         dag = death_at.get
         horizon = self._horizon
         alive = self._alive
-        srow = proc.agent.sec
-        rtt = proc.agent.rtt
+        row = proc.agent.row
         next_measure = self._next_measure
         # Every reply lands strictly before ``ttime`` (timeout-margin
         # envelope), so with the whole round in front of the next
@@ -588,7 +570,7 @@ class _Emulator:
             if child not in alive:
                 last_tseq = tseq
                 continue
-            d = srow[child]
+            d = row[child] / 1000.0
             seq += 1
             check = now + d
             if check > horizon:
@@ -607,7 +589,7 @@ class _Emulator:
             if d >= best_d:  # ties: the later candidate replies last
                 best_d = d
                 best_seq = tseq + 1
-            replying.append((child, rtt[child], d_pivot_child))
+            replying.append((child, 2.0 * row[child], d_pivot_child))
         if not straddle:
             n_pre = n_reply
         elif ok and n_pre < n_reply:
@@ -621,7 +603,7 @@ class _Emulator:
         if ok:
             heap = self._heap
             case2, case3 = split_cases(
-                rtt[pivot], replying, self.cell.row.config.tie_tolerance
+                2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
             )
             if pivot_free <= 0 and not case3 and n_reply:
                 # ---- middle path: free degrees sampled by FREE_READ ----
@@ -638,7 +620,7 @@ class _Emulator:
                     s += 1
                     if child not in alive:
                         continue
-                    d = srow[child]
+                    d = row[child] / 1000.0
                     s += 1
                     check = now + d
                     dt = dag(child)
@@ -647,7 +629,7 @@ class _Emulator:
                     push(
                         heap,
                         (check, 0, tseq + 1, _OP_FREE_READ,
-                         probes, child, rtt[child]),
+                         probes, child, 2.0 * row[child]),
                     )
                 self._seq = seq
                 xctl = 0  # every reply is counted by its FREE_READ
@@ -688,7 +670,7 @@ class _Emulator:
         alive = self._alive
         now = self.now
         ttime = now + self._timeout_s
-        srow = proc.agent.sec
+        row = proc.agent.row
         seq = self._seq
         for ci in candidates:
             child = ci[0]
@@ -697,7 +679,7 @@ class _Emulator:
             if child not in alive:
                 push(heap, (ttime, 0, tseq, _OP_TIMEOUT_PROBE, round_, child, ci[1]))
                 continue
-            d = srow[child]
+            d = row[child] / 1000.0
             push(
                 heap,
                 (now + d, 0, seq, _OP_PROBE_REQ, round_, child, ci[1], d, tseq, ttime),
@@ -711,16 +693,16 @@ class _Emulator:
         proc, pivot, pivot_free, replying, probes, remaining = round_
         if proc.cancelled or proc.finished:
             return
-        rtt = proc.agent.rtt
+        row = proc.agent.row
         if free is not None:
-            d_new = rtt[child]
+            d_new = 2.0 * row[child]
             replying.append((child, d_new, ci_dist))
             probes.append((d_new, child, free))
         n = remaining[0] - 1
         remaining[0] = n
         if not n:
             case2, case3 = split_cases(
-                rtt[pivot], replying, self.cell.row.config.tie_tolerance
+                2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
             )
             self._decide(proc, pivot, pivot_free, case2, case3, probes)
 
@@ -777,14 +759,12 @@ class _Emulator:
             agent.csort = None
             for child in stale:
                 del children[child]
+        row = agent.row
         missing = registry - children.keys()
         if missing:
             agent.csort = None
-            rtt = agent.rtt
             for child in sorted(missing):
-                children[child] = rtt[child]
-        else:
-            rtt = agent.rtt
+                children[child] = 2.0 * row[child]
         reject_kids = self._child_info(agent)
         if node != self.source and not tree.is_reachable(node):
             return (False, reject_kids)
@@ -811,7 +791,7 @@ class _Emulator:
                     transferable = transferable[: max(room, 0)]
             if not transferable and agent.degree_limit - len(children) <= 0:
                 return (False, reject_kids)
-            dist = rtt[sender]
+            dist = 2.0 * row[sender]
             tree.insert(sender, node, tuple(transferable), self.now)
             children[sender] = dist
             for child in transferable:
@@ -822,7 +802,7 @@ class _Emulator:
         # attach
         if agent.degree_limit - len(children) <= 0:
             return (False, reject_kids)
-        dist = rtt[sender]
+        dist = 2.0 * row[sender]
         children[sender] = dist
         agent.csort = None
         # is_present and is_attached (sender is never the source): one
@@ -837,22 +817,21 @@ class _Emulator:
         """Mirror of ``JoinProcess._commit``."""
         me = proc.node
         agent = proc.agent
-        srow = agent.sec
-        rtt = agent.rtt
+        row = agent.row
         old_parent = agent.parent
         if old_parent is not None and old_parent != new_parent:
-            self._tell(srow, me, old_parent, _TELL_CHILD_REMOVE)
+            self._tell(row, me, old_parent, _TELL_CHILD_REMOVE)
         agent.parent = new_parent
         agent.grandparent = acc_parent
         children = agent.children
         if transferred:
             agent.csort = None
         for child in transferred:
-            children[child] = rtt[child]
-            self._tell(srow, me, child, _TELL_PARENT_CHANGE, me, new_parent)
+            children[child] = 2.0 * row[child]
+            self._tell(row, me, child, _TELL_PARENT_CHANGE, me, new_parent)
         for child in sorted(children):
             if child not in transferred:
-                self._tell(srow, me, child, _TELL_GP_CHANGE, new_parent)
+                self._tell(row, me, child, _TELL_GP_CHANGE, new_parent)
         self._done(proc, True)
 
     def _redirect(self, proc: _Join, kids) -> None:
@@ -878,8 +857,7 @@ class _Emulator:
         if node in self._active or node == self.source:
             return
         degree = draw_degree(self.cfg.degree, self._rng_degrees)
-        cell = self.cell
-        agent = _Agent(degree, cell.sec_row(node), cell.rtt_row(node))
+        agent = _Agent(degree, self.cell.underlay.delay_row(node))
         self.agents[node] = agent
         self._alive.add(node)
         self._active.add(node)
@@ -901,12 +879,12 @@ class _Emulator:
         if agent.proc is not None:
             agent.proc.cancelled = True
             agent.proc = None
-        srow = agent.sec
+        row = agent.row
         for child in sorted(agent.children):
-            self._tell(srow, node, child, _TELL_LEAVE)
+            self._tell(row, node, child, _TELL_LEAVE)
         agent.csort = None
         if agent.parent is not None:
-            self._tell(srow, node, agent.parent, _TELL_CHILD_REMOVE)
+            self._tell(row, node, agent.parent, _TELL_CHILD_REMOVE)
         if node in self.tree.parent:
             self.tree.depart(node, self.now)
         self._alive.discard(node)
@@ -993,9 +971,9 @@ class _Emulator:
             a = entry[7]
             agent.parent = a
             agent.grandparent = entry[8]
-            srow = agent.sec
+            row = agent.row
             for child in sorted(agent.children):
-                self._tell(srow, dst, child, _TELL_GP_CHANGE, a)
+                self._tell(row, dst, child, _TELL_GP_CHANGE, a)
 
     # The INFO_REQ / INFO_REPLY / PROBE_REQ / PROBE_REPLY handlers are
     # dispatched inline in ``run()`` — they carry ~80% of the event

@@ -157,7 +157,7 @@ class DeliveryAccountant:
         *,
         chunk_rate: float = 10.0,
     ) -> None:
-        check_positive("chunk_rate", chunk_rate)
+        check_finite("chunk_rate", check_positive("chunk_rate", chunk_rate))
         if len(tree.parent) > 1:
             raise ValueError(
                 "the accountant must subscribe to a tree of just the source"

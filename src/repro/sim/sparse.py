@@ -50,6 +50,7 @@ its next use, still exact.
 from __future__ import annotations
 
 from collections import OrderedDict
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +88,23 @@ _PAIR_MEMO_CAP = 1 << 20
 #: :class:`RowPlan` block, unless :meth:`SparseUnderlay.prefetch_rows`
 #: is told otherwise (the scale walks and the bench never do).
 _PLAN_BLOCK = 64
+
+
+def _is_index(value, size: int) -> bool:
+    """Whether ``value`` is an integral index in ``0 … size−1`` (a bool,
+    a float or a negative value is none, whatever it would alias)."""
+    return (
+        isinstance(value, Integral)
+        and not isinstance(value, bool)
+        and 0 <= value < size
+    )
+
+
+def _check_size(name: str, value) -> int:
+    """``value`` as an int, requiring an integral ``>= 0`` that is no bool."""
+    if not _is_index(value, float("inf")):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 class RowPlan:
@@ -283,6 +301,8 @@ class SparseUnderlay(Underlay):
         self._delay_cache: dict[tuple[int, int], float] = {}
         self._path_cache: dict[tuple[int, int], tuple[LinkId, ...]] = {}
         self._error_cache: dict[tuple[int, int], float] = {}
+        # One tuple per link id (see ``path_links``); bounded by links + hosts.
+        self._link_ids: dict[LinkId, LinkId] = {}
 
         self._zero_error = all(
             e == 0.0 for e in self._access_error.values()
@@ -312,6 +332,35 @@ class SparseUnderlay(Underlay):
 
     # -- Dijkstra row machinery ----------------------------------------------
 
+    def _router(self, router) -> int:
+        """``router`` as an int, or the ``KeyError`` naming it: ids are
+        integral and in ``0 … n_routers−1`` (a numpy int is fine)."""
+        # Plain ints first: an ``Integral`` check is an ABC lookup (about
+        # 0.5 µs on a 2-vCPU Xeon), and every row lookup comes through here.
+        if type(router) is int and 0 <= router < self.n_routers:
+            return router
+        if not _is_index(router, self.n_routers):
+            raise KeyError(f"unknown router {router!r}")
+        return int(router)
+
+    def _plan_sources(self, sources):
+        """``sources`` checked as router ids (a list or a 1-d integer
+        array), or a ``ValueError`` naming the first bad one."""
+        n = self.n_routers
+        if isinstance(sources, np.ndarray):
+            if sources.ndim != 1 or (sources.size and sources.dtype.kind not in "iu"):
+                raise ValueError(
+                    f"sources must be a 1-d integer array, got {sources.dtype} "
+                    f"of shape {sources.shape}"
+                )
+            bad = sources[(sources < 0) | (sources >= n)].tolist()
+        else:
+            sources = list(sources)
+            bad = [router for router in sources if not _is_index(router, n)]
+        if bad:
+            raise ValueError(f"sources must be router ids in 0..{n - 1}, got {bad[0]!r}")
+        return sources
+
     def prefetch_rows(
         self,
         sources,
@@ -335,17 +384,21 @@ class SparseUnderlay(Underlay):
         life.  The plan is a context manager — ``close()`` detaches it
         and drops nothing.  Only one plan is active at a time; installing
         a new one closes the old (the standing plan included).
+
+        ``sources`` must be router ids, and ``block`` and ``retain_bytes``
+        integers ``>= 0`` (no bools).  A refusal is a ``ValueError``
+        naming the parameter, raised before anything changes: the old
+        plan stays installed.
         """
+        sources = self._plan_sources(sources)
+        block = _PLAN_BLOCK if block is None else _check_size("block", block)
+        retain_bytes = _check_size("retain_bytes", retain_bytes)
         if self._plan is not None:
             self._plan.close()
-        if block is None:
-            block = _PLAN_BLOCK
-        elif block < 0:
-            raise ValueError(f"block must be >= 0, got {block}")
         plan = RowPlan(self, sources, block=block, predecessors=predecessors)
         row_bytes = self.n_routers * (12 if predecessors else 8)
         self._row_cap = max(
-            self._row_cap, 2 * plan.block, int(retain_bytes) // max(row_bytes, 1)
+            self._row_cap, 2 * plan.block, retain_bytes // max(row_bytes, 1)
         )
         self._plan = plan
         return plan
@@ -376,7 +429,9 @@ class SparseUnderlay(Underlay):
         self, router: int, need_pred: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The one row lookup: the store, else the active plan's block,
-        else a single-source demand row.  Every path lands in the store."""
+        else a single-source demand row.  Every path lands in the store.
+        Refuses a bad router id (:meth:`_router`) before any of that."""
+        router = self._router(router)
         rows = self._rows
         got = rows.get(router)
         plan = self._plan
@@ -435,6 +490,7 @@ class SparseUnderlay(Underlay):
 
     def router_distance(self, r_a: int, r_b: int) -> float:
         """Shortest-path delay between two routers."""
+        r_b = self._router(r_b)
         dist, _ = self._row(r_a)
         value = float(dist[r_b])
         if not np.isfinite(value):
@@ -443,6 +499,7 @@ class SparseUnderlay(Underlay):
 
     def _router_links(self, r_a: int, r_b: int) -> list[LinkId]:
         """Router link ids of one shortest path."""
+        r_b = self._router(r_b)
         dist, pred = self._row(r_a)
         if not np.isfinite(dist[r_b]):
             raise NoRouteError(f"no route between routers {r_a} and {r_b}")
@@ -526,6 +583,13 @@ class SparseUnderlay(Underlay):
         return acc
 
     def path_links(self, a: int, b: int) -> tuple[LinkId, ...]:
+        """Link ids of the ``a`` → ``b`` path, memoized per ordered pair.
+
+        Ids are interned per underlay: every ``("router", lo, hi)`` and
+        ``("access", h)`` is one tuple object, so the path memo and the
+        delivery accountant's link multiset share it instead of holding
+        one copy per memoized path.
+        """
         key = (a, b)
         cached = self._path_cache.get(key)
         if cached is not None:
@@ -536,7 +600,10 @@ class SparseUnderlay(Underlay):
             links: tuple[LinkId, ...] = ()
         else:
             hops = self._router_links(self.attachments[a], self.attachments[b])
-            links = (("access", a), *hops, ("access", b))
+            intern = self._link_ids.setdefault
+            links = tuple(
+                [intern(link, link) for link in (("access", a), *hops, ("access", b))]
+            )
         if len(self._path_cache) >= _PAIR_MEMO_CAP:
             self._path_cache.clear()
         self._path_cache[key] = links

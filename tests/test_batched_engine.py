@@ -32,7 +32,7 @@ from repro.harness.experiments import CH3_METRICS
 from repro.harness.parallel import run_replications
 from repro.harness.substrates import build_transit_stub_underlay
 from repro.protocols.table import protocol_spec
-from repro.sim.batched import BatchedCell, BatchedUnsupported
+from repro.sim.batched import BatchedCell, BatchedUnsupported, _Emulator
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.faults import FAULT_PRESETS
 from repro.sim.network import MatrixUnderlay
@@ -247,6 +247,36 @@ def test_vdm_config_envelope_declines():
         BatchedCell(_ts_underlay(), VDMConfig(case3_selection="random"))
     with pytest.raises(BatchedUnsupported, match="refinement"):
         BatchedCell(_ts_underlay(), VDMConfig(refine_period_s=120.0))
+
+
+# ---------------------------------------------------------------------------
+# the emulator reads the underlay's own delay rows, read-only
+# ---------------------------------------------------------------------------
+
+
+def test_agents_hold_the_underlays_own_rows_and_never_write_them():
+    # A private underlay: a stray write must not leak into other tests.
+    underlay = _ts_underlay.__wrapped__()
+    before = {h: np.array(underlay.delay_row(h)).tobytes() for h in underlay.hosts}
+    cfg = _cfg(seed=9)
+    cell = BatchedCell(underlay, None)
+    cell.check_config(cfg)
+    emulator = _Emulator(cell, cfg)
+    emulator.run()
+    assert len(emulator.agents) > cfg.n_nodes
+    for node, agent in emulator.agents.items():
+        assert agent.row is underlay.delay_row(node)
+    # The cell's whole state: the envelope's inputs, no row store.
+    assert sorted(vars(cell)) == ["_max_delay_ms", "hosts", "row", "underlay"]
+    for host, row in before.items():
+        assert np.array(underlay.delay_row(host)).tobytes() == row
+    # A scalar session on the underlay the emulator read answers as one
+    # on a freshly built twin.
+    after, fresh = _scalar(underlay, cfg), _scalar(_ts_underlay.__wrapped__(), cfg)
+    assert after.records == fresh.records
+    assert after.join_records == fresh.join_records
+    for name, extract in CH3_METRICS.items():
+        assert extract(after) == extract(fresh), name
 
 
 # ---------------------------------------------------------------------------

@@ -280,5 +280,7 @@ class TestWindowing:
     def test_chunk_rate_validation(self):
         _, tree, _ = make_world()
         ul = MatrixUnderlay(line_matrix([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            DeliveryAccountant(TreeRegistry(0), ul, chunk_rate=0.0)
+        # An infinite rate would otherwise report zero loss.
+        for rate in (0.0, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="chunk_rate"):
+                DeliveryAccountant(TreeRegistry(0), ul, chunk_rate=rate)

@@ -21,6 +21,7 @@ import shutil
 import tempfile
 import threading
 import uuid
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -167,6 +168,22 @@ class TestEquivalence:
                 assert sparse.router_distance(r, t) == lazy.router_distance(r, t)
                 assert sparse.router_path(r, t) == lazy.router_path(r, t)
         assert sparse.demand_rows == 1
+
+    def test_path_links_share_one_tuple_per_link_id(self):
+        # Ids are interned per underlay: every path through a link holds
+        # the same tuple (values still equal the lazy oracle's, above).
+        lazy, sparse = _build(5, 12, None)
+        first = {}
+        uses = Counter()
+        hosts = sorted(sparse.attachments)
+        for a in hosts:
+            for b in hosts:
+                links = sparse.path_links(a, b)
+                assert links == lazy.path_links(a, b)
+                for link in links:
+                    assert first.setdefault(link, link) is link
+                    uses[link] += 1
+        assert any(n > 1 and link[0] == "router" for link, n in uses.items())
 
     def test_host_domain_matches(self):
         lazy, sparse = _build(3, 10, None)
@@ -885,3 +902,94 @@ class TestRowStore:
                 assert threading.active_count() == before
         assert plan.sources_computed == _N_ROUTERS
         assert threading.active_count() == before
+
+
+def _store_state(underlay):
+    """What a refused call must leave alone: the installed plan and the
+    store's counters."""
+    return underlay._plan, underlay.row_stats()
+
+
+class TestRouterIds:
+    """Router ids are integral and in ``0 … n_routers−1``: anything else is
+    a ``KeyError`` naming it, never another router's answer."""
+
+    BAD = [-1, -_N_ROUTERS, _N_ROUTERS, True, False, np.bool_(True), 1.0, 1.5]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda u, r: u.router_dist_row(r),
+            lambda u, r: u.router_distance(r, 2),
+            lambda u, r: u.router_distance(0, r),
+            lambda u, r: u.router_path(r, 2),
+            lambda u, r: u.router_path(0, r),
+        ],
+        ids=["dist_row", "distance_src", "distance_dst", "path_src", "path_dst"],
+    )
+    def test_bad_id_is_refused_and_touches_nothing(self, query, bad):
+        store = _store_underlay()
+        store.router_dist_row(0)
+        before = _store_state(store)
+        with pytest.raises(KeyError, match="unknown router"):
+            query(store, bad)
+        assert _store_state(store) == before
+        assert list(store._rows) == [0]
+
+    def test_numpy_ints_are_router_ids(self):
+        store, ref = _store_underlay(), _store_underlay()
+        for np_id in (np.int64(3), np.int32(3), np.uint16(3)):
+            assert store.router_dist_row(np_id).tobytes() == (
+                ref.router_dist_row(3).tobytes()
+            )
+            assert store.router_distance(0, np_id) == ref.router_distance(0, 3)
+            assert store.router_path(np_id, 5) == ref.router_path(3, 5)
+        assert list(store._rows) == list(ref._rows)
+
+
+class TestPlanRefusals:
+    """``prefetch_rows`` checks every argument before it closes the
+    standing plan: a refusal names the parameter and changes nothing."""
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"sources": [1.7, 2.2, -1]}, "sources"),
+            ({"sources": [0, -1]}, "sources"),
+            ({"sources": [0, _N_ROUTERS]}, "sources"),
+            ({"sources": [0, True]}, "sources"),
+            ({"sources": np.array([0.0, 1.0])}, "sources"),
+            ({"sources": np.array([0, -1])}, "sources"),
+            ({"sources": np.array([[0, 1]])}, "sources"),
+            ({"block": -1}, "block"),
+            ({"block": 1.5}, "block"),
+            ({"block": 2.0}, "block"),
+            ({"block": True}, "block"),
+            ({"block": float("nan")}, "block"),
+            ({"retain_bytes": float("nan")}, "retain_bytes"),
+            ({"retain_bytes": -1}, "retain_bytes"),
+            ({"retain_bytes": 1.5}, "retain_bytes"),
+            ({"retain_bytes": False}, "retain_bytes"),
+        ],
+        ids=repr,
+    )
+    def test_refusal_leaves_the_standing_plan(self, kwargs, name):
+        store = _store_underlay()
+        assert store._plan is not None
+        before = _store_state(store)
+        args = {"sources": [0, 1], **kwargs}
+        with pytest.raises(ValueError, match=name):
+            store.prefetch_rows(args.pop("sources"), **args)
+        assert _store_state(store) == before
+
+    def test_integral_arguments_of_any_kind_are_accepted(self):
+        store = _store_underlay()
+        with store.prefetch_rows(
+            np.array([2, 0, 2], dtype=np.int32),
+            block=np.int64(2),
+            retain_bytes=np.uint32(0),
+        ) as plan:
+            assert plan.stats()["planned_sources"] == 2
+        with store.prefetch_rows(np.array([], dtype=np.float64)) as plan:
+            assert plan.stats()["planned_sources"] == 0
