@@ -46,7 +46,12 @@ from repro.protocols.tree import TreeRegistry
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Underlay
 from repro.util.rngtools import RngLike, rng_from_seed
-from repro.util.validation import check_finite, check_non_negative, check_positive
+from repro.util.validation import (
+    check_count,
+    check_finite,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = [
     "ProtocolRuntime",
@@ -232,8 +237,10 @@ class ProtocolRuntime:
         probes (refinement passes do this: they are not on the join-time
         critical path, so they can afford a less noisy estimate).
         """
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+        if samples != 1 or samples is True:
+            # Refinement's plain int 3 skips the call too.
+            if type(samples) is not int or samples < 1:
+                check_count("samples", samples)
         base = float(self.metric(a, b))
         if self._noisy and a != b:
             # Inline the single-sample case (the join-time hot path);
@@ -486,10 +493,17 @@ class ProtocolRuntime:
 #: the row of an agent built without one
 _PLAIN_VDM = protocol_spec("vdm")
 
-# Interned probe payloads: immutable values sent hundreds of thousands of
-# times per run — one instance each is enough.
+# Interned payloads: immutable values sent hundreds of thousands of times
+# per run — one instance each is enough.
 _INFO_WITH_CHILDREN = InfoRequest(want_children=True)
 _INFO_PROBE = InfoRequest(want_children=False)
+_ATTACH = ConnRequest(kind="attach")
+_CHILD_REMOVE = ChildRemove()
+_LEAVE_NOTICE = LeaveNotice()
+
+# ``tuple.__new__(Cls, values)`` builds a NamedTuple without the frame of
+# its generated ``__new__``; the hottest construction sites use it.
+_new_tuple = tuple.__new__
 
 
 # --------------------------------------------------------------------------
@@ -519,11 +533,9 @@ class OverlayAgent:
         protocol: ProtocolSpec | None = None,
         rng: RngLike = None,
     ) -> None:
-        if degree_limit < 1:
-            raise ValueError(f"degree_limit must be >= 1, got {degree_limit}")
         self.node_id = node_id
         self.env = env
-        self.degree_limit = int(degree_limit)
+        self.degree_limit = check_count("degree_limit", degree_limit)
         self.protocol = protocol if protocol is not None else _PLAIN_VDM
         self._rng = rng
         self.parent: int | None = None
@@ -571,7 +583,7 @@ class OverlayAgent:
                 if agent is not None and child in alive
                 else 0
             )
-            infos.append(ChildInfo(child, dist, free))
+            infos.append(_new_tuple(ChildInfo, (child, dist, free)))
         return tuple(infos)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -631,7 +643,7 @@ class OverlayAgent:
         def on_timeout() -> None:
             begin_real_join(as_switch=False)
 
-        self.env.request(me, src, ConnRequest(kind="attach"), on_reply, on_timeout)
+        self.env.request(me, src, _ATTACH, on_reply, on_timeout)
 
     def leave(self) -> None:
         """Gracefully leave: notify children and parent, then go dark."""
@@ -640,9 +652,9 @@ class OverlayAgent:
         self.cancel_active_process()
         self.stop_refinement()
         for child in sorted(self.children):
-            self.env.tell(self.node_id, child, LeaveNotice())
+            self.env.tell(self.node_id, child, _LEAVE_NOTICE)
         if self.parent is not None:
-            self.env.tell(self.node_id, self.parent, ChildRemove())
+            self.env.tell(self.node_id, self.parent, _CHILD_REMOVE)
         if self.env.tree.is_present(self.node_id):
             self.env.tree.depart(self.node_id, self.env.sim.now)
         self.env.mark_dead(self.node_id)
@@ -727,11 +739,9 @@ class OverlayAgent:
         # Exact type checks: the message vocabulary has no subclasses, and
         # this dispatch runs once per request in a session.
         if type(msg) is InfoRequest:
-            return InfoResponse(
-                self.node_id,
-                self.free_degree,
-                self.parent,
-                self.child_info() if msg.want_children else (),
+            children = self.child_info() if msg.want_children else ()
+            return _new_tuple(
+                InfoResponse, (self.node_id, self.free_degree, self.parent, children)
             )
         if type(msg) is ConnRequest:
             return self._handle_conn_request(sender, msg)
@@ -926,16 +936,12 @@ class JoinProcess:
         if self.finished:
             return
         self.finished = True
-        self.env.record_join(
-            JoinRecord(
-                node=self.agent.node_id,
-                kind=self.kind,
-                started_at=self.started_at,
-                completed_at=self.env.sim.now,
-                succeeded=succeeded,
-                iterations=self.iterations,
-            )
+        env = self.env
+        values = (
+            self.agent.node_id, self.kind, self.started_at,
+            env.sim.now, succeeded, self.iterations,
         )
+        env.record_join(_new_tuple(JoinRecord, values))
         if self.agent.active_process is self:
             self.agent.active_process = None
 
@@ -1042,7 +1048,7 @@ class JoinProcess:
         if isinstance(decision, Descend):
             self._iterate(decision.child)
         elif isinstance(decision, Attach):
-            self._request_connection(ConnRequest(kind="attach"), decision.target)
+            self._request_connection(_ATTACH, decision.target)
         elif isinstance(decision, Insert):
             self._request_connection(
                 ConnRequest(kind="insert", adopt=decision.adopt), decision.target
@@ -1095,7 +1101,7 @@ class JoinProcess:
             # Refinement/adoption switch: make-before-break, so tell the
             # old parent we are gone (the registry edge was already moved
             # by the accepting parent).
-            self.env.tell(agent.node_id, old_parent, ChildRemove())
+            self.env.tell(agent.node_id, old_parent, _CHILD_REMOVE)
         agent.parent = new_parent
         agent.grandparent = resp.parent
         for child in resp.transferred:

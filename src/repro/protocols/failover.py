@@ -49,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FailoverManager"]
 
+#: the one switch notice every failover sends (it carries no fields)
+_FAILOVER_ATTACH = FailoverAttach()
+
 
 class FailoverManager:
     """Maintains one precomputed backup parent per attached node.
@@ -189,7 +192,7 @@ class FailoverManager:
         tree.attach(node, backup, now)
         agent.parent = backup
         agent.grandparent = tree.parent.get(backup)
-        env.tell(node, backup, FailoverAttach())
+        env.tell(node, backup, _FAILOVER_ATTACH)
         for child in sorted(agent.children):
             env.tell(node, child, GrandparentChange(new_grandparent=backup))
         env.record_join(

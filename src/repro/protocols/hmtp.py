@@ -89,15 +89,22 @@ def hmtp_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decisi
 
 
 def root_path_member(agent) -> int:
-    """Where HMTP refines: a uniformly random member of the root path."""
-    source = agent.env.source
+    """Where HMTP refines: a uniformly random member of the root path.
+
+    One of our ``depth`` ancestors (the source included): a draw of
+    ``rng.integers(depth)`` says how many steps past the first to walk up
+    ``tree.parent``, so no root-path list is built.  The source itself and
+    an orphaned or absent node refine from the source, without a draw.
+    """
+    env = agent.env
+    node = agent.node_id
     try:
-        path = agent.env.tree.path_to_source(agent.node_id)
+        depth = env.tree.depth(node)
     except ValueError:
-        return source
-    # Exclude ourselves (index 0); the path still includes our parent and
-    # root.  Indexing instead of slicing skips a tuple copy per tick.
-    n = len(path) - 1
-    if n <= 0:
-        return source
-    return int(path[1 + int(agent.rng.integers(n))])
+        return env.source
+    if depth <= 0:
+        return env.source
+    parent = env.tree.parent
+    for _ in range(1 + int(agent.rng.integers(depth))):
+        node = parent[node]
+    return int(node)

@@ -6,9 +6,14 @@ Section 5.2.2 of the paper defines the wire protocol between peers:
 required by the reconnection procedure (Section 3.3).  The classes here
 are that vocabulary; they are shared by VDM, HMTP, and BTP (the baselines
 use the same request/response plumbing with protocol-specific join logic).
-The per-probe payloads (info request/response and their children entries)
-are NamedTuples — they are constructed hundreds of thousands of times per
-run; the rest are frozen dataclasses under the :class:`Message` marker.
+The payloads with fields are NamedTuples, cheap to build once per
+message: info request and response, their children entries, connection
+response, parent and grandparent change.  The field-less
+:class:`LeaveNotice`, :class:`ChildRemove` and :class:`FailoverAttach`
+stay frozen dataclasses under the :class:`Message` marker, and the
+runtime sends one interned instance of each.  :class:`ConnRequest` stays
+a validated dataclass (its ``__post_init__`` refuses malformed
+requests); its attach form and both info requests are interned too.
 
 Messages are immutable values.  Latency, loss, and timeouts are the
 runtime's business (:mod:`repro.protocols.base`), not the messages'.
@@ -112,8 +117,7 @@ class ConnRequest(Message):
             raise ValueError("insert requests must adopt at least one child")
 
 
-@dataclass(frozen=True)
-class ConnResponse(Message):
+class ConnResponse(NamedTuple):
     """Reply to :class:`ConnRequest`.
 
     On acceptance, carries the new parent's own parent (the joiner's
@@ -131,8 +135,7 @@ class ConnResponse(Message):
     children: tuple[ChildInfo, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParentChange(Message):
+class ParentChange(NamedTuple):
     """Sent to an adopted child: your parent is now the sender.
 
     ``new_grandparent`` is the sender's parent.  The child must propagate a
@@ -144,8 +147,7 @@ class ParentChange(Message):
     new_grandparent: int | None
 
 
-@dataclass(frozen=True)
-class GrandparentChange(Message):
+class GrandparentChange(NamedTuple):
     """Grandparent update pushed down one level after an insert adoption."""
 
     new_grandparent: int

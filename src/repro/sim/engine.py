@@ -27,6 +27,12 @@ need not be queued at all: :meth:`Simulator.reserve_seq` holds its place
 in the order and :meth:`Simulator.schedule_reserved` queues it under that
 place once it is known to be needed.
 
+The clock, :attr:`Simulator.now`, is a plain attribute only the run loops
+write (the runtime reads it on every message leg).  One integer numbers
+events; it is also :attr:`Simulator.events_scheduled`.  Inputs that would
+break run control or the event order are a ``ValueError`` naming the
+parameter, raised before anything fires or moves.
+
 The engine knows nothing about networks or protocols; everything above it
 talks in callbacks.
 """
@@ -34,9 +40,19 @@ talks in callbacks.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from numbers import Integral
 from typing import Callable
+
+from repro.util.validation import check_count
+
+
+def _check_priority(priority) -> None:
+    """Refuse a priority that would not order like an integer (NaN, a
+    string) or that hides a flag (a bool).  Callers skip the call for the
+    default priority 0."""
+    if isinstance(priority, bool) or not isinstance(priority, Integral):
+        raise ValueError(f"priority must be an integer, got {priority!r}")
 
 
 class Event:
@@ -87,15 +103,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: list = []
-        self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulation time; read-only, written by the run loops.
+        self.now = 0.0
+        self._next_seq = 0  # the next sequence number, and the count issued
         self._events_processed = 0
-        self._events_scheduled = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -105,7 +116,7 @@ class Simulator:
     def events_scheduled(self) -> int:
         """Sequence numbers issued: every event queued, plus every place
         held by :meth:`reserve_seq` whether or not it was queued later."""
-        return self._events_scheduled
+        return self._next_seq
 
     @property
     def pending(self) -> int:
@@ -127,13 +138,16 @@ class Simulator:
         """
         if time != time:  # NaN check without a function call per schedule
             raise ValueError("event time must not be NaN")
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
-        ev = Event(time, priority, next(self._seq), callback, label=label)
-        heapq.heappush(self._queue, (time, priority, ev.seq, callback, ev))
-        self._events_scheduled += 1
+        if priority:
+            _check_priority(priority)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        ev = Event(time, priority, seq, callback, label=label)
+        heapq.heappush(self._queue, (time, priority, seq, callback, ev))
         return ev
 
     def schedule_in(
@@ -151,12 +165,15 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
+        time = self.now + delay
         if time != time:  # NaN check without a function call per schedule
             raise ValueError("event time must not be NaN")
-        ev = Event(time, priority, next(self._seq), callback, label=label)
-        heapq.heappush(self._queue, (time, priority, ev.seq, callback, ev))
-        self._events_scheduled += 1
+        if priority:
+            _check_priority(priority)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        ev = Event(time, priority, seq, callback, label=label)
+        heapq.heappush(self._queue, (time, priority, seq, callback, ev))
         return ev
 
     def schedule_fire_in(
@@ -172,13 +189,14 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay
+        time = self.now + delay
         if time != time:  # NaN check without a function call per schedule
             raise ValueError("event time must not be NaN")
-        heapq.heappush(
-            self._queue, (time, priority, next(self._seq), callback, None)
-        )
-        self._events_scheduled += 1
+        if priority:
+            _check_priority(priority)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, (time, priority, seq, callback, None))
 
     def reserve_seq(self) -> int:
         """Issue the next sequence number without queueing anything.
@@ -191,8 +209,9 @@ class Simulator:
         the counter reads the same as if the event had been pushed and
         cancelled.
         """
-        self._events_scheduled += 1
-        return next(self._seq)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
 
     def schedule_reserved(
         self, time: float, seq: int, callback: Callable[[], None]
@@ -202,14 +221,17 @@ class Simulator:
 
         It fires exactly where an event scheduled at the reservation
         would have, provided it is queued before the clock reaches
-        ``(time, 0, seq)``; a ``time`` already in the past is refused.
+        ``(time, 0, seq)``; a ``time`` already in the past is refused, and
+        so is a ``seq`` never issued.
         """
         if time != time:  # NaN check without a function call per schedule
             raise ValueError("event time must not be NaN")
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
+        if not 0 <= seq < self._next_seq:
+            raise ValueError(f"seq {seq!r} was never issued by reserve_seq")
         heapq.heappush(self._queue, (time, 0, seq, callback, None))
 
     def peek_time(self) -> float:
@@ -230,7 +252,7 @@ class Simulator:
     def _fire_next(self) -> None:
         """Pop and run the head entry (caller guarantees one is live)."""
         entry = heapq.heappop(self._queue)
-        self._now = entry[0]
+        self.now = entry[0]
         self._events_processed += 1
         entry[3]()
 
@@ -244,8 +266,8 @@ class Simulator:
 
     def run(self, *, max_events: int | None = None) -> int:
         """Run until the queue drains (or ``max_events``).  Returns count run."""
-        if max_events is not None and max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {max_events}")
+        if max_events is not None:
+            max_events = check_count("max_events", max_events, 0)
         count = 0
         while count != max_events:
             self._drop_cancelled()
@@ -263,14 +285,16 @@ class Simulator:
         can rely on ``sim.now`` — unless ``max_events`` stopped the run
         first, which leaves the clock at the last event fired.
         """
-        if horizon < self._now:
+        if horizon != horizon:
+            raise ValueError("horizon must not be NaN")
+        if horizon < self.now:
             raise ValueError(
-                f"horizon {horizon} precedes current time {self._now}"
+                f"horizon {horizon} precedes current time {self.now}"
             )
-        if max_events is not None and max_events <= 0:
-            if max_events < 0:
-                raise ValueError(f"max_events must be >= 0, got {max_events}")
-            return 0
+        if max_events is not None:
+            max_events = check_count("max_events", max_events, 0)
+            if max_events == 0:
+                return 0
         count = 0
         # Pop-first loop: popping and inspecting the entry once beats
         # peeking the head (two subscripts) and popping it again.  An
@@ -286,13 +310,13 @@ class Simulator:
             ev = entry[4]
             if ev is not None and ev.cancelled:
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             self._events_processed += 1
             entry[3]()
             count += 1
             if count == max_events:
                 return count
-        self._now = horizon
+        self.now = horizon
         return count
 
     def run_burst(self, pulse) -> int:
@@ -315,7 +339,7 @@ class Simulator:
             ev = entry[4]
             if ev is not None and ev.cancelled:
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             self._events_processed += 1
             count += 1
             entry[3]()

@@ -44,8 +44,11 @@ def check_count(name: str, value: Any, minimum: int = 1) -> int:
 
     A float is refused even when it is whole (``20.0``): counts size
     loops and slices, where a float one fails far from the caller or,
-    fractional, never lets a countdown reach zero.
+    fractional, never lets a countdown reach zero.  So is a bool, which
+    ``int()`` would quietly read as 0 or 1.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not isinstance(value, Integral):
         check_finite(name, value)  # NaN and the infinities say so
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -70,6 +70,21 @@ def depth(tree: TreeRegistry, node: int) -> int:
     return len(path_to_source(tree, node)) - 1
 
 
+def root_path_member(tree: TreeRegistry, node: int, rng: np.random.Generator) -> int:
+    """HMTP's refinement start by indexing the whole root path: one of
+    ``node``'s ancestors, drawn with ``rng.integers(len(path) - 1)``; the
+    source, without a draw, for the source itself and for an orphaned or
+    absent node."""
+    try:
+        path = path_to_source(tree, node)
+    except ValueError:
+        return tree.source
+    n = len(path) - 1
+    if n <= 0:
+        return tree.source
+    return int(path[1 + int(rng.integers(n))])
+
+
 # ---------------------------------------------------------------------------
 # DeliveryAccountant: path success and window loss, recomputed per query
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for the discrete-event engine."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -366,3 +368,175 @@ class TestRunBurst:
         assert sim.run_burst(pulse) == 0
         assert sim.now == 0.5 and sim.events_processed == 0 and not log
         assert pulse.count == 0 and not pulse.halt
+
+
+# ---------------------------------------------------------------------------
+# Every entry point against a (time, priority, seq) sort oracle
+# ---------------------------------------------------------------------------
+
+_OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["schedule", "schedule_in", "fire_in", "reserve"]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.integers(-2, 2),
+    ),
+    st.tuples(st.just("queue_reserved"), st.integers(0, 30), st.just(0)),
+    st.tuples(st.just("cancel"), st.integers(0, 30), st.just(0)),
+    st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.5]), st.just(0)),
+)
+
+
+@given(ops=st.lists(_OPS, max_size=60))
+def test_entry_points_fire_in_sort_order(ops):
+    """Random interleavings of the five scheduling entry points, ``cancel``
+    and partial runs fire exactly in ``(time, priority, seq)`` order.
+
+    The oracle keeps the live entries in a plain dict and, on each run,
+    repeatedly takes the smallest one at or before the horizon.  It also
+    counts sequence numbers, which ``events_scheduled`` must equal, and
+    the clock, which must read the last event fired (or the horizon).
+    """
+    sim = Simulator()
+    fired: list = []
+    live: dict[int, tuple] = {}  # seq -> (time, priority, seq)
+    events = {}  # seq -> Event, for cancel
+    reserved: dict[int, float] = {}  # seq -> intended delay, not yet queued
+    expected: list = []
+    issued = 0
+    now = 0.0
+
+    def drain(horizon: float) -> float | None:
+        last = None
+        while live:
+            head = min(live.values())
+            if head[0] > horizon:
+                break
+            del live[head[2]]
+            expected.append(head[2])
+            last = head[0]
+        return last
+
+    for op, a, prio in ops:
+        if op in ("schedule", "schedule_in", "fire_in", "reserve"):
+            seq = issued
+            cb = functools.partial(fired.append, seq)
+            if op == "schedule":
+                events[seq] = sim.schedule(now + a, cb, priority=prio)
+            elif op == "schedule_in":
+                events[seq] = sim.schedule_in(a, cb, priority=prio)
+            elif op == "fire_in":
+                sim.schedule_fire_in(a, cb, priority=prio)
+            else:
+                assert sim.reserve_seq() == seq
+                reserved[seq] = a
+            if op != "reserve":
+                live[seq] = (now + a, prio, seq)
+            if seq in events:
+                assert events[seq].seq == seq
+            issued += 1
+        elif op == "queue_reserved" and reserved:
+            seq = sorted(reserved)[a % len(reserved)]
+            time = now + reserved.pop(seq)
+            sim.schedule_reserved(time, seq, functools.partial(fired.append, seq))
+            live[seq] = (time, 0, seq)
+        elif op == "cancel" and events:
+            seq = sorted(events)[a % len(events)]
+            events.pop(seq).cancel()
+            live.pop(seq, None)
+        elif op == "run_until":
+            horizon = now + a
+            sim.run_until(horizon)
+            drain(horizon)
+            now = horizon
+        assert sim.events_scheduled == issued
+        assert sim.now == now
+        assert fired == expected
+    n_before = sim.events_processed
+    last = drain(math.inf)
+    assert sim.run() == len(expected) - n_before
+    assert fired == expected
+    assert sim.events_scheduled == issued
+    assert sim.now == (now if last is None else last)
+
+
+# ---------------------------------------------------------------------------
+# Refusals: inputs that would break run control or the event order
+# ---------------------------------------------------------------------------
+
+
+def _busy_sim() -> Simulator:
+    """A simulator mid-run: one event fired, one queued, one place reserved."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.run_until(1.0)
+    sim.reserve_seq()
+    return sim
+
+
+def _state(sim: Simulator) -> tuple:
+    return (sim.pending, sim.now, sim.events_scheduled, sim.events_processed)
+
+
+_BAD_BUDGETS = [1.5, float("nan"), float("inf"), True, False, "2", -1]
+_BAD_PRIORITIES = [float("nan"), "x", True, 1.5, float("inf")]
+
+
+def _noop() -> None:
+    pass
+
+
+
+_ENGINE_REFUSALS = (
+    [("horizon", lambda sim: sim.run_until(float("nan")))]
+    + [
+        ("max_events", lambda sim, b=b: sim.run(max_events=b))
+        for b in _BAD_BUDGETS
+    ]
+    + [
+        ("max_events", lambda sim, b=b: sim.run_until(5.0, max_events=b))
+        for b in _BAD_BUDGETS
+    ]
+    + [
+        ("priority", lambda sim, p=p: sim.schedule(3.0, _noop, priority=p))
+        for p in _BAD_PRIORITIES
+    ]
+    + [
+        ("priority", lambda sim, p=p: sim.schedule_in(1.0, _noop, priority=p))
+        for p in _BAD_PRIORITIES
+    ]
+    + [
+        ("priority", lambda sim, p=p: sim.schedule_fire_in(1.0, _noop, priority=p))
+        for p in _BAD_PRIORITIES
+    ]
+    + [
+        ("seq", lambda sim, s=s: sim.schedule_reserved(3.0, s, _noop))
+        for s in (999, 3, -1)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    _ENGINE_REFUSALS,
+    ids=[f"{name}-{i}" for i, (name, _) in enumerate(_ENGINE_REFUSALS)],
+)
+def test_refusal_names_the_parameter_and_moves_nothing(name, call):
+    sim = _busy_sim()
+    before = _state(sim)
+    with pytest.raises(ValueError, match=name):
+        call(sim)
+    assert _state(sim) == before == (1, 1.0, 3, 1)
+
+
+def test_legal_edges_of_the_refusals():
+    sim = _busy_sim()
+    fired = []
+    # integral priorities of any sign, an issued seq, and a +inf horizon
+    sim.schedule(3.0, lambda: fired.append("late"), priority=-3)
+    sim.schedule(3.0, lambda: fired.append("later"), priority=np.int64(2))
+    sim.schedule_reserved(3.0, 2, lambda: fired.append("reserved"))
+    assert sim.run(max_events=np.int64(1)) == 1
+    assert sim.run_until(math.inf) == 3
+    assert fired == ["late", "reserved", "later"]
+    assert sim.now == math.inf

@@ -1,15 +1,20 @@
 """Behavioral tests for the HMTP and BTP baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.factories import btp, hmtp
 from repro.protocols.base import ProtocolRuntime
 from repro.protocols.btp import BTPConfig
-from repro.protocols.hmtp import HMTPConfig
+from repro.protocols.hmtp import HMTPConfig, root_path_member
+from repro.protocols.tree import TreeRegistry
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 
 
@@ -164,3 +169,58 @@ class TestBTP:
             BTPConfig(refine_period_s=0)
         with pytest.raises(ValueError):
             HMTPConfig(refine_period_s=-1)
+
+
+@st.composite
+def _trees(draw):
+    """A registry over nodes 1..n under source 0, then some departures
+    (orphaning their subtrees) and some severed uplinks."""
+    n = draw(st.integers(0, 14))
+    tree = TreeRegistry(0)
+    for node in range(1, n + 1):
+        tree.attach(node, draw(st.integers(0, node - 1)), 0.0)
+    if n:
+        some = st.lists(st.integers(1, n), unique=True, max_size=3)
+        for node in draw(some):
+            tree.depart(node, 1.0)
+        for node in draw(some):
+            if tree.parent.get(node) is not None:
+                tree.sever(node, 2.0)
+    return tree, n
+
+
+class TestRootPathMember:
+    """The walk up ``tree.parent`` picks what indexing the whole root path
+    picked (``tests/oracles.py``), from the same draws."""
+
+    @given(drawn=_trees(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_path_list_pick(self, drawn, seed):
+        tree, n = drawn
+        # every node: attached, orphaned, departed, the source, and absent
+        for node in range(0, n + 3):
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            agent = SimpleNamespace(
+                env=SimpleNamespace(tree=tree, source=0), node_id=node, rng=rng
+            )
+            got = root_path_member(agent)
+            assert got == oracles.root_path_member(tree, node, ref_rng)
+            assert type(got) is int
+            # the two consumed the same draws
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if not tree.is_reachable(node):
+                assert got == 0
+
+    def test_unreachable_nodes_get_the_source_without_a_draw(self):
+        tree = TreeRegistry(0)
+        tree.attach(1, 0, 0.0)
+        tree.attach(2, 1, 0.0)
+        tree.depart(1, 1.0)  # 2 is an orphan; 1 and 9 are absent
+        for node in (0, 1, 2, 9):
+            rng = np.random.default_rng(3)
+            state = rng.bit_generator.state
+            agent = SimpleNamespace(
+                env=SimpleNamespace(tree=tree, source=0), node_id=node, rng=rng
+            )
+            assert root_path_member(agent) == 0
+            assert rng.bit_generator.state == state

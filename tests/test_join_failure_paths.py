@@ -5,6 +5,8 @@ dying mid-join, repeated restarts, rejected inserts, and redirects with
 no usable candidates.
 """
 
+import math
+
 import pytest
 
 from repro.protocols.base import JoinProcess, OverlayAgent, ProtocolRuntime
@@ -163,3 +165,18 @@ class TestJoinProcessGuards:
         sim, env, agents = build([0.0, 30.0])
         with pytest.raises(ValueError, match="degree_limit"):
             OverlayAgent(1, env, degree_limit=0)
+
+    @pytest.mark.parametrize(
+        "limit",
+        [2.5, True, math.nan, math.inf, -1, "4", 4.0],
+        ids=["fraction", "bool", "nan", "inf", "negative", "str", "whole-float"],
+    )
+    def test_degree_limit_must_be_a_count(self, limit):
+        """``int()`` used to truncate 2.5 to 2 and read ``True`` as 1; NaN
+        and inf failed without naming the field."""
+        sim, env, agents = build([0.0, 30.0])
+        state = (dict(env.agents), sim.pending, sim.events_scheduled)
+        with pytest.raises(ValueError, match="degree_limit"):
+            OverlayAgent(1, env, degree_limit=limit)
+        assert (dict(env.agents), sim.pending, sim.events_scheduled) == state
+        assert env.agents[1] is agents[1]

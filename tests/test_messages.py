@@ -4,17 +4,25 @@ import dataclasses
 
 import pytest
 
+from repro import factories
+from repro.protocols import base, failover
+from repro.protocols.base import ProtocolRuntime
 from repro.protocols.messages import (
     ChildInfo,
     ChildRemove,
     ConnRequest,
     ConnResponse,
+    FailoverAttach,
     GrandparentChange,
     InfoRequest,
     InfoResponse,
     LeaveNotice,
     ParentChange,
 )
+from repro.sim.network import MatrixUnderlay
+from repro.sim.session import MulticastSession, SessionConfig
+
+from tests.helpers import line_matrix
 
 
 class TestConnRequest:
@@ -82,3 +90,131 @@ class TestDefaults:
         assert not resp.accepted
         assert resp.transferred == ()
         assert resp.children[0].node_id == 7
+
+
+class TestNamedTuplePayloads:
+    """``ConnResponse``, ``ParentChange`` and ``GrandparentChange`` are
+    NamedTuples: the fields, their order and defaults, and keyword
+    construction are the dataclasses' they replaced."""
+
+    @pytest.mark.parametrize(
+        "cls,fields,defaults",
+        [
+            (
+                ConnResponse,
+                ("accepted", "node_id", "parent", "transferred", "children"),
+                {"parent": None, "transferred": (), "children": ()},
+            ),
+            (ParentChange, ("new_parent", "new_grandparent"), {}),
+            (GrandparentChange, ("new_grandparent",), {}),
+        ],
+    )
+    def test_fields_and_defaults(self, cls, fields, defaults):
+        assert cls._fields == fields
+        assert cls._field_defaults == defaults
+
+    def test_keyword_and_positional_construction_agree(self):
+        kw = ConnResponse(accepted=True, node_id=3, parent=1, transferred=(4,))
+        assert kw == ConnResponse(True, 3, 1, (4,), ())
+        assert (kw.accepted, kw.node_id, kw.parent) == (True, 3, 1)
+        assert kw.transferred == (4,) and kw.children == ()
+        pc = ParentChange(new_parent=2, new_grandparent=None)
+        assert (pc.new_parent, pc.new_grandparent) == (2, None)
+        assert GrandparentChange(new_grandparent=7).new_grandparent == 7
+        with pytest.raises(TypeError):
+            ParentChange(new_parent=2)  # no default for the grandparent
+
+
+def _smoke_session(make, **extra):
+    underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(24)]))
+    cfg = SessionConfig(
+        n_nodes=20,
+        degree=(2, 4),
+        join_phase_s=400.0,
+        total_s=1600.0,
+        slot_s=200.0,
+        settle_s=50.0,
+        churn_rate=0.2,
+        seed=5,
+        **extra,
+    )
+    return MulticastSession(underlay, make, cfg).run()
+
+
+# Recorded with the per-message constructors, before any payload was
+# interned or turned into a NamedTuple: the same sessions must send the
+# same number of each message, under the same type names.
+_SMOKE_COUNTS = {
+    "vdm": {
+        "ChildRemove": 24, "ConnRequest": 65, "ConnResponse": 65,
+        "GrandparentChange": 42, "InfoRequest": 516, "InfoResponse": 516,
+        "LeaveNotice": 22, "ParentChange": 33,
+    },
+    "hmtp": {
+        "ChildRemove": 47, "ConnRequest": 90, "ConnResponse": 90,
+        "GrandparentChange": 40, "InfoRequest": 2552, "InfoResponse": 2552,
+        "LeaveNotice": 24,
+    },
+    "vdm-failover": {
+        "ChildRemove": 24, "ConnRequest": 43, "ConnResponse": 43,
+        "FailoverAttach": 22, "GrandparentChange": 42, "InfoRequest": 493,
+        "InfoResponse": 493, "LeaveNotice": 22, "ParentChange": 33,
+    },
+}
+
+_SMOKE_SESSIONS = {
+    "vdm": (factories.vdm, {}),
+    "hmtp": (factories.hmtp, {}),
+    "vdm-failover": (factories.vdm, {"failover": "precomputed"}),
+}
+
+
+class TestInternedPayloads:
+    """The payloads without per-message content are sent as one object
+    each; the counts per type name do not notice."""
+
+    @pytest.mark.parametrize("name", sorted(_SMOKE_SESSIONS))
+    def test_singletons_are_what_the_runtime_sends(self, name, monkeypatch):
+        sent = []
+        tell, request = ProtocolRuntime.tell, ProtocolRuntime.request
+
+        def spy_tell(self, src, dst, msg):
+            sent.append(msg)
+            tell(self, src, dst, msg)
+
+        def spy_request(self, src, dst, msg, on_reply, on_timeout):
+            sent.append(msg)
+            request(self, src, dst, msg, on_reply, on_timeout)
+
+        monkeypatch.setattr(ProtocolRuntime, "tell", spy_tell)
+        monkeypatch.setattr(ProtocolRuntime, "request", spy_request)
+        make, extra = _SMOKE_SESSIONS[name]
+        _smoke_session(make(), **extra)
+        interned = {
+            LeaveNotice: base._LEAVE_NOTICE,
+            ChildRemove: base._CHILD_REMOVE,
+            FailoverAttach: failover._FAILOVER_ATTACH,
+        }
+        seen = set()
+        for msg in sent:
+            if type(msg) in interned:
+                assert msg is interned[type(msg)]
+                seen.add(type(msg))
+            elif type(msg) is ConnRequest and msg.kind == "attach":
+                assert msg is base._ATTACH
+                seen.add(ConnRequest)
+            elif type(msg) is InfoRequest:
+                assert msg is (
+                    base._INFO_WITH_CHILDREN if msg.want_children else base._INFO_PROBE
+                )
+        # not vacuous: every singleton this session can send was sent
+        expected = {LeaveNotice, ChildRemove, ConnRequest}
+        if name == "vdm-failover":
+            expected.add(FailoverAttach)
+        assert seen == expected
+
+    @pytest.mark.parametrize("name", sorted(_SMOKE_SESSIONS))
+    def test_message_counts_unchanged(self, name):
+        make, extra = _SMOKE_SESSIONS[name]
+        result = _smoke_session(make(), **extra)
+        assert dict(result.runtime.message_counts) == _SMOKE_COUNTS[name]

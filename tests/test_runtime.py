@@ -434,6 +434,32 @@ class TestConstruction:
                 base * oracles.noise_factor(rng, sigma, samples)
             )
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize(
+        "samples",
+        [2.5, math.nan, math.inf, True, False, 0, -1, "3"],
+        ids=["fraction", "nan", "inf", "true", "false", "zero", "negative", "str"],
+    )
+    def test_refuses_bad_sample_counts(self, noisy, samples):
+        """A sample count that is not an integer >= 1 is refused, naming
+        ``samples``, before any draw — with noise off too, where nothing
+        would read it."""
+        ul = MatrixUnderlay(line_matrix([0.0, 100.0]))
+        rng = np.random.default_rng(1)
+        env = ProtocolRuntime(
+            Simulator(),
+            ul,
+            0,
+            measurement_noise_sigma=0.3 if noisy else 0.0,
+            noise_rng=rng,
+        )
+        env.virtual_distance(0, 1)
+        before = (env._noise_pos, list(env._noise_buf), rng.bit_generator.state)
+        with pytest.raises(ValueError, match="samples"):
+            env.virtual_distance(0, 1, samples=samples)
+        assert (env._noise_pos, env._noise_buf, rng.bit_generator.state) == before
+        assert env.virtual_distance(0, 1, samples=1) > 0
+
     def test_noise_zero_for_self(self):
         ul = MatrixUnderlay(line_matrix([0.0, 100.0]))
         env = ProtocolRuntime(

@@ -225,7 +225,7 @@ class TestProtocolKnobsRefuseNonFinite:
         with pytest.raises(ValueError, match="NaN|finite"):
             _builders()[knob](value)
 
-    @pytest.mark.parametrize("value", [2.5, 20.0])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
     @pytest.mark.parametrize(
         "knob",
         [
