@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import check_in_range, check_positive, check_probability
+from repro.util.validation import (
+    check_fields, check_in_range, check_positive, checked, count, in_range,
+    positive, probability,
+)
 
 __all__ = ["degree_from_uplink", "UplinkPopulation", "admission_check"]
 
@@ -73,20 +76,14 @@ class UplinkPopulation:
     True
     """
 
-    median_uplink_kbps: float = 2000.0
-    sigma: float = 0.8
-    stream_kbps: float = 500.0
-    headroom: float = 0.1
-    max_degree: int = 20
-    free_rider_fraction: float = 0.0
+    median_uplink_kbps: float = checked(positive, 2000.0)
+    sigma: float = checked(positive, 0.8)
+    stream_kbps: float = checked(positive, 500.0)
+    headroom: float = checked(in_range(0.0, 0.99), 0.1)
+    max_degree: int = checked(count(), 20)
+    free_rider_fraction: float = checked(probability, 0.0)
 
-    def __post_init__(self) -> None:
-        check_positive("median_uplink_kbps", self.median_uplink_kbps)
-        check_positive("sigma", self.sigma)
-        check_positive("stream_kbps", self.stream_kbps)
-        check_probability("free_rider_fraction", self.free_rider_fraction)
-        if self.max_degree < 1:
-            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+    __post_init__ = check_fields
 
     def draw_uplink(self, rng: np.random.Generator) -> float:
         return float(

@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.join import Decision, Descend, split_cases, vdm_decide
-from repro.util.validation import check_finite, check_non_negative, check_positive
+from repro.util.validation import (
+    boolean, check_fields, checked, count, non_negative, one_of, optional, positive,
+)
 
 __all__ = ["VDMConfig", "vdm_join_decision", "vdm_backup_ok"]
 
@@ -55,31 +57,18 @@ class VDMConfig:
     * ``reconnect_at`` — ``"grandparent"`` (Section 3.3) or ``"source"``.
     """
 
-    tie_tolerance: float = 1e-9
-    max_adopt: int | None = None
-    refine_period_s: float | None = None
-    case_priority: str = "case3"
-    case3_selection: str = "closest"
-    reconnect_at: str = "grandparent"
+    tie_tolerance: float = checked(non_negative, 1e-9)
+    max_adopt: int | None = checked(optional(count()), None)
+    refine_period_s: float | None = checked(optional(positive), None)
+    case_priority: str = checked(one_of("case3", "case2"), "case3")
+    case3_selection: str = checked(one_of("closest", "random"), "closest")
+    reconnect_at: str = checked(one_of("grandparent", "source"), "grandparent")
     #: foster-child quick start (HMTP's concept, Section 2.4.7): attach at
     #: the source immediately, then switch to the ideal parent.  Off by
     #: default — the paper's VDM relies on its fast join instead.
-    foster_child: bool = False
+    foster_child: bool = checked(boolean, False)
 
-    def __post_init__(self) -> None:
-        tol = self.tie_tolerance
-        check_finite("tie_tolerance", check_non_negative("tie_tolerance", tol))
-        if self.max_adopt is not None and self.max_adopt < 1:
-            raise ValueError(f"max_adopt must be >= 1, got {self.max_adopt}")
-        if self.refine_period_s is not None:
-            name = "refine_period_s"
-            check_finite(name, check_positive(name, self.refine_period_s))
-        if self.case_priority not in ("case3", "case2"):
-            raise ValueError(f"unknown case_priority {self.case_priority!r}")
-        if self.case3_selection not in ("closest", "random"):
-            raise ValueError(f"unknown case3_selection {self.case3_selection!r}")
-        if self.reconnect_at not in ("grandparent", "source"):
-            raise ValueError(f"unknown reconnect_at {self.reconnect_at!r}")
+    __post_init__ = check_fields
 
 
 def vdm_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:

@@ -44,8 +44,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+
+from repro.util.validation import (
+    check_fields, checked, count, non_negative, one_of, optional, positive, string,
+)
 
 __all__ = [
     "CHAOS_ENV",
@@ -75,15 +79,22 @@ class ChaosError(RuntimeError):
     """The exception raised inside a worker by the ``raise`` action."""
 
 
+def _seconds(domain):
+    """``domain``, stored as a float (JSON's ``600`` reads as ``600.0``)."""
+    return lambda name, value: float(domain(name, value))
+
+
 @dataclass(frozen=True)
 class ChaosRule:
     """One deterministic fault: which tasks, which attempts, what to do."""
 
-    action: str
-    group: str | None = None
-    rep: int | None = None
-    max_attempt: int = 1
-    hang_s: float = 3600.0
+    action: str = checked(one_of(*_ACTIONS))
+    group: str | None = checked(optional(string), None)
+    rep: int | None = checked(optional(count(0)), None)
+    max_attempt: int = checked(count(), 1)
+    hang_s: float = checked(_seconds(positive), 3600.0)
+
+    __post_init__ = check_fields
 
     def applies(self, key: tuple | None, rep: int, attempt: int) -> bool:
         if attempt > self.max_attempt:
@@ -96,48 +107,49 @@ class ChaosRule:
         return True
 
 
-def load_plan(raw: str | None = None) -> tuple[ChaosRule, ...]:
-    """Parse the chaos plan from ``raw`` or the ``REPRO_CHAOS`` variable.
-
-    Returns ``()`` when unset.  Raises :class:`ValueError` on a malformed
-    plan — silently ignoring a typo'd chaos spec would make a chaos test
-    vacuously green.
-    """
+def _read_plan(raw: str | None, env: str, rule_cls: type) -> list:
+    """Parse a JSON list (inline or ``@path``) of ``rule_cls`` rules: keys are
+    the rule's fields, its domains refuse bad values, after ``env[i]``."""
     if raw is None:
-        raw = os.environ.get(CHAOS_ENV, "")
+        raw = os.environ.get(env, "")
     raw = raw.strip()
     if not raw:
-        return ()
+        return []
     if raw.startswith("@"):
         raw = Path(raw[1:]).read_text()
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{CHAOS_ENV} is not valid JSON: {exc}") from None
+        raise ValueError(f"{env} is not valid JSON: {exc}") from None
     if not isinstance(data, list):
-        raise ValueError(f"{CHAOS_ENV} must be a JSON list of rules")
+        raise ValueError(f"{env} must be a JSON list of rules")
+    known = fields(rule_cls)
     rules = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
-            raise ValueError(f"{CHAOS_ENV}[{i}] must be an object")
-        unknown = set(entry) - {"action", "group", "rep", "max_attempt", "hang_s"}
+            raise ValueError(f"{env}[{i}] must be an object")
+        unknown = set(entry) - {f.name for f in known}
         if unknown:
-            raise ValueError(f"{CHAOS_ENV}[{i}] has unknown field(s) {sorted(unknown)}")
-        action = entry.get("action")
-        if action not in _ACTIONS:
-            raise ValueError(
-                f"{CHAOS_ENV}[{i}].action must be one of {_ACTIONS}, got {action!r}"
-            )
-        rules.append(
-            ChaosRule(
-                action=action,
-                group=entry.get("group"),
-                rep=entry.get("rep"),
-                max_attempt=int(entry.get("max_attempt", 1)),
-                hang_s=float(entry.get("hang_s", 3600.0)),
-            )
-        )
-    return tuple(rules)
+            raise ValueError(f"{env}[{i}] has unknown field(s) {sorted(unknown)}")
+        for f in known:
+            if f.default is MISSING and f.name not in entry:
+                raise ValueError(f"{env}[{i}] is missing {f.name}")
+        try:
+            rules.append(rule_cls(**entry))
+        except ValueError as exc:
+            raise ValueError(f"{env}[{i}].{exc}") from None
+    return rules
+
+
+def load_plan(raw: str | None = None) -> tuple[ChaosRule, ...]:
+    """Parse the chaos plan from ``raw`` or the ``REPRO_CHAOS`` variable.
+
+    Returns ``()`` when unset.  Raises :class:`ValueError` on a malformed
+    plan — silently ignoring a typo'd chaos spec (an unknown key, a
+    ``"rep": "0"`` that never matches) would make a chaos test vacuously
+    green.
+    """
+    return tuple(_read_plan(raw, CHAOS_ENV, ChaosRule))
 
 
 def match(
@@ -169,69 +181,26 @@ class ServiceChaosRule:
       waits time out spuriously and the retry envelope must absorb it.
     """
 
-    action: str
-    at_s: float
-    node_index: int = 0
-    topic: str = "joins"
-    duration_s: float = 30.0
+    action: str = checked(one_of(*_SERVICE_ACTIONS))
+    at_s: float = checked(_seconds(non_negative))
+    node_index: int = checked(count(0), 0)
+    topic: str = checked(string, "joins")
+    duration_s: float = checked(_seconds(positive), 30.0)
+
+    __post_init__ = check_fields
 
 
 def load_service_plan(raw: str | None = None) -> tuple[ServiceChaosRule, ...]:
     """Parse the live-service chaos plan (``REPRO_SERVICE_CHAOS``).
 
-    Same contract as :func:`load_plan`: inline JSON or ``@path``, ``()``
-    when unset, :class:`ValueError` on anything malformed::
+    Same contract as :func:`load_plan`, and sorted by ``(at_s, action)``::
 
         [{"action": "agent-crash", "at_s": 40.0, "node_index": 1},
          {"action": "bus-stall", "at_s": 80.0, "topic": "joins",
           "duration_s": 20.0},
          {"action": "clock-jump", "at_s": 120.0}]
     """
-    if raw is None:
-        raw = os.environ.get(SERVICE_CHAOS_ENV, "")
-    raw = raw.strip()
-    if not raw:
-        return ()
-    if raw.startswith("@"):
-        raw = Path(raw[1:]).read_text()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{SERVICE_CHAOS_ENV} is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ValueError(f"{SERVICE_CHAOS_ENV} must be a JSON list of rules")
-    rules = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{SERVICE_CHAOS_ENV}[{i}] must be an object")
-        unknown = set(entry) - {"action", "at_s", "node_index", "topic", "duration_s"}
-        if unknown:
-            raise ValueError(
-                f"{SERVICE_CHAOS_ENV}[{i}] has unknown field(s) {sorted(unknown)}"
-            )
-        action = entry.get("action")
-        if action not in _SERVICE_ACTIONS:
-            raise ValueError(
-                f"{SERVICE_CHAOS_ENV}[{i}].action must be one of "
-                f"{_SERVICE_ACTIONS}, got {action!r}"
-            )
-        if "at_s" not in entry:
-            raise ValueError(f"{SERVICE_CHAOS_ENV}[{i}] is missing at_s")
-        at_s = float(entry["at_s"])
-        if at_s < 0:
-            raise ValueError(f"{SERVICE_CHAOS_ENV}[{i}].at_s must be >= 0")
-        duration_s = float(entry.get("duration_s", 30.0))
-        if duration_s <= 0:
-            raise ValueError(f"{SERVICE_CHAOS_ENV}[{i}].duration_s must be > 0")
-        rules.append(
-            ServiceChaosRule(
-                action=action,
-                at_s=at_s,
-                node_index=int(entry.get("node_index", 0)),
-                topic=str(entry.get("topic", "joins")),
-                duration_s=duration_s,
-            )
-        )
+    rules = _read_plan(raw, SERVICE_CHAOS_ENV, ServiceChaosRule)
     return tuple(sorted(rules, key=lambda r: (r.at_s, r.action)))
 
 
@@ -240,8 +209,8 @@ def chaos_apply(action: str, hang_s: float, worker, *args):
 
     Module-level (pickled by reference) so the supervisor can submit it
     to the pool wrapping any replication worker.  The ``worker``/``args``
-    tail is carried so a rule with ``max_attempt=0`` (or future partial
-    actions) can fall through to the real computation.
+    tail is carried so an action that is none of the three falls through
+    to the real computation.
     """
     if action == "kill":
         os._exit(KILL_EXIT_CODE)

@@ -58,6 +58,7 @@ from repro.harness import chaos
 from repro.harness.journal import RunStats, active as active_run
 from repro.util.envflags import interrupt_grace_s, task_timeout_s
 from repro.util.retry import RetryPolicy
+from repro.util.validation import check_fields, checked, non_negative, optional, positive
 
 __all__ = [
     "SupervisorConfig",
@@ -112,37 +113,21 @@ class SweepAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Supervision policy, normally resolved from ``REPRO_*`` variables."""
+    """Supervision policy, normally resolved from ``REPRO_*`` variables:
+    the per-task deadline, the shared retry policy, the drain grace."""
 
-    timeout_s: float | None = None
-    max_attempts: int = 3
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 5.0
-    grace_s: float = 5.0
+    timeout_s: float | None = checked(optional(positive), None)
+    retry: RetryPolicy = RetryPolicy()
+    grace_s: float = checked(non_negative, 5.0)
+
+    __post_init__ = check_fields
 
     @classmethod
     def from_env(cls) -> "SupervisorConfig":
-        retry = RetryPolicy.from_env()
         return cls(
             timeout_s=task_timeout_s(),
-            max_attempts=retry.max_attempts,
-            backoff_base_s=retry.backoff_base_s,
-            backoff_cap_s=retry.backoff_cap_s,
+            retry=RetryPolicy.from_env(),
             grace_s=interrupt_grace_s(),
-        )
-
-    def retry_policy(self) -> RetryPolicy:
-        """The shared retry policy this supervision config embeds.
-
-        :class:`~repro.util.retry.RetryPolicy` is the importable,
-        pool-free home of the retry/backoff logic; the supervisor keeps
-        its flat fields for backward compatibility and derives the policy
-        object on demand.
-        """
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
         )
 
 
@@ -166,7 +151,7 @@ class _Batch:
 
 def _backoff(task: _Task, config: SupervisorConfig, key: tuple | None, attempt: int):
     """Decorrelated jitter: sleep in [base, 3*prev], capped; deterministic."""
-    sleep = config.retry_policy().backoff_s(
+    sleep = config.retry.backoff_s(
         key, task.rep, task.seed, attempt, prev_sleep=task.prev_sleep
     )
     if sleep <= 0:
@@ -248,7 +233,7 @@ def run_supervised(
     def charge(task: _Task, kind: str, error: str, exit_codes=()) -> bool:
         """Charge one attempt; quarantine at the cap.  True = retry."""
         attempts[task.rep] = attempts.get(task.rep, 0) + 1
-        if attempts[task.rep] >= config.max_attempts:
+        if attempts[task.rep] >= config.retry.max_attempts:
             batch.failures.append(
                 TaskFailure(
                     key=key,

@@ -21,7 +21,6 @@ its protocol across both environments.
 
 from repro.planetlab.scenario import (
     Scenario,
-    ScenarioEvent,
     generate_scenario,
     parse_scenario,
     render_scenario,
@@ -30,7 +29,6 @@ from repro.planetlab.controller import MainController, NodeReport, EmulationRepo
 
 __all__ = [
     "Scenario",
-    "ScenarioEvent",
     "generate_scenario",
     "parse_scenario",
     "render_scenario",

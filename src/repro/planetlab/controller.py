@@ -24,7 +24,8 @@ from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.engine import Simulator
 from repro.sim.network import Underlay
-from repro.util.rngtools import spawn_rng
+from repro.util.rngtools import check_seed, spawn_rng
+from repro.util.validation import check_count
 
 __all__ = ["MainController", "NodeReport", "EmulationReport"]
 
@@ -96,12 +97,14 @@ class MainController:
         measurement_noise_sigma: float = 0.1,
         seed: int = 0,
     ) -> None:
+        check_count("degree_limit", degree_limit)
+        check_seed(seed)
         scenario.validate(underlay.hosts)
         self.underlay = underlay
         self.scenario = scenario
         self.agent_factory = agent_factory
-        self.degree_limit = int(degree_limit)
-        self.seed = int(seed)
+        self.degree_limit = degree_limit
+        self.seed = seed
         self.sim = Simulator()
         self.env = ProtocolRuntime(
             self.sim,

@@ -19,47 +19,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.sim.churn import ChurnEvent, churn_order
 from repro.util.rngtools import rng_from_seed
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = [
-    "ScenarioEvent",
     "Scenario",
     "generate_scenario",
     "parse_scenario",
     "render_scenario",
 ]
 
-ACTIONS = ("join", "leave")
-
-
-@dataclass(frozen=True)
-class ScenarioEvent:
-    """One scenario line: a node joins or leaves at a time."""
-
-    time: float
-    action: str
-    node: int
-
-    def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
-        check_non_negative("time", self.time)
-        if self.node < 0:
-            raise ValueError(f"node id must be >= 0, got {self.node}")
-
 
 @dataclass
 class Scenario:
-    """A full experiment script: events plus the terminate time."""
+    """A full experiment script: events plus the terminate time.
 
-    events: list[ScenarioEvent]
+    Events sort like the churn timeline: a node that leaves and rejoins at
+    one instant leaves first, so the rejoin does not find it still alive.
+    """
+
+    events: list[ChurnEvent]
     terminate_at: float
     source: int
 
     def __post_init__(self) -> None:
         check_non_negative("terminate_at", self.terminate_at)
-        self.events.sort(key=lambda e: (e.time, e.action, e.node))
+        self.events.sort(key=churn_order)
         late = [e for e in self.events if e.time > self.terminate_at]
         if late:
             raise ValueError(
@@ -109,11 +95,11 @@ def generate_scenario(
         raise ValueError("total_s must cover join_phase_s")
     rng = rng_from_seed(seed)
 
-    events: list[ScenarioEvent] = []
+    events: list[ChurnEvent] = []
     initial = [int(n) for n in rng.choice(pool, size=n_initial, replace=False)]
     times = rng.uniform(0.0, 0.9 * join_phase_s, size=n_initial)
     events.extend(
-        ScenarioEvent(float(t), "join", n) for n, t in zip(initial, times)
+        ChurnEvent(float(t), "join", n) for n, t in zip(initial, times)
     )
 
     active = set(initial)
@@ -134,13 +120,13 @@ def generate_scenario(
         ]
         for n in leavers:
             events.append(
-                ScenarioEvent(slot_start + float(rng.uniform(0, window)), "leave", n)
+                ChurnEvent(slot_start + float(rng.uniform(0, window)), "leave", n)
             )
             active.discard(n)
             inactive.add(n)
         for n in joiners:
             events.append(
-                ScenarioEvent(slot_start + float(rng.uniform(0, window)), "join", n)
+                ChurnEvent(slot_start + float(rng.uniform(0, window)), "join", n)
             )
             inactive.discard(n)
             active.add(n)
@@ -163,7 +149,7 @@ def render_scenario(scenario: Scenario) -> str:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the text format back into a :class:`Scenario`."""
-    events: list[ScenarioEvent] = []
+    events: list[ChurnEvent] = []
     terminate_at: float | None = None
     source: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,12 +162,10 @@ def parse_scenario(text: str) -> Scenario:
                 source = int(parts[1])
             elif parts[0] == "terminate":
                 terminate_at = float(parts[1])
-            elif parts[0] in ACTIONS:
+            else:  # a join or leave line; ChurnEvent refuses any other action
                 events.append(
-                    ScenarioEvent(float(parts[2]), parts[0], int(parts[1]))
+                    ChurnEvent(float(parts[2]), parts[0], int(parts[1]))
                 )
-            else:
-                raise ValueError(f"unknown action {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"scenario line {lineno}: {raw!r}: {exc}") from None
     if terminate_at is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.join import Attach, Decision
-from repro.util.validation import check_finite, check_positive
+from repro.util.validation import check_fields, checked, positive
 
 __all__ = ["BTPConfig", "btp_join_decision", "parent_or_source"]
 
@@ -27,11 +27,9 @@ __all__ = ["BTPConfig", "btp_join_decision", "parent_or_source"]
 class BTPConfig:
     """BTP tunables: the sibling-switch refinement period."""
 
-    refine_period_s: float = 30.0
+    refine_period_s: float = checked(positive, 30.0)
 
-    def __post_init__(self) -> None:
-        name = "refine_period_s"
-        check_finite(name, check_positive(name, self.refine_period_s))
+    __post_init__ = check_fields
 
 
 def btp_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.join import Attach, Decision, hmtp_decide
-from repro.util.validation import check_finite, check_positive
+from repro.util.validation import boolean, check_fields, checked, positive
 
 __all__ = ["HMTPConfig", "hmtp_join_decision", "root_path_member"]
 
@@ -51,12 +51,10 @@ class HMTPConfig:
     ideal parent once the real join finds it.
     """
 
-    refine_period_s: float = 30.0
-    foster_child: bool = False
+    refine_period_s: float = checked(positive, 30.0)
+    foster_child: bool = checked(boolean, False)
 
-    def __post_init__(self) -> None:
-        name = "refine_period_s"
-        check_finite(name, check_positive(name, self.refine_period_s))
+    __post_init__ = check_fields
 
 
 def hmtp_join_decision(row, agent, pivot, dist_to_pivot, info, probes) -> Decision:

@@ -88,7 +88,10 @@ from repro.sim.session import draw_degree
 from repro.util.artifacts import artifact_key
 from repro.util.retry import RetryPolicy
 from repro.util.rngtools import spawn_rng
-from repro.util.validation import check_finite, check_non_negative, check_positive
+from repro.util.validation import (
+    check_fields, check_finite, check_non_negative, checked, count, non_negative,
+    one_of, pair, positive, rng_seed,
+)
 
 __all__ = [
     "DriverStats",
@@ -105,80 +108,56 @@ class ServiceDeterminismError(RuntimeError):
     """A recomputed outcome disagreed with its journaled witness entry."""
 
 
+def _depth(name: str, value) -> float:
+    """A diurnal modulation depth in [0, 1): at 1 the trough rate is zero."""
+    if non_negative(name, value) >= 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Parameters of one live service run (all JSON-natural)."""
+    """Parameters of one live service run (all JSON-natural).
 
-    scenario: str = "poisson"
-    duration_s: float = 600.0
-    seed: int = 0
+    Every real is finite: an infinite horizon or rate never ends the
+    workload loops, a NaN burst start drops the burst.
+    """
+
+    scenario: str = checked(one_of(*SCENARIOS), "poisson")
+    duration_s: float = checked(positive, 600.0)
+    seed: int = checked(rng_seed, 0)
     #: hosts in the default substrate (ignored when an underlay is passed)
-    n_hosts: int = 64
+    n_hosts: int = checked(count(2), 64)
     #: baseline session-arrival rate
-    arrival_rate_hz: float = 0.2
+    arrival_rate_hz: float = checked(positive, 0.2)
     #: mean session lifetime (exponential)
-    hold_s: float = 120.0
+    hold_s: float = checked(positive, 120.0)
     #: member degree limits, drawn uniformly from [lo, hi] (paper setup)
-    degree: tuple[int, int] = (2, 5)
+    degree: tuple[int, int] = checked(pair(count()), (2, 5))
     #: protocol-level per-request timeout (ms), as in batch sessions
-    timeout_ms: float = 3000.0
+    timeout_ms: float = checked(positive, 3000.0)
     #: control-plane deadline on one join wait (virtual seconds)
-    join_timeout_s: float = 8.0
+    join_timeout_s: float = checked(positive, 8.0)
     #: join-queue high-water mark: arrivals beyond this depth are rejected
-    join_queue_hwm: int = 8
+    join_queue_hwm: int = checked(count(), 8)
     #: concurrent join-serving workers
-    join_workers: int = 2
+    join_workers: int = checked(count(), 2)
     #: health-probe cadence (virtual seconds)
-    probe_period_s: float = 5.0
+    probe_period_s: float = checked(positive, 5.0)
     #: stream chunk rate (chunks/s) for join-to-first-chunk latency
-    chunk_rate: float = 10.0
+    chunk_rate: float = checked(positive, 10.0)
     # flash-crowd shape (used by scenario == "flash")
-    burst_at_s: float = 0.0
-    burst_rate_hz: float = 0.0
-    burst_duration_s: float = 0.0
+    burst_at_s: float = checked(non_negative, 0.0)
+    burst_rate_hz: float = checked(non_negative, 0.0)
+    burst_duration_s: float = checked(non_negative, 0.0)
     # diurnal shape (used by scenario == "diurnal")
-    diurnal_period_s: float = 0.0
-    diurnal_depth: float = 0.8
+    diurnal_period_s: float = checked(non_negative, 0.0)
+    diurnal_depth: float = checked(_depth, 0.8)
     #: control-plane retry policy (shared with the batch supervisor)
     retry: RetryPolicy = RetryPolicy(max_attempts=3, backoff_base_s=0.5,
                                      backoff_cap_s=10.0)
 
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
-            )
-        # Finite as well as positive: an infinite horizon or rate never
-        # ends the workload loops, an infinite chunk rate overflows the
-        # first-chunk epoch.
-        for name in (
-            "duration_s", "arrival_rate_hz", "hold_s", "timeout_ms",
-            "join_timeout_s", "probe_period_s", "chunk_rate",
-        ):
-            check_finite(name, check_positive(name, getattr(self, name)))
-        # Offsets and shape knobs: a NaN burst start drops the burst, a
-        # negative one admits arrivals stamped before t = 0.
-        for name in (
-            "burst_at_s", "burst_rate_hz", "burst_duration_s", "diurnal_period_s",
-        ):
-            check_finite(name, check_non_negative(name, getattr(self, name)))
-        if check_non_negative("diurnal_depth", self.diurnal_depth) >= 1.0:
-            raise ValueError(
-                f"diurnal_depth must be in [0, 1), got {self.diurnal_depth!r}"
-            )
-        if self.n_hosts < 2:
-            raise ValueError(f"n_hosts must be >= 2, got {self.n_hosts}")
-        if self.join_queue_hwm < 1:
-            raise ValueError(
-                f"join_queue_hwm must be >= 1, got {self.join_queue_hwm}"
-            )
-        if self.join_workers < 1:
-            raise ValueError(
-                f"join_workers must be >= 1, got {self.join_workers}"
-            )
-        lo, hi = self.degree
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad degree range {self.degree}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -20,9 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import (
+    check_fields, check_non_negative, check_positive, check_probability, checked,
+    count, non_negative, one_of,
+)
 
-__all__ = ["ChurnEvent", "ChurnSchedule", "SlottedChurnModel"]
+__all__ = ["ChurnEvent", "ChurnSchedule", "SlottedChurnModel", "churn_order"]
 
 #: Tie-break for simultaneous churn events: leaves apply before joins, so
 #: a node leaving and (re)joining at the same instant frees its slot — and
@@ -35,14 +38,16 @@ _ACTION_ORDER = {"leave": 0, "join": 1}
 class ChurnEvent:
     """One churn action: a node joins or leaves at an absolute time."""
 
-    time: float
-    action: str  # "join" | "leave"
-    node: int
+    time: float = checked(non_negative)
+    action: str = checked(one_of("join", "leave"))
+    node: int = checked(count(0))
 
-    def __post_init__(self) -> None:
-        if self.action not in ("join", "leave"):
-            raise ValueError(f"unknown churn action {self.action!r}")
-        check_non_negative("time", self.time)
+    __post_init__ = check_fields
+
+
+def churn_order(event: ChurnEvent) -> tuple[float, int, int]:
+    """Sort key of a churn timeline: by time, leaves before joins, by node."""
+    return (event.time, _ACTION_ORDER[event.action], event.node)
 
 
 @dataclass
@@ -53,9 +58,7 @@ class ChurnSchedule:
     measure_times: list[float] = field(default_factory=list)
 
     def sorted_events(self) -> list[ChurnEvent]:
-        return sorted(
-            self.events, key=lambda e: (e.time, _ACTION_ORDER[e.action], e.node)
-        )
+        return sorted(self.events, key=churn_order)
 
 
 class SlottedChurnModel:
@@ -159,5 +162,5 @@ class SlottedChurnModel:
                 ChurnEvent(slot_start + float(t), "join", int(n))
                 for n, t in zip(joiners, times)
             )
-        events.sort(key=lambda e: (e.time, _ACTION_ORDER[e.action], e.node))
+        events.sort(key=churn_order)
         return events

@@ -37,7 +37,10 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.util.rngtools import spawn_rng
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import (
+    check_count, check_fields, checked, count, non_negative, optional, positive,
+    probability, rng_seed, string,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.protocols.base import ProtocolRuntime
@@ -67,6 +70,15 @@ class UnsupportedFaultPlan(RuntimeError):
     """
 
 
+def _domain_ids(name: str, value) -> tuple[int, ...]:
+    """A tuple of transit-domain ids (whole numbers >= 0)."""
+    if not isinstance(value, tuple):
+        raise ValueError(f"{name} must be a tuple of domain ids, got {value!r}")
+    for domain in value:
+        check_count(name, domain, 0)
+    return value
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Declarative description of one fault schedule.
@@ -78,81 +90,67 @@ class FaultPlan:
     same plan against the same session produce the same schedule.
     """
 
-    name: str = "none"
-    seed: int = 0
+    name: str = checked(string, "none")
+    seed: int = checked(rng_seed, 0)
 
     # -- message plane -------------------------------------------------------
     #: probability any control-message leg (tell, request, reply) is lost
-    drop_rate: float = 0.0
+    drop_rate: float = checked(probability, 0.0)
     #: probability a delivered leg arrives twice (network duplication)
-    duplicate_rate: float = 0.0
+    duplicate_rate: float = checked(probability, 0.0)
     #: extra uniform [0, jitter_ms] delay added to every delivered leg
-    jitter_ms: float = 0.0
+    jitter_ms: float = checked(non_negative, 0.0)
     #: extra loss applied to reply legs only (asymmetric-path loss: the
     #: target processed the request, the requester never learns)
-    reply_loss_rate: float = 0.0
+    reply_loss_rate: float = checked(probability, 0.0)
 
     # -- churn plane ---------------------------------------------------------
     #: fraction of scheduled leaves converted into crash-without-goodbye
-    crash_fraction: float = 0.0
+    crash_fraction: float = checked(probability, 0.0)
     #: probability a fresh joiner crashes during its join handshake
-    midjoin_crash_rate: float = 0.0
+    midjoin_crash_rate: float = checked(probability, 0.0)
     #: the mid-join crash lands uniformly within this window after join start
-    midjoin_crash_window_s: float = 10.0
+    midjoin_crash_window_s: float = checked(positive, 10.0)
     #: probability a joiner suffers one transient freeze during its life
-    freeze_rate: float = 0.0
+    freeze_rate: float = checked(probability, 0.0)
     #: the freeze starts uniformly within this window after join start
-    freeze_delay_s: float = 200.0
+    freeze_delay_s: float = checked(positive, 200.0)
     #: how long a frozen node stays unresponsive
-    freeze_duration_s: float = 30.0
+    freeze_duration_s: float = checked(positive, 30.0)
 
     # -- correlated plane ----------------------------------------------------
     #: transit domain whose members all crash at ``domain_outage_at_s``
     #: (whole-domain outage; requires an underlay with domain membership)
-    domain_outage_domain: int | None = None
+    domain_outage_domain: int | None = checked(optional(count(0)), None)
     #: when the domain outage strikes (``None`` disables it)
-    domain_outage_at_s: float | None = None
+    domain_outage_at_s: float | None = checked(optional(non_negative), None)
     #: transit domains forming one side of a network partition; every
     #: cross-side message leg is lost while the partition is up
-    partition_domains: tuple[int, ...] = ()
+    partition_domains: tuple[int, ...] = checked(_domain_ids, ())
     #: when the partition starts / heals (both required to enable it)
-    partition_at_s: float | None = None
-    partition_heal_s: float | None = None
+    partition_at_s: float | None = checked(optional(non_negative), None)
+    partition_heal_s: float | None = checked(optional(non_negative), None)
     #: start of a correlated loss burst (``None`` disables it)
-    burst_at_s: float | None = None
+    burst_at_s: float | None = checked(optional(non_negative), None)
     #: how long the burst lasts
-    burst_duration_s: float = 30.0
+    burst_duration_s: float = checked(positive, 30.0)
     #: per-leg drop probability while the burst is up
-    burst_loss_rate: float = 0.0
+    burst_loss_rate: float = checked(probability, 0.0)
 
     # -- detection -----------------------------------------------------------
     #: stream-outage detection latency (crash departure + orphan watchdog)
-    detect_delay_s: float = 4.0
+    detect_delay_s: float = checked(positive, 4.0)
     #: stop injecting new faults after this simulation time (``None`` =
     #: faults for the whole run); detection/recovery keeps running, which
     #: gives conformance tests a fault-free tail to recover in
-    active_until_s: float | None = None
+    active_until_s: float | None = checked(optional(non_negative), None)
 
     def __post_init__(self) -> None:
-        check_probability("drop_rate", self.drop_rate)
-        check_probability("duplicate_rate", self.duplicate_rate)
-        check_probability("reply_loss_rate", self.reply_loss_rate)
-        check_probability("crash_fraction", self.crash_fraction)
-        check_probability("midjoin_crash_rate", self.midjoin_crash_rate)
-        check_probability("freeze_rate", self.freeze_rate)
-        check_non_negative("jitter_ms", self.jitter_ms)
-        check_positive("midjoin_crash_window_s", self.midjoin_crash_window_s)
-        check_positive("freeze_delay_s", self.freeze_delay_s)
-        check_positive("freeze_duration_s", self.freeze_duration_s)
-        check_positive("detect_delay_s", self.detect_delay_s)
-        if self.active_until_s is not None:
-            check_non_negative("active_until_s", self.active_until_s)
+        check_fields(self)
         if (self.domain_outage_domain is None) != (self.domain_outage_at_s is None):
             raise ValueError(
                 "domain_outage_domain and domain_outage_at_s must be set together"
             )
-        if self.domain_outage_at_s is not None:
-            check_non_negative("domain_outage_at_s", self.domain_outage_at_s)
         partition_knobs = (
             bool(self.partition_domains),
             self.partition_at_s is not None,
@@ -164,15 +162,10 @@ class FaultPlan:
                 "must be set together"
             )
         if self.partition_at_s is not None:
-            check_non_negative("partition_at_s", self.partition_at_s)
             if self.partition_heal_s <= self.partition_at_s:
                 raise ValueError(
                     "partition_heal_s must be strictly after partition_at_s"
                 )
-        if self.burst_at_s is not None:
-            check_non_negative("burst_at_s", self.burst_at_s)
-        check_positive("burst_duration_s", self.burst_duration_s)
-        check_probability("burst_loss_rate", self.burst_loss_rate)
 
     def message_windows(self) -> tuple[tuple[float, float], ...]:
         """Closed virtual-time intervals in which a message leg can be touched.

@@ -38,10 +38,8 @@ from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.network import Underlay
 from repro.util.rngtools import spawn_rng
 from repro.util.validation import (
-    check_finite,
-    check_non_negative,
-    check_positive,
-    check_probability,
+    check_fields, checked, count, degree_spec, non_negative, one_of, optional,
+    positive, probability, rng_seed,
 )
 
 __all__ = [
@@ -132,27 +130,29 @@ def take_measurement(
 class SessionConfig:
     """Parameters of one multicast session run."""
 
-    n_nodes: int = 200
-    degree: DegreeSpec = (2, 5)
-    join_phase_s: float = 2000.0
-    total_s: float = 10000.0
-    slot_s: float = 400.0
-    settle_s: float = 100.0
-    churn_rate: float = 0.0
-    chunk_rate: float = 10.0
-    timeout_ms: float = 3000.0
-    seed: int = 0
-    source_host: int | None = None
-    source_degree: int | None = None
+    n_nodes: int = checked(count(), 200)
+    degree: DegreeSpec = checked(degree_spec, (2, 5))
+    # Finite as well as positive: an infinite horizon, slot, rate or
+    # timeout hangs the scheduling loops or turns the loss into NaN.
+    join_phase_s: float = checked(positive, 2000.0)
+    total_s: float = checked(positive, 10000.0)
+    slot_s: float = checked(positive, 400.0)
+    settle_s: float = checked(non_negative, 100.0)
+    churn_rate: float = checked(probability, 0.0)
+    chunk_rate: float = checked(positive, 10.0)
+    timeout_ms: float = checked(positive, 3000.0)
+    seed: int = checked(rng_seed, 0)
+    source_host: int | None = checked(optional(count(0)), None)
+    source_degree: int | None = checked(optional(count()), None)
     #: measurement cadence during the join phase (Chapter 4's time series);
     #: ``None`` means measure only at churn-slot boundaries.
-    join_measure_interval_s: float | None = None
+    join_measure_interval_s: float | None = checked(optional(positive), None)
     #: override the agents' own refinement period; ``None`` keeps each
     #: protocol row's ``refine_period_s``.
-    refine_period_s: float | None = None
+    refine_period_s: float | None = checked(optional(positive), None)
     #: lognormal sigma on every distance measurement (testbed probe noise;
     #: keep 0 for the NS-2-style runs, nonzero for PlanetLab emulation).
-    measurement_noise_sigma: float = 0.0
+    measurement_noise_sigma: float = checked(non_negative, 0.0)
     #: fault schedule: a :class:`~repro.sim.faults.FaultPlan`, a preset
     #: name from :data:`~repro.sim.faults.FAULT_PRESETS`, or ``None``.
     faults: "FaultPlan | str | None" = None
@@ -160,48 +160,22 @@ class SessionConfig:
     #: round-trip (the oracle path); ``"precomputed"`` arms the
     #: :class:`~repro.protocols.failover.FailoverManager` so orphans
     #: switch to their precomputed backup parent locally.
-    failover: str = "reactive"
+    failover: str = checked(one_of("reactive", "precomputed"), "reactive")
     #: invariant checking: ``"raise"`` fails the run at the first broken
     #: tree invariant, ``"record"`` collects violations into the result,
     #: ``"off"`` disables the checker entirely.
-    invariant_mode: str = "raise"
+    invariant_mode: str = checked(one_of("raise", "record", "off"), "raise")
     #: full structural sweep cadence (mutations between sweeps) for the
     #: invariant checker; ``None`` keeps the checker's default.  Localized
     #: per-mutation checks always run regardless.
-    invariant_sweep_every: int | None = None
+    invariant_sweep_every: int | None = checked(optional(count()), None)
 
     def __post_init__(self) -> None:
-        # Finite as well as positive: an infinite horizon, slot, rate or
-        # timeout hangs the scheduling loops or turns the loss into NaN.
-        for name in (
-            "n_nodes", "join_phase_s", "total_s", "slot_s", "chunk_rate", "timeout_ms"
-        ):
-            check_finite(name, check_positive(name, getattr(self, name)))
-        check_non_negative("settle_s", self.settle_s)
-        check_probability("churn_rate", self.churn_rate)
-        check_finite(
-            "measurement_noise_sigma",
-            check_non_negative("measurement_noise_sigma", self.measurement_noise_sigma),
-        )
-        for name in ("join_measure_interval_s", "refine_period_s"):
-            if getattr(self, name) is not None:
-                check_finite(name, check_positive(name, getattr(self, name)))
+        check_fields(self)
         if self.total_s < self.join_phase_s:
             raise ValueError("total_s must cover the join phase")
         if self.settle_s >= self.slot_s:
             raise ValueError("settle_s must be shorter than slot_s")
-        if self.failover not in ("reactive", "precomputed"):
-            raise ValueError(
-                "failover must be 'reactive' or 'precomputed', "
-                f"got {self.failover!r}"
-            )
-        if self.invariant_mode not in ("raise", "record", "off"):
-            raise ValueError(
-                "invariant_mode must be 'raise', 'record', or 'off', "
-                f"got {self.invariant_mode!r}"
-            )
-        if self.invariant_sweep_every is not None:
-            check_positive("invariant_sweep_every", self.invariant_sweep_every)
         resolve_fault_plan(self.faults)  # fail fast on unknown preset names
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.util.validation import check_fields, checked, in_range, non_negative, string
+
 __all__ = ["GeoSite", "great_circle_km", "rtt_ms_between"]
 
 EARTH_RADIUS_KM = 6371.0
@@ -37,19 +39,14 @@ DEFAULT_ROUTE_INFLATION = 2.0
 class GeoSite:
     """A hosting site: name, region label, and coordinates in degrees."""
 
-    name: str
-    region: str
-    lat: float
-    lon: float
-    access_ms: float = 1.0  # one-way last-mile/campus delay contribution
+    name: str = checked(string)
+    region: str = checked(string)
+    lat: float = checked(in_range(-90.0, 90.0, "latitude"))
+    lon: float = checked(in_range(-180.0, 180.0, "longitude"))
+    #: one-way last-mile/campus delay contribution
+    access_ms: float = checked(non_negative, 1.0)
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if self.access_ms < 0:
-            raise ValueError(f"access_ms must be >= 0, got {self.access_ms}")
+    __post_init__ = check_fields
 
 
 def great_circle_km(a: GeoSite, b: GeoSite) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_in_range, check_probability
+from repro.util.validation import check_fields, checked, in_range, probability
 
 __all__ = ["LinkErrorConfig", "link_error_array"]
 
@@ -36,18 +36,16 @@ class LinkErrorConfig:
     ``max_error`` = 0.02 reproduces the paper's "between 0% and 2%".
     """
 
-    max_error: float = 0.02
-    min_error: float = 0.0
-    correlation: float = 0.0
+    max_error: float = checked(probability, 0.02)
+    min_error: float = checked(probability, 0.0)
+    correlation: float = checked(in_range(-1.0, 1.0), 0.0)
 
     def __post_init__(self) -> None:
-        check_probability("max_error", self.max_error)
-        check_probability("min_error", self.min_error)
+        check_fields(self)
         if self.min_error > self.max_error:
             raise ValueError(
                 f"min_error {self.min_error} exceeds max_error {self.max_error}"
             )
-        check_in_range("correlation", self.correlation, -1.0, 1.0)
 
 
 def link_error_array(

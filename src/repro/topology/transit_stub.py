@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_count, check_finite, check_probability
+from repro.util.validation import check_fields, checked, count, pair, positive, probability
 
 __all__ = [
     "TransitStubConfig",
@@ -62,6 +62,13 @@ _KIND_INTRA_STUB = 3
 _NO_NODES = np.empty(0, dtype=np.int64)
 
 
+def _delay_pair(name: str, value) -> tuple[float, float]:
+    """A one-way delay range: finite reals ``0 < lo <= hi``, as a tuple or a
+    list, stored as a tuple of floats so the config stays hashable."""
+    lo, hi = pair(positive)(name, value)
+    return (float(lo), float(hi))
+
+
 @dataclass(frozen=True)
 class TransitStubConfig:
     """Parameters of the transit-stub generator.
@@ -72,48 +79,23 @@ class TransitStubConfig:
 
     Delay ranges are one-way link delays in milliseconds, chosen to mirror
     GT-ITM's convention that inter-domain links are an order of magnitude
-    longer than intra-stub links.  Each is a pair of finite reals with
-    ``0 < lo <= hi``, given as a tuple or a list and stored as a tuple of
-    floats.
+    longer than intra-stub links.
     """
 
-    total_nodes: int = 792
-    transit_domains: int = 4
-    transit_nodes_per_domain: int = 6
-    stub_domains_per_transit: int = 3
-    intra_transit_edge_prob: float = 0.6
-    intra_stub_edge_prob: float = 0.4
-    extra_transit_transit_links: int = 2
-    delay_inter_transit: tuple[float, float] = (20.0, 50.0)
-    delay_intra_transit: tuple[float, float] = (5.0, 20.0)
-    delay_stub_transit: tuple[float, float] = (2.0, 10.0)
-    delay_intra_stub: tuple[float, float] = (0.5, 3.0)
+    total_nodes: int = checked(count(), 792)
+    transit_domains: int = checked(count(), 4)
+    transit_nodes_per_domain: int = checked(count(), 6)
+    stub_domains_per_transit: int = checked(count(), 3)
+    intra_transit_edge_prob: float = checked(probability, 0.6)
+    intra_stub_edge_prob: float = checked(probability, 0.4)
+    extra_transit_transit_links: int = checked(count(0), 2)
+    delay_inter_transit: tuple[float, float] = checked(_delay_pair, (20.0, 50.0))
+    delay_intra_transit: tuple[float, float] = checked(_delay_pair, (5.0, 20.0))
+    delay_stub_transit: tuple[float, float] = checked(_delay_pair, (2.0, 10.0))
+    delay_intra_stub: tuple[float, float] = checked(_delay_pair, (0.5, 3.0))
 
     def __post_init__(self) -> None:
-        for name in (
-            "total_nodes",
-            "transit_domains",
-            "transit_nodes_per_domain",
-            "stub_domains_per_transit",
-        ):
-            check_count(name, getattr(self, name))
-        check_count("extra_transit_transit_links", self.extra_transit_transit_links, 0)
-        check_probability("intra_transit_edge_prob", self.intra_transit_edge_prob)
-        check_probability("intra_stub_edge_prob", self.intra_stub_edge_prob)
-        for name in (
-            "delay_inter_transit",
-            "delay_intra_transit",
-            "delay_stub_transit",
-            "delay_intra_stub",
-        ):
-            pair = getattr(self, name)
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}")
-            lo, hi = (check_finite(name, bound) for bound in pair)
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-            # Stored as a tuple of floats, so the config stays hashable.
-            object.__setattr__(self, name, (lo, hi))
+        check_fields(self)
         n_transit = self.transit_domains * self.transit_nodes_per_domain
         if self.total_nodes <= n_transit:
             raise ValueError(

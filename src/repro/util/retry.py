@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from repro.util.envflags import retry_backoff_s, task_max_attempts
+from repro.util.validation import check_fields, checked, count, non_negative
 
 __all__ = ["RetryPolicy"]
 
@@ -42,21 +43,12 @@ class RetryPolicy:
     that), in which case :meth:`backoff_s` returns ``0.0``.
     """
 
-    max_attempts: int = 3
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 5.0
+    max_attempts: int = checked(count(), 3)
+    backoff_base_s: float = checked(non_negative, 0.25)
+    backoff_cap_s: float = checked(non_negative, 5.0)
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_cap_s < 0:
-            raise ValueError(
-                f"backoff_cap_s must be >= 0, got {self.backoff_cap_s}"
-            )
+        check_fields(self)
         if 0 < self.backoff_base_s and self.backoff_cap_s < self.backoff_base_s:
             raise ValueError(
                 f"backoff_cap_s ({self.backoff_cap_s}) must be >= "

@@ -7,30 +7,30 @@ from repro.harness.substrates import build_planetlab_underlay
 from repro.planetlab import (
     MainController,
     Scenario,
-    ScenarioEvent,
     generate_scenario,
     parse_scenario,
     render_scenario,
 )
+from repro.sim.churn import ChurnEvent
 
 
 class TestScenarioEvents:
     def test_valid(self):
-        ScenarioEvent(1.0, "join", 4)
+        ChurnEvent(1.0, "join", 4)
 
     def test_bad_action(self):
         with pytest.raises(ValueError):
-            ScenarioEvent(1.0, "restart", 4)
+            ChurnEvent(1.0, "restart", 4)
 
     def test_negative_node(self):
         with pytest.raises(ValueError):
-            ScenarioEvent(1.0, "join", -2)
+            ChurnEvent(1.0, "join", -2)
 
 
 class TestScenario:
     def test_events_sorted_on_init(self):
         sc = Scenario(
-            events=[ScenarioEvent(5.0, "leave", 1), ScenarioEvent(1.0, "join", 1)],
+            events=[ChurnEvent(5.0, "leave", 1), ChurnEvent(1.0, "join", 1)],
             terminate_at=10.0,
             source=0,
         )
@@ -39,7 +39,7 @@ class TestScenario:
     def test_rejects_events_after_terminate(self):
         with pytest.raises(ValueError, match="after terminate"):
             Scenario(
-                events=[ScenarioEvent(50.0, "join", 1)],
+                events=[ChurnEvent(50.0, "join", 1)],
                 terminate_at=10.0,
                 source=0,
             )
@@ -47,14 +47,22 @@ class TestScenario:
     def test_rejects_source_events(self):
         with pytest.raises(ValueError, match="source"):
             Scenario(
-                events=[ScenarioEvent(1.0, "leave", 0)],
+                events=[ChurnEvent(1.0, "leave", 0)],
                 terminate_at=10.0,
                 source=0,
             )
 
+    def test_leave_sorts_before_a_rejoin_at_the_same_instant(self):
+        sc = Scenario(
+            events=[ChurnEvent(50.0, "join", 1), ChurnEvent(50.0, "leave", 1)],
+            terminate_at=100.0,
+            source=0,
+        )
+        assert [e.action for e in sc.events] == ["leave", "join"]
+
     def test_validate_unknown_nodes(self):
         sc = Scenario(
-            events=[ScenarioEvent(1.0, "join", 99)], terminate_at=10.0, source=0
+            events=[ChurnEvent(1.0, "join", 99)], terminate_at=10.0, source=0
         )
         with pytest.raises(ValueError, match="unknown nodes"):
             sc.validate([0, 1, 2])
@@ -90,6 +98,23 @@ class TestGeneration:
             seed=7,
         )
         assert generate_scenario(**args).events == generate_scenario(**args).events
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 11])
+    def test_generated_order_is_time_order(self, seed):
+        """No two actions of one node share an instant, so a generated
+        scenario sorts the same under the churn key as it did by
+        ``(time, action, node)``."""
+        sc = generate_scenario(
+            list(range(40)),
+            source=0,
+            n_initial=20,
+            join_phase_s=400.0,
+            total_s=4000.0,
+            churn_rate=0.3,
+            seed=seed,
+        )
+        assert len({(e.time, e.node) for e in sc.events}) == len(sc.events)
+        assert sc.events == sorted(sc.events, key=lambda e: (e.time, e.action, e.node))
 
     def test_too_small_roster_rejected(self):
         with pytest.raises(ValueError, match="cannot join"):
@@ -185,12 +210,48 @@ class TestMainController:
     def test_scenario_validated_against_roster(self):
         sub = build_planetlab_underlay(n_select=10, seed=3, n_us=50)
         sc = Scenario(
-            events=[ScenarioEvent(1.0, "join", 999)],
+            events=[ChurnEvent(1.0, "join", 999)],
             terminate_at=10.0,
             source=sub.source,
         )
         with pytest.raises(ValueError, match="unknown nodes"):
             MainController(sub.underlay, sc, vdm())
+
+    def test_rejoin_at_the_leave_instant_is_replayed(self):
+        """Node leaves and rejoins at t = 50: the leave must run first, or
+        the join finds the node alive, does nothing, and the leave then
+        removes it for good."""
+        sub = build_planetlab_underlay(n_select=10, seed=3, n_us=50)
+        node = next(h for h in sorted(sub.underlay.hosts) if h != sub.source)
+        sc = Scenario(
+            events=[
+                ChurnEvent(1.0, "join", node),
+                ChurnEvent(50.0, "join", node),
+                ChurnEvent(50.0, "leave", node),
+            ],
+            terminate_at=100.0,
+            source=sub.source,
+        )
+        (report,) = MainController(sub.underlay, sc, vdm()).run().nodes
+        assert report.final_depth == 1
+        assert len(report.startup_times) == 2
+
+    @pytest.mark.parametrize(
+        ("knob", "value", "message"),
+        [
+            ("degree_limit", 2.5, "degree_limit must be an integer"),
+            ("degree_limit", True, "degree_limit must be an integer"),
+            ("degree_limit", 0, "degree_limit must be >= 1"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("seed", float("nan"), "seed must be an integer"),
+        ],
+    )
+    def test_controller_refuses_truncated_arguments(self, knob, value, message):
+        sub = build_planetlab_underlay(n_select=10, seed=3, n_us=50)
+        sc = Scenario(events=[], terminate_at=10.0, source=sub.source)
+        with pytest.raises(ValueError, match=message):
+            MainController(sub.underlay, sc, vdm(), **{knob: value})
 
     def test_node_report_loss_rate_bounds(self):
         ctl, _ = self.make(churn=0.2)

@@ -109,9 +109,9 @@ class TestSupervisorIntegration:
         monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0.5")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "4")
         cfg = SupervisorConfig.from_env()
-        policy = cfg.retry_policy()
+        policy = cfg.retry
         assert policy == RetryPolicy.from_env()
-        assert cfg.max_attempts == policy.max_attempts
+        assert cfg.retry.max_attempts == 4
 
     def test_supervisor_backoff_chains_prev_sleep(self, monkeypatch):
         """_backoff threads task.prev_sleep exactly like direct policy calls."""
@@ -119,7 +119,7 @@ class TestSupervisorIntegration:
         from repro.harness import supervisor as sup
 
         cfg = SupervisorConfig.from_env()
-        policy = cfg.retry_policy()
+        policy = cfg.retry
         task = sup._Task(rep=2, seed=77)
         expected_prev = 0.0
         for attempt in (1, 2, 3):

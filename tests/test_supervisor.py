@@ -281,8 +281,8 @@ class TestSupervisorConfig:
             monkeypatch.delenv(var, raising=False)
         cfg = SupervisorConfig.from_env()
         assert cfg.timeout_s is None
-        assert cfg.max_attempts == 3
-        assert cfg.backoff_base_s == 0.25
+        assert cfg.retry.max_attempts == 3
+        assert cfg.retry.backoff_base_s == 0.25
         assert cfg.grace_s == 5.0
 
     def test_from_env_overrides(self, monkeypatch):
@@ -291,7 +291,7 @@ class TestSupervisorConfig:
         monkeypatch.setenv("REPRO_GRACE_S", "1")
         cfg = SupervisorConfig.from_env()
         assert cfg.timeout_s == 12.5
-        assert cfg.max_attempts == 5
+        assert cfg.retry.max_attempts == 5
         assert cfg.grace_s == 1.0
 
     def test_bad_retry_count_rejected(self, monkeypatch):
