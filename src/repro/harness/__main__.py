@@ -10,8 +10,9 @@ Reproduce a whole chapter at paper scale (slow)::
 
     python -m repro.harness fig5_9 fig5_10 --preset paper
 
-Journal a long run so Ctrl-C / ``kill`` / a crash loses nothing, then
-resume it (output is byte-identical to an uninterrupted run)::
+Journal a long run so Ctrl-C / ``kill`` / a failed replication loses no
+completed work, then resume it (output is byte-identical to an
+uninterrupted run)::
 
     python -m repro.harness fig5_9 fig5_10 --preset paper --journal run1
     python -m repro.harness fig5_9 fig5_10 --preset paper --journal run1 --resume
@@ -27,13 +28,13 @@ import argparse
 import os
 import shlex
 import sys
+import traceback
 
 from repro.harness import journal as journal_mod
 from repro.harness.experiments import ch5_sample_tree
-from repro.harness.parallel import clamp_jobs
+from repro.harness.parallel import clamp_jobs, resolve_jobs
 from repro.harness.presets import PRESETS
 from repro.harness.registry import REGISTRY, run_experiment
-from repro.harness.supervisor import SweepAborted
 from repro.sim.faults import FAULT_PRESETS
 from repro.util import artifacts
 
@@ -110,6 +111,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.journal:
         parser.error("--resume requires --journal DIR (or REPRO_JOURNAL_DIR)")
+    try:
+        resolve_jobs(args.jobs)  # a usage error, before any journal opens
+    except ValueError as exc:
+        parser.error(str(exc))
     # Oversubscribed pools thrash; warn-and-clamp rather than silently
     # running slower than serial.
     args.jobs = clamp_jobs(args.jobs)
@@ -173,12 +178,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 130
-    except SweepAborted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        for failure in exc.failures:
-            print(f"  quarantined: {failure}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
         print(
-            f"completed replications are journaled in {args.journal!s}; "
+            f"\ncompleted replications are journaled in {args.journal!s}; "
             f"after fixing the cause, resume with:\n  {resume_cmd}",
             file=sys.stderr,
         )

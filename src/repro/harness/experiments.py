@@ -21,8 +21,7 @@ session-shaped row shares :func:`_session_rep` and a batch hook built from
 the same cell (:func:`_cell`), so which cells batch is decided by the
 batched engine's envelope (:mod:`repro.harness.batchrun`) alone.  A
 cell's journal key — ``("ch5_churn", "VDM", 0.06)`` and friends — is what
-:mod:`repro.harness.journal` records results under and what
-:mod:`repro.harness.chaos` rules match against.
+:mod:`repro.harness.journal` records results under.
 """
 
 from __future__ import annotations

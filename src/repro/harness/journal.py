@@ -1,10 +1,9 @@
 """Journaled checkpoint/resume for replication sweeps.
 
-A multi-hour sweep used to be all-or-nothing: one Ctrl-C or one dead
-machine threw away every completed replication.  This module makes the
-harness itself self-stabilizing: completed per-replication results are
-appended to a crash-safe JSONL *journal* as they land, and a resumed run
-replays the journal and schedules **only the missing tasks**, rendering
+Completed per-replication results are appended to a crash-safe JSONL
+*journal* as they land, so a Ctrl-C, a failed replication or a dead
+machine costs only the replications it stopped: a resumed run replays
+the journal and schedules **only the missing tasks**, rendering
 byte-identical tables to an uninterrupted run.
 
 Keying
@@ -29,8 +28,8 @@ Durability
 Appends are flushed and fsync'd per entry, so an ``os._exit``-level crash
 loses at most the in-flight tasks; replay tolerates a truncated final
 line (the torn write of the crash itself) and refuses anything worse.
-The run manifest (``run.json`` — preset, recipe hashes, start method,
-failure/retry counts, quarantined tasks) is rewritten through the same
+The run manifest (``run.json`` — preset, figures, recipe hashes, entry
+counts, status) is rewritten through the same
 private-tmp-then-:func:`os.replace` discipline as
 :mod:`repro.util.artifacts`, so readers never observe a half-written
 manifest.  Results round-trip exactly: Python's ``json`` emits
@@ -48,9 +47,11 @@ Orchestration
 :class:`KeyboardInterrupt` conversion (so ``kill`` and CI cancellation
 take the same graceful path as Ctrl-C), and publishes the context
 process-wide; :func:`repro.harness.parallel.run_replications` consults
-:func:`active` transparently.  On interrupt the supervisor grace-drains
-in-flight tasks into the journal, the manifest is stamped
-``interrupted``, and the CLI prints the ``--resume`` command.
+:func:`active` transparently.  On interrupt a pooled batch drains its
+running tasks into the journal, the manifest is stamped
+``interrupted``, and the CLI prints the ``--resume`` command; a failed
+replication stamps it ``failed`` after every one that completed was
+journaled, and ``--resume`` is the recovery.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.harness.presets import Preset
@@ -76,7 +77,6 @@ __all__ = [
     "RunContext",
     "RunJournal",
     "RunJournalError",
-    "RunStats",
     "active",
     "recipe_hash",
     "run_context",
@@ -228,28 +228,11 @@ class RunJournal:
 
 
 @dataclass
-class RunStats:
-    """Supervision counters accumulated across every batch of a run."""
-
-    retries: int = 0
-    timeouts: int = 0
-    pool_breaks: int = 0
-    quarantined: list[dict] = field(default_factory=list)
-
-    def merge(self, other: "RunStats") -> None:
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.pool_breaks += other.pool_breaks
-        self.quarantined.extend(other.quarantined)
-
-
-@dataclass
 class RunContext:
-    """One journaled run: journal + manifest + supervision stats."""
+    """One journaled run: its journal and its manifest."""
 
     journal: RunJournal
     manifest: dict
-    stats: RunStats = field(default_factory=RunStats)
 
     def note_recipe(self, key: tuple, recipe: str) -> None:
         self.manifest.setdefault("recipes", {})[json.dumps(list(key))] = recipe
@@ -263,10 +246,6 @@ class RunContext:
                 "journal_entries": len(self.journal),
                 "replayed_entries": self.journal.replayed,
                 "appended_entries": self.journal.appended,
-                "retries": self.stats.retries,
-                "timeouts": self.stats.timeouts,
-                "pool_breaks": self.stats.pool_breaks,
-                "quarantined": self.stats.quarantined,
             }
         )
         final = self.journal.directory / MANIFEST_NAME
@@ -302,8 +281,6 @@ def run_context(
     global _ACTIVE
     if _ACTIVE is not None:
         raise RunJournalError("a journaled run is already active in this process")
-    from repro.harness.parallel import START_METHOD_ENV  # no cycle at call time
-
     journal = RunJournal(directory, resume=resume)
     ctx = RunContext(
         journal=journal,
@@ -312,8 +289,6 @@ def run_context(
             "status": "running",
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "resume": bool(resume),
-            "start_method": os.environ.get(START_METHOD_ENV, "") or "default",
-            "chaos": os.environ.get("REPRO_CHAOS", "") or None,
             **(manifest or {}),
         },
     )
@@ -323,7 +298,16 @@ def run_context(
     if in_main_thread:
 
         def _sigterm_to_interrupt(signum, frame):
-            raise KeyboardInterrupt(f"terminated by signal {signum}")
+            if _ACTIVE is ctx:
+                raise KeyboardInterrupt(f"terminated by signal {signum}")
+            # The run is over, but a handler layered on top (the pool's
+            # teardown) kept this one in its chain: act as the handler
+            # this one replaced.
+            if callable(prev_sigterm):
+                prev_sigterm(signum, frame)
+            elif prev_sigterm != signal.SIG_IGN:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                os.kill(os.getpid(), signal.SIGTERM)
 
         with contextlib.suppress(ValueError, OSError):
             prev_sigterm = signal.getsignal(signal.SIGTERM)

@@ -24,11 +24,15 @@ Worker count resolution, in priority order:
 3. ``1`` — the exact historical in-process code path (no pool, no pickling).
 
 The pool is created lazily and kept alive across calls (fork start
-method where available, overridable via ``REPRO_START_METHOD``), so
-per-process substrate memos stay warm across sweep points.  The pool is
-recreated whenever the requested worker count *or* the resolved start
-method changes, so a test forcing ``spawn`` never inherits a stale fork
-pool.  :func:`shutdown_pool` tears it down.
+method where the platform has it, the platform default otherwise), so
+per-process substrate memos stay warm across sweep points; it is
+recreated whenever the requested worker count changes.  A pooled batch
+delivers each result as it lands, so a journaled run
+(:mod:`repro.harness.journal`) checkpoints it at once.  A worker that
+raises, or dies and breaks the pool, costs only its own result: the
+batch delivers every replication that did complete, resets the pool and
+raises the error of the lowest failing rep, and ``--resume`` reruns only
+the holes.  :func:`shutdown_pool` tears the pool down.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ import os
 import signal
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from typing import Callable, Sequence, TypeVar
+
+from repro.util.validation import check_count
 
 __all__ = [
     "clamp_jobs",
@@ -56,30 +62,30 @@ T = TypeVar("T")
 #: environment variable consulted when no explicit job count is given
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: environment variable forcing a multiprocessing start method
-START_METHOD_ENV = "REPRO_START_METHOD"
+#: seconds an interrupted pooled batch waits for its running replications
+#: to finish, so their results still reach the journal
+INTERRUPT_DRAIN_S = 5.0
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS: int = 0
-_POOL_METHOD: str | None = None
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Resolve a worker count: explicit value > ``REPRO_JOBS`` > 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+    """Resolve a worker count: explicit value > ``REPRO_JOBS`` > 1.
+
+    Either source must name a whole number >= 1; anything else (``0``,
+    ``2.5``, ``True``, ``"many"``) raises :class:`ValueError` naming it.
+    """
+    if jobs is not None:
+        return check_count("jobs", jobs)
+    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
+    if not raw:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_count(JOBS_ENV_VAR, value)
 
 
 def clamp_jobs(jobs: int | None) -> int | None:
@@ -109,38 +115,24 @@ def clamp_jobs(jobs: int | None) -> int | None:
     return jobs
 
 
-def _resolve_start_method() -> str:
-    """The start method the shared pool should use right now.
-
-    ``REPRO_START_METHOD`` wins when set (tests force ``spawn`` this
-    way); otherwise fork where available — it keeps per-process substrate
-    memos cheap to build (copy-on-write), avoids re-importing the package
-    in each worker, and lets workers share the parent's memory-mapped
-    substrate artifacts as read-only pages.
-    """
-    requested = os.environ.get(START_METHOD_ENV, "").strip()
-    methods = multiprocessing.get_all_start_methods()
-    if requested:
-        if requested not in methods:
-            raise ValueError(
-                f"{START_METHOD_ENV}={requested!r} is not one of {methods}"
-            )
-        return requested
-    return "fork" if "fork" in methods else multiprocessing.get_start_method()
-
-
 def _get_pool(workers: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_WORKERS, _POOL_METHOD
-    method = _resolve_start_method()
-    if _POOL is not None and (_POOL_WORKERS != workers or _POOL_METHOD != method):
+    """The shared pool, (re)built for ``workers`` processes.
+
+    Fork where available keeps per-process substrate memos cheap to build
+    (copy-on-write), avoids re-importing the package in each worker, and
+    lets workers share the parent's memory-mapped substrate artifacts.
+    """
+    global _POOL, _POOL_WORKERS
+    if _POOL is not None and _POOL_WORKERS != workers:
         shutdown_pool()
     if _POOL is None:
-        ctx = multiprocessing.get_context(method)
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         _POOL = ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=_worker_init
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_worker_init,
         )
         _POOL_WORKERS = workers
-        _POOL_METHOD = method
         _install_sigterm_handler()
     return _POOL
 
@@ -150,7 +142,7 @@ def _worker_init() -> None:
 
     Fork workers inherit the parent's SIGTERM handlers (pool teardown,
     journal's SIGTERM-to-KeyboardInterrupt conversion); both are
-    supervisor-side policies that make no sense inside a worker and turn
+    parent-side policies that make no sense inside a worker and turn
     a plain ``terminate()`` into a traceback.
     """
     with contextlib.suppress(ValueError, OSError):
@@ -161,31 +153,25 @@ def _worker_init() -> None:
 
 def shutdown_pool() -> None:
     """Tear down the shared worker pool (tests and perf timing use this)."""
-    global _POOL, _POOL_WORKERS, _POOL_METHOD
+    global _POOL, _POOL_WORKERS
     if _POOL is not None:
         _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_WORKERS = 0
-        _POOL_METHOD = None
 
 
-def kill_pool() -> list[int]:
+def kill_pool() -> None:
     """Hard-stop the shared pool: terminate workers without waiting.
 
-    Used on the failure path (hung or dead workers — a graceful
-    ``shutdown(wait=True)`` would block on the hang forever) and by the
-    SIGTERM handler.  Returns the nonzero exit codes of workers that were
-    *already* dead when called, so the supervisor can attach the fatal
-    signal/status to its :class:`~repro.harness.supervisor.TaskFailure`
-    records; workers we terminate ourselves are not reported.
+    Used after a failed or interrupted batch (a graceful
+    ``shutdown(wait=True)`` would wait out every queued task, or block
+    for ever on a wedged one) and by the SIGTERM handler.  The next
+    batch gets a fresh pool.
     """
-    global _POOL, _POOL_WORKERS, _POOL_METHOD
+    global _POOL, _POOL_WORKERS
     if _POOL is None:
-        return []
+        return
     procs = list(getattr(_POOL, "_processes", {}).values())
-    exit_codes = sorted(
-        {p.exitcode for p in procs if p.exitcode not in (None, 0)}
-    )
     for proc in procs:
         with contextlib.suppress(Exception):
             proc.terminate()
@@ -199,8 +185,6 @@ def kill_pool() -> list[int]:
                 proc.join(timeout=2.0)
     _POOL = None
     _POOL_WORKERS = 0
-    _POOL_METHOD = None
-    return exit_codes
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +203,9 @@ def _handle_sigterm(signum, frame):
     from repro.harness import journal
 
     # Inside a journaled run the converted KeyboardInterrupt drives the
-    # supervisor's graceful drain (which kills the pool itself after the
-    # grace window); killing here would discard the in-flight results
-    # that drain exists to flush.
+    # pooled batch's drain (which kills the pool itself after the drain
+    # window); killing here would discard the in-flight results that
+    # drain exists to flush.
     if journal.active() is None:
         kill_pool()
     prev = _PREV_SIGTERM
@@ -264,18 +248,17 @@ def run_replications(
     deriving seeds *before* fan-out is what makes worker scheduling
     irrelevant to the results.  With ``jobs == 1`` (the default) every
     call happens in-process exactly as the historical serial loops did;
-    with ``jobs > 1`` tasks run under the supervision state machine of
-    :mod:`repro.harness.supervisor` (per-task timeouts, bounded retries,
-    broken-pool recovery) and results are merged back by replication
-    index, so the returned list is identical either way — including when
-    a worker crashed and the task was retried.
+    with ``jobs > 1`` tasks run on the shared pool (:func:`_run_pooled`)
+    and results are merged back by replication index, so the returned
+    list is identical either way.
 
     ``key`` names the sweep point for durability: when a journaled run
     context (:mod:`repro.harness.journal`) is active, completed results
     are checkpointed under ``(key, rep, seed, recipe-hash)`` as they
     land, already-journaled tasks are **not** re-executed, and the holes
-    left by an interrupt or quarantine are all a resumed run pays for.
-    Without a key (or outside a journaled run) nothing is recorded.
+    left by an interrupt or a failed replication are all a resumed run
+    pays for.  Without a key (or outside a journaled run) nothing is
+    recorded.
 
     ``batch`` is the batched-engine hook (PR 6): a callable given the
     pending ``(rep, seed)`` tasks that returns ``{rep: result}`` for the
@@ -333,11 +316,49 @@ def run_replications(
         for rep, seed in pending:
             deliver(rep, seed, worker(*args, rep, seed))
     else:
-        from repro.harness.supervisor import run_supervised
-
-        run_supervised(
-            worker, args, pending, workers=n_jobs, key=key, on_result=deliver
-        )
+        _run_pooled(worker, args, pending, n_jobs, deliver)
     if ctx is not None:
         ctx.write_manifest()  # keep run.json current batch by batch
     return results
+
+
+def _run_pooled(worker, args: tuple, pending, workers: int, deliver) -> None:
+    """Run every pending ``(rep, seed)`` on the shared pool, delivering
+    each result as it completes.
+
+    A worker that raises, or dies and breaks the pool, stops nothing
+    else: every result that does complete is still delivered, then the
+    error of the lowest failing rep is raised.  On
+    :class:`KeyboardInterrupt` queued tasks are cancelled, running ones
+    get :data:`INTERRUPT_DRAIN_S` to finish and deliver, and the
+    interrupt propagates.  Whatever ends the batch early, the pool is
+    killed first, so the next batch gets a fresh one.
+    """
+    pool = _get_pool(workers)
+    futures: dict = {}
+    failures: dict[int, Exception] = {}
+    try:
+        for rep, seed in pending:
+            futures[pool.submit(worker, *args, rep, seed)] = (rep, seed)
+        for future in as_completed(list(futures)):
+            rep, seed = futures.pop(future)
+            try:
+                result = future.result()
+            except Exception as exc:  # the worker's own, or BrokenProcessPool
+                failures[rep] = exc
+            else:
+                deliver(rep, seed, result)
+        if failures:
+            raise failures[min(failures)]
+    except KeyboardInterrupt:
+        for future in futures:
+            future.cancel()
+        done, _ = wait(futures, timeout=INTERRUPT_DRAIN_S)
+        for future in done:
+            if not future.cancelled() and future.exception() is None:
+                deliver(*futures[future], future.result())
+        kill_pool()
+        raise
+    except BaseException:  # a failed rep, or a pool that broke while idle
+        kill_pool()
+        raise

@@ -9,8 +9,8 @@ robustness envelope on every operation:
 * a bounded in-process event bus with explicit overflow policy
   (:mod:`repro.service.bus`) — the join queue's high-water mark *is* the
   admission controller;
-* per-join timeouts and bounded retries with decorrelated jitter, via the
-  shared :class:`repro.util.retry.RetryPolicy`;
+* per-join timeouts and bounded retries with decorrelated jitter, via
+  :class:`repro.util.retry.RetryPolicy`;
 * per-component health probes with time-in-degraded accounting
   (:mod:`repro.service.health`);
 * SIGTERM-triggered graceful drain: admissions stop, in-flight joins

@@ -9,9 +9,8 @@ Architecture (one :class:`ServiceRuntime` = one live run):
 * ``join_workers`` **worker coroutines** drain the topic and serve each
   join under the robustness envelope: a per-attempt virtual-time timeout,
   bounded retries with decorrelated jitter
-  (:class:`repro.util.retry.RetryPolicy` — the same object the batch
-  supervisor uses), and a deterministic abandon path when attempts run
-  out;
+  (:class:`repro.util.retry.RetryPolicy`), and a deterministic abandon
+  path when attempts run out;
 * the **driver** interleaves the asyncio loop with the discrete-event
   simulator under one invariant: *every simulator→asyncio crossing bumps
   the shared pulse* (a timer firing, a join completing, a bus gate
@@ -153,7 +152,7 @@ class ServiceConfig:
     # diurnal shape (used by scenario == "diurnal")
     diurnal_period_s: float = checked(non_negative, 0.0)
     diurnal_depth: float = checked(_depth, 0.8)
-    #: control-plane retry policy (shared with the batch supervisor)
+    #: control-plane retry policy for join attempts
     retry: RetryPolicy = RetryPolicy(max_attempts=3, backoff_base_s=0.5,
                                      backoff_cap_s=10.0)
 

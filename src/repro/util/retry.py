@@ -1,25 +1,19 @@
-"""Shared retry/backoff policy for batch supervision and the live service.
+"""Retry/backoff policy for the live service's join operations.
 
-The decorrelated-jitter backoff was born inside
-:mod:`repro.harness.supervisor` (PR 5) as a private helper, which made it
-impossible to unit-test without standing up a process pool — and
-impossible to reuse when the service runtime (PR 10) needed the exact
-same envelope around live join operations.  This module lifts the policy
-into a frozen, side-effect-free object: :meth:`RetryPolicy.backoff_s`
-*computes* the sleep and leaves the sleeping to the caller, so the
-supervisor sleeps on the wall clock while the service sleeps on the
-virtual clock, and both produce byte-identical sleep sequences for the
-same ``(key, rep, seed, attempt)`` path.
+:meth:`RetryPolicy.backoff_s` *computes* the sleep and leaves the
+sleeping to the caller, so the policy is a frozen, side-effect-free
+object that unit tests can drive without a runtime; the service runtime
+(:mod:`repro.service.runtime`) sleeps it on the virtual clock.
 
 The jitter formula is AWS-style *decorrelated jitter*::
 
     sleep(n) = min(cap, Uniform(base, 3 * sleep(n - 1)))
 
-seeded per ``(key, rep, seed, attempt)`` so a rerun of the same task
+seeded per ``(key, rep, seed, attempt)`` so a rerun of the same operation
 sleeps identically — retries must never introduce nondeterminism into a
 run that is otherwise bit-reproducible.  The formula, the seed string,
-and the ``prev or base`` floor are pinned by equivalence tests against
-the original supervisor implementation; do not "clean them up".
+and the ``prev or base`` floor are pinned by an equivalence test; do not
+"clean them up".
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.util.envflags import retry_backoff_s, task_max_attempts
 from repro.util.validation import check_fields, checked, count, non_negative
 
 __all__ = ["RetryPolicy"]
@@ -37,10 +30,10 @@ __all__ = ["RetryPolicy"]
 class RetryPolicy:
     """Bounded retries with deterministic decorrelated-jitter backoff.
 
-    ``max_attempts`` counts the first try: a task whose attempt number
-    reaches the cap is out of retries.  ``backoff_base_s <= 0`` disables
-    sleeping entirely (retries fire immediately — CI chaos jobs use
-    that), in which case :meth:`backoff_s` returns ``0.0``.
+    ``max_attempts`` counts the first try: an operation whose attempt
+    number reaches the cap is out of retries.  ``backoff_base_s <= 0``
+    disables sleeping entirely (retries fire immediately), in which case
+    :meth:`backoff_s` returns ``0.0``.
     """
 
     max_attempts: int = checked(count(), 3)
@@ -54,21 +47,6 @@ class RetryPolicy:
                 f"backoff_cap_s ({self.backoff_cap_s}) must be >= "
                 f"backoff_base_s ({self.backoff_base_s})"
             )
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Resolve the policy from ``REPRO_TASK_RETRIES`` / ``REPRO_RETRY_BACKOFF_S``.
-
-        The cap mirrors the supervisor's historical derivation:
-        ``max(base, 5.0)`` so a large explicit base is never clipped below
-        itself, and ``0.0`` when backoff is disabled.
-        """
-        base = retry_backoff_s()
-        return cls(
-            max_attempts=task_max_attempts(),
-            backoff_base_s=base,
-            backoff_cap_s=max(base, 5.0) if base > 0 else 0.0,
-        )
 
     def should_retry(self, attempt: int) -> bool:
         """Whether a task that just failed its ``attempt``-th try may retry."""

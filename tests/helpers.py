@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +100,41 @@ def load_fault_fixture(path: Path) -> tuple[FaultPlan, dict, str]:
     """Load a fixture written by :func:`save_fault_fixture`."""
     doc = json.loads(path.read_text())
     return FaultPlan.from_dict(doc["plan"]), doc["session"], doc["comment"]
+
+
+# -- replication workers that fail on one rep --------------------------------
+# The pooled-failure tests run these on a real pool.  The marker path and
+# the rep to fail are leading ``args``, so they are part of the recipe
+# hash: deleting the marker (not changing the args) is what lets a resumed
+# run reuse every journaled entry and fill only the hole.
+
+
+def raise_on_marked_rep(marker: str, bad_rep: int, rep: int, seed: int) -> list:
+    """``[rep, seed]``; raises on ``bad_rep`` while ``marker`` exists."""
+    if rep == bad_rep and os.path.exists(marker):
+        raise RuntimeError(f"rep {rep} failed on purpose")
+    return [rep, seed]
+
+
+def exit_on_marked_rep(marker: str, bad_rep: int, rep: int, seed: int) -> list:
+    """``[rep, seed]``; on ``bad_rep`` while ``marker`` exists the worker
+    process dies (``os._exit``), breaking the pool.  It pauses first, so
+    the other reps of a short batch have finished when it dies."""
+    if rep == bad_rep and os.path.exists(marker):
+        time.sleep(0.5)
+        os._exit(70)
+    return [rep, seed]
+
+
+def interrupt_parent_on_marked_rep(
+    marker: str, bad_rep: int, rep: int, seed: int
+) -> list:
+    """``[rep, seed]`` after a 0.3 s pause; on ``bad_rep`` while ``marker``
+    exists it sends SIGINT to the parent (Ctrl-C mid-batch) 0.2 s into
+    the pause, once the parent has submitted the whole batch.  Pool
+    workers only: run in-process it would interrupt the parent's parent."""
+    if rep == bad_rep and os.path.exists(marker):
+        time.sleep(0.2)
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(0.3)
+    return [rep, seed]

@@ -2,7 +2,7 @@
 
 Three layers:
 
-* **coverage** — each field of the fifteen in-scope classes carries a
+* **coverage** — each field of the thirteen in-scope classes carries a
   domain in its ``dataclasses.field`` metadata, or sits on
   :data:`EXEMPT` with a reason (nested configs validate themselves);
 * **probes** — every declared domain is fed NaN, ±inf, -1, 2.5, ``True``,
@@ -27,13 +27,7 @@ import pytest
 
 from repro.core.capacity import UplinkPopulation
 from repro.core.vdm import VDMConfig
-from repro.harness.chaos import (
-    ChaosRule,
-    ServiceChaosRule,
-    load_plan,
-    load_service_plan,
-)
-from repro.harness.supervisor import SupervisorConfig
+from repro.harness.chaos import ServiceChaosRule, load_service_plan
 from repro.protocols.btp import BTPConfig
 from repro.protocols.hmtp import HMTPConfig
 from repro.service.runtime import ServiceConfig
@@ -56,12 +50,10 @@ BASES: dict[type, dict] = {
     TransitStubConfig: {},
     LinkErrorConfig: {},
     RetryPolicy: {},
-    SupervisorConfig: {},
     FaultPlan: {},
     UplinkPopulation: {},
     GeoSite: {"name": "a", "region": "us", "lat": 0.0, "lon": 0.0},
     ChurnEvent: {"time": 1.0, "action": "join", "node": 1},
-    ChaosRule: {"action": "kill"},
     ServiceChaosRule: {"action": "clock-jump", "at_s": 1.0},
 }
 
@@ -70,7 +62,6 @@ EXEMPT: dict[str, str] = {
     "SessionConfig.faults": "nested: a FaultPlan, a FAULT_PRESETS name or None, "
     "resolved (and an unknown name refused) by resolve_fault_plan",
     "ServiceConfig.retry": "nested RetryPolicy: its own fields declare domains",
-    "SupervisorConfig.retry": "nested RetryPolicy: its own fields declare domains",
 }
 
 PROBES = [math.nan, math.inf, -math.inf, -1, 2.5, True, "x", None]
@@ -95,8 +86,8 @@ def _admits(domain, name, value) -> bool:
     return True
 
 
-def test_fifteen_classes_in_scope():
-    assert len(BASES) == 15
+def test_thirteen_classes_in_scope():
+    assert len(BASES) == 13
 
 
 @pytest.mark.parametrize("cls", list(BASES), ids=lambda c: c.__name__)
@@ -160,8 +151,6 @@ def test_values_are_stored_as_given():
 
 
 def test_chaos_times_are_stored_as_floats():
-    (rule,) = load_plan('[{"action": "hang", "hang_s": 600}]')
-    assert type(rule.hang_s) is float and rule.hang_s == 600.0
     (rule,) = load_service_plan(
         '[{"action": "bus-stall", "at_s": 180, "duration_s": 40}]'
     )
@@ -169,17 +158,6 @@ def test_chaos_times_are_stored_as_floats():
 
 
 # -- the CI plans parse as they always did ---------------------------------------
-
-
-def test_chaos_smoke_plan():
-    plan = load_plan(
-        '[{"action": "kill", "group": "ch3_churn", "rep": 1},'
-        ' {"action": "hang", "group": "ch3_churn", "rep": 3, "hang_s": 600}]'
-    )
-    assert plan == (
-        ChaosRule(action="kill", group="ch3_churn", rep=1),
-        ChaosRule(action="hang", group="ch3_churn", rep=3, hang_s=600.0),
-    )
 
 
 def test_service_smoke_plan():
@@ -199,13 +177,22 @@ def test_service_smoke_plan():
 @pytest.mark.parametrize(
     ("loader", "raw", "message"),
     [
-        (load_plan, '[{"rep": 1}]', r"REPRO_CHAOS\[0\] is missing action"),
         (load_service_plan, '[{"action": "clock-jump"}]',
          r"REPRO_SERVICE_CHAOS\[0\] is missing at_s"),
-        (load_plan, '[{"action": "kill"}, {"action": "kill", "who": 1}]',
-         r"REPRO_CHAOS\[1\] has unknown field\(s\) \['who'\]"),
-        (load_plan, '[{"action": "explode"}]',
-         r"REPRO_CHAOS\[0\]\.action must be one of \('kill', 'hang', 'raise'\)"),
+        pytest.param(
+            load_service_plan, '[{"at_s": 1}]',
+            r"REPRO_SERVICE_CHAOS\[0\] is missing action",
+            id="load_service_plan-missing-action",
+        ),
+        pytest.param(
+            load_service_plan,
+            '[{"action": "clock-jump", "at_s": 1}, {"action": "clock-jump", "who": 1}]',
+            r"REPRO_SERVICE_CHAOS\[1\] has unknown field\(s\) \['who'\]",
+            id="load_service_plan-unknown-field-in-entry-1",
+        ),
+        (load_service_plan, '[{"action": "explode", "at_s": 1}]',
+         r"REPRO_SERVICE_CHAOS\[0\]\.action must be one of "
+         r"\('agent-crash', 'bus-stall', 'clock-jump'\)"),
     ],
 )
 def test_reader_refusals_keep_their_prefix(loader, raw, message):
@@ -216,10 +203,6 @@ def test_reader_refusals_keep_their_prefix(loader, raw, message):
 # -- values that used to construct without error --------------------------------
 
 _NAN, _INF = math.nan, math.inf
-
-
-def _chaos(entry: dict):
-    return lambda: load_plan(json.dumps([{"action": "kill", **entry}]))
 
 
 def _service_chaos(entry: dict):
@@ -236,10 +219,6 @@ SILENT = {
                                      "max_attempts"),
     "RetryPolicy.max_attempts=1.5": (lambda: RetryPolicy(max_attempts=1.5),
                                      "max_attempts"),
-    "SupervisorConfig.timeout_s=-1": (lambda: SupervisorConfig(timeout_s=-1),
-                                      "timeout_s"),
-    "SupervisorConfig.grace_s=nan": (lambda: SupervisorConfig(grace_s=_NAN),
-                                     "grace_s"),
     "ServiceConfig.join_queue_hwm=nan": (
         lambda: ServiceConfig(join_queue_hwm=_NAN), "join_queue_hwm"),
     "ServiceConfig.degree=(2.5, 5)": (lambda: ServiceConfig(degree=(2.5, 5)),
@@ -300,15 +279,6 @@ SILENT = {
     "ChurnEvent.node=1.5": (lambda: ChurnEvent(1.0, "join", 1.5), "node"),
     "ChurnEvent.node=-1": (lambda: ChurnEvent(1.0, "join", -1), "node"),
     # chaos rules that never matched made a chaos test vacuously green
-    "REPRO_CHAOS.rep='0'": (_chaos({"rep": "0"}), r"REPRO_CHAOS\[0\]\.rep"),
-    "REPRO_CHAOS.group=5": (_chaos({"group": 5}), r"REPRO_CHAOS\[0\]\.group"),
-    "REPRO_CHAOS.max_attempt=0": (_chaos({"max_attempt": 0}),
-                                  r"REPRO_CHAOS\[0\]\.max_attempt"),
-    "REPRO_CHAOS.max_attempt=2.7": (_chaos({"max_attempt": 2.7}),
-                                    r"REPRO_CHAOS\[0\]\.max_attempt"),
-    "REPRO_CHAOS.hang_s=-1": (_chaos({"hang_s": -1}), r"REPRO_CHAOS\[0\]\.hang_s"),
-    "REPRO_CHAOS.hang_s=NaN": (_chaos({"hang_s": _NAN}),
-                               r"REPRO_CHAOS\[0\]\.hang_s"),
     "REPRO_SERVICE_CHAOS.at_s=NaN": (_service_chaos({"at_s": _NAN}),
                                      r"REPRO_SERVICE_CHAOS\[0\]\.at_s"),
     "REPRO_SERVICE_CHAOS.at_s=Infinity": (_service_chaos({"at_s": _INF}),

@@ -56,10 +56,9 @@ def test_registry_covers_known_knobs():
     # Spot-pin a few load-bearing names so a regex regression in
     # _flags_in_source cannot silently make both directions vacuous.
     for name in (
-        "REPRO_CHAOS",
+        "REPRO_JOBS",
         "REPRO_SERVICE_CHAOS",
         "REPRO_JOURNAL_DIR",
-        "REPRO_RETRY_BACKOFF_S",
         "REPRO_BATCHED_REPS",
     ):
         assert name in FLAG_REGISTRY
@@ -132,7 +131,7 @@ def test_no_oracle_or_retired_switch_in_production_code():
     )
     assert _RETIRED_RE.search("def _reference_x(): self._fast_path")  # scan works
     assert _RETIRED_RE.search('os.environ.get("REPRO_SPARSE_EXACT", "1")')
-    assert len(FLAG_REGISTRY) == 13
+    assert len(FLAG_REGISTRY) == 7
 
 
 def test_oracles_module_does_not_call_the_code_under_test():

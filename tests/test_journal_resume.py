@@ -304,6 +304,22 @@ class TestCLIResume:
         second = capsys.readouterr().out
         assert second == first
 
+    def test_failure_prints_the_resume_command(self, tmp_path, monkeypatch, capsys):
+        from repro.harness import __main__ as cli
+
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("rep 3 failed")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        jdir = tmp_path / "run"
+        argv = ["fig3_25", "--preset", "smoke", "--journal", str(jdir)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "RuntimeError: rep 3 failed" in err
+        assert f"--journal {jdir} --resume" in err
+        manifest = json.loads((jdir / journal.MANIFEST_NAME).read_text())
+        assert manifest["status"] == "failed"
+
     def test_resume_without_journal_dir_errors(self, monkeypatch):
         from repro.harness import __main__ as cli
 

@@ -6,27 +6,49 @@ The two invariants PR 1 must never break:
   ``jobs>1`` produce bit-identical experiment tables;
 * the per-pair underlay caches are *behavior-transparent* — cached and
   uncached queries agree exactly on every host pair.
+
+The pooled path's failure contract is pinned here too: a batch whose
+worker raises or dies journals every replication that completed, raises
+the lowest failing rep's error and leaves a fresh pool for the next
+batch; an interrupt drains the running replications into the journal.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness import experiments
+from repro.harness import experiments, journal, parallel
 from repro.harness.parallel import (
     clamp_jobs,
+    kill_pool,
     resolve_jobs,
     run_replications,
     shutdown_pool,
 )
 from repro.harness.presets import PRESETS
 from repro.sim.network import MatrixUnderlay
-from tests.helpers import lazy_transit_stub_underlay, line_matrix
+from tests.helpers import (
+    exit_on_marked_rep,
+    interrupt_parent_on_marked_rep,
+    lazy_transit_stub_underlay,
+    line_matrix,
+    raise_on_marked_rep,
+)
 
 SMOKE = PRESETS["smoke"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -43,6 +65,12 @@ def fresh_cache():
 
 
 def _echo_worker(tag: str, rep: int, seed: int) -> tuple[str, int, int]:
+    return (tag, rep, seed)
+
+
+def _raise_on_odd_rep(tag: str, rep: int, seed: int) -> tuple[str, int, int]:
+    if rep % 2:
+        raise RuntimeError(f"rep {rep} failed on purpose")
     return (tag, rep, seed)
 
 
@@ -84,6 +112,51 @@ class TestRunReplications:
     def test_resolve_jobs_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(0)
+
+    @pytest.mark.parametrize(
+        ("jobs", "message"),
+        [
+            (-2, r"jobs must be >= 1, got -2"),
+            (2.5, r"jobs must be an integer, got 2\.5"),
+            (True, r"jobs must be an integer, got True"),
+            ("2", r"jobs must be an integer, got '2'"),
+        ],
+    )
+    def test_resolve_jobs_refuses_what_is_not_a_count(self, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_jobs(jobs)
+
+    def test_resolve_jobs_refuses_a_zero_env_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ValueError, match=r"REPRO_JOBS must be >= 1, got 0"):
+            resolve_jobs(None)
+
+    def test_fractional_jobs_refused_before_any_pool(self):
+        # Once a TypeError from inside ProcessPoolExecutor naming no field.
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            run_replications(_echo_worker, ("t",), [1, 2, 3], jobs=2.5)
+        assert parallel._POOL is None
+
+    @pytest.mark.parametrize(
+        ("argv", "env"),
+        [(["--jobs", "0"], None), (["--jobs", "-2"], None), ([], "0"), ([], "many")],
+        ids=["jobs=0", "jobs=-2", "REPRO_JOBS=0", "REPRO_JOBS=many"],
+    )
+    def test_cli_refuses_bad_job_counts_before_the_journal(
+        self, argv, env, tmp_path, monkeypatch, capsys
+    ):
+        from repro.harness import __main__ as cli
+
+        if env is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", env)
+        jdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig3_25", "--preset", "smoke", "--journal", str(jdir), *argv])
+        assert exit_info.value.code == 2
+        assert "jobs" in capsys.readouterr().err.lower()
+        assert not jdir.exists()
 
 
 class TestClampJobs:
@@ -130,75 +203,187 @@ class TestClampJobs:
         assert seen["jobs"] == 2
 
 
-# ---------------------------------------------------------------------------
-# start-method handling (PR 4 satellite): the shared pool must be torn
-# down and rebuilt when the *resolved* start method changes, not only
-# when the worker count does — a stale fork pool would silently ignore a
-# test (or user) forcing spawn via REPRO_START_METHOD.
-# ---------------------------------------------------------------------------
-
-
-class TestStartMethodRecreation:
-    def _methods(self):
-        import multiprocessing
-
-        available = multiprocessing.get_all_start_methods()
-        if "fork" not in available or "spawn" not in available:
-            pytest.skip("needs both fork and spawn start methods")
-        return "fork", "spawn"
-
-    def test_pool_recreated_when_method_changes(self, monkeypatch):
-        from repro.harness import parallel
-
-        first, second = self._methods()
-        monkeypatch.setenv(parallel.START_METHOD_ENV, first)
-        out_first = run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
-        initial_pool = parallel._POOL
-        assert parallel._POOL_METHOD == first
-        monkeypatch.setenv(parallel.START_METHOD_ENV, second)
-        out_second = run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
-        assert parallel._POOL is not initial_pool
-        assert parallel._POOL_METHOD == second
-        assert out_first == out_second  # results are method-independent
-
-    def test_pool_reused_when_method_stable(self, monkeypatch):
-        from repro.harness import parallel
-
-        first, _ = self._methods()
-        monkeypatch.setenv(parallel.START_METHOD_ENV, first)
+class TestPoolLifetime:
+    def test_pool_reused_across_batches(self):
         run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
         initial_pool = parallel._POOL
         run_replications(_echo_worker, ("m",), [3, 4], jobs=2)
         assert parallel._POOL is initial_pool
 
-    def test_worker_count_change_still_recreates(self, monkeypatch):
-        from repro.harness import parallel
-
-        first, _ = self._methods()
-        monkeypatch.setenv(parallel.START_METHOD_ENV, first)
+    def test_worker_count_change_recreates(self):
         run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
         initial_pool = parallel._POOL
         run_replications(_echo_worker, ("m",), [1, 2, 3], jobs=3)
         assert parallel._POOL is not initial_pool
         assert parallel._POOL_WORKERS == 3
 
-    def test_unknown_method_rejected(self, monkeypatch):
-        from repro.harness import parallel
-
-        monkeypatch.setenv(parallel.START_METHOD_ENV, "teleport")
-        with pytest.raises(ValueError, match="REPRO_START_METHOD"):
-            run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
-
-    def test_shutdown_clears_method_state(self, monkeypatch):
-        from repro.harness import parallel
-
-        first, _ = self._methods()
-        monkeypatch.setenv(parallel.START_METHOD_ENV, first)
+    def test_shutdown_clears_state(self):
         run_replications(_echo_worker, ("m",), [1, 2], jobs=2)
         shutdown_pool()
         assert parallel._POOL is None
         assert parallel._POOL_WORKERS == 0
-        assert parallel._POOL_METHOD is None
+
+
+class TestKillPool:
+    def test_kill_pool_on_no_pool_is_noop(self):
+        shutdown_pool()
+        assert kill_pool() is None
+        assert parallel._POOL is None
+
+    def test_kill_pool_resets_state(self):
+        run_replications(_echo_worker, ("t",), [1, 2], jobs=2)
+        assert parallel._POOL is not None
+        kill_pool()
+        assert parallel._POOL is None
+        assert parallel._POOL_WORKERS == 0
+
+    def test_sigterm_handler_installed_with_pool(self):
+        run_replications(_echo_worker, ("t",), [1, 2], jobs=2)
+        assert parallel._SIGTERM_INSTALLED
+        assert signal.getsignal(signal.SIGTERM) is parallel._handle_sigterm
+
+    def test_sigterm_after_a_journaled_run_ends_the_process(self, tmp_path):
+        """The pool is created inside a run context, so its teardown
+        handler sits on top of the journal's SIGTERM conversion.  Once the
+        run is over a SIGTERM must kill the workers and end the process
+        with the SIGTERM status, not raise KeyboardInterrupt."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, time
+            from repro.harness import journal, parallel
+            from repro.harness.parallel import run_replications
+            from tests.helpers import raise_on_marked_rep
+
+            with journal.run_context({str(tmp_path / "run")!r}):
+                run_replications(
+                    raise_on_marked_rep, ("absent", -1), [1, 2, 3], jobs=2,
+                    key=("g",),
+                )
+            print(*parallel._POOL._processes, flush=True)
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(10)
+            raise SystemExit("still alive after SIGTERM")
+            """
+        )
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGTERM, proc.stderr
+        assert "KeyboardInterrupt" not in proc.stderr
+        workers = [int(pid) for pid in proc.stdout.split()]
+        assert len(workers) == 2
+        for pid in workers:  # the handler reaped them before exiting
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+# ---------------------------------------------------------------------------
+# pooled failures: completed replications reach the journal, the error of
+# the lowest failing rep is raised, and --resume fills only the hole
+# ---------------------------------------------------------------------------
+
+SEEDS = [10, 11, 12, 13, 14, 15]
+
+
+class TestPooledFailures:
+    @pytest.mark.parametrize(
+        ("worker", "error"),
+        [(raise_on_marked_rep, RuntimeError), (exit_on_marked_rep, BrokenProcessPool)],
+        ids=["raise", "exit"],
+    )
+    def test_failed_rep_raises_after_others_journaled(
+        self, worker, error, tmp_path
+    ):
+        marker = tmp_path / "fail"
+        marker.touch()
+        bad = len(SEEDS) - 1
+        args = (str(marker), bad)
+        with pytest.raises(error):
+            with journal.run_context(tmp_path / "run"):
+                run_replications(worker, args, SEEDS, jobs=2, key=("g",))
+        manifest = json.loads((tmp_path / "run" / journal.MANIFEST_NAME).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["journal_entries"] == len(SEEDS) - 1
+
+        # The failed batch reset the pool: the next batch gets a fresh one.
+        assert parallel._POOL is None
+        assert run_replications(_echo_worker, ("u",), [4, 5], jobs=2) == [
+            ("u", 0, 4), ("u", 1, 5),
+        ]
+        fresh = parallel._POOL
+        assert fresh is not None
+
+        # Cause fixed: --resume executes only the hole, and equals serial.
+        marker.unlink()
+        serial = run_replications(worker, args, SEEDS, jobs=1)
+        with journal.run_context(tmp_path / "run", resume=True) as ctx:
+            resumed = run_replications(worker, args, SEEDS, jobs=2, key=("g",))
+            assert (ctx.journal.replayed, ctx.journal.appended) == (len(SEEDS) - 1, 1)
+        assert resumed == serial == [[rep, seed] for rep, seed in enumerate(SEEDS)]
+
+    def test_lowest_failing_rep_is_raised(self):
+        # Three reps fail in whatever order the pool finishes them; the
+        # raised error is always rep 1's.
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match=r"^rep 1 failed"):
+                run_replications(_raise_on_odd_rep, ("t",), SEEDS, jobs=2)
+
+    def test_pool_resurrected_after_break(self, tmp_path):
+        # A worker dying mid-batch breaks the pool; the next batch runs on
+        # new worker processes, not on the broken executor.
+        marker = tmp_path / "fail"
+        marker.touch()
+        run_replications(_echo_worker, ("t",), [1, 2], jobs=2)
+        broken = parallel._POOL
+        old_pids = set(broken._processes)
+        with pytest.raises(BrokenProcessPool):
+            run_replications(exit_on_marked_rep, (str(marker), 0), SEEDS, jobs=2)
+        assert parallel._POOL is None
+        assert run_replications(_echo_worker, ("u",), [3, 4], jobs=2) == [
+            ("u", 0, 3), ("u", 1, 4),
+        ]
+        assert parallel._POOL is not broken
+        assert not old_pids & set(parallel._POOL._processes)
+
+    def test_pool_broken_while_idle_is_reset(self):
+        run_replications(_echo_worker, ("t",), [1, 2], jobs=2)
+        pool = parallel._POOL
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        for _ in range(200):  # until the executor has noticed the death
+            if pool._broken:
+                break
+            time.sleep(0.025)
+        assert pool._broken
+        with pytest.raises(BrokenProcessPool):
+            run_replications(_echo_worker, ("t",), [1, 2], jobs=2)
+        assert parallel._POOL is None
+        assert run_replications(_echo_worker, ("u",), [3, 4], jobs=2) == [
+            ("u", 0, 3), ("u", 1, 4),
+        ]
+
+    def test_interrupt_journals_the_running_results(self, tmp_path):
+        marker = tmp_path / "interrupt"
+        marker.touch()
+        seeds = list(range(20, 30))
+        args = (str(marker), 0)
+        run_replications(_echo_worker, ("warm",), [1, 2], jobs=2)  # pool is up
+        with pytest.raises(KeyboardInterrupt):
+            with journal.run_context(tmp_path / "run"):
+                run_replications(
+                    interrupt_parent_on_marked_rep, args, seeds, jobs=2, key=("g",)
+                )
+        assert parallel._POOL is None
+        manifest = json.loads((tmp_path / "run" / journal.MANIFEST_NAME).read_text())
+        assert manifest["status"] == "interrupted"
+        lines = (tmp_path / "run" / journal.JOURNAL_NAME).read_text().splitlines()
+        journaled = {entry["rep"]: entry["result"] for entry in map(json.loads, lines)}
+        # Reps 0 and 1 were running when the interrupt landed and finish
+        # inside the drain window; the queued tail was cancelled.
+        assert {0, 1} <= set(journaled) and len(journaled) < len(seeds)
+        assert all(result == [rep, seeds[rep]] for rep, result in journaled.items())
 
 
 # ---------------------------------------------------------------------------

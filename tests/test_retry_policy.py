@@ -1,5 +1,5 @@
-"""RetryPolicy: importable, unit-testable, and byte-equal to the
-supervisor's historical backoff formula."""
+"""RetryPolicy: importable, unit-testable, and byte-equal to the pinned
+decorrelated-jitter backoff formula."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.harness.supervisor import SupervisorConfig
 from repro.util.retry import RetryPolicy
 
 
@@ -71,61 +70,3 @@ class TestBackoff:
             got = p.backoff_s(key, rep, seed, attempt, prev_sleep=prev)
             assert got == expected
             prev = got
-
-
-class TestFromEnv:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF_S", raising=False)
-        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-        p = RetryPolicy.from_env()
-        assert p == RetryPolicy(
-            max_attempts=3, backoff_base_s=0.25, backoff_cap_s=5.0
-        )
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "2.0")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        p = RetryPolicy.from_env()
-        assert p.max_attempts == 5
-        assert p.backoff_base_s == 2.0
-        assert p.backoff_cap_s == 5.0  # max(base, 5.0)
-
-    def test_large_base_lifts_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "9.0")
-        assert RetryPolicy.from_env().backoff_cap_s == 9.0
-
-    def test_zero_base_zero_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0")
-        p = RetryPolicy.from_env()
-        assert p.backoff_base_s == 0.0
-        assert p.backoff_cap_s == 0.0
-
-
-class TestSupervisorIntegration:
-    """The pool's config and the standalone policy are the same object —
-    no pool required to unit-test retry behavior."""
-
-    def test_supervisor_config_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0.5")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "4")
-        cfg = SupervisorConfig.from_env()
-        policy = cfg.retry
-        assert policy == RetryPolicy.from_env()
-        assert cfg.retry.max_attempts == 4
-
-    def test_supervisor_backoff_chains_prev_sleep(self, monkeypatch):
-        """_backoff threads task.prev_sleep exactly like direct policy calls."""
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0.0001")
-        from repro.harness import supervisor as sup
-
-        cfg = SupervisorConfig.from_env()
-        policy = cfg.retry
-        task = sup._Task(rep=2, seed=77)
-        expected_prev = 0.0
-        for attempt in (1, 2, 3):
-            sup._backoff(task, cfg, ("grp",), attempt)
-            expected = policy.backoff_s(
-                ("grp",), 2, 77, attempt, prev_sleep=expected_prev
-            )
-            assert task.prev_sleep == expected
-            expected_prev = expected

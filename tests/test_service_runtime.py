@@ -256,6 +256,23 @@ class TestServiceChaosPlan:
         assert [r.action for r in plan] == ["agent-crash", "clock-jump"]
         assert plan[0].node_index == 1
 
+    def test_inline_json(self, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_SERVICE_CHAOS",
+            '[{"action": "agent-crash", "at_s": 7, "node_index": 2}]',
+        )
+        assert load_service_plan() == (
+            ServiceChaosRule(action="agent-crash", at_s=7.0, node_index=2),
+        )
+
+    def test_file_reference(self, tmp_path, monkeypatch):
+        plan = tmp_path / "plan.json"
+        plan.write_text('[{"action": "clock-jump", "at_s": 5}]')
+        monkeypatch.setenv("REPRO_SERVICE_CHAOS", f"@{plan}")
+        (rule,) = load_service_plan()
+        assert (rule.action, rule.at_s) == ("clock-jump", 5.0)
+        assert load_service_plan(f"@{plan}") == (rule,)
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -266,10 +283,15 @@ class TestServiceChaosPlan:
             '[{"action": "agent-crash", "at_s": -1}]',
             '[{"action": "bus-stall", "at_s": 1, "duration_s": 0}]',
             '[{"action": "agent-crash", "at_s": 1, "bogus": 2}]',
+            "[42]",  # not an object
         ],
     )
     def test_malformed_raises(self, raw):
-        with pytest.raises(ValueError):
+        # A bad entry is named by its index; a bad plan by the variable.
+        prefix = r"REPRO_SERVICE_CHAOS\[\d+\]" if raw.startswith("[") else (
+            r"REPRO_SERVICE_CHAOS "
+        )
+        with pytest.raises(ValueError, match=prefix):
             load_service_plan(raw)
 
 
