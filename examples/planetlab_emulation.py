@@ -73,7 +73,7 @@ def main() -> None:
         )
 
     # --- the tree, Fig. 5.5 style -----------------------------------------------
-    tree = controller.env.tree
+    tree = controller.session.env.tree
     print("\nfinal overlay tree (site names show geographic clustering):")
 
     def walk(node: int, depth: int) -> None:

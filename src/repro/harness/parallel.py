@@ -322,6 +322,34 @@ def run_replications(
     return results
 
 
+@contextlib.contextmanager
+def _signals_deferred():
+    """Hold SIGINT and SIGTERM until the block ends, then raise them.
+
+    A Python-level handler, not a signal mask: workers forked inside the
+    block would inherit a mask and miss :func:`kill_pool`'s SIGTERM.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield  # signal.signal is main-thread-only
+        return
+    arrived: list[int] = []
+    previous = {
+        sig: handler
+        for sig in (signal.SIGINT, signal.SIGTERM)
+        # None: installed outside Python, so it could not be restored
+        if (handler := signal.getsignal(sig)) is not None
+    }
+    for sig in previous:
+        signal.signal(sig, lambda signum, frame: arrived.append(signum))
+    try:
+        yield
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        for sig in arrived:
+            signal.raise_signal(sig)
+
+
 def _run_pooled(worker, args: tuple, pending, workers: int, deliver) -> None:
     """Run every pending ``(rep, seed)`` on the shared pool, delivering
     each result as it completes.
@@ -331,15 +359,18 @@ def _run_pooled(worker, args: tuple, pending, workers: int, deliver) -> None:
     error of the lowest failing rep is raised.  On
     :class:`KeyboardInterrupt` queued tasks are cancelled, running ones
     get :data:`INTERRUPT_DRAIN_S` to finish and deliver, and the
-    interrupt propagates.  Whatever ends the batch early, the pool is
-    killed first, so the next batch gets a fresh one.
+    interrupt propagates; one that lands inside ``pool.submit`` is held
+    until every future is tracked, so no finished result goes
+    undelivered.  Whatever ends the batch early, the pool is killed
+    first, so the next batch gets a fresh one.
     """
     pool = _get_pool(workers)
     futures: dict = {}
     failures: dict[int, Exception] = {}
     try:
-        for rep, seed in pending:
-            futures[pool.submit(worker, *args, rep, seed)] = (rep, seed)
+        with _signals_deferred():
+            for rep, seed in pending:
+                futures[pool.submit(worker, *args, rep, seed)] = (rep, seed)
         for future in as_completed(list(futures)):
             rep, seed = futures.pop(future)
             try:

@@ -40,6 +40,7 @@ __all__ = [
     "collect_tree_metrics",
     "latency_percentile",
     "mst_ratio",
+    "overlay_delay_ms",
 ]
 
 
@@ -67,6 +68,15 @@ def latency_percentile(values: list[float], q: float) -> float:
     hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
     return data[lo] + (data[hi] - data[lo]) * frac
+
+
+def overlay_delay_ms(tree: TreeRegistry, underlay: Underlay, node: int) -> float:
+    """Summed underlay delay of ``node``'s overlay path, child to parent up
+    to the source (its stretch's numerator); ``ValueError`` if it has none."""
+    path = tree.path_to_source(node)
+    return sum(
+        underlay.delay_ms(child, parent) for child, parent in zip(path, path[1:])
+    )
 
 
 def _reachable_edges(tree: TreeRegistry) -> list[tuple[int, int]]:

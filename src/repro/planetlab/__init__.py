@@ -10,7 +10,8 @@ simulator:
 * :mod:`repro.planetlab.scenario` — scenario files: generation,
   (de)serialization in a line-per-event text format, validation;
 * :mod:`repro.planetlab.controller` — the main controller: replays a
-  scenario against a :class:`~repro.sim.network.MatrixUnderlay`, issues
+  scenario through one :class:`~repro.sim.session.MulticastSession` over
+  a :class:`~repro.sim.network.MatrixUnderlay`, issues
   connect/disconnect/terminate, and gathers per-node statistics exactly
   like the paper's result-download step.
 

@@ -7,29 +7,31 @@ the scripted time and a *terminate* at session end, after which every
 node's statistics are "downloaded" into a :class:`NodeReport` — the
 emulated counterpart of the paper's per-node result calculator.
 
+The controller is a front end over one
+:class:`~repro.sim.session.MulticastSession`, the wiring the NS-2-style
+runs use: the scenario's commands call the session's ``join``/``leave``,
+and its simulator runs to the terminate time with the invariant checker
+armed in ``raise`` mode.
+
 Controller-to-agent commands travel out-of-band (the paper used separate
 SSH/control channels), so they do not count toward protocol overhead.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
+from repro.metrics.collectors import overlay_delay_ms
 from repro.planetlab.scenario import Scenario
-from repro.protocols.base import OverlayAgent, ProtocolRuntime
-from repro.sim.delivery import DeliveryAccountant
-from repro.sim.engine import Simulator
 from repro.sim.network import Underlay
-from repro.util.rngtools import check_seed, spawn_rng
+from repro.sim.session import AgentFactory, MulticastSession, SessionConfig
 from repro.util.validation import check_count
 
 __all__ = ["MainController", "NodeReport", "EmulationReport"]
-
-AgentFactory = Callable[..., OverlayAgent]
 
 
 @dataclass(frozen=True)
@@ -97,95 +99,66 @@ class MainController:
         measurement_noise_sigma: float = 0.1,
         seed: int = 0,
     ) -> None:
+        # SessionConfig's degree spec would read 2.5 as an average degree.
         check_count("degree_limit", degree_limit)
-        check_seed(seed)
         scenario.validate(underlay.hosts)
         self.underlay = underlay
         self.scenario = scenario
-        self.agent_factory = agent_factory
-        self.degree_limit = degree_limit
-        self.seed = seed
-        self.sim = Simulator()
-        self.env = ProtocolRuntime(
-            self.sim,
+        end = scenario.terminate_at
+        self.session = MulticastSession(
             underlay,
-            scenario.source,
-            timeout_ms=timeout_ms,
-            measurement_noise_sigma=measurement_noise_sigma,
-            noise_rng=spawn_rng(seed, "noise"),
+            agent_factory,
+            SessionConfig(
+                # The scenario says who joins; the one member the session
+                # draws for its own procedure is never scheduled.
+                n_nodes=1,
+                degree=degree_limit,
+                source_degree=degree_limit,
+                join_phase_s=end,
+                total_s=end,
+                chunk_rate=chunk_rate,
+                timeout_ms=timeout_ms,
+                seed=seed,
+                source_host=scenario.source,
+                measurement_noise_sigma=measurement_noise_sigma,
+            ),
         )
-        self.accountant = DeliveryAccountant(
-            self.env.tree, underlay, chunk_rate=chunk_rate
-        )
-        self._register(scenario.source)
-
-    def _register(self, node: int) -> None:
-        agent = self.agent_factory(
-            node,
-            self.env,
-            degree_limit=self.degree_limit,
-            rng=partial(spawn_rng, self.seed, "agent", node),
-        )
-        self.env.register(agent)
-        return agent
-
-    def _connect(self, node: int) -> None:
-        if self.env.is_alive(node):
-            return
-        agent = self._register(node)
-        agent.start_join()
-        period = agent.protocol.refine_period_s
-        if period is not None:
-            agent.start_refinement(
-                period, jitter_rng=spawn_rng(self.seed, "refine", node)
-            )
-
-    def _disconnect(self, node: int) -> None:
-        agent = self.env.agents.get(node)
-        if agent is not None and self.env.is_alive(node):
-            agent.leave()
 
     def run(self) -> EmulationReport:
         """Execute the scenario and collect all reports."""
+        session = self.session
         for ev in self.scenario.events:
-            action = self._connect if ev.action == "join" else self._disconnect
-            self.sim.schedule(
-                ev.time, lambda n=ev.node, a=action: a(n), label=f"ctl-{ev.action}"
+            command = session.join if ev.action == "join" else session.leave
+            session.sim.schedule(
+                ev.time, partial(command, ev.node), label=f"ctl-{ev.action}"
             )
         end = self.scenario.terminate_at
-        self.sim.run_until(end)
+        session.sim.run_until(end)
+        session.checker.verify_all()
 
-        tree = self.env.tree
+        env = session.env
+        tree = env.tree
+        durations = defaultdict(list)  # (node, "join" | "reconnect") -> seconds
+        for r in env.join_records:
+            if r.succeeded:
+                durations[r.node, r.kind].append(r.duration)
         reports: list[NodeReport] = []
         for node in sorted(self.scenario.joined_nodes()):
-            stats = self.accountant.node_stats(node, 0.0, end)
-            startup = tuple(
-                r.duration
-                for r in self.env.join_records
-                if r.node == node and r.kind == "join" and r.succeeded
-            )
-            recon = tuple(
-                r.duration
-                for r in self.env.join_records
-                if r.node == node and r.kind == "reconnect" and r.succeeded
-            )
+            stats = session.accountant.node_stats(node, 0.0, end)
             depth = None
             node_stretch = None
             if tree.is_present(node) and tree.is_reachable(node):
                 depth = tree.depth(node)
                 unicast = self.underlay.delay_ms(tree.source, node)
                 if unicast > 0:
-                    path = tree.path_to_source(node)
-                    overlay = sum(
-                        self.underlay.delay_ms(a, b)
-                        for a, b in zip(path[:-1], path[1:])
+                    node_stretch = (
+                        overlay_delay_ms(tree, self.underlay, node) / unicast
                     )
-                    node_stretch = overlay / unicast
             reports.append(
                 NodeReport(
                     node=node,
-                    startup_times=startup,
-                    reconnection_times=recon,
+                    startup_times=tuple(durations[node, "join"]),
+                    reconnection_times=tuple(durations[node, "reconnect"]),
                     expected_chunks=stats.expected_chunks,
                     received_chunks=stats.received_chunks,
                     final_depth=depth,
@@ -194,7 +167,7 @@ class MainController:
             )
         return EmulationReport(
             nodes=reports,
-            control_messages=self.env.total_control_messages,
-            data_messages=self.accountant.data_messages(0.0, end),
+            control_messages=env.total_control_messages,
+            data_messages=session.accountant.data_messages(0.0, end),
             duration_s=end,
         )

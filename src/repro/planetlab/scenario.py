@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from repro.sim.churn import ChurnEvent, churn_order
 from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import check_probability, positive
 
 __all__ = [
     "Scenario",
@@ -44,7 +44,8 @@ class Scenario:
     source: int
 
     def __post_init__(self) -> None:
-        check_non_negative("terminate_at", self.terminate_at)
+        # Finite and positive: the controller's session runs to it.
+        positive("terminate_at", self.terminate_at)
         self.events.sort(key=churn_order)
         late = [e for e in self.events if e.time > self.terminate_at]
         if late:

@@ -69,12 +69,13 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from repro.factories import vdm
 from repro.harness.chaos import ServiceChaosRule, load_service_plan
 from repro.harness.journal import active as journal_active
-from repro.metrics.collectors import RecoveryTracker, latency_percentile
+from repro.metrics.collectors import (
+    RecoveryTracker, latency_percentile, overlay_delay_ms,
+)
 from repro.protocols.base import ProtocolRuntime
 from repro.service.bus import BusOverflow, EventBus, Pulse
 from repro.service.clock import VirtualClock
@@ -83,7 +84,7 @@ from repro.service.workload import SCENARIOS, SessionArrival, build_workload
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.invariants import InvariantChecker
-from repro.sim.session import draw_degree
+from repro.sim.session import draw_degree, register_agent
 from repro.util.artifacts import artifact_key
 from repro.util.retry import RetryPolicy
 from repro.util.rngtools import spawn_rng
@@ -299,19 +300,10 @@ class ServiceRuntime:
                 )
 
         self._install_join_watch()
-        self._register_source()
+        degree = draw_degree(config.degree, self._degree_rng)
+        register_agent(self.env, self._factory, self.source, degree, config.seed)
 
     # -- setup ----------------------------------------------------------------
-
-    def _register_source(self) -> None:
-        degree = draw_degree(self.config.degree, self._degree_rng)
-        agent = self._factory(
-            self.source,
-            self.env,
-            degree_limit=degree,
-            rng=partial(spawn_rng, self.config.seed, "agent", self.source),
-        )
-        self.env.register(agent)
 
     def _install_join_watch(self) -> None:
         """Wrap the runtime's join-record sink to resolve worker waits."""
@@ -519,13 +511,9 @@ class ServiceRuntime:
         loop = asyncio.get_running_loop()
         fut: asyncio.Future = loop.create_future()
         self._waiters[node] = fut
-        agent = self._factory(
-            node,
-            self.env,
-            degree_limit=degree,
-            rng=partial(spawn_rng, cfg.seed, "agent", node, arrival.index),
+        agent = register_agent(
+            self.env, self._factory, node, degree, cfg.seed, arrival.index
         )
-        self.env.register(agent)
         self._queued.discard(node)
         agent.start_join()
 
@@ -624,13 +612,9 @@ class ServiceRuntime:
         rate = self.config.chunk_rate
         epoch = math.ceil(attached_s * rate - 1e-9) / rate
         try:
-            path = self.env.tree.path_to_source(node)
+            delay_ms = overlay_delay_ms(self.env.tree, self.underlay, node)
         except ValueError:
             return None
-        delay_ms = sum(
-            self.underlay.delay_ms(child, parent)
-            for child, parent in zip(path, path[1:])
-        )
         return (epoch + delay_ms / 1000.0) - arrival.time
 
     async def _run_chaos(self) -> None:

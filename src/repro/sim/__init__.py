@@ -18,7 +18,7 @@ substrate built from scratch:
 from repro.sim.engine import Simulator, Event
 from repro.sim.network import Underlay, MatrixUnderlay, NoRouteError
 from repro.sim.delivery import DeliveryAccountant, WindowSnapshot
-from repro.sim.churn import ChurnSchedule, SlottedChurnModel
+from repro.sim.churn import SlottedChurnModel
 from repro.sim.faults import FAULT_PRESETS, FaultInjector, FaultPlan, resolve_fault_plan
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.session import MulticastSession, SessionConfig, SessionResult
@@ -31,7 +31,6 @@ __all__ = [
     "NoRouteError",
     "DeliveryAccountant",
     "WindowSnapshot",
-    "ChurnSchedule",
     "SlottedChurnModel",
     "FaultPlan",
     "FaultInjector",

@@ -55,7 +55,8 @@ measurement goes through :func:`~repro.sim.session.take_measurement`
 (the accountant's window snapshot and link multiset, and
 :func:`~repro.metrics.collectors.collect_tree_metrics`).  The result's
 ``accountant`` is that accountant, answering every query a scalar
-result's does.  :class:`~repro.sim.churn.SlottedChurnModel`,
+result's does.  :func:`~repro.sim.session.session_schedule`,
+:class:`~repro.sim.churn.SlottedChurnModel`,
 :func:`~repro.sim.session.draw_degree` and
 :class:`~repro.protocols.base.JoinRecord` are reused as-is.  All RNG
 streams (:func:`~repro.util.rngtools.spawn_rng` keyed exactly as the
@@ -72,11 +73,8 @@ enabling batching is always safe.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
-
-import numpy as np
 
 from repro.core.join import (
     Descend,
@@ -97,6 +95,8 @@ from repro.sim.session import (
     SessionConfig,
     SessionResult,
     draw_degree,
+    paused_gc,
+    session_schedule,
     take_measurement,
 )
 from repro.util.rngtools import spawn_rng
@@ -306,28 +306,16 @@ class BatchedCell:
 
 
 class _Emulator:
-    """One replication's event loop; mirrors ``MulticastSession`` + the
-    protocol runtime for the envelope's message flows, seq for seq."""
+    """One replication's event loop over the session's own
+    :class:`~repro.sim.session.SessionSchedule`; mirrors the protocol
+    runtime for the envelope's message flows, seq for seq."""
 
     def __init__(self, cell: BatchedCell, cfg: SessionConfig) -> None:
         self.cell = cell
         self.cfg = cfg
-        hosts = cell.hosts
-        if len(hosts) < cfg.n_nodes + 1:
-            raise ValueError(
-                f"underlay has {len(hosts)} hosts; need at least "
-                f"{cfg.n_nodes + 1} (members + source)"
-            )
-        # RNG streams spawned exactly as MulticastSession.__init__ does.
-        self._rng_membership = spawn_rng(cfg.seed, "membership")
+        self.schedule = session_schedule(cfg, cell.hosts)
+        self.source = self.schedule.source
         self._rng_degrees = spawn_rng(cfg.seed, "degrees")
-        if cfg.source_host is not None:
-            cell.underlay.validate_host(cfg.source_host)
-            self.source = cfg.source_host
-        else:
-            self.source = int(
-                hosts[int(self._rng_membership.integers(len(hosts)))]
-            )
         self.now = 0.0
         self._seq = 0
         self._heap: list[tuple] = []
@@ -340,20 +328,14 @@ class _Emulator:
         self.agents: dict[int, _Agent] = {}
         self._alive: set[int] = set()
         self._active: set[int] = set()
-        self._pool = [h for h in hosts if h != self.source]
-        self._pool_set = set(self._pool)
         #: single control-message total (the scalar runtime counts per
         #: class; measurements consume only the sum).
         self.control = 0
         self.join_records: list[JoinRecord] = []
         self._records: list[MeasurementRecord] = []
-        self._last_measure_time = 0.0
-        self._last_control_count = 0
-        # Same constructor (and so the same "churn" spawn stream) as the
-        # scalar session — the churn draws must be identical call for call.
         self._churn = SlottedChurnModel.from_config(cfg)
-        # Source registration (mirrors _register_source: the degree draw
-        # consumes the degrees stream unless source_degree pins it).
+        # The degree draw consumes the degrees stream unless source_degree
+        # pins it, as the session's source registration does.
         degree = cfg.source_degree
         if degree is None:
             degree = draw_degree(cfg.degree, self._rng_degrees)
@@ -364,15 +346,24 @@ class _Emulator:
         # Scheduling knowledge for the probe-round fast path: churn is
         # slotted, so every leave inside the current slot is already in
         # the heap — ``_death_at`` maps node -> its pending leave time,
-        # ``_horizon`` is the next slot boundary (beyond it, aliveness is
+        # ``_horizon`` is the next slot start (beyond it, aliveness is
         # not yet drawn), and ``_next_measure`` is the next measurement
-        # instant (the only reader of the control counter).  All three
-        # are maintained by ``_run_slot`` / ``_do_leave`` / ``_measure``.
+        # instant (the only reader of the control counter; ``_mtimes``
+        # adds the closing one at total_s, as a probe round's control
+        # messages must not straddle any reader).  All three are kept by
+        # ``_run_slot`` / ``_do_leave`` / ``_measure``.
+        entries = self.schedule.entries
         self._death_at: dict[int, float] = {}
-        self._horizon = math.inf
-        self._next_measure = math.inf
-        self._mtimes: list[float] = []
+        # Before the first slot no churn is drawn at all, and a request
+        # arriving exactly at the boundary (prio 0) still beats the slot
+        # event (prio 5), so the boundary itself is inside the horizon.
+        slots = iter([t for t, _, kind, _ in entries if kind == "slot"])
+        self._horizon = next(slots, math.inf)
+        self._later_slots = slots
+        self._mtimes = [t for t, _, kind, _ in entries if kind == "measure"]
+        self._mtimes.append(cfg.total_s)
         self._mt_i = 0
+        self._next_measure = self._mtimes[0]
 
     # Every site below reads ``agent.row`` (ms) with the scalar runtime's
     # own arithmetic: ``row[x] / 1000.0`` is the send delay in seconds,
@@ -905,9 +896,9 @@ class _Emulator:
     # -- slot / measurement ----------------------------------------------------------
 
     def _run_slot(self, entry) -> None:
-        slot_start = entry[4]
-        active = sorted(self._active & self._alive)
-        inactive = sorted(self._pool_set - self._active)
+        slot_start = entry[0]
+        active = self._active & self._alive
+        inactive = self.schedule.pool - self._active
         events = self._churn.plan_slot(slot_start, active, inactive)
         heap = self._heap
         death_at = self._death_at
@@ -923,13 +914,10 @@ class _Emulator:
                 # possible aliveness flip before the next slot boundary.
                 death_at[ev.node] = ev.time
             heapq.heappush(heap, (ev.time, 0, seq, op, ev.node))
-        nxt = slot_start + self.cfg.slot_s
-        self._horizon = (
-            nxt if nxt + self.cfg.slot_s <= self.cfg.total_s + 1e-9 else math.inf
-        )
+        self._horizon = next(self._later_slots, math.inf)
 
     def _measure(self, _entry=None) -> None:
-        """``MulticastSession._measure``, plus the guard list's cursor."""
+        """Record a measurement, and advance the guard list's cursor."""
         now = self.now
         mt = self._mtimes
         i = self._mt_i
@@ -938,17 +926,7 @@ class _Emulator:
             i += 1
         self._mt_i = i
         self._next_measure = mt[i] if i < n_mt else math.inf
-        self._records.append(
-            take_measurement(
-                self.accountant,
-                self._last_measure_time,
-                now,
-                self._last_control_count,
-                self.control,
-            )
-        )
-        self._last_measure_time = now
-        self._last_control_count = self.control
+        take_measurement(self.accountant, self._records, now, self.control)
 
     # -- event handlers --------------------------------------------------------------
 
@@ -1027,49 +1005,12 @@ class _Emulator:
 
     def run(self) -> SessionResult:
         cfg = self.cfg
-        rng = self._rng_membership
         heap = self._heap
-
-        # Setup schedules, consuming seq in MulticastSession.run() order.
-        pool_arr = sorted(self._pool)
-        initial = rng.choice(pool_arr, size=cfg.n_nodes, replace=False)
-        join_window = 0.9 * cfg.join_phase_s
-        times = np.sort(rng.uniform(0.0, join_window, size=cfg.n_nodes))
-        for node, t in zip(initial, times):
+        ops = {"join": _OP_JOIN, "slot": _OP_SLOT, "measure": _OP_MEASURE}
+        for time, priority, kind, node in self.schedule.entries:
             seq = self._seq
             self._seq = seq + 1
-            heapq.heappush(heap, (float(t), 0, seq, _OP_JOIN, int(node)))
-        mtimes = []
-        if cfg.join_measure_interval_s is not None:
-            t = cfg.join_measure_interval_s
-            while t <= cfg.join_phase_s:
-                seq = self._seq
-                self._seq = seq + 1
-                heapq.heappush(heap, (t, 10, seq, _OP_MEASURE))
-                mtimes.append(t)
-                t += cfg.join_measure_interval_s
-        slot_start = cfg.join_phase_s
-        first_slot = None
-        while slot_start + cfg.slot_s <= cfg.total_s + 1e-9:
-            if first_slot is None:
-                first_slot = slot_start
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(heap, (slot_start, 5, seq, _OP_SLOT, slot_start))
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(heap, (slot_start + cfg.slot_s, 10, seq, _OP_MEASURE))
-            mtimes.append(slot_start + cfg.slot_s)
-            slot_start += cfg.slot_s
-        # The closing safety measurement at total_s joins the guard list:
-        # a probe round's control messages must not straddle any reader.
-        mtimes.append(cfg.total_s)
-        self._mtimes = mtimes
-        self._next_measure = mtimes[0]
-        # Before the first slot no churn is drawn at all, and a request
-        # arriving exactly at the boundary (prio 0) still beats the slot
-        # event (prio 5), so the boundary itself is inside the horizon.
-        self._horizon = first_slot if first_slot is not None else math.inf
+            heapq.heappush(heap, (time, priority, seq, ops[kind], node))
 
         # Rare-op handlers receive the whole (flat) heap entry.
         handlers = [None] * 16
@@ -1083,12 +1024,7 @@ class _Emulator:
         handlers[_OP_TIMEOUT_RESTART] = self._h_timeout_restart
         handlers[_OP_TIMEOUT_PROBE] = self._h_timeout_probe
 
-        # Same GC pause the scalar session takes around its event loop
-        # (collection timing cannot affect results).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with paused_gc():
             total = cfg.total_s
             pop = heapq.heappop
             push = heapq.heappush
@@ -1196,9 +1132,6 @@ class _Emulator:
                         self._finish_probe(round_, entry[5], entry[6], entry[7])
                 else:
                     handlers[op](entry)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         self.now = cfg.total_s
         if not self._records or self._records[-1].time < cfg.total_s:
             self._measure()

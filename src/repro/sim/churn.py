@@ -7,15 +7,14 @@ gets ``settle_s`` (100 s) of quiet before the slot's measurement.  "Some
 nodes may join and leave several times while some never join" — joiners
 are drawn from the whole inactive pool, including past leavers.
 
-:class:`SlottedChurnModel` draws the per-slot leave/join node sets;
-:class:`ChurnSchedule` is the materialized list of timed events the
-session executes.
+:class:`SlottedChurnModel` draws the per-slot leave/join events;
+:func:`churn_order` orders any churn timeline, leaves before joins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from repro.util.validation import (
     count, non_negative, one_of,
 )
 
-__all__ = ["ChurnEvent", "ChurnSchedule", "SlottedChurnModel", "churn_order"]
+__all__ = ["ChurnEvent", "SlottedChurnModel", "churn_order"]
 
 #: Tie-break for simultaneous churn events: leaves apply before joins, so
 #: a node leaving and (re)joining at the same instant frees its slot — and
@@ -48,17 +47,6 @@ class ChurnEvent:
 def churn_order(event: ChurnEvent) -> tuple[float, int, int]:
     """Sort key of a churn timeline: by time, leaves before joins, by node."""
     return (event.time, _ACTION_ORDER[event.action], event.node)
-
-
-@dataclass
-class ChurnSchedule:
-    """A time-sorted list of churn events plus the slot measurement times."""
-
-    events: list[ChurnEvent] = field(default_factory=list)
-    measure_times: list[float] = field(default_factory=list)
-
-    def sorted_events(self) -> list[ChurnEvent]:
-        return sorted(self.events, key=churn_order)
 
 
 class SlottedChurnModel:
@@ -127,15 +115,16 @@ class SlottedChurnModel:
     def plan_slot(
         self,
         slot_start: float,
-        active: Sequence[int],
-        inactive_pool: Sequence[int],
+        active: Collection[int],
+        inactive_pool: Collection[int],
     ) -> list[ChurnEvent]:
         """Draw one slot's churn events.
 
         ``active`` are current members eligible to leave (the session must
         already exclude the source); ``inactive_pool`` are hosts eligible
-        to join.  If either side is smaller than the per-slot count, churn
-        is clipped to what is available.
+        to join; either is drawn from in sorted order, whatever its type.
+        If either side is smaller than the per-slot count, churn is clipped
+        to what is available.
         """
         k = self.per_slot_count
         if k == 0:

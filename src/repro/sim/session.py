@@ -13,16 +13,20 @@ A :class:`MulticastSession` reproduces the paper's experimental procedure
    are folded into a :class:`SessionResult`.
 
 The same class drives the Chapter 4 time-series runs (no churn, measure
-every interval while nodes keep joining) and, underneath the PlanetLab
-controller, the Chapter 5 emulation.
+every interval while nodes keep joining) and the Chapter 5 emulation, whose
+PlanetLab controller replays a scenario through :meth:`MulticastSession.join`
+and :meth:`MulticastSession.leave` instead of :meth:`MulticastSession.run`.
+Steps 1-3 are drawn once, by :func:`session_schedule`, for this session and
+the batched emulator (:mod:`repro.sim.batched`) alike.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,8 +49,12 @@ from repro.util.validation import (
 __all__ = [
     "SessionConfig",
     "SessionResult",
+    "SessionSchedule",
     "MulticastSession",
     "draw_degree",
+    "paused_gc",
+    "register_agent",
+    "session_schedule",
     "take_measurement",
 ]
 
@@ -91,25 +99,72 @@ def draw_degree(spec: DegreeSpec, rng: np.random.Generator) -> int:
     return value
 
 
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause cyclic GC around a session's event loop (both engines).
+
+    Collections mid-run rescan the long-lived tree state that millions of
+    short-lived events and closures promote, for ~6% of wall time; their
+    timing cannot affect results.  The deferred garbage goes at the next
+    natural collection.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def register_agent(
+    env: ProtocolRuntime,
+    factory: AgentFactory,
+    node: int,
+    degree: int,
+    seed: int,
+    *key: object,
+) -> OverlayAgent:
+    """Build ``node``'s agent and register it with ``env``.
+
+    The agent gets its stream's key path, not the stream
+    (``OverlayAgent.rng``): most agents never draw.  ``key`` tells a
+    node's incarnations apart, so a rejoin does not replay the draws of
+    its earlier agent.
+    """
+    agent = factory(
+        node,
+        env,
+        degree_limit=degree,
+        rng=partial(spawn_rng, seed, "agent", node, *key),
+    )
+    env.register(agent)
+    return agent
+
+
 def take_measurement(
     accountant: DeliveryAccountant,
-    since: float,
+    records: list[MeasurementRecord],
     now: float,
-    control_since: int,
     control_now: int,
-) -> MeasurementRecord:
-    """One measurement: the accountant's tree now, and the window since.
+) -> None:
+    """Append one measurement: the accountant's tree now, and the window
+    since the last of ``records`` (or since time zero).
 
-    ``control_since`` and ``control_now`` are the session's cumulative
-    control-message counts at the two instants; their difference is the
-    numerator of the window's overhead (eq. 3.6).  Both session engines
-    (this module's and :mod:`repro.sim.batched`) record through here.
+    ``control_now`` is the session's cumulative control-message count; its
+    rise over the last record's is the numerator of the window's overhead
+    (eq. 3.6).  Both engines (this module's and :mod:`repro.sim.batched`)
+    record through here.
     """
+    last = records[-1] if records else None
+    since = last.time if last else 0.0
+    control_since = last.cumulative_control_messages if last else 0
     tree = accountant.tree
     window = accountant.window_snapshot(since, now)
     data_msgs = window.data_messages
     metrics = collect_tree_metrics(tree, accountant.underlay, accountant.link_usage)
-    return MeasurementRecord(
+    records.append(MeasurementRecord(
         time=now,
         n_members=len(tree.parent),
         n_reachable=len(tree.attached_nodes()),
@@ -123,7 +178,7 @@ def take_measurement(
             (control_now - control_since) / data_msgs if data_msgs > 0 else 0.0
         ),
         cumulative_control_messages=control_now,
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -177,6 +232,59 @@ class SessionConfig:
         if self.settle_s >= self.slot_s:
             raise ValueError("settle_s must be shorter than slot_s")
         resolve_fault_plan(self.faults)  # fail fast on unknown preset names
+
+
+@dataclass(frozen=True)
+class SessionSchedule:
+    """The paper procedure of one session, drawn before it runs."""
+
+    source: int
+    #: every host but the source
+    pool: frozenset[int]
+    #: ``(time, priority, kind, node)`` in scheduling order: the initial
+    #: ``"join"``s, the join-phase ``"measure"``s, then each churn ``"slot"``
+    #: and the ``"measure"`` that closes it (``node`` only on a join).
+    entries: list[tuple[float, int, str, int | None]]
+
+
+def session_schedule(cfg: SessionConfig, hosts: list[int]) -> SessionSchedule:
+    """Draw the source, the initial joins and the measurement and slot
+    instants of a session over ``hosts`` from its ``membership`` stream."""
+    if len(hosts) < cfg.n_nodes + 1:
+        raise ValueError(
+            f"underlay has {len(hosts)} hosts; need at least "
+            f"{cfg.n_nodes + 1} (members + source)"
+        )
+    rng = spawn_rng(cfg.seed, "membership")
+    if cfg.source_host is not None:
+        if cfg.source_host not in hosts:
+            raise KeyError(f"unknown host {cfg.source_host!r}")
+        source = cfg.source_host
+    else:
+        source = int(hosts[int(rng.integers(len(hosts)))])
+    pool = frozenset(hosts) - {source}
+
+    # Initial joiners: spread over the first 90% of the join phase so
+    # the tree is quiet when the churn phase starts.
+    pool_arr = sorted(pool)
+    initial = rng.choice(pool_arr, size=cfg.n_nodes, replace=False)
+    times = np.sort(rng.uniform(0.0, 0.9 * cfg.join_phase_s, size=cfg.n_nodes))
+    entries = [(float(t), 0, "join", int(node)) for node, t in zip(initial, times)]
+
+    # Optional join-phase measurement cadence (Chapter 4 time series).
+    if cfg.join_measure_interval_s is not None:
+        t = cfg.join_measure_interval_s
+        while t <= cfg.join_phase_s:
+            entries.append((t, 10, "measure", None))
+            t += cfg.join_measure_interval_s
+
+    # Churn slots, each closed by a measurement.
+    slot_start = cfg.join_phase_s
+    while slot_start + cfg.slot_s <= cfg.total_s + 1e-9:
+        entries.append((slot_start, 5, "slot", None))
+        entries.append((slot_start + cfg.slot_s, 10, "measure", None))
+        slot_start += cfg.slot_s
+    return SessionSchedule(source, pool, entries)
 
 
 @dataclass
@@ -256,21 +364,9 @@ class MulticastSession:
         self.underlay = underlay
         self.agent_factory = agent_factory
         self.config = config
-        hosts = list(underlay.hosts)
-        if len(hosts) < config.n_nodes + 1:
-            raise ValueError(
-                f"underlay has {len(hosts)} hosts; need at least "
-                f"{config.n_nodes + 1} (members + source)"
-            )
-        self._rng_membership = spawn_rng(config.seed, "membership")
+        self.schedule = session_schedule(config, list(underlay.hosts))
+        self.source = self.schedule.source
         self._rng_degrees = spawn_rng(config.seed, "degrees")
-        if config.source_host is not None:
-            underlay.validate_host(config.source_host)
-            self.source = config.source_host
-        else:
-            self.source = int(
-                hosts[int(self._rng_membership.integers(len(hosts)))]
-            )
         self.sim = Simulator()
         metric = metric_factory(underlay) if metric_factory else None
         self.env = ProtocolRuntime(
@@ -285,7 +381,6 @@ class MulticastSession:
         self.accountant = DeliveryAccountant(
             self.env.tree, underlay, chunk_rate=config.chunk_rate
         )
-        self._pool = [h for h in hosts if h != self.source]
         self._active: set[int] = set()
         # Listener order matters: the accountant (already subscribed) sees
         # each mutation first, then the checker validates it, then the
@@ -314,43 +409,26 @@ class MulticastSession:
         if self._injector is not None or self._failover is not None:
             self._recovery = RecoveryTracker(self.env)
         self._records: list[MeasurementRecord] = []
-        self._last_measure_time = 0.0
-        self._last_control_count = 0
         self._churn = SlottedChurnModel.from_config(config)
-        self._register_source()
-
-    # -- setup --------------------------------------------------------------------
-
-    def _register_source(self) -> None:
-        cfg = self.config
-        degree = cfg.source_degree
+        degree = config.source_degree
         if degree is None:
-            degree = draw_degree(cfg.degree, self._rng_degrees)
-        agent = self.agent_factory(
-            self.source,
-            self.env,
-            degree_limit=degree,
-            rng=partial(spawn_rng, cfg.seed, "agent", self.source),
-        )
-        self.env.register(agent)
+            degree = draw_degree(config.degree, self._rng_degrees)
+        register_agent(self.env, agent_factory, self.source, degree, config.seed)
 
     # -- membership actions -------------------------------------------------------------
 
-    def _do_join(self, node: int) -> None:
+    def join(self, node: int) -> None:
+        """Connect ``node`` now; a no-op for the source or a member."""
         if node in self._active or node == self.source:
             return
-        degree = draw_degree(self.config.degree, self._rng_degrees)
-        agent = self.agent_factory(
-            node,
+        agent = register_agent(
             self.env,
-            degree_limit=degree,
-            # The stream's key path, not the stream (OverlayAgent.rng):
-            # most agents never draw.
-            rng=partial(
-                spawn_rng, self.config.seed, "agent", node, self.sim.events_processed
-            ),
+            self.agent_factory,
+            node,
+            draw_degree(self.config.degree, self._rng_degrees),
+            self.config.seed,
+            self.sim.events_processed,
         )
-        self.env.register(agent)
         self._active.add(node)
         agent.start_join()
         period = self.config.refine_period_s
@@ -363,7 +441,8 @@ class MulticastSession:
         if self._injector is not None:
             self._injector.after_join(node)
 
-    def _do_leave(self, node: int) -> None:
+    def leave(self, node: int) -> None:
+        """Disconnect member ``node`` now; a no-op for a non-member."""
         if node not in self._active:
             return
         agent = self.env.agents.get(node)
@@ -381,76 +460,24 @@ class MulticastSession:
     # -- measurement ----------------------------------------------------------------------
 
     def _measure(self) -> None:
-        now = self.sim.now
         control_now = self.env.total_control_messages
-        self._records.append(
-            take_measurement(
-                self.accountant,
-                self._last_measure_time,
-                now,
-                self._last_control_count,
-                control_now,
-            )
-        )
-        self._last_measure_time = now
-        self._last_control_count = control_now
+        take_measurement(self.accountant, self._records, self.sim.now, control_now)
 
     # -- run -------------------------------------------------------------------------------
 
     def run(self) -> SessionResult:
         cfg = self.config
-        rng = self._rng_membership
+        for time, priority, kind, node in self.schedule.entries:
+            if kind == "join":
+                callback = partial(self.join, node)
+            elif kind == "slot":
+                callback = partial(self._run_slot, time)
+            else:
+                callback = self._measure
+            self.sim.schedule(time, callback, priority=priority, label=kind)
 
-        # Initial joiners: spread over the first 90% of the join phase so
-        # the tree is quiet when the churn phase starts.
-        pool_arr = sorted(self._pool)
-        initial = rng.choice(pool_arr, size=cfg.n_nodes, replace=False)
-        join_window = 0.9 * cfg.join_phase_s
-        times = np.sort(rng.uniform(0.0, join_window, size=cfg.n_nodes))
-        for node, t in zip(initial, times):
-            self.sim.schedule(
-                float(t), lambda n=int(node): self._do_join(n), label="join"
-            )
-
-        # Optional join-phase measurement cadence (Chapter 4 time series).
-        if cfg.join_measure_interval_s is not None:
-            t = cfg.join_measure_interval_s
-            while t <= cfg.join_phase_s:
-                self.sim.schedule(t, self._measure, priority=10, label="measure")
-                t += cfg.join_measure_interval_s
-
-        # Churn slots.
-        slot_start = cfg.join_phase_s
-        while slot_start + cfg.slot_s <= cfg.total_s + 1e-9:
-            self.sim.schedule(
-                slot_start,
-                lambda t=slot_start: self._run_slot(t),
-                priority=5,
-                label="slot",
-            )
-            self.sim.schedule(
-                slot_start + cfg.slot_s,
-                self._measure,
-                priority=10,
-                label="measure",
-            )
-            slot_start += cfg.slot_s
-
-        # Cyclic-GC pause for the duration of the event loop.  A session
-        # allocates millions of short-lived events and closures; generational
-        # collections mid-run repeatedly rescan the long-lived tree state they
-        # promote, for ~6% of wall time.  Collection timing cannot affect
-        # simulation results, so pausing is observationally free; the prior
-        # GC state is restored on exit and the deferred garbage is reclaimed
-        # by the next natural collection.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with paused_gc():
             self.sim.run_until(cfg.total_s)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         if not self._records or self._records[-1].time < cfg.total_s:
             self._measure()
         violations: list[InvariantViolation] = []
@@ -479,15 +506,11 @@ class MulticastSession:
         )
 
     def _run_slot(self, slot_start: float) -> None:
-        active = sorted(self._active & set(self.env.alive_nodes()))
-        inactive = sorted(set(self._pool) - self._active)
+        active = self._active.intersection(self.env.alive_nodes())
+        inactive = self.schedule.pool - self._active
         events = self._churn.plan_slot(slot_start, active, inactive)
         for ev in events:
-            if ev.action == "join":
-                self.sim.schedule(
-                    ev.time, lambda n=ev.node: self._do_join(n), label="churn-join"
-                )
-            else:
-                self.sim.schedule(
-                    ev.time, lambda n=ev.node: self._do_leave(n), label="churn-leave"
-                )
+            command = self.join if ev.action == "join" else self.leave
+            self.sim.schedule(
+                ev.time, partial(command, ev.node), label=f"churn-{ev.action}"
+            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.churn import ChurnEvent, ChurnSchedule, SlottedChurnModel
+from repro.sim.churn import ChurnEvent, SlottedChurnModel, churn_order
 
 
 class TestChurnEvent:
@@ -89,24 +89,20 @@ class TestValidation:
 
 class TestSchedule:
     def test_sorted_events(self):
-        sched = ChurnSchedule(
-            events=[ChurnEvent(5.0, "join", 1), ChurnEvent(1.0, "leave", 2)]
-        )
-        assert [e.time for e in sched.sorted_events()] == [1.0, 5.0]
+        events = [ChurnEvent(5.0, "join", 1), ChurnEvent(1.0, "leave", 2)]
+        assert [e.time for e in sorted(events, key=churn_order)] == [1.0, 5.0]
 
     def test_simultaneous_leave_applies_before_join(self):
         # A node leaving and (re)joining at the same instant must free its
         # slot before the join runs; alphabetical action ordering would put
         # the join first, re-registering a node that is still alive.
-        sched = ChurnSchedule(
-            events=[
-                ChurnEvent(10.0, "join", 7),
-                ChurnEvent(10.0, "leave", 7),
-                ChurnEvent(10.0, "join", 3),
-                ChurnEvent(10.0, "leave", 9),
-            ]
-        )
-        actions = [(e.action, e.node) for e in sched.sorted_events()]
+        events = [
+            ChurnEvent(10.0, "join", 7),
+            ChurnEvent(10.0, "leave", 7),
+            ChurnEvent(10.0, "join", 3),
+            ChurnEvent(10.0, "leave", 9),
+        ]
+        actions = [(e.action, e.node) for e in sorted(events, key=churn_order)]
         assert actions == [
             ("leave", 7),
             ("leave", 9),

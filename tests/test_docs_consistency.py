@@ -5,7 +5,8 @@ is one the code still reads, and the scale walk's docs state the handle
 bound it keeps rather than a handle per pivot decision.
 
 ``tests/test_envflags_registry.py`` ties the flag registry to the reads
-under ``src/``; the flag scan here ties the docs to the registry.
+under ``src/``; the flag scan here ties the docs to the registry.  The
+repository layout in DESIGN §4 names exactly the files that exist.
 """
 
 from __future__ import annotations
@@ -105,3 +106,42 @@ def test_the_flag_allow_list_is_not_a_hiding_place():
         flag for name in _DOCS for flag in _FLAG_RE.findall((ROOT / name).read_text())
     }
     assert {"REPRO_JOBS", "REPRO_CACHE_DIR"} | _READ_OUTSIDE_SRC <= named
+
+
+_LAYOUT_LINE_RE = re.compile(r"^( *)([\w./]+/)?\s*(.*)$")
+
+
+def _design_layout() -> set[str]:
+    """The repo paths DESIGN §4's layout block names, one per file."""
+    design = (ROOT / "DESIGN.md").read_text()
+    section = design[design.index("\n## 4. ") : design.index("\n## 5. ")]
+    block = section.split("```")[1]
+    named: set[str] = set()
+    top = here = ""
+    for line in block.splitlines():
+        indent, directory, rest = _LAYOUT_LINE_RE.match(line).groups()
+        if directory and not indent:
+            top = here = directory
+        elif directory:
+            here = top + directory
+        named |= {here + name for name in re.findall(r"\b[\w]+\.py\b", rest)}
+    return named
+
+
+def test_design_layout_names_existing_files():
+    named = _design_layout()
+    missing = sorted(path for path in named if not (ROOT / path).is_file())
+    assert not missing, f"DESIGN §4 names files that do not exist: {missing}"
+    modules = {
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if path.name != "__init__.py" or path.parent.name == "repro"
+    }
+    examples = {
+        str(path.relative_to(ROOT)) for path in (ROOT / "examples").glob("*.py")
+    }
+    unnamed = sorted((modules | examples) - named)
+    assert not unnamed, f"DESIGN §4 omits: {unnamed}"
+    # Spot-pin so a parsing regression cannot make the check vacuous.
+    assert {"src/repro/factories.py", "src/repro/sim/batched.py"} <= named
+    assert "examples/quickstart.py" in named

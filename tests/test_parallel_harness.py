@@ -385,6 +385,35 @@ class TestPooledFailures:
         assert {0, 1} <= set(journaled) and len(journaled) < len(seeds)
         assert all(result == [rep, seeds[rep]] for rep, result in journaled.items())
 
+    def test_interrupt_inside_submit_still_journals_that_task(
+        self, tmp_path, monkeypatch
+    ):
+        """A Ctrl-C landing inside ``pool.submit`` is held until the
+        task's future is tracked, so the drain still delivers it."""
+        run_replications(_echo_worker, ("warm",), [1, 2], jobs=2)  # pool is up
+        pool = parallel._POOL
+        real_submit = pool.submit
+
+        def submit_then_interrupt(*args, **kwargs):
+            future = real_submit(*args, **kwargs)
+            # Once the task has left the queue, the interrupt's cancel()
+            # cannot take it back: only an untracked future loses it.
+            deadline = time.monotonic() + 5.0
+            while not (future.running() or future.done()):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            os.kill(os.getpid(), signal.SIGINT)
+            return future
+
+        monkeypatch.setattr(pool, "submit", submit_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            with journal.run_context(tmp_path / "run"):
+                run_replications(_echo_worker, ("x",), [7, 8], jobs=2, key=("s",))
+        assert parallel._POOL is None
+        lines = (tmp_path / "run" / journal.JOURNAL_NAME).read_text().splitlines()
+        journaled = {entry["rep"]: entry["result"] for entry in map(json.loads, lines)}
+        assert journaled == {0: ["x", 0, 7], 1: ["x", 1, 8]}
+
 
 # ---------------------------------------------------------------------------
 # serial / parallel experiment equivalence

@@ -1,5 +1,9 @@
 """Tests for the PlanetLab scenario format and main controller."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.factories import hmtp, vdm
@@ -12,6 +16,11 @@ from repro.planetlab import (
     render_scenario,
 )
 from repro.sim.churn import ChurnEvent
+from repro.util.rngtools import rng_from_seed
+
+#: the VDM report of ``TestMainController.make()``, recorded when the
+#: controller still wired its own simulator, runtime and accountant
+PINNED_VDM_REPORT = Path(__file__).parent / "fixtures" / "controller_report_vdm.json"
 
 
 class TestScenarioEvents:
@@ -43,6 +52,20 @@ class TestScenario:
                 terminate_at=10.0,
                 source=0,
             )
+
+    @pytest.mark.parametrize(
+        ("terminate_at", "message"),
+        [
+            (0.0, "must be > 0"),
+            (float("inf"), "must be finite"),
+            (float("nan"), "must not be NaN"),
+        ],
+    )
+    def test_rejects_a_terminate_time_no_session_can_run_to(
+        self, terminate_at, message
+    ):
+        with pytest.raises(ValueError, match=f"terminate_at {message}"):
+            Scenario(events=[], terminate_at=terminate_at, source=0)
 
     def test_rejects_source_events(self):
         with pytest.raises(ValueError, match="source"):
@@ -252,6 +275,44 @@ class TestMainController:
         sc = Scenario(events=[], terminate_at=10.0, source=sub.source)
         with pytest.raises(ValueError, match=message):
             MainController(sub.underlay, sc, vdm(), **{knob: value})
+
+    def test_vdm_report_is_pinned(self):
+        rep = self.make()[0].run()
+        got = {
+            "control_messages": rep.control_messages,
+            "data_messages": rep.data_messages,
+            "duration_s": rep.duration_s,
+            "nodes": [dataclasses.asdict(n) for n in rep.nodes],
+        }
+        # JSON round trip: tuples read back as lists, floats exactly.
+        assert json.loads(json.dumps(got)) == json.loads(PINNED_VDM_REPORT.read_text())
+
+    def test_rejoining_node_gets_a_fresh_agent_stream(self):
+        """HMTP agents draw; a node that leaves and rejoins must not
+        replay its earlier agent's draws."""
+        sub = build_planetlab_underlay(n_select=10, seed=3, n_us=50)
+        node = next(h for h in sorted(sub.underlay.hosts) if h != sub.source)
+        sc = Scenario(
+            events=[
+                ChurnEvent(1.0, "join", node),
+                ChurnEvent(40.0, "leave", node),
+                ChurnEvent(60.0, "join", node),
+            ],
+            terminate_at=100.0,
+            source=sub.source,
+        )
+        factory = hmtp()
+        streams = []
+
+        def recording(n, env, **kwargs):
+            if n == node:
+                streams.append(kwargs["rng"])
+            return factory(n, env, **kwargs)
+
+        (report,) = MainController(sub.underlay, sc, recording).run().nodes
+        assert len(report.startup_times) == 2
+        first, second = (rng_from_seed(key).random(4).tolist() for key in streams)
+        assert first != second
 
     def test_node_report_loss_rate_bounds(self):
         ctl, _ = self.make(churn=0.2)

@@ -11,6 +11,7 @@ from repro.sim.session import (
     SessionConfig,
     SessionResult,
     draw_degree,
+    session_schedule,
 )
 
 from tests.helpers import line_matrix
@@ -33,6 +34,41 @@ QUICK = dict(
     churn_rate=0.1,
     seed=5,
 )
+
+
+class TestSessionSchedule:
+    CFG = SessionConfig(
+        n_nodes=3, join_phase_s=100.0, total_s=330.0, slot_s=100.0,
+        settle_s=10.0, join_measure_interval_s=50.0, seed=4,
+    )
+
+    def test_entries_in_scheduling_order(self):
+        sched = session_schedule(self.CFG, list(range(10)))
+        kinds = [kind for _, _, kind, _ in sched.entries]
+        assert kinds == ["join"] * 3 + ["measure"] * 2 + ["slot", "measure"] * 2
+        joins = sched.entries[:3]
+        assert [t for t, *_ in joins] == sorted(t for t, *_ in joins)
+        assert all(0.0 <= t <= 90.0 and prio == 0 for t, prio, _, _ in joins)
+        assert {node for *_, node in joins} <= sched.pool
+        # Only whole slots inside total_s: 100-200 and 200-300, not 300-400.
+        assert [(t, p) for t, p, kind, _ in sched.entries[3:]] == [
+            (50.0, 10), (100.0, 10), (100.0, 5), (200.0, 10), (200.0, 5), (300.0, 10)
+        ]
+        assert sched.pool == frozenset(range(10)) - {sched.source}
+
+    def test_the_session_runs_the_schedule_it_draws(self):
+        ul = small_matrix_underlay()
+        session = MulticastSession(ul, vdm(), self.CFG)
+        assert session.schedule == session_schedule(self.CFG, list(ul.hosts))
+        entries = session.schedule.entries
+        measures = [t for t, _, kind, _ in entries if kind == "measure"]
+        # ... and closes with one more measurement at total_s.
+        assert [r.time for r in session.run().records] == measures + [330.0]
+
+    def test_unknown_source_host_refused(self):
+        cfg = SessionConfig(**{**QUICK, "source_host": 99})
+        with pytest.raises(KeyError, match="unknown host 99"):
+            session_schedule(cfg, list(range(24)))
 
 
 class TestDrawDegree:
