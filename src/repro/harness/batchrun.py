@@ -98,9 +98,9 @@ def decline_reason(spec: CellSpec) -> BatchDecline | None:
     if spec.protocol == SERVICE:
         return BatchDecline(
             "service-mode",
-            "live service cells are driven by the asyncio control plane "
-            "(admission control, retries, chaos); the batched array "
-            "engine has no equivalent execution model",
+            "live service cells run the service control plane "
+            "(admission control, retries, chaos) on the event simulator; "
+            "the batched array engine has no equivalent execution model",
         )
     if not isinstance(spec.protocol, ProtocolSpec):
         return BatchDecline("protocol", f"not a protocol row: {spec.protocol!r}")

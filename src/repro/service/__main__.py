@@ -15,10 +15,6 @@ byte-identical final metrics::
         --chaos '[{"action": "agent-crash", "at_s": 200.0}]' --pace 0.02
     python -m repro.service flash ... --journal svc1 --resume
 
-Every completed run also prints one ``driver: {...}`` line on stderr — the
-deterministic interleave counters of :class:`~repro.service.runtime.DriverStats`
-— so stdout / ``--metrics-out`` stay byte-comparable.
-
 ``SIGTERM`` during a journaled run does not kill the process: it stops
 admissions, lets in-flight joins finish, stamps the journal manifest
 ``interrupted`` and exits 130 with the exact resume command.  Because the
@@ -30,7 +26,6 @@ byte-identical to an uninterrupted run of the same config.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shlex
 import signal
@@ -147,12 +142,6 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(report_json)
         else:
             sys.stdout.write(report_json)
-        # Side channel, never part of the byte-comparable metrics: how the
-        # run was driven (sim events, bursts, asyncio yields, longest burst).
-        print(
-            "driver: " + json.dumps(runtime.driver.as_dict(), sort_keys=True),
-            file=sys.stderr,
-        )
 
     if args.journal is None:
         runtime.run()

@@ -10,9 +10,10 @@ probe period that spans no tick is invisible, exactly as it would be to
 a real liveness prober).
 
 Probes are evaluated in sorted name order so the transition log is
-deterministic, and the monitor is driven by the runtime as one more
-coroutine on the virtual clock — chaos that freezes the bus or crashes
-agents must show up here as a flip *and a recovery*.
+deterministic.  The monitor only probes when told: the service runtime
+calls :meth:`HealthMonitor.probe_once` from a health-tick timer every
+``period_s`` virtual seconds — chaos that stalls the join queue or
+crashes agents must show up here as a flip *and a recovery*.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.service.clock import VirtualClock
 from repro.util.validation import check_positive
 
 __all__ = ["HealthMonitor", "HealthTransition"]
@@ -43,11 +43,14 @@ class HealthTransition:
 
 
 class HealthMonitor:
-    """Periodic evaluation of named boolean probes on the virtual clock."""
+    """Evaluation of named boolean probes at virtual times.
+
+    ``clock`` is anything with a ``now`` (the run's simulator).
+    """
 
     def __init__(
         self,
-        clock: VirtualClock,
+        clock,
         probes: dict[str, Callable[[], bool]],
         *,
         period_s: float,
@@ -83,14 +86,6 @@ class HealthMonitor:
         elif self._degraded_since is not None:
             self.time_in_degraded_s += now - self._degraded_since
             self._degraded_since = None
-
-    async def run(self, should_stop: Callable[[], bool]) -> None:
-        """Probe every ``period_s`` virtual seconds until told to stop."""
-        while not should_stop():
-            await self.clock.sleep(self.period_s)
-            if should_stop():
-                break
-            self.probe_once()
 
     def finish(self) -> None:
         """Close an open degraded interval at the current virtual time."""

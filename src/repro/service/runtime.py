@@ -1,48 +1,46 @@
 """The live service runtime: open-loop join/leave traffic on a VDM tree.
 
-Architecture (one :class:`ServiceRuntime` = one live run):
+One :class:`ServiceRuntime` is one live run, and a plain client of the
+discrete-event :class:`~repro.sim.engine.Simulator`:
 
-* the **workload producer** admits pre-materialized session arrivals
-  (:mod:`repro.service.workload`) onto the ``"joins"`` bus topic, whose
-  bounded queue with ``"reject"`` overflow *is* the admission controller
-  — at the high-water mark arrivals are turned away and counted;
-* ``join_workers`` **worker coroutines** drain the topic and serve each
-  join under the robustness envelope: a per-attempt virtual-time timeout,
+* the **producer** admits pre-materialized session arrivals
+  (:mod:`repro.service.workload`) into the bounded **join queue**; at the
+  queue's high-water mark an arrival is rejected and counted — the queue
+  *is* the admission controller;
+* ``join_workers`` **serving slots** take queued joins in order and serve
+  each under the robustness envelope: a per-attempt virtual-time timeout,
   bounded retries with decorrelated jitter
   (:class:`repro.util.retry.RetryPolicy`), and a deterministic abandon
   path when attempts run out;
-* the **driver** interleaves the asyncio loop with the discrete-event
-  simulator under one invariant: *every simulator→asyncio crossing bumps
-  the shared pulse* (a timer firing, a join completing, a bus gate
-  reopening).  It yields to asyncio until one loop pass goes by without a
-  bump (quiescence: every task is parked on a future only the simulator
-  can resolve).  One clean pass suffices because every wakeup the driver
-  quiesces over is a *single hop* — a task parks on one future that the
-  crossing resolves directly (:meth:`VirtualClock.wait_for` and
-  :meth:`VirtualClock.resolve`; the orchestrator awaits its workers one
-  by one, never through ``gather``).  It then runs one burst inside the
-  engine's own event loop
-  (``Simulator.run_burst``) that stops right after the pulse moves — an
-  event crossed into asyncio — or a drain raises the pulse's halt flag,
-  and only then yields again.  Events that stay inside the simulator (the
-  protocol's own messages, by far the most) cost no loop pass and no
-  per-event call into the driver.  Asyncio's ready queue
-  is FIFO and every await in the service sleeps on the simulator, so the
-  interleaving — and therefore the whole run — is a pure function of
-  the config.  ``_finished`` is set *before* the orchestrator tears its
-  tasks down (cancellation takes loop passes and bumps nothing), so no
-  simulator event fires once the run is over;
-* **health probes** (bus gates, tree legality + orphan set, admission
-  depth) run on a virtual-time cadence and integrate time-in-degraded;
-  the tree probe reads the :class:`RecoveryTracker`'s maintained
-  legality answer, not a full registry scan;
+* **health probes** (the queue's consumer gate, tree legality + orphan
+  set, admission depth) run on a virtual-time cadence and integrate
+  time-in-degraded; the tree probe reads the :class:`RecoveryTracker`'s
+  maintained legality answer, not a full registry scan;
 * **chaos** (:class:`repro.harness.chaos.ServiceChaosRule`) strikes at
   fixed virtual times: agent crashes go through the session fault arm
-  (:class:`repro.sim.faults.FaultInjector`), bus stalls close consumer
-  gates, clock jumps fire every pending timer;
+  (:class:`repro.sim.faults.FaultInjector`), a ``bus-stall`` closes the
+  queue's consumer gate, a ``clock-jump`` fires every pending timer;
 * **graceful drain** (:meth:`ServiceRuntime.request_drain`, wired to
-  SIGTERM by the CLI): admissions stop, already-admitted joins finish,
-  and every completed outcome is already durable in the run journal.
+  SIGTERM by the CLI): admissions stop, queued and in-flight joins
+  finish, and every completed outcome is already durable in the run
+  journal.
+
+Every wait — the next arrival or the horizon, a join attempt, a retry
+backoff, a health tick, the next chaos rule — is a *service timer*: a
+cancellable simulator event, kept in registration order in one table.  A
+timer fires when its event does, or early: a join completion ends its
+attempt's wait, a drain ends the producer's, and a clock jump fires them
+all in registration order.
+
+A fired timer does not run its reaction inside the event (a completion is
+recorded from the middle of a protocol handler).  The reaction joins a
+FIFO ready queue and sets :attr:`ServiceRuntime.halt`, which ends the
+engine's burst (:meth:`~repro.sim.engine.Simulator.run_burst`) after that
+event; the run loop then runs the ready queue dry before the next burst.
+A reaction that hands work on — a queued join to a parked slot, a freed
+queue place to the waiting shutdown sentinels — appends to the same
+queue.  The order of reactions is therefore fixed, and a seeded run is a
+pure function of its config.
 
 Determinism and resume: a run *journals each arrival's outcome* under
 ``(("ch8_service_run", scenario), arrival_index, seed, recipe)`` via the
@@ -61,14 +59,15 @@ for the entire run, chaos included.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import math
 import time
 from bisect import insort
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.factories import vdm
 from repro.harness.chaos import ServiceChaosRule, load_service_plan
@@ -77,11 +76,9 @@ from repro.metrics.collectors import (
     RecoveryTracker, latency_percentile, overlay_delay_ms,
 )
 from repro.protocols.base import ProtocolRuntime
-from repro.service.bus import BusOverflow, EventBus, Pulse
-from repro.service.clock import VirtualClock
 from repro.service.health import HealthMonitor
 from repro.service.workload import SCENARIOS, SessionArrival, build_workload
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.invariants import InvariantChecker
 from repro.sim.session import draw_degree, register_agent
@@ -94,13 +91,13 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "DriverStats",
     "ServiceConfig",
     "ServiceDeterminismError",
     "ServiceRuntime",
     "run_service",
 ]
 
+#: the join queue's name in ``bus-stall`` chaos rules
 JOINS_TOPIC = "joins"
 
 
@@ -140,7 +137,7 @@ class ServiceConfig:
     join_timeout_s: float = checked(positive, 8.0)
     #: join-queue high-water mark: arrivals beyond this depth are rejected
     join_queue_hwm: int = checked(count(), 8)
-    #: concurrent join-serving workers
+    #: join-serving slots (joins served concurrently)
     join_workers: int = checked(count(), 2)
     #: health-probe cadence (virtual seconds)
     probe_period_s: float = checked(positive, 5.0)
@@ -161,27 +158,19 @@ class ServiceConfig:
 
 
 @dataclass
-class DriverStats:
-    """Counters of the driver's simulator/asyncio interleave.
+class _Join:
+    """One admitted arrival, from the slot that took it to its outcome."""
 
-    Deterministic per config (they count loop passes and events, never
-    time), but deliberately *not* part of the ``repro-service-metrics/1``
-    report: they describe how the run was driven, not what it computed.
-    """
-
-    #: simulator events the driver fired (``run()``'s synchronous tail to
-    #: the horizon is not counted)
-    sim_events: int = 0
-    #: ``Simulator.run_burst`` calls: runs of events between two yields
-    #: to asyncio
-    bursts: int = 0
-    #: ``asyncio.sleep(0)`` loop passes spent waiting for quiescence
-    loop_yields: int = 0
-    #: most events fired without a simulator→asyncio crossing
-    longest_burst: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    arrival: SessionArrival
+    node: int
+    agent: object = None
+    attempts: int = 0
+    timeouts: int = 0
+    prev_sleep: float = 0.0
+    #: the current attempt's completion record, once the protocol sent it
+    rec: object = None
+    #: the timer of the latest attempt's wait
+    timer: Event | None = None
 
 
 class ServiceRuntime:
@@ -216,9 +205,7 @@ class ServiceRuntime:
         src_rng = spawn_rng(config.seed, "service", "source")
         self.source = int(hosts[int(src_rng.integers(len(hosts)))])
 
-        self.pulse = Pulse()
         self.sim = Simulator()
-        self.clock = VirtualClock(self.sim, self.pulse)
         self.env = ProtocolRuntime(
             self.sim, underlay, self.source, timeout_ms=config.timeout_ms
         )
@@ -265,31 +252,50 @@ class ServiceRuntime:
         self._holder: dict[int, int] = {}
         #: held hosts whose holder is still in the join queue (no agent yet)
         self._queued: set[int] = set()
-        self._waiters: dict[int, asyncio.Future] = {}
+        #: node -> the join whose current attempt its completion ends
+        self._waiters: dict[int, _Join] = {}
         self._abandoned: set[int] = set()
         self._outcomes: dict[int, dict] = {}
         self.counters: Counter[str] = Counter()
-        self.driver = DriverStats()
-        self.bus = EventBus(self.pulse)
+        #: the join queue: admitted ``(arrival, node, degree)`` items, then
+        #: one shutdown sentinel (``None``) per slot; at most the HWM long
+        self._queue: deque = deque()
+        #: published, delivered (sentinels included), rejected, max_depth
+        self._queue_stats: Counter[str] = Counter()
+        #: the queue's consumer gate is closed (a ``bus-stall``)
+        self._stalled = False
+        #: free slots parked on the empty queue, and waiting at the gate
+        self._idle = 0
+        self._gated = 0
+        #: slots that have not taken their shutdown sentinel: the run is
+        #: over when none is left
+        self._slots_open = config.join_workers
+        #: sentinels not yet queued, and whether they wait for a free place
+        self._sentinels_due = 0
+        self._sentinels_blocked = False
+        #: pending service timers in registration order: event -> reaction
+        self._timers: dict[Event, Callable[[], None]] = {}
+        #: reactions to run before the next event, in order
+        self._ready: deque[Callable[[], None]] = deque()
+        self._next_arrival = 0
+        self._producer_timer: Event | None = None
         self.health = HealthMonitor(
-            self.clock,
+            self.sim,
             {
-                "bus": lambda: not self.bus.stalled(),
+                "bus": lambda: not self._stalled,
                 "tree": lambda: not self.recovery.orphans
                 and self.recovery.tree_is_legal(),
-                "admission": lambda: self.bus.depth(JOINS_TOPIC)
-                < config.join_queue_hwm,
+                "admission": lambda: len(self._queue) < config.join_queue_hwm,
             },
             period_s=config.probe_period_s,
         )
 
         # run-state flags
         self._ran = False
-        self._finished = False
+        #: read by ``Simulator.run_burst`` after every event: a reaction
+        #: is ready, or a drain was requested
+        self.halt = False
         self._drain_requested = False
-        self._draining = False
-        self._drain_fut: asyncio.Future | None = None
-        self._orchestrator: asyncio.Task | None = None
         self.drained = False
         self.drain_time_s: float | None = None
 
@@ -306,7 +312,7 @@ class ServiceRuntime:
     # -- setup ----------------------------------------------------------------
 
     def _install_join_watch(self) -> None:
-        """Wrap the runtime's join-record sink to resolve worker waits."""
+        """Wrap the runtime's join-record sink to end join attempts."""
         env = self.env
         orig = env.record_join
 
@@ -314,11 +320,10 @@ class ServiceRuntime:
             orig(rec)
             if rec.kind != "join":
                 return
-            fut = self._waiters.get(rec.node)
-            if fut is not None:
-                if not fut.done():
-                    self._waiters.pop(rec.node, None)
-                    self.clock.resolve(fut, rec)
+            join = self._waiters.pop(rec.node, None)
+            if join is not None:
+                join.rec = rec
+                self._fire_early(join.timer)
             elif rec.succeeded and rec.node in self._abandoned:
                 # A join the control plane gave up on completed late:
                 # honour the abandonment by leaving immediately.
@@ -348,25 +353,66 @@ class ServiceRuntime:
         if kind == "depart" and node not in self._queued:
             self._release(node)
 
+    # -- service timers and the ready queue -----------------------------------
+
+    def _wake(self, reaction: Callable[[], None]) -> None:
+        """Run ``reaction`` before the next event, after those already ready."""
+        self._ready.append(reaction)
+        self.halt = True
+
+    def _arm(self, delay_s: float, reaction: Callable[[], None]) -> Event:
+        """Arm a service timer that wakes ``reaction`` in ``delay_s`` virtual
+        seconds: >= 0 and not NaN, refused rather than clamped (``+inf``
+        never fires)."""
+        delay_s = check_non_negative("delay_s", delay_s)
+        event = self.sim.schedule_in(delay_s, lambda: self._fire(event))
+        self._timers[event] = reaction
+        return event
+
+    def _fire(self, event: Event) -> None:
+        reaction = self._timers.pop(event)
+        if self._slots_open:  # a timer left when the run ended fires idle
+            self._wake(reaction)
+
+    def _fire_early(self, event: Event | None) -> None:
+        """Fire a pending timer now: its event is tombstoned and its reaction
+        woken.  No-op for a timer that has fired already."""
+        reaction = self._timers.pop(event, None)
+        if reaction is not None:
+            event.cancel()
+            self._wake(reaction)
+
+    def _run_ready(self) -> None:
+        """Run the ready reactions, and those they wake, in order."""
+        ready = self._ready
+        while ready:
+            ready.popleft()()
+
+    def _jump(self) -> int:
+        """Chaos: fire every pending timer now, in registration order."""
+        timers, self._timers = self._timers, {}
+        for event, reaction in timers.items():
+            event.cancel()
+            self._wake(reaction)
+        return len(timers)
+
     # -- drain ----------------------------------------------------------------
 
     def request_drain(self) -> None:
-        """Ask the run to drain: stop admissions, finish in-flight joins.
+        """Ask the run to drain: stop admissions, finish queued and
+        in-flight joins.
 
-        Signal-handler-safe (sets two flags: the one the driver polls
-        between bursts, and the pulse's halt flag that ends a running
-        burst after the current event); idempotent.
+        Signal-handler-safe (sets flags the run loop reads after every
+        event); idempotent.
         """
         self._drain_requested = True
-        if not self._draining:
-            self.pulse.halt = True
+        if not self.drained:
+            self.halt = True
 
     def _begin_drain(self) -> None:
-        self._draining = True
-        self.pulse.halt = False
         self.drained = True
         self.drain_time_s = self.sim.now
-        self.clock.resolve(self._drain_fut)
+        self._fire_early(self._producer_timer)
 
     # -- membership actions ----------------------------------------------------
 
@@ -378,85 +424,26 @@ class ServiceRuntime:
             self.env.agents[node].leave()
         self._release(node)
 
-    # -- the asyncio side ------------------------------------------------------
+    # -- the producer and the join queue ---------------------------------------
 
-    async def _quiesce(self) -> None:
-        """Yield to the loop until one pass goes by without a bump.
-
-        Every wakeup in the service is a single hop: a task parks on one
-        future that whatever ends the wait resolves directly (a timer, a
-        :meth:`VirtualClock.resolve`, a queue or gate waiter, a task it
-        awaits).  A task that runs either bumps or parks, so a pass that
-        bumped nothing ran no task that could have scheduled another, and
-        the ready queue is empty.  A bump-free hop (``asyncio.wait``,
-        ``gather``, ``wait_for`` or ``shield``, each of which wakes its
-        caller from a done-callback) on any path the driver quiesces over
-        would break this.
-        """
-        stats, pulse = self.driver, self.pulse
-        while True:
-            before = pulse.count
-            await asyncio.sleep(0)
-            stats.loop_yields += 1
-            if pulse.count == before:
+    def _produce(self) -> None:
+        """Admit every due arrival, then wait for the next one (or for the
+        horizon).  At the horizon, or on a drain, queue the sentinels."""
+        schedule, now = self._schedule, self.sim.now
+        while not self.drained:
+            if self._next_arrival < len(schedule):
+                due = schedule[self._next_arrival].time
+            else:
+                due = self.config.duration_s
+            if now < due:
+                self._producer_timer = self._arm(due - now, self._produce)
                 return
-
-    async def _drive(self) -> None:
-        """Alternate asyncio quiescence with bursts of simulator events.
-
-        Once asyncio is quiescent (:meth:`_quiesce`: one pass without a
-        bump, so the ready queue is empty) nothing on its side can change
-        until a simulator event resolves a future — and every such
-        crossing bumps the pulse — so the driver hands the simulator one
-        burst (:meth:`~repro.sim.engine.Simulator.run_burst`), which stops right
-        after the event that bumped the pulse or raised its halt flag (a
-        drain request), and only then pays for another round trip through
-        the loop.  Pacing (``pace_s``) sleeps once per burst, for the
-        virtual time the burst covered.
-        """
-        sim, pulse, stats = self.sim, self.pulse, self.driver
-        pace = self._pace_s
-        while not self._finished:
-            await self._quiesce()
-            if self._finished:
+            if self._next_arrival == len(schedule):
                 break
-            if self._drain_requested and not self._draining:
-                self._begin_drain()
-                continue
-            mark = pulse.count
-            before = sim.now
-            burst = sim.run_burst(pulse)
-            if pulse.count == mark and not pulse.halt:
-                raise RuntimeError(
-                    "service runtime stalled: asyncio is quiescent, the "
-                    "event queue is empty, and the run is not finished"
-                )
-            if pace > 0:
-                wall = (sim.now - before) * pace
-                if wall > 0:
-                    time.sleep(min(wall, 0.25))
-            stats.sim_events += burst
-            stats.bursts += 1
-            if burst > stats.longest_burst:
-                stats.longest_burst = burst
-
-    async def _produce(self) -> None:
-        cfg = self.config
-        for arrival in self._schedule:
-            while not self._draining and self.clock.now < arrival.time:
-                if await self.clock.wait_for(
-                    self._drain_fut, arrival.time - self.clock.now
-                ):
-                    return
-            if self._draining:
-                return
-            await self._admit(arrival)
-        # Tail: keep the run (health probes, leaves) going to the horizon.
-        while not self._draining and self.clock.now < cfg.duration_s:
-            if await self.clock.wait_for(
-                self._drain_fut, cfg.duration_s - self.clock.now
-            ):
-                return
+            self._next_arrival += 1
+            self._admit(schedule[self._next_arrival - 1])
+        self._sentinels_due = self.config.join_workers
+        self._queue_sentinels()
 
     def _rejected_outcome(self, arrival: SessionArrival, reason: str) -> dict:
         return {
@@ -471,7 +458,7 @@ class ServiceRuntime:
             "timeouts": 0,
         }
 
-    async def _admit(self, arrival: SessionArrival) -> None:
+    def _admit(self, arrival: SessionArrival) -> None:
         free = self._free
         if not free:
             self.counters["rejected_capacity"] += 1
@@ -479,94 +466,146 @@ class ServiceRuntime:
                 arrival.index, self._rejected_outcome(arrival, "no-free-host")
             )
             return
-        # The reservation is the arrival's from before a worker can see it.
+        # The reservation is the arrival's from before a slot can see it.
         node = free.pop(int(self._admit_rng.integers(len(free))))
         self._holder[node] = arrival.index
         self._queued.add(node)
         degree = draw_degree(self.config.degree, self._degree_rng)
-        try:
-            await self.bus.publish(JOINS_TOPIC, (arrival, node, degree))
-        except BusOverflow:
+        stats = self._queue_stats
+        if len(self._queue) >= self.config.join_queue_hwm:
+            stats["rejected"] += 1
             self._queued.discard(node)
             self._release(node)
             self.counters["rejected_backpressure"] += 1
             self._record_outcome(
                 arrival.index, self._rejected_outcome(arrival, "high-water-mark")
             )
+            return
+        self._enqueue((arrival, node, degree))
+        stats["max_depth"] = max(stats["max_depth"], len(self._queue))
 
-    async def _worker(self) -> None:
-        while True:
-            item = await self.bus.get(JOINS_TOPIC)
-            if item is None:
-                self.pulse.bump()
+    def _enqueue(self, item) -> None:
+        """Queue ``item`` and wake the longest-parked idle slot, if any."""
+        self._queue.append(item)
+        self._queue_stats["published"] += 1
+        if self._idle:
+            self._idle -= 1
+            self._wake(self._take)
+
+    def _queue_sentinels(self) -> None:
+        """Queue one shutdown sentinel per slot, behind every admitted join.
+        At the high-water mark the rest wait until a slot takes an item."""
+        while self._sentinels_due:
+            if len(self._queue) >= self.config.join_queue_hwm:
+                self._sentinels_blocked = True
                 return
-            arrival, node, degree = item
-            await self._serve_join(arrival, node, degree)
-            self.pulse.bump()
+            self._sentinels_due -= 1
+            self._enqueue(None)
 
-    async def _serve_join(
-        self, arrival: SessionArrival, node: int, degree: int
-    ) -> None:
-        cfg = self.config
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._waiters[node] = fut
-        agent = register_agent(
-            self.env, self._factory, node, degree, cfg.seed, arrival.index
+    def _resume_queue(self) -> None:
+        """End a stall: the slots waiting at the gate look for work, in order."""
+        if self._stalled:
+            self._stalled = False
+            for _ in range(self._gated):
+                self._wake(self._take)
+            self._gated = 0
+
+    # -- serving slots ---------------------------------------------------------
+
+    def _look_for_work(self) -> None:
+        """A free slot waits at a closed gate, or takes the next item."""
+        if self._stalled:
+            self._gated += 1
+        else:
+            self._take()
+
+    def _take(self) -> None:
+        """Take the next queued item, or park until one is queued.
+
+        A slot woken from the parked set takes its item even if the gate
+        closed meanwhile: it was already waiting on the queue when the
+        stall began, and an in-flight delivery is not recalled.
+        """
+        if not self._queue:
+            self._idle += 1
+            return
+        item = self._queue.popleft()
+        self._queue_stats["delivered"] += 1
+        if self._sentinels_blocked:
+            self._sentinels_blocked = False
+            self._wake(self._queue_sentinels)
+        if item is None:
+            self._slots_open -= 1
+        else:
+            self._serve(*item)
+
+    def _serve(self, arrival: SessionArrival, node: int, degree: int) -> None:
+        join = _Join(arrival, node)
+        self._waiters[node] = join
+        join.agent = register_agent(
+            self.env, self._factory, node, degree, self.config.seed,
+            arrival.index,
         )
         self._queued.discard(node)
-        agent.start_join()
+        join.agent.start_join()
+        self._attempt(join)
 
-        attempts = 0
-        timeouts = 0
-        prev_sleep = 0.0
+    def _attempt(self, join: _Join) -> None:
+        """Wait up to the join timeout for the current attempt to complete.
+
+        A completion that landed before the wait (during a backoff) ends
+        it at once, arming nothing.
+        """
+        join.attempts += 1
+        if join.rec is not None:
+            self._attempt_ended(join)
+        else:
+            join.timer = self._arm(
+                self.config.join_timeout_s, partial(self._attempt_ended, join)
+            )
+
+    def _attempt_ended(self, join: _Join) -> None:
+        """The wait ended: the attempt completed (a success, or the protocol
+        gave up) or timed out.  A completion that landed after the timeout
+        fired but before this reaction ran counts as a completion."""
+        cfg = self.config
         policy = cfg.retry
-        outcome_rec = None
-        while True:
-            attempts += 1
-            completed = await self.clock.wait_for(fut, cfg.join_timeout_s)
-            if completed:
-                rec = fut.result()
-                if rec.succeeded:
-                    outcome_rec = rec
-                    break
-                # Protocol gave up (restarts exhausted): control-plane
-                # retry re-issues the join after a jittered backoff.
-                if not policy.should_retry(attempts):
-                    break
-                self.counters["retries"] += 1
-                sleep = policy.backoff_s(
-                    self._journal_key,
-                    arrival.index,
-                    cfg.seed,
-                    attempts,
-                    prev_sleep=prev_sleep,
-                )
-                prev_sleep = sleep or prev_sleep
-                if sleep > 0:
-                    await self.clock.sleep(sleep)
-                fut = loop.create_future()
-                self._waiters[node] = fut
-                agent.start_join()
-            else:
-                timeouts += 1
-                self.counters["join_timeouts"] += 1
-                if not policy.should_retry(attempts):
-                    break
-                # The protocol operation is still in flight: back off,
-                # then re-arm the wait against the same completion.
-                self.counters["retries"] += 1
-                sleep = policy.backoff_s(
-                    self._journal_key,
-                    arrival.index,
-                    cfg.seed,
-                    attempts,
-                    prev_sleep=prev_sleep,
-                )
-                prev_sleep = sleep or prev_sleep
-                if sleep > 0:
-                    await self.clock.sleep(sleep)
+        rec = join.rec
+        if rec is not None and rec.succeeded:
+            self._join_done(join, rec)
+            return
+        if rec is None:
+            join.timeouts += 1
+            self.counters["join_timeouts"] += 1
+        if not policy.should_retry(join.attempts):
+            self._join_done(join, None)
+            return
+        self.counters["retries"] += 1
+        sleep = policy.backoff_s(
+            self._journal_key,
+            join.arrival.index,
+            cfg.seed,
+            join.attempts,
+            prev_sleep=join.prev_sleep,
+        )
+        join.prev_sleep = sleep or join.prev_sleep
+        # After a timeout the protocol operation is still in flight: the
+        # next wait re-arms against the same completion.  After a give-up
+        # the join is re-issued.
+        then = partial(self._attempt if rec is None else self._rejoin, join)
+        if sleep > 0:
+            self._arm(sleep, then)
+        else:
+            then()
 
+    def _rejoin(self, join: _Join) -> None:
+        join.rec = None
+        self._waiters[join.node] = join
+        join.agent.start_join()
+        self._attempt(join)
+
+    def _join_done(self, join: _Join, outcome_rec) -> None:
+        arrival, node = join.arrival, join.node
         succeeded = outcome_rec is not None
         attached_s = None
         latency = None
@@ -588,14 +627,15 @@ class ServiceRuntime:
                 "admitted": True,
                 "arrival_s": arrival.time,
                 "attached_s": attached_s,
-                "attempts": attempts,
+                "attempts": join.attempts,
                 "first_chunk_latency_s": latency,
                 "node": node,
                 "reject_reason": None,
                 "succeeded": succeeded,
-                "timeouts": timeouts,
+                "timeouts": join.timeouts,
             },
         )
+        self._look_for_work()
 
     def _first_chunk_latency(
         self, node: int, arrival: SessionArrival, attached_s: float
@@ -617,34 +657,46 @@ class ServiceRuntime:
             return None
         return (epoch + delay_ms / 1000.0) - arrival.time
 
-    async def _run_chaos(self) -> None:
-        for rule in self.chaos_plan:
-            if rule.at_s > self.clock.now:
-                await self.clock.sleep(rule.at_s - self.clock.now)
-            if rule.action == "agent-crash":
-                candidates = sorted(
-                    n
-                    for n in self.env.tree.attached_nodes()
-                    if n != self.source and self.env.is_alive(n)
-                )
-                if not candidates:
-                    self.counters["chaos_crash_skipped"] += 1
-                    continue
-                node = candidates[rule.node_index % len(candidates)]
-                self.counters["chaos_agent_crashes"] += 1
-                self.injector.crash(node)
-                self.pulse.bump()
-            elif rule.action == "bus-stall":
-                self.counters["chaos_bus_stalls"] += 1
-                self.bus.stall(rule.topic)
-                self.sim.schedule_in(
-                    rule.duration_s,
-                    lambda t=rule.topic: self.bus.resume(t),
-                    label="svc-bus-resume",
-                )
-            else:  # clock-jump
-                self.counters["chaos_clock_jumps"] += 1
-                self.counters["chaos_jumped_timers"] += self.clock.jump()
+    # -- health and chaos ------------------------------------------------------
+
+    def _probe(self) -> None:
+        self.health.probe_once()
+        self._arm(self.health.period_s, self._probe)
+
+    def _chaos(self, index: int = 0, woken: bool = False) -> None:
+        """Strike the chaos rules from ``index`` on, each at its time.  A
+        woken rule strikes at once, early if a clock jump woke it."""
+        plan, now = self.chaos_plan, self.sim.now
+        for i in range(index, len(plan)):
+            rule = plan[i]
+            if not woken and rule.at_s > now:
+                self._arm(rule.at_s - now, partial(self._chaos, i, True))
+                return
+            woken = False
+            self._strike(rule)
+
+    def _strike(self, rule: ServiceChaosRule) -> None:
+        if rule.action == "agent-crash":
+            candidates = sorted(
+                n
+                for n in self.env.tree.attached_nodes()
+                if n != self.source and self.env.is_alive(n)
+            )
+            if not candidates:
+                self.counters["chaos_crash_skipped"] += 1
+                return
+            node = candidates[rule.node_index % len(candidates)]
+            self.counters["chaos_agent_crashes"] += 1
+            self.injector.crash(node)
+        elif rule.action == "bus-stall":
+            self.counters["chaos_bus_stalls"] += 1
+            self._stalled = True
+            self.sim.schedule_in(
+                rule.duration_s, self._resume_queue, label="svc-bus-resume"
+            )
+        else:  # clock-jump
+            self.counters["chaos_clock_jumps"] += 1
+            self.counters["chaos_jumped_timers"] += self._jump()
 
     # -- journaling ------------------------------------------------------------
 
@@ -671,80 +723,39 @@ class ServiceRuntime:
                 "belongs to a different config)"
             )
 
-    # -- orchestration ---------------------------------------------------------
-
-    def _finish(self) -> None:
-        """Mark the run over; the driver fires no event after this."""
-        self._finished = True
-        self.pulse.bump()
-
-    async def _supervise(self, coro) -> None:
-        """Run one service task; if it dies, end the run now.
-
-        Without this a dead worker is only noticed when the orchestrator
-        awaits it after the horizon, the run having limped on short-handed.
-        """
-        try:
-            await coro
-        except asyncio.CancelledError:
-            raise
-        except BaseException:
-            self._finish()
-            self._orchestrator.cancel()
-            raise
-
-    async def _main(self) -> None:
-        self._orchestrator = asyncio.current_task()
-        loop = asyncio.get_running_loop()
-        self._drain_fut = loop.create_future()
-        self.bus.declare(
-            JOINS_TOPIC, maxsize=self.config.join_queue_hwm, policy="reject"
-        )
-
-        def spawn(coro) -> asyncio.Task:
-            return asyncio.create_task(self._supervise(coro))
-
-        driver = spawn(self._drive())
-        workers = [spawn(self._worker()) for _ in range(self.config.join_workers)]
-        background = [
-            spawn(self.health.run(lambda: self._finished)),
-            spawn(self._run_chaos()),
-        ]
-        try:
-            await self._produce()
-            for _ in workers:
-                await self.bus.publish_forced(JOINS_TOPIC, None)
-            # One by one: awaiting a task is a single hop, while gather's
-            # done-callbacks are bump-free hops the driver would read as
-            # quiescence and fire events through.
-            for worker in workers:
-                await worker
-        finally:
-            # _finished first: cancelling tasks takes loop passes that bump
-            # no pulse, which the driver would read as quiescence.  The
-            # teardown gather below is safe: no burst runs after this.
-            self._finish()
-            for task in (*workers, *background):
-                task.cancel()
-            results = await asyncio.gather(
-                driver, *workers, *background, return_exceptions=True
-            )
-            for result in results:
-                if isinstance(result, BaseException) and not isinstance(
-                    result, asyncio.CancelledError
-                ):
-                    raise result
+    # -- the run loop ------------------------------------------------------------
 
     def run(self) -> dict:
         """Execute the run to completion (or drain) and return its metrics."""
         if self._ran:
             raise RuntimeError("a ServiceRuntime can only run once")
         self._ran = True
-        asyncio.run(self._main())
-        # Settle the tail of the virtual horizon (leaves, crash detection)
-        # — pure simulator work; every asyncio future is already resolved.
-        if not self.drained and self.sim.now < self.config.duration_s:
-            self.sim.run_until(self.config.duration_s)
+        cfg, sim, pace = self.config, self.sim, self._pace_s
+        self._wake(self._produce)
+        for _ in range(cfg.join_workers):
+            self._wake(self._look_for_work)
+        self._wake(partial(self._arm, self.health.period_s, self._probe))
+        self._wake(self._chaos)
+        while True:
+            self._run_ready()
+            if not self._slots_open:
+                break
+            self.halt = False
+            if self._drain_requested and not self.drained:
+                self._begin_drain()
+                continue
+            before = sim.now
+            if not sim.run_burst(self):
+                raise RuntimeError(
+                    "service runtime stalled: no reaction is ready, the "
+                    "event queue is empty, and a serving slot is still open"
+                )
+            if pace > 0:
+                wall = (sim.now - before) * pace
+                if wall > 0:
+                    time.sleep(min(wall, 0.25))
+        # An undrained run ends at or past the horizon: the producer's last
+        # wait is the horizon itself.
         self.health.probe_once()
         self.health.finish()
         self.checker.verify_all()
@@ -762,7 +773,7 @@ class ServiceRuntime:
             for o in succeeded
             if o["first_chunk_latency_s"] is not None
         ]
-        stats = self.bus.stats(JOINS_TOPIC)
+        stats = self._queue_stats
         return {
             "schema": "repro-service-metrics/1",
             "scenario": self.config.scenario,
@@ -794,10 +805,10 @@ class ServiceRuntime:
                 "crash_skipped": self.counters["chaos_crash_skipped"],
             },
             "bus": {
-                "delivered": stats.delivered,
-                "max_depth": stats.max_depth,
-                "published": stats.published,
-                "rejected": stats.rejected,
+                "delivered": stats["delivered"],
+                "max_depth": stats["max_depth"],
+                "published": stats["published"],
+                "rejected": stats["rejected"],
             },
             "final_members": len(self.env.tree.members()),
             "final_attached": len(self.env.tree.attached_nodes()),

@@ -5,7 +5,7 @@ same convention :class:`~repro.sim.churn.SlottedChurnModel` follows
 (``spawn_rng(seed, ...)`` key paths, draws in a fixed order) — so the
 workload is a pure function of ``(scenario, seed, parameters)`` and two
 runs of the same config offer identical traffic regardless of how the
-control plane schedules its coroutines.
+control plane orders its reactions.
 
 Three scenario shapes, per the self-organizing membership literature
 (Ripeanu et al., "In Search of Simplicity"):

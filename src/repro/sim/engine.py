@@ -8,10 +8,9 @@ A deliberately small, deterministic discrete-event core:
   cleanup on pop), the standard idiom for heap-backed schedulers;
 * the simulator never advances past an explicit horizon, which lets callers
   interleave simulation with measurement (``run_until``);
-* a driver that must hand control back whenever an event crosses into
-  another scheduler (the service's asyncio side) runs bursts with
-  ``run_burst``: the same inlined loop, stopped by a pulse counter moving
-  or a halt flag instead of a horizon.
+* a client that must react between events (the service runtime) runs
+  bursts with ``run_burst``: the same inlined loop, stopped by a halt
+  flag instead of a horizon.
 
 The heap holds plain ``(time, priority, seq, callback, event)`` tuples
 rather than ordered event instances: tuple comparison is a single C-level
@@ -161,7 +160,7 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` time units (>= 0).
 
         Validates and pushes itself rather than calling :meth:`schedule`:
-        the service clock arms and cancels one of these per timer.
+        the service runtime arms and cancels one of these per timer.
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -319,20 +318,18 @@ class Simulator:
         self.now = horizon
         return count
 
-    def run_burst(self, pulse) -> int:
-        """Run events until one moves ``pulse.count`` or sets ``pulse.halt``.
+    def run_burst(self, flag) -> int:
+        """Run events until one sets ``flag.halt``, or no live event remains.
 
-        ``run_until``'s loop with a different stop test: the burst ends
-        right after the event that changed the count or raised the halt
-        flag, or when the queue holds no live event.  ``pulse`` is any
-        object with ``count`` and ``halt`` attributes — the service's
-        :class:`~repro.service.bus.Pulse`.  Returns the number of events
-        fired; an empty (or all-tombstone) queue returns 0 and leaves the
-        clock where it was.
+        ``run_until``'s loop with a different stop test: ``flag`` is any
+        object with a ``halt`` attribute, read after every event — the
+        service runtime, which halts a burst when an event wakes one of
+        its reactions or a drain is requested.  Returns the number of
+        events fired; an empty (or all-tombstone) queue returns 0 and
+        leaves the clock where it was.
         """
         queue = self._queue
         pop = heapq.heappop
-        mark = pulse.count
         count = 0
         while queue:
             entry = pop(queue)
@@ -343,6 +340,6 @@ class Simulator:
             self._events_processed += 1
             count += 1
             entry[3]()
-            if pulse.count != mark or pulse.halt:
+            if flag.halt:
                 break
         return count

@@ -453,16 +453,6 @@ class FaultInjector:
         self.counts[kind] += 1
         self.log.append(FaultEvent(self.env.sim.now, kind, detail))
 
-    @property
-    def total_injected(self) -> int:
-        """Faults injected so far (detection/recovery actions excluded)."""
-        return sum(
-            n
-            for kind, n in self.counts.items()
-            if kind
-            not in ("detect-depart", "watchdog-reconnect", "thaw", "partition-heal")
-        )
-
     # -- message plane (called by ProtocolRuntime) ----------------------------
 
     def delivery_delays(

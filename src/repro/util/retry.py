@@ -3,7 +3,7 @@
 :meth:`RetryPolicy.backoff_s` *computes* the sleep and leaves the
 sleeping to the caller, so the policy is a frozen, side-effect-free
 object that unit tests can drive without a runtime; the service runtime
-(:mod:`repro.service.runtime`) sleeps it on the virtual clock.
+(:mod:`repro.service.runtime`) waits it out on a virtual-time timer.
 
 The jitter formula is AWS-style *decorrelated jitter*::
 

@@ -6,11 +6,13 @@ bound it keeps rather than a handle per pivot decision.
 
 ``tests/test_envflags_registry.py`` ties the flag registry to the reads
 under ``src/``; the flag scan here ties the docs to the registry.  The
-repository layout in DESIGN §4 names exactly the files that exist.
+repository layout in DESIGN §4 names exactly the files that exist, and
+every dotted ``repro.*`` module the docs name is one of them.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -145,3 +147,52 @@ def test_design_layout_names_existing_files():
     # Spot-pin so a parsing regression cannot make the check vacuous.
     assert {"src/repro/factories.py", "src/repro/sim/batched.py"} <= named
     assert "examples/quickstart.py" in named
+
+
+_MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _missing_module(dotted: str) -> str | None:
+    """The part of ``dotted`` that names no module, or ``None``.
+
+    Components are walked down ``src/`` while they name packages; the
+    next one must be a module file or a name its package defines, and
+    whatever follows a module file is that module's attribute.
+    """
+    here = ROOT / "src" / "repro"
+    parts = dotted.split(".")
+    for i, part in enumerate(parts[1:], start=1):
+        if (here / part / "__init__.py").is_file():
+            here = here / part
+        elif (here / f"{part}.py").is_file():
+            return None
+        elif hasattr(importlib.import_module(".".join(parts[:i])), part):
+            return None
+        else:
+            return ".".join(parts[: i + 1])
+    return None
+
+
+def _named_modules(text: str) -> set[str]:
+    # a sentence-ending period is not part of the name
+    return {name.rstrip(".") for name in _MODULE_RE.findall(text)}
+
+
+def test_every_module_the_docs_name_exists():
+    missing = {
+        f"{name}: {dotted}"
+        for name in _DOCS
+        for dotted in _named_modules((ROOT / name).read_text())
+        if _missing_module(dotted) is not None
+    }
+    assert not missing, f"docs name repro modules that do not exist: {sorted(missing)}"
+    # Spot-pin so a regex or walk regression cannot make the check vacuous.
+    assert _named_modules("see `repro.sim.session.collect_tree_metrics`.") == {
+        "repro.sim.session.collect_tree_metrics"
+    }
+    assert _missing_module("repro.sim.session.collect_tree_metrics") is None
+    assert _missing_module("repro.NoRouteError") is None
+    assert _missing_module("repro.service.nowhere") == "repro.service.nowhere"
+    assert _missing_module("repro.nowhere.module") == "repro.nowhere"
+    named = set().union(*(_named_modules((ROOT / n).read_text()) for n in _DOCS))
+    assert {"repro.harness", "repro.sim.engine", "repro.service"} <= named

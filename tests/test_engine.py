@@ -2,6 +2,7 @@
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,30 +261,26 @@ def test_any_schedule_order_fires_sorted(times):
 
 
 # ---------------------------------------------------------------------------
-# run_burst: the service driver's loop against repeated step()
+# run_burst: the service run loop's burst against repeated step()
 # ---------------------------------------------------------------------------
 
-_ACTIONS = ("plain", "bump", "halt", "spawn", "cancel")
+_ACTIONS = ("plain", "halt", "spawn", "cancel")
 
 
 def _build(spec, cancelled):
-    """A simulator + pulse + log from one drawn heap description.
+    """A simulator + halt flag + log from one drawn heap description.
 
-    ``spec`` is a list of ``(time, action, tombstone_able)``; actions bump
-    the pulse, raise its halt flag, schedule a follow-up event, or cancel
-    a later event.  Entries in ``cancelled`` are tombstoned up front.
+    ``spec`` is a list of ``(time, action, tombstone_able)``; actions raise
+    the halt flag, schedule a follow-up event, or cancel a later event.
+    Entries in ``cancelled`` are tombstoned up front.
     """
-    from repro.service.bus import Pulse
-
-    sim, pulse, log = Simulator(), Pulse(), []
+    sim, flag, log = Simulator(), SimpleNamespace(halt=False), []
     events = {}
 
     def fire(i, action):
         log.append((i, sim.now))
-        if action == "bump":
-            pulse.bump()
-        elif action == "halt":
-            pulse.halt = True
+        if action == "halt":
+            flag.halt = True
         elif action == "spawn":
             sim.schedule_fire_in(0.5, lambda: log.append((f"spawn{i}", sim.now)))
         elif action == "cancel":
@@ -301,15 +298,15 @@ def _build(spec, cancelled):
     for i in cancelled:
         if i in events:
             events[i].cancel()
-    return sim, pulse, log
+    return sim, flag, log
 
 
-def _stepped_burst(sim, pulse) -> int:
-    """The per-event driver ``run_burst`` replaced."""
-    mark, count = pulse.count, 0
+def _stepped_burst(sim, flag) -> int:
+    """A burst as repeated ``step()``: the reference for ``run_burst``."""
+    count = 0
     while sim.step():
         count += 1
-        if pulse.count != mark or pulse.halt:
+        if flag.halt:
             break
     return count
 
@@ -327,47 +324,38 @@ class TestRunBurst:
         cancelled=st.sets(st.integers(0, 39), max_size=15),
     )
     def test_matches_repeated_step(self, spec, cancelled):
-        fast, fast_pulse, fast_log = _build(spec, cancelled)
-        ref, ref_pulse, ref_log = _build(spec, cancelled)
+        fast, fast_flag, fast_log = _build(spec, cancelled)
+        ref, ref_flag, ref_log = _build(spec, cancelled)
         while True:
-            fast_pulse.halt = ref_pulse.halt = False
-            mark = fast_pulse.count
-            n = fast.run_burst(fast_pulse)
-            assert n == _stepped_burst(ref, ref_pulse)
+            fast_flag.halt = ref_flag.halt = False
+            n = fast.run_burst(fast_flag)
+            assert n == _stepped_burst(ref, ref_flag)
             assert fast_log == ref_log
             assert fast.now == ref.now
             assert fast.events_processed == ref.events_processed
-            assert fast_pulse.count == ref_pulse.count
             if n == 0:
                 break
-            # it stopped right after the crossing, or ran the queue dry
-            crossed = fast_pulse.count != mark or fast_pulse.halt
-            assert crossed or fast.peek_time() == math.inf
+            # it stopped right after the halting event, or ran the queue dry
+            assert fast_flag.halt or fast.peek_time() == math.inf
         assert fast.pending == ref.pending == 0
 
     def test_stops_right_after_the_crossing_event(self):
-        for stopper in ("bump", "halt"):
-            spec = [(1.0, "plain", True), (2.0, stopper, False), (3.0, "plain", True)]
-            sim, pulse, log = _build(spec, ())
-            assert sim.run_burst(pulse) == 2
-            assert [i for i, _ in log] == [0, 1] and sim.now == 2.0
-            assert sim.pending == 1
-
-    def test_a_drain_halt_does_not_move_the_count(self):
-        sim, pulse, _ = _build([(1.0, "halt", True), (2.0, "plain", True)], ())
-        assert sim.run_burst(pulse) == 1
-        assert pulse.count == 0 and pulse.halt
+        spec = [(1.0, "plain", True), (2.0, "halt", False), (3.0, "plain", True)]
+        sim, flag, log = _build(spec, ())
+        assert sim.run_burst(flag) == 2
+        assert [i for i, _ in log] == [0, 1] and sim.now == 2.0
+        assert sim.pending == 1
 
     @pytest.mark.parametrize("n_tombstones", [0, 1, 5])
     def test_empty_or_all_tombstone_queue_returns_zero(self, n_tombstones):
-        sim, pulse, log = _build(
-            [(float(i + 1), "bump", True) for i in range(n_tombstones)],
+        sim, flag, log = _build(
+            [(float(i + 1), "halt", True) for i in range(n_tombstones)],
             range(n_tombstones),
         )
         sim.run_until(0.5)
-        assert sim.run_burst(pulse) == 0
+        assert sim.run_burst(flag) == 0
         assert sim.now == 0.5 and sim.events_processed == 0 and not log
-        assert pulse.count == 0 and not pulse.halt
+        assert not flag.halt
 
 
 # ---------------------------------------------------------------------------

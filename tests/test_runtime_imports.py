@@ -1,11 +1,15 @@
-"""networkx is a test-only dependency: the runtime never imports it.
+"""networkx is a test-only dependency, and asyncio no dependency at all:
+the runtime never imports either.
 
 The graph-form twins of the router-graph engine live in
 ``tests/lazy_underlay.py``; ``src/`` serves every substrate from scipy
-CSR arrays and computes its MST in house.  A fresh interpreter that
-imports ``repro``, runs a session on a transit-stub substrate and sweeps
-Fig 5.31 (the MST comparator) and Fig 4.8 (lossy transit-stub links)
-must end with no networkx module loaded.
+CSR arrays and computes its MST in house.  The live service runs on the
+discrete-event simulator alone, with no second event loop.  A fresh
+interpreter that imports ``repro``, runs a session on a transit-stub
+substrate, sweeps Fig 5.31 (the MST comparator) and Fig 4.8 (lossy
+transit-stub links), and runs a live service session (a
+``ServiceRuntime`` with a chaos plan, then ``run_service``) must end
+with neither networkx nor asyncio loaded.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import contextlib, io, json, sys
 
 from repro import MulticastSession, SessionConfig, vdm
 from repro.harness.__main__ import main
+from repro.harness.chaos import ServiceChaosRule
 from repro.harness.substrates import build_transit_stub_underlay
+from repro.service import ServiceConfig, ServiceRuntime, run_service
 from repro.topology.transit_stub import TransitStubConfig
 
 underlay = build_transit_stub_underlay(
@@ -40,16 +46,28 @@ config = SessionConfig(n_nodes=10, join_phase_s=100.0, total_s=300.0, seed=5)
 result = MulticastSession(underlay, vdm(), config).run()
 with contextlib.redirect_stdout(io.StringIO()) as out:
     status = main(["fig5_31", "fig4_8", "--preset", "smoke", "--json"])
+service = ServiceConfig(duration_s=120.0, seed=5, n_hosts=16, arrival_rate_hz=0.2)
+chaos = (
+    ServiceChaosRule(action="bus-stall", at_s=30.0, duration_s=10.0),
+    ServiceChaosRule(action="clock-jump", at_s=60.0),
+)
+live = ServiceRuntime(service, underlay, chaos_plan=chaos, journal_outcomes=False)
+live.run()
 print(json.dumps({
     "status": status,
     "members": result.final.n_reachable,
     "figures": out.getvalue().count('"title"'),
-    "networkx": sorted(m for m in sys.modules if m.split(".")[0] == "networkx"),
+    "service_arrivals": live.report()["arrivals"],
+    "swept_arrivals": run_service(service, underlay, chaos_plan=())["arrivals"],
+    "loaded": sorted(
+        m for m in sys.modules if m.split(".")[0] in ("asyncio", "networkx")
+    ),
 }))
 """
 
 
 def test_session_and_sweeps_never_import_networkx(tmp_path):
+    """... nor does the live service import asyncio."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(
@@ -69,4 +87,5 @@ def test_session_and_sweeps_never_import_networkx(tmp_path):
     assert report["status"] == 0
     assert report["members"] > 0
     assert report["figures"] == 2
-    assert report["networkx"] == []
+    assert report["service_arrivals"] == report["swept_arrivals"] > 0
+    assert report["loaded"] == []

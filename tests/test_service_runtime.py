@@ -6,7 +6,6 @@ whole file is fast despite exercising multi-hundred-second service runs.
 
 from __future__ import annotations
 
-import asyncio
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 
 from repro.harness.chaos import ServiceChaosRule, load_service_plan
 from repro.metrics.collectors import latency_percentile
-from repro.service.bus import BusOverflow, EventBus, Pulse
 from repro.service.health import HealthMonitor
 from repro.service.runtime import ServiceConfig, ServiceRuntime, run_service
 from repro.service.workload import build_workload
@@ -108,69 +106,75 @@ class TestWorkload:
 
 
 # ---------------------------------------------------------------------------
-# event bus
+# the join queue
 # ---------------------------------------------------------------------------
 
 
-class TestEventBus:
-    def test_reject_policy_raises_at_high_water_mark(self):
-        async def scenario():
-            bus = EventBus(Pulse())
-            bus.declare("t", maxsize=2, policy="reject")
-            await bus.publish("t", 1)
-            await bus.publish("t", 2)
-            with pytest.raises(BusOverflow):
-                await bus.publish("t", 3)
-            stats = bus.stats("t")
-            assert stats.published == 2
-            assert stats.rejected == 1
-            assert stats.max_depth == 2
+class TestJoinQueue:
+    """The bounded join queue, driven by hand on a runtime that has not
+    started: no slot is parked on it yet."""
 
-        asyncio.run(scenario())
+    def _runtime(self, hwm: int) -> ServiceRuntime:
+        cfg = ServiceConfig(**{**BASE.__dict__, "join_queue_hwm": hwm})
+        return ServiceRuntime(
+            cfg, _underlay(cfg.n_hosts), chaos_plan=(), journal_outcomes=False
+        )
 
-    def test_block_policy_applies_backpressure(self):
-        async def scenario():
-            bus = EventBus(Pulse())
-            bus.declare("t", maxsize=1, policy="block")
-            await bus.publish("t", "a")
-            second = asyncio.ensure_future(bus.publish("t", "b"))
-            await asyncio.sleep(0)
-            assert not second.done()  # publisher parked: queue full
-            assert await bus.get("t") == "a"
-            await second
-            assert await bus.get("t") == "b"
+    def test_rejects_at_the_high_water_mark(self):
+        rt = self._runtime(hwm=2)
+        arrivals = rt._schedule[:3]
+        for arrival in arrivals:
+            rt._admit(arrival)
+        assert len(rt._queue) == 2
+        stats = rt.report()["bus"]
+        assert (stats["published"], stats["rejected"], stats["max_depth"]) == (
+            2, 1, 2
+        )
+        rejected = rt._outcomes[arrivals[2].index]
+        assert rejected["reject_reason"] == "high-water-mark"
+        # the rejected arrival's host went back to the pool
+        assert len(rt._holder) == 2 and len(rt._free) == BASE.n_hosts - 1 - 2
 
-        asyncio.run(scenario())
+    def test_sentinels_wait_for_a_free_place(self):
+        """At the high-water mark the shutdown sentinels wait for a slot
+        to take an item (backpressure), and are never rejected."""
+        rt = self._runtime(hwm=1)
+        rt._admit(rt._schedule[0])
+        rt._sentinels_due = 2
+        rt._queue_sentinels()
+        assert rt._sentinels_blocked and len(rt._queue) == 1
+        rt._serve = lambda *item: None
+        rt._take()  # a slot takes the join; the sentinels get a place
+        assert not rt._sentinels_blocked and len(rt._ready) == 1
+        rt._run_ready()
+        assert list(rt._queue) == [None] and rt._sentinels_blocked
+        rt._take()  # a slot takes a sentinel and shuts down
+        rt._run_ready()
+        assert list(rt._queue) == [None] and rt._sentinels_due == 0
+        assert rt._slots_open == rt.config.join_workers - 1
+        assert rt.report()["bus"] == {
+            "delivered": 2, "max_depth": 1, "published": 3, "rejected": 0,
+        }
 
     def test_stall_gate_blocks_new_gets(self):
-        async def scenario():
-            bus = EventBus(Pulse())
-            bus.declare("t", maxsize=4)
-            bus.stall("t")
-            assert bus.stalled() == ["t"]
-            await bus.publish("t", 1)
-            getter = asyncio.ensure_future(bus.get("t"))
-            for _ in range(3):
-                await asyncio.sleep(0)
-            assert not getter.done()
-            assert bus.depth("t") == 1  # depth builds while stalled
-            bus.resume("t")
-            assert await getter == 1
-            assert bus.stalled() == []
-
-        asyncio.run(scenario())
-
-    def test_declare_validation(self):
-        bus = EventBus()
-        bus.declare("t", maxsize=1)
-        with pytest.raises(ValueError):
-            bus.declare("t", maxsize=1)  # duplicate
-        with pytest.raises(ValueError):
-            bus.declare("u", maxsize=0)
-        with pytest.raises(ValueError):
-            bus.declare("v", maxsize=1, policy="drop")
-        with pytest.raises(KeyError):
-            bus.depth("missing")
+        rt = self._runtime(hwm=4)
+        served = []
+        rt._serve = lambda arrival, node, degree: served.append(arrival.index)
+        rt._look_for_work()  # one slot parks on the empty queue
+        rt._strike(ServiceChaosRule(action="bus-stall", at_s=0.0, duration_s=3.0))
+        assert rt.health.probes["bus"]() is False
+        rt._look_for_work()  # a slot freed during the stall waits at the gate
+        first, second = rt._schedule[:2]
+        rt._admit(first)
+        rt._admit(second)
+        rt._run_ready()
+        # the slot parked before the stall still takes the first item ...
+        assert served == [first.index]
+        assert len(rt._queue) == 1  # ... and depth builds behind the gate
+        assert rt.sim.run() == 1 and rt.sim.now == 3.0  # the resume event
+        rt._run_ready()
+        assert served == [first.index, second.index]
+        assert rt.health.probes["bus"]() is True and not rt._queue
 
 
 # ---------------------------------------------------------------------------
