@@ -5,7 +5,8 @@ Reproduces the paper's implementation architecture end to end:
 
 1. synthesize a PlanetLab-like pool and filter out flaky nodes
    (Fig. 5.2's three-stage pipeline);
-2. generate a scenario file (timed join/leave script, Section 5.2.2);
+2. generate a scenario file (timed join/leave script, Section 5.2.2):
+   the schedule a session with the same config would draw;
 3. replay it through the Main Controller against per-node agents;
 4. collect per-node reports (the paper's "calculate result" stage) and
    print session statistics plus the sample tree (Fig. 5.5 style).
@@ -15,7 +16,7 @@ Run:
 """
 
 
-from repro import vdm
+from repro import SessionConfig, vdm
 from repro.harness.substrates import build_planetlab_underlay
 from repro.planetlab import MainController, generate_scenario, render_scenario
 
@@ -30,15 +31,18 @@ def main() -> None:
     )
 
     # --- scenario generation ---------------------------------------------
-    scenario = generate_scenario(
-        list(substrate.underlay.hosts),
-        substrate.source,
-        n_initial=35,
+    config = SessionConfig(
+        n_nodes=35,
+        degree=4,
+        source_degree=4,
         join_phase_s=600.0,
         total_s=3000.0,
         churn_rate=0.08,
         seed=5,
+        source_host=substrate.source,
+        measurement_noise_sigma=0.1,  # testbed probe noise
     )
+    scenario = generate_scenario(config, substrate.underlay.hosts)
     text = render_scenario(scenario)
     print(f"\nscenario: {len(scenario.events)} events; first lines:")
     for line in text.splitlines()[:6]:
@@ -49,10 +53,10 @@ def main() -> None:
         substrate.underlay,
         scenario,
         vdm(),
-        degree_limit=4,
-        chunk_rate=10.0,
-        measurement_noise_sigma=0.1,  # testbed probe noise
-        seed=2,
+        degree_limit=config.degree,
+        chunk_rate=config.chunk_rate,
+        measurement_noise_sigma=config.measurement_noise_sigma,
+        seed=config.seed,
     )
     report = controller.run()
 

@@ -28,6 +28,7 @@ from repro.planetlab.scenario import (
     parse_scenario,
     render_scenario,
 )
+from repro.sim.session import SessionConfig
 
 PROTOCOLS = {
     "vdm": vdm,
@@ -48,15 +49,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     substrate = build_planetlab_underlay(
         n_select=args.nodes, seed=args.seed, n_us=args.pool_us, n_eu=args.pool_eu
     )
-    scenario = generate_scenario(
-        list(substrate.underlay.hosts),
-        substrate.source,
-        n_initial=args.initial if args.initial else args.nodes - 1,
+    config = SessionConfig(
+        n_nodes=args.initial or args.nodes - 1,
         join_phase_s=args.join_phase,
         total_s=args.duration,
         churn_rate=args.churn,
         seed=args.seed,
+        source_host=substrate.source,
     )
+    scenario = generate_scenario(config, substrate.underlay.hosts)
     text = render_scenario(scenario)
     if args.out:
         Path(args.out).write_text(text)

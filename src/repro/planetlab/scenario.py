@@ -10,8 +10,12 @@ line structure::
     leave   <node-id>  <time-s>
     terminate          <time-s>
 
-Different seeds produce different scenario files for the same roster —
-the paper's mechanism for its 5-seed replications.
+A generated scenario is no second copy of the paper procedure: it is
+the schedule a :class:`~repro.sim.session.MulticastSession` draws for the
+same :class:`~repro.sim.session.SessionConfig`, written down, so the
+controller replaying it runs that session.  Different seeds produce
+different scenario files for the same roster — the paper's mechanism for
+its 5-seed replications.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.sim.churn import ChurnEvent, churn_order
-from repro.util.rngtools import rng_from_seed
-from repro.util.validation import check_probability, positive
+from repro.sim.churn import ChurnEvent, SlottedChurnModel, churn_order
+from repro.sim.session import SessionConfig, session_schedule
+from repro.util.validation import positive
 
 __all__ = [
     "Scenario",
@@ -68,72 +72,28 @@ class Scenario:
         return {e.node for e in self.events if e.action == "join"}
 
 
-def generate_scenario(
-    nodes: Sequence[int],
-    source: int,
-    *,
-    n_initial: int,
-    join_phase_s: float,
-    total_s: float,
-    churn_rate: float = 0.0,
-    slot_s: float = 400.0,
-    settle_s: float = 100.0,
-    seed: int | None = 0,
-) -> Scenario:
-    """Generate a scenario with the paper's structure.
+def generate_scenario(config: SessionConfig, hosts: Sequence[int]) -> Scenario:
+    """Write down the session ``config`` runs over ``hosts``.
 
-    ``n_initial`` members join during the join phase; churn then replaces
-    ``churn_rate * n_initial`` members per slot.  The node roster excludes
-    the source automatically.
+    The source and the initial joins are :func:`session_schedule`'s draws,
+    and each slot's churn is the session's own :class:`SlottedChurnModel`
+    drawing against the membership so far, so replaying the file through
+    the main controller replays that session.  The membership is tracked
+    offline: no member drops out between its join and its scripted leave.
     """
-    check_probability("churn_rate", churn_rate)
-    pool = sorted(set(nodes) - {source})
-    if len(pool) < n_initial:
-        raise ValueError(
-            f"roster has {len(pool)} non-source nodes; cannot join {n_initial}"
-        )
-    if total_s < join_phase_s:
-        raise ValueError("total_s must cover join_phase_s")
-    rng = rng_from_seed(seed)
-
+    schedule = session_schedule(config, list(hosts))
+    churn = SlottedChurnModel.from_config(config)
     events: list[ChurnEvent] = []
-    initial = [int(n) for n in rng.choice(pool, size=n_initial, replace=False)]
-    times = rng.uniform(0.0, 0.9 * join_phase_s, size=n_initial)
-    events.extend(
-        ChurnEvent(float(t), "join", n) for n, t in zip(initial, times)
-    )
-
-    active = set(initial)
-    inactive = set(pool) - active
-    k = round(churn_rate * n_initial)
-    slot_start = join_phase_s
-    while slot_start + slot_s <= total_s + 1e-9 and k > 0:
-        window = slot_s - settle_s
-        leavers = [
-            int(n)
-            for n in rng.choice(sorted(active), size=min(k, len(active)), replace=False)
-        ]
-        joiners = [
-            int(n)
-            for n in rng.choice(
-                sorted(inactive), size=min(k, len(inactive)), replace=False
-            )
-        ]
-        for n in leavers:
-            events.append(
-                ChurnEvent(slot_start + float(rng.uniform(0, window)), "leave", n)
-            )
-            active.discard(n)
-            inactive.add(n)
-        for n in joiners:
-            events.append(
-                ChurnEvent(slot_start + float(rng.uniform(0, window)), "join", n)
-            )
-            inactive.discard(n)
-            active.add(n)
-        slot_start += slot_s
-
-    return Scenario(events=events, terminate_at=total_s, source=source)
+    active: set[int] = set()
+    for time, _, kind, node in schedule.entries:
+        if kind == "join":
+            events.append(ChurnEvent(time, "join", node))
+            active.add(node)
+        elif kind == "slot":
+            for ev in churn.plan_slot(time, active, schedule.pool - active):
+                events.append(ev)
+                (active.add if ev.action == "join" else active.discard)(ev.node)
+    return Scenario(events, config.total_s, schedule.source)
 
 
 def render_scenario(scenario: Scenario) -> str:
