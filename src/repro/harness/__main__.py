@@ -95,11 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--journal",
-        default=os.environ.get(journal_mod.JOURNAL_DIR_ENV) or None,
         metavar="DIR",
         help="checkpoint completed replications to DIR/journal.jsonl as "
         "they land (plus a run.json manifest), so an interrupted sweep "
-        "can be resumed (default: REPRO_JOURNAL_DIR)",
+        "can be resumed",
     )
     parser.add_argument(
         "--resume",
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.resume and not args.journal:
-        parser.error("--resume requires --journal DIR (or REPRO_JOURNAL_DIR)")
+        parser.error("--resume requires --journal DIR")
     try:
         resolve_jobs(args.jobs)  # a usage error, before any journal opens
     except ValueError as exc:

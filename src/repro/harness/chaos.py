@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from repro.util.validation import (
-    check_fields, checked, count, non_negative, one_of, positive, string,
+    check_fields, checked, count, non_negative, one_of, positive,
 )
 
 __all__ = [
@@ -38,15 +38,18 @@ def _seconds(domain):
 
 @dataclass(frozen=True)
 class ServiceChaosRule:
-    """One deterministic fault against the *live* service runtime (PR 10).
+    """One deterministic fault against the *live* service runtime.
+
+    The ``bus`` in ``bus-stall`` (and in the health probe and report key
+    of the same name) is the join queue: the service has no other queue.
 
     * ``agent-crash`` — kill the ``node_index``-th currently attached
       member (sorted order, source excluded) without a goodbye protocol,
       through the session fault arm (:mod:`repro.sim.faults`);
-    * ``bus-stall`` — close the consumer gate of event-bus ``topic`` for
-      ``duration_s`` virtual seconds (deliveries stop, depth builds, the
-      bus health probe must flip);
-    * ``clock-jump`` — fire every pending virtual-clock timer immediately,
+    * ``bus-stall`` — close the join queue's consumer gate for
+      ``duration_s`` virtual seconds (serving slots stop taking joins,
+      depth builds, the ``bus`` health probe must flip);
+    * ``clock-jump`` — fire every pending service timer immediately,
       modelling a monotonic clock that leapt past all deadlines: join
       waits time out spuriously and the retry envelope must absorb it.
     """
@@ -54,7 +57,6 @@ class ServiceChaosRule:
     action: str = checked(one_of(*_SERVICE_ACTIONS))
     at_s: float = checked(_seconds(non_negative))
     node_index: int = checked(count(0), 0)
-    topic: str = checked(string, "joins")
     duration_s: float = checked(_seconds(positive), 30.0)
 
     __post_init__ = check_fields
@@ -67,8 +69,7 @@ def load_service_plan(raw: str | None = None) -> tuple[ServiceChaosRule, ...]:
     fields, sorted by ``(at_s, action)``::
 
         [{"action": "agent-crash", "at_s": 40.0, "node_index": 1},
-         {"action": "bus-stall", "at_s": 80.0, "topic": "joins",
-          "duration_s": 20.0},
+         {"action": "bus-stall", "at_s": 80.0, "duration_s": 20.0},
          {"action": "clock-jump", "at_s": 120.0}]
 
     Returns ``()`` when unset.  Raises :class:`ValueError` on a malformed

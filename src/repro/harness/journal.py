@@ -71,7 +71,6 @@ from repro.harness.presets import Preset
 from repro.util.artifacts import artifact_key
 
 __all__ = [
-    "JOURNAL_DIR_ENV",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
     "RunContext",
@@ -82,7 +81,6 @@ __all__ = [
     "run_context",
 ]
 
-JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 JOURNAL_NAME = "journal.jsonl"
 MANIFEST_NAME = "run.json"
 

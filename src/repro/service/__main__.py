@@ -26,7 +26,6 @@ byte-identical to an uninterrupted run of the same config.
 from __future__ import annotations
 
 import argparse
-import os
 import shlex
 import signal
 import sys
@@ -82,7 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--journal",
-        default=os.environ.get(journal_mod.JOURNAL_DIR_ENV) or None,
         metavar="DIR",
         help="journal every arrival outcome in DIR; SIGTERM drains "
         "gracefully and --resume completes the run",
@@ -109,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.resume and args.journal is None:
-        parser.error("--resume requires --journal DIR (or REPRO_JOURNAL_DIR)")
+        parser.error("--resume requires --journal DIR")
 
     config = ServiceConfig(
         scenario=args.scenario,

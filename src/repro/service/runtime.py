@@ -97,10 +97,6 @@ __all__ = [
     "run_service",
 ]
 
-#: the join queue's name in ``bus-stall`` chaos rules
-JOINS_TOPIC = "joins"
-
-
 class ServiceDeterminismError(RuntimeError):
     """A recomputed outcome disagreed with its journaled witness entry."""
 
@@ -299,12 +295,6 @@ class ServiceRuntime:
         self.drained = False
         self.drain_time_s: float | None = None
 
-        for rule in self.chaos_plan:
-            if rule.action == "bus-stall" and rule.topic != JOINS_TOPIC:
-                raise ValueError(
-                    f"bus-stall rule targets unknown topic {rule.topic!r}"
-                )
-
         self._install_join_watch()
         degree = draw_degree(config.degree, self._degree_rng)
         register_agent(self.env, self._factory, self.source, degree, config.seed)
@@ -370,9 +360,7 @@ class ServiceRuntime:
         return event
 
     def _fire(self, event: Event) -> None:
-        reaction = self._timers.pop(event)
-        if self._slots_open:  # a timer left when the run ended fires idle
-            self._wake(reaction)
+        self._wake(self._timers.pop(event))
 
     def _fire_early(self, event: Event | None) -> None:
         """Fire a pending timer now: its event is tombstoned and its reaction
@@ -754,6 +742,12 @@ class ServiceRuntime:
                 wall = (sim.now - before) * pace
                 if wall > 0:
                     time.sleep(min(wall, 0.25))
+        # The health tick and the next chaos rule are still armed: a run
+        # leaves no timer behind.  (Departures of members still holding
+        # their hosts stay queued: they are the tree's, not the service's.)
+        for event in self._timers:
+            event.cancel()
+        self._timers.clear()
         # An undrained run ends at or past the horizon: the producer's last
         # wait is the horizon itself.
         self.health.probe_once()

@@ -16,11 +16,14 @@ Run-level knobs:
 
 * ``REPRO_JOBS`` — replication worker processes
   (:mod:`repro.harness.parallel`); default 1, the in-process path.
-* ``REPRO_JOURNAL_DIR`` — default journal directory for the harness CLI
-  (equivalent to ``--journal DIR``); see :mod:`repro.harness.journal`.
 * ``REPRO_SERVICE_CHAOS`` — deterministic fault plan for the live
   service runtime (JSON, or ``@path`` to a JSON file); see
   :mod:`repro.harness.chaos`.  Unset = no chaos.
+
+A knob that only repeats a CLI option gets no flag.  The run journal's
+directory is ``--journal DIR`` alone: only the two CLIs open a journal,
+whereas the chaos plan also reaches library runs
+(``ServiceRuntime(chaos_plan=None)``).
 
 Batched execution:
 
@@ -73,9 +76,6 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
     ),
     "REPRO_CACHE_MAX_BYTES": FlagSpec(
         "2147483648", "artifact-cache size bound (LRU eviction)", "repro.util.artifacts"
-    ),
-    "REPRO_JOURNAL_DIR": FlagSpec(
-        "unset", "default journal directory for the CLIs", "repro.harness.journal"
     ),
     "REPRO_SERVICE_CHAOS": FlagSpec(
         "unset", "live-service chaos plan: agent-crash / bus-stall / clock-jump",

@@ -164,8 +164,7 @@ def test_service_smoke_plan():
     plan = load_service_plan(
         '[{"action": "agent-crash", "at_s": 100, "node_index": 1},'
         ' {"action": "agent-crash", "at_s": 140, "node_index": 3},'
-        ' {"action": "bus-stall", "at_s": 180, "topic": "joins",'
-        '  "duration_s": 40}]'
+        ' {"action": "bus-stall", "at_s": 180, "duration_s": 40}]'
     )
     assert plan == (
         ServiceChaosRule(action="agent-crash", at_s=100.0, node_index=1),
@@ -189,6 +188,12 @@ def test_service_smoke_plan():
             '[{"action": "clock-jump", "at_s": 1}, {"action": "clock-jump", "who": 1}]',
             r"REPRO_SERVICE_CHAOS\[1\] has unknown field\(s\) \['who'\]",
             id="load_service_plan-unknown-field-in-entry-1",
+        ),
+        pytest.param(
+            load_service_plan,
+            '[{"action": "bus-stall", "at_s": 1, "topic": "joins"}]',
+            r"REPRO_SERVICE_CHAOS\[0\] has unknown field\(s\) \['topic'\]",
+            id="load_service_plan-retired-topic-field",
         ),
         (load_service_plan, '[{"action": "explode", "at_s": 1}]',
          r"REPRO_SERVICE_CHAOS\[0\]\.action must be one of "

@@ -320,17 +320,8 @@ class TestCLIResume:
         manifest = json.loads((jdir / journal.MANIFEST_NAME).read_text())
         assert manifest["status"] == "failed"
 
-    def test_resume_without_journal_dir_errors(self, monkeypatch):
+    def test_resume_without_journal_dir_errors(self):
         from repro.harness import __main__ as cli
 
-        monkeypatch.delenv(journal.JOURNAL_DIR_ENV, raising=False)
         with pytest.raises(SystemExit):
             cli.main(["fig3_25", "--resume"])
-
-    def test_journal_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
-        from repro.harness import __main__ as cli
-
-        monkeypatch.setenv(journal.JOURNAL_DIR_ENV, str(tmp_path / "envrun"))
-        assert cli.main(["fig3_25", "--preset", "smoke", "--json"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "envrun" / journal.JOURNAL_NAME).exists()

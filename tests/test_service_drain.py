@@ -164,7 +164,6 @@ class TestSigtermSubprocess:
         root = Path(__file__).resolve().parent.parent
         env["PYTHONPATH"] = str(root / "src")
         env.pop("REPRO_SERVICE_CHAOS", None)
-        env.pop("REPRO_JOURNAL_DIR", None)
         return env
 
     def _run(self, *extra, **kwargs):
