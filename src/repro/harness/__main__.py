@@ -36,7 +36,7 @@ from repro.harness.parallel import clamp_jobs, resolve_jobs
 from repro.harness.presets import PRESETS
 from repro.harness.registry import REGISTRY, run_experiment
 from repro.sim.faults import FAULT_PRESETS
-from repro.util import artifacts
+from repro.util import artifacts, envflags
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,10 +110,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.journal:
         parser.error("--resume requires --journal DIR")
-    try:
-        resolve_jobs(args.jobs)  # a usage error, before any journal opens
+    try:  # usage errors, before any journal opens
+        resolve_jobs(args.jobs)
+        envflags.batched_on()
     except ValueError as exc:
         parser.error(str(exc))
+    unknown = [fig_id for fig_id in args.figures if fig_id not in REGISTRY]
+    if unknown:
+        parser.error(f"unknown figure id(s) {', '.join(unknown)}; see --list")
     # Oversubscribed pools thrash; warn-and-clamp rather than silently
     # running slower than serial.
     args.jobs = clamp_jobs(args.jobs)

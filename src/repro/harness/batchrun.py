@@ -22,11 +22,9 @@ refinement — declines before anything is built; an underlay the engine
 refuses (no host-indexed delay rows, link errors, the timeout margin)
 raises :class:`~repro.sim.batched.BatchedUnsupported`, which declines
 too.  Either way ``run_replications`` falls back to the scalar engine
-for exactly the replications the batch did not take.  ``REPRO_BATCHED_REPS``
-(:func:`repro.util.envflags.batched_reps`) is the ablation knob: ``0``
-declines everything (the byte-identity oracle mode), a positive value
-caps how many replications each cell takes batched (the remainder runs
-scalar — equivalence tests use that to mix both engines in one table).
+for the cell's replications.  ``REPRO_BATCHED_REPS``
+(:func:`repro.util.envflags.batched_on`) is the ablation knob: ``0``
+declines everything (the byte-identity oracle mode).
 """
 
 from __future__ import annotations
@@ -144,16 +142,12 @@ def cell_batch(spec: CellSpec):
     """
 
     def batch(pending: Sequence[tuple[int, int]]):
-        cap = envflags.batched_reps()
-        if cap == 0:
-            return None
-        take = list(pending) if cap is None else list(pending)[:cap]
-        if not take or decline_reason(spec) is not None:
+        if not envflags.batched_on() or decline_reason(spec) is not None:
             return None
         try:
             cell = _get_cell(spec.underlay_factory(), spec.protocol.config)
             out = {}
-            for rep, seed in take:
+            for rep, seed in pending:
                 res = cell.run_session(spec.config_factory(seed))
                 out[rep] = {
                     name: extract(res) for name, extract in spec.metrics.items()

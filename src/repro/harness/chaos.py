@@ -1,6 +1,6 @@
 """Deterministic fault plans for the live service runtime.
 
-PR 2 gave the *simulated* overlay a fault arm (``sim/faults.py``); this
+The *simulated* overlay has its fault arm (``sim/faults.py``); this
 module holds the plan that strikes the long-running control plane of
 :mod:`repro.service` at fixed *virtual* times, so a chaos run is exactly
 as reproducible as a clean one.  The plan is read from the

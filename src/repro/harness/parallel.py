@@ -260,17 +260,15 @@ def run_replications(
     pays for.  Without a key (or outside a journaled run) nothing is
     recorded.
 
-    ``batch`` is the batched-engine hook (PR 6): a callable given the
-    pending ``(rep, seed)`` tasks that returns ``{rep: result}`` for the
-    replications it took (normally all of them; fewer when
-    ``REPRO_BATCHED_REPS`` caps the batch), or ``None`` to decline
-    entirely (unsupported cell, or disabled via ``REPRO_BATCHED_REPS=0``).
-    It runs in-process after the journal lookup, so journaling, resume,
-    and the recipe hash are identical whichever engine produced a result;
-    replications the batch did not take fall through to the scalar
-    serial/pool paths unchanged.  ``batch`` must return results
-    bit-identical to ``worker`` — the scalar engine stays the oracle, and
-    the byte-identity CI step holds the two to that.
+    ``batch`` is the batched-engine hook: a callable given the pending
+    ``(rep, seed)`` tasks that returns ``{rep: result}`` for all of them,
+    or ``None`` to decline (unsupported cell, or disabled via
+    ``REPRO_BATCHED_REPS=0``).  It runs in-process after the journal
+    lookup, so journaling, resume, and the recipe hash are identical
+    whichever engine produced a result; a declined batch falls through
+    to the scalar serial/pool paths unchanged.  ``batch`` must return
+    results bit-identical to ``worker`` — the scalar engine stays the
+    oracle, and the byte-identity CI step holds the two to that.
     """
     tasks = list(enumerate(seeds))
     n_jobs = resolve_jobs(jobs)
@@ -301,14 +299,10 @@ def run_replications(
 
     if batch is not None and pending:
         done = batch(pending)
-        if done:
-            leftover = []
+        if done is not None:
             for rep, seed in pending:
-                if rep in done:
-                    deliver(rep, seed, done[rep])
-                else:
-                    leftover.append((rep, seed))
-            pending = leftover
+                deliver(rep, seed, done[rep])
+            pending = []
 
     if n_jobs <= 1 or len(pending) <= 1:
         # The exact historical in-process path (no pool, no pickling) —

@@ -28,7 +28,7 @@ sparse engine — no all-pairs matrix is ever materialized, which is what
 lets a single process chart 10k+ members inside a couple of GiB.
 
 There is one join walk and one metrics pass, both plain scalar Python
-(DESIGN.md §13): joins are sequential — join *i* decides on the tree
+(DESIGN.md §11): joins are sequential — join *i* decides on the tree
 join *i−1* left behind — so there is nothing to vectorise across, and a
 pivot has at most ``degree_limit`` children, so there is nothing worth
 vectorising within.  What varies by underlay is only where a distance
@@ -216,7 +216,7 @@ class _SparseRows:
         ``parent -> kid``."""
         att = self.att
         target = att[parent]
-        # A memoryview is the fastest int read of a numpy row (PR 15).
+        # A memoryview is the fastest int read of a numpy row.
         pred = memoryview(self.underlay._row(target)[1])
         n_routers = self.underlay.n_routers
         usage = self.link_usage

@@ -153,7 +153,7 @@ def _planetlab_loss_matrix(
 
     One block draw over the upper triangle replaces the historical
     per-pair scalar loop; ``Generator`` methods consume the bit stream
-    identically for sized and scalar draws (the PR 3 block-draw
+    identically for sized and scalar draws (the block-draw
     technique), and the row-major order of ``triu_indices`` matches the
     old nested-loop visit order, so the matrix is bit-identical.
     """

@@ -190,7 +190,7 @@ def collect_tree_metrics(
     # (bit-identical to per-pair delay_ms); others return None and the
     # per-pair calls below are used instead.
     source_row = underlay.delay_row(source)
-    # Streaming accumulators (PR 8): running sum/min/max/count instead of
+    # Streaming accumulators: running sum/min/max/count instead of
     # per-node lists, so a metrics pass over a million-member tree holds
     # O(links) state, not O(members).  ``sum(list)`` folds left-to-right
     # from 0 exactly like ``acc += x`` in visit order, so every statistic

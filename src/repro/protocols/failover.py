@@ -1,4 +1,4 @@
-"""Precomputed backup-parent failover (PR 7).
+"""Precomputed backup-parent failover.
 
 The reactive recovery the paper ships (Section 3.3) pays a full rejoin
 round-trip per orphan: probe the grandparent, walk the tree, commit.

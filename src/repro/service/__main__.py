@@ -109,24 +109,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal DIR")
 
-    config = ServiceConfig(
-        scenario=args.scenario,
-        duration_s=args.duration,
-        seed=args.seed,
-        n_hosts=args.hosts,
-        arrival_rate_hz=args.rate,
-        hold_s=args.hold,
-        join_timeout_s=args.join_timeout,
-        join_queue_hwm=args.hwm,
-        join_workers=args.workers,
-        probe_period_s=args.probe_period,
-        burst_at_s=args.burst_at,
-        burst_rate_hz=args.burst_rate,
-        burst_duration_s=args.burst_duration,
-        diurnal_period_s=args.diurnal_period,
-        diurnal_depth=args.diurnal_depth,
-    )
-    chaos_plan = load_service_plan(args.chaos)
+    try:  # a usage error, before any run or journal starts
+        config = ServiceConfig(
+            scenario=args.scenario,
+            duration_s=args.duration,
+            seed=args.seed,
+            n_hosts=args.hosts,
+            arrival_rate_hz=args.rate,
+            hold_s=args.hold,
+            join_timeout_s=args.join_timeout,
+            join_queue_hwm=args.hwm,
+            join_workers=args.workers,
+            probe_period_s=args.probe_period,
+            burst_at_s=args.burst_at,
+            burst_rate_hz=args.burst_rate,
+            burst_duration_s=args.burst_duration,
+            diurnal_period_s=args.diurnal_period,
+            diurnal_depth=args.diurnal_depth,
+        )
+        chaos_plan = load_service_plan(args.chaos)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
     runtime = ServiceRuntime(
         config,
         chaos_plan=chaos_plan,

@@ -62,7 +62,7 @@ result's does.  :func:`~repro.sim.session.session_schedule`,
 streams (:func:`~repro.util.rngtools.spawn_rng` keyed exactly as the
 session spawns them) are consumed in the same order, so results match the
 serial and parallel harness paths bit for bit.  ``REPRO_BATCHED_REPS=0``
-(:func:`repro.util.envflags.batched_reps`) disables the batched path
+(:func:`repro.util.envflags.batched_on`) disables the batched path
 entirely and is the ablation oracle the byte-identity CI step runs.
 
 Sessions outside the envelope — see :func:`envelope_decline` for the

@@ -298,7 +298,7 @@ FAULT_PRESETS: dict[str, FaultPlan] = {
         freeze_rate=0.15,
         freeze_duration_s=15.0,
     ),
-    # correlated scenarios (PR 7): whole-transit-domain outage, network
+    # correlated scenarios: whole-transit-domain outage, network
     # partition + heal, and a correlated loss burst — the failure classes
     # the paper never evaluated.
     "domain-outage": FaultPlan(

@@ -7,7 +7,7 @@ the underlay as a CSR graph end to end and answers every query from
 store** that lives as long as the underlay does.  There is no V² matrix:
 peak memory is O(E + store · V).
 
-Exactness discipline (DESIGN.md §8): every query is answered
+Exactness discipline (DESIGN.md §7): every query is answered
 **byte-identically** to the tests' lazy networkx oracle
 (``tests/lazy_underlay.py``) on the same graph: the CSR matrix holds the
 same canonicalized values ``networkx.to_scipy_sparse_array`` produces,
@@ -41,8 +41,8 @@ sources unless the caller says otherwise) in **one multi-source**
 already holds.  scipy computes each source of a multi-source call
 independently, so a block row is bit-identical to its single-source twin
 (pinned in ``tests/test_sparse_underlay.py``).  There is no worker
-thread: ``csgraph.dijkstra`` holds the GIL inside the solver (measured,
-DESIGN.md §8), so a background block would not overlap the walk.
+thread: ``csgraph.dijkstra`` holds the GIL inside the solver
+(DESIGN.md §7.2), so a background block would not overlap the walk.
 Eviction is only ever a cache policy — an evicted row is recomputed on
 its next use, still exact.
 """

@@ -27,11 +27,11 @@ whereas the chaos plan also reaches library runs
 
 Batched execution:
 
-* ``REPRO_BATCHED_REPS`` — cap the replications the batched
-  multi-replication engine (:mod:`repro.harness.batchrun`) takes per
-  batch; ``0`` disables it entirely so every replication runs on the
-  scalar oracle engine (whose output the batched mode must match byte
-  for byte).  Unset = unlimited, the default.
+* ``REPRO_BATCHED_REPS`` — the batched multi-replication engine
+  (:mod:`repro.harness.batchrun`) on or off.  Unset or empty = on, the
+  default; ``0`` / ``false`` / ``no`` = off, so every replication runs
+  on the scalar oracle engine (whose output the batched mode must match
+  byte for byte).
 
 Flags are read at object construction time, not per call, so a running
 session never changes behavior mid-flight.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 __all__ = [
     "FLAG_REGISTRY",
     "FlagSpec",
-    "batched_reps",
+    "batched_on",
 ]
 
 _FALSE_VALUES = ("0", "false", "no")
@@ -86,34 +86,25 @@ FLAG_REGISTRY: dict[str, FlagSpec] = {
         "repro.harness.parallel",
     ),
     "REPRO_BATCHED_REPS": FlagSpec(
-        "unlimited", "batched-engine replication cap (0 = scalar oracle)",
+        "unset", "batched engine on (unset) or off (0/false/no = scalar oracle)",
         "repro.util.envflags",
     ),
 }
 
 
-def batched_reps() -> int | None:
-    """Batched-engine replication cap (``REPRO_BATCHED_REPS``, PR 6).
+def batched_on() -> bool:
+    """Whether the batched engine may take replications (``REPRO_BATCHED_REPS``).
 
-    * unset or empty — ``None``: the batched engine may take every
-      replication of a sweep cell in one batch (the default);
-    * ``0`` / ``false`` / ``no`` — ``0``: batched execution disabled,
-      every replication runs on the scalar oracle engine (the ablation
-      baseline whose table JSON the batched mode must reproduce byte
-      for byte);
-    * a positive integer — at most that many replications per batch.
+    Unset or empty is on, the default; ``0`` / ``false`` / ``no`` is off,
+    so every replication runs on the scalar oracle engine (the baseline
+    whose table JSON the batched mode must reproduce byte for byte).
+    Any other value is a :class:`ValueError` naming it.
     """
     raw = os.environ.get("REPRO_BATCHED_REPS", "").strip()
     if not raw:
-        return None
+        return True
     if raw.lower() in _FALSE_VALUES:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCHED_REPS must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"REPRO_BATCHED_REPS must be >= 0, got {value}")
-    return value
+        return False
+    raise ValueError(
+        f"REPRO_BATCHED_REPS must be unset, empty, 0, false or no, got {raw!r}"
+    )

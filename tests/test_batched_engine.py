@@ -147,6 +147,30 @@ def test_batched_matches_scalar_property(seed, churn, n_nodes, degree_hi):
     _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
 
 
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_event_per_probe_path_matches_scalar(seed):
+    """Probe rounds the send-time prediction cannot decide.
+
+    Slots as short as a round trip and measurements twice a slot put
+    probe replies past the next slot start and rounds across two
+    measurements, so ``PROBE_REQ`` / ``PROBE_REPLY`` / ``TIMEOUT_PROBE``
+    and ``_finish_probe`` run; the default configs never reach them.
+    """
+    underlay = _ts_underlay()
+    cfg = _cfg(
+        seed=seed,
+        degree=(1, 2),
+        join_phase_s=1.0,
+        total_s=20.0,
+        slot_s=1.0,
+        settle_s=0.2,
+        churn_rate=0.3,
+        join_measure_interval_s=0.5,
+    )
+    cell = BatchedCell(underlay, None)
+    _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
+
+
 # ---------------------------------------------------------------------------
 # envelope: protocols x fault plans must decline, and fall back exactly
 # ---------------------------------------------------------------------------
@@ -316,19 +340,18 @@ def test_harness_batched_equals_scalar(monkeypatch):
     assert batched == scalar
 
 
-def test_harness_partial_cap_mixes_engines(monkeypatch):
-    """REPRO_BATCHED_REPS=2 takes two reps batched, two scalar — same table."""
-    clear_cells()
-    key = (40, 7)
-    cfg = _cfg()
-    seeds = [11, 22, 33, 44]
-    monkeypatch.setenv("REPRO_BATCHED_REPS", "0")
-    scalar = run_replications(_rep_worker, (key, cfg), seeds, batch=None)
-    monkeypatch.setenv("REPRO_BATCHED_REPS", "2")
-    mixed = run_replications(
-        _rep_worker, (key, cfg), seeds, batch=_vdm_hook(key, cfg)
-    )
-    assert mixed == scalar
+@pytest.mark.parametrize("value", ["0", "false", "NO", " 0 "])
+def test_batched_reps_off_values_decline(value, monkeypatch):
+    monkeypatch.setenv("REPRO_BATCHED_REPS", value)
+    assert _vdm_hook((40, 7), _cfg())([(0, 11)]) is None
+
+
+@pytest.mark.parametrize("value", ["2", "1", "yes", "-1", "unlimited"])
+def test_batched_reps_refuses_other_values(value, monkeypatch):
+    """On or off only: a replication count or a typo names itself."""
+    monkeypatch.setenv("REPRO_BATCHED_REPS", value)
+    with pytest.raises(ValueError, match=repr(value)):
+        _vdm_hook((40, 7), _cfg())([(0, 11)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,15 @@ bound it keeps rather than a handle per pivot decision.
 
 ``tests/test_envflags_registry.py`` ties the flag registry to the reads
 under ``src/``; the flag scan here ties the docs to the registry.  The
-repository layout in DESIGN §4 names exactly the files that exist, and
+repository layout in DESIGN §2 names exactly the files that exist, and
 every dotted ``repro.*`` module the docs name is one of them.
+
+The docs also keep to budgets: DESIGN.md states the design as it is in
+at most 35 000 bytes with no "PR <n>" narration (nor does README.md),
+EXPERIMENTS.md is the paper-vs-measured record in at most 22 000 bytes
+with no host-cost history, each numbered entry at the head of
+CHANGES.md fits in 1 500 bytes, and every "DESIGN §N[.M]" pointer in the code, the tests,
+CI and the docs names a section DESIGN.md has.
 """
 
 from __future__ import annotations
@@ -58,9 +65,9 @@ def _scale_walk_docs() -> dict[str, str]:
     import repro.harness.scale as scale
 
     design = (ROOT / "DESIGN.md").read_text()
-    start = design.index("\n## 13. ")
+    start = design.index("\n## 11. ")
     return {
-        "DESIGN.md §13": design[start : design.index("\n## 14. ", start)],
+        "DESIGN.md §11": design[start : design.index("\n## 12. ", start)],
         "README.md": (ROOT / "README.md").read_text(),
         "harness/scale.py docstring": scale.__doc__,
     }
@@ -79,8 +86,8 @@ def test_scale_walk_docs_name_the_handle_bound():
     assert _ONCE_PER_PIVOT_RE.search("once per joining member, once per\n  pivot")
     assert _HANDLE_BOUND_RE.search("opens at most **2·(n−1)\nhandles**")
     assert _HANDLE_BOUND_RE.search("opens at most\n2·(n−1) handles: one per")
-    section = docs["DESIGN.md §13"]
-    assert "### 13.1" in section and "## 14." not in section
+    section = docs["DESIGN.md §11"]
+    assert "### 11.1" in section and "## 12." not in section
 
 
 def test_every_flag_the_docs_name_is_registered():
@@ -114,9 +121,9 @@ _LAYOUT_LINE_RE = re.compile(r"^( *)([\w./]+/)?\s*(.*)$")
 
 
 def _design_layout() -> set[str]:
-    """The repo paths DESIGN §4's layout block names, one per file."""
+    """The repo paths DESIGN §2's layout block names, one per file."""
     design = (ROOT / "DESIGN.md").read_text()
-    section = design[design.index("\n## 4. ") : design.index("\n## 5. ")]
+    section = design[design.index("\n## 2. ") : design.index("\n## 3. ")]
     block = section.split("```")[1]
     named: set[str] = set()
     top = here = ""
@@ -133,7 +140,7 @@ def _design_layout() -> set[str]:
 def test_design_layout_names_existing_files():
     named = _design_layout()
     missing = sorted(path for path in named if not (ROOT / path).is_file())
-    assert not missing, f"DESIGN §4 names files that do not exist: {missing}"
+    assert not missing, f"DESIGN §2 names files that do not exist: {missing}"
     modules = {
         str(path.relative_to(ROOT))
         for path in (ROOT / "src" / "repro").rglob("*.py")
@@ -143,7 +150,7 @@ def test_design_layout_names_existing_files():
         str(path.relative_to(ROOT)) for path in (ROOT / "examples").glob("*.py")
     }
     unnamed = sorted((modules | examples) - named)
-    assert not unnamed, f"DESIGN §4 omits: {unnamed}"
+    assert not unnamed, f"DESIGN §2 omits: {unnamed}"
     # Spot-pin so a parsing regression cannot make the check vacuous.
     assert {"src/repro/factories.py", "src/repro/sim/batched.py"} <= named
     assert "examples/quickstart.py" in named
@@ -196,3 +203,122 @@ def test_every_module_the_docs_name_exists():
     assert _missing_module("repro.nowhere.module") == "repro.nowhere"
     named = set().union(*(_named_modules((ROOT / n).read_text()) for n in _DOCS))
     assert {"repro.harness", "repro.sim.engine", "repro.service"} <= named
+
+
+# -- budgets -----------------------------------------------------------------
+
+_DESIGN_BUDGET = 35_000
+_EXPERIMENTS_BUDGET = 22_000
+_CHANGES_ENTRY_BUDGET = 1_500
+_HOST_COST_RE = re.compile(r"^#+ .*host cost.*$", re.IGNORECASE | re.MULTILINE)
+_PR_NARRATION_RE = re.compile(r"\bPRs?\s*\d+")
+
+
+def _size(name: str) -> int:
+    return len((ROOT / name).read_bytes())
+
+
+def test_design_and_experiments_fit_their_budgets():
+    assert _size("DESIGN.md") <= _DESIGN_BUDGET, (
+        f"DESIGN.md is {_size('DESIGN.md')} bytes, over {_DESIGN_BUDGET}: "
+        "it states the design as it is, not how it got there"
+    )
+    assert _size("EXPERIMENTS.md") <= _EXPERIMENTS_BUDGET, (
+        f"EXPERIMENTS.md is {_size('EXPERIMENTS.md')} bytes, over "
+        f"{_EXPERIMENTS_BUDGET}: it is the paper-vs-measured record"
+    )
+    headings = _HOST_COST_RE.findall((ROOT / "EXPERIMENTS.md").read_text())
+    assert not headings, (
+        f"EXPERIMENTS.md has host-cost section(s) {headings}: host timings "
+        "are what bench/run.py reports"
+    )
+    # Spot-pin so a regex regression cannot make the check vacuous.
+    assert _HOST_COST_RE.findall("x\n## Host cost — one walk\ny") == [
+        "## Host cost — one walk"
+    ]
+
+
+_NUMBERED_ENTRY_RE = re.compile(r"PR \d+ ")
+
+
+def _numbered_changes_entries() -> list[str]:
+    """The changelog's leading run of numbered entries, one line each."""
+    entries = []
+    for line in (ROOT / "CHANGES.md").read_text().splitlines():
+        if not line:
+            continue
+        if not _NUMBERED_ENTRY_RE.match(line):
+            break
+        entries.append(line)
+    return entries
+
+
+def test_early_changes_entries_fit_their_budget():
+    entries = _numbered_changes_entries()
+    long = {
+        entry[:40]: len(entry.encode())
+        for entry in entries
+        if len(entry.encode()) > _CHANGES_ENTRY_BUDGET
+    }
+    assert not long, f"CHANGES.md entries over {_CHANGES_ENTRY_BUDGET} bytes: {long}"
+    # Spot-pin so a parsing regression cannot make the check vacuous.
+    assert len(entries) >= 30
+
+
+def test_design_and_readme_carry_no_pr_narration():
+    found = {
+        f"{name}: {match}"
+        for name in ("DESIGN.md", "README.md")
+        for match in _PR_NARRATION_RE.findall((ROOT / name).read_text())
+    }
+    assert not found, (
+        f"PR narration in {sorted(found)} — say what the code does, not "
+        "which change made it"
+    )
+    # Spot-pin so a regex regression cannot make the scan vacuous; the
+    # sample is assembled so this file names no change number itself.
+    tag = "PR"
+    sample = f"({tag} 7) and {tag}s 36–38, not A{tag} 2"
+    assert _PR_NARRATION_RE.findall(sample) == [f"{tag} 7", f"{tag}s 36"]
+
+
+# -- DESIGN section pointers ---------------------------------------------------
+
+_POINTER_RE = re.compile(
+    r"DESIGN(?:\.md)?`?\s*(§\s*\d+(?:\.\d+)?(?:\s*,\s*§\s*\d+(?:\.\d+)?)*)"
+)
+_SECTION_RE = re.compile(r"§\s*(\d+(?:\.\d+)?)")
+_HEADING_RE = re.compile(r"^#{2,3} (\d+(?:\.\d+)?)\.? ", re.MULTILINE)
+
+
+def _pointer_sources() -> list[Path]:
+    files = [ROOT / "README.md", ROOT / "EXPERIMENTS.md"]
+    for tree, pattern in (("src", "*.py"), ("tests", "*.py"), (".github", "*.yml")):
+        files += sorted((ROOT / tree).rglob(pattern))
+    return files
+
+
+def _pointers(text: str) -> list[str]:
+    return [
+        section
+        for group in _POINTER_RE.findall(text)
+        for section in _SECTION_RE.findall(group)
+    ]
+
+
+def test_every_design_pointer_resolves():
+    sections = set(_HEADING_RE.findall((ROOT / "DESIGN.md").read_text()))
+    cited: dict[str, set[str]] = {}
+    for path in _pointer_sources():
+        for section in _pointers(path.read_text()):
+            cited.setdefault(section, set()).add(str(path.relative_to(ROOT)))
+    stale = {f"§{sec}": sorted(where) for sec, where in cited.items() if sec not in sections}
+    assert not stale, f"DESIGN pointers to sections DESIGN.md does not have: {stale}"
+    # Spot-pins so a regex, heading or file-walk regression cannot make
+    # the check vacuous.
+    assert {"2", "4.1", "11", "11.1", "12.1"} <= sections
+    assert _pointers("(" + "DESIGN.md §7, §11)") == ["7", "11"]
+    assert _pointers("`DESIGN" + ".md`\n§6.3 and") == ["6.3"]
+    assert _pointers("DESIGN" + " §2's layout") == ["2"]
+    assert {"6.3", "7", "11", "12.1"} <= set(cited)
+    assert any(path.name == "ci.yml" for path in _pointer_sources())

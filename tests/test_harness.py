@@ -193,3 +193,33 @@ class TestCli:
     def test_sample_tree(self, capsys):
         assert cli_main(["--sample-tree", "--preset", "smoke"]) == 0
         assert "Sample VDM tree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("argv", "env", "named"),
+        [
+            (["fig3_25", "nosuchfig"], None, "nosuchfig"),
+            (["fig3_25"], "2", "REPRO_BATCHED_REPS"),
+        ],
+        ids=["unknown-figure", "batched-reps-count"],
+    )
+    def test_usage_errors_come_before_any_work(
+        self, argv, env, named, tmp_path, monkeypatch, capsys
+    ):
+        """A typo'd id once ran every figure before it, then died with a
+        ``KeyError`` behind a journal whose resume could never succeed."""
+        from repro.harness import __main__ as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused invocation ran a figure")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        if env is None:
+            monkeypatch.delenv("REPRO_BATCHED_REPS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BATCHED_REPS", env)
+        jdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--preset", "smoke", "--journal", str(jdir)])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not jdir.exists()

@@ -1,6 +1,6 @@
 """Row-fed scale walk: byte-identical to the per-pair reference.
 
-The contract under test (DESIGN.md §13): :mod:`repro.harness.scale` has
+The contract under test (DESIGN.md §11): :mod:`repro.harness.scale` has
 one join walk, one metrics pass and one Prim pass, and they read every
 distance off an index-addressed ``SparseUnderlay``'s Dijkstra rows.  The
 suites' ``kernel`` parameter picks the side of each comparison

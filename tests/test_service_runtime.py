@@ -395,11 +395,43 @@ class TestServiceRuntime:
         with pytest.raises(ValueError, match="pace_s"):
             ServiceRuntime(BASE, _underlay(), chaos_plan=(), pace_s=pace_s)
 
-    def test_cli_refuses_an_infinite_duration(self):
+    def test_cli_refuses_an_infinite_duration(self, capsys):
         from repro.service.__main__ import main
 
-        with pytest.raises(ValueError, match="duration_s"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["poisson", "--duration", "inf"])
+        assert exit_info.value.code == 2
+        assert "duration_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["--duration", "-5"], "duration_s"),
+            (["--duration", "nan"], "duration_s"),
+            (["--workers", "0"], "join_workers"),
+            (["--chaos", '[{"action": "meteor", "at_s": 1}]'], "REPRO_SERVICE_CHAOS"),
+            (["--chaos", "not json"], "REPRO_SERVICE_CHAOS"),
+            (["--chaos", "@{tmp}/missing.json"], "missing.json"),
+        ],
+    )
+    def test_cli_usage_errors_run_nothing(
+        self, argv, named, tmp_path, monkeypatch, capsys
+    ):
+        """A bad option is ``parser.error`` (exit 2) before any run or journal."""
+        from repro.service import __main__ as cli
+
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused invocation built a runtime")
+
+        monkeypatch.setattr(cli, "ServiceRuntime", no_run)
+        jdir = tmp_path / "svc"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["poisson", "--journal", str(jdir), *argv])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not jdir.exists()
 
 
 class TestServiceChaos:
