@@ -890,11 +890,11 @@ class JoinProcess:
     .. note:: The *decision* is not here: it is the join kernel
        (:mod:`repro.core.join`), which the batched multi-replication
        engine calls too.  The *loop* is still mirrored: ``sim/batched.py``
-       re-implements the plumbing as flat heap events, and its
-       bit-exactness contract is this file's semantics — every RNG draw,
-       message count, and tie-break in the same order.  Touch the join
-       loop, :meth:`_probe_children`, :meth:`_redirect_after_reject`, or
-       :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
+       re-implements it as flat heap events (a probe round: one DECIDE or
+       one ARRIVE per request) under this file's semantics — every RNG
+       draw, message count and tie-break in the same order.  Touch the
+       join loop, :meth:`_probe_children`, :meth:`_redirect_after_reject`,
+       or :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
        ``sim/batched.py`` (``_iterate`` / ``_probe_children`` /
        ``_redirect`` / ``_handle_conn``) must change in lock-step;
        ``tests/test_batched_engine.py`` and the benchmark's
@@ -982,8 +982,8 @@ class JoinProcess:
         )
 
     def _probe_children(self, pivot: int, info: InfoResponse) -> None:
-        # Mirrored (with the request/timeout legs elided where provably
-        # equivalent) by repro.sim.batched._Emulator._probe_children.
+        # Mirrored by repro.sim.batched._Emulator._probe_children: one
+        # ARRIVE per request, or one DECIDE where the round is known.
         me = self.agent.node_id
         tree = self.env.tree
         if tree.children.get(me):

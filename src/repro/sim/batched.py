@@ -33,6 +33,11 @@ How the speedup is obtained
   act.  ``events_processed`` diverges (skipped timeouts never pop), which
   is output-neutral: its only consumer is the agent-RNG spawn key, and a
   plain VDM agent (``case3_selection="closest"``) never draws that RNG.
+* **A probe round in two shapes.**  A round whose outcome is known at
+  send time collapses to one DECIDE entry at its last terminal; every
+  other round takes one ARRIVE entry per request, at the scalar
+  request-arrival key, and the last of them queues the DECIDE (see
+  :meth:`_Emulator._probe_children`).
 * **Cell-level sharing.**  All replications of one sweep cell share the
   underlay (:class:`BatchedCell`), and every agent reads the underlay's
   own host delay row (``Underlay.delay_row``, in ms, read-only) instead
@@ -152,14 +157,11 @@ _OP_MEASURE = 3
 _OP_TELL = 4
 _OP_INFO_REQ = 5
 _OP_INFO_REPLY = 6
-_OP_PROBE_REQ = 7
-_OP_PROBE_REPLY = 8
-_OP_CONN_REQ = 9
-_OP_CONN_REPLY = 10
-_OP_TIMEOUT_RESTART = 11
-_OP_TIMEOUT_PROBE = 12
-_OP_DECIDE = 13
-_OP_FREE_READ = 14
+_OP_ARRIVE = 7
+_OP_CONN_REQ = 8
+_OP_CONN_REPLY = 9
+_OP_TIMEOUT_RESTART = 10
+_OP_DECIDE = 11
 
 # Tell kinds (mirror the scalar message vocabulary that survives the
 # envelope: LeaveNotice / ChildRemove / ParentChange / GrandparentChange).
@@ -213,8 +215,8 @@ class _Join:
     """Mirror of :class:`~repro.protocols.base.JoinProcess` bookkeeping.
 
     The probe-round state a scalar closure would capture
-    (results/outstanding) travels in the op payloads instead, exactly
-    like the closures carry it per round.
+    (results/outstanding) travels in the round list that a round's
+    ARRIVE entries share, or, for a collapsed round, in its DECIDE entry.
     """
 
     __slots__ = (
@@ -343,15 +345,14 @@ class _Emulator:
             int(degree), cell.underlay.delay_row(self.source)
         )
         self._alive.add(self.source)
-        # Scheduling knowledge for the probe-round fast path: churn is
+        # Scheduling knowledge for the collapsed probe round: churn is
         # slotted, so every leave inside the current slot is already in
         # the heap — ``_death_at`` maps node -> its pending leave time,
         # ``_horizon`` is the next slot start (beyond it, aliveness is
         # not yet drawn), and ``_next_measure`` is the next measurement
-        # instant (the only reader of the control counter; ``_mtimes``
-        # adds the closing one at total_s, as a probe round's control
-        # messages must not straddle any reader).  All three are kept by
-        # ``_run_slot`` / ``_do_leave`` / ``_measure``.
+        # instant (the only reader of the control counter, counting the
+        # closing one at total_s).  All three are kept by ``_run_slot`` /
+        # ``_do_leave`` / ``_measure``.
         entries = self.schedule.entries
         self._death_at: dict[int, float] = {}
         # Before the first slot no churn is drawn at all, and a request
@@ -360,10 +361,11 @@ class _Emulator:
         slots = iter([t for t, _, kind, _ in entries if kind == "slot"])
         self._horizon = next(slots, math.inf)
         self._later_slots = slots
-        self._mtimes = [t for t, _, kind, _ in entries if kind == "measure"]
-        self._mtimes.append(cfg.total_s)
-        self._mt_i = 0
-        self._next_measure = self._mtimes[0]
+        measures = iter(
+            [t for t, _, kind, _ in entries if kind == "measure"] + [cfg.total_s]
+        )
+        self._next_measure = next(measures)
+        self._later_measures = measures
 
     # Every site below reads ``agent.row`` (ms) with the scalar runtime's
     # own arithmetic: ``row[x] / 1000.0`` is the send delay in seconds,
@@ -510,202 +512,128 @@ class _Emulator:
             return
         now = self.now
         ttime = now + self._timeout_s
-        # ---- precomputed round (the fast path) -------------------------------
-        # A probe round's decision inputs are static except for two things:
-        # which children answer (aliveness at each request's arrival) and
-        # their fresh free degrees.  Aliveness is predictable — churn is
-        # slotted, so inside the horizon a child dies exactly at its
-        # already-scheduled leave time.  Everything else — the join
-        # kernel's case split over static distance rows, the
-        # reply/timeout terminal times — is computed here at send time,
-        # so the whole round collapses to ONE heap entry at the instant
-        # the last terminal would have fired, where ``_decide`` runs the
-        # kernel against live agent state.  Control totals stay
-        # window-exact: replies are counted at send, except those
-        # arriving after the next measurement, whose count rides inside
-        # the DECIDE entry (the decide instant lies in the same window as
-        # every such arrival whenever the timeout fits between
-        # consecutive measurements — checked below).
-        #
-        # Rounds whose decision *would* read the probed free degrees
-        # (pivot full, no directional child to descend through, at least
-        # one reply — the kernel's last-resort branches) take the middle
-        # path instead: aliveness is still predicted, so the
-        # request/timeout legs are elided, and one FREE_READ event per
-        # replying child samples its free degree at exactly the scalar
-        # request-arrival instant (which is also when the scalar runtime
-        # counts the reply and reads the free it carries) into the
-        # ``probes`` list the terminal DECIDE hands to the kernel.
-        death_at = self._death_at
-        dag = death_at.get
-        horizon = self._horizon
         alive = self._alive
         row = proc.agent.row
-        next_measure = self._next_measure
-        # Every reply lands strictly before ``ttime`` (timeout-margin
-        # envelope), so with the whole round in front of the next
-        # measurement every reply counts at send; the per-arrival window
-        # split below only runs for the rare straddling round.
-        straddle = ttime > next_measure
-        replying: list[tuple[int, float, float]] = []
-        n_reply = 0
-        n_pre = 0  # replies arriving at or before the next measurement
+        # Probe sends, in the scalar per-send seq order: the timeout seq
+        # first, then the request seq only when the target is alive.  The
+        # requests are counted now; each reply at its request's arrival.
+        self.control += len(candidates)
+        if ttime <= self._next_measure:
+            # ---- collapsed round ------------------------------------------
+            # Churn is slotted, so inside the horizon a child dies exactly
+            # at its already-scheduled leave time and the repliers are
+            # known now; with the whole round before the next
+            # measurement, counting their replies now is window-exact.
+            # When the decision cannot read the probed free degrees either
+            # (the kernel reads them only for a full pivot with no Case III
+            # child and some reply), the round is ONE heap entry at the
+            # instant its last terminal would have fired, where
+            # ``_decide`` runs the join kernel against live agent state.
+            dag = self._death_at.get
+            horizon = self._horizon
+            replying: list[tuple[int, float, float]] = []
+            seq = self._seq
+            last_tseq = -1  # tseq of the last elided timeout, if any
+            best_d = -1.0
+            best_seq = -1  # request seq of the chronologically last reply
+            for child, d_pivot_child, _cfree in candidates:
+                tseq = seq
+                seq += 1
+                if child not in alive:
+                    last_tseq = tseq
+                    continue
+                d = row[child] / 1000.0
+                seq += 1
+                check = now + d
+                if check > horizon:
+                    break
+                dt = dag(child)
+                if dt is not None and dt <= check:
+                    # The leave beats the request: its event was pushed at
+                    # slot start (lower seq), so at ``check`` the child is
+                    # already gone and the scalar path re-arms the timeout.
+                    last_tseq = tseq
+                    continue
+                if d >= best_d:  # ties: the later candidate replies last
+                    best_d = d
+                    best_seq = tseq + 1
+                replying.append((child, 2.0 * row[child], d_pivot_child))
+            else:
+                case2, case3 = split_cases(
+                    2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
+                )
+                if pivot_free > 0 or case3 or not replying:
+                    self._seq = seq
+                    self.control += len(replying)
+                    if last_tseq >= 0:
+                        # Replies all land before ``ttime`` (timeout-margin
+                        # envelope), so the last terminal is the last timeout.
+                        time, seq = ttime, last_tseq
+                    else:
+                        # The scalar reply time is (t0 + d) + d, summed in
+                        # exactly this order at the request's arrival.
+                        time, seq = (now + best_d) + best_d, best_seq
+                    heapq.heappush(
+                        self._heap,
+                        (time, 0, seq, _OP_DECIDE,
+                         proc, pivot, pivot_free, case2, case3, ()),
+                    )
+                    return
+        # ---- general round: one ARRIVE per request -----------------------------
+        # The entry sits at the scalar request-arrival key, so it sees the
+        # child exactly as the scalar request does; the reply's free degree
+        # is read there too.  The round list is the scalar closures'
+        # state: [proc, pivot, pivot_free, ttime, last timeout seq, last
+        # reply time, its seq, repliers (child, d_new, d_pivot), probes
+        # (d_new, child, free), requests still in flight].
+        round_ = [proc, pivot, pivot_free, ttime, -1, -1.0, -1, [], [], 0]
+        heap = self._heap
+        push = heapq.heappush
         seq = self._seq
-        last_tseq = -1  # tseq of the last elided timeout, if any
-        best_d = -1.0
-        best_seq = -1  # request seq of the chronologically last reply
-        ok = True
+        in_flight = 0
         for child, d_pivot_child, _cfree in candidates:
             tseq = seq
             seq += 1
             if child not in alive:
-                last_tseq = tseq
-                continue
-            d = row[child] / 1000.0
-            seq += 1
-            check = now + d
-            if check > horizon:
-                ok = False
-                break
-            dt = dag(child)
-            if dt is not None and dt <= check:
-                # The leave beats the request: its event was pushed at
-                # slot start (lower seq), so at ``check`` the child is
-                # already gone and the scalar path re-arms the timeout.
-                last_tseq = tseq
-                continue
-            n_reply += 1
-            if straddle and check <= next_measure:
-                n_pre += 1
-            if d >= best_d:  # ties: the later candidate replies last
-                best_d = d
-                best_seq = tseq + 1
-            replying.append((child, 2.0 * row[child], d_pivot_child))
-        if not straddle:
-            n_pre = n_reply
-        elif ok and n_pre < n_reply:
-            # Post-measure replies ride in the terminal entry; that is
-            # window-exact only if no second measurement can fall inside
-            # the round.
-            i = self._mt_i + 1
-            mt = self._mtimes
-            if i < len(mt) and ttime > mt[i]:
-                ok = False
-        if ok:
-            heap = self._heap
-            case2, case3 = split_cases(
-                2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
-            )
-            if pivot_free <= 0 and not case3 and n_reply:
-                # ---- middle path: free degrees sampled by FREE_READ ----
-                # Re-walk the candidates (pure reads; nothing changed
-                # since the classification pass, so every aliveness
-                # determination repeats) to emit one FREE_READ per
-                # predicted reply at the scalar request-arrival instant.
-                self.control += len(candidates)
-                probes: list[tuple[float, int, int]] = []
-                push = heapq.heappush
-                s = self._seq
-                for child, _cd, _cf in candidates:
-                    tseq = s
-                    s += 1
-                    if child not in alive:
-                        continue
-                    d = row[child] / 1000.0
-                    s += 1
-                    check = now + d
-                    dt = dag(child)
-                    if dt is not None and dt <= check:
-                        continue
-                    push(
-                        heap,
-                        (check, 0, tseq + 1, _OP_FREE_READ,
-                         probes, child, 2.0 * row[child]),
-                    )
-                self._seq = seq
-                xctl = 0  # every reply is counted by its FREE_READ
-            else:
-                probes = ()
-                self._seq = seq
-                self.control += len(candidates) + n_pre
-                xctl = n_reply - n_pre
-            if last_tseq >= 0:
-                # Replies all land before ``ttime`` (timeout-margin
-                # envelope), so the last terminal is the last timeout.
-                entry = (
-                    ttime, 0, last_tseq, _OP_DECIDE,
-                    proc, pivot, pivot_free, case2, case3, probes, xctl,
-                )
-            else:
-                # The scalar reply time is (t0 + d) + d, summed in
-                # exactly this order at the request's arrival.
-                entry = (
-                    (now + best_d) + best_d, 0, best_seq, _OP_DECIDE,
-                    proc, pivot, pivot_free, case2, case3, probes, xctl,
-                )
-            heapq.heappush(heap, entry)
-            return
-        # ---- event-per-probe slow path ---------------------------------------
-        # Each probed child is finished exactly once — the send/request
-        # chain creates one terminal entry (reply or elided-timeout) per
-        # child — so the scalar round's outstanding *set* reduces to a
-        # countdown.  The two lists collect the repliers in the kernel's
-        # shapes: (child, d_new, d_pivot) and (d_new, child, free).
-        round_ = (proc, pivot, pivot_free, [], [], [len(candidates)])
-        # Probe sends inlined (the hottest send site); seq consumption
-        # matches the per-send order: timeout seq first, then the request
-        # seq only when the target is alive.  The control counter is
-        # flushed once — no event can observe it between same-time sends.
-        heap = self._heap
-        push = heapq.heappush
-        alive = self._alive
-        now = self.now
-        ttime = now + self._timeout_s
-        row = proc.agent.row
-        seq = self._seq
-        for ci in candidates:
-            child = ci[0]
-            tseq = seq
-            seq += 1
-            if child not in alive:
-                push(heap, (ttime, 0, tseq, _OP_TIMEOUT_PROBE, round_, child, ci[1]))
+                round_[4] = tseq
                 continue
             d = row[child] / 1000.0
             push(
                 heap,
-                (now + d, 0, seq, _OP_PROBE_REQ, round_, child, ci[1], d, tseq, ttime),
+                (now + d, 0, seq, _OP_ARRIVE,
+                 round_, child, d, tseq, 2.0 * row[child], d_pivot_child),
             )
             seq += 1
+            in_flight += 1
         self._seq = seq
-        self.control += len(candidates)
+        round_[9] = in_flight
+        if not in_flight:
+            self._close_round(round_)
 
-    def _finish_probe(self, round_, child: int, ci_dist: float, free) -> None:
-        """Mirror of the probe round's ``finish_one`` (``free`` None = timeout)."""
-        proc, pivot, pivot_free, replying, probes, remaining = round_
-        if proc.cancelled or proc.finished:
-            return
-        row = proc.agent.row
-        if free is not None:
-            d_new = 2.0 * row[child]
-            replying.append((child, d_new, ci_dist))
-            probes.append((d_new, child, free))
-        n = remaining[0] - 1
-        remaining[0] = n
-        if not n:
-            case2, case3 = split_cases(
-                2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
-            )
-            self._decide(proc, pivot, pivot_free, case2, case3, probes)
+    def _close_round(self, round_) -> None:
+        """Queue a general round's DECIDE at its last terminal: the last
+        timeout when a child did not answer (every reply lands before
+        it), else the last reply."""
+        proc, pivot, pivot_free, ttime, tseq, time, seq, replying, probes, _ = round_
+        case2, case3 = split_cases(
+            2.0 * proc.agent.row[pivot], replying, self.cell.row.config.tie_tolerance
+        )
+        if tseq >= 0:
+            time, seq = ttime, tseq
+        heapq.heappush(
+            self._heap,
+            (time, 0, seq, _OP_DECIDE, proc, pivot, pivot_free, case2, case3, probes),
+        )
 
     def _decide(self, proc: _Join, pivot, pivot_free, case2, case3, probes) -> None:
         """``JoinProcess._decide``: ask the join kernel, act on its answer.
 
-        The kernel's case lists may have been split at send time
-        (pure static-distance arithmetic); everything else — the
+        The kernel's case lists are pure static-distance arithmetic,
+        split when the repliers were known; everything else — the
         joiner's adoption budget, the ``probes`` free degrees sampled at
         the scalar request-arrival instants — is live state read now,
-        exactly when the scalar runtime decides.  A precomputed round
-        that can never reach the free-degree branches of the Case-I tail
+        exactly when the scalar runtime decides.  A collapsed round,
+        which never reaches the free-degree branches of the Case-I tail,
         passes no probes.
         """
         agent = proc.agent
@@ -917,15 +845,12 @@ class _Emulator:
         self._horizon = next(self._later_slots, math.inf)
 
     def _measure(self, _entry=None) -> None:
-        """Record a measurement, and advance the guard list's cursor."""
+        """Record a measurement, and advance ``_next_measure`` past it."""
         now = self.now
-        mt = self._mtimes
-        i = self._mt_i
-        n_mt = len(mt)
-        while i < n_mt and mt[i] <= now:
-            i += 1
-        self._mt_i = i
-        self._next_measure = mt[i] if i < n_mt else math.inf
+        nm = self._next_measure
+        while nm <= now:
+            nm = next(self._later_measures, math.inf)
+        self._next_measure = nm
         take_measurement(self.accountant, self._records, now, self.control)
 
     # -- event handlers --------------------------------------------------------------
@@ -953,9 +878,9 @@ class _Emulator:
             for child in sorted(agent.children):
                 self._tell(row, dst, child, _TELL_GP_CHANGE, a)
 
-    # The INFO_REQ / INFO_REPLY / PROBE_REQ / PROBE_REPLY handlers are
-    # dispatched inline in ``run()`` — they carry ~80% of the event
-    # volume, so they skip the dispatch-table indirection.
+    # The INFO_REQ / INFO_REPLY / DECIDE / ARRIVE handlers are dispatched
+    # inline in ``run()`` — they carry most of the event volume, so they
+    # skip the dispatch-table indirection.
 
     def _h_conn_req(self, entry) -> None:
         proc = entry[4]
@@ -995,12 +920,6 @@ class _Emulator:
             return
         self._restart(proc)
 
-    def _h_timeout_probe(self, entry) -> None:
-        round_ = entry[4]
-        if round_[0].node not in self._alive:
-            return
-        self._finish_probe(round_, entry[5], entry[6], None)
-
     # -- run ----------------------------------------------------------------------
 
     def run(self) -> SessionResult:
@@ -1013,7 +932,7 @@ class _Emulator:
             heapq.heappush(heap, (time, priority, seq, ops[kind], node))
 
         # Rare-op handlers receive the whole (flat) heap entry.
-        handlers = [None] * 16
+        handlers = [None] * 12
         handlers[_OP_JOIN] = self._do_join
         handlers[_OP_LEAVE] = self._do_leave
         handlers[_OP_SLOT] = self._run_slot
@@ -1022,7 +941,6 @@ class _Emulator:
         handlers[_OP_CONN_REQ] = self._h_conn_req
         handlers[_OP_CONN_REPLY] = self._h_conn_reply
         handlers[_OP_TIMEOUT_RESTART] = self._h_timeout_restart
-        handlers[_OP_TIMEOUT_PROBE] = self._h_timeout_probe
 
         with paused_gc():
             total = cfg.total_s
@@ -1030,10 +948,9 @@ class _Emulator:
             push = heapq.heappush
             alive = self._alive
             agents = self.agents
-            # The four highest-volume ops (probe and info round trips are
-            # roughly 80% of all heap entries) are dispatched inline; the
+            # The four highest-volume ops are dispatched inline; the
             # bodies mirror the scalar handlers exactly like the method
-            # forms below do for the rarer ops.
+            # forms above do for the rarer ops.
             while heap:
                 entry = pop(heap)
                 t = entry[0]
@@ -1068,13 +985,9 @@ class _Emulator:
                     ):
                         self._probe_children(proc, entry[5], entry[6], entry[7])
                 elif op == _OP_DECIDE:
-                    # (.., proc, pivot, pivot_free, case2, case3, probes,
-                    # xctl) — the same guards the scalar terminals apply
-                    # per reply.  ``xctl`` counts the replies that arrived
-                    # after the most recent measurement: children answer
-                    # whether the joiner is still around or not, so the
-                    # count lands before any proc-state guard.
-                    self.control += entry[10]
+                    # (.., proc, pivot, pivot_free, case2, case3, probes)
+                    # — the same guards the scalar terminals apply per
+                    # reply.
                     proc = entry[4]
                     if proc.node in alive and not (
                         proc.cancelled or proc.finished
@@ -1082,54 +995,34 @@ class _Emulator:
                         self._decide(
                             proc, entry[5], entry[6], entry[7], entry[8], entry[9]
                         )
-                elif op == _OP_FREE_READ:
-                    # (.., probes, child, d_new) — the scalar request
-                    # arrival: count the reply it triggers and sample the
-                    # free degree it carries.
-                    agent = agents[entry[5]]
-                    self.control += 1
-                    entry[4].append(
-                        (entry[6], entry[5], agent.degree_limit - len(agent.children))
-                    )
-                elif op == _OP_PROBE_REQ:
-                    # (.., round_, child, ci_dist, d, tseq, ttime)
-                    child = entry[5]
-                    if child not in alive:
-                        push(
-                            heap,
-                            (
-                                entry[9],
-                                0,
-                                entry[8],
-                                _OP_TIMEOUT_PROBE,
-                                entry[4],
-                                child,
-                                entry[6],
-                            ),
-                        )
-                        continue
-                    agent = agents[child]
-                    self.control += 1  # the InfoResponse
-                    seq = self._seq
-                    self._seq = seq + 1
-                    push(
-                        heap,
-                        (
-                            t + entry[7],
-                            0,
-                            seq,
-                            _OP_PROBE_REPLY,
-                            entry[4],
-                            child,
-                            entry[6],
-                            agent.degree_limit - len(agent.children),
-                        ),
-                    )
-                elif op == _OP_PROBE_REPLY:
-                    # (.., round_, child, ci_dist, free)
+                elif op == _OP_ARRIVE:
+                    # (.., round_, child, d, tseq, d_new, d_pivot) — the
+                    # scalar request arrival, whether or not the joiner
+                    # is still around: a live child counts its reply,
+                    # takes the reply leg's seq and reports the free
+                    # degree the reply carries; a dead one leaves the
+                    # round its timeout.
                     round_ = entry[4]
-                    if round_[0].node in alive:
-                        self._finish_probe(round_, entry[5], entry[6], entry[7])
+                    child = entry[5]
+                    if child in alive:
+                        agent = agents[child]
+                        self.control += 1  # the InfoResponse
+                        seq = self._seq
+                        self._seq = seq + 1
+                        d_new = entry[8]
+                        round_[7].append((child, d_new, entry[9]))
+                        round_[8].append(
+                            (d_new, child, agent.degree_limit - len(agent.children))
+                        )
+                        reply_t = t + entry[6]
+                        if reply_t >= round_[5]:  # ties: the later seq
+                            round_[5] = reply_t
+                            round_[6] = seq
+                    elif entry[7] > round_[4]:
+                        round_[4] = entry[7]
+                    round_[9] -= 1
+                    if not round_[9]:
+                        self._close_round(round_)
                 else:
                     handlers[op](entry)
         self.now = cfg.total_s

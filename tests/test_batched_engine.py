@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.vdm import VDMConfig
@@ -152,9 +152,10 @@ def test_event_per_probe_path_matches_scalar(seed):
     """Probe rounds the send-time prediction cannot decide.
 
     Slots as short as a round trip and measurements twice a slot put
-    probe replies past the next slot start and rounds across two
-    measurements, so ``PROBE_REQ`` / ``PROBE_REPLY`` / ``TIMEOUT_PROBE``
-    and ``_finish_probe`` run; the default configs never reach them.
+    every probe round across a measurement, so each takes the general
+    path (one ``ARRIVE`` entry per request, the last queueing the
+    DECIDE), children die before their request lands, and some rounds
+    have no live child at send; the default configs never reach them.
     """
     underlay = _ts_underlay()
     cfg = _cfg(
@@ -166,6 +167,50 @@ def test_event_per_probe_path_matches_scalar(seed):
         settle_s=0.2,
         churn_rate=0.3,
         join_measure_interval_s=0.5,
+    )
+    cell = BatchedCell(underlay, None)
+    _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    slot_s=st.floats(min_value=1.0, max_value=5.0),
+    settle_share=st.floats(min_value=0.05, max_value=0.95),
+    n_slots=st.integers(min_value=2, max_value=6),
+    measure_s=st.one_of(st.none(), st.floats(min_value=0.2, max_value=2.0)),
+    churn=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    n_nodes=st.integers(min_value=6, max_value=14),
+)
+# A fixed draw that reaches, on every run, join-phase requests past the
+# first slot start, rounds across a measurement, rounds that read probed
+# free degrees, and children that die in flight.
+@example(
+    seed=33, slot_s=4.0, settle_share=0.5, n_slots=2, measure_s=None,
+    churn=0.3, n_nodes=14,
+)
+def test_short_slot_rounds_match_scalar_property(
+    seed, slot_s, settle_share, n_slots, measure_s, churn, n_nodes
+):
+    """Both probe-round shapes on random short-slot sessions.
+
+    Slots of a few round trips and optional join-phase measurements put
+    requests past the slot horizon and rounds across a measurement, and
+    churn kills children while their request is in flight, so rounds
+    switch between the collapsed DECIDE and the per-request ARRIVE path.
+    """
+    underlay = _ts_underlay()
+    join_phase_s = 2.0
+    cfg = _cfg(
+        seed=seed,
+        n_nodes=n_nodes,
+        degree=(1, 2),
+        join_phase_s=join_phase_s,
+        total_s=join_phase_s + n_slots * slot_s,
+        slot_s=slot_s,
+        settle_s=settle_share * slot_s,
+        churn_rate=churn,
+        join_measure_interval_s=measure_s,
     )
     cell = BatchedCell(underlay, None)
     _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))

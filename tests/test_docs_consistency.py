@@ -12,7 +12,8 @@ every dotted ``repro.*`` module the docs name is one of them.
 The docs also keep to budgets: DESIGN.md states the design as it is in
 at most 35 000 bytes with no "PR <n>" narration (nor does README.md),
 EXPERIMENTS.md is the paper-vs-measured record in at most 22 000 bytes
-with no host-cost history, each numbered entry at the head of
+with no host-cost history, README.md fits in 24 000 bytes (timings are
+``bench/run.py``'s to report), each numbered entry at the head of
 CHANGES.md fits in 1 500 bytes, and every "DESIGN §N[.M]" pointer in the code, the tests,
 CI and the docs names a section DESIGN.md has.
 """
@@ -209,6 +210,7 @@ def test_every_module_the_docs_name_exists():
 
 _DESIGN_BUDGET = 35_000
 _EXPERIMENTS_BUDGET = 22_000
+_README_BUDGET = 24_000
 _CHANGES_ENTRY_BUDGET = 1_500
 _HOST_COST_RE = re.compile(r"^#+ .*host cost.*$", re.IGNORECASE | re.MULTILINE)
 _PR_NARRATION_RE = re.compile(r"\bPRs?\s*\d+")
@@ -236,6 +238,13 @@ def test_design_and_experiments_fit_their_budgets():
     assert _HOST_COST_RE.findall("x\n## Host cost — one walk\ny") == [
         "## Host cost — one walk"
     ]
+
+
+def test_readme_fits_its_budget():
+    assert _size("README.md") <= _README_BUDGET, (
+        f"README.md is {_size('README.md')} bytes, over {_README_BUDGET}: "
+        "it says how to run things; bench/run.py reports what they cost"
+    )
 
 
 _NUMBERED_ENTRY_RE = re.compile(r"PR \d+ ")
