@@ -890,8 +890,8 @@ class JoinProcess:
     .. note:: The *decision* is not here: it is the join kernel
        (:mod:`repro.core.join`), which the batched multi-replication
        engine calls too.  The *loop* is still mirrored: ``sim/batched.py``
-       re-implements it as flat heap events (a probe round: one DECIDE or
-       one ARRIVE per request) under this file's semantics — every RNG
+       re-implements it as flat heap events (a probe round: one ARRIVE
+       per request, then one DECIDE) under this file's semantics — every RNG
        draw, message count and tie-break in the same order.  Touch the
        join loop, :meth:`_probe_children`, :meth:`_redirect_after_reject`,
        or :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
@@ -983,7 +983,7 @@ class JoinProcess:
 
     def _probe_children(self, pivot: int, info: InfoResponse) -> None:
         # Mirrored by repro.sim.batched._Emulator._probe_children: one
-        # ARRIVE per request, or one DECIDE where the round is known.
+        # ARRIVE per request, the last of which queues the DECIDE.
         me = self.agent.node_id
         tree = self.env.tree
         if tree.children.get(me):

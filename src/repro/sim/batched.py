@@ -20,24 +20,22 @@ How the speedup is obtained
   scalar engine's ``(time, priority, seq)`` key.  No ``Event``, closure,
   or ``Message`` object is allocated on the hot path; the continuation
   state a scalar closure would capture rides in the payload tuple.
-* **Timeout elision.**  The scalar runtime schedules a cancellable
-  timeout for *every* request and cancels it when the reply lands.  Under
-  the envelope below (``2 x max one-way delay`` strictly below the
-  timeout), a timeout can only ever *fire* a state change when its target
-  was dead at send or at request-delivery time; all other timeouts are
-  either cancelled or guarded into no-ops (``fire_timeout`` checks the
-  requester is alive, and every ``on_timeout`` continuation checks its
-  join process is neither cancelled nor finished).  The batched engine
-  therefore consumes the timeout's sequence number when the scalar engine
-  would, but only materializes a heap entry in the two cases that can
-  act.  ``events_processed`` diverges (skipped timeouts never pop), which
-  is output-neutral: its only consumer is the agent-RNG spawn key, and a
+* **Timeout elision.**  The scalar runtime (``ProtocolRuntime.request``)
+  reserves a request's timeout seq at send and queues the timeout only
+  once it is owed: the target was dead at send or at request delivery,
+  or the requester is gone when the reply lands.  Under the envelope
+  below (``2 x max one-way delay`` strictly below the timeout) those are
+  the only cases, and in the last one ``fire_timeout`` finds the
+  requester dead and does nothing.  The batched engine therefore
+  consumes the timeout's seq at send, as the scalar engine does, and
+  pushes a heap entry only in the two cases that can act.
+  ``events_processed`` diverges (the inert timeouts never pop), which is
+  output-neutral: its only consumer is the agent-RNG spawn key, and a
   plain VDM agent (``case3_selection="closest"``) never draws that RNG.
-* **A probe round in two shapes.**  A round whose outcome is known at
-  send time collapses to one DECIDE entry at its last terminal; every
-  other round takes one ARRIVE entry per request, at the scalar
-  request-arrival key, and the last of them queues the DECIDE (see
-  :meth:`_Emulator._probe_children`).
+* **One ARRIVE per probe request.**  A probe round pushes one entry per
+  live child at the scalar request-arrival key; the reply leg's seq is
+  taken there, and the last arrival queues the round's DECIDE at the
+  scalar key of its last terminal (see :meth:`_Emulator._probe_children`).
 * **Cell-level sharing.**  All replications of one sweep cell share the
   underlay (:class:`BatchedCell`), and every agent reads the underlay's
   own host delay row (``Underlay.delay_row``, in ms, read-only) instead
@@ -207,7 +205,8 @@ class _Agent:
         self.proc: _Join | None = None
         self.row = row  # the underlay's one-way delay row of this node, in ms
         #: memo of ``sorted(children.items())`` — reset to None at every
-        #: children mutation, rebuilt lazily by ``_child_info``.
+        #: children mutation and never written in place, so an INFO_REPLY
+        #: carries it as the pivot's snapshot; rebuilt lazily where read.
         self.csort: list[tuple[int, float]] | None = None
 
 
@@ -216,7 +215,7 @@ class _Join:
 
     The probe-round state a scalar closure would capture
     (results/outstanding) travels in the round list that a round's
-    ARRIVE entries share, or, for a collapsed round, in its DECIDE entry.
+    ARRIVE entries share.
     """
 
     __slots__ = (
@@ -345,27 +344,6 @@ class _Emulator:
             int(degree), cell.underlay.delay_row(self.source)
         )
         self._alive.add(self.source)
-        # Scheduling knowledge for the collapsed probe round: churn is
-        # slotted, so every leave inside the current slot is already in
-        # the heap — ``_death_at`` maps node -> its pending leave time,
-        # ``_horizon`` is the next slot start (beyond it, aliveness is
-        # not yet drawn), and ``_next_measure`` is the next measurement
-        # instant (the only reader of the control counter, counting the
-        # closing one at total_s).  All three are kept by ``_run_slot`` /
-        # ``_do_leave`` / ``_measure``.
-        entries = self.schedule.entries
-        self._death_at: dict[int, float] = {}
-        # Before the first slot no churn is drawn at all, and a request
-        # arriving exactly at the boundary (prio 0) still beats the slot
-        # event (prio 5), so the boundary itself is inside the horizon.
-        slots = iter([t for t, _, kind, _ in entries if kind == "slot"])
-        self._horizon = next(slots, math.inf)
-        self._later_slots = slots
-        measures = iter(
-            [t for t, _, kind, _ in entries if kind == "measure"] + [cfg.total_s]
-        )
-        self._next_measure = next(measures)
-        self._later_measures = measures
 
     # Every site below reads ``agent.row`` (ms) with the scalar runtime's
     # own arithmetic: ``row[x] / 1000.0`` is the send delay in seconds,
@@ -497,6 +475,16 @@ class _Emulator:
             proc.agent.proc = None
 
     def _probe_children(self, proc: _Join, pivot: int, pivot_free: int, kids) -> None:
+        """Send one probe per candidate among the pivot's ``kids`` — its
+        sorted ``(child, distance)`` list — as one ARRIVE entry each.
+
+        The entry sits at the scalar request-arrival key, so it sees the
+        child exactly as the scalar request does, and the reply's free
+        degree is read there too.  The round list is the scalar closures'
+        state: [proc, pivot, pivot_free, ttime, last timeout seq, last
+        reply time, its seq, repliers (child, d_new, d_pivot), probes
+        (d_new, child, free), requests still in flight].
+        """
         me = proc.node
         if self.tree.children.get(me):
             # Only a joiner that kept a subtree through a parent loss can
@@ -518,80 +506,12 @@ class _Emulator:
         # first, then the request seq only when the target is alive.  The
         # requests are counted now; each reply at its request's arrival.
         self.control += len(candidates)
-        if ttime <= self._next_measure:
-            # ---- collapsed round ------------------------------------------
-            # Churn is slotted, so inside the horizon a child dies exactly
-            # at its already-scheduled leave time and the repliers are
-            # known now; with the whole round before the next
-            # measurement, counting their replies now is window-exact.
-            # When the decision cannot read the probed free degrees either
-            # (the kernel reads them only for a full pivot with no Case III
-            # child and some reply), the round is ONE heap entry at the
-            # instant its last terminal would have fired, where
-            # ``_decide`` runs the join kernel against live agent state.
-            dag = self._death_at.get
-            horizon = self._horizon
-            replying: list[tuple[int, float, float]] = []
-            seq = self._seq
-            last_tseq = -1  # tseq of the last elided timeout, if any
-            best_d = -1.0
-            best_seq = -1  # request seq of the chronologically last reply
-            for child, d_pivot_child, _cfree in candidates:
-                tseq = seq
-                seq += 1
-                if child not in alive:
-                    last_tseq = tseq
-                    continue
-                d = row[child] / 1000.0
-                seq += 1
-                check = now + d
-                if check > horizon:
-                    break
-                dt = dag(child)
-                if dt is not None and dt <= check:
-                    # The leave beats the request: its event was pushed at
-                    # slot start (lower seq), so at ``check`` the child is
-                    # already gone and the scalar path re-arms the timeout.
-                    last_tseq = tseq
-                    continue
-                if d >= best_d:  # ties: the later candidate replies last
-                    best_d = d
-                    best_seq = tseq + 1
-                replying.append((child, 2.0 * row[child], d_pivot_child))
-            else:
-                case2, case3 = split_cases(
-                    2.0 * row[pivot], replying, self.cell.row.config.tie_tolerance
-                )
-                if pivot_free > 0 or case3 or not replying:
-                    self._seq = seq
-                    self.control += len(replying)
-                    if last_tseq >= 0:
-                        # Replies all land before ``ttime`` (timeout-margin
-                        # envelope), so the last terminal is the last timeout.
-                        time, seq = ttime, last_tseq
-                    else:
-                        # The scalar reply time is (t0 + d) + d, summed in
-                        # exactly this order at the request's arrival.
-                        time, seq = (now + best_d) + best_d, best_seq
-                    heapq.heappush(
-                        self._heap,
-                        (time, 0, seq, _OP_DECIDE,
-                         proc, pivot, pivot_free, case2, case3, ()),
-                    )
-                    return
-        # ---- general round: one ARRIVE per request -----------------------------
-        # The entry sits at the scalar request-arrival key, so it sees the
-        # child exactly as the scalar request does; the reply's free degree
-        # is read there too.  The round list is the scalar closures'
-        # state: [proc, pivot, pivot_free, ttime, last timeout seq, last
-        # reply time, its seq, repliers (child, d_new, d_pivot), probes
-        # (d_new, child, free), requests still in flight].
         round_ = [proc, pivot, pivot_free, ttime, -1, -1.0, -1, [], [], 0]
         heap = self._heap
         push = heapq.heappush
         seq = self._seq
         in_flight = 0
-        for child, d_pivot_child, _cfree in candidates:
+        for child, d_pivot_child in candidates:
             tseq = seq
             seq += 1
             if child not in alive:
@@ -611,9 +531,9 @@ class _Emulator:
             self._close_round(round_)
 
     def _close_round(self, round_) -> None:
-        """Queue a general round's DECIDE at its last terminal: the last
-        timeout when a child did not answer (every reply lands before
-        it), else the last reply."""
+        """Split the round's cases and queue its DECIDE at the last
+        terminal: the last timeout when a child did not answer (every
+        reply lands before it), else the last reply."""
         proc, pivot, pivot_free, ttime, tseq, time, seq, replying, probes, _ = round_
         case2, case3 = split_cases(
             2.0 * proc.agent.row[pivot], replying, self.cell.row.config.tie_tolerance
@@ -632,9 +552,7 @@ class _Emulator:
         split when the repliers were known; everything else — the
         joiner's adoption budget, the ``probes`` free degrees sampled at
         the scalar request-arrival instants — is live state read now,
-        exactly when the scalar runtime decides.  A collapsed round,
-        which never reaches the free-degree branches of the Case-I tail,
-        passes no probes.
+        exactly when the scalar runtime decides.
         """
         agent = proc.agent
         config = self.cell.row.config
@@ -684,11 +602,10 @@ class _Emulator:
             agent.csort = None
             for child in sorted(missing):
                 children[child] = 2.0 * row[child]
-        reject_kids = self._child_info(agent)
         if node != self.source and not tree.is_reachable(node):
-            return (False, reject_kids)
+            return (False, self._child_info(agent))
         if tree.is_descendant(node, sender):
-            return (False, reject_kids)
+            return (False, self._child_info(agent))
 
         if adopt is not None:  # insert
             alive = self._alive
@@ -709,7 +626,7 @@ class _Emulator:
                 if len(transferable) > room:
                     transferable = transferable[: max(room, 0)]
             if not transferable and agent.degree_limit - len(children) <= 0:
-                return (False, reject_kids)
+                return (False, self._child_info(agent))
             dist = 2.0 * row[sender]
             tree.insert(sender, node, tuple(transferable), self.now)
             children[sender] = dist
@@ -720,7 +637,7 @@ class _Emulator:
 
         # attach
         if agent.degree_limit - len(children) <= 0:
-            return (False, reject_kids)
+            return (False, self._child_info(agent))
         dist = 2.0 * row[sender]
         children[sender] = dist
         agent.csort = None
@@ -786,7 +703,6 @@ class _Emulator:
 
     def _do_leave(self, entry) -> None:
         node = entry[4]
-        self._death_at.pop(node, None)
         if node not in self._active:
             return
         agent = self.agents.get(node)
@@ -824,34 +740,17 @@ class _Emulator:
     # -- slot / measurement ----------------------------------------------------------
 
     def _run_slot(self, entry) -> None:
-        slot_start = entry[0]
         active = self._active & self._alive
         inactive = self.schedule.pool - self._active
-        events = self._churn.plan_slot(slot_start, active, inactive)
         heap = self._heap
-        death_at = self._death_at
-        for ev in events:
+        for ev in self._churn.plan_slot(entry[0], active, inactive):
             seq = self._seq
             self._seq = seq + 1
-            if ev.action == "join":
-                op = _OP_JOIN
-            else:
-                op = _OP_LEAVE
-                # Leavers are drawn from the alive-at-slot-start set and
-                # joiners from its complement, so this is the node's only
-                # possible aliveness flip before the next slot boundary.
-                death_at[ev.node] = ev.time
+            op = _OP_JOIN if ev.action == "join" else _OP_LEAVE
             heapq.heappush(heap, (ev.time, 0, seq, op, ev.node))
-        self._horizon = next(self._later_slots, math.inf)
 
     def _measure(self, _entry=None) -> None:
-        """Record a measurement, and advance ``_next_measure`` past it."""
-        now = self.now
-        nm = self._next_measure
-        while nm <= now:
-            nm = next(self._later_measures, math.inf)
-        self._next_measure = nm
-        take_measurement(self.accountant, self._records, now, self.control)
+        take_measurement(self.accountant, self._records, self.now, self.control)
 
     # -- event handlers --------------------------------------------------------------
 
@@ -968,7 +867,9 @@ class _Emulator:
                         continue
                     agent = agents[pivot]
                     free = agent.degree_limit - len(agent.children)
-                    kids = self._child_info(agent)
+                    kids = agent.csort
+                    if kids is None:
+                        kids = agent.csort = sorted(agent.children.items())
                     self.control += 1  # the InfoResponse
                     seq = self._seq
                     self._seq = seq + 1
@@ -977,7 +878,10 @@ class _Emulator:
                         (t + entry[6], 0, seq, _OP_INFO_REPLY, proc, pivot, free, kids),
                     )
                 elif op == _OP_INFO_REPLY:
-                    # (.., proc, pivot, free, kids)
+                    # (.., proc, pivot, free, kids) — ``kids`` is the
+                    # pivot's sorted (child, distance) list at delivery:
+                    # the round reads each child's free degree at its own
+                    # request's arrival, never the pivot's snapshot.
                     proc = entry[4]
                     # a dead node's scalar timeout would fire inert
                     if proc.node in alive and not (

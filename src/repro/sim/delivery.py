@@ -200,11 +200,6 @@ class DeliveryAccountant:
         self._counted: dict[int, tuple[int, tuple]] = {}
         #: nodes whose counted edge may differ from the tree's now.
         self._marked: set[int] = set()
-        # Window aggregates (loss_rate / mean_node_loss share one pass);
-        # any tree mutation invalidates every memoized window.
-        self._window_memo: dict[
-            tuple[float, float], tuple[float, float, float, int]
-        ] = {}
         #: the earliest window start the fused pass may serve: the end of
         #: the last window it served (see :meth:`window_snapshot`).
         self._fused_from = -math.inf
@@ -215,7 +210,6 @@ class DeliveryAccountant:
     def _on_tree_event(
         self, kind: str, node: int, parent: int | None, time: float
     ) -> None:
-        self._window_memo.clear()
         if kind == "depart":
             self._success.pop(node, None)
             self._marked.add(node)
@@ -432,16 +426,9 @@ class DeliveryAccountant:
         """One pass over the ledger: sums of expected, received and the
         per-node loss rates, and the number of rates.
 
-        Backs both :meth:`loss_rate` and :meth:`mean_node_loss` so callers
-        polling both per measurement window walk the ledger once, not
-        twice.  Memoized per window; any tree mutation clears the memo
-        (see :meth:`_on_tree_event`).
+        Backs both :meth:`loss_rate` and :meth:`mean_node_loss`.
         """
         _check_window(w0, w1)
-        key = (w0, w1)
-        cached = self._window_memo.get(key)
-        if cached is not None:
-            return cached
         expected_total = 0.0
         received_total = 0.0
         rate_sum = 0.0
@@ -453,9 +440,7 @@ class DeliveryAccountant:
             if stats.expected_chunks > 0:
                 rate_sum += stats.loss_rate
                 rate_n += 1
-        result = (expected_total, received_total, rate_sum, rate_n)
-        self._window_memo[key] = result
-        return result
+        return (expected_total, received_total, rate_sum, rate_n)
 
     def loss_rate(self, w0: float, w1: float) -> float:
         """Aggregate loss over all tracked nodes in the window (eq. 3.7)."""
@@ -623,9 +608,6 @@ class DeliveryAccountant:
                 and seg_start <= w1
             ):
                 led.state = _STEADY
-        self._window_memo[(w0, w1)] = (
-            expected_total, received_total, rate_sum, rate_n
-        )
         if expected_total > 0:
             loss_rate = 1.0 - received_total / expected_total
             if not loss_rate > 0.0:  # max(0.0, loss_rate)

@@ -72,6 +72,21 @@ def _pl_underlay(n_hosts: int = 24, seed: int = 11):
     return MatrixUnderlay(rtt)
 
 
+@lru_cache(maxsize=None)
+def _tie_underlay(n_hosts: int = 24, rtt_ms: float = 20.0, two_level_seed=None):
+    """Every pair at ``rtt_ms`` or, given ``two_level_seed``, each pair at
+    ``rtt_ms`` or ``2 * rtt_ms`` drawn from it.  Events that tie at one
+    instant abound, so only the seq order separates them; two levels let
+    paths of different hop counts meet at one instant too."""
+    rtt = np.full((n_hosts, n_hosts), rtt_ms)
+    if two_level_seed is not None:
+        levels = rng_from_seed(two_level_seed).integers(1, 3, size=(n_hosts, n_hosts))
+        rtt = np.triu(rtt * levels, 1)
+        rtt = rtt + rtt.T
+    np.fill_diagonal(rtt, 0.0)
+    return MatrixUnderlay(rtt)
+
+
 def _cfg(**overrides) -> SessionConfig:
     base = dict(
         n_nodes=12,
@@ -128,6 +143,22 @@ def _assert_equivalent(batched_res, scalar_res) -> None:
     )
 
 
+def _assert_matches_scalar(underlay, cfg: SessionConfig):
+    """Run ``cfg`` on the emulator and on the scalar engine, hold them to
+    :func:`_assert_equivalent`, and gate the seq allocation: the emulator
+    issues exactly as many seqs as the scalar simulator, since a seq
+    alone orders events that tie at one instant and priority.  Returns
+    the scalar result."""
+    cell = BatchedCell(underlay, None)
+    cell.check_config(cfg)
+    emulator = _Emulator(cell, cfg)
+    batched_res = emulator.run()
+    scalar_res = _scalar(underlay, cfg)
+    _assert_equivalent(batched_res, scalar_res)
+    assert emulator._seq == scalar_res.runtime.sim.events_scheduled
+    return scalar_res
+
+
 # ---------------------------------------------------------------------------
 # property-based equivalence (the heart of the suite)
 # ---------------------------------------------------------------------------
@@ -143,19 +174,18 @@ def _assert_equivalent(batched_res, scalar_res) -> None:
 def test_batched_matches_scalar_property(seed, churn, n_nodes, degree_hi):
     underlay = _ts_underlay()
     cfg = _cfg(seed=seed, churn_rate=churn, n_nodes=n_nodes, degree=(2, degree_hi))
-    cell = BatchedCell(underlay, None)
-    _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
+    _assert_matches_scalar(underlay, cfg)
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
 def test_event_per_probe_path_matches_scalar(seed):
-    """Probe rounds the send-time prediction cannot decide.
+    """Probe rounds under heavy churn and frequent measurements.
 
     Slots as short as a round trip and measurements twice a slot put
-    every probe round across a measurement, so each takes the general
-    path (one ``ARRIVE`` entry per request, the last queueing the
-    DECIDE), children die before their request lands, and some rounds
-    have no live child at send; the default configs never reach them.
+    probe rounds across a measurement and slot boundaries, children die
+    before their request lands, and some rounds have no live child at
+    send; each request is one ``ARRIVE`` entry, and the last of a round
+    queues its DECIDE.
     """
     underlay = _ts_underlay()
     cfg = _cfg(
@@ -168,8 +198,7 @@ def test_event_per_probe_path_matches_scalar(seed):
         churn_rate=0.3,
         join_measure_interval_s=0.5,
     )
-    cell = BatchedCell(underlay, None)
-    _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
+    _assert_matches_scalar(underlay, cfg)
 
 
 @settings(max_examples=10, deadline=None)
@@ -192,12 +221,11 @@ def test_event_per_probe_path_matches_scalar(seed):
 def test_short_slot_rounds_match_scalar_property(
     seed, slot_s, settle_share, n_slots, measure_s, churn, n_nodes
 ):
-    """Both probe-round shapes on random short-slot sessions.
+    """Probe rounds on random short-slot sessions.
 
     Slots of a few round trips and optional join-phase measurements put
-    requests past the slot horizon and rounds across a measurement, and
-    churn kills children while their request is in flight, so rounds
-    switch between the collapsed DECIDE and the per-request ARRIVE path.
+    requests past a slot start and rounds across a measurement, and
+    churn kills children while their request is in flight.
     """
     underlay = _ts_underlay()
     join_phase_s = 2.0
@@ -212,8 +240,51 @@ def test_short_slot_rounds_match_scalar_property(
         churn_rate=churn,
         join_measure_interval_s=measure_s,
     )
-    cell = BatchedCell(underlay, None)
-    _assert_equivalent(cell.run_session(cfg), _scalar(underlay, cfg))
+    _assert_matches_scalar(underlay, cfg)
+
+
+def test_equal_delay_tie_matches_scalar():
+    """Two reconnects that finish at one instant keep the scalar order.
+
+    On an equal-delay underlay the last replies of two rounds land at
+    the same float time, so only the seq of each round's DECIDE orders
+    them (nodes 4 and 12, join record 1006).
+    """
+    cfg = _cfg(seed=4, churn_rate=0.3, n_nodes=14, slot_s=4.0, settle_s=2.0)
+    _assert_matches_scalar(_tie_underlay(24, 20.0), cfg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_hosts=st.integers(min_value=8, max_value=24),
+    rtt_ms=st.floats(min_value=1.0, max_value=200.0),
+    two_level_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    churn=st.sampled_from([0.1, 0.2, 0.3]),
+    slot_s=st.sampled_from([2.0, 4.0, 10.0]),
+)
+# A fixed two-level draw that a DECIDE queued under its last request's
+# seq, rather than the seq its reply took at arrival, gets wrong.
+@example(
+    n_hosts=24, rtt_ms=20.0, two_level_seed=1, seed=2, churn=0.3, slot_s=4.0,
+)
+def test_equal_delay_ties_match_scalar_property(
+    n_hosts, rtt_ms, two_level_seed, seed, churn, slot_s
+):
+    """Random equal- and two-level-delay sessions, where ties at one
+    instant are the rule: events, joins and the seq count match the
+    scalar engine."""
+    join_phase_s = 20.0
+    cfg = _cfg(
+        seed=seed,
+        n_nodes=n_hosts - 1,
+        join_phase_s=join_phase_s,
+        total_s=join_phase_s + 30 * slot_s,
+        slot_s=slot_s,
+        settle_s=slot_s / 2.0,
+        churn_rate=churn,
+    )
+    _assert_matches_scalar(_tie_underlay(n_hosts, rtt_ms, two_level_seed), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +499,7 @@ _CH5_PIN = {
 
 def test_ch3_cell_regression_pin():
     underlay = _ts_underlay()
-    cfg = _cfg(**_CH3_PIN_CFG)
-    scalar_res = _scalar(underlay, cfg)
-    batched_res = BatchedCell(underlay, None).run_session(cfg)
-    _assert_equivalent(batched_res, scalar_res)
+    scalar_res = _assert_matches_scalar(underlay, _cfg(**_CH3_PIN_CFG))
     got = {name: extract(scalar_res) for name, extract in CH3_METRICS.items()}
     assert got == _CH3_PIN
 

@@ -249,20 +249,6 @@ class TestAccountantEquivalence:
         tree.attach(2, 0, 4.0)
         assert acc._success[2] == oracles.path_success(tree, acc.underlay, 2)
 
-    def test_window_memo_is_invalidated_by_mutations(self):
-        tree, acc = self._build()
-        tree.attach(1, 0, 1.0)
-        tree.attach(2, 1, 2.0)
-        first = acc.loss_rate(0.0, 10.0)
-        assert (0.0, 10.0) in acc._window_memo
-        assert acc.loss_rate(0.0, 10.0) == first  # memo hit, same answer
-        tree.depart(2, 8.0)
-        assert acc._window_memo == {}
-        fresh = acc.loss_rate(0.0, 10.0)
-        # recomputed (not served stale) and re-memoized
-        assert fresh != first
-        assert acc.loss_rate(0.0, 10.0) == fresh
-
 
 # ---------------------------------------------------------------------------
 # whole-session equivalence: lazy vs eager request timeouts, and the
