@@ -68,7 +68,6 @@ from repro.topology import (
     LinkErrorConfig,
 )
 from repro.core.capacity import UplinkPopulation, degree_from_uplink
-from repro.core.oracle import CachedMetricOracle
 from repro.protocols.multitree import StripedSession, StripeReport
 from repro.streaming import (
     PlayoutBuffer,
@@ -114,7 +113,6 @@ __all__ = [
     "LinkErrorConfig",
     "UplinkPopulation",
     "degree_from_uplink",
-    "CachedMetricOracle",
     "StripedSession",
     "StripeReport",
     "PlayoutBuffer",

@@ -6,6 +6,9 @@
 * :mod:`repro.core.join` — the join kernel: one iteration of the Fig. 3.6
   decision (split the pivot's children by case, then descend / insert /
   attach), shared by every engine in the repo.
+* :mod:`repro.core.joinloop` — the join loop's rules around that
+  decision (budgets, restarts, redirects, the parent's acceptance), shared
+  by the message-level agents and the batched emulator.
 * :mod:`repro.core.distance` — generalized virtual distances (Chapter 4):
   delay (VDM-D), loss (VDM-L), and weighted composites.
 * :mod:`repro.core.vdm` — VDM's config and its row functions for the

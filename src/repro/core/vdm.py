@@ -1,11 +1,12 @@
 """VDM's row of the protocol table: its config and its join brain.
 
-The shared :class:`~repro.protocols.base.JoinProcess` loop queries the
-pivot (initially the source) for its children, probes each, and hands
-the measured distances to :func:`vdm_join_decision`, which asks the join
-kernel (:mod:`repro.core.join`) to split the children by directionality
-case and answer descend / insert / attach; the loop carries the answer
-out as messages.
+The join loop (:mod:`repro.core.joinloop`, driven over messages by
+:class:`~repro.protocols.base.JoinProcess`) queries the pivot (initially
+the source) for its children, probes each, and hands the measured
+distances to :func:`vdm_join_decision`, which asks the join kernel
+(:mod:`repro.core.join`) to split the children by directionality case
+and answer descend / insert / attach; the driver carries the answer out
+as messages.
 
 Reconnection (Section 3.3) restarts the join at the grandparent.
 Refinement (Section 3.4) periodically re-runs the join from the source

@@ -81,6 +81,7 @@ from repro.core.join import (
     split_cases,
     vdm_decide,
 )
+from repro.core.joinloop import MAX_ITERATIONS
 from repro.sim.network import NoRouteError, Underlay
 from repro.sim.sparse import SparseUnderlay
 from repro.topology.transit_stub import TransitStubConfig
@@ -123,8 +124,6 @@ def scale_ts_config(n_routers: int) -> TransitStubConfig:
 #: protocols :func:`build_scale_tree` knows how to walk.
 SCALE_PROTOCOLS = ("vdm", "hmtp", "btp")
 
-_MAX_ITERATIONS = 64  # floor; mirrors JoinProcess.MAX_ITERATIONS
-
 
 def _max_iterations(n_members: int) -> int:
     """Termination backstop for one join walk.
@@ -133,10 +132,10 @@ def _max_iterations(n_members: int) -> int:
     tree — a degree-1 BTP chain is the extreme — needs up to
     ``depth + 1 <= n_members`` iterations.  The bound therefore scales
     with the member count instead of clipping legitimate walks at the
-    event engine's 64 (which is sized for paper-scale sessions); it
+    join loop's ``MAX_ITERATIONS`` (sized for paper-scale sessions); it
     exists only to catch non-termination bugs.
     """
-    return max(_MAX_ITERATIONS, n_members)
+    return max(MAX_ITERATIONS, n_members)
 
 
 @dataclass

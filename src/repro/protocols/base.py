@@ -11,9 +11,9 @@ Everything the overlay protocols share lives here:
   the shared message vocabulary.  It has no subclasses: what differs
   between VDM, HMTP, BTP and MST is a row of the protocol table
   (:class:`~repro.protocols.table.ProtocolSpec`), which the agent reads.
-* :class:`JoinProcess` — the iterative query/probe/decide loop every
-  protocol follows; the row's ``decide`` is the only protocol-specific
-  step.
+* :class:`JoinProcess` — the join loop every protocol follows
+  (:class:`~repro.core.joinloop.JoinLoop`) over the runtime's messages;
+  the row's ``decide`` is the only protocol-specific step.
 
 The ground-truth tree, :class:`~repro.protocols.tree.TreeRegistry`, lives
 in :mod:`repro.protocols.tree` and is re-exported here.
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from repro.core.join import Attach, Descend, Insert, closest_free_else_closest
+from repro.core.join import Attach, Descend, Insert
+from repro.core.joinloop import JoinLoop, JoinRecord, admit, reconcile
 from repro.protocols.messages import (
     ChildInfo,
     ChildRemove,
@@ -63,30 +64,6 @@ __all__ = [
     "Attach",
     "Insert",
 ]
-
-
-# --------------------------------------------------------------------------
-# Join/reconnect bookkeeping
-# --------------------------------------------------------------------------
-
-
-class JoinRecord(NamedTuple):
-    """One completed (or failed) join/reconnect/refine attempt.
-
-    NamedTuple rather than a dataclass: one is built per join, reconnect,
-    and refinement attempt, which adds up under churn.
-    """
-
-    node: int
-    kind: str  # "join" | "reconnect" | "refine"
-    started_at: float
-    completed_at: float
-    succeeded: bool
-    iterations: int
-
-    @property
-    def duration(self) -> float:
-        return self.completed_at - self.started_at
 
 
 # --------------------------------------------------------------------------
@@ -501,6 +478,11 @@ _ATTACH = ConnRequest(kind="attach")
 _CHILD_REMOVE = ChildRemove()
 _LEAVE_NOTICE = LeaveNotice()
 
+#: probes averaged per distance estimate during refinement (off the
+#: critical path, so a steadier estimate is affordable and prevents
+#: noise-driven parent thrashing).
+REFINE_PROBE_SAMPLES = 3
+
 # ``tuple.__new__(Cls, values)`` builds a NamedTuple without the frame of
 # its generated ``__new__``; the hottest construction sites use it.
 _new_tuple = tuple.__new__
@@ -608,8 +590,12 @@ class OverlayAgent:
         if kind == "join" and self.parent is None and row.foster_child:
             self._foster_attach(start)
             return
-        self.active_process = JoinProcess(self, start_node=start, kind=kind)
-        self.active_process.start()
+        self._run_join(kind, start, self.env.sim.now)
+
+    def _run_join(self, kind: str, start: int, started_at: float) -> None:
+        process = JoinProcess(self.node_id, self, self.env.source, kind, started_at)
+        self.active_process = process
+        process.query(process.ask(start))
 
     def _foster_attach(self, start: int) -> None:
         """Foster-child quick start: attach at the source immediately,
@@ -618,30 +604,21 @@ class OverlayAgent:
         src = self.env.source
         started_at = self.env.sim.now
 
-        def begin_real_join(*, as_switch: bool) -> None:
-            # "switch" runs the protocol's *full* join logic but commits
-            # as an atomic parent change (the foster node already has a
-            # stream); plain "refine" would trigger HMTP's one-level rule.
-            kind = "switch" if as_switch else "join"
-            process = JoinProcess(self, start_node=start, kind=kind)
-            if not as_switch:
-                process.started_at = started_at
-            self.active_process = process
-            process.start()
-
         def on_reply(reply: Message) -> None:
             if not isinstance(reply, ConnResponse) or not reply.accepted:
-                begin_real_join(as_switch=False)
+                on_timeout()
                 return
             self.parent = src
             self.grandparent = reply.parent
-            self.env.record_join(
-                JoinRecord(me, "join", started_at, self.env.sim.now, True, 1)
-            )
-            begin_real_join(as_switch=True)
+            now = self.env.sim.now
+            self.env.record_join(JoinRecord(me, "join", started_at, now, True, 1))
+            # "switch" runs the protocol's *full* join logic but commits
+            # as an atomic parent change (the foster node already has a
+            # stream); plain "refine" would trigger HMTP's one-level rule.
+            self._run_join("switch", start, now)
 
         def on_timeout() -> None:
-            begin_real_join(as_switch=False)
+            self._run_join("join", start, started_at)
 
         self.env.request(me, src, _ATTACH, on_reply, on_timeout)
 
@@ -726,12 +703,10 @@ class OverlayAgent:
         if self.parent is None or self.active_process is not None:
             return
         start = self.protocol.refine_start
-        self.active_process = JoinProcess(
-            self,
-            start_node=self.env.source if start is None else start(self),
-            kind="refine",
+        self._run_join(
+            "refine", self.env.source if start is None else start(self),
+            self.env.sim.now,
         )
-        self.active_process.start()
 
     # -- message handlers -----------------------------------------------------------
 
@@ -748,92 +723,47 @@ class OverlayAgent:
         raise TypeError(f"unexpected request {type(msg).__name__}")
 
     def _reconcile_children(self) -> None:
-        """Re-sync the local child table with the ground-truth registry.
-
-        Under message faults the reply that tells a new parent about its
-        adopted children (or a departing child's ``ChildRemove``) can be
-        lost after the registry edge was already committed, leaving the
-        local table stale.  Real deployments repair such drift with
-        periodic soft-state refresh; here we reconcile at acceptance
-        points so a parent never grants capacity it does not have.
-        """
+        """Re-sync the local child table with the ground-truth registry
+        (:func:`~repro.core.joinloop.reconcile`)."""
         env = self.env
-        registry = env.tree.children.get(self.node_id, set())
-        for child in [c for c in self.children if c not in registry]:
-            del self.children[child]
-        for child in sorted(registry - self.children.keys()):
-            self.children[child] = env.virtual_distance(self.node_id, child)
-
-    def _handle_conn_request(self, sender: int, msg: ConnRequest) -> ConnResponse:
-        env = self.env
-        tree = env.tree
-        self._reconcile_children()
-        # A peer that is itself dangling cannot serve as a parent.
-        if not self.is_source and not tree.is_reachable(self.node_id):
-            return self._reject()
-        # Never accept our own ancestor as a child: that would loop.
-        if tree.is_descendant(self.node_id, sender):
-            return self._reject()
-
-        if msg.kind == "insert":
-            transferable = [
-                c
-                for c in msg.adopt
-                if c in self.children
-                and env.is_alive(c)
-                and c != sender
-                # A child mid-switch (registry edge already moved, its
-                # ChildRemove still in flight) is no longer ours to give.
-                and tree.parent.get(c) == self.node_id
-            ]
-            # The adopt list was sized from the sender's view of its own
-            # capacity, but that view can be stale (a late duplicate
-            # ChildRemove under message faults) or raced (an attach the
-            # sender accepted while this insert was in flight).  Clamp to
-            # the sender's ground-truth remaining capacity at commit time
-            # so the insert can never overfill the newcomer.
-            sender_agent = env.agents.get(sender)
-            if sender_agent is not None:
-                room = sender_agent.degree_limit - len(
-                    tree.children.get(sender, ())
-                )
-                if len(transferable) > room:
-                    transferable = transferable[: max(room, 0)]
-            if not transferable and self.free_degree <= 0:
-                # The directional children vanished and no slot is free, so
-                # neither the insert nor an attach fallback can proceed.
-                return self._reject()
-            dist = env.virtual_distance(self.node_id, sender)
-            now = env.sim.now
-            tree.insert(sender, self.node_id, tuple(transferable), now)
-            self.children[sender] = dist
-            for child in transferable:
-                del self.children[child]
-            return ConnResponse(
-                accepted=True,
-                node_id=self.node_id,
-                parent=self.parent,
-                transferred=tuple(transferable),
-            )
-
-        # attach
-        if self.free_degree <= 0:
-            return self._reject()
-        dist = env.virtual_distance(self.node_id, sender)
-        now = env.sim.now
-        self.children[sender] = dist
-        self._commit_child(sender, now)
-        return ConnResponse(
-            accepted=True, node_id=self.node_id, parent=self.parent
+        me = self.node_id
+        reconcile(
+            self.children,
+            env.tree.children.get(me, set()),
+            lambda child: env.virtual_distance(me, child),
         )
 
-    def _reject(self) -> ConnResponse:
-        """The rejection reply: our children, so the sender can redirect."""
+    def _handle_conn_request(self, sender: int, msg: ConnRequest) -> ConnResponse:
+        """Accept or reject by :func:`~repro.core.joinloop.admit`, and
+        commit an accepted edge now, at request delivery."""
+        env = self.env
+        tree = env.tree
+        me = self.node_id
+        self._reconcile_children()
+        adopt = msg.adopt if msg.kind == "insert" else None
+        sender_agent = env.agents.get(sender)
+        moved = admit(
+            tree, me, self.free_degree, self.children, sender, adopt, env._alive,
+            None if sender_agent is None else sender_agent.degree_limit,
+        )
+        if moved is None:
+            # The rejection carries our children, so the sender can redirect.
+            return ConnResponse(
+                accepted=False, node_id=me, parent=self.parent,
+                children=self.child_info(),
+            )
+        dist = env.virtual_distance(me, sender)
+        now = env.sim.now
+        if adopt is None:
+            self.children[sender] = dist
+            self._commit_child(sender, now)
+        else:
+            tree.insert(sender, me, moved, now)
+            self.children[sender] = dist
+            for child in moved:
+                del self.children[child]
         return ConnResponse(
-            accepted=False,
-            node_id=self.node_id,
-            parent=self.parent,
-            children=self.child_info(),
+            accepted=True, node_id=me, parent=self.parent, transferred=moved
         )
 
     def _commit_child(self, child: int, now: float) -> None:
@@ -873,132 +803,53 @@ class OverlayAgent:
 
 
 # --------------------------------------------------------------------------
-# The shared join loop
+# The join loop's message driver
 # --------------------------------------------------------------------------
 
 
-class JoinProcess:
-    """One iterative join/reconnect/refinement attempt.
+class JoinProcess(JoinLoop):
+    """One join/reconnect/refine/switch attempt over the runtime's messages.
 
-    Implements the query-pivot -> probe-children -> decide loop shared by
-    all tree-based protocols here.  The protocol's brain is its row's
-    ``decide``; this class supplies the plumbing:
-    sequential iterations, parallel child probes, timeout recovery
-    (restart at the source), rejection redirects, and commit semantics
-    (fresh attach vs atomic parent switch for refinement).
-
-    .. note:: The *decision* is not here: it is the join kernel
-       (:mod:`repro.core.join`), which the batched multi-replication
-       engine calls too.  The *loop* is still mirrored: ``sim/batched.py``
-       re-implements it as flat heap events (a probe round: one ARRIVE
-       per request, then one DECIDE) under this file's semantics — every RNG
-       draw, message count and tie-break in the same order.  Touch the
-       join loop, :meth:`_probe_children`, :meth:`_redirect_after_reject`,
-       or :meth:`OverlayAgent._handle_conn_request` and the mirrored code in
-       ``sim/batched.py`` (``_iterate`` / ``_probe_children`` /
-       ``_redirect`` / ``_handle_conn``) must change in lock-step;
-       ``tests/test_batched_engine.py`` and the benchmark's
-       ``sim_digest`` will catch a drift.
+    The loop's rules are :class:`~repro.core.joinloop.JoinLoop`'s and the
+    decision is the row's ``decide``; this class is their transport: the
+    pivot query and the parallel child probes as ``env.request``
+    exchanges, a timeout as a restart at the source, and the commit's
+    tells (make-before-break for a switch).
     """
 
-    MAX_ITERATIONS = 64
-    MAX_RESTARTS = 3
-    #: probes averaged per distance estimate during refinement (off the
-    #: critical path, so a steadier estimate is affordable and prevents
-    #: noise-driven parent thrashing).
-    REFINE_PROBE_SAMPLES = 3
+    __slots__ = ()
 
-    def __init__(self, agent: OverlayAgent, start_node: int, *, kind: str) -> None:
-        if kind not in ("join", "reconnect", "refine", "switch"):
-            raise ValueError(f"unknown join kind {kind!r}")
-        self.agent = agent
-        self.env = agent.env
-        self.kind = kind
-        self.probe_samples = (
-            self.REFINE_PROBE_SAMPLES if kind == "refine" else 1
+    def query(self, pivot: int | None) -> None:
+        """Ask ``pivot`` for its children; ``None`` (a spent budget)
+        files the attempt as failed."""
+        if pivot is None:
+            self._done(False)
+            return
+
+        def on_reply(reply: InfoResponse) -> None:
+            if not (self.cancelled or self.finished):
+                self._probe_children(pivot, reply)
+
+        self.agent.env.request(
+            self.node, pivot, _INFO_WITH_CHILDREN, on_reply, self._timed_out
         )
-        self.start_node = start_node
-        self.started_at = self.env.sim.now
-        self.iterations = 0
-        self.restarts = 0
-        self.cancelled = False
-        self.finished = False
 
-    # -- control ---------------------------------------------------------------
-
-    def start(self) -> None:
-        self._iterate(self.start_node)
-
-    def cancel(self) -> None:
-        self.cancelled = True
+    def _timed_out(self) -> None:
+        if not (self.cancelled or self.finished):
+            self.query(self.restart())
 
     def _done(self, succeeded: bool) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        env = self.env
-        values = (
-            self.agent.node_id, self.kind, self.started_at,
-            env.sim.now, succeeded, self.iterations,
-        )
-        env.record_join(_new_tuple(JoinRecord, values))
-        if self.agent.active_process is self:
-            self.agent.active_process = None
-
-    def _restart_at_source(self) -> None:
-        self.restarts += 1
-        if self.restarts > self.MAX_RESTARTS:
-            self._done(False)
-            return
-        self._iterate(self.env.source)
-
-    # -- the loop ------------------------------------------------------------------
-
-    def _iterate(self, pivot: int) -> None:
-        if self.cancelled or self.finished:
-            return
-        self.iterations += 1
-        if self.iterations > self.MAX_ITERATIONS:
-            self._done(False)
-            return
-        me = self.agent.node_id
-        if pivot == me:
-            self._restart_at_source()
-            return
-
-        def on_reply(reply: Message) -> None:
-            if self.cancelled or self.finished:
-                return
-            assert isinstance(reply, InfoResponse)
-            self._probe_children(pivot, reply)
-
-        def on_timeout() -> None:
-            if self.cancelled or self.finished:
-                return
-            self._restart_at_source()
-
-        self.env.request(
-            me, pivot, _INFO_WITH_CHILDREN, on_reply, on_timeout
-        )
+        env = self.agent.env
+        env.record_join(self.finish(succeeded, env.sim.now))
 
     def _probe_children(self, pivot: int, info: InfoResponse) -> None:
-        # Mirrored by repro.sim.batched._Emulator._probe_children: one
-        # ARRIVE per request, the last of which queues the DECIDE.
-        me = self.agent.node_id
-        tree = self.env.tree
-        if tree.children.get(me):
-            candidates = [
-                ci
-                for ci in info.children
-                if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
-            ]
-        else:
-            # No committed children: nobody lies below us, skip the walks.
-            candidates = [ci for ci in info.children if ci.node_id != me]
+        env = self.agent.env
+        candidates = self.candidates(info.children, env.tree)
         if not candidates:
             self._decide(pivot, info, {})
             return
-
+        me = self.node
+        samples = REFINE_PROBE_SAMPLES if self.kind == "refine" else 1
         results: dict[int, tuple[float, ChildInfo]] = {}
         outstanding = {ci.node_id for ci in candidates}
 
@@ -1010,10 +861,7 @@ class JoinProcess:
                 return
             outstanding.discard(child)
             if reply is not None:
-                assert isinstance(reply, InfoResponse)
-                dist = self.env.virtual_distance(
-                    me, child, samples=self.probe_samples
-                )
+                dist = env.virtual_distance(me, child, samples=samples)
                 # The probe reply carries the child's own free degree,
                 # fresher than the parent's cached view.
                 if reply.free_degree != child_info.free_degree:
@@ -1025,7 +873,7 @@ class JoinProcess:
                 self._decide(pivot, info, results)
 
         for ci in candidates:
-            self.env.request(
+            env.request(
                 me,
                 ci.node_id,
                 _INFO_PROBE,
@@ -1040,101 +888,68 @@ class JoinProcess:
         probes: dict[int, tuple[float, ChildInfo]],
     ) -> None:
         agent = self.agent
-        dist_to_pivot = self.env.virtual_distance(
-            agent.node_id, pivot, samples=self.probe_samples
+        dist_to_pivot = agent.env.virtual_distance(
+            self.node, pivot,
+            samples=REFINE_PROBE_SAMPLES if self.kind == "refine" else 1,
         )
         row = agent.protocol
         decision = row.decide(row, agent, pivot, dist_to_pivot, info, probes)
         if isinstance(decision, Descend):
-            self._iterate(decision.child)
+            self.query(self.ask(decision.child))
         elif isinstance(decision, Attach):
-            self._request_connection(_ATTACH, decision.target)
+            self._connect(decision.target, _ATTACH)
         elif isinstance(decision, Insert):
-            self._request_connection(
-                ConnRequest(kind="insert", adopt=decision.adopt), decision.target
+            self._connect(
+                decision.target, ConnRequest(kind="insert", adopt=decision.adopt)
             )
         else:  # pragma: no cover - defensive
             raise TypeError(f"bad decision {decision!r}")
 
     # -- commit -------------------------------------------------------------------
 
-    def _request_connection(self, msg: ConnRequest, target: int) -> None:
+    def _connect(self, target: int, msg: ConnRequest) -> None:
         agent = self.agent
-        me = agent.node_id
-        if self.kind in ("refine", "switch"):
-            parent = agent.parent
-            if target == parent:
-                # Refinement found the current parent again: nothing to do.
-                self._done(True)
-                return
-            if agent.protocol.strictly_closer and parent is not None:
-                # The switch rule HMTP and BTP share: only to a strictly
-                # closer parent.  (VDM's: any parent the rejoin found.)
-                distance = self.env.virtual_distance
-                if not distance(me, target) < distance(me, parent):
-                    self._done(True)
-                    return
-        if target == me or self.env.tree.is_descendant(target, me):
-            self._restart_at_source()
+        env = agent.env
+        if self.keeps_parent(
+            target, agent.parent, agent.protocol.strictly_closer, env.virtual_distance
+        ):
+            self._done(True)
+            return
+        if not self.may_connect(target, env.tree):
+            self.query(self.restart())
             return
 
-        def on_reply(reply: Message) -> None:
+        def on_reply(reply: ConnResponse) -> None:
             if self.cancelled or self.finished:
                 return
-            assert isinstance(reply, ConnResponse)
             if reply.accepted:
                 self._commit(target, reply)
             else:
-                self._redirect_after_reject(target, reply)
+                self.query(self.redirect(reply.children, env.tree))
 
-        def on_timeout() -> None:
-            if self.cancelled or self.finished:
-                return
-            self._restart_at_source()
-
-        self.env.request(me, target, msg, on_reply, on_timeout)
+        env.request(self.node, target, msg, on_reply, self._timed_out)
 
     def _commit(self, new_parent: int, resp: ConnResponse) -> None:
         agent = self.agent
+        env = agent.env
+        me = self.node
         old_parent = agent.parent
         if old_parent is not None and old_parent != new_parent:
             # Refinement/adoption switch: make-before-break, so tell the
             # old parent we are gone (the registry edge was already moved
             # by the accepting parent).
-            self.env.tell(agent.node_id, old_parent, _CHILD_REMOVE)
+            env.tell(me, old_parent, _CHILD_REMOVE)
         agent.parent = new_parent
         agent.grandparent = resp.parent
         for child in resp.transferred:
-            agent.children[child] = self.env.virtual_distance(agent.node_id, child)
-            self.env.tell(
-                agent.node_id,
-                child,
-                ParentChange(new_parent=agent.node_id, new_grandparent=new_parent),
+            agent.children[child] = env.virtual_distance(me, child)
+            env.tell(
+                me, child, ParentChange(new_parent=me, new_grandparent=new_parent)
             )
         # Our surviving children now have a new grandparent; keep their
         # reconnection state fresh (Section 3.2: grandparent information
         # "should be updated" on parent changes).
         for child in sorted(agent.children):
             if child not in resp.transferred:
-                self.env.tell(
-                    agent.node_id,
-                    child,
-                    GrandparentChange(new_grandparent=new_parent),
-                )
+                env.tell(me, child, GrandparentChange(new_grandparent=new_parent))
         self._done(True)
-
-    def _redirect_after_reject(self, target: int, resp: ConnResponse) -> None:
-        """Degree race: pick the closest free child, else descend."""
-        me = self.agent.node_id
-        tree = self.env.tree
-        nxt = closest_free_else_closest(
-            [
-                (ci.distance, ci.node_id, ci.free_degree)
-                for ci in resp.children
-                if ci.node_id != me and not tree.is_descendant(ci.node_id, me)
-            ]
-        )
-        if nxt is None:
-            self._restart_at_source()
-            return
-        self._iterate(nxt[1])

@@ -1,7 +1,8 @@
 """The protocol table: every overlay protocol as one row.
 
 VDM and its comparators run the same query → probe → decide loop
-(:class:`~repro.protocols.base.JoinProcess`) and differ only in the join
+(:mod:`repro.core.joinloop`, over messages by
+:class:`~repro.protocols.base.JoinProcess`) and differ only in the join
 decision and in their refinement, reconnection, quick-start and backup
 policies.  A :class:`ProtocolSpec` row names those differences; one
 :class:`~repro.protocols.base.OverlayAgent` class reads them.  Rows are

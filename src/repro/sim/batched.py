@@ -60,10 +60,11 @@ measurement goes through :func:`~repro.sim.session.take_measurement`
 ``accountant`` is that accountant, answering every query a scalar
 result's does.  :func:`~repro.sim.session.session_schedule`,
 :class:`~repro.sim.churn.SlottedChurnModel`,
-:func:`~repro.sim.session.draw_degree` and
-:class:`~repro.protocols.base.JoinRecord` are reused as-is.  All RNG
-streams (:func:`~repro.util.rngtools.spawn_rng` keyed exactly as the
-session spawns them) are consumed in the same order, so results match the
+:func:`~repro.sim.session.draw_degree` and the join loop's rules
+(:class:`~repro.core.joinloop.JoinLoop`, :func:`~repro.core.joinloop.admit`)
+are reused as-is.  All RNG streams
+(:func:`~repro.util.rngtools.spawn_rng` keyed exactly as the session
+spawns them) are consumed in the same order, so results match the
 serial and parallel harness paths bit for bit.  ``REPRO_BATCHED_REPS=0``
 (:func:`repro.util.envflags.batched_on`) disables the batched path
 entirely and is the ablation oracle the byte-identity CI step runs.
@@ -79,16 +80,10 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.core.join import (
-    Descend,
-    Insert,
-    closest_free_else_closest,
-    split_cases,
-    vdm_decide,
-)
+from repro.core.join import Descend, Insert, split_cases, vdm_decide
+from repro.core.joinloop import JoinLoop, JoinRecord, admit, reconcile
 from repro.core.vdm import VDMConfig
 from repro.metrics.report import MeasurementRecord
-from repro.protocols.base import JoinRecord
 from repro.protocols.table import ProtocolSpec, protocol_spec
 from repro.protocols.tree import TreeRegistry
 from repro.sim.churn import SlottedChurnModel
@@ -177,10 +172,11 @@ _TIMEOUT_MARGIN_S = 1e-3
 
 
 class _Agent:
-    """Mirror of :class:`~repro.protocols.base.OverlayAgent` state.
+    """One node's protocol state in the emulator.
 
-    Only the fields the envelope can reach: no refinement timer, no
-    per-agent RNG (never drawn by plain VDM), no foster state.  ``row``
+    The fields of :class:`~repro.protocols.base.OverlayAgent` the
+    envelope can reach: no refinement timer, no per-agent RNG (never
+    drawn by plain VDM), no foster state.  ``row``
     is the underlay's own ``delay_row(node)`` list (ms, never written):
     the hot send/decide paths index it directly, dividing by 1000 for a
     send delay and doubling for a virtual distance.
@@ -191,7 +187,7 @@ class _Agent:
         "parent",
         "grandparent",
         "children",
-        "proc",
+        "active_process",
         "row",
         "csort",
     )
@@ -202,42 +198,12 @@ class _Agent:
         self.grandparent: int | None = None
         #: child id -> virtual distance measured when the child connected.
         self.children: dict[int, float] = {}
-        self.proc: _Join | None = None
+        self.active_process: JoinLoop | None = None
         self.row = row  # the underlay's one-way delay row of this node, in ms
         #: memo of ``sorted(children.items())`` — reset to None at every
         #: children mutation and never written in place, so an INFO_REPLY
         #: carries it as the pivot's snapshot; rebuilt lazily where read.
         self.csort: list[tuple[int, float]] | None = None
-
-
-class _Join:
-    """Mirror of :class:`~repro.protocols.base.JoinProcess` bookkeeping.
-
-    The probe-round state a scalar closure would capture
-    (results/outstanding) travels in the round list that a round's
-    ARRIVE entries share.
-    """
-
-    __slots__ = (
-        "node",
-        "agent",
-        "kind",
-        "started_at",
-        "iterations",
-        "restarts",
-        "cancelled",
-        "finished",
-    )
-
-    def __init__(self, node: int, agent: _Agent, kind: str, started_at: float) -> None:
-        self.node = node
-        self.agent = agent
-        self.kind = kind
-        self.started_at = started_at
-        self.iterations = 0
-        self.restarts = 0
-        self.cancelled = False
-        self.finished = False
 
 
 class BatchedCell:
@@ -370,7 +336,12 @@ class _Emulator:
             self._heap, (self.now + d, 0, seq, _OP_TELL, dst, src, kind, a, b)
         )
 
-    def _send_info(self, proc: _Join, pivot: int) -> None:
+    def _send_info(self, proc: JoinLoop, pivot: int | None) -> None:
+        """Ask ``pivot`` for its children; ``None`` (a spent budget)
+        files the attempt as failed."""
+        if pivot is None:
+            self.join_records.append(proc.finish(False, self.now))
+            return
         self.control += 1
         tseq = self._seq
         self._seq = tseq + 1
@@ -388,7 +359,7 @@ class _Emulator:
             (self.now + d, 0, seq, _OP_INFO_REQ, proc, pivot, d, tseq, ttime),
         )
 
-    def _send_conn(self, proc: _Join, target: int, adopt) -> None:
+    def _send_conn(self, proc: JoinLoop, target: int, adopt) -> None:
         """``adopt`` is ``None`` for attach, a tuple for insert."""
         self.control += 1
         tseq = self._seq
@@ -410,7 +381,7 @@ class _Emulator:
     # -- agent state helpers -----------------------------------------------------
 
     def _child_info(self, agent: _Agent) -> tuple[tuple[int, float, int], ...]:
-        """Mirror of ``OverlayAgent.child_info``: (id, dist, free) sorted."""
+        """The agent's ``child_info``: (id, dist, free), sorted by id."""
         agents = self.agents
         alive = self._alive
         items = agent.csort
@@ -431,50 +402,13 @@ class _Emulator:
     # -- join process -------------------------------------------------------------
 
     def _start_join(self, node: int, agent: _Agent, kind: str, at: int) -> None:
-        if agent.proc is not None:
-            agent.proc.cancelled = True
-            agent.proc = None
-        proc = _Join(node, agent, kind, self.now)
-        agent.proc = proc
-        self._iterate(proc, at)
+        if agent.active_process is not None:
+            agent.active_process.cancel()
+        proc = JoinLoop(node, agent, self.source, kind, self.now)
+        agent.active_process = proc
+        self._send_info(proc, proc.ask(at))
 
-    def _iterate(self, proc: _Join, pivot: int) -> None:
-        if proc.cancelled or proc.finished:
-            return
-        proc.iterations += 1
-        if proc.iterations > 64:  # JoinProcess.MAX_ITERATIONS
-            self._done(proc, False)
-            return
-        if pivot == proc.node:
-            self._restart(proc)
-            return
-        self._send_info(proc, pivot)
-
-    def _restart(self, proc: _Join) -> None:
-        proc.restarts += 1
-        if proc.restarts > 3:  # JoinProcess.MAX_RESTARTS
-            self._done(proc, False)
-            return
-        self._iterate(proc, self.source)
-
-    def _done(self, proc: _Join, succeeded: bool) -> None:
-        if proc.finished:
-            return
-        proc.finished = True
-        self.join_records.append(
-            JoinRecord(
-                node=proc.node,
-                kind=proc.kind,
-                started_at=proc.started_at,
-                completed_at=self.now,
-                succeeded=succeeded,
-                iterations=proc.iterations,
-            )
-        )
-        if proc.agent.proc is proc:
-            proc.agent.proc = None
-
-    def _probe_children(self, proc: _Join, pivot: int, pivot_free: int, kids) -> None:
+    def _probe_children(self, proc: JoinLoop, pivot: int, pivot_free: int, kids) -> None:
         """Send one probe per candidate among the pivot's ``kids`` — its
         sorted ``(child, distance)`` list — as one ARRIVE entry each.
 
@@ -485,16 +419,7 @@ class _Emulator:
         reply time, its seq, repliers (child, d_new, d_pivot), probes
         (d_new, child, free), requests still in flight].
         """
-        me = proc.node
-        if self.tree.children.get(me):
-            # Only a joiner that kept a subtree through a parent loss can
-            # have descendants among the pivot's children.
-            is_descendant = self.tree.is_descendant
-            candidates = [
-                ci for ci in kids if ci[0] != me and not is_descendant(ci[0], me)
-            ]
-        else:
-            candidates = [ci for ci in kids if ci[0] != me]
+        candidates = proc.candidates(kids, self.tree)
         if not candidates:
             self._decide(proc, pivot, pivot_free, [], [], ())
             return
@@ -545,8 +470,8 @@ class _Emulator:
             (time, 0, seq, _OP_DECIDE, proc, pivot, pivot_free, case2, case3, probes),
         )
 
-    def _decide(self, proc: _Join, pivot, pivot_free, case2, case3, probes) -> None:
-        """``JoinProcess._decide``: ask the join kernel, act on its answer.
+    def _decide(self, proc: JoinLoop, pivot, pivot_free, case2, case3, probes) -> None:
+        """Ask the join kernel, and act on its answer.
 
         The kernel's case lists are pure static-distance arithmetic,
         split when the repliers were known; everything else — the
@@ -564,93 +489,54 @@ class _Emulator:
             config.case_priority == "case2",
         )
         if type(decision) is Descend:
-            self._iterate(proc, decision.child)
-        else:
-            self._send_conn_checked(
+            self._send_info(proc, proc.ask(decision.child))
+        elif proc.may_connect(decision.target, self.tree):
+            self._send_conn(
                 proc, decision.target,
                 decision.adopt if type(decision) is Insert else None,
             )
-
-    def _send_conn_checked(self, proc: _Join, target: int, adopt) -> None:
-        """Mirror of ``JoinProcess._request_connection`` (join/reconnect)."""
-        me = proc.node
-        if target == me or self.tree.is_descendant(target, me):
-            self._restart(proc)
-            return
-        self._send_conn(proc, target, adopt)
+        else:
+            self._send_info(proc, proc.restart())
 
     def _handle_conn(self, node: int, sender: int, adopt):
-        """Mirror of ``OverlayAgent._handle_conn_request`` at the acceptor.
-
-        Runs at request-delivery time and commits tree mutations then,
-        exactly as the scalar handler does.  Returns the reply payload:
-        ``(False, children_snapshot)`` or ``(True, parent, transferred)``.
+        """The acceptor's side of a connection request, at delivery:
+        :func:`~repro.core.joinloop.admit` decides and an accepted edge
+        is committed then, as the scalar handler does.  Returns the reply
+        payload: ``(False, children_snapshot)`` or ``(True, parent,
+        transferred)``.
         """
         agent = self.agents[node]
         children = agent.children
         tree = self.tree
-        # _reconcile_children
-        registry = tree.children.get(node, set())
-        stale = [c for c in children if c not in registry]
-        if stale:
-            agent.csort = None
-            for child in stale:
-                del children[child]
         row = agent.row
-        missing = registry - children.keys()
-        if missing:
+        if reconcile(
+            children, tree.children.get(node, set()), lambda c: 2.0 * row[c]
+        ):
             agent.csort = None
-            for child in sorted(missing):
-                children[child] = 2.0 * row[child]
-        if node != self.source and not tree.is_reachable(node):
+        # Every requester has an agent here: agents outlive their nodes.
+        moved = admit(
+            tree, node, agent.degree_limit - len(children), children, sender,
+            adopt, self._alive, self.agents[sender].degree_limit,
+        )
+        if moved is None:
             return (False, self._child_info(agent))
-        if tree.is_descendant(node, sender):
-            return (False, self._child_info(agent))
-
-        if adopt is not None:  # insert
-            alive = self._alive
-            tree_parent = tree.parent
-            transferable = [
-                c
-                for c in adopt
-                if c in children
-                and c in alive
-                and c != sender
-                and tree_parent.get(c) == node
-            ]
-            sender_agent = self.agents.get(sender)
-            if sender_agent is not None:
-                room = sender_agent.degree_limit - len(
-                    tree.children.get(sender, ())
-                )
-                if len(transferable) > room:
-                    transferable = transferable[: max(room, 0)]
-            if not transferable and agent.degree_limit - len(children) <= 0:
-                return (False, self._child_info(agent))
-            dist = 2.0 * row[sender]
-            tree.insert(sender, node, tuple(transferable), self.now)
-            children[sender] = dist
-            for child in transferable:
-                del children[child]
-            agent.csort = None
-            return (True, agent.parent, tuple(transferable))
-
-        # attach
-        if agent.degree_limit - len(children) <= 0:
-            return (False, self._child_info(agent))
-        dist = 2.0 * row[sender]
-        children[sender] = dist
         agent.csort = None
+        children[sender] = 2.0 * row[sender]
+        if adopt is not None:
+            tree.insert(sender, node, moved, self.now)
+            for child in moved:
+                del children[child]
         # is_present and is_attached (sender is never the source): one
         # non-None parent-pointer check covers both.
-        if tree.parent.get(sender) is not None:
+        elif tree.parent.get(sender) is not None:
             tree.reparent(sender, node, self.now)
         else:
             tree.attach(sender, node, self.now)
-        return (True, agent.parent, ())
+        return (True, agent.parent, moved)
 
-    def _commit(self, proc: _Join, new_parent: int, acc_parent, transferred) -> None:
-        """Mirror of ``JoinProcess._commit``."""
+    def _commit(self, proc: JoinLoop, new_parent: int, acc_parent, transferred) -> None:
+        """The joiner's side of an accepted request: its new parent, the
+        children it adopted, and the tells both send."""
         me = proc.node
         agent = proc.agent
         row = agent.row
@@ -668,23 +554,7 @@ class _Emulator:
         for child in sorted(children):
             if child not in transferred:
                 self._tell(row, me, child, _TELL_GP_CHANGE, new_parent)
-        self._done(proc, True)
-
-    def _redirect(self, proc: _Join, kids) -> None:
-        """Mirror of ``JoinProcess._redirect_after_reject``."""
-        me = proc.node
-        is_descendant = self.tree.is_descendant
-        nxt = closest_free_else_closest(
-            [
-                (dist, child, free)
-                for child, dist, free in kids
-                if child != me and not is_descendant(child, me)
-            ]
-        )
-        if nxt is None:
-            self._restart(proc)
-            return
-        self._iterate(proc, nxt[1])
+        self.join_records.append(proc.finish(True, self.now))
 
     # -- membership ---------------------------------------------------------------
 
@@ -711,9 +581,9 @@ class _Emulator:
             return
         self._active.discard(node)
         # OverlayAgent.leave()
-        if agent.proc is not None:
-            agent.proc.cancelled = True
-            agent.proc = None
+        if agent.active_process is not None:
+            agent.active_process.cancel()
+            agent.active_process = None
         row = agent.row
         for child in sorted(agent.children):
             self._tell(row, node, child, _TELL_LEAVE)
@@ -728,7 +598,7 @@ class _Emulator:
         agent.children.clear()
 
     def _on_parent_lost(self, node: int, agent: _Agent) -> None:
-        """Mirror of ``OverlayAgent.on_parent_lost`` for the VDM row."""
+        """Restart the join where the VDM row's ``reconnect_at`` says."""
         if self.cell.row.reconnect_at == "source":
             self._start_join(node, agent, "reconnect", self.source)
             return
@@ -808,16 +678,17 @@ class _Emulator:
         if reply[0]:
             self._commit(proc, entry[5], reply[1], reply[2])
         else:
-            self._redirect(proc, reply[1])
+            self._send_info(proc, proc.redirect(reply[1], self.tree))
 
     def _h_timeout_restart(self, entry) -> None:
-        """Mirror of ``fire_timeout`` + the info/conn ``on_timeout``s."""
+        """A request's timeout: the runtime's ``fire_timeout`` guard, then
+        a restart at the source."""
         proc = entry[4]
         if proc.node not in self._alive:
             return
         if proc.cancelled or proc.finished:
             return
-        self._restart(proc)
+        self._send_info(proc, proc.restart())
 
     # -- run ----------------------------------------------------------------------
 

@@ -117,10 +117,10 @@ class WindowSnapshot:
 
     The three fields are exactly what a session measurement consumes per
     window, and both session engines take them from
-    :meth:`DeliveryAccountant.window_snapshot`, whose fused pass must
-    equal :meth:`~DeliveryAccountant.loss_rate`,
-    :meth:`~DeliveryAccountant.mean_node_loss` and
-    :meth:`~DeliveryAccountant.data_messages` bit for bit.
+    :meth:`DeliveryAccountant.window_snapshot`: the aggregate loss over
+    every tracked node (eq. 3.7), the unweighted mean of the per-node
+    loss rates (the paper's "average loss rate for all nodes"), and
+    :meth:`~DeliveryAccountant.data_messages`.
     """
 
     loss_rate: float
@@ -420,59 +420,23 @@ class DeliveryAccountant:
         received = ledger.expected_received(w0, w1, self.chunk_rate)
         return NodeDeliveryStats(node, expected, min(received, expected))
 
-    def _window_totals(
-        self, w0: float, w1: float
-    ) -> tuple[float, float, float, int]:
-        """One pass over the ledger: sums of expected, received and the
-        per-node loss rates, and the number of rates.
-
-        Backs both :meth:`loss_rate` and :meth:`mean_node_loss`.
-        """
-        _check_window(w0, w1)
-        expected_total = 0.0
-        received_total = 0.0
-        rate_sum = 0.0
-        rate_n = 0
-        for node, ledger in self._ledger.items():
-            stats = self._node_stats(node, ledger, w0, w1)
-            expected_total += stats.expected_chunks
-            received_total += stats.received_chunks
-            if stats.expected_chunks > 0:
-                rate_sum += stats.loss_rate
-                rate_n += 1
-        return (expected_total, received_total, rate_sum, rate_n)
-
-    def loss_rate(self, w0: float, w1: float) -> float:
-        """Aggregate loss over all tracked nodes in the window (eq. 3.7)."""
-        expected, received, _, _ = self._window_totals(w0, w1)
-        if expected <= 0:
-            return 0.0
-        return max(0.0, 1.0 - received / expected)
-
-    def mean_node_loss(self, w0: float, w1: float) -> float:
-        """Unweighted mean of per-node loss rates (the paper's 'average
-        loss rate for all nodes')."""
-        _, _, rate_sum, rate_n = self._window_totals(w0, w1)
-        return rate_sum / rate_n if rate_n else 0.0
-
     def window_snapshot(self, w0: float, w1: float) -> WindowSnapshot:
-        """One measurement window's aggregates as a single snapshot.
+        """One measurement window's aggregates, in one pass over the
+        ledger (:meth:`_fused_window`).
 
-        Equal, bit for bit, to :meth:`loss_rate`, :meth:`mean_node_loss`
-        and :meth:`data_messages` over the same window.  A window starting
-        at or after the end of the previous fused one (every session
-        measurement, on any underlay) is served by :meth:`_fused_window`;
-        a window reaching back before it delegates to the three queries.
+        Windows go forward: each starts at or after the end of the one
+        before (every session measurement does, on any underlay), and a
+        window reaching back before it is a ``ValueError``.  The pass
+        reads per-node cursors that only move forward.
         """
         _check_window(w0, w1)
-        if w0 >= self._fused_from:
-            self._fused_from = w1
-            return self._fused_window(w0, w1)
-        return WindowSnapshot(
-            loss_rate=self.loss_rate(w0, w1),
-            mean_node_loss=self.mean_node_loss(w0, w1),
-            data_messages=self.data_messages(w0, w1),
-        )
+        if w0 < self._fused_from:
+            raise ValueError(
+                f"window [{w0}, {w1}) starts before the end of the last "
+                f"one, {self._fused_from}"
+            )
+        self._fused_from = w1
+        return self._fused_window(w0, w1)
 
     def _fused_window(self, w0: float, w1: float) -> WindowSnapshot:
         """:meth:`window_snapshot` in one pass over the ledger.
@@ -646,7 +610,7 @@ class DeliveryAccountant:
     def chunks_lost(self, w0: float, w1: float) -> float:
         """Total expected chunks lost across all members over ``[w0, w1)``.
 
-        The absolute counterpart of :meth:`loss_rate`: summed
+        The absolute counterpart of the loss rate: summed
         ``expected - received`` per member, so a correlated outage's cost
         shows up in stream units rather than a ratio.
         """

@@ -14,6 +14,7 @@ code under test: it imports nothing from ``repro`` at run time, which
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -106,12 +107,17 @@ def path_success(tree: TreeRegistry, underlay: Underlay, node: int) -> float:
 def window_loss(
     accountant: DeliveryAccountant, w0: float, w1: float
 ) -> tuple[float, float]:
-    """``(loss_rate, mean_node_loss)`` over ``[w0, w1)``, one own pass each.
+    """``(loss_rate, mean_node_loss)`` over ``[w0, w1)``, one own pass each:
+    the aggregate loss over every tracked node (eq. 3.7) and the
+    unweighted mean of the per-node loss rates.  Any window, backward
+    ones included; it refuses the bounds every window query refuses.
 
     Nodes are visited in the order the accountant first saw them (its
     ledger's insertion order — the one piece of private state read here,
     because the float sums depend on it and no public query exposes it).
     """
+    if not (math.isfinite(w0) and math.isfinite(w1) and w0 <= w1):
+        raise ValueError(f"bad window: w0={w0}, w1={w1}")
     nodes = list(accountant._ledger)
     expected = 0.0
     received = 0.0
@@ -128,6 +134,16 @@ def window_loss(
                 max(0.0, 1.0 - stats.received_chunks / stats.expected_chunks)
             )
     return loss, (sum(rates) / len(rates) if rates else 0.0)
+
+
+def loss_rate(accountant: DeliveryAccountant, w0: float, w1: float) -> float:
+    """The first half of :func:`window_loss`."""
+    return window_loss(accountant, w0, w1)[0]
+
+
+def mean_node_loss(accountant: DeliveryAccountant, w0: float, w1: float) -> float:
+    """The second half of :func:`window_loss`."""
+    return window_loss(accountant, w0, w1)[1]
 
 
 # ---------------------------------------------------------------------------

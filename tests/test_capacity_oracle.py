@@ -1,15 +1,10 @@
-"""Tests for bandwidth-derived degrees and the measurement oracle."""
+"""Tests for bandwidth-derived degrees and admission."""
 
 import numpy as np
 import pytest
 
 from repro.core.capacity import UplinkPopulation, admission_check, degree_from_uplink
-from repro.core.distance import DelayDistance, LossDistance
-from repro.core.oracle import CachedMetricOracle
-from repro.sim.network import MatrixUnderlay
 from repro.sim.session import draw_degree
-
-from tests.helpers import line_matrix
 
 
 class TestDegreeFromUplink:
@@ -80,74 +75,3 @@ class TestAdmissionCheck:
             10_000, 0, 500, path_bottleneck_kbps=400
         )
         assert admission_check(10_000, 0, 500, path_bottleneck_kbps=600)
-
-
-class TestCachedMetricOracle:
-    def make_underlay(self):
-        n = 4
-        loss = np.zeros((n, n))
-        loss[0, 1] = loss[1, 0] = 0.02
-        loss[1, 2] = loss[2, 1] = 0.05
-        loss[0, 2] = loss[2, 0] = 0.01
-        loss[0, 3] = loss[3, 0] = 0.03
-        return MatrixUnderlay(line_matrix([0.0, 10.0, 20.0, 30.0]), loss=loss)
-
-    def test_stable_within_epoch(self):
-        truth = LossDistance(self.make_underlay())
-        oracle = CachedMetricOracle(truth, error_sigma=0.5, seed=1)
-        first = oracle(0, 1)
-        assert all(oracle(0, 1) == first for _ in range(5))
-        assert oracle(1, 0) == first  # symmetric caching
-
-    def test_refreshes_at_epoch_boundary(self):
-        clock = {"now": 0.0}
-        truth = LossDistance(self.make_underlay())
-        oracle = CachedMetricOracle(
-            truth,
-            clock=lambda: clock["now"],
-            refresh_period_s=100.0,
-            error_sigma=0.5,
-            seed=2,
-        )
-        v1 = oracle(0, 1)
-        clock["now"] = 150.0
-        v2 = oracle(0, 1)
-        assert v1 != v2  # re-estimated with fresh error draw
-        assert oracle.refreshes == 2
-
-    def test_zero_error_matches_truth(self):
-        truth = LossDistance(self.make_underlay())
-        oracle = CachedMetricOracle(truth, error_sigma=0.0, seed=3)
-        assert oracle(0, 1) == pytest.approx(truth(0, 1))
-
-    def test_self_distance_zero(self):
-        oracle = CachedMetricOracle(
-            DelayDistance(self.make_underlay()), seed=0
-        )
-        assert oracle(2, 2) == 0.0
-
-    def test_uncovered_pairs_use_fallback(self):
-        truth = DelayDistance(self.make_underlay())
-        oracle = CachedMetricOracle(
-            truth, coverage=0.0, fallback=lambda a, b: 42.0, seed=4
-        )
-        assert oracle(0, 1) == 42.0
-        assert oracle.refreshes == 0
-
-    def test_cache_hit_rate(self):
-        truth = DelayDistance(self.make_underlay())
-        oracle = CachedMetricOracle(truth, seed=5)
-        assert oracle.cache_hit_rate == 0.0
-        oracle(0, 1)
-        oracle(0, 1)
-        oracle(0, 1)
-        assert oracle.cache_hit_rate == pytest.approx(2.0 / 3.0)
-
-    def test_validation(self):
-        truth = DelayDistance(self.make_underlay())
-        with pytest.raises(ValueError):
-            CachedMetricOracle(truth, refresh_period_s=0)
-        with pytest.raises(ValueError):
-            CachedMetricOracle(truth, error_sigma=-1)
-        with pytest.raises(ValueError):
-            CachedMetricOracle(truth, coverage=2.0)

@@ -7,6 +7,7 @@ from repro.protocols.base import TreeRegistry
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 
 
@@ -112,8 +113,9 @@ class TestChurnOutage:
         tree.attach(2, 1, 0.0)
         tree.depart(1, 90.0)
         # 2 stays orphaned to the end of the window.
-        assert acct.loss_rate(0.0, 100.0) > 0.0
-        assert acct.mean_node_loss(0.0, 100.0) > 0.0
+        snap = acct.window_snapshot(0.0, 100.0)
+        assert snap.loss_rate > 0.0
+        assert snap.mean_node_loss > 0.0
 
 
 class TestLinkErrors:
@@ -175,8 +177,9 @@ class TestDataMessages:
 
 WINDOW_QUERIES = {
     "window_snapshot": lambda acct, w0, w1: acct.window_snapshot(w0, w1),
-    "loss_rate": lambda acct, w0, w1: acct.loss_rate(w0, w1),
-    "mean_node_loss": lambda acct, w0, w1: acct.mean_node_loss(w0, w1),
+    # the reference aggregates refuse the same bounds
+    "loss_rate": oracles.loss_rate,
+    "mean_node_loss": oracles.mean_node_loss,
     "outage_seconds": lambda acct, w0, w1: acct.outage_seconds(w0, w1),
     "chunks_lost": lambda acct, w0, w1: acct.chunks_lost(w0, w1),
     "data_messages": lambda acct, w0, w1: acct.data_messages(w0, w1),
@@ -224,10 +227,21 @@ class TestWindowing:
         tree.attach(2, 1, 0.0)
         tree.depart(1, 50.0)
         tree.attach(2, 0, 60.0)
-        # Quiet window after recovery: no loss.
-        assert acct.loss_rate(60.0, 100.0) == 0.0
         # The burst window contains all of it.
-        assert acct.loss_rate(40.0, 60.0) > 0.0
+        assert acct.window_snapshot(40.0, 60.0).loss_rate > 0.0
+        # Quiet window after recovery: no loss.
+        assert acct.window_snapshot(60.0, 100.0).loss_rate == 0.0
+
+    def test_backward_window_refused(self):
+        # The fused pass only moves forward; a window reaching back before
+        # the end of the last one is refused and leaves the pass as it was.
+        _, tree, acct = make_world()
+        tree.attach(1, 0, 0.0)
+        acct.window_snapshot(0.0, 10.0)
+        with pytest.raises(ValueError, match="before the end of the last"):
+            acct.window_snapshot(5.0, 20.0)
+        assert acct._fused_from == 10.0
+        assert acct.window_snapshot(10.0, 20.0).loss_rate == 0.0
 
     def test_fused_window_rereads_an_interval_a_close_extends(self):
         # Node 1 departs at 10 and is back at the same instant: the closes
@@ -243,8 +257,8 @@ class TestWindowing:
         tree.depart(1, 15.0)
         assert acct.lifetime_intervals(1, 20.0) == [(0.0, 15.0)]
         separate = (
-            acct.loss_rate(10.0, 20.0),
-            acct.mean_node_loss(10.0, 20.0),
+            oracles.loss_rate(acct, 10.0, 20.0),
+            oracles.mean_node_loss(acct, 10.0, 20.0),
             acct.data_messages(10.0, 20.0),
         )
         assert separate == pytest.approx((0.6, 0.6, 20.0))
@@ -267,8 +281,8 @@ class TestWindowing:
                 [acct._ledger[n].state == delivery._STEADY for n in (1, 2)]
             )
             separate = (
-                acct.loss_rate(w0, w1),
-                acct.mean_node_loss(w0, w1),
+                oracles.loss_rate(acct, w0, w1),
+                oracles.mean_node_loss(acct, w0, w1),
                 acct.data_messages(w0, w1),
             )
             snap = acct.window_snapshot(w0, w1)

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from repro.protocols.base import JoinProcess, OverlayAgent, ProtocolRuntime
+from repro.core.joinloop import MAX_ITERATIONS, MAX_RESTARTS
+from repro.protocols.base import OverlayAgent, ProtocolRuntime
 from repro.protocols.messages import ConnRequest
 from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
@@ -53,7 +54,7 @@ class TestPivotDeathMidJoin:
         sim.run()
         records = [r for r in env.join_records if r.node == 1]
         assert records and not records[0].succeeded
-        assert records[0].iterations >= JoinProcess.MAX_RESTARTS
+        assert records[0].iterations >= MAX_RESTARTS
 
 
 class TestInsertRaces:
@@ -148,11 +149,11 @@ class TestJoinProcessGuards:
     def test_unknown_kind_rejected(self):
         sim, env, agents = build([0.0, 30.0])
         with pytest.raises(ValueError, match="unknown join kind"):
-            JoinProcess(agents[1], start_node=0, kind="teleport")
+            agents[1].start_join(kind="teleport")
 
     def test_iteration_limit_is_finite(self):
-        assert JoinProcess.MAX_ITERATIONS >= 8
-        assert JoinProcess.MAX_RESTARTS >= 1
+        assert MAX_ITERATIONS >= 8
+        assert MAX_RESTARTS >= 1
 
     def test_source_cannot_join_or_leave(self):
         sim, env, agents = build([0.0, 30.0])

@@ -192,7 +192,7 @@ class TestClosestFreeElseClosest:
         )
     )
     def test_is_the_rule_the_agents_used_to_spell_out(self, probes):
-        # JoinProcess._redirect_after_reject before it called the kernel.
+        # The rule spelled out on its own, as the agents once wrote it.
         free = [p for p in probes if p[2] > 0]
         pool = free or probes
         expected = min(pool, key=lambda p: (p[0], p[1])) if pool else None

@@ -178,19 +178,25 @@ class MaintainedLegality(RuleBasedStateMachine):
     def measure(self, back):
         w0 = self.measured_to / 2 if back else self.measured_to
         w1 = self.t
+        forward = w0 >= self.measured_to
         for acc in self.accountants:
             # The separate queries first: the fused pass memoizes its
             # totals, and they must not be read back as the reference.
             separate = _bits(
-                acc.loss_rate(w0, w1),
-                acc.mean_node_loss(w0, w1),
+                oracles.loss_rate(acc, w0, w1),
+                oracles.mean_node_loss(acc, w0, w1),
                 acc.data_messages(w0, w1),
             )
+            if not forward:
+                # The fused pass serves forward windows only.
+                with pytest.raises(ValueError, match="before the end"):
+                    acc.window_snapshot(w0, w1)
+                continue
             snap = acc.window_snapshot(w0, w1)
             assert _bits(
                 snap.loss_rate, snap.mean_node_loss, snap.data_messages
             ) == separate
-        if not back:
+        if forward:
             self.measured_to = w1
         # The loss-free accountant's multiset is read only here, so marks
         # pile up across many mutations before a settle, as in a session.

@@ -9,6 +9,7 @@ from repro.protocols.base import TreeRegistry
 from repro.sim.delivery import DeliveryAccountant
 from repro.sim.network import MatrixUnderlay
 
+from tests import oracles
 from tests.helpers import line_matrix
 
 
@@ -363,7 +364,8 @@ def _state(tree, acct):
             n: (acct.reception_segments(n, 10.0), acct.lifetime_intervals(n, 10.0))
             for n in acct.tracked_nodes()
         },
-        acct.window_snapshot(0.0, 10.0),
+        oracles.window_loss(acct, 0.0, 10.0),
+        acct.data_messages(0.0, 10.0),
     )
 
 
