@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -554,6 +555,7 @@ class OverlayAgent:
         return self.degree_limit - len(self.children)
 
     def child_info(self) -> tuple[ChildInfo, ...]:
+        """A rejection's children, sorted by id, with their free degrees."""
         env = self.env
         agents = env.agents
         alive = env._alive
@@ -693,7 +695,7 @@ class OverlayAgent:
             self._refine_event = None
 
     def _refine_tick(self) -> None:
-        if not self.env.is_alive(self.node_id):
+        if self.node_id not in self.env._alive:
             return
         self._refine_event = self.env.sim.schedule_in(
             self._refine_period, self._refine_tick, label="refine"
@@ -714,7 +716,9 @@ class OverlayAgent:
         # Exact type checks: the message vocabulary has no subclasses, and
         # this dispatch runs once per request in a session.
         if type(msg) is InfoRequest:
-            children = self.child_info() if msg.want_children else ()
+            # A pivot sends its (child, distance) pairs; each child's free
+            # degree comes back in that child's own probe reply.
+            children = tuple(sorted(self.children.items())) if msg.want_children else ()
             return _new_tuple(
                 InfoResponse, (self.node_id, self.free_degree, self.parent, children)
             )
@@ -825,13 +829,9 @@ class JoinProcess(JoinLoop):
         if pivot is None:
             self._done(False)
             return
-
-        def on_reply(reply: InfoResponse) -> None:
-            if not (self.cancelled or self.finished):
-                self._probe_children(pivot, reply)
-
         self.agent.env.request(
-            self.node, pivot, _INFO_WITH_CHILDREN, on_reply, self._timed_out
+            self.node, pivot, _INFO_WITH_CHILDREN, self._probe_children,
+            self._timed_out,
         )
 
     def _timed_out(self) -> None:
@@ -842,52 +842,28 @@ class JoinProcess(JoinLoop):
         env = self.agent.env
         env.record_join(self.finish(succeeded, env.sim.now))
 
-    def _probe_children(self, pivot: int, info: InfoResponse) -> None:
+    def _probe_children(self, info: InfoResponse) -> None:
+        """The pivot's reply: probe every child the joiner may take, one
+        :class:`_ProbeRound` for all of them."""
+        if self.cancelled or self.finished:
+            return
         env = self.agent.env
         candidates = self.candidates(info.children, env.tree)
         if not candidates:
-            self._decide(pivot, info, {})
+            self._decide(info, {})
             return
+        round_ = _ProbeRound(self, info, candidates)
         me = self.node
-        samples = REFINE_PROBE_SAMPLES if self.kind == "refine" else 1
-        results: dict[int, tuple[float, ChildInfo]] = {}
-        outstanding = {ci.node_id for ci in candidates}
-
-        def finish_one(child_info: ChildInfo, reply: Message | None) -> None:
-            if self.cancelled or self.finished:
-                return
-            child = child_info.node_id
-            if child not in outstanding:
-                return
-            outstanding.discard(child)
-            if reply is not None:
-                dist = env.virtual_distance(me, child, samples=samples)
-                # The probe reply carries the child's own free degree,
-                # fresher than the parent's cached view.
-                if reply.free_degree != child_info.free_degree:
-                    child_info = ChildInfo(
-                        child, child_info.distance, reply.free_degree
-                    )
-                results[child] = (dist, child_info)
-            if not outstanding:
-                self._decide(pivot, info, results)
-
-        for ci in candidates:
-            env.request(
-                me,
-                ci.node_id,
-                _INFO_PROBE,
-                lambda reply, ci=ci: finish_one(ci, reply),
-                lambda ci=ci: finish_one(ci, None),
-            )
+        reply = round_.reply
+        timeout = round_.timeout
+        for child, _ in candidates:
+            env.request(me, child, _INFO_PROBE, reply, partial(timeout, child))
 
     def _decide(
-        self,
-        pivot: int,
-        info: InfoResponse,
-        probes: dict[int, tuple[float, ChildInfo]],
+        self, info: InfoResponse, probes: dict[int, tuple[float, ChildInfo]]
     ) -> None:
         agent = self.agent
+        pivot = info.node_id
         dist_to_pivot = agent.env.virtual_distance(
             self.node, pivot,
             samples=REFINE_PROBE_SAMPLES if self.kind == "refine" else 1,
@@ -953,3 +929,46 @@ class JoinProcess(JoinLoop):
             if child not in resp.transferred:
                 env.tell(me, child, GrandparentChange(new_grandparent=new_parent))
         self._done(True)
+
+
+class _ProbeRound:
+    """One pivot's child probes in flight: ``outstanding`` maps each child
+    not yet filed to the pivot's distance to it, ``probes`` each answered
+    child to its measured distance and :class:`ChildInfo` (with the free
+    degree its reply carried).  :meth:`reply` serves every probe (the
+    child is the reply's ``node_id``), :meth:`timeout` is bound per child,
+    and the last child filed decides; a duplicated or late reply finds its
+    child filed already and does nothing."""
+
+    __slots__ = ("process", "info", "samples", "outstanding", "probes")
+
+    def __init__(self, process: JoinProcess, info: InfoResponse, candidates) -> None:
+        self.process = process
+        self.info = info
+        self.samples = REFINE_PROBE_SAMPLES if process.kind == "refine" else 1
+        self.outstanding: dict[int, float] = dict(candidates)
+        self.probes: dict[int, tuple[float, ChildInfo]] = {}
+
+    def reply(self, reply: InfoResponse) -> None:
+        process = self.process
+        if process.cancelled or process.finished:
+            return
+        child = reply.node_id
+        d_pivot = self.outstanding.pop(child, None)
+        if d_pivot is None:
+            return
+        dist = process.agent.env.virtual_distance(
+            process.node, child, samples=self.samples
+        )
+        self.probes[child] = (
+            dist, _new_tuple(ChildInfo, (child, d_pivot, reply.free_degree))
+        )
+        if not self.outstanding:
+            process._decide(self.info, self.probes)
+
+    def timeout(self, child: int) -> None:
+        process = self.process
+        if process.cancelled or process.finished:
+            return
+        if self.outstanding.pop(child, None) is not None and not self.outstanding:
+            process._decide(self.info, self.probes)

@@ -7,8 +7,8 @@ required by the reconnection procedure (Section 3.3).  The classes here
 are that vocabulary; they are shared by VDM, HMTP, and BTP (the baselines
 use the same request/response plumbing with protocol-specific join logic).
 The payloads with fields are NamedTuples, cheap to build once per
-message: info request and response, their children entries, connection
-response, parent and grandparent change.  The field-less
+message: info request and response, a rejection's children entries,
+connection response, parent and grandparent change.  The field-less
 :class:`LeaveNotice`, :class:`ChildRemove` and :class:`FailoverAttach`
 stay frozen dataclasses under the :class:`Message` marker, and the
 runtime sends one interned instance of each.  :class:`ConnRequest` stays
@@ -45,16 +45,18 @@ class Message:
 
 
 class ChildInfo(NamedTuple):
-    """One entry of an information response's children list.
+    """One child of a rejecting :class:`ConnResponse`, and the join's view
+    of one answered probe.
 
     ``distance`` is the *parent's* virtual distance to this child, measured
     when the child connected (the paper: nodes "store... children list and
-    distances to them").
+    distances to them"); ``free_degree`` is the child's own, which a
+    redirect reads.  An information reply carries only the ``(child,
+    distance)`` pairs: the probe round builds one ChildInfo per answered
+    probe, with the free degree the probe reply carried.
 
-    A NamedTuple rather than a dataclass: hundreds of thousands of these
-    are built per run (one per child per information reply), and tuple
-    construction skips the frozen-dataclass ``object.__setattr__`` round
-    trip per field.
+    A NamedTuple rather than a dataclass: tuple construction skips the
+    frozen-dataclass ``object.__setattr__`` round trip per field.
     """
 
     node_id: int
@@ -79,6 +81,10 @@ class InfoRequest(NamedTuple):
 class InfoResponse(NamedTuple):
     """Reply to :class:`InfoRequest`.
 
+    ``children`` is the replier's ``(child, distance)`` pairs sorted by id
+    (empty for a bare probe); ``free_degree`` is the replier's own, so a
+    probe reply is both the RTT measurement and the child's free degree.
+
     NamedTuple for the same hot-construction reason as :class:`ChildInfo`
     (one per probe reply).
     """
@@ -86,7 +92,7 @@ class InfoResponse(NamedTuple):
     node_id: int
     free_degree: int
     parent: int | None
-    children: tuple[ChildInfo, ...] = ()
+    children: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,9 @@ class ProtocolSpec(NamedTuple):
     #: the config the row was built from (``None`` for MST)
     config: object
     #: ``(row, agent, pivot, dist_to_pivot, info, probes) -> Decision``: the
-    #: pivot's InfoResponse, and each probed child's (distance, ChildInfo)
+    #: pivot's InfoResponse (its ``children`` are bare ``(child, distance)``
+    #: pairs), and each answered child's measured distance and ChildInfo,
+    #: whose free degree is the one its probe reply carried
     decide: Callable
     #: the refinement period sessions arm by default (``None``: off)
     refine_period_s: float | None = None

@@ -19,10 +19,76 @@ from repro.protocols.messages import (
     LeaveNotice,
     ParentChange,
 )
+from repro.sim.engine import Simulator
 from repro.sim.network import MatrixUnderlay
 from repro.sim.session import MulticastSession, SessionConfig
 
 from tests.helpers import line_matrix
+
+
+def _smoke_session(make, **extra):
+    underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(24)]))
+    cfg = SessionConfig(
+        n_nodes=20,
+        degree=(2, 4),
+        join_phase_s=400.0,
+        total_s=1600.0,
+        slot_s=200.0,
+        settle_s=50.0,
+        churn_rate=0.2,
+        seed=5,
+        **extra,
+    )
+    return MulticastSession(underlay, make, cfg).run()
+
+
+# Recorded with the per-message constructors, before any payload was
+# interned or turned into a NamedTuple: the same sessions must send the
+# same number of each message, under the same type names.
+_SMOKE_COUNTS = {
+    "vdm": {
+        "ChildRemove": 24, "ConnRequest": 65, "ConnResponse": 65,
+        "GrandparentChange": 42, "InfoRequest": 516, "InfoResponse": 516,
+        "LeaveNotice": 22, "ParentChange": 33,
+    },
+    "hmtp": {
+        "ChildRemove": 47, "ConnRequest": 90, "ConnResponse": 90,
+        "GrandparentChange": 40, "InfoRequest": 2552, "InfoResponse": 2552,
+        "LeaveNotice": 24,
+    },
+    "vdm-failover": {
+        "ChildRemove": 24, "ConnRequest": 43, "ConnResponse": 43,
+        "FailoverAttach": 22, "GrandparentChange": 42, "InfoRequest": 493,
+        "InfoResponse": 493, "LeaveNotice": 22, "ParentChange": 33,
+    },
+    # Recorded while the pivot still answered with one ChildInfo (and a
+    # free-degree lookup) per child: sending (child, distance) pairs
+    # instead moves no message.
+    "vdm-r": {
+        "ChildRemove": 24, "ConnRequest": 65, "ConnResponse": 65,
+        "GrandparentChange": 42, "InfoRequest": 2250, "InfoResponse": 2250,
+        "LeaveNotice": 22, "ParentChange": 33,
+    },
+    "btp": {
+        "ChildRemove": 128, "ConnRequest": 175, "ConnResponse": 175,
+        "GrandparentChange": 67, "InfoRequest": 1741, "InfoResponse": 1741,
+        "LeaveNotice": 21,
+    },
+    "mst": {
+        "ChildRemove": 24, "ConnRequest": 69, "ConnResponse": 69,
+        "GrandparentChange": 21, "InfoRequest": 114, "InfoResponse": 114,
+        "LeaveNotice": 24,
+    },
+}
+
+_SMOKE_SESSIONS = {
+    "vdm": (factories.vdm, {}),
+    "hmtp": (factories.hmtp, {}),
+    "vdm-failover": (factories.vdm, {"failover": "precomputed"}),
+    "vdm-r": (lambda: factories.vdm_r(150.0), {}),
+    "btp": (factories.btp, {}),
+    "mst": (factories.mst, {}),
+}
 
 
 class TestConnRequest:
@@ -79,6 +145,37 @@ class TestImmutability:
         if not fields:
             assert not any(hasattr(msg, name) for name in names)
 
+    @pytest.mark.parametrize("name", sorted(_SMOKE_SESSIONS))
+    def test_no_list_leaks_into_a_message(self, name, monkeypatch):
+        """Every request and reply of a session hashes, and a pivot's
+        children are its ``(child, distance)`` pairs, sorted by id."""
+        replies = []
+        handle = base.OverlayAgent.handle_request
+
+        def spy(self, sender, msg):
+            reply = handle(self, sender, msg)
+            replies.append((msg, reply))
+            return reply
+
+        monkeypatch.setattr(base.OverlayAgent, "handle_request", spy)
+        make, extra = _SMOKE_SESSIONS[name]
+        _smoke_session(make(), **extra)
+        pairs = 0
+        for msg, reply in replies:
+            hash(msg)
+            hash(reply)  # a list anywhere in a payload would raise here
+            if type(reply) is not InfoResponse:
+                continue
+            children = reply.children
+            assert type(children) is tuple
+            if not msg.want_children:
+                assert children == ()
+                continue
+            assert all(type(c) is tuple and len(c) == 2 for c in children)
+            assert [c[0] for c in children] == sorted(c[0] for c in children)
+            pairs += len(children)
+        assert pairs  # not vacuous
+
 
 class TestDefaults:
     def test_info_response_children_default_empty(self):
@@ -94,6 +191,29 @@ class TestDefaults:
         assert not resp.accepted
         assert resp.transferred == ()
         assert resp.children[0].node_id == 7
+
+    def test_rejection_carries_child_info_with_free_degrees(self):
+        """A full parent's rejection lists its children with their own
+        free degrees: the redirect picks the closest one with a slot."""
+        underlay = MatrixUnderlay(line_matrix([0.0, 10.0, 20.0, 30.0]))
+        sim = Simulator()
+        env = ProtocolRuntime(sim, underlay, source=0)
+        agents = {}
+        for host, limit in ((0, 2), (1, 4), (2, 3), (3, 4)):
+            agents[host] = base.OverlayAgent(host, env, degree_limit=limit)
+            env.register(agents[host])
+        for child in (1, 2):
+            env.tree.attach(child, 0, 0.0)
+            agents[0].children[child] = env.virtual_distance(0, child)
+            agents[child].parent = 0
+        env.tree.attach(3, 2, 0.0)
+        agents[2].children[3] = env.virtual_distance(2, 3)
+        agents[3].parent = 2
+        resp = agents[0].handle_request(3, ConnRequest())
+        assert type(resp) is ConnResponse and not resp.accepted
+        assert resp.children == (ChildInfo(1, 10.0, 4), ChildInfo(2, 20.0, 2))
+        assert all(type(c) is ChildInfo for c in resp.children)
+        hash(resp)
 
 
 class TestNamedTuplePayloads:
@@ -127,50 +247,6 @@ class TestNamedTuplePayloads:
         assert GrandparentChange(new_grandparent=7).new_grandparent == 7
         with pytest.raises(TypeError):
             ParentChange(new_parent=2)  # no default for the grandparent
-
-
-def _smoke_session(make, **extra):
-    underlay = MatrixUnderlay(line_matrix([7.0 * i for i in range(24)]))
-    cfg = SessionConfig(
-        n_nodes=20,
-        degree=(2, 4),
-        join_phase_s=400.0,
-        total_s=1600.0,
-        slot_s=200.0,
-        settle_s=50.0,
-        churn_rate=0.2,
-        seed=5,
-        **extra,
-    )
-    return MulticastSession(underlay, make, cfg).run()
-
-
-# Recorded with the per-message constructors, before any payload was
-# interned or turned into a NamedTuple: the same sessions must send the
-# same number of each message, under the same type names.
-_SMOKE_COUNTS = {
-    "vdm": {
-        "ChildRemove": 24, "ConnRequest": 65, "ConnResponse": 65,
-        "GrandparentChange": 42, "InfoRequest": 516, "InfoResponse": 516,
-        "LeaveNotice": 22, "ParentChange": 33,
-    },
-    "hmtp": {
-        "ChildRemove": 47, "ConnRequest": 90, "ConnResponse": 90,
-        "GrandparentChange": 40, "InfoRequest": 2552, "InfoResponse": 2552,
-        "LeaveNotice": 24,
-    },
-    "vdm-failover": {
-        "ChildRemove": 24, "ConnRequest": 43, "ConnResponse": 43,
-        "FailoverAttach": 22, "GrandparentChange": 42, "InfoRequest": 493,
-        "InfoResponse": 493, "LeaveNotice": 22, "ParentChange": 33,
-    },
-}
-
-_SMOKE_SESSIONS = {
-    "vdm": (factories.vdm, {}),
-    "hmtp": (factories.hmtp, {}),
-    "vdm-failover": (factories.vdm, {"failover": "precomputed"}),
-}
 
 
 class TestInternedPayloads:
@@ -222,3 +298,4 @@ class TestInternedPayloads:
         make, extra = _SMOKE_SESSIONS[name]
         result = _smoke_session(make(), **extra)
         assert dict(result.runtime.message_counts) == _SMOKE_COUNTS[name]
+
